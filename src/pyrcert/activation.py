@@ -101,15 +101,25 @@ def deriv2(params: ActivationParams, x):
 
 
 def value_and_slope(params: ActivationParams, x):
-    """Value and first derivative in one pass (shares the CDF evaluation)."""
-    arr = _as_finite_array(x)
+    """Value and first derivative in one pass, bit-identical to ``evaluate``
+    and ``deriv``.
+
+    This is the trainer's per-layer call, so the helpers are inlined and the
+    two CDFs share one scaled argument: ``ncdf(-z) = 0.5*erfc(u)`` and
+    ``ncdf(z) = 0.5*erfc(-u)`` with ``u = z/sqrt(2)``, exactly, because
+    negation is exact in floating point.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("activation input must be finite")
     g, b = params.gamma, params.beta
     a = (1.0 - g) ** 2 / (2.0 * math.pi * b)
-    z = _scaled_arg(params, arr)
+    z = (b * _SQRT_2PI / (1.0 - g)) * arr
     with np.errstate(under="ignore"):
         bump = np.exp(-0.5 * z * z)
-    cdf_pos = _ncdf(z)
-    cdf_neg = _ncdf(-z)
+    u = z * _INV_SQRT2
+    cdf_pos = 0.5 * special.erfc(-u)
+    cdf_neg = 0.5 * special.erfc(u)
     val = -a + a * bump + arr * cdf_pos + g * arr * cdf_neg
     slope = g + (1.0 - g) * cdf_pos
     if arr.ndim == 0:

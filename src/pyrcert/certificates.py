@@ -41,6 +41,8 @@ __all__ = [
     "rate_constants",
     "predicted_decay",
     "certify",
+    "invariant_thresholds",
+    "invariant_flags",
     "monitor_invariants",
     "certificate_to_json",
     "certificate_from_json",
@@ -315,6 +317,41 @@ def _first_false(col: np.ndarray) -> Optional[int]:
     return int(bad[0]) if bad.size else None
 
 
+def invariant_thresholds(cert: Certificate) -> tuple[float, np.ndarray, np.ndarray]:
+    """The certified corridor: the floor of ``sigma_min(F_1)``, the floors of
+    ``sigma_min(W_l)`` for layers 3..L and the caps of ``||W_l||_2`` for
+    layers 1..L."""
+    return (
+        cert.lambda_f / 2.0,
+        np.asarray(cert.lambda_min_deep, dtype=np.float64) / 2.0,
+        1.5 * np.asarray(cert.lambda_bar, dtype=np.float64),
+    )
+
+
+def invariant_flags(
+    cert: Certificate,
+    sv_f1: np.ndarray,
+    min_sv_w: np.ndarray,
+    norm_w: np.ndarray,
+    loss: np.ndarray,
+    bound: np.ndarray,
+) -> np.ndarray:
+    """Per-step verdicts ``(n_steps, 4)`` for the four invariants, in the
+    order of ``InvariantReport.CHECKS``.
+
+    The spectra may be exact or certified one-sided bounds (lower bounds for
+    ``sv_f1`` and ``min_sv_w``, upper bounds for ``norm_w``); with bounds a
+    flag holds only where the bound proves it.
+    """
+    f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
+    flags = np.empty((len(loss), 4), dtype=bool)
+    flags[:, 0] = np.all(min_sv_w >= lam_floor[None, :], axis=1)
+    flags[:, 1] = np.all(norm_w <= norm_cap[None, :], axis=1)
+    flags[:, 2] = sv_f1 >= f1_floor
+    flags[:, 3] = loss <= bound
+    return flags
+
+
 def monitor_invariants(
     log: "TrainLog",
     cert: Certificate,
@@ -322,23 +359,20 @@ def monitor_invariants(
 ) -> InvariantReport:
     """Re-derive the invariant flags of a logged run against a certificate.
 
-    The log must carry per-step spectra.  When ``distance_upto_loss`` is
-    given, the parameter-distance envelope is additionally checked for every
-    step up to the first step whose loss falls below that threshold, using
-    the final iterate as the limit proxy.
+    The log must carry per-step spectra.  A certified run logs certified
+    bounds where it skipped an SVD, each proving its thresholds, so against
+    the run's own certificate this reproduces ``log.flags`` exactly; against
+    a tighter certificate a bound may fail to prove a step that holds.
+    When ``distance_upto_loss`` is given, the parameter-distance envelope is
+    additionally checked for every step up to the first step whose loss
+    falls below that threshold, using the final iterate as the limit proxy.
     """
     if log.sv_f1 is None or log.min_sv_w is None or log.norm_w is None:
         raise ValueError("log has no recorded spectra; rerun with monitoring enabled")
     n = log.n_steps
-    flags = np.zeros((n, 4), dtype=bool)
-    lam_floor = np.asarray(cert.lambda_min_deep) / 2.0
-    norm_cap = 1.5 * np.asarray(cert.lambda_bar)
-    flags[:, 0] = np.all(log.min_sv_w >= lam_floor[None, :], axis=1)
-    flags[:, 1] = np.all(log.norm_w <= norm_cap[None, :], axis=1)
-    flags[:, 2] = log.sv_f1 >= cert.lambda_f / 2.0
     decay = 1.0 - log.eta * cert.alpha0
     bound = decay ** np.arange(n, dtype=np.float64) * log.phi0
-    flags[:, 3] = log.loss <= bound
+    flags = invariant_flags(cert, log.sv_f1, log.min_sv_w, log.norm_w, log.loss, bound)
 
     first = {
         name: _first_false(flags[:, i]) for i, name in enumerate(InvariantReport.CHECKS)

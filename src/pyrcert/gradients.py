@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .activation import ActivationParams, value_and_slope
+from .certificates import invariant_flags, invariant_thresholds
 from .network import Dataset, ForwardTrace, Params, _check_dims, forward, vec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -171,6 +172,12 @@ class TrainConfig:
 class TrainLog:
     """Per-step history of a gradient-descent run.
 
+    The spectra (``sv_f1``, ``min_sv_w``, ``norm_w``) of a certified run are
+    certified one-sided bounds: lower bounds for the smallest singular
+    values, upper bounds for the operator norms.  They are exact on rows
+    where ``spectra_exact`` is set, and on every row of an uncertified run.
+    ``spectra_svds`` counts the exact SVDs the run took.
+
     ``flags`` columns (present only for certified runs):
     deep-weight singular-value floor, weight-norm cap, first-layer
     singular-value floor, loss below the certified decay bound.
@@ -191,6 +198,8 @@ class TrainLog:
     diverged: bool
     stop_reason: str
     depth: int = field(default=0)
+    spectra_exact: Optional[np.ndarray] = None
+    spectra_svds: int = 0
 
     @property
     def n_steps(self) -> int:
@@ -212,6 +221,27 @@ class TrainLog:
         return {name: int(fails[:, i].sum()) for i, name in enumerate(names)}
 
 
+# First log allocation in rows; the log doubles whenever it fills up, so
+# its memory follows the rows used rather than ``max_steps``.
+_LOG_CHUNK = 1024
+
+# Lazy spectra.  LAPACK's SVD is backward stable: each computed singular
+# value of an m x n matrix A lies within a small multiple of
+# eps * max(m, n) * ||A||_2 of the true one; _SVD_ERR is that multiple, with
+# room to spare.
+_EPS = float(np.finfo(np.float64).eps)
+_SVD_ERR = 4.0
+# Squares of entries below this underflow, so a computed Frobenius norm may
+# miss up to this much per entry.
+_SQRT_TINY = math.sqrt(float(np.finfo(np.float64).tiny))
+
+
+def _grown(a: np.ndarray, rows: int, fill) -> np.ndarray:
+    out = np.full((rows,) + a.shape[1:], fill, dtype=a.dtype)
+    out[: len(a)] = a
+    return out
+
+
 def train(
     params0: Params,
     data: Dataset,
@@ -225,7 +255,20 @@ def train(
     With a certificate, the step size must sit strictly below the certified
     cap, and every logged step carries the four trajectory-invariant flags
     plus the geometric decay bound.  A run is aborted (log retained) if the
-    loss exceeds ``1e12`` or turns non-finite.
+    loss exceeds ``1e12`` or turns non-finite, including when the iterates
+    overflow and the forward pass meets a non-finite pre-activation.
+
+    Spectra of a certified run are lazy but rigorous.  Each monitored matrix
+    (``F_1`` and every ``W_l``) keeps a reference copy with the singular
+    values of one exact SVD.  By Weyl's inequality no singular value moves
+    further from the reference's than ``||A - A_ref||_2 <= ||A - A_ref||_F``.
+    That displacement, inflated for rounding and widened by the SVD error
+    of both matrices, turns the reference extremes into certified bounds
+    on what an exact SVD of the current matrix would compute.  A matrix
+    whose bounds do not prove its thresholds gets an exact SVD, which
+    decides its flag and becomes its new reference; so the flags equal
+    those of an exact SVD on every step.  Step 0, the last logged step and
+    every step of an uncertified run take exact SVDs.
     """
     _check_dims(params0, data)
     L = params0.depth
@@ -244,23 +287,42 @@ def train(
 
     X, Y = data.X, data.Y
     W = [w.copy() for w in params0.weights]
-    n_rows = cfg.max_steps + 1
-    loss_a = np.empty(n_rows)
-    grad_a = np.empty(n_rows)
-    bound_a = np.full(n_rows, np.nan)
     spectra = cert is not None or "spectra" in cfg.monitor
-    sv_f1 = np.empty(n_rows) if spectra else None
-    min_sv_w = np.empty((n_rows, max(L - 2, 0))) if spectra else None
-    norm_w = np.empty((n_rows, L)) if spectra else None
-    flags = np.zeros((n_rows, 4), dtype=bool) if cert is not None else None
-    dist_a = np.empty(n_rows) if distance_ref is not None else None
+    # log columns: loss, grad norm, bound, distance, then per monitored
+    # matrix (F_1, W_1..W_L) its lower bounds and its upper bounds
+    LO, HI = 4, 4 + (L + 1)
+    max_rows = cfg.max_steps + 1
+    cap = min(max_rows, _LOG_CHUNK)
+    rows = np.full((cap, HI + (L + 1) if spectra else LO), np.nan)
+    exact_a = np.zeros(cap, dtype=bool)
 
     if cert is not None:
         decay = 1.0 - eta * cert.alpha0
-        lam_floor = np.asarray(cert.lambda_min_deep) / 2.0
-        norm_cap = 1.5 * np.asarray(cert.lambda_bar)
-        f1_floor = cert.lambda_f / 2.0
-    svd = np.linalg.svd
+    if spectra:
+        svd = np.linalg.svd
+        # thresholds each monitored matrix must prove, or else check exactly
+        floors = [-math.inf] * (L + 1)
+        caps = [math.inf] * (L + 1)
+        if cert is not None:
+            f1_floor, deep_floors, norm_caps = invariant_thresholds(cert)
+            floors[0] = f1_floor
+            floors[3:] = deep_floors.tolist()
+            caps[1:] = norm_caps.tolist()
+        # ||A - A_ref||_F * inflate + margin bounds how far any singular
+        # value an exact SVD of A would compute lies from the reference's
+        # computed ones.  inflate covers the rounding of the difference, the
+        # dot product (size * eps), the square root and the final add, and
+        # the SVD error of A growing with ||A||_2 <= ||A_ref||_2 + the
+        # displacement; margin covers the SVD error of both matrices at
+        # ||A_ref||_2, the rounding of the bounds, and underflowed squares.
+        shapes = [(X.shape[0], W[0].shape[1])] + [w.shape for w in W]
+        inflate = [1.0 + (2.0 * m * n + _SVD_ERR * max(m, n) + 8.0) * _EPS for m, n in shapes]
+        underflow = [2.0 * math.sqrt(m * n) * _SQRT_TINY for m, n in shapes]
+        refs: list = [None] * (L + 1)
+        tops = [math.nan] * (L + 1)
+        lows = [math.nan] * (L + 1)
+        margins = [math.nan] * (L + 1)
+    n_svds = 0
 
     phi0 = math.nan
     k = 0
@@ -272,7 +334,12 @@ def train(
         Fs = [X]
         for l in range(1, L):
             g = Fs[-1] @ W[l - 1]
-            val, sp = value_and_slope(act, g)
+            try:
+                val, sp = value_and_slope(act, g)
+            except ValueError:
+                # non-finite pre-activation: the iterates blew up, and NaN
+                # carries through to a non-finite loss that ends the run
+                val = sp = np.full_like(g, math.nan)
             slopes[l - 1] = sp
             Fs.append(val)
         out = Fs[-1] @ W[L - 1]
@@ -280,6 +347,12 @@ def train(
         loss_k = 0.5 * float(np.vdot(E, E))
         if k == 0:
             phi0 = loss_k
+        last = (
+            not math.isfinite(loss_k)
+            or loss_k > DIVERGENCE_LOSS
+            or loss_k <= cfg.stop_loss
+            or k == cfg.max_steps
+        )
 
         D = E
         gsq = 0.0
@@ -291,58 +364,92 @@ def train(
             if l > 1:
                 D = (D @ W[l - 1].T) * slopes[l - 2]
 
-        loss_a[k] = loss_k
-        grad_a[k] = math.sqrt(gsq)
-        if spectra:
-            sv_f1[k] = svd(Fs[1], compute_uv=False)[-1] if L >= 2 else math.nan
-            for i, l in enumerate(range(3, L + 1)):
-                min_sv_w[k, i] = svd(W[l - 1], compute_uv=False)[-1]
-            for l in range(1, L + 1):
-                norm_w[k, l - 1] = svd(W[l - 1], compute_uv=False)[0]
+        if k == cap:
+            cap = min(2 * cap, max_rows)
+            rows = _grown(rows, cap, np.nan)
+            exact_a = _grown(exact_a, cap, False)
+        row = rows[k]
+        row[0] = loss_k
+        row[1] = math.sqrt(gsq)
         if cert is not None:
-            bound_k = decay**k * phi0
-            bound_a[k] = bound_k
-            flags[k, 0] = bool(np.all(min_sv_w[k] >= lam_floor))
-            flags[k, 1] = bool(np.all(norm_w[k] <= norm_cap))
-            flags[k, 2] = bool(sv_f1[k] >= f1_floor)
-            flags[k, 3] = loss_k <= bound_k
-        if dist_a is not None:
+            row[2] = decay**k * phi0
+        if distance_ref is not None:
             acc = 0.0
             for w, r in zip(W, distance_ref.weights):
                 delta = w - r
                 acc += float(np.vdot(delta, delta))
-            dist_a[k] = math.sqrt(acc)
+            row[3] = math.sqrt(acc)
+        if spectra:
+            prove = cert is not None and k > 0 and not last
+            all_exact = True
+            for i in range(L + 1):
+                a = Fs[1] if i == 0 else W[i - 1]
+                if prove:
+                    delta = a - refs[i]
+                    radius = (
+                        math.sqrt(float(np.vdot(delta, delta))) * inflate[i] + margins[i]
+                    )
+                    lo = lows[i] - radius
+                    hi = tops[i] + radius
+                    if lo >= floors[i] and hi <= caps[i]:
+                        row[LO + i] = lo
+                        row[HI + i] = hi
+                        all_exact = False
+                        continue
+                # exact SVD: it decides this matrix's flags and becomes the
+                # reference of the proofs that follow
+                n_svds += 1
+                try:
+                    sv = svd(a, compute_uv=False)
+                    tops[i], lows[i] = float(sv[0]), float(sv[-1])
+                except np.linalg.LinAlgError:  # NaN entries of a blown-up run
+                    tops[i] = lows[i] = math.nan
+                refs[i] = a if i == 0 else a.copy()
+                m, n = shapes[i]
+                margins[i] = (2.0 * _SVD_ERR * max(m, n) + 4.0) * _EPS * tops[i] + underflow[i]
+                row[LO + i] = lows[i]
+                row[HI + i] = tops[i]
+            exact_a[k] = all_exact
 
-        if not math.isfinite(loss_k) or loss_k > DIVERGENCE_LOSS:
-            diverged = True
-            stop_reason = "diverged"
-            break
-        if loss_k <= cfg.stop_loss:
-            stop_reason = "stop_loss"
-            break
-        if k == cfg.max_steps:
+        if last:
+            if not math.isfinite(loss_k) or loss_k > DIVERGENCE_LOSS:
+                diverged = True
+                stop_reason = "diverged"
+            elif loss_k <= cfg.stop_loss:
+                stop_reason = "stop_loss"
             break
         for l in range(L):
             W[l] -= eta * grads[l]
         k += 1
 
     n = k + 1
+    rows = rows[:n]
+    loss_a = rows[:, 0].copy()
+    bound_a = rows[:, 2].copy()
+    sv_f1 = rows[:, LO].copy() if spectra else None
+    min_sv_w = rows[:, LO + 3 : HI].copy() if spectra else None
+    norm_w = rows[:, HI + 1 :].copy() if spectra else None
+    flags = None
+    if cert is not None:
+        flags = invariant_flags(cert, sv_f1, min_sv_w, norm_w, loss_a, bound_a)
     return TrainLog(
         steps=np.arange(n),
-        loss=loss_a[:n].copy(),
-        bound=bound_a[:n].copy(),
-        grad_norm=grad_a[:n].copy(),
-        sv_f1=sv_f1[:n].copy() if spectra else None,
-        min_sv_w=min_sv_w[:n].copy() if spectra else None,
-        norm_w=norm_w[:n].copy() if spectra else None,
-        flags=flags[:n].copy() if flags is not None else None,
-        dist_to_ref=dist_a[:n].copy() if dist_a is not None else None,
+        loss=loss_a,
+        bound=bound_a,
+        grad_norm=rows[:, 1].copy(),
+        sv_f1=sv_f1,
+        min_sv_w=min_sv_w,
+        norm_w=norm_w,
+        flags=flags,
+        dist_to_ref=rows[:, 3].copy() if distance_ref is not None else None,
         final_params=Params(tuple(w.copy() for w in W)),
         eta=eta,
         alpha0=cert.alpha0 if cert is not None else math.nan,
         diverged=diverged,
         stop_reason=stop_reason,
         depth=L,
+        spectra_exact=exact_a[:n].copy() if spectra else None,
+        spectra_svds=n_svds,
     )
 
 
@@ -353,7 +460,14 @@ def train(
 
 def trainlog_to_csv(log: TrainLog, path) -> None:
     """Fixed-order CSV: k, loss, bound, sv_F1, min_sv_W3.., max_norm_W1..,
-    grad_norm, then the four flag columns (certified runs only)."""
+    grad_norm, spectra_exact, then the four flag columns (certified runs
+    only).
+
+    The spectra columns of a certified run are certified one-sided bounds:
+    ``sv_F1`` and ``min_sv_W*`` lower bounds, ``max_norm_W*`` upper bounds.
+    They are exact on rows with ``spectra_exact`` = 1, which an uncertified
+    run has throughout.
+    """
     L = log.depth
     header = ["k", "loss", "bound"]
     has_spectra = log.sv_f1 is not None
@@ -362,6 +476,8 @@ def trainlog_to_csv(log: TrainLog, path) -> None:
         header.extend(f"min_sv_W{l}" for l in range(3, L + 1))
         header.extend(f"max_norm_W{l}" for l in range(1, L + 1))
     header.append("grad_norm")
+    if has_spectra:
+        header.append("spectra_exact")
     has_flags = log.flags is not None
     if has_flags:
         header.extend(["flag_sv_w", "flag_norm_w", "flag_sv_f1", "flag_loss_bound"])
@@ -379,6 +495,8 @@ def trainlog_to_csv(log: TrainLog, path) -> None:
                 row.extend(fmt(v) for v in log.min_sv_w[i])
                 row.extend(fmt(v) for v in log.norm_w[i])
             row.append(fmt(log.grad_norm[i]))
+            if has_spectra:
+                row.append(int(log.spectra_exact[i]))
             if has_flags:
                 row.extend(int(b) for b in log.flags[i])
             writer.writerow(row)
@@ -408,4 +526,5 @@ def trainlog_summary(log: TrainLog) -> dict:
         "diverged": log.diverged,
         "stop_reason": log.stop_reason,
         "violations": log.violation_counts(),
+        "spectra_svds": log.spectra_svds,
     }

@@ -211,6 +211,27 @@ class TestValueAndSlope:
         v, s = value_and_slope(act, 0.0)
         assert v == 0.0 and s == 0.75
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.floats(0.01, 0.99),
+        st.floats(0.05, 20.0),
+        st.sampled_from([1e-3, 1.0, 10.0, 1e3]),
+    )
+    def test_bit_identical_to_evaluate_and_deriv(self, seed, g, b, scale):
+        act = ActivationParams(g, b)
+        x = scale * np.random.default_rng(seed).normal(size=(7, 5))
+        v, s = value_and_slope(act, x)
+        assert np.array_equal(v, evaluate(act, x))
+        assert np.array_equal(s, deriv(act, x))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        x = np.zeros((3, 2))
+        x[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            value_and_slope(ActivationParams(0.5, 1.0), x)
+
 
 def test_ramp_helper():
     assert leaky_ramp(0.5, -2.0) == -1.0

@@ -1,10 +1,13 @@
 """Certificate constants versus direct SVD/formula oracles, assumption
 verdict behavior, and trajectory-invariant monitoring."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyrcert.activation import ActivationParams, as_function, evaluate
 from pyrcert.certificates import (
@@ -12,6 +15,7 @@ from pyrcert.certificates import (
     certificate_to_json,
     certify,
     check_assumption,
+    invariant_flags,
     lambda_f,
     monitor_invariants,
     predicted_decay,
@@ -312,3 +316,90 @@ class TestWeylSanity:
             sa = np.linalg.svd(A, compute_uv=False)
             sb = np.linalg.svd(B, compute_uv=False)
             assert np.max(np.abs(sa - sb)) <= np.linalg.norm(A - B, 2) * (1 + 1e-12)
+
+
+class TestLazySpectra:
+    """The certified trainer proves its spectral thresholds by Weyl's
+    inequality and takes an exact SVD only when the proof fails.  Replaying
+    the same run with an exact SVD on every step (an uncertified run with
+    spectra monitoring follows bit-identical iterates) must give the same
+    flags, and every logged bound must sit on the right side of the exact
+    value."""
+
+    @staticmethod
+    def exact_replay(params, data, eta, steps):
+        cfg = TrainConfig(eta=eta, max_steps=steps, monitor=frozenset({"spectra"}))
+        return train(params, data, ACT, cfg)
+
+    @staticmethod
+    def check_against_exact(lazy, eager, cert):
+        assert np.array_equal(lazy.loss, eager.loss)
+        assert eager.spectra_exact.all()
+        want = invariant_flags(
+            cert, eager.sv_f1, eager.min_sv_w, eager.norm_w, eager.loss, lazy.bound
+        )
+        assert np.array_equal(lazy.flags, want)
+        assert np.all(lazy.sv_f1 <= eager.sv_f1)
+        assert np.all(lazy.min_sv_w <= eager.min_sv_w)
+        assert np.all(lazy.norm_w >= eager.norm_w)
+        rows = lazy.spectra_exact
+        assert rows[0] and rows[-1]
+        assert np.array_equal(lazy.sv_f1[rows], eager.sv_f1[rows])
+        assert np.array_equal(lazy.min_sv_w[rows], eager.min_sv_w[rows])
+        assert np.array_equal(lazy.norm_w[rows], eager.norm_w[rows])
+        assert np.array_equal(monitor_invariants(lazy, cert).flags, lazy.flags)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 40), st.sampled_from([(6, 3, 2), (6, 4, 3, 2)]))
+    def test_certified_run_matches_exact_spectra(self, seed, widths):
+        shape, data, cfg = certifiable_instance(seed=seed, widths=widths)
+        _, params, cert = tune_gain(shape, data, ACT, cfg)
+        eta = 0.9 * cert.eta_max
+        lazy = train(params, data, ACT, TrainConfig(eta=eta, max_steps=150), cert=cert)
+        self.check_against_exact(lazy, self.exact_replay(params, data, eta, 150), cert)
+        assert lazy.flags.all()
+        # the iterates barely move, so only step 0 and the last step need SVDs
+        assert lazy.spectra_svds == 2 * (len(widths) + 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 40),
+        st.sampled_from([(6, 3, 2), (6, 4, 3, 2)]),
+        st.sampled_from([0.02, 0.05, 0.1]),
+    )
+    def test_tightened_floors_force_rebases(self, seed, widths, eta):
+        # thresholds at the median of each exact spectral trajectory: the
+        # proofs fail near them, the exact SVDs rebase, and flags turn false
+        shape, data, cfg = certifiable_instance(seed=seed, widths=widths, y_scale=1.0)
+        params = init_certifiable(shape, data, ACT, cfg)
+        eager = self.exact_replay(params, data, eta, 60)
+        med = lambda a: tuple(float(v) for v in np.median(a, axis=0))  # noqa: E731
+        cert = dataclasses.replace(
+            certify(params, data, ACT),
+            lambda_f=2.0 * med(eager.sv_f1[:, None])[0],
+            lambda_min_deep=tuple(2.0 * v for v in med(eager.min_sv_w)),
+            lambda_bar=tuple(v / 1.5 for v in med(eager.norm_w)),
+            alpha0=0.01,
+            eta_max=math.inf,
+        )
+        lazy = train(params, data, ACT, TrainConfig(eta=eta, max_steps=60), cert=cert)
+        self.check_against_exact(lazy, eager, cert)
+        assert not lazy.flags[:, :3].all()
+        assert lazy.spectra_svds > 2 * (len(widths) + 1)
+
+    def test_threshold_met_with_equality_is_checked_exactly(self):
+        # with eta = 0 the displacement is exactly 0, so only the rounding
+        # margin stands between the bound and a threshold equal to the exact
+        # value: it must never be proven without an SVD
+        shape, data, cfg = certifiable_instance(widths=(6, 4, 3, 2))
+        params = init_certifiable(shape, data, ACT, cfg)
+        eager = self.exact_replay(params, data, 0.0, 0)
+        cert = dataclasses.replace(
+            certify(params, data, ACT),
+            lambda_f=2.0 * float(eager.sv_f1[0]),
+            lambda_min_deep=tuple(2.0 * float(v) for v in eager.min_sv_w[0]),
+        )
+        lazy = train(params, data, ACT, TrainConfig(eta=0.0, max_steps=5), cert=cert)
+        assert lazy.flags.all()
+        # F_1, W_3 and W_4 on every step; W_1 and W_2 only at steps 0 and 5
+        assert lazy.spectra_svds == 6 * 3 + 2 * 2

@@ -96,6 +96,24 @@ class TestTrain:
             losses = [float(row["loss"]) for row in csv.DictReader(fh)]
         assert len(set(losses)) == 1 and len(losses) == 26
 
+    def test_overflowing_run_exits_two_with_log(self, tmp_path):
+        cfg = small_config(
+            tmp_path,
+            init={"scheme": "lecun"},
+            dataset={"targets": "gaussian", "target_scale": 10.0},
+            train={"eta": 1e300, "max_steps": 10, "stop_loss": 0.0},
+        )
+        out = tmp_path / "out_div"
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run(["train", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diverged"] and summary["stop_reason"] == "diverged"
+        with open(out / "trainlog.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == summary["records"] == 2
+        assert rows[-1]["spectra_exact"] == "1"
+
     def test_eta_flag_overrides_config(self, tmp_path):
         cfg = small_config(tmp_path)
         out = tmp_path / "out1"

@@ -255,6 +255,32 @@ class TestTrain:
         assert log.stop_reason == "diverged"
         assert log.n_steps < 10_001
 
+    @pytest.mark.parametrize("monitor", [frozenset(), frozenset({"spectra"})])
+    def test_overflow_ends_run_as_diverged(self, monitor):
+        # eta = 1e300 overflows the weights after step 0; the next forward
+        # pass meets non-finite pre-activations
+        rng = np.random.default_rng(36)
+        data, params = random_instance(rng, 4, 3, (5, 3, 2), y_scale=10.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            log = train(params, data, ACT, TrainConfig(eta=1e300, max_steps=10, monitor=monitor))
+        assert log.diverged and log.stop_reason == "diverged"
+        assert log.n_steps == 2
+        assert math.isfinite(log.loss[0]) and not math.isfinite(log.loss[1])
+        if monitor:
+            assert log.spectra_exact.all()
+
+    def test_log_grows_past_its_first_allocation(self):
+        rng = np.random.default_rng(37)
+        data, params = random_instance(rng, 3, 2, (4, 1))
+        cfg = TrainConfig(eta=1e-4, max_steps=2500, monitor=frozenset({"spectra"}))
+        log = train(params, data, ACT, cfg)
+        assert log.n_steps == 2501
+        assert np.array_equal(log.steps, np.arange(2501))
+        assert np.all(np.isfinite(log.loss)) and np.all(np.isfinite(log.norm_w))
+        assert np.all(np.isnan(log.bound))  # no certificate, no bound
+        assert np.all(np.diff(log.loss) <= 0.0)
+        assert log.spectra_exact.all() and log.spectra_svds == 2501 * 3
+
     def test_descent_for_small_steps(self):
         rng = np.random.default_rng(38)
         data, params = random_instance(rng, 4, 3, (5, 3, 2))
