@@ -227,8 +227,15 @@ def predicted_decay(alpha0: float, eta: float, phi0: float, k) -> float | np.nda
     ks = np.asarray(k)
     if np.any(ks < 0):
         raise ValueError("step index must be >= 0")
-    out = (1.0 - rate) ** ks * phi0
+    out = _decay_bound(rate, phi0, ks)
     return float(out) if out.ndim == 0 else out
+
+
+def _decay_bound(rate: float, phi0: float, ks: np.ndarray) -> np.ndarray:
+    # The one evaluation of the ceiling, shared by predicted_decay, the
+    # trainer's bound column and monitor_invariants: a scalar power and
+    # NumPy's vectorised one differ in the last bit on some steps.
+    return (1.0 - rate) ** ks * phi0
 
 
 def certify(params0: Params, data: Dataset, act: ActivationParams) -> Certificate:
@@ -371,7 +378,7 @@ def monitor_invariants(
         raise ValueError("log has no recorded spectra; rerun with monitoring enabled")
     n = log.n_steps
     decay = 1.0 - log.eta * cert.alpha0
-    bound = decay ** np.arange(n, dtype=np.float64) * log.phi0
+    bound = _decay_bound(log.eta * cert.alpha0, log.phi0, np.arange(n))
     flags = invariant_flags(cert, log.sv_f1, log.min_sv_w, log.norm_w, log.loss, bound)
 
     first = {

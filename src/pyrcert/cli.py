@@ -26,6 +26,7 @@ from .certificates import certificate_to_json, certify, monitor_invariants
 from .gradients import TrainConfig, train, trainlog_summary, trainlog_to_csv
 from .initializers import (
     InitConfig,
+    first_layer,
     init_certifiable,
     init_lecun,
     layer_rng,
@@ -118,11 +119,6 @@ def _activation(cfg: dict) -> ActivationParams:
     return ActivationParams(float(a["gamma"]), float(a["beta"]))
 
 
-def _first_layer_probe(shape: Shape, seed: int) -> np.ndarray:
-    # both schemes draw the first layer as iid N(0, 1/d) from stream 1
-    return layer_rng(seed, 1).normal(0.0, 1.0 / math.sqrt(shape.d), size=(shape.d, shape.widths[0]))
-
-
 def _build_dataset(cfg: dict, shape: Shape, act: ActivationParams, seed: int) -> Dataset:
     ds = cfg["dataset"]
     if ds["source"] == "file":
@@ -144,8 +140,7 @@ def _build_dataset(cfg: dict, shape: Shape, act: ActivationParams, seed: int) ->
     elif mode == "aligned":
         # targets along the dominant first-layer feature direction: keeps the
         # desk-scale certified run converging well inside the step budget
-        w1 = _first_layer_probe(shape, seed)
-        f1 = evaluate(act, X @ w1)
+        f1 = evaluate(act, X @ first_layer(shape, seed))
         u = np.linalg.svd(f1)[0][:, 0]
         Y = scale * np.outer(u, np.full(n_out, 1.0 / math.sqrt(n_out)))
     else:
@@ -309,6 +304,7 @@ def _run_training(cfg: dict, out_dir: Path) -> tuple[dict, int]:
     summary["certified"] = use_cert is not None
     if use_cert is not None:
         report = monitor_invariants(log, use_cert)
+        summary["violations"] = report.n_violations
         summary["invariants_hold"] = report.all_hold
         summary["first_violation"] = report.first_violation
     return summary, (2 if log.diverged else 0)

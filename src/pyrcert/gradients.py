@@ -17,9 +17,10 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .activation import ActivationParams, value_and_slope
-from .certificates import invariant_flags, invariant_thresholds
-from .network import Dataset, ForwardTrace, Params, _check_dims, forward, vec
+from .activation import ActivationParams
+from .activation import value_and_slope  # noqa: F401 - bound here for perfbench's tracer
+from .certificates import _decay_bound, invariant_flags, invariant_thresholds
+from .network import Dataset, ForwardTrace, Params, _check_dims, _layers, forward
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .certificates import Certificate
@@ -55,18 +56,21 @@ class GradientBundle:
         return self.layers[l - 1]
 
 
-def _backprop(trace: ForwardTrace, params: Params) -> GradientBundle:
-    L = params.depth
-    D = trace.residual()
-    layers: list[np.ndarray] = [np.empty(0)] * L
+def _backprop(F, S, weights, E: np.ndarray) -> tuple[list[np.ndarray], float]:
+    """The backward kernel: per-layer gradients and their summed squared
+    norm, from a forward pass's outputs ``F``, slopes ``S`` and residual
+    ``E = F[L] - Y``, on raw arrays."""
+    L = len(weights)
+    D = E
+    grads: list[np.ndarray] = [np.empty(0)] * L
     sq = 0.0
     for l in range(L, 0, -1):
-        g = trace.F[l - 1].T @ D
-        layers[l - 1] = g
+        g = F[l - 1].T @ D
+        grads[l - 1] = g
         sq += float(np.vdot(g, g))
         if l > 1:
-            D = (D @ params.weights[l - 1].T) * trace.sigma_prime(l - 1)
-    return GradientBundle(layers=tuple(layers), sq_norm=sq)
+            D = (D @ weights[l - 1].T) * S[l - 2]
+    return grads, sq
 
 
 def grad(
@@ -80,7 +84,8 @@ def grad(
         trace = forward(params, data, act)
     else:
         _check_dims(params, data)
-    return _backprop(trace, params)
+    grads, sq = _backprop(trace.F, trace.S, params.weights, trace.residual())
+    return GradientBundle(layers=tuple(grads), sq_norm=sq)
 
 
 def jacobian_block(
@@ -213,13 +218,6 @@ class TrainLog:
     def final_loss(self) -> float:
         return float(self.loss[-1])
 
-    def violation_counts(self) -> dict[str, int]:
-        if self.flags is None:
-            return {}
-        names = ("sv_w", "norm_w", "sv_f1", "loss_bound")
-        fails = ~self.flags
-        return {name: int(fails[:, i].sum()) for i, name in enumerate(names)}
-
 
 # First log allocation in rows; the log doubles whenever it fills up, so
 # its memory follows the rows used rather than ``max_steps``.
@@ -288,16 +286,14 @@ def train(
     X, Y = data.X, data.Y
     W = [w.copy() for w in params0.weights]
     spectra = cert is not None or "spectra" in cfg.monitor
-    # log columns: loss, grad norm, bound, distance, then per monitored
-    # matrix (F_1, W_1..W_L) its lower bounds and its upper bounds
-    LO, HI = 4, 4 + (L + 1)
+    # log columns: loss, grad norm, distance, then per monitored matrix
+    # (F_1, W_1..W_L) its lower bounds and its upper bounds
+    LO, HI = 3, 3 + (L + 1)
     max_rows = cfg.max_steps + 1
     cap = min(max_rows, _LOG_CHUNK)
     rows = np.full((cap, HI + (L + 1) if spectra else LO), np.nan)
     exact_a = np.zeros(cap, dtype=bool)
 
-    if cert is not None:
-        decay = 1.0 - eta * cert.alpha0
     if spectra:
         svd = np.linalg.svd
         # thresholds each monitored matrix must prove, or else check exactly
@@ -324,45 +320,26 @@ def train(
         margins = [math.nan] * (L + 1)
     n_svds = 0
 
-    phi0 = math.nan
     k = 0
     diverged = False
     stop_reason = "max_steps"
-    slopes = [None] * (L - 1)
     while True:
-        # forward, caching slopes for the backward pass
-        Fs = [X]
-        for l in range(1, L):
-            g = Fs[-1] @ W[l - 1]
-            try:
-                val, sp = value_and_slope(act, g)
-            except ValueError:
-                # non-finite pre-activation: the iterates blew up, and NaN
-                # carries through to a non-finite loss that ends the run
-                val = sp = np.full_like(g, math.nan)
-            slopes[l - 1] = sp
-            Fs.append(val)
-        out = Fs[-1] @ W[L - 1]
-        E = out - Y
+        try:
+            _, F, S = _layers(X, W, act)
+        except ValueError:
+            # non-finite pre-activation: the iterates blew up, and NaN
+            # layers carry through to a non-finite loss that ends the run
+            F = [X] + [np.full((X.shape[0], w.shape[1]), math.nan) for w in W]
+            S = F[1:L]
+        E = F[L] - Y
         loss_k = 0.5 * float(np.vdot(E, E))
-        if k == 0:
-            phi0 = loss_k
         last = (
             not math.isfinite(loss_k)
             or loss_k > DIVERGENCE_LOSS
             or loss_k <= cfg.stop_loss
             or k == cfg.max_steps
         )
-
-        D = E
-        gsq = 0.0
-        grads = [None] * L
-        for l in range(L, 0, -1):
-            g = Fs[l - 1].T @ D
-            grads[l - 1] = g
-            gsq += float(np.vdot(g, g))
-            if l > 1:
-                D = (D @ W[l - 1].T) * slopes[l - 2]
+        grads, gsq = _backprop(F, S, W, E)
 
         if k == cap:
             cap = min(2 * cap, max_rows)
@@ -371,19 +348,17 @@ def train(
         row = rows[k]
         row[0] = loss_k
         row[1] = math.sqrt(gsq)
-        if cert is not None:
-            row[2] = decay**k * phi0
         if distance_ref is not None:
             acc = 0.0
             for w, r in zip(W, distance_ref.weights):
                 delta = w - r
                 acc += float(np.vdot(delta, delta))
-            row[3] = math.sqrt(acc)
+            row[2] = math.sqrt(acc)
         if spectra:
             prove = cert is not None and k > 0 and not last
             all_exact = True
             for i in range(L + 1):
-                a = Fs[1] if i == 0 else W[i - 1]
+                a = F[1] if i == 0 else W[i - 1]
                 if prove:
                     delta = a - refs[i]
                     radius = (
@@ -425,12 +400,13 @@ def train(
     n = k + 1
     rows = rows[:n]
     loss_a = rows[:, 0].copy()
-    bound_a = rows[:, 2].copy()
     sv_f1 = rows[:, LO].copy() if spectra else None
     min_sv_w = rows[:, LO + 3 : HI].copy() if spectra else None
     norm_w = rows[:, HI + 1 :].copy() if spectra else None
+    bound_a = np.full(n, math.nan)
     flags = None
     if cert is not None:
+        bound_a = _decay_bound(eta * cert.alpha0, loss_a[0], np.arange(n))
         flags = invariant_flags(cert, sv_f1, min_sv_w, norm_w, loss_a, bound_a)
     return TrainLog(
         steps=np.arange(n),
@@ -441,7 +417,7 @@ def train(
         min_sv_w=min_sv_w,
         norm_w=norm_w,
         flags=flags,
-        dist_to_ref=rows[:, 3].copy() if distance_ref is not None else None,
+        dist_to_ref=rows[:, 2].copy() if distance_ref is not None else None,
         final_params=Params(tuple(w.copy() for w in W)),
         eta=eta,
         alpha0=cert.alpha0 if cert is not None else math.nan,
@@ -515,7 +491,8 @@ def trainlog_from_csv(path) -> dict[str, np.ndarray]:
 
 
 def trainlog_summary(log: TrainLog) -> dict:
-    """JSON-ready run summary."""
+    """JSON-ready run summary.  ``violations`` is left empty: a caller with
+    a certificate fills it from ``monitor_invariants(log, cert).n_violations``."""
     return {
         "steps": int(log.steps[-1]),
         "records": log.n_steps,
@@ -525,6 +502,6 @@ def trainlog_summary(log: TrainLog) -> dict:
         "alpha0": None if math.isnan(log.alpha0) else log.alpha0,
         "diverged": log.diverged,
         "stop_reason": log.stop_reason,
-        "violations": log.violation_counts(),
+        "violations": {},
         "spectra_svds": log.spectra_svds,
     }

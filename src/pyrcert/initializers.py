@@ -29,6 +29,7 @@ __all__ = [
     "InitConfig",
     "WidthPlan",
     "layer_rng",
+    "first_layer",
     "init_certifiable",
     "init_lecun",
     "tune_gain",
@@ -78,6 +79,15 @@ def layer_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream)]))
 
 
+def _lecun_layer(seed: int, l: int, fan_in: int, fan_out: int) -> np.ndarray:
+    return layer_rng(seed, l).normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_in, fan_out))
+
+
+def first_layer(shape: Shape, seed: int) -> np.ndarray:
+    """``W_1`` of both schemes: iid N(0, 1/d) from stream 1."""
+    return _lecun_layer(seed, 1, shape.d, shape.widths[0])
+
+
 def init_certifiable(
     shape: Shape, data: Dataset, act: ActivationParams, cfg: InitConfig
 ) -> Params:
@@ -101,9 +111,7 @@ def init_certifiable(
             f"{data.n_samples}; the certificate cannot hold",
             stacklevel=2,
         )
-    weights: list[np.ndarray] = []
-    w1 = layer_rng(cfg.seed, 1).normal(0.0, 1.0 / math.sqrt(dims[0]), size=(dims[0], dims[1]))
-    weights.append(w1)
+    weights = [first_layer(shape, cfg.seed)]
     if L >= 2:
         if cfg.second_layer_var == 0.0:
             w2 = np.zeros((dims[1], dims[2]))
@@ -133,8 +141,7 @@ def init_lecun(shape: Shape, seed: int) -> Params:
     """iid N(0, 1/fan_in) for every layer, per-layer streams."""
     dims = shape.dims
     weights = tuple(
-        layer_rng(seed, l).normal(0.0, 1.0 / math.sqrt(dims[l - 1]), size=(dims[l - 1], dims[l]))
-        for l in range(1, shape.depth + 1)
+        _lecun_layer(seed, l, dims[l - 1], dims[l]) for l in range(1, shape.depth + 1)
     )
     return Params(weights)
 

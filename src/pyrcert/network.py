@@ -16,11 +16,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import ActivationParams, deriv, evaluate
+from .activation import ActivationParams, value_and_slope
+from .activation import evaluate  # noqa: F401 - bound here for perfbench's tracer
 
 __all__ = [
     "Shape",
@@ -157,20 +158,20 @@ class Params:
         return Params(tuple(w.copy() for w in self.weights))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForwardTrace:
-    """Pre-activations and layer outputs from one full-dataset pass.
+    """Pre-activations, layer outputs and activation slopes from one
+    full-dataset pass.
 
     ``F[0]`` is the input, ``F[l] = sigma(G[l])`` entrywise for hidden
-    layers, and ``F[L] = G[L]`` (linear output).  Activation slopes are
-    materialized lazily per layer and cached.
+    layers, and ``F[L] = G[L]`` (linear output).  ``S`` holds the slopes
+    of hidden layers ``1..L-1``, computed with their values in one pass.
     """
 
     data: Dataset
-    act: ActivationParams
     G: tuple[np.ndarray, ...]
     F: tuple[np.ndarray, ...]
-    _slopes: dict = field(default_factory=dict, repr=False)
+    S: tuple[np.ndarray, ...]
 
     @property
     def depth(self) -> int:
@@ -190,9 +191,7 @@ class ForwardTrace:
         """Entrywise activation slope at hidden layer ``layer`` (1-based)."""
         if not 1 <= layer <= self.depth - 1:
             raise ValueError(f"hidden layer index out of range: {layer}")
-        if layer not in self._slopes:
-            self._slopes[layer] = deriv(self.act, self.G[layer - 1])
-        return self._slopes[layer]
+        return self.S[layer - 1]
 
 
 def _check_dims(params: Params, data: Dataset) -> None:
@@ -208,18 +207,29 @@ def _check_dims(params: Params, data: Dataset) -> None:
         )
 
 
+def _layers(X: np.ndarray, weights, act: ActivationParams):
+    """The forward kernel: pre-activations ``G``, outputs ``F`` and hidden
+    slopes ``S`` of one pass, on raw arrays.  It checks no dimensions
+    because the trainer calls it every step; a non-finite pre-activation
+    raises ``ValueError``."""
+    G, F, S = [], [X], []
+    for w in weights[:-1]:
+        g = F[-1] @ w
+        f, s = value_and_slope(act, g)
+        G.append(g)
+        F.append(f)
+        S.append(s)
+    out = F[-1] @ weights[-1]
+    G.append(out)  # G_L coincides with the linear output
+    F.append(out)
+    return tuple(G), tuple(F), tuple(S)
+
+
 def forward(params: Params, data: Dataset, act: ActivationParams) -> ForwardTrace:
     """Forward pass over the whole dataset; deterministic."""
     _check_dims(params, data)
-    L = params.depth
-    F = [data.X]
-    G = []
-    for l in range(1, L + 1):
-        g = F[-1] @ params.weights[l - 1]
-        f = evaluate(act, g) if l < L else g
-        G.append(f if l == L else g)  # G_L coincides with the linear output
-        F.append(f)
-    return ForwardTrace(data=data, act=act, G=tuple(G), F=tuple(F))
+    G, F, S = _layers(data.X, params.weights, act)
+    return ForwardTrace(data=data, G=G, F=F, S=S)
 
 
 def loss_of(trace: ForwardTrace) -> float:

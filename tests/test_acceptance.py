@@ -183,11 +183,11 @@ def test_criterion_2_guaranteed_geometric_decay(certified_runs):
     invariant_violations = 0
     reached = 0
     for cert, log in runs:
-        counts = log.violation_counts()
+        rep = monitor_invariants(log, cert)
+        counts = rep.n_violations
         bound_violations += counts["loss_bound"]
         invariant_violations += sum(counts.values())
         reached += log.final_loss <= 1e-8
-        rep = monitor_invariants(log, cert)
         invariant_violations += 0 if rep.all_hold else 1
     ok = (
         bound_violations == 0

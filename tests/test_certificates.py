@@ -238,6 +238,14 @@ class TestMonitorInvariants:
         assert all(v is None for v in report.first_violation.values())
         assert report.flags.shape == (log.n_steps, 4)
 
+    def test_bound_column_is_predicted_decay(self):
+        # one evaluation of the ceiling: a scalar power per step would differ
+        # from the vectorised one in the last bit on some steps
+        log, cert = self.make_certified_run(max_steps=3000)
+        want = predicted_decay(cert.alpha0, log.eta, log.phi0, log.steps)
+        assert np.array_equal(log.bound, want)
+        assert np.array_equal(monitor_invariants(log, cert).flags, log.flags)
+
     def test_step_zero_flags_true_by_construction(self):
         log, cert = self.make_certified_run(max_steps=0)
         report = monitor_invariants(log, cert)

@@ -281,6 +281,16 @@ class TestTrain:
         assert np.all(np.diff(log.loss) <= 0.0)
         assert log.spectra_exact.all() and log.spectra_svds == 2501 * 3
 
+    def test_logged_loss_and_gradient_match_loss_and_grad(self):
+        # the trainer runs the kernels of forward and grad, so its first and
+        # last rows equal theirs bitwise
+        rng = np.random.default_rng(39)
+        data, params = random_instance(rng, 4, 3, (5, 3, 2))
+        log = train(params, data, ACT, TrainConfig(eta=1e-2, max_steps=20))
+        for row, p in ((0, params), (-1, log.final_params)):
+            assert log.loss[row] == loss(p, data, ACT)
+            assert log.grad_norm[row] == grad(p, data, ACT).norm
+
     def test_descent_for_small_steps(self):
         rng = np.random.default_rng(38)
         data, params = random_instance(rng, 4, 3, (5, 3, 2))

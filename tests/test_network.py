@@ -135,10 +135,11 @@ class TestForward:
         tr = forward(params, data, ACT)
         assert tr.F[0] is data.X
         np.testing.assert_array_equal(tr.F[-1], tr.G[-1])
-        from pyrcert.activation import evaluate
+        from pyrcert.activation import deriv, evaluate
 
         for l in range(1, params.depth):
             np.testing.assert_array_equal(tr.F[l], evaluate(ACT, tr.G[l - 1]))
+            np.testing.assert_array_equal(tr.S[l - 1], deriv(ACT, tr.G[l - 1]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
