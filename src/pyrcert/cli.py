@@ -525,7 +525,8 @@ def _sweep_entry(cfg_json: str, seed: int, out_str: str) -> dict:
 @main.command(name="sweep")
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--out", type=str, default=None)
-@click.option("--jobs", type=int, default=None, help="Worker pool size.")
+@click.option("--jobs", type=int, default=None,
+              help="Worker pool size (>= 1; capped at the seed and CPU counts).")
 def sweep_cmd(config_path, out, jobs) -> None:
     """Run the train pipeline over a list of seeds and aggregate the outcomes."""
     try:
@@ -534,6 +535,9 @@ def sweep_cmd(config_path, out, jobs) -> None:
         if not seeds:
             raise ValueError("sweep.seeds must be non-empty")
         n_jobs = int(jobs if jobs is not None else cfg["sweep"].get("jobs", 1))
+        if n_jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {n_jobs}")
+        n_jobs = min(n_jobs, len(seeds), os.cpu_count() or 1)
         out_dir = _resolve_out(cfg, out, "sweep")
         _record_config(cfg, out_dir)
         cfg_json = json.dumps(cfg)

@@ -9,9 +9,10 @@ estimators:
   power equals the entrywise r-th power of X X^T, so no d^r-wide matrix is
   ever materialized.
 
-The module also provides the Khatri-Rao powers themselves (for the
-smallest-singular-value bound) and the normalized probabilists' Hermite
-polynomials and coefficients that feed the series.
+The same identity gives the smallest singular value of a Khatri-Rao power
+from its N x N Gram; the powers themselves are built only when that route
+cannot certify the value.  The module also provides the normalized
+probabilists' Hermite polynomials and coefficients that feed the series.
 """
 
 from __future__ import annotations
@@ -40,7 +41,17 @@ __all__ = [
 
 MAX_HERMITE_ORDER = 200
 KR_ENTRY_BUDGET = 10**8
+# Relative accuracy to which kr_min_singular certifies sigma_min from the Gram
+# route before it falls back to an SVD of the Khatri-Rao power.
+KR_REL_TOL = 1e-10
 COEFF_CONVERGENCE_TOL = 1e-8
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+# LAPACK's symmetric eigensolver is backward stable: each computed eigenvalue
+# of an n x n matrix A lies within a small multiple of eps * n * ||A||_2 of
+# the true one; _EIG_ERR is that multiple, with room to spare.
+_EIG_ERR = 4.0
 
 
 def sigma_linear(x):
@@ -173,14 +184,19 @@ def hermite_coeff(sigma: Callable, r: int, quad_order: int = 200) -> float:
 # ---------------------------------------------------------------------------
 
 
-def khatri_rao_power(X: np.ndarray, r: int) -> np.ndarray:
-    """Row-wise r-fold Kronecker power: row i becomes x_i x ... x x_i (r times)."""
+def _kr_args(X: np.ndarray, r: int) -> tuple[np.ndarray, int]:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
     r = int(r)
     if r < 1:
         raise ValueError(f"power must be >= 1, got {r}")
+    return X, r
+
+
+def khatri_rao_power(X: np.ndarray, r: int) -> np.ndarray:
+    """Row-wise r-fold Kronecker power: row i becomes x_i x ... x x_i (r times)."""
+    X, r = _kr_args(X, r)
     n, d = X.shape
     entries = n * d**r
     if entries > KR_ENTRY_BUDGET:
@@ -195,25 +211,52 @@ def khatri_rao_power(X: np.ndarray, r: int) -> np.ndarray:
 
 
 def kr_min_singular(X: np.ndarray, r: int) -> tuple[float, float]:
-    """Exact smallest singular value of the r-th Khatri-Rao power, plus the
+    """Smallest singular value of the r-th Khatri-Rao power K (its N-th, so
+    zero when N > d^r), certified to relative ``KR_REL_TOL``, plus the
     coherence-based deterministic floor.
 
+    K is never built when its Gram ``K K^T = (X X^T)^{∘r}`` (an
+    N x N matrix) certifies ``sqrt(lambda_min)`` to that tolerance; an
+    ill-conditioned or rank-deficient power falls back to an SVD of K, which
+    is subject to ``KR_ENTRY_BUDGET``.
+
     The floor is ``sign(v) * sqrt(|v|)`` with
-    ``v = d^r - N * max_{i != j} |<x_i, x_j>|^r``; it assumes rows of norm
-    sqrt(d) (as produced by :func:`pyrcert.initializers.sphere_data`) and is
+    ``v = min_i ||x_i||^{2r} - N * max_{i != j} |<x_i, x_j>|^r``, Gershgorin's
+    bound on ``lambda_min((X X^T)^{∘r})``, valid for rows of any norm and
     vacuous (non-positive) whenever the data are too coherent.
     """
-    X = np.asarray(X, dtype=np.float64)
-    K = khatri_rao_power(X, r)
-    exact = float(np.linalg.svd(K, compute_uv=False)[-1])
+    X, r = _kr_args(X, r)
     n, d = X.shape
+    C = X @ X.T
+    G = C.copy()
+    for _ in range(r - 1):
+        G *= C
+    ev = np.linalg.eigvalsh(G)
+    # Each entry of C errs by at most gamma_d * ||x_i|| ||x_j|| and the r - 1
+    # products add gamma_{r-1}, so |G - (X X^T)^{∘r}| <= delta * a a^T with
+    # a_i = ||x_i||^r: a 2-norm error of at most delta * sum(a_i^2), a sum
+    # that is trace(G) up to delta; 2 * (r*d + r) * eps covers delta twice
+    # over.  eigvalsh is backward stable (_EIG_ERR * n * eps * ||G||_2).  The
+    # tiny term keeps the route out of the subnormal range, where these
+    # relative bounds would not hold.
+    err = (
+        2.0 * (r * d + r) * _EPS * float(np.trace(G))
+        + _EIG_ERR * n * _EPS * float(np.max(np.abs(ev)))
+        + n * (d + r) * _TINY
+    )
+    # err < ev[0] proves that K has full row rank N, so sqrt(ev[0]) is its
+    # N-th singular value; N rows in d^r dimensions make that value zero.
+    if ev[0] > 0.0 and err <= 2.0 * KR_REL_TOL * ev[0] and math.isfinite(err):
+        exact = math.sqrt(ev[0])
+    elif n > d**r:
+        exact = 0.0
+    else:
+        exact = float(np.linalg.svd(khatri_rao_power(X, r), compute_uv=False)[-1])
     if n > 1:
-        G = X @ X.T
-        off = np.abs(G[~np.eye(n, dtype=bool)])
-        coherence = float(np.max(off))
+        coherence = float(np.max(np.abs(C[~np.eye(n, dtype=bool)])))
     else:
         coherence = 0.0
-    v = float(d) ** r - n * coherence**r
+    v = float(np.min(np.diag(C))) ** r - n * coherence**r
     bound = math.copysign(math.sqrt(abs(v)), v)
     return exact, bound
 

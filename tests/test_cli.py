@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from pyrcert import cli as cli_mod
 from pyrcert.cli import main
 from pyrcert.network import dataset_from_json, dataset_to_csv, dataset_to_json
 from pyrcert.initializers import sphere_data
@@ -213,6 +214,15 @@ class TestKr:
             assert float(row["bound"]) <= sv + 1e-9
             assert row["pass"] == ("1" if sv >= threshold else "0")
 
+    def test_power_over_the_entry_budget_exits_zero(self, tmp_path):
+        # 10 x 100^4 = 1e9 entries: the certified Gram route never builds it
+        out = tmp_path / "krbig"
+        res = run(["kr", "--n", "10", "--d", "100", "--r", "4", "--n-seeds", "2", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        with open(out / "kr.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["pass"] for row in rows] == ["1", "1"]
+
 
 class TestHermite:
     def test_coefficients_emitted(self, tmp_path):
@@ -237,6 +247,40 @@ class TestSweep:
         for s in (0, 1, 2):
             assert (out / f"run_{s}" / "trainlog.csv").exists()
             assert (out / f"run_{s}" / "summary.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_operational_error(self, tmp_path, jobs):
+        cfg = small_config(tmp_path, sweep={"seeds": [0]})
+        out = tmp_path / "sw"
+        res = run(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs])
+        assert res.exit_code == 1
+        assert "jobs" in res.output
+        assert not (out / "run_0").exists()
+
+    def test_pool_capped_at_seed_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records the requested size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 8)
+        cfg = small_config(tmp_path, sweep={"seeds": [0, 1]})
+        res = run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"), "--jobs", "3"])
+        assert res.exit_code == 0, res.output
+        assert sizes == [2]
 
     def test_empty_seed_list_is_operational_error(self, tmp_path):
         cfg = small_config(tmp_path, sweep={"seeds": []})

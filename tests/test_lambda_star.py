@@ -1,11 +1,16 @@
 """Hermite polynomials/coefficients, Khatri-Rao powers, and the two Gram
 estimators, cross-checked against each other and closed-form cases."""
 
+import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
+
 
 from pyrcert.activation import ActivationParams, as_function
 from pyrcert.initializers import sphere_data
@@ -21,6 +26,9 @@ from pyrcert.lambda_star import (
     lambda_star,
     sigma_linear,
 )
+
+# the package re-exports the function lambda_star under the module's name
+ls_mod = importlib.import_module("pyrcert.lambda_star")
 
 ACT = ActivationParams(0.5, 1.0)
 SIGMA = as_function(ACT)
@@ -148,6 +156,19 @@ class TestKrMinSingular:
             exact, bound = kr_min_singular(X, 2)
             assert bound <= exact + 1e-9
 
+    def test_bound_valid_for_rows_of_any_norm(self):
+        # one short row: the floor must use the smallest row norm, not sqrt(d)
+        for seed in range(200):
+            X = sphere_data(6, 12, seed=seed)
+            X[0] *= 0.3
+            exact, bound = kr_min_singular(X, 2)
+            assert bound <= exact + 1e-9 * max(1.0, exact), seed
+
+    def test_budget_applies_on_the_fallback(self):
+        # rank one, so the Gram route cannot certify and K would be built
+        with pytest.raises(ValueError, match="budget"):
+            kr_min_singular(np.ones((10, 100)), 4)
+
     def test_sphere_data_beats_half_threshold(self):
         # d^{r/2}/2 floor in the oversquare regime N <= d^r
         hits = 0
@@ -156,6 +177,72 @@ class TestKrMinSingular:
             exact, _ = kr_min_singular(X, 2)
             hits += exact >= 40.0 / 2.0
         assert hits >= 49
+
+
+@st.composite
+def kr_inputs(draw):
+    """Small data with random row scalings; the last row optionally copies the
+    first up to a relative perturbation (0 makes an exact duplicate)."""
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 5))
+    r = draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1.0, 1.0, size=(n, 1))
+    near = draw(st.sampled_from([None, 0.0, 1e-3, 1e-5, 1e-7, 1e-9]))
+    if near is not None and n > 1:
+        X[-1] = X[0] + near * np.linalg.norm(X[0]) * rng.normal(size=d)
+    return X, r
+
+
+def _kr_with_route(X, r):
+    """kr_min_singular plus whether it skipped building the power (Gram route)."""
+    with mock.patch.object(ls_mod, "khatri_rao_power", wraps=khatri_rao_power) as spy:
+        exact, bound = kr_min_singular(X, r)
+    return exact, bound, spy.call_count == 0
+
+
+def _nth_singular(K):
+    """N-th singular value of an N-row matrix (zero when it has fewer columns)."""
+    sv = np.linalg.svd(K, compute_uv=False)
+    return float(sv[-1]) if K.shape[0] <= K.shape[1] else 0.0
+
+
+class TestKrGramRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(kr_inputs())
+    def test_agrees_with_svd_of_the_power(self, inp):
+        X, r = inp
+        exact, _, gram = _kr_with_route(X, r)
+        want = _nth_singular(khatri_rao_power(X, r))
+        if gram:
+            assert abs(exact - want) <= ls_mod.KR_REL_TOL * want
+        else:
+            assert exact == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(kr_inputs())
+    def test_rank_deficient_power_is_zero(self, inp):
+        # a duplicated row; draws with N > d^r are rank deficient as well
+        X, r = inp
+        X = np.vstack([X, X[:1]])
+        exact, _ = kr_min_singular(X, r)
+        K = khatri_rao_power(X, r)
+        assert exact <= 1e-10 * float(np.linalg.svd(K, compute_uv=False)[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(kr_inputs())
+    def test_floor_never_exceeds_sigma_min(self, inp):
+        X, r = inp
+        exact, bound = kr_min_singular(X, r)
+        assert bound <= exact + 1e-9 * max(1.0, exact)
+
+    def test_well_conditioned_sphere_data_takes_the_gram_route(self):
+        for seed in range(20):
+            X = sphere_data(30, 40, seed=seed)
+            exact, _, gram = _kr_with_route(X, 2)
+            assert gram
+            want = _nth_singular(khatri_rao_power(X, 2))
+            assert abs(exact - want) <= ls_mod.KR_REL_TOL * want
 
 
 class TestGramMc:
