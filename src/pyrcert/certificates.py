@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -425,34 +425,32 @@ def monitor_invariants(
 # ---------------------------------------------------------------------------
 
 
+# Certificate fields written nested, as (object, key); the rest are top level.
+_NESTED = {
+    "cond1_holds": ("init_condition_1", "holds"),
+    "cond1_slack": ("init_condition_1", "slack"),
+    "cond2_holds": ("init_condition_2", "holds"),
+    "cond2_slack": ("init_condition_2", "slack"),
+}
+
+
+def _json_float(v):
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def certificate_to_json(cert: Certificate, path=None) -> dict:
-    """JSON payload with every named constant and both condition slacks."""
-
-    def clean(v: float) -> Optional[float]:
-        return None if (isinstance(v, float) and not math.isfinite(v)) else v
-
-    payload = {
-        "lambda_bar": list(cert.lambda_bar),
-        "lambda_min_deep": list(cert.lambda_min_deep),
-        "lambda_f": cert.lambda_f,
-        "phi0": cert.phi0,
-        "alpha0": cert.alpha0,
-        "q0": cert.q0,
-        "q1": clean(cert.q1),
-        "r_product": cert.r_product,
-        "eta_max": clean(cert.eta_max),
-        "init_condition_1": {"holds": cert.cond1_holds, "slack": clean(cert.cond1_slack)},
-        "init_condition_2": {"holds": cert.cond2_holds, "slack": clean(cert.cond2_slack)},
-        "gamma": cert.gamma,
-        "beta": cert.beta,
-        "depth": cert.depth,
-        "x_fro": cert.x_fro,
-        "x_op": cert.x_op,
-        "vacuous": cert.vacuous,
-        "degenerate_reason": cert.degenerate_reason,
-        "depth2_convention": cert.depth2_convention,
-        "certified": cert.certified,
-    }
+    """JSON payload with every field of the certificate plus its verdict
+    ``certified``; non-finite floats are written as ``null``."""
+    payload: dict = {}
+    for f in fields(Certificate):
+        v = getattr(cert, f.name)
+        v = [_json_float(x) for x in v] if isinstance(v, tuple) else _json_float(v)
+        outer, inner = _NESTED.get(f.name, (f.name, None))
+        if inner is None:
+            payload[outer] = v
+        else:
+            payload.setdefault(outer, {})[inner] = v
+    payload["certified"] = cert.certified
     if path is not None:
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -460,32 +458,17 @@ def certificate_to_json(cert: Certificate, path=None) -> dict:
 
 
 def certificate_from_json(path) -> Certificate:
+    """Inverse of :func:`certificate_to_json`: ``null`` reads as +inf, except
+    ``eta_max``, whose only non-finite value is NaN (a vacuous certificate)."""
     with open(path) as fh:
         payload = json.load(fh)
-
-    def num(v, default=math.inf):
-        return default if v is None else float(v)
-
-    return Certificate(
-        lambda_bar=tuple(payload["lambda_bar"]),
-        lambda_min_deep=tuple(payload["lambda_min_deep"]),
-        lambda_f=float(payload["lambda_f"]),
-        phi0=float(payload["phi0"]),
-        alpha0=float(payload["alpha0"]),
-        q0=float(payload["q0"]),
-        q1=num(payload["q1"]),
-        r_product=float(payload["r_product"]),
-        eta_max=num(payload["eta_max"], default=math.nan),
-        cond1_holds=bool(payload["init_condition_1"]["holds"]),
-        cond1_slack=num(payload["init_condition_1"]["slack"]),
-        cond2_holds=bool(payload["init_condition_2"]["holds"]),
-        cond2_slack=num(payload["init_condition_2"]["slack"]),
-        gamma=float(payload["gamma"]),
-        beta=float(payload["beta"]),
-        depth=int(payload["depth"]),
-        x_fro=float(payload["x_fro"]),
-        x_op=float(payload["x_op"]),
-        vacuous=bool(payload["vacuous"]),
-        degenerate_reason=payload["degenerate_reason"],
-        depth2_convention=bool(payload["depth2_convention"]),
-    )
+    values = {}
+    for f in fields(Certificate):
+        outer, inner = _NESTED.get(f.name, (f.name, None))
+        v = payload[outer] if inner is None else payload[outer][inner]
+        if isinstance(v, list):
+            v = tuple(math.inf if x is None else x for x in v)
+        elif v is None and f.type == "float":
+            v = math.nan if f.name == "eta_max" else math.inf
+        values[f.name] = v
+    return Certificate(**values)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,16 +20,16 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .activation import ActivationParams, as_function, evaluate
+from .activation import ActivationParams, as_function
+from .activation import evaluate  # noqa: F401 - bound here for perfbench's tracer
 from .certificates import certificate_to_json, certify, monitor_invariants
 from .gradients import TrainConfig, train, trainlog_summary, trainlog_to_csv
 from .initializers import (
     InitConfig,
-    first_layer,
     init_certifiable,
     init_lecun,
-    layer_rng,
     sphere_data,
+    sphere_targets,
     tune_gain,
 )
 from .lambda_star import (
@@ -40,11 +39,9 @@ from .lambda_star import (
     kr_min_singular,
     sigma_linear,
 )
-from .network import Dataset, Shape, dataset_from_csv, dataset_from_json
+from .network import _FLOAT_FMT, Dataset, Shape, _write_matrix_csv
+from .network import dataset_from_csv, dataset_from_json
 from .network import dataset_to_json as _dataset_to_json
-
-_TARGET_STREAM = 104730
-_FMT = ".17g"
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -81,17 +78,21 @@ DEFAULTS: dict = {
 }
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+        if key not in base:
+            raise ValueError(f"unknown config key {prefix + key!r}")
+        if isinstance(value, dict) and isinstance(base[key], dict):
+            out[key] = _merge(base[key], value, f"{prefix}{key}.")
         else:
             out[key] = value
     return out
 
 
 def _load_config(path: str | None) -> dict:
+    """Defaults merged with the JSON file at ``path``; a key the defaults do
+    not have raises ``ValueError`` (exit 1) instead of being ignored."""
     base = json.loads(json.dumps(DEFAULTS))  # deep copy: commands mutate their config
     if path is None:
         return base
@@ -109,9 +110,26 @@ def _resolve_out(cfg: dict, out_flag: str | None, command: str) -> Path:
     return path
 
 
-def _record_config(cfg: dict, out_dir: Path) -> None:
-    with open(out_dir / "config.json", "w") as fh:
-        json.dump(cfg, fh, indent=2)
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+
+
+def _setup(command: str, config_path: str | None, out: str | None, flags: dict):
+    """Load the config, apply the flags that were given (keyed by dotted
+    config path, e.g. ``"lambda_star.r_max"``), resolve the output
+    directory and record ``config.json`` there."""
+    cfg = _load_config(config_path)
+    for dotted, value in flags.items():
+        if value is not None:
+            *parents, leaf = dotted.split(".")
+            node = cfg
+            for key in parents:
+                node = node[key]
+            node[leaf] = value
+    out_dir = _resolve_out(cfg, out, command)
+    _write_json(out_dir / "config.json", cfg)
+    return cfg, out_dir
 
 
 def _activation(cfg: dict) -> ActivationParams:
@@ -119,42 +137,32 @@ def _activation(cfg: dict) -> ActivationParams:
     return ActivationParams(float(a["gamma"]), float(a["beta"]))
 
 
+def _sigma(cfg: dict):
+    """The function whose Gram and Hermite series lambda-star and hermite study."""
+    linear = cfg["lambda_star"]["sigma"] == "linear"
+    return sigma_linear if linear else as_function(_activation(cfg))
+
+
 def _build_dataset(cfg: dict, shape: Shape, act: ActivationParams, seed: int) -> Dataset:
     ds = cfg["dataset"]
     if ds["source"] == "file":
-        if ds.get("bundle"):
+        if ds["bundle"]:
             return dataset_from_json(ds["bundle"])
-        if not (ds.get("x_csv") and ds.get("y_csv")):
+        if not (ds["x_csv"] and ds["y_csv"]):
             raise ValueError("file dataset needs either 'bundle' or both 'x_csv' and 'y_csv'")
         return dataset_from_csv(ds["x_csv"], ds["y_csv"])
     if ds["source"] != "sphere":
         raise ValueError(f"unknown dataset source {ds['source']!r}")
-    n = int(ds["n"])
-    X = sphere_data(n, shape.d, radius=ds.get("radius"), seed=seed)
-    n_out = shape.widths[-1]
-    scale = float(ds.get("target_scale", 1.0))
-    mode = ds.get("targets", "gaussian")
-    if mode == "gaussian":
-        G = layer_rng(seed, _TARGET_STREAM).normal(size=(n, n_out))
-        Y = scale * G / np.linalg.norm(G)
-    elif mode == "aligned":
-        # targets along the dominant first-layer feature direction: keeps the
-        # desk-scale certified run converging well inside the step budget
-        f1 = evaluate(act, X @ first_layer(shape, seed))
-        u = np.linalg.svd(f1)[0][:, 0]
-        Y = scale * np.outer(u, np.full(n_out, 1.0 / math.sqrt(n_out)))
-    else:
-        raise ValueError(f"unknown target mode {mode!r}")
+    X = sphere_data(int(ds["n"]), shape.d, radius=ds["radius"], seed=seed)
+    Y = sphere_targets(ds["targets"], shape, X, act, seed, float(ds["target_scale"]))
     return Dataset(X, Y)
 
 
-def _build_params_and_cert(cfg, shape, data, act, seed, need_cert, tune=None):
+def _build_params_and_cert(cfg, shape, data, act, seed, tune=True):
     init = cfg["init"]
-    scheme = init["scheme"]
-    if scheme == "lecun":
+    if init["scheme"] == "lecun":
         params = init_lecun(shape, seed)
-        cert = certify(params, data, act) if need_cert else None
-        return params, cert
+        return params, certify(params, data, act)
     icfg = InitConfig(
         scheme="certifiable",
         gain=float(init["gain"]),
@@ -162,29 +170,21 @@ def _build_params_and_cert(cfg, shape, data, act, seed, need_cert, tune=None):
         deep_style=init["deep_style"],
         seed=seed,
     )
-    if tune is None:
-        tune = need_cert
-    if tune and init.get("auto_gain", True):
+    if tune and init["auto_gain"]:
         try:
             _, params, cert = tune_gain(shape, data, act, icfg)
             return params, cert
         except RuntimeError:
             pass  # fall through and report the failing certificate as-is
     params = init_certifiable(shape, data, act, icfg)
-    cert = certify(params, data, act) if need_cert else None
-    return params, cert
+    return params, certify(params, data, act)
 
 
 def _echo_cert(cert) -> None:
     click.echo(f"lambda_F = {cert.lambda_f:.6g}   phi0 = {cert.phi0:.6g}")
-    click.echo(
-        f"init condition 1: {'holds' if cert.cond1_holds else 'FAILS'} "
-        f"(slack {cert.cond1_slack:.6g})"
-    )
-    click.echo(
-        f"init condition 2: {'holds' if cert.cond2_holds else 'FAILS'} "
-        f"(slack {cert.cond2_slack:.6g})"
-    )
+    conds = ((1, cert.cond1_holds, cert.cond1_slack), (2, cert.cond2_holds, cert.cond2_slack))
+    for i, holds, slack in conds:
+        click.echo(f"init condition {i}: {'holds' if holds else 'FAILS'} (slack {slack:.6g})")
     click.echo(
         f"alpha0 = {cert.alpha0:.6g}   Q0 = {cert.q0:.6g}   Q1 = {cert.q1:.6g}   "
         f"eta_max = {cert.eta_max:.6g}"
@@ -208,17 +208,13 @@ def main() -> None:
 def certify_cmd(config_path, seed, out) -> None:
     """Compute a convergence certificate and write certificate.json."""
     try:
-        cfg = _load_config(config_path)
-        if seed is not None:
-            cfg["seed"] = seed
+        cfg, out_dir = _setup("certify", config_path, out, {"seed": seed})
         run_seed = int(cfg["seed"])
-        out_dir = _resolve_out(cfg, out, "certify")
-        _record_config(cfg, out_dir)
         shape = Shape(d=int(cfg["shape"]["d"]), widths=tuple(cfg["shape"]["widths"]))
         act = _activation(cfg)
         data = _build_dataset(cfg, shape, act, run_seed)
         _dataset_to_json(data, out_dir / "dataset.json")
-        _, cert = _build_params_and_cert(cfg, shape, data, act, run_seed, need_cert=True)
+        _, cert = _build_params_and_cert(cfg, shape, data, act, run_seed)
         certificate_to_json(cert, out_dir / "certificate.json")
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _fail(exc)
@@ -246,20 +242,15 @@ main.add_command(certify_cmd, name="certify")
 def train_cmd(config_path, seed, out, eta, max_steps, stop_loss) -> None:
     """Run full-batch gradient descent, logging loss, bound, and invariants."""
     try:
-        cfg = _load_config(config_path)
-        if seed is not None:
-            cfg["seed"] = seed
-        if eta is not None:
-            cfg["train"]["eta"] = eta
-        if max_steps is not None:
-            cfg["train"]["max_steps"] = max_steps
-        if stop_loss is not None:
-            cfg["train"]["stop_loss"] = stop_loss
-        out_dir = _resolve_out(cfg, out, "train")
-        _record_config(cfg, out_dir)
+        flags = {
+            "seed": seed,
+            "train.eta": eta,
+            "train.max_steps": max_steps,
+            "train.stop_loss": stop_loss,
+        }
+        cfg, out_dir = _setup("train", config_path, out, flags)
         summary, code = _run_training(cfg, out_dir)
-        with open(out_dir / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
+        _write_json(out_dir / "summary.json", summary)
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
     click.echo(json.dumps(summary, indent=2))
@@ -276,27 +267,19 @@ def _run_training(cfg: dict, out_dir: Path) -> tuple[dict, int]:
     act = _activation(cfg)
     data = _build_dataset(cfg, shape, act, run_seed)
     tr = cfg["train"]
-    eta = tr.get("eta")
+    eta = tr["eta"]
     # gain auto-tuning only when the run needs the certified step size
-    params, cert = _build_params_and_cert(
-        cfg, shape, data, act, run_seed, need_cert=True, tune=eta is None
-    )
-    if cert is not None:
-        certificate_to_json(cert, out_dir / "certificate.json")
+    params, cert = _build_params_and_cert(cfg, shape, data, act, run_seed, tune=eta is None)
+    certificate_to_json(cert, out_dir / "certificate.json")
     if eta is None:
-        if cert is None or not cert.certified:
+        if not cert.certified:
             raise RuntimeError(
                 "no step size given and the certificate does not hold; pass --eta"
             )
         eta = 0.9 * cert.eta_max  # strict inequality against the certified cap
     eta = float(eta)
-    use_cert = cert if (cert is not None and cert.certified and eta < cert.eta_max) else None
-    tcfg = TrainConfig(
-        eta=eta,
-        max_steps=int(tr["max_steps"]),
-        stop_loss=float(tr["stop_loss"]),
-        monitor=frozenset({"spectra"}),
-    )
+    use_cert = cert if (cert.certified and eta < cert.eta_max) else None
+    tcfg = TrainConfig(eta, int(tr["max_steps"]), float(tr["stop_loss"]), spectra=True)
     log = train(params, data, act, tcfg, cert=use_cert)
     trainlog_to_csv(log, out_dir / "trainlog.csv")
     summary = trainlog_summary(log)
@@ -328,36 +311,23 @@ def lambda_star_cmd(
 ) -> None:
     """Estimate the expected first-layer Gram matrix and its bottom eigenvalue."""
     try:
-        cfg = _load_config(config_path)
+        flags = {
+            "lambda_star.method": method,
+            "lambda_star.sigma": sigma,
+            "lambda_star.samples": samples,
+            "lambda_star.r_max": r_max,
+            "activation.gamma": gamma,
+            "activation.beta": beta,
+            "dataset.n": n_samples,
+            "shape.d": d,
+            "seed": seed,
+        }
+        cfg, out_dir = _setup("lambda_star", config_path, out, flags)
         ls = cfg["lambda_star"]
-        if method is not None:
-            ls["method"] = method
-        if sigma is not None:
-            ls["sigma"] = sigma
-        if samples is not None:
-            ls["samples"] = samples
-        if r_max is not None:
-            ls["r_max"] = r_max
-        if gamma is not None:
-            cfg["activation"]["gamma"] = gamma
-        if beta is not None:
-            cfg["activation"]["beta"] = beta
-        if n_samples is not None:
-            cfg["dataset"]["n"] = n_samples
-        if d is not None:
-            cfg["shape"]["d"] = d
-        if seed is not None:
-            cfg["seed"] = seed
         run_seed = int(cfg["seed"])
-        out_dir = _resolve_out(cfg, out, "lambda_star")
-        _record_config(cfg, out_dir)
-
-        dim = int(cfg["shape"]["d"])
-        X = sphere_data(int(cfg["dataset"]["n"]), dim, radius=cfg["dataset"].get("radius"), seed=run_seed)
-        if ls["sigma"] == "linear":
-            sig = sigma_linear
-        else:
-            sig = as_function(_activation(cfg))
+        ds = cfg["dataset"]
+        X = sphere_data(int(ds["n"]), int(cfg["shape"]["d"]), radius=ds["radius"], seed=run_seed)
+        sig = _sigma(cfg)
         payload: dict = {"sigma": getattr(sig, "label", "sigma"), "seed": run_seed}
         mc = herm = None
         if ls["method"] in ("mc", "both"):
@@ -381,15 +351,9 @@ def lambda_star_cmd(
                 "max_abs_entry_diff": diff,
                 "allowance_5stderr_plus_tail": 5.0 * mc.stderr_max + herm.tail_mass,
             }
-        with open(out_dir / "gram.json", "w") as fh:
-            json.dump(payload, fh, indent=2)
+        _write_json(out_dir / "gram.json", payload)
         if full_matrix:
-            source = mc if mc is not None else herm
-            with open(out_dir / "gram.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow([f"g{j}" for j in range(source.gram.shape[1])])
-                for row in source.gram:
-                    writer.writerow([format(v, _FMT) for v in row])
+            _write_matrix_csv((mc if mc is not None else herm).gram, out_dir / "gram.csv", "g")
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
     click.echo(json.dumps(payload, indent=2))
@@ -408,20 +372,9 @@ def lambda_star_cmd(
 def kr_cmd(config_path, n_rows, d, r, n_seeds, seed, out, fmt) -> None:
     """Smallest singular values of Khatri-Rao powers over seeded sphere data."""
     try:
-        cfg = _load_config(config_path)
+        flags = {"kr.n": n_rows, "kr.d": d, "kr.r": r, "kr.n_seeds": n_seeds, "seed": seed}
+        cfg, out_dir = _setup("kr", config_path, out, flags)
         kr = cfg["kr"]
-        if n_rows is not None:
-            kr["n"] = n_rows
-        if d is not None:
-            kr["d"] = d
-        if r is not None:
-            kr["r"] = r
-        if n_seeds is not None:
-            kr["n_seeds"] = n_seeds
-        if seed is not None:
-            cfg["seed"] = seed
-        out_dir = _resolve_out(cfg, out, "kr")
-        _record_config(cfg, out_dir)
         base = int(cfg["seed"])
         dim, power = int(kr["d"]), int(kr["r"])
         threshold = dim ** (power / 2.0) / 2.0
@@ -435,14 +388,13 @@ def kr_cmd(config_path, n_rows, d, r, n_seeds, seed, out, fmt) -> None:
                 writer = csv.writer(fh)
                 writer.writerow(["seed", "sigma_min", "bound", "pass"])
                 for s, exact, bound, ok in rows:
-                    writer.writerow([s, format(exact, _FMT), format(bound, _FMT), int(ok)])
+                    writer.writerow([s, format(exact, _FLOAT_FMT), format(bound, _FLOAT_FMT), int(ok)])
         else:
             payload = [
                 {"seed": s, "sigma_min": exact, "bound": bound, "pass": bool(ok)}
                 for s, exact, bound, ok in rows
             ]
-            with open(out_dir / "kr.json", "w") as fh:
-                json.dump(payload, fh, indent=2)
+            _write_json(out_dir / "kr.json", payload)
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
     n_pass = sum(1 for row in rows if row[3])
@@ -467,21 +419,16 @@ def kr_cmd(config_path, n_rows, d, r, n_seeds, seed, out, fmt) -> None:
 def hermite_cmd(config_path, sigma, gamma, beta, r_max, quad_order, out, fmt) -> None:
     """Hermite coefficients of the configured activation."""
     try:
-        cfg = _load_config(config_path)
+        flags = {
+            "lambda_star.sigma": sigma,
+            "activation.gamma": gamma,
+            "activation.beta": beta,
+            "lambda_star.r_max": r_max,
+            "lambda_star.quad_order": quad_order,
+        }
+        cfg, out_dir = _setup("hermite", config_path, out, flags)
         ls = cfg["lambda_star"]
-        if sigma is not None:
-            ls["sigma"] = sigma
-        if gamma is not None:
-            cfg["activation"]["gamma"] = gamma
-        if beta is not None:
-            cfg["activation"]["beta"] = beta
-        if r_max is not None:
-            ls["r_max"] = r_max
-        if quad_order is not None:
-            ls["quad_order"] = quad_order
-        out_dir = _resolve_out(cfg, out, "hermite")
-        _record_config(cfg, out_dir)
-        sig = sigma_linear if ls["sigma"] == "linear" else as_function(_activation(cfg))
+        sig = _sigma(cfg)
         spec = hermite_coeffs(sig, int(ls["r_max"]), int(ls["quad_order"]))
         payload = {
             "target": spec.target,
@@ -491,14 +438,13 @@ def hermite_cmd(config_path, sigma, gamma, beta, r_max, quad_order, out, fmt) ->
             "norm_sq": spec.norm_sq,
             "tail_mass": spec.tail_mass(spec.r_max),
         }
-        with open(out_dir / "hermite.json", "w") as fh:
-            json.dump(payload, fh, indent=2)
+        _write_json(out_dir / "hermite.json", payload)
         if fmt == "csv":
             with open(out_dir / "hermite.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["r", "coeff", "converged"])
                 for r, (mu, conv) in enumerate(zip(spec.coeffs, spec.converged)):
-                    writer.writerow([r, format(mu, _FMT), int(conv)])
+                    writer.writerow([r, format(mu, _FLOAT_FMT), int(conv)])
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
     click.echo(json.dumps(payload, indent=2))
@@ -511,14 +457,13 @@ def _sweep_entry(cfg_json: str, seed: int, out_str: str) -> dict:
     cfg["seed"] = seed
     out_dir = Path(out_str)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _record_config(cfg, out_dir)
+    _write_json(out_dir / "config.json", cfg)
     try:
         summary, code = _run_training(cfg, out_dir)
     except Exception as exc:  # noqa: BLE001 - recorded per entry
         return {"seed": seed, "error": str(exc), "exit_code": 1}
     summary["exit_code"] = code
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    _write_json(out_dir / "summary.json", summary)
     return summary
 
 
@@ -534,12 +479,12 @@ def sweep_cmd(config_path, out, jobs) -> None:
         seeds = list(cfg["sweep"]["seeds"])
         if not seeds:
             raise ValueError("sweep.seeds must be non-empty")
-        n_jobs = int(jobs if jobs is not None else cfg["sweep"].get("jobs", 1))
+        n_jobs = int(jobs if jobs is not None else cfg["sweep"]["jobs"])
         if n_jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {n_jobs}")
         n_jobs = min(n_jobs, len(seeds), os.cpu_count() or 1)
         out_dir = _resolve_out(cfg, out, "sweep")
-        _record_config(cfg, out_dir)
+        _write_json(out_dir / "config.json", cfg)
         cfg_json = json.dumps(cfg)
         entries = [(cfg_json, int(s), str(out_dir / f"run_{s}")) for s in seeds]
         if n_jobs > 1:
@@ -556,8 +501,7 @@ def sweep_cmd(config_path, out, jobs) -> None:
             "all_certified": all(res.get("certified", False) for res in results),
             "runs": results,
         }
-        with open(out_dir / "aggregate.json", "w") as fh:
-            json.dump(aggregate, fh, indent=2)
+        _write_json(out_dir / "aggregate.json", aggregate)
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
     click.echo(json.dumps({k: aggregate[k] for k in ("n_runs", "total_violations", "all_certified")}, indent=2))

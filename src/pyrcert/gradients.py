@@ -20,7 +20,7 @@ import numpy as np
 from .activation import ActivationParams
 from .activation import value_and_slope  # noqa: F401 - bound here for perfbench's tracer
 from .certificates import _decay_bound, invariant_flags, invariant_thresholds
-from .network import Dataset, ForwardTrace, Params, _check_dims, _layers, forward
+from .network import _FLOAT_FMT, Dataset, ForwardTrace, Params, _check_dims, _layers, forward
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .certificates import Certificate
@@ -153,15 +153,15 @@ def pl_lower_bound(trace: ForwardTrace, params: Params) -> float:
 class TrainConfig:
     """Step size, step budget, stopping loss, and what to record.
 
-    ``eta = 0`` is allowed as a diagnostic no-op run.  ``monitor`` may
-    contain ``"spectra"`` to record per-step singular values even without a
-    certificate (with a certificate they are always recorded).
+    ``eta = 0`` is allowed as a diagnostic no-op run.  ``spectra = True``
+    records per-step singular values even without a certificate (with a
+    certificate they are always recorded).
     """
 
     eta: float
     max_steps: int
     stop_loss: float = 0.0
-    monitor: frozenset = frozenset()
+    spectra: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eta) and self.eta >= 0.0):
@@ -170,7 +170,6 @@ class TrainConfig:
             raise ValueError("max_steps must be >= 0")
         if not (math.isfinite(self.stop_loss) and self.stop_loss >= 0.0):
             raise ValueError("stop_loss must be finite and >= 0")
-        object.__setattr__(self, "monitor", frozenset(self.monitor))
 
 
 @dataclass
@@ -196,7 +195,6 @@ class TrainLog:
     min_sv_w: Optional[np.ndarray]
     norm_w: Optional[np.ndarray]
     flags: Optional[np.ndarray]
-    dist_to_ref: Optional[np.ndarray]
     final_params: Params
     eta: float
     alpha0: float
@@ -246,7 +244,6 @@ def train(
     act: ActivationParams,
     cfg: TrainConfig,
     cert: Optional["Certificate"] = None,
-    distance_ref: Optional[Params] = None,
 ) -> TrainLog:
     """Full-batch gradient descent from ``params0``.
 
@@ -278,17 +275,13 @@ def train(
             raise ValueError(
                 f"eta={eta} is not below the certified cap {cert.eta_max}"
             )
-    if distance_ref is not None and (
-        distance_ref.widths != params0.widths or distance_ref.d != params0.d
-    ):
-        raise ValueError("distance reference has a different architecture")
 
     X, Y = data.X, data.Y
     W = [w.copy() for w in params0.weights]
-    spectra = cert is not None or "spectra" in cfg.monitor
-    # log columns: loss, grad norm, distance, then per monitored matrix
-    # (F_1, W_1..W_L) its lower bounds and its upper bounds
-    LO, HI = 3, 3 + (L + 1)
+    spectra = cert is not None or cfg.spectra
+    # log columns: loss, grad norm, then per monitored matrix (F_1,
+    # W_1..W_L) its lower bounds and its upper bounds
+    LO, HI = 2, 2 + (L + 1)
     max_rows = cfg.max_steps + 1
     cap = min(max_rows, _LOG_CHUNK)
     rows = np.full((cap, HI + (L + 1) if spectra else LO), np.nan)
@@ -348,12 +341,6 @@ def train(
         row = rows[k]
         row[0] = loss_k
         row[1] = math.sqrt(gsq)
-        if distance_ref is not None:
-            acc = 0.0
-            for w, r in zip(W, distance_ref.weights):
-                delta = w - r
-                acc += float(np.vdot(delta, delta))
-            row[2] = math.sqrt(acc)
         if spectra:
             prove = cert is not None and k > 0 and not last
             all_exact = True
@@ -417,7 +404,6 @@ def train(
         min_sv_w=min_sv_w,
         norm_w=norm_w,
         flags=flags,
-        dist_to_ref=rows[:, 2].copy() if distance_ref is not None else None,
         final_params=Params(tuple(w.copy() for w in W)),
         eta=eta,
         alpha0=cert.alpha0 if cert is not None else math.nan,
@@ -459,7 +445,7 @@ def trainlog_to_csv(log: TrainLog, path) -> None:
         header.extend(["flag_sv_w", "flag_norm_w", "flag_sv_f1", "flag_loss_bound"])
 
     def fmt(v: float) -> str:
-        return format(float(v), ".17g")
+        return format(float(v), _FLOAT_FMT)
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

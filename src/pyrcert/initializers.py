@@ -10,7 +10,8 @@ Two schemes are provided:
 * ``lecun`` - iid Gaussians with variance equal to the reciprocal fan-in.
 
 All draws are split into per-layer streams keyed by (seed, layer index), so
-adding layers never perturbs the draws of earlier layers.
+adding layers never perturbs the draws of earlier layers; the synthetic
+inputs and targets have streams of their own.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .activation import ActivationParams
+from .activation import ActivationParams, evaluate
 from .certificates import Certificate, certify
 from .network import Dataset, Params, Shape
 
@@ -36,11 +37,14 @@ __all__ = [
     "required_width_lecun",
     "growing_widths_ok",
     "sphere_data",
+    "sphere_targets",
 ]
 
 SCHEMES = ("certifiable", "lecun")
 DEEP_STYLES = ("gaussian", "scaled_identity")
-_DATA_STREAM = 104729  # stream tag for dataset draws, disjoint from layer indices
+# stream tags for dataset inputs and targets, disjoint from layer indices
+_DATA_STREAM = 104729
+_TARGET_STREAM = 104730
 
 
 @dataclass(frozen=True)
@@ -323,3 +327,25 @@ def sphere_data(n_samples: int, d: int, radius: float | None = None, seed: int =
         X[bad] = rng.normal(size=(int(bad.sum()), d))
         norms = np.linalg.norm(X, axis=1, keepdims=True)
     return r * X / norms
+
+
+def sphere_targets(
+    mode: str, shape: Shape, X: np.ndarray, act: ActivationParams, seed: int, scale: float
+) -> np.ndarray:
+    """Targets ``Y`` (N x n_L) of Frobenius norm ``scale`` for inputs ``X``.
+
+    ``"gaussian"``: iid normal entries from the target stream, normalized.
+    ``"aligned"``: rank 1 along the dominant left singular vector of the
+    first hidden layer's output under ``first_layer(shape, seed)``, spread
+    evenly over the outputs.  The certified step size is tiny, so aligned
+    targets keep a certified run short: off-mode components converge very
+    slowly.
+    """
+    n, n_out = X.shape[0], shape.widths[-1]
+    if mode == "gaussian":
+        G = layer_rng(seed, _TARGET_STREAM).normal(size=(n, n_out))
+        return scale * G / np.linalg.norm(G)
+    if mode == "aligned":
+        u = np.linalg.svd(evaluate(act, X @ first_layer(shape, seed)))[0][:, 0]
+        return scale * np.outer(u, np.full(n_out, 1.0 / math.sqrt(n_out)))
+    raise ValueError(f"unknown target mode {mode!r}")

@@ -188,6 +188,8 @@ def _kr_args(X: np.ndarray, r: int) -> tuple[np.ndarray, int]:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
     r = int(r)
     if r < 1:
         raise ValueError(f"power must be >= 1, got {r}")
@@ -223,7 +225,8 @@ def kr_min_singular(X: np.ndarray, r: int) -> tuple[float, float]:
     The floor is ``sign(v) * sqrt(|v|)`` with
     ``v = min_i ||x_i||^{2r} - N * max_{i != j} |<x_i, x_j>|^r``, Gershgorin's
     bound on ``lambda_min((X X^T)^{∘r})``, valid for rows of any norm and
-    vacuous (non-positive) whenever the data are too coherent.
+    vacuous (non-positive) whenever the data are too coherent.  Non-finite
+    ``X``, or a Gram that overflows, raises ``ValueError``.
     """
     X, r = _kr_args(X, r)
     n, d = X.shape
@@ -231,6 +234,8 @@ def kr_min_singular(X: np.ndarray, r: int) -> tuple[float, float]:
     G = C.copy()
     for _ in range(r - 1):
         G *= C
+    if not np.isfinite(G).all():
+        raise ValueError(f"the Gram (X X^T)^∘{r} overflows float64")
     ev = np.linalg.eigvalsh(G)
     # Each entry of C errs by at most gamma_d * ||x_i|| ||x_j|| and the r - 1
     # products add gamma_{r-1}, so |G - (X X^T)^{∘r}| <= delta * a a^T with

@@ -42,7 +42,7 @@ __all__ = [
     "params_from_json",
 ]
 
-_FLOAT_FMT = ".17g"
+_FLOAT_FMT = ".17g"  # every float the package writes to CSV; round-trips float64
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,6 @@ class Dataset:
     @property
     def n_out(self) -> int:
         return self.Y.shape[1]
-
-    def y_vec(self) -> np.ndarray:
-        return vec(self.Y)
 
 
 @dataclass(frozen=True)

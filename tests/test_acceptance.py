@@ -24,11 +24,11 @@ from pyrcert.certificates import certify, monitor_invariants
 from pyrcert.gradients import TrainConfig, grad, jacobian_block, train
 from pyrcert.initializers import (
     InitConfig,
-    init_certifiable,
     init_lecun,
     layer_rng,
     required_width_lecun,
     sphere_data,
+    sphere_targets,
     t0_floor,
     tune_gain,
 )
@@ -149,12 +149,7 @@ def certified_instance(seed, n=16, d=8, widths=(16, 6, 4, 2), y_scale=0.1):
         deep_style="scaled_identity",
         seed=seed,
     )
-    probe = init_certifiable(shape, Dataset(X, np.zeros((n, widths[-1]))), ACT, cfg)
-    f1 = evaluate(ACT, X @ probe.weights[0])
-    u = np.linalg.svd(f1)[0][:, 0]
-    n_out = widths[-1]
-    Y = y_scale * np.outer(u, np.full(n_out, 1.0 / math.sqrt(n_out)))
-    data = Dataset(X, Y)
+    data = Dataset(X, sphere_targets("aligned", shape, X, ACT, seed, y_scale))
     gain, params, cert = tune_gain(shape, data, ACT, cfg)
     return data, params, cert
 

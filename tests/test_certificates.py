@@ -23,7 +23,14 @@ from pyrcert.certificates import (
     spectral_quantities,
 )
 from pyrcert.gradients import TrainConfig, train
-from pyrcert.initializers import InitConfig, init_certifiable, layer_rng, sphere_data, tune_gain
+from pyrcert.initializers import (
+    InitConfig,
+    init_certifiable,
+    layer_rng,
+    sphere_data,
+    sphere_targets,
+    tune_gain,
+)
 from pyrcert.lambda_star import gram_hermite, hermite_coeffs
 from pyrcert.network import Dataset, Params, Shape
 
@@ -33,12 +40,8 @@ ACT = ActivationParams(0.5, 1.0)
 def certifiable_instance(seed=0, n=6, d=4, widths=(6, 3, 2), y_scale=0.2):
     shape = Shape(d=d, widths=widths)
     X = sphere_data(n, d, seed=seed)
-    cfg = InitConfig(seed=seed)
-    probe = init_certifiable(shape, Dataset(X, np.zeros((n, widths[-1]))), ACT, cfg)
-    f1 = evaluate(ACT, X @ probe.weights[0])
-    u = np.linalg.svd(f1)[0][:, 0]
-    Y = y_scale * np.outer(u, np.full(widths[-1], 1.0 / math.sqrt(widths[-1])))
-    return shape, Dataset(X, Y), cfg
+    Y = sphere_targets("aligned", shape, X, ACT, seed, y_scale)
+    return shape, Dataset(X, Y), InitConfig(seed=seed)
 
 
 class TestSpectralQuantities:
@@ -216,10 +219,26 @@ class TestCertify:
     def test_json_round_trip(self, tmp_path):
         shape, data, cfg = certifiable_instance()
         _, _, cert = tune_gain(shape, data, ACT, cfg)
-        path = tmp_path / "cert.json"
-        certificate_to_json(cert, path)
-        back = certificate_from_json(path)
-        assert back == cert
+        vacuous = dataclasses.replace(
+            cert, alpha0=0.0, q1=math.inf, eta_max=math.nan, vacuous=True, cond1_slack=math.inf
+        )
+        shape2 = Shape(d=3, widths=(8, 2))
+        X2 = sphere_data(6, 3, seed=0)
+        data2 = Dataset(X2, sphere_targets("aligned", shape2, X2, ACT, 0, 1e-9))
+        depth2 = certify(init_certifiable(shape2, data2, ACT, cfg), data2, ACT)
+        X = data.X.copy()
+        X[1] = X[0]  # duplicate row: lambda_F = 0
+        dup = Dataset(X, data.Y)
+        degenerate = certify(init_certifiable(shape, dup, ACT, cfg), dup, ACT)
+        assert depth2.lambda_min_deep == () and degenerate.degenerate_reason is not None
+        for i, want in enumerate((cert, vacuous, depth2, degenerate)):
+            path = tmp_path / f"cert{i}.json"
+            certificate_to_json(want, path)
+            back = certificate_from_json(path)
+            for f in dataclasses.fields(want):
+                a, b = getattr(back, f.name), getattr(want, f.name)
+                assert a == b or (a != a and b != b), (i, f.name, a, b)
+                assert type(a) is type(b), (i, f.name, a, b)
 
 
 class TestMonitorInvariants:
@@ -258,7 +277,7 @@ class TestMonitorInvariants:
             params,
             data,
             ACT,
-            TrainConfig(eta=100 * cert.eta_max, max_steps=50, monitor=frozenset({"spectra"})),
+            TrainConfig(eta=100 * cert.eta_max, max_steps=50, spectra=True),
         )
         report = monitor_invariants(log, cert)
         assert report.flags.shape == (log.n_steps, 4)
@@ -293,11 +312,7 @@ class TestDepthTwo:
         shape = Shape(d=3, widths=(8, 2))
         X = sphere_data(6, 3, seed=0)
         cfg = InitConfig(seed=0)
-        probe = init_certifiable(shape, Dataset(X, np.zeros((6, 2))), ACT, cfg)
-        f1 = evaluate(ACT, X @ probe.weights[0])
-        u = np.linalg.svd(f1)[0][:, 0]
-        Y = 1e-9 * np.outer(u, np.full(2, 2**-0.5))
-        data = Dataset(X, Y)
+        data = Dataset(X, sphere_targets("aligned", shape, X, ACT, 0, 1e-9))
         params = init_certifiable(shape, data, ACT, cfg)
         cert = certify(params, data, ACT)
         assert cert.depth2_convention
@@ -336,7 +351,7 @@ class TestLazySpectra:
 
     @staticmethod
     def exact_replay(params, data, eta, steps):
-        cfg = TrainConfig(eta=eta, max_steps=steps, monitor=frozenset({"spectra"}))
+        cfg = TrainConfig(eta=eta, max_steps=steps, spectra=True)
         return train(params, data, ACT, cfg)
 
     @staticmethod

@@ -288,6 +288,64 @@ class TestSweep:
         assert res.exit_code == 1
 
 
+class TestConfig:
+    def test_unknown_key_is_operational_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"train": {"max_step": 7}}))
+        out = tmp_path / "o"
+        res = run(["train", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert "train.max_step" in res.output
+        assert not (out / "config.json").exists()
+
+    # every override flag of every command, one value each, and the config
+    # path it must land at in the recorded config.json
+    OVERRIDES = [
+        ("certify", "--seed", "3", "seed", 3),
+        ("train", "--seed", "2", "seed", 2),
+        ("train", "--eta", "0.002", "train.eta", 0.002),
+        ("train", "--max-steps", "4", "train.max_steps", 4),
+        ("train", "--stop-loss", "0.25", "train.stop_loss", 0.25),
+        ("lambda-star", "--method", "mc", "lambda_star.method", "mc"),
+        ("lambda-star", "--sigma", "linear", "lambda_star.sigma", "linear"),
+        ("lambda-star", "--gamma", "0.4", "activation.gamma", 0.4),
+        ("lambda-star", "--beta", "0.8", "activation.beta", 0.8),
+        ("lambda-star", "--n", "5", "dataset.n", 5),
+        ("lambda-star", "--N", "7", "dataset.n", 7),
+        ("lambda-star", "--d", "3", "shape.d", 3),
+        ("lambda-star", "--samples", "300", "lambda_star.samples", 300),
+        ("lambda-star", "--r-max", "5", "lambda_star.r_max", 5),
+        ("lambda-star", "--seed", "9", "seed", 9),
+        ("kr", "--n", "3", "kr.n", 3),
+        ("kr", "--N", "5", "kr.n", 5),
+        ("kr", "--d", "6", "kr.d", 6),
+        ("kr", "--r", "1", "kr.r", 1),
+        ("kr", "--n-seeds", "2", "kr.n_seeds", 2),
+        ("kr", "--seed", "11", "seed", 11),
+        ("hermite", "--sigma", "linear", "lambda_star.sigma", "linear"),
+        ("hermite", "--gamma", "0.3", "activation.gamma", 0.3),
+        ("hermite", "--beta", "1.5", "activation.beta", 1.5),
+        ("hermite", "--r-max", "3", "lambda_star.r_max", 3),
+        ("hermite", "--quad-order", "150", "lambda_star.quad_order", 150),
+    ]
+
+    @pytest.mark.parametrize("command,flag,text,path,value", OVERRIDES)
+    def test_flag_lands_at_its_config_path(self, tmp_path, command, flag, text, path, value):
+        cfg = small_config(
+            tmp_path,
+            train={"eta": 1e-3, "max_steps": 3, "stop_loss": 0.0},
+            lambda_star={"method": "hermite", "samples": 500, "r_max": 4},
+            kr={"n": 4, "d": 3, "n_seeds": 1},
+        )
+        out = tmp_path / "o"
+        res = run([command, "--config", str(cfg), "--out", str(out), flag, text])
+        assert res.exit_code in (0, 2), res.output
+        node = json.loads((out / "config.json").read_text())
+        for key in path.split("."):
+            node = node[key]
+        assert node == value and type(node) is type(value)
+
+
 class TestEnvOut:
     def test_pyrcert_out_env_sets_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PYRCERT_OUT", str(tmp_path / "envout"))

@@ -255,14 +255,14 @@ class TestTrain:
         assert log.stop_reason == "diverged"
         assert log.n_steps < 10_001
 
-    @pytest.mark.parametrize("monitor", [frozenset(), frozenset({"spectra"})])
+    @pytest.mark.parametrize("monitor", [{}, {"spectra": True}])
     def test_overflow_ends_run_as_diverged(self, monitor):
         # eta = 1e300 overflows the weights after step 0; the next forward
         # pass meets non-finite pre-activations
         rng = np.random.default_rng(36)
         data, params = random_instance(rng, 4, 3, (5, 3, 2), y_scale=10.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            log = train(params, data, ACT, TrainConfig(eta=1e300, max_steps=10, monitor=monitor))
+            log = train(params, data, ACT, TrainConfig(eta=1e300, max_steps=10, **monitor))
         assert log.diverged and log.stop_reason == "diverged"
         assert log.n_steps == 2
         assert math.isfinite(log.loss[0]) and not math.isfinite(log.loss[1])
@@ -272,7 +272,7 @@ class TestTrain:
     def test_log_grows_past_its_first_allocation(self):
         rng = np.random.default_rng(37)
         data, params = random_instance(rng, 3, 2, (4, 1))
-        cfg = TrainConfig(eta=1e-4, max_steps=2500, monitor=frozenset({"spectra"}))
+        cfg = TrainConfig(eta=1e-4, max_steps=2500, spectra=True)
         log = train(params, data, ACT, cfg)
         assert log.n_steps == 2501
         assert np.array_equal(log.steps, np.arange(2501))
@@ -297,21 +297,10 @@ class TestTrain:
         log = train(params, data, ACT, TrainConfig(eta=1e-3, max_steps=200))
         assert np.all(np.diff(log.loss) <= 1e-12)
 
-    def test_distance_reference_column(self):
-        rng = np.random.default_rng(40)
-        data, params = random_instance(rng, 3, 2, (4, 1))
-        ref = params.copy()
-        log = train(params, data, ACT, TrainConfig(eta=0.01, max_steps=50), distance_ref=ref)
-        assert log.dist_to_ref is not None
-        assert log.dist_to_ref[0] == 0.0
-        assert np.all(np.diff(log.dist_to_ref[:10]) >= 0)
-
     def test_monitor_spectra_without_certificate(self):
         rng = np.random.default_rng(42)
         data, params = random_instance(rng, 3, 2, (4, 2, 1))
-        log = train(
-            params, data, ACT, TrainConfig(eta=0.01, max_steps=10, monitor=frozenset({"spectra"}))
-        )
+        log = train(params, data, ACT, TrainConfig(eta=0.01, max_steps=10, spectra=True))
         assert log.sv_f1 is not None and log.norm_w.shape == (11, 3)
         assert log.flags is None
 

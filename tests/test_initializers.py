@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from pyrcert.activation import ActivationParams
+from pyrcert.activation import ActivationParams, evaluate
 from pyrcert.certificates import certify
 from pyrcert.initializers import (
     InitConfig,
+    first_layer,
     growing_widths_ok,
     init_certifiable,
     init_lecun,
     layer_rng,
     required_width_lecun,
     sphere_data,
+    sphere_targets,
     t0_floor,
     tune_gain,
 )
@@ -239,6 +241,34 @@ class TestSphereData:
             sphere_data(0, 3)
         with pytest.raises(ValueError):
             sphere_data(3, 3, radius=-1.0)
+
+
+class TestSphereTargets:
+    SHAPE = Shape(d=4, widths=(6, 3, 2))
+
+    @pytest.mark.parametrize("mode", ["gaussian", "aligned"])
+    def test_frobenius_norm_is_the_scale(self, mode):
+        X = sphere_data(6, 4, seed=1)
+        Y = sphere_targets(mode, self.SHAPE, X, ACT, 1, 0.3)
+        assert Y.shape == (6, 2)
+        assert np.linalg.norm(Y) == pytest.approx(0.3, rel=1e-14)
+        np.testing.assert_array_equal(Y, sphere_targets(mode, self.SHAPE, X, ACT, 1, 0.3))
+
+    def test_aligned_targets_follow_the_dominant_feature_direction(self):
+        X = sphere_data(6, 4, seed=2)
+        Y = sphere_targets("aligned", self.SHAPE, X, ACT, 2, 1.0)
+        u = np.linalg.svd(evaluate(ACT, X @ first_layer(self.SHAPE, 2)))[0][:, 0]
+        np.testing.assert_allclose(Y, np.outer(u, [0.5**0.5, 0.5**0.5]), rtol=1e-15)
+
+    def test_gaussian_targets_depend_on_the_seed_only(self):
+        X = sphere_data(6, 4, seed=3)
+        Y = sphere_targets("gaussian", self.SHAPE, X, ACT, 3, 1.0)
+        np.testing.assert_array_equal(Y, sphere_targets("gaussian", self.SHAPE, 2 * X, ACT, 3, 1.0))
+        assert not np.array_equal(Y, sphere_targets("gaussian", self.SHAPE, X, ACT, 4, 1.0))
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="target mode"):
+            sphere_targets("spherical", self.SHAPE, sphere_data(6, 4), ACT, 0, 1.0)
 
 
 class TestLecunOutputBound:

@@ -164,6 +164,20 @@ class TestKrMinSingular:
             exact, bound = kr_min_singular(X, 2)
             assert bound <= exact + 1e-9 * max(1.0, exact), seed
 
+    def test_rejects_non_finite_data(self):
+        X = sphere_data(4, 3, seed=5)
+        X[2, 1] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            kr_min_singular(X, 2)
+        with pytest.raises(ValueError, match="finite"):
+            khatri_rao_power(X, 2)
+
+    @pytest.mark.parametrize("scale,r", [(1e200, 1), (1e200, 2), (1e100, 2), (1e80, 4)])
+    def test_overflowing_gram_is_rejected(self, scale, r):
+        X = scale * np.eye(2)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+            kr_min_singular(X, r)
+
     def test_budget_applies_on_the_fallback(self):
         # rank one, so the Gram route cannot certify and K would be built
         with pytest.raises(ValueError, match="budget"):
