@@ -23,11 +23,9 @@ from .gradients import (
 )
 from .initializers import (
     InitConfig,
-    WidthPlan,
     first_layer,
     init_certifiable,
     init_lecun,
-    required_width_lecun,
     sphere_data,
     sphere_targets,
     tune_gain,
@@ -37,14 +35,12 @@ from .lambda_star import (
     HermiteSpec,
     gram_hermite,
     gram_mc,
-    hermite_coeff,
     hermite_coeffs,
     hermite_poly,
     khatri_rao_power,
     kr_min_singular,
-    lambda_star,
 )
-from .network import Dataset, ForwardTrace, Params, Shape, forward, loss, theta_distance, unvec, vec
+from .network import Dataset, ForwardTrace, Params, Shape, forward, loss, theta_distance, vec
 
 __version__ = "0.1.0"
 
@@ -61,7 +57,6 @@ __all__ = [
     "Shape",
     "TrainConfig",
     "TrainLog",
-    "WidthPlan",
     "certify",
     "check_assumption",
     "deriv",
@@ -73,7 +68,6 @@ __all__ = [
     "grad",
     "gram_hermite",
     "gram_mc",
-    "hermite_coeff",
     "hermite_coeffs",
     "hermite_poly",
     "init_certifiable",
@@ -82,20 +76,17 @@ __all__ = [
     "khatri_rao_power",
     "kr_min_singular",
     "lambda_f",
-    "lambda_star",
     "loss",
     "monitor_invariants",
     "pl_lower_bound",
     "predicted_decay",
     "rate_constants",
-    "required_width_lecun",
     "spectral_quantities",
     "sphere_data",
     "sphere_targets",
     "theta_distance",
     "train",
     "tune_gain",
-    "unvec",
     "uniform_gap",
     "vec",
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "value_and_slope",
     "uniform_gap",
     "gap_bound",
-    "leaky_ramp",
     "as_function",
 ]
 
@@ -52,72 +51,47 @@ class ActivationParams:
 
 def _as_finite_array(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("activation input must be finite")
     return arr
 
 
-def _maybe_scalar(out: np.ndarray, arr: np.ndarray):
-    return float(out) if arr.ndim == 0 else out
-
-
-def _ncdf(z: np.ndarray) -> np.ndarray:
-    # standard normal CDF; erfc keeps full relative accuracy in the tails
-    return 0.5 * special.erfc(-z * _INV_SQRT2)
-
-
-def _scaled_arg(params: ActivationParams, arr: np.ndarray) -> np.ndarray:
-    return (params.beta * _SQRT_2PI / (1.0 - params.gamma)) * arr
-
-
 def evaluate(params: ActivationParams, x):
     """Activation value; accepts scalars or arrays (applied entrywise)."""
-    arr = _as_finite_array(x)
-    g, b = params.gamma, params.beta
-    a = (1.0 - g) ** 2 / (2.0 * math.pi * b)
-    z = _scaled_arg(params, arr)
-    # exp underflows to 0 for large |x|, which is the correct limit here
-    with np.errstate(under="ignore"):
-        bump = np.exp(-0.5 * z * z)
-    out = -a + a * bump + arr * _ncdf(z) + g * arr * _ncdf(-z)
-    return _maybe_scalar(out, arr)
+    return value_and_slope(params, x)[0]
 
 
 def deriv(params: ActivationParams, x):
     """First derivative; always inside ``[gamma, 1]`` and nondecreasing."""
-    arr = _as_finite_array(x)
-    g = params.gamma
-    out = g + (1.0 - g) * _ncdf(_scaled_arg(params, arr))
-    return _maybe_scalar(out, arr)
+    return value_and_slope(params, x)[1]
 
 
 def deriv2(params: ActivationParams, x):
     """Second derivative; positive everywhere and bounded by ``beta``."""
     arr = _as_finite_array(x)
-    z = _scaled_arg(params, arr)
+    z = (params.beta * _SQRT_2PI / (1.0 - params.gamma)) * arr
     with np.errstate(under="ignore"):
         out = params.beta * np.exp(-0.5 * z * z)
-    return _maybe_scalar(out, arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def value_and_slope(params: ActivationParams, x):
-    """Value and first derivative in one pass, bit-identical to ``evaluate``
-    and ``deriv``.
+    """Value and first derivative in one pass.
 
-    This is the trainer's per-layer call, so the helpers are inlined and the
-    two CDFs share one scaled argument: ``ncdf(-z) = 0.5*erfc(u)`` and
-    ``ncdf(z) = 0.5*erfc(-u)`` with ``u = z/sqrt(2)``, exactly, because
-    negation is exact in floating point.
+    With ``z`` the scaled argument and ``u = z/sqrt(2)``, the two normal
+    CDFs are ``ncdf(z) = 0.5*erfc(-u)`` and ``ncdf(-z) = 0.5*erfc(u)``;
+    the slope reuses the first, so it costs one multiply-add beyond the
+    value.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError("activation input must be finite")
+    arr = _as_finite_array(x)
     g, b = params.gamma, params.beta
     a = (1.0 - g) ** 2 / (2.0 * math.pi * b)
     z = (b * _SQRT_2PI / (1.0 - g)) * arr
+    # exp underflows to 0 for large |x|, which is the correct limit here
     with np.errstate(under="ignore"):
         bump = np.exp(-0.5 * z * z)
     u = z * _INV_SQRT2
+    # erfc keeps full relative accuracy in the tails
     cdf_pos = 0.5 * special.erfc(-u)
     cdf_neg = 0.5 * special.erfc(u)
     val = -a + a * bump + arr * cdf_pos + g * arr * cdf_neg
@@ -127,20 +101,14 @@ def value_and_slope(params: ActivationParams, x):
     return val, slope
 
 
-def leaky_ramp(gamma: float, x):
-    """The unsmoothed target ramp ``max(gamma*x, x)``."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.maximum(gamma * arr, arr)
-    return _maybe_scalar(out, arr)
-
-
 def uniform_gap(params: ActivationParams, grid) -> float:
-    """Max deviation from the ramp over a grid of evaluation points."""
+    """Max deviation from the ramp ``max(gamma*x, x)`` over a grid of
+    evaluation points."""
     arr = _as_finite_array(grid)
     if arr.size == 0:
         raise ValueError("uniform_gap needs a non-empty grid")
-    gap = np.abs(evaluate(params, arr) - leaky_ramp(params.gamma, arr))
-    return float(np.max(gap))
+    ramp = np.maximum(params.gamma * arr, arr)
+    return float(np.max(np.abs(evaluate(params, arr) - ramp)))
 
 
 def gap_bound(params: ActivationParams) -> float:

@@ -49,10 +49,10 @@ DEFAULTS: dict = {
     "shape": {"d": 8, "widths": [16, 6, 4, 2]},
     "activation": {"gamma": 0.5, "beta": 1.0},
     "dataset": {
-        "source": "sphere",  # "sphere" | "file"
+        "source": "sphere",
         "n": 16,
         "radius": None,  # default sqrt(d)
-        "targets": "aligned",  # "aligned" | "gaussian"
+        "targets": "aligned",
         "target_scale": 0.1,
         "x_csv": None,
         "y_csv": None,
@@ -62,19 +62,27 @@ DEFAULTS: dict = {
         "scheme": "certifiable",
         "gain": 2.0,
         "second_layer_var": 0.0,
-        "deep_style": "scaled_identity",
         "auto_gain": True,
     },
     "train": {"eta": None, "max_steps": 200_000, "stop_loss": 1e-10},
     "lambda_star": {
-        "method": "both",  # "mc" | "hermite" | "both"
-        "sigma": "smoothed",  # "smoothed" | "linear"
+        "method": "both",
+        "sigma": "smoothed",
         "samples": 100_000,
         "r_max": 10,
         "quad_order": 200,
     },
     "kr": {"r": 2, "n": 30, "d": 40, "n_seeds": 100},
     "sweep": {"seeds": [0, 1, 2], "jobs": 1},
+}
+
+# the values each enumerated config key accepts
+CHOICES: dict = {
+    "init.scheme": ("certifiable", "lecun"),
+    "dataset.source": ("sphere", "file"),
+    "dataset.targets": ("aligned", "gaussian"),
+    "lambda_star.method": ("mc", "hermite", "both"),
+    "lambda_star.sigma": ("smoothed", "linear"),
 }
 
 
@@ -92,7 +100,8 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
 
 def _load_config(path: str | None) -> dict:
     """Defaults merged with the JSON file at ``path``; a key the defaults do
-    not have raises ``ValueError`` (exit 1) instead of being ignored."""
+    not have, or a value outside ``CHOICES``, raises ``ValueError`` (exit 1)
+    instead of being ignored."""
     base = json.loads(json.dumps(DEFAULTS))  # deep copy: commands mutate their config
     if path is None:
         return base
@@ -100,7 +109,14 @@ def _load_config(path: str | None) -> dict:
         user = json.load(fh)
     if not isinstance(user, dict):
         raise ValueError(f"config root must be a JSON object: {path}")
-    return _merge(base, user)
+    cfg = _merge(base, user)
+    for dotted, allowed in CHOICES.items():
+        section, key = dotted.split(".")
+        if cfg[section][key] not in allowed:
+            raise ValueError(
+                f"config key {dotted!r} must be one of {allowed}, got {cfg[section][key]!r}"
+            )
+    return cfg
 
 
 def _resolve_out(cfg: dict, out_flag: str | None, command: str) -> Path:
@@ -151,8 +167,6 @@ def _build_dataset(cfg: dict, shape: Shape, act: ActivationParams, seed: int) ->
         if not (ds["x_csv"] and ds["y_csv"]):
             raise ValueError("file dataset needs either 'bundle' or both 'x_csv' and 'y_csv'")
         return dataset_from_csv(ds["x_csv"], ds["y_csv"])
-    if ds["source"] != "sphere":
-        raise ValueError(f"unknown dataset source {ds['source']!r}")
     X = sphere_data(int(ds["n"]), shape.d, radius=ds["radius"], seed=seed)
     Y = sphere_targets(ds["targets"], shape, X, act, seed, float(ds["target_scale"]))
     return Dataset(X, Y)
@@ -164,11 +178,7 @@ def _build_params_and_cert(cfg, shape, data, act, seed, tune=True):
         params = init_lecun(shape, seed)
         return params, certify(params, data, act)
     icfg = InitConfig(
-        scheme="certifiable",
-        gain=float(init["gain"]),
-        second_layer_var=float(init["second_layer_var"]),
-        deep_style=init["deep_style"],
-        seed=seed,
+        gain=float(init["gain"]), second_layer_var=float(init["second_layer_var"]), seed=seed
     )
     if tune and init["auto_gain"]:
         try:
@@ -176,7 +186,7 @@ def _build_params_and_cert(cfg, shape, data, act, seed, tune=True):
             return params, cert
         except RuntimeError:
             pass  # fall through and report the failing certificate as-is
-    params = init_certifiable(shape, data, act, icfg)
+    params = init_certifiable(shape, data, icfg)
     return params, certify(params, data, act)
 
 
@@ -295,8 +305,8 @@ def _run_training(cfg: dict, out_dir: Path) -> tuple[dict, int]:
 
 @main.command(name="lambda-star")
 @click.option("--config", "config_path", type=str, default=None)
-@click.option("--method", type=click.Choice(["mc", "hermite", "both"]), default=None)
-@click.option("--sigma", type=click.Choice(["smoothed", "linear"]), default=None)
+@click.option("--method", type=click.Choice(CHOICES["lambda_star.method"]), default=None)
+@click.option("--sigma", type=click.Choice(CHOICES["lambda_star.sigma"]), default=None)
 @click.option("--gamma", type=float, default=None)
 @click.option("--beta", type=float, default=None)
 @click.option("--n", "--N", "n_samples", type=int, default=None, help="Number of data rows.")
@@ -409,7 +419,7 @@ def kr_cmd(config_path, n_rows, d, r, n_seeds, seed, out, fmt) -> None:
 
 @main.command(name="hermite")
 @click.option("--config", "config_path", type=str, default=None)
-@click.option("--sigma", type=click.Choice(["smoothed", "linear"]), default=None)
+@click.option("--sigma", type=click.Choice(CHOICES["lambda_star.sigma"]), default=None)
 @click.option("--gamma", type=float, default=None)
 @click.option("--beta", type=float, default=None)
 @click.option("--r-max", type=int, default=None)
@@ -475,16 +485,14 @@ def _sweep_entry(cfg_json: str, seed: int, out_str: str) -> dict:
 def sweep_cmd(config_path, out, jobs) -> None:
     """Run the train pipeline over a list of seeds and aggregate the outcomes."""
     try:
-        cfg = _load_config(config_path)
+        cfg, out_dir = _setup("sweep", config_path, out, {"sweep.jobs": jobs})
         seeds = list(cfg["sweep"]["seeds"])
         if not seeds:
             raise ValueError("sweep.seeds must be non-empty")
-        n_jobs = int(jobs if jobs is not None else cfg["sweep"]["jobs"])
+        n_jobs = int(cfg["sweep"]["jobs"])
         if n_jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {n_jobs}")
         n_jobs = min(n_jobs, len(seeds), os.cpu_count() or 1)
-        out_dir = _resolve_out(cfg, out, "sweep")
-        _write_json(out_dir / "config.json", cfg)
         cfg_json = json.dumps(cfg)
         entries = [(cfg_json, int(s), str(out_dir / f"run_{s}")) for s in seeds]
         if n_jobs > 1:

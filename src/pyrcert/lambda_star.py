@@ -29,13 +29,11 @@ __all__ = [
     "GramEstimate",
     "HermiteSpec",
     "hermite_poly",
-    "hermite_coeff",
     "hermite_coeffs",
     "khatri_rao_power",
     "kr_min_singular",
     "gram_mc",
     "gram_hermite",
-    "lambda_star",
     "sigma_linear",
 ]
 
@@ -172,11 +170,6 @@ def hermite_coeffs(sigma: Callable, r_max: int, quad_order: int = 200) -> Hermit
         converged=converged,
         norm_sq=norm_sq,
     )
-
-
-def hermite_coeff(sigma: Callable, r: int, quad_order: int = 200) -> float:
-    """Single Hermite coefficient mu_r of ``sigma``."""
-    return float(hermite_coeffs(sigma, r, quad_order).coeffs[r])
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +352,3 @@ def gram_hermite(X: np.ndarray, coeffs: HermiteSpec, r_max: Optional[int] = None
         r_max=r_max,
         tail_mass=coeffs.tail_mass(r_max),
     )
-
-
-def lambda_star(G) -> float:
-    """Smallest eigenvalue of a (near-)symmetric Gram matrix.
-
-    Accepts a :class:`GramEstimate` or a raw matrix; asymmetry beyond 1e-8
-    (absolute, entrywise) is rejected.
-    """
-    M = G.gram if isinstance(G, GramEstimate) else np.asarray(G, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("Gram matrix must be square")
-    asym = float(np.max(np.abs(M - M.T))) if M.size else 0.0
-    if asym > 1e-8:
-        raise ValueError(f"matrix is asymmetric (max |G - G^T| = {asym:.3g})")
-    return _lambda_min_sym(M)

@@ -32,14 +32,11 @@ __all__ = [
     "loss",
     "loss_of",
     "vec",
-    "unvec",
     "theta_distance",
     "dataset_to_csv",
     "dataset_from_csv",
     "dataset_to_json",
     "dataset_from_json",
-    "params_to_json",
-    "params_from_json",
 ]
 
 _FLOAT_FMT = ".17g"  # every float the package writes to CSV; round-trips float64
@@ -245,12 +242,6 @@ def vec(M) -> np.ndarray:
     return np.asarray(M, dtype=np.float64).flatten(order="F")
 
 
-def unvec(v, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`vec` for the given (rows, cols)."""
-    arr = np.asarray(v, dtype=np.float64)
-    return arr.reshape(shape, order="F")
-
-
 def theta_distance(a: Params, b: Params) -> float:
     """Root of summed squared Frobenius norms of the per-layer differences."""
     if a.widths != b.widths or a.d != b.d:
@@ -263,7 +254,7 @@ def theta_distance(a: Params, b: Params) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dataset / parameter serialization
+# Dataset serialization
 # ---------------------------------------------------------------------------
 
 
@@ -317,15 +308,3 @@ def dataset_from_json(path) -> Dataset:
         if got != want:
             raise ValueError(f"bundle shape {want} does not match arrays {got}")
     return data
-
-
-def params_to_json(params: Params, path) -> None:
-    payload = {"weights": [w.tolist() for w in params.weights]}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-
-
-def params_from_json(path) -> Params:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return Params(tuple(np.asarray(w) for w in payload["weights"]))

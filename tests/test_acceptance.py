@@ -26,10 +26,8 @@ from pyrcert.initializers import (
     InitConfig,
     init_lecun,
     layer_rng,
-    required_width_lecun,
     sphere_data,
     sphere_targets,
-    t0_floor,
     tune_gain,
 )
 from pyrcert.lambda_star import (
@@ -142,13 +140,7 @@ def certified_instance(seed, n=16, d=8, widths=(16, 6, 4, 2), y_scale=0.1):
     """
     shape = Shape(d=d, widths=widths)
     X = sphere_data(n, d, seed=seed)
-    cfg = InitConfig(
-        scheme="certifiable",
-        gain=2.0,
-        second_layer_var=0.0,
-        deep_style="scaled_identity",
-        seed=seed,
-    )
+    cfg = InitConfig(gain=2.0, second_layer_var=0.0, seed=seed)
     data = Dataset(X, sphere_targets("aligned", shape, X, ACT, seed, y_scale))
     gain, params, cert = tune_gain(shape, data, ACT, cfg)
     return data, params, cert
@@ -418,31 +410,52 @@ def test_criterion_8_statistical_initialization():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 9: conservative formulas compute and are annotated, never pinned
+# Criterion 9: the LeCun application at one point, where the wide layer trains
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_9_conservative_width_plan_reports():
-    X = sphere_data(32, 8, seed=91)
-    Y = 0.5 * layer_rng(91, 7).normal(size=(32, 2))
-    data = Dataset(X, Y)
-    spec = hermite_coeffs(as_function(ACT), 10)
-    lam_star = gram_hermite(X, spec, 10).lambda_min
-    t0 = max(1.0, t0_floor(X, lam_star)) + 0.1
-    plan = required_width_lecun(data, lam_star, depth=4, t=2.0, t0=t0, c_const=1.0)
-    floors = [
-        gram_mc(sphere_data(16, 8, seed=s), as_function(ACT), 20_000, seed=s).lambda_min
-        for s in range(5)
+def lecun_instance(n1):
+    """Depth 2, N=4, d=8, widths (n1, 2), gaussian targets, LeCun init."""
+    shape = Shape(d=8, widths=(n1, 2))
+    X = sphere_data(4, 8, seed=0)
+    data = Dataset(X, sphere_targets("gaussian", shape, X, ACT, 0, 0.1))
+    params = init_lecun(shape, 0)
+    return data, params, certify(params, data, ACT)
+
+
+def test_criterion_9_lecun_wide_layer_trains():
+    start = time.time()
+    _, _, narrow = lecun_instance(2**12)
+    data, params, cert = lecun_instance(2**16)
+    refused = (
+        not narrow.certified
+        and not narrow.cond1_holds
+        and narrow.cond2_holds
+        and narrow.cond1_slack == pytest.approx(0.3761, abs=1e-4)
+    )
+    holds = cert.certified and cert.cond1_slack == pytest.approx(2.0446, abs=1e-4)
+    log = train(
+        params,
+        data,
+        ACT,
+        TrainConfig(eta=0.9 * cert.eta_max, max_steps=100, stop_loss=0.0),
+        cert=cert,
+    )
+    moved = [
+        bool(np.all(w != w0)) for w, w0 in zip(log.final_params.weights, params.weights)
     ]
     ok = (
-        "conservative" in plan.note
-        and plan.n1_required >= 32
-        and math.isfinite(plan.eta_max_lecun)
-        and all(f > 0 for f in floors)
+        refused
+        and holds
+        and log.n_steps == 101
+        and monitor_invariants(log, cert).all_hold
+        and all(moved)
+        and log.final_loss < log.phi0
     )
     report(
-        "criterion 9: conservative quantities reported, not pinned",
+        "criterion 9: LeCun application, depth 2, N=4 (refused at n1=2^12, holds at 2^16)",
         ok,
-        f"n1_required={plan.n1_required} (annotated), eta_cap={plan.eta_max_lecun:.3g}, "
-        f"empirical lambda* floor across seeds: {min(floors):.4f}",
+        f"cond1 slack {narrow.cond1_slack:.4f} -> {cert.cond1_slack:.4f}, "
+        f"every entry moved per layer {moved}, loss {log.phi0:.4f} -> "
+        f"{log.final_loss:.4f} in 100 certified steps, {time.time() - start:.1f}s",
     )

@@ -15,7 +15,6 @@ from pyrcert.activation import (
     deriv2,
     evaluate,
     gap_bound,
-    leaky_ramp,
     uniform_gap,
     value_and_slope,
 )
@@ -234,5 +233,8 @@ class TestValueAndSlope:
 
 
 def test_ramp_helper():
-    assert leaky_ramp(0.5, -2.0) == -1.0
-    assert leaky_ramp(0.5, 2.0) == 2.0
+    # far from 0 the activation sits (1-gamma)^2/(2*pi*beta) below the ramp
+    # max(gamma*x, x) that uniform_gap measures against, on both sides
+    act = ActivationParams(0.5, 1.0)
+    for x in (-40.0, 40.0):
+        assert uniform_gap(act, [x]) == pytest.approx(0.25 / (2 * math.pi), rel=1e-9)

@@ -298,6 +298,36 @@ class TestConfig:
         assert "train.max_step" in res.output
         assert not (out / "config.json").exists()
 
+    def test_deep_style_is_an_unknown_key(self, tmp_path):
+        # deep layers are always gain * identity, so no key chooses their style
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"init": {"deep_style": "scaled_identity"}}))
+        res = run(["certify", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert "init.deep_style" in res.output
+
+    # one value outside the allowed choices for each enumerated key
+    BAD_CHOICES = [
+        ("certify", "init.scheme", "xavier"),
+        ("certify", "dataset.source", "web"),
+        ("certify", "dataset.targets", "random"),
+        ("lambda-star", "lambda_star.method", "bogus"),
+        ("lambda-star", "lambda_star.sigma", "relu"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command,key,value", BAD_CHOICES, ids=[key for _, key, _ in BAD_CHOICES]
+    )
+    def test_unknown_choice_is_operational_error(self, tmp_path, command, key, value):
+        section, leaf = key.split(".")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({section: {leaf: value}}))
+        out = tmp_path / "o"
+        res = run([command, "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert key in res.output and value in res.output
+        assert not (out / "config.json").exists()
+
     # every override flag of every command, one value each, and the config
     # path it must land at in the recorded config.json
     OVERRIDES = [
@@ -327,6 +357,7 @@ class TestConfig:
         ("hermite", "--beta", "1.5", "activation.beta", 1.5),
         ("hermite", "--r-max", "3", "lambda_star.r_max", 3),
         ("hermite", "--quad-order", "150", "lambda_star.quad_order", 150),
+        ("sweep", "--jobs", "2", "sweep.jobs", 2),
     ]
 
     @pytest.mark.parametrize("command,flag,text,path,value", OVERRIDES)

@@ -1,4 +1,4 @@
-"""Initializer determinism and statistics, width planning, and sphere data."""
+"""Initializer determinism and statistics, gain tuning, and sphere data."""
 
 import math
 
@@ -10,14 +10,11 @@ from pyrcert.certificates import certify
 from pyrcert.initializers import (
     InitConfig,
     first_layer,
-    growing_widths_ok,
     init_certifiable,
     init_lecun,
     layer_rng,
-    required_width_lecun,
     sphere_data,
     sphere_targets,
-    t0_floor,
     tune_gain,
 )
 from pyrcert.network import Dataset, Shape, forward, loss
@@ -32,24 +29,16 @@ def make_data(n=6, d=4, n_out=2, seed=0, y_scale=1.0):
 
 
 class TestInitConfig:
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            InitConfig(scheme="xavier")
-
     def test_rejects_gain_at_or_below_one(self):
         with pytest.raises(ValueError):
             InitConfig(gain=1.0)
-
-    def test_rejects_bad_deep_style(self):
-        with pytest.raises(ValueError):
-            InitConfig(deep_style="orthogonal")
 
 
 class TestCertifiableInit:
     def test_zero_second_layer_zeroes_the_output(self):
         shape = Shape(d=4, widths=(6, 3, 2))
         data = make_data()
-        params = init_certifiable(shape, data, ACT, InitConfig(second_layer_var=0.0))
+        params = init_certifiable(shape, data, InitConfig(second_layer_var=0.0))
         assert np.all(forward(params, data, ACT).output == 0.0)
         # so the initial loss is exactly half the squared target norm
         assert loss(params, data, ACT) == pytest.approx(
@@ -60,47 +49,26 @@ class TestCertifiableInit:
         shape = Shape(d=4, widths=(6, 4, 4, 2))
         data = make_data(n_out=2)
         gain = 2.5
-        params = init_certifiable(
-            shape, data, ACT, InitConfig(gain=gain, deep_style="scaled_identity")
-        )
+        params = init_certifiable(shape, data, InitConfig(gain=gain))
         for w in params.weights[2:]:
             svs = np.linalg.svd(w, compute_uv=False)
             assert svs[0] == svs[-1] == gain
 
-    def test_gaussian_deep_style_width_condition(self):
-        data = make_data()
-        cfg = InitConfig(deep_style="gaussian")
-        # sqrt(3) >= 1.01 * sqrt(3) fails for equal consecutive deep widths
-        with pytest.raises(ValueError, match="1.01"):
-            init_certifiable(Shape(d=4, widths=(6, 3, 3, 2)), data, ACT, cfg)
-        init_certifiable(Shape(d=4, widths=(6, 4, 3, 2)), data, ACT, cfg)
-
-    def test_gaussian_deep_style_variance(self):
-        shape = Shape(d=4, widths=(6, 256, 128, 2))
-        data = make_data()
-        gain = 1.5
-        params = init_certifiable(
-            shape, data, ACT, InitConfig(gain=gain, deep_style="gaussian", seed=3)
-        )
-        w3 = params.weights[2]
-        want = (200 * gain) ** 2 / 256
-        assert np.var(w3) == pytest.approx(want, rel=0.1)
-
     def test_deterministic_and_layer_streams_stable(self):
         data = make_data()
         cfg = InitConfig(seed=9)
-        a = init_certifiable(Shape(d=4, widths=(6, 3, 2)), data, ACT, cfg)
-        b = init_certifiable(Shape(d=4, widths=(6, 3, 2)), data, ACT, cfg)
+        a = init_certifiable(Shape(d=4, widths=(6, 3, 2)), data, cfg)
+        b = init_certifiable(Shape(d=4, widths=(6, 3, 2)), data, cfg)
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         # adding a layer must not change the earlier draws
-        deeper = init_certifiable(Shape(d=4, widths=(6, 3, 3, 2)), data, ACT, cfg)
+        deeper = init_certifiable(Shape(d=4, widths=(6, 3, 3, 2)), data, cfg)
         np.testing.assert_array_equal(a.weights[0], deeper.weights[0])
 
     def test_warns_when_first_layer_too_narrow(self):
         data = make_data(n=10)
         with pytest.warns(UserWarning, match="below the sample count"):
-            init_certifiable(Shape(d=4, widths=(6, 3, 2)), data, ACT, InitConfig())
+            init_certifiable(Shape(d=4, widths=(6, 3, 2)), data, InitConfig())
 
     def test_initial_loss_chain_bound(self):
         # sqrt(2 phi0) <= ||Y||_F + prod ||W_l||_2 * ||X||_F on every draw
@@ -108,7 +76,7 @@ class TestCertifiableInit:
             shape = Shape(d=4, widths=(8, 4, 2))
             data = make_data(n=8, seed=seed)
             params = init_certifiable(
-                shape, data, ACT, InitConfig(second_layer_var=0.01, seed=seed)
+                shape, data, InitConfig(second_layer_var=0.01, seed=seed)
             )
             phi0 = loss(params, data, ACT)
             prod = np.prod([np.linalg.norm(w, 2) for w in params.weights])
@@ -160,59 +128,6 @@ class TestLecunInit:
             svs = np.linalg.svd(w, compute_uv=False)
             hits += lo <= svs[-1] and svs[0] <= hi
         assert hits / trials >= 1 - 2 * math.exp(-(t**2) / 2)
-
-
-class TestWidthPlan:
-    @staticmethod
-    def plan_inputs(seed=0):
-        data = make_data(n=32, d=8, seed=seed)
-        lam = 0.05
-        t0 = max(1.0, t0_floor(data.X, lam)) + 0.5
-        return data, lam, t0
-
-    def test_matches_straight_line_recomputation(self):
-        data, lam, t0 = self.plan_inputs()
-        t, c, L = 2.0, 1.0, 4
-        plan = required_width_lecun(data, lam, L, t, t0, c_const=c)
-        x_op = np.linalg.norm(data.X, 2)
-        x_fro = np.linalg.norm(data.X)
-        y_fro = np.linalg.norm(data.Y)
-        term3 = c * t0**2 * 8 * x_op**2 * (t0**2 + math.log(32)) / lam
-        scale = (math.sqrt(2) + t) * x_fro / math.sqrt(8) + y_fro
-        term4 = 2.0 ** (c * L) * x_fro**2 / (8 * lam**2) * scale**2
-        want = math.ceil(max(32.0, 8.0, term3, term4))
-        assert plan.n1_required == want
-        assert abs(plan.terms[2] - term3) <= 1e-10 * term3
-        assert abs(plan.terms[3] - term4) <= 1e-10 * term4
-        assert "conservative" in plan.note
-
-    def test_doubling_lambda_star_quarters_the_last_term(self):
-        data, lam, t0 = self.plan_inputs()
-        t0b = max(t0, t0_floor(data.X, 2 * lam))
-        a = required_width_lecun(data, lam, 4, 2.0, t0b)
-        b = required_width_lecun(data, 2 * lam, 4, 2.0, t0b)
-        assert b.terms[3] == pytest.approx(a.terms[3] / 4.0, rel=1e-12)
-
-    def test_blowup_term_dominates_for_large_c(self):
-        data, lam, t0 = self.plan_inputs()
-        plan = required_width_lecun(data, lam, 6, 2.0, t0, c_const=4.0)
-        assert plan.n1_required == math.ceil(plan.terms[3])
-        assert plan.eta_max_lecun < 1e-9
-
-    def test_rejects_bad_inputs(self):
-        data, lam, t0 = self.plan_inputs()
-        with pytest.raises(ValueError):
-            required_width_lecun(data, 0.0, 4, 2.0, t0)
-        with pytest.raises(ValueError):
-            required_width_lecun(data, lam, 4, -1.0, t0)
-        with pytest.raises(ValueError, match="floor"):
-            required_width_lecun(data, lam, 4, 2.0, 0.0)
-
-    def test_growing_widths_predicate(self):
-        assert growing_widths_ok(Shape(d=4, widths=(400, 100, 16, 1)), t=2.0)
-        assert not growing_widths_ok(Shape(d=4, widths=(16, 16, 16)), t=2.0)
-        # 4 = sqrt(16) < 1.01 * (sqrt(4) + 2): the last pair just misses
-        assert not growing_widths_ok(Shape(d=4, widths=(256, 64, 16, 4)), t=2.0)
 
 
 class TestSphereData:

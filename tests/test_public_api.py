@@ -1,0 +1,58 @@
+"""Every exported name resolves, and deleted names stay deleted."""
+
+import importlib
+import types
+
+import pytest
+
+import pyrcert
+
+MODULES = [
+    "activation",
+    "certificates",
+    "cli",
+    "gradients",
+    "initializers",
+    "lambda_star",
+    "network",
+]
+
+# names removed from the package; none may come back as an export
+DELETED = [
+    "WidthPlan",
+    "required_width_lecun",
+    "t0_floor",
+    "growing_widths_ok",
+    "leaky_ramp",
+    "unvec",
+    "params_to_json",
+    "params_from_json",
+    "hermite_coeff",
+    "SCHEMES",
+    "DEEP_STYLES",
+]
+
+
+@pytest.mark.parametrize("name", ["pyrcert"] + [f"pyrcert.{m}" for m in MODULES])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_deleted_name_is_gone(name):
+    assert not hasattr(pyrcert, name)
+    for m in MODULES:
+        assert not hasattr(importlib.import_module(f"pyrcert.{m}"), name)
+
+
+def test_lambda_star_is_the_submodule():
+    assert isinstance(pyrcert.lambda_star, types.ModuleType)
+    assert "lambda_star" not in pyrcert.__all__
+    assert not hasattr(pyrcert.lambda_star, "lambda_star")
+
+
+def test_init_config_fields():
+    fields = pyrcert.InitConfig.__dataclass_fields__
+    assert list(fields) == ["gain", "second_layer_var", "seed"]
