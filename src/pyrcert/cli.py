@@ -91,7 +91,10 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     for key, value in override.items():
         if key not in base:
             raise ValueError(f"unknown config key {prefix + key!r}")
-        if isinstance(value, dict) and isinstance(base[key], dict):
+        if isinstance(base[key], dict) != isinstance(value, dict):
+            kind = "an object" if isinstance(base[key], dict) else "not an object"
+            raise ValueError(f"config key {prefix + key!r} must be {kind}, got {value!r}")
+        if isinstance(value, dict):
             out[key] = _merge(base[key], value, f"{prefix}{key}.")
         else:
             out[key] = value

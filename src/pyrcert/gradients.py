@@ -263,7 +263,17 @@ def train(
     whose bounds do not prove its thresholds gets an exact SVD, which
     decides its flag and becomes its new reference; so the flags equal
     those of an exact SVD on every step.  Step 0, the last logged step and
-    every step of an uncertified run take exact SVDs.
+    every step of an uncertified run take exact SVDs.  A matrix that is
+    still the very array of its reference (``F_1`` and ``W_1`` while ``W_1``
+    is unchanged) has displacement exactly 0, and its radius is the margin
+    alone, since ``sqrt(0) * inflate + margin == margin`` in floating point.
+
+    Layer 1 is reused exactly.  ``W_1``'s update is computed out of place,
+    which rounds exactly like the in-place one; while it leaves ``W_1``
+    bitwise unchanged (at a certified step size ``eta * grad`` is often
+    below half an ulp), the next pass starts from the previous pass's
+    ``(G_1, F_1, S_1)``, which are then the very values a recomputation
+    would give.  Any change, NaN included, replaces ``W_1`` and drops them.
     """
     _check_dims(params0, data)
     L = params0.depth
@@ -313,12 +323,15 @@ def train(
         margins = [math.nan] * (L + 1)
     n_svds = 0
 
+    first = None  # hidden layer 1's (G_1, F_1, S_1) while W_1 is unchanged
     k = 0
     diverged = False
     stop_reason = "max_steps"
     while True:
         try:
-            _, F, S = _layers(X, W, act)
+            G, F, S = _layers(X, W, act, first)
+            if S:
+                first = (G[0], F[1], S[0])
         except ValueError:
             # non-finite pre-activation: the iterates blew up, and NaN
             # layers carry through to a non-finite loss that ends the run
@@ -347,10 +360,13 @@ def train(
             for i in range(L + 1):
                 a = F[1] if i == 0 else W[i - 1]
                 if prove:
-                    delta = a - refs[i]
-                    radius = (
-                        math.sqrt(float(np.vdot(delta, delta))) * inflate[i] + margins[i]
-                    )
+                    if a is refs[i]:  # zero displacement: sqrt(0) * inflate + margin
+                        radius = margins[i]
+                    else:
+                        delta = a - refs[i]
+                        radius = (
+                            math.sqrt(float(np.vdot(delta, delta))) * inflate[i] + margins[i]
+                        )
                     lo = lows[i] - radius
                     hi = tops[i] + radius
                     if lo >= floors[i] and hi <= caps[i]:
@@ -366,7 +382,8 @@ def train(
                     tops[i], lows[i] = float(sv[0]), float(sv[-1])
                 except np.linalg.LinAlgError:  # NaN entries of a blown-up run
                     tops[i] = lows[i] = math.nan
-                refs[i] = a if i == 0 else a.copy()
+                # F_1 and W_1 are replaced, never changed in place
+                refs[i] = a if i <= 1 else a.copy()
                 m, n = shapes[i]
                 margins[i] = (2.0 * _SVD_ERR * max(m, n) + 4.0) * _EPS * tops[i] + underflow[i]
                 row[LO + i] = lows[i]
@@ -380,7 +397,11 @@ def train(
             elif loss_k <= cfg.stop_loss:
                 stop_reason = "stop_loss"
             break
-        for l in range(L):
+        w1 = W[0] - eta * grads[0]  # rounds exactly like the in-place update
+        if not np.array_equal(w1, W[0]):  # NaN entries compare unequal
+            W[0] = w1
+            first = None
+        for l in range(1, L):
             W[l] -= eta * grads[l]
         k += 1
 

@@ -201,13 +201,18 @@ def _check_dims(params: Params, data: Dataset) -> None:
         )
 
 
-def _layers(X: np.ndarray, weights, act: ActivationParams):
+def _layers(X: np.ndarray, weights, act: ActivationParams, first=None):
     """The forward kernel: pre-activations ``G``, outputs ``F`` and hidden
     slopes ``S`` of one pass, on raw arrays.  It checks no dimensions
     because the trainer calls it every step; a non-finite pre-activation
-    raises ``ValueError``."""
+    raises ``ValueError``.  ``first``, when given, is hidden layer 1's
+    ``(G_1, F_1, S_1)`` for these very weights, and the pass starts from it."""
     G, F, S = [], [X], []
-    for w in weights[:-1]:
+    if first is not None:
+        G.append(first[0])
+        F.append(first[1])
+        S.append(first[2])
+    for w in weights[len(S) : -1]:
         g = F[-1] @ w
         f, s = value_and_slope(act, g)
         G.append(g)

@@ -306,6 +306,23 @@ class TestConfig:
         assert res.exit_code == 1
         assert "init.deep_style" in res.output
 
+    # a section given a non-object, and a plain key given an object
+    BAD_KINDS = [
+        ({"init": 5}, "init"),
+        ({"seed": {"a": 1}}, "seed"),
+        ({"train": {"eta": {"x": 1}}}, "train.eta"),
+    ]
+
+    @pytest.mark.parametrize("config,key", BAD_KINDS, ids=[key for _, key in BAD_KINDS])
+    def test_object_mismatch_is_operational_error(self, tmp_path, config, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        res = run(["certify", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert repr(key) in res.output
+        assert not (out / "config.json").exists()
+
     # one value outside the allowed choices for each enumerated key
     BAD_CHOICES = [
         ("certify", "init.scheme", "xavier"),

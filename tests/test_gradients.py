@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyrcert.activation import ActivationParams
 from pyrcert.gradients import (
+    DIVERGENCE_LOSS,
     TrainConfig,
     grad,
     jacobian_block,
@@ -15,7 +18,7 @@ from pyrcert.gradients import (
     train,
     trainlog_summary,
 )
-from pyrcert.network import Dataset, Params, forward, loss, theta_distance, vec
+from pyrcert.network import Dataset, Params, forward, loss, loss_of, theta_distance, vec
 
 ACT = ActivationParams(0.5, 1.0)
 
@@ -315,3 +318,76 @@ class TestTrain:
     def test_rejects_negative_eta(self):
         with pytest.raises(ValueError):
             TrainConfig(eta=-0.1, max_steps=10)
+
+
+def literal_train(params, data, act, eta, max_steps):
+    """Gradient descent written out: ``forward`` and ``grad`` of the current
+    weights, then an in-place update of every layer, on every step.  Returns
+    the per-step losses and gradient norms, the stop reason and the final
+    weights; a non-finite pre-activation reads as a NaN loss."""
+    W = [w.copy() for w in params.weights]
+    losses, norms = [], []
+    k = 0
+    while True:
+        try:
+            p = Params(tuple(W))
+            trace = forward(p, data, act)
+            g = grad(p, data, act, trace)
+            loss_k, norm_k = loss_of(trace), g.norm
+        except ValueError:
+            loss_k = norm_k = math.nan
+        losses.append(loss_k)
+        norms.append(norm_k)
+        if not math.isfinite(loss_k) or loss_k > DIVERGENCE_LOSS:
+            return losses, norms, "diverged", Params(tuple(W))
+        if loss_k <= 0.0:  # TrainConfig's default stop_loss
+            return losses, norms, "stop_loss", Params(tuple(W))
+        if k == max_steps:
+            return losses, norms, "max_steps", Params(tuple(W))
+        for w, gl in zip(W, g.layers):
+            w -= eta * gl
+        k += 1
+
+
+@st.composite
+def pyramids(draw):
+    """A small pyramidal instance: any first width, non-increasing after."""
+    depth = draw(st.integers(2, 4))
+    widths = [draw(st.integers(1, 6))]
+    cap = 4
+    for _ in range(depth - 1):
+        cap = draw(st.integers(1, cap))
+        widths.append(cap)
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data, params = random_instance(rng, n, d, tuple(widths))
+    if draw(st.booleans()):
+        # W_2 = 0, as the certifiable init sets it: W_1's first gradient is
+        # zero, so W_1 stays put on step 0 and moves later
+        ws = list(params.weights)
+        ws[1] = np.zeros_like(ws[1])
+        params = Params(tuple(ws))
+    return data, params
+
+
+# log10 of eta, one third each: below 1e-12 every update of W_1 rounds away;
+# from 1e-8 to 1, W_1 moves on every step or, after a zero W_2, from step 1 on;
+# above 1, most runs diverge or overflow
+ETA_EXPONENTS = st.one_of(st.floats(-24.0, -12.0), st.floats(-8.0, 0.0), st.floats(0.0, 4.0))
+
+
+class TestTrainEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(pyramids(), ETA_EXPONENTS, st.integers(0, 40))
+    def test_train_matches_literal_loop(self, instance, log_eta, max_steps):
+        data, params = instance
+        eta = 10.0**log_eta
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses, norms, stop_reason, final = literal_train(params, data, ACT, eta, max_steps)
+            log = train(params, data, ACT, TrainConfig(eta=eta, max_steps=max_steps))
+        assert np.array_equal(log.loss, losses, equal_nan=True)
+        assert np.array_equal(log.grad_norm, norms, equal_nan=True)
+        assert log.stop_reason == stop_reason
+        for got, w in zip(log.final_params.weights, final.weights):
+            assert np.array_equal(got, w)

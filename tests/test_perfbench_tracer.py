@@ -1,11 +1,18 @@
-"""The benchmark's tracer patches pyrcert names from outside its source; every
-name it patches must stay bound, or ``perfbench/run.py --trace 1`` breaks."""
+"""The benchmark reads pyrcert from outside its source.  Its tracer patches
+pyrcert names, and every name it patches must stay bound, or
+``perfbench/run.py --trace 1`` breaks.  Its step sampler reads the trainer's
+step counter, which must stay observable, or ``train_certified``'s
+``unit_us`` silently falls back to a pass mean."""
 
 from pathlib import Path
 
 import numpy as np
 
 from pyrcert import cli, gradients
+from pyrcert.activation import ActivationParams
+from pyrcert.gradients import TrainConfig, train
+from pyrcert.initializers import InitConfig, sphere_data, sphere_targets, tune_gain
+from pyrcert.network import Dataset, Shape
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -19,3 +26,19 @@ def test_every_traced_name_is_bound(monkeypatch):
         install(tracer)  # getattr of an unbound name raises AttributeError
         assert cli.train is not gradients.train
     assert cli.train is gradients.train and np.linalg.svd is svd
+
+
+def test_step_sampler_reads_the_certified_trainer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import StepSampler
+
+    # the acceptance instance, certified as the CLI's ``train`` certifies it
+    act = ActivationParams(0.5, 1.0)
+    shape = Shape(d=8, widths=(16, 6, 4, 2))
+    X = sphere_data(16, 8, seed=0)
+    data = Dataset(X, sphere_targets("aligned", shape, X, act, 0, 0.1))
+    _, params, cert = tune_gain(shape, data, act, InitConfig(gain=2.0, second_layer_var=0.0, seed=0))
+    with StepSampler() as sampler:
+        log = train(params, data, act, TrainConfig(eta=0.9 * cert.eta_max, max_steps=5000), cert)
+    assert log.n_steps == 5001
+    assert sampler.step_seconds()  # at least one window of steps
