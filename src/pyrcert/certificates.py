@@ -232,9 +232,9 @@ def predicted_decay(alpha0: float, eta: float, phi0: float, k) -> float | np.nda
 
 
 def _decay_bound(rate: float, phi0: float, ks: np.ndarray) -> np.ndarray:
-    # The one evaluation of the ceiling, shared by predicted_decay, the
-    # trainer's bound column and monitor_invariants: a scalar power and
-    # NumPy's vectorised one differ in the last bit on some steps.
+    # The one evaluation of the ceiling, shared by predicted_decay and
+    # monitor_invariants: a scalar power and NumPy's vectorised one differ
+    # in the last bit on some steps.
     return (1.0 - rate) ** ks * phi0
 
 
@@ -308,9 +308,10 @@ class DistanceReport:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Per-step verdicts for the four certified trajectory invariants."""
+    """The certified loss ceiling and the four invariants' verdicts, per step."""
 
-    flags: np.ndarray  # (n_steps, 4) bool
+    bound: np.ndarray  # (n_steps,)
+    flags: np.ndarray  # (n_steps, 4) bool, in the order of CHECKS
     first_violation: dict[str, Optional[int]]
     n_violations: dict[str, int]
     all_hold: bool
@@ -364,18 +365,16 @@ def monitor_invariants(
     cert: Certificate,
     distance_upto_loss: Optional[float] = None,
 ) -> InvariantReport:
-    """Re-derive the invariant flags of a logged run against a certificate.
-
-    The log must carry per-step spectra.  A certified run logs certified
-    bounds where it skipped an SVD, each proving its thresholds, so against
-    the run's own certificate this reproduces ``log.flags`` exactly; against
-    a tighter certificate a bound may fail to prove a step that holds.
+    """Judge a logged run against a certificate: per step, the certified
+    decay bound ``(1 - eta*alpha0)**k * phi0`` and the invariant flags.
+    A certified run logs certified bounds where it skipped an SVD, each
+    proving its thresholds, so against the run's own certificate the flags
+    equal those of an exact SVD on every step; against a tighter
+    certificate a bound may fail to prove a step that holds.
     When ``distance_upto_loss`` is given, the parameter-distance envelope is
     additionally checked for every step up to the first step whose loss
     falls below that threshold, using the final iterate as the limit proxy.
     """
-    if log.sv_f1 is None or log.min_sv_w is None or log.norm_w is None:
-        raise ValueError("log has no recorded spectra; rerun with monitoring enabled")
     n = log.n_steps
     decay = 1.0 - log.eta * cert.alpha0
     bound = _decay_bound(log.eta * cert.alpha0, log.phi0, np.arange(n))
@@ -412,6 +411,7 @@ def monitor_invariants(
 
     all_hold = bool(np.all(flags)) and (distance is None or distance.holds)
     return InvariantReport(
+        bound=bound,
         flags=flags,
         first_violation=first,
         n_violations=counts,
@@ -434,7 +434,12 @@ _NESTED = {
 }
 
 
-def _json_float(v):
+def _json_safe(v):
+    """``v`` with every non-finite float in it replaced by ``None``."""
+    if isinstance(v, dict):
+        return {key: _json_safe(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_safe(x) for x in v]
     return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
@@ -443,8 +448,7 @@ def certificate_to_json(cert: Certificate, path=None) -> dict:
     ``certified``; non-finite floats are written as ``null``."""
     payload: dict = {}
     for f in fields(Certificate):
-        v = getattr(cert, f.name)
-        v = [_json_float(x) for x in v] if isinstance(v, tuple) else _json_float(v)
+        v = _json_safe(getattr(cert, f.name))
         outer, inner = _NESTED.get(f.name, (f.name, None))
         if inner is None:
             payload[outer] = v
@@ -453,7 +457,7 @@ def certificate_to_json(cert: Certificate, path=None) -> dict:
     payload["certified"] = cert.certified
     if path is not None:
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
     return payload
 
 

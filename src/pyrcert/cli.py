@@ -22,7 +22,7 @@ import numpy as np
 
 from .activation import ActivationParams, as_function
 from .activation import evaluate  # noqa: F401 - bound here for perfbench's tracer
-from .certificates import certificate_to_json, certify, monitor_invariants
+from .certificates import _json_safe, certificate_to_json, certify, monitor_invariants
 from .gradients import TrainConfig, train, trainlog_summary, trainlog_to_csv
 from .initializers import (
     InitConfig,
@@ -129,9 +129,12 @@ def _resolve_out(cfg: dict, out_flag: str | None, command: str) -> Path:
     return path
 
 
+def _json_text(payload) -> str:
+    return json.dumps(_json_safe(payload), indent=2, allow_nan=False)
+
+
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    path.write_text(_json_text(payload))
 
 
 def _setup(command: str, config_path: str | None, out: str | None, flags: dict):
@@ -266,7 +269,7 @@ def train_cmd(config_path, seed, out, eta, max_steps, stop_loss) -> None:
         _write_json(out_dir / "summary.json", summary)
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
-    click.echo(json.dumps(summary, indent=2))
+    click.echo(_json_text(summary))
     sys.exit(code)
 
 
@@ -292,14 +295,15 @@ def _run_training(cfg: dict, out_dir: Path) -> tuple[dict, int]:
         eta = 0.9 * cert.eta_max  # strict inequality against the certified cap
     eta = float(eta)
     use_cert = cert if (cert.certified and eta < cert.eta_max) else None
-    tcfg = TrainConfig(eta, int(tr["max_steps"]), float(tr["stop_loss"]), spectra=True)
+    tcfg = TrainConfig(eta, int(tr["max_steps"]), float(tr["stop_loss"]))
     log = train(params, data, act, tcfg, cert=use_cert)
-    trainlog_to_csv(log, out_dir / "trainlog.csv")
+    report = monitor_invariants(log, use_cert) if use_cert is not None else None
+    trainlog_to_csv(log, out_dir / "trainlog.csv", report)
     summary = trainlog_summary(log)
     summary["seed"] = run_seed
     summary["certified"] = use_cert is not None
-    if use_cert is not None:
-        report = monitor_invariants(log, use_cert)
+    if report is not None:
+        summary["alpha0"] = use_cert.alpha0
         summary["violations"] = report.n_violations
         summary["invariants_hold"] = report.all_hold
         summary["first_violation"] = report.first_violation
@@ -369,7 +373,7 @@ def lambda_star_cmd(
             _write_matrix_csv((mc if mc is not None else herm).gram, out_dir / "gram.csv", "g")
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
-    click.echo(json.dumps(payload, indent=2))
+    click.echo(_json_text(payload))
     sys.exit(0)
 
 
@@ -460,7 +464,7 @@ def hermite_cmd(config_path, sigma, gamma, beta, r_max, quad_order, out, fmt) ->
                     writer.writerow([r, format(mu, _FLOAT_FMT), int(conv)])
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
-    click.echo(json.dumps(payload, indent=2))
+    click.echo(_json_text(payload))
     sys.exit(0)
 
 
@@ -515,7 +519,7 @@ def sweep_cmd(config_path, out, jobs) -> None:
         _write_json(out_dir / "aggregate.json", aggregate)
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
-    click.echo(json.dumps({k: aggregate[k] for k in ("n_runs", "total_violations", "all_certified")}, indent=2))
+    click.echo(_json_text({k: aggregate[k] for k in ("n_runs", "total_violations", "all_certified")}))
     sys.exit(2 if any(res.get("exit_code", 0) != 0 for res in results) else 0)
 
 

@@ -3,27 +3,24 @@
 Gradients are computed by reverse accumulation, which is algebraically
 identical to the closed-form product of per-layer slope diagonals and
 Kronecker factors (the tests rebuild that product literally and compare).
-The trainer runs plain full-batch gradient descent and can log, per step,
-the spectral quantities and invariant flags that a convergence certificate
-promises to preserve.
+The trainer runs plain full-batch gradient descent and logs, per step, the
+spectral quantities whose invariants a convergence certificate promises to
+preserve; ``certificates.monitor_invariants`` judges them.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .activation import ActivationParams
 from .activation import value_and_slope  # noqa: F401 - bound here for perfbench's tracer
-from .certificates import _decay_bound, invariant_flags, invariant_thresholds
+from .certificates import Certificate, InvariantReport, invariant_thresholds
 from .network import _FLOAT_FMT, Dataset, ForwardTrace, Params, _check_dims, _layers, forward
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .certificates import Certificate
 
 __all__ = [
     "GradientBundle",
@@ -151,17 +148,14 @@ def pl_lower_bound(trace: ForwardTrace, params: Params) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Step size, step budget, stopping loss, and what to record.
+    """Step size, step budget and stopping loss.
 
-    ``eta = 0`` is allowed as a diagnostic no-op run.  ``spectra = True``
-    records per-step singular values even without a certificate (with a
-    certificate they are always recorded).
+    ``eta = 0`` is allowed as a diagnostic no-op run.
     """
 
     eta: float
     max_steps: int
     stop_loss: float = 0.0
-    spectra: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eta) and self.eta >= 0.0):
@@ -174,39 +168,33 @@ class TrainConfig:
 
 @dataclass
 class TrainLog:
-    """Per-step history of a gradient-descent run.
+    """Per-step measurements of a gradient-descent run, row k for step k;
+    ``certificates.monitor_invariants`` judges them against a certificate.
 
     The spectra (``sv_f1``, ``min_sv_w``, ``norm_w``) of a certified run are
     certified one-sided bounds: lower bounds for the smallest singular
     values, upper bounds for the operator norms.  They are exact on rows
     where ``spectra_exact`` is set, and on every row of an uncertified run.
-    ``spectra_svds`` counts the exact SVDs the run took.
-
-    ``flags`` columns (present only for certified runs):
-    deep-weight singular-value floor, weight-norm cap, first-layer
-    singular-value floor, loss below the certified decay bound.
+    ``spectra_svds`` counts the exact SVDs the run took.  ``final_params``
+    is the last iterate, or ``params0`` if an update overflowed a weight to
+    a non-finite value (the run has then ``diverged``).
     """
 
-    steps: np.ndarray
     loss: np.ndarray
-    bound: np.ndarray
     grad_norm: np.ndarray
-    sv_f1: Optional[np.ndarray]
-    min_sv_w: Optional[np.ndarray]
-    norm_w: Optional[np.ndarray]
-    flags: Optional[np.ndarray]
+    sv_f1: np.ndarray
+    min_sv_w: np.ndarray
+    norm_w: np.ndarray
+    spectra_exact: np.ndarray
+    spectra_svds: int
     final_params: Params
     eta: float
-    alpha0: float
     diverged: bool
     stop_reason: str
-    depth: int = field(default=0)
-    spectra_exact: Optional[np.ndarray] = None
-    spectra_svds: int = 0
 
     @property
     def n_steps(self) -> int:
-        return len(self.steps)
+        return len(self.loss)
 
     @property
     def phi0(self) -> float:
@@ -243,14 +231,15 @@ def train(
     data: Dataset,
     act: ActivationParams,
     cfg: TrainConfig,
-    cert: Optional["Certificate"] = None,
+    cert: Optional[Certificate] = None,
 ) -> TrainLog:
     """Full-batch gradient descent from ``params0``.
 
     With a certificate, the step size must sit strictly below the certified
-    cap, and every logged step carries the four trajectory-invariant flags
-    plus the geometric decay bound.  A run is aborted (log retained) if the
-    loss exceeds ``1e12`` or turns non-finite, including when the iterates
+    cap, and the logged spectra prove or refute the certificate's
+    thresholds on every step; ``certificates.monitor_invariants`` turns them
+    into the invariant flags.  A run is aborted (log retained) if the loss
+    exceeds ``1e12`` or turns non-finite, including when the iterates
     overflow and the forward pass meets a non-finite pre-activation.
 
     Spectra of a certified run are lazy but rigorous.  Each monitored matrix
@@ -260,13 +249,14 @@ def train(
     That displacement, inflated for rounding and widened by the SVD error
     of both matrices, turns the reference extremes into certified bounds
     on what an exact SVD of the current matrix would compute.  A matrix
-    whose bounds do not prove its thresholds gets an exact SVD, which
-    decides its flag and becomes its new reference; so the flags equal
-    those of an exact SVD on every step.  Step 0, the last logged step and
-    every step of an uncertified run take exact SVDs.  A matrix that is
-    still the very array of its reference (``F_1`` and ``W_1`` while ``W_1``
-    is unchanged) has displacement exactly 0, and its radius is the margin
-    alone, since ``sqrt(0) * inflate + margin == margin`` in floating point.
+    whose bounds do not prove its thresholds gets an exact SVD, which is
+    logged and becomes its new reference; so the logged spectra decide each
+    flag as an exact SVD would, on every step.  Step 0, the last logged
+    step and every step of an uncertified run take exact SVDs, ``L + 1``
+    per step.  A matrix that is still the very array of its reference
+    (``F_1`` and ``W_1`` while ``W_1`` is unchanged) has displacement
+    exactly 0, and its radius is the margin alone, since
+    ``sqrt(0) * inflate + margin == margin`` in floating point.
 
     Layer 1 is reused exactly.  ``W_1``'s update is computed out of place,
     which rounds exactly like the in-place one; while it leaves ``W_1``
@@ -288,39 +278,34 @@ def train(
 
     X, Y = data.X, data.Y
     W = [w.copy() for w in params0.weights]
-    spectra = cert is not None or cfg.spectra
     # log columns: loss, grad norm, then per monitored matrix (F_1,
     # W_1..W_L) its lower bounds and its upper bounds
     LO, HI = 2, 2 + (L + 1)
     max_rows = cfg.max_steps + 1
     cap = min(max_rows, _LOG_CHUNK)
-    rows = np.full((cap, HI + (L + 1) if spectra else LO), np.nan)
+    rows = np.full((cap, HI + (L + 1)), np.nan)
     exact_a = np.zeros(cap, dtype=bool)
 
-    if spectra:
-        svd = np.linalg.svd
+    svd = np.linalg.svd
+    if cert is not None:
         # thresholds each monitored matrix must prove, or else check exactly
-        floors = [-math.inf] * (L + 1)
-        caps = [math.inf] * (L + 1)
-        if cert is not None:
-            f1_floor, deep_floors, norm_caps = invariant_thresholds(cert)
-            floors[0] = f1_floor
-            floors[3:] = deep_floors.tolist()
-            caps[1:] = norm_caps.tolist()
-        # ||A - A_ref||_F * inflate + margin bounds how far any singular
-        # value an exact SVD of A would compute lies from the reference's
-        # computed ones.  inflate covers the rounding of the difference, the
-        # dot product (size * eps), the square root and the final add, and
-        # the SVD error of A growing with ||A||_2 <= ||A_ref||_2 + the
-        # displacement; margin covers the SVD error of both matrices at
-        # ||A_ref||_2, the rounding of the bounds, and underflowed squares.
-        shapes = [(X.shape[0], W[0].shape[1])] + [w.shape for w in W]
-        inflate = [1.0 + (2.0 * m * n + _SVD_ERR * max(m, n) + 8.0) * _EPS for m, n in shapes]
-        underflow = [2.0 * math.sqrt(m * n) * _SQRT_TINY for m, n in shapes]
-        refs: list = [None] * (L + 1)
-        tops = [math.nan] * (L + 1)
-        lows = [math.nan] * (L + 1)
-        margins = [math.nan] * (L + 1)
+        f1_floor, deep_floors, norm_caps = invariant_thresholds(cert)
+        floors = [f1_floor, -math.inf, -math.inf] + deep_floors.tolist()
+        caps = [math.inf] + norm_caps.tolist()
+    # ||A - A_ref||_F * inflate + margin bounds how far any singular value
+    # an exact SVD of A would compute lies from the reference's computed
+    # ones.  inflate covers the rounding of the difference, the dot product
+    # (size * eps), the square root and the final add, and the SVD error of
+    # A growing with ||A||_2 <= ||A_ref||_2 + the displacement; margin covers
+    # the SVD error of both matrices at ||A_ref||_2, the rounding of the
+    # bounds, and underflowed squares.
+    shapes = [(X.shape[0], W[0].shape[1])] + [w.shape for w in W]
+    inflate = [1.0 + (2.0 * m * n + _SVD_ERR * max(m, n) + 8.0) * _EPS for m, n in shapes]
+    underflow = [2.0 * math.sqrt(m * n) * _SQRT_TINY for m, n in shapes]
+    refs: list = [None] * (L + 1)
+    tops = [math.nan] * (L + 1)
+    lows = [math.nan] * (L + 1)
+    margins = [math.nan] * (L + 1)
     n_svds = 0
 
     first = None  # hidden layer 1's (G_1, F_1, S_1) while W_1 is unchanged
@@ -354,41 +339,40 @@ def train(
         row = rows[k]
         row[0] = loss_k
         row[1] = math.sqrt(gsq)
-        if spectra:
-            prove = cert is not None and k > 0 and not last
-            all_exact = True
-            for i in range(L + 1):
-                a = F[1] if i == 0 else W[i - 1]
-                if prove:
-                    if a is refs[i]:  # zero displacement: sqrt(0) * inflate + margin
-                        radius = margins[i]
-                    else:
-                        delta = a - refs[i]
-                        radius = (
-                            math.sqrt(float(np.vdot(delta, delta))) * inflate[i] + margins[i]
-                        )
-                    lo = lows[i] - radius
-                    hi = tops[i] + radius
-                    if lo >= floors[i] and hi <= caps[i]:
-                        row[LO + i] = lo
-                        row[HI + i] = hi
-                        all_exact = False
-                        continue
-                # exact SVD: it decides this matrix's flags and becomes the
-                # reference of the proofs that follow
-                n_svds += 1
-                try:
-                    sv = svd(a, compute_uv=False)
-                    tops[i], lows[i] = float(sv[0]), float(sv[-1])
-                except np.linalg.LinAlgError:  # NaN entries of a blown-up run
-                    tops[i] = lows[i] = math.nan
-                # F_1 and W_1 are replaced, never changed in place
-                refs[i] = a if i <= 1 else a.copy()
-                m, n = shapes[i]
-                margins[i] = (2.0 * _SVD_ERR * max(m, n) + 4.0) * _EPS * tops[i] + underflow[i]
-                row[LO + i] = lows[i]
-                row[HI + i] = tops[i]
-            exact_a[k] = all_exact
+        prove = cert is not None and k > 0 and not last
+        all_exact = True
+        for i in range(L + 1):
+            a = F[1] if i == 0 else W[i - 1]
+            if prove:
+                if a is refs[i]:  # zero displacement: sqrt(0) * inflate + margin
+                    radius = margins[i]
+                else:
+                    delta = a - refs[i]
+                    radius = (
+                        math.sqrt(float(np.vdot(delta, delta))) * inflate[i] + margins[i]
+                    )
+                lo = lows[i] - radius
+                hi = tops[i] + radius
+                if lo >= floors[i] and hi <= caps[i]:
+                    row[LO + i] = lo
+                    row[HI + i] = hi
+                    all_exact = False
+                    continue
+            # exact SVD: it decides this matrix's flags and becomes the
+            # reference of the proofs that follow
+            n_svds += 1
+            try:
+                sv = svd(a, compute_uv=False)
+                tops[i], lows[i] = float(sv[0]), float(sv[-1])
+            except np.linalg.LinAlgError:  # NaN entries of a blown-up run
+                tops[i] = lows[i] = math.nan
+            # F_1 and W_1 are replaced, never changed in place
+            refs[i] = a if i <= 1 else a.copy()
+            m, n = shapes[i]
+            margins[i] = (2.0 * _SVD_ERR * max(m, n) + 4.0) * _EPS * tops[i] + underflow[i]
+            row[LO + i] = lows[i]
+            row[HI + i] = tops[i]
+        exact_a[k] = all_exact
 
         if last:
             if not math.isfinite(loss_k) or loss_k > DIVERGENCE_LOSS:
@@ -405,34 +389,21 @@ def train(
             W[l] -= eta * grads[l]
         k += 1
 
-    n = k + 1
-    rows = rows[:n]
-    loss_a = rows[:, 0].copy()
-    sv_f1 = rows[:, LO].copy() if spectra else None
-    min_sv_w = rows[:, LO + 3 : HI].copy() if spectra else None
-    norm_w = rows[:, HI + 1 :].copy() if spectra else None
-    bound_a = np.full(n, math.nan)
-    flags = None
-    if cert is not None:
-        bound_a = _decay_bound(eta * cert.alpha0, loss_a[0], np.arange(n))
-        flags = invariant_flags(cert, sv_f1, min_sv_w, norm_w, loss_a, bound_a)
+    # an update that overflowed a weight leaves no finite last iterate
+    final = Params(tuple(W)) if all(np.all(np.isfinite(w)) for w in W) else params0
+    rows = rows[: k + 1]
     return TrainLog(
-        steps=np.arange(n),
-        loss=loss_a,
-        bound=bound_a,
+        loss=rows[:, 0].copy(),
         grad_norm=rows[:, 1].copy(),
-        sv_f1=sv_f1,
-        min_sv_w=min_sv_w,
-        norm_w=norm_w,
-        flags=flags,
-        final_params=Params(tuple(w.copy() for w in W)),
+        sv_f1=rows[:, LO].copy(),
+        min_sv_w=rows[:, LO + 3 : HI].copy(),
+        norm_w=rows[:, HI + 1 :].copy(),
+        spectra_exact=exact_a[: k + 1].copy(),
+        spectra_svds=n_svds,
+        final_params=final,
         eta=eta,
-        alpha0=cert.alpha0 if cert is not None else math.nan,
         diverged=diverged,
         stop_reason=stop_reason,
-        depth=L,
-        spectra_exact=exact_a[:n].copy() if spectra else None,
-        spectra_svds=n_svds,
     )
 
 
@@ -441,29 +412,26 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def trainlog_to_csv(log: TrainLog, path) -> None:
+def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = None) -> None:
     """Fixed-order CSV: k, loss, bound, sv_F1, min_sv_W3.., max_norm_W1..,
-    grad_norm, spectra_exact, then the four flag columns (certified runs
-    only).
+    grad_norm, spectra_exact, then one ``flag_<check>`` column per name in
+    ``InvariantReport.CHECKS``.  Bound and flags come from ``report``;
+    without one the bound is NaN and the flag columns are left out.
 
     The spectra columns of a certified run are certified one-sided bounds:
     ``sv_F1`` and ``min_sv_W*`` lower bounds, ``max_norm_W*`` upper bounds.
     They are exact on rows with ``spectra_exact`` = 1, which an uncertified
     run has throughout.
     """
-    L = log.depth
-    header = ["k", "loss", "bound"]
-    has_spectra = log.sv_f1 is not None
-    if has_spectra:
-        header.append("sv_F1")
-        header.extend(f"min_sv_W{l}" for l in range(3, L + 1))
-        header.extend(f"max_norm_W{l}" for l in range(1, L + 1))
-    header.append("grad_norm")
-    if has_spectra:
-        header.append("spectra_exact")
-    has_flags = log.flags is not None
-    if has_flags:
-        header.extend(["flag_sv_w", "flag_norm_w", "flag_sv_f1", "flag_loss_bound"])
+    L = log.final_params.depth
+    header = ["k", "loss", "bound", "sv_F1"]
+    header.extend(f"min_sv_W{l}" for l in range(3, L + 1))
+    header.extend(f"max_norm_W{l}" for l in range(1, L + 1))
+    header.extend(["grad_norm", "spectra_exact"])
+    bound = np.full(log.n_steps, math.nan)
+    if report is not None:
+        header.extend("flag_" + name for name in InvariantReport.CHECKS)
+        bound = report.bound
 
     def fmt(v: float) -> str:
         return format(float(v), _FLOAT_FMT)
@@ -472,16 +440,12 @@ def trainlog_to_csv(log: TrainLog, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(log.n_steps):
-            row = [int(log.steps[i]), fmt(log.loss[i]), fmt(log.bound[i])]
-            if has_spectra:
-                row.append(fmt(log.sv_f1[i]))
-                row.extend(fmt(v) for v in log.min_sv_w[i])
-                row.extend(fmt(v) for v in log.norm_w[i])
-            row.append(fmt(log.grad_norm[i]))
-            if has_spectra:
-                row.append(int(log.spectra_exact[i]))
-            if has_flags:
-                row.extend(int(b) for b in log.flags[i])
+            row = [i, fmt(log.loss[i]), fmt(bound[i]), fmt(log.sv_f1[i])]
+            row.extend(fmt(v) for v in log.min_sv_w[i])
+            row.extend(fmt(v) for v in log.norm_w[i])
+            row.extend([fmt(log.grad_norm[i]), int(log.spectra_exact[i])])
+            if report is not None:
+                row.extend(int(b) for b in report.flags[i])
             writer.writerow(row)
 
 
@@ -498,15 +462,16 @@ def trainlog_from_csv(path) -> dict[str, np.ndarray]:
 
 
 def trainlog_summary(log: TrainLog) -> dict:
-    """JSON-ready run summary.  ``violations`` is left empty: a caller with
-    a certificate fills it from ``monitor_invariants(log, cert).n_violations``."""
+    """JSON-ready run summary.  ``alpha0`` and ``violations`` are left empty:
+    a caller with a certificate fills them from ``cert.alpha0`` and
+    ``monitor_invariants(log, cert).n_violations``."""
     return {
-        "steps": int(log.steps[-1]),
+        "steps": log.n_steps - 1,
         "records": log.n_steps,
         "initial_loss": log.phi0,
         "final_loss": log.final_loss,
         "eta": log.eta,
-        "alpha0": None if math.isnan(log.alpha0) else log.alpha0,
+        "alpha0": None,
         "diverged": log.diverged,
         "stop_reason": log.stop_reason,
         "violations": {},

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pyrcert.activation import ActivationParams, as_function, evaluate
 from pyrcert.certificates import (
+    InvariantReport,
     certificate_from_json,
     certificate_to_json,
     certify,
@@ -22,7 +23,7 @@ from pyrcert.certificates import (
     rate_constants,
     spectral_quantities,
 )
-from pyrcert.gradients import TrainConfig, train
+from pyrcert.gradients import TrainConfig, train, trainlog_from_csv, trainlog_to_csv
 from pyrcert.initializers import (
     InitConfig,
     init_certifiable,
@@ -261,9 +262,37 @@ class TestMonitorInvariants:
         # one evaluation of the ceiling: a scalar power per step would differ
         # from the vectorised one in the last bit on some steps
         log, cert = self.make_certified_run(max_steps=3000)
-        want = predicted_decay(cert.alpha0, log.eta, log.phi0, log.steps)
-        assert np.array_equal(log.bound, want)
-        assert np.array_equal(monitor_invariants(log, cert).flags, log.flags)
+        report = monitor_invariants(log, cert)
+        want = predicted_decay(cert.alpha0, log.eta, log.phi0, np.arange(log.n_steps))
+        assert np.array_equal(report.bound, want)
+        assert np.array_equal(report.flags[:, 3], log.loss <= want)
+
+    def test_csv_round_trip(self, tmp_path):
+        # the CSV carries the report's bound and flags and every log column
+        # bitwise, under one flag column per check
+        log, cert = self.make_certified_run()
+        report = monitor_invariants(log, cert)
+        path = tmp_path / "trainlog.csv"
+        trainlog_to_csv(log, path, report)
+        cols = trainlog_from_csv(path)
+        flag_names = [name for name in cols if name.startswith("flag_")]
+        assert flag_names == ["flag_" + name for name in InvariantReport.CHECKS]
+        assert np.array_equal(cols["k"], np.arange(log.n_steps))
+        assert np.array_equal(cols["bound"], report.bound)
+        for i, name in enumerate(flag_names):
+            assert np.array_equal(cols[name], report.flags[:, i])
+        L = log.final_params.depth
+        logged = {
+            "loss": log.loss,
+            "grad_norm": log.grad_norm,
+            "sv_F1": log.sv_f1,
+            "spectra_exact": log.spectra_exact,
+            **{f"min_sv_W{l}": log.min_sv_w[:, l - 3] for l in range(3, L + 1)},
+            **{f"max_norm_W{l}": log.norm_w[:, l - 1] for l in range(1, L + 1)},
+        }
+        assert set(cols) == {"k", "bound", *flag_names, *logged}
+        for name, want in logged.items():
+            assert np.array_equal(cols[name], want), name
 
     def test_step_zero_flags_true_by_construction(self):
         log, cert = self.make_certified_run(max_steps=0)
@@ -277,7 +306,7 @@ class TestMonitorInvariants:
             params,
             data,
             ACT,
-            TrainConfig(eta=100 * cert.eta_max, max_steps=50, spectra=True),
+            TrainConfig(eta=100 * cert.eta_max, max_steps=50),
         )
         report = monitor_invariants(log, cert)
         assert report.flags.shape == (log.n_steps, 4)
@@ -296,13 +325,6 @@ class TestMonitorInvariants:
         need = 0.5 * log.eta * log.grad_norm[:-1] ** 2
         assert np.all(drop >= need - 1e-12 * log.loss[0])
         assert np.all(np.diff(log.loss) <= 0.0)
-
-    def test_requires_spectra(self):
-        shape, data, cfg = certifiable_instance()
-        _, params, cert = tune_gain(shape, data, ACT, cfg)
-        log = train(params, data, ACT, TrainConfig(eta=0.0, max_steps=3))
-        with pytest.raises(ValueError, match="spectra"):
-            monitor_invariants(log, cert)
 
 
 class TestDepthTwo:
@@ -344,24 +366,25 @@ class TestWeylSanity:
 class TestLazySpectra:
     """The certified trainer proves its spectral thresholds by Weyl's
     inequality and takes an exact SVD only when the proof fails.  Replaying
-    the same run with an exact SVD on every step (an uncertified run with
-    spectra monitoring follows bit-identical iterates) must give the same
-    flags, and every logged bound must sit on the right side of the exact
-    value."""
+    the same run with an exact SVD on every step (an uncertified run
+    follows bit-identical iterates) must give the same flags, and every
+    logged bound must sit on the right side of the exact value."""
 
     @staticmethod
     def exact_replay(params, data, eta, steps):
-        cfg = TrainConfig(eta=eta, max_steps=steps, spectra=True)
-        return train(params, data, ACT, cfg)
+        return train(params, data, ACT, TrainConfig(eta=eta, max_steps=steps))
 
     @staticmethod
     def check_against_exact(lazy, eager, cert):
+        """Return the lazy run's flags after checking them, step by step,
+        against those of the exact spectra."""
         assert np.array_equal(lazy.loss, eager.loss)
         assert eager.spectra_exact.all()
+        report = monitor_invariants(lazy, cert)
         want = invariant_flags(
-            cert, eager.sv_f1, eager.min_sv_w, eager.norm_w, eager.loss, lazy.bound
+            cert, eager.sv_f1, eager.min_sv_w, eager.norm_w, eager.loss, report.bound
         )
-        assert np.array_equal(lazy.flags, want)
+        assert np.array_equal(report.flags, want)
         assert np.all(lazy.sv_f1 <= eager.sv_f1)
         assert np.all(lazy.min_sv_w <= eager.min_sv_w)
         assert np.all(lazy.norm_w >= eager.norm_w)
@@ -370,7 +393,7 @@ class TestLazySpectra:
         assert np.array_equal(lazy.sv_f1[rows], eager.sv_f1[rows])
         assert np.array_equal(lazy.min_sv_w[rows], eager.min_sv_w[rows])
         assert np.array_equal(lazy.norm_w[rows], eager.norm_w[rows])
-        assert np.array_equal(monitor_invariants(lazy, cert).flags, lazy.flags)
+        return report.flags
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 40), st.sampled_from([(6, 3, 2), (6, 4, 3, 2)]))
@@ -379,8 +402,8 @@ class TestLazySpectra:
         _, params, cert = tune_gain(shape, data, ACT, cfg)
         eta = 0.9 * cert.eta_max
         lazy = train(params, data, ACT, TrainConfig(eta=eta, max_steps=150), cert=cert)
-        self.check_against_exact(lazy, self.exact_replay(params, data, eta, 150), cert)
-        assert lazy.flags.all()
+        flags = self.check_against_exact(lazy, self.exact_replay(params, data, eta, 150), cert)
+        assert flags.all()
         # the iterates barely move, so only step 0 and the last step need SVDs
         assert lazy.spectra_svds == 2 * (len(widths) + 1)
 
@@ -406,8 +429,8 @@ class TestLazySpectra:
             eta_max=math.inf,
         )
         lazy = train(params, data, ACT, TrainConfig(eta=eta, max_steps=60), cert=cert)
-        self.check_against_exact(lazy, eager, cert)
-        assert not lazy.flags[:, :3].all()
+        flags = self.check_against_exact(lazy, eager, cert)
+        assert not flags[:, :3].all()
         assert lazy.spectra_svds > 2 * (len(widths) + 1)
 
     def test_threshold_met_with_equality_is_checked_exactly(self):
@@ -423,6 +446,6 @@ class TestLazySpectra:
             lambda_min_deep=tuple(2.0 * float(v) for v in eager.min_sv_w[0]),
         )
         lazy = train(params, data, ACT, TrainConfig(eta=0.0, max_steps=5), cert=cert)
-        assert lazy.flags.all()
+        assert monitor_invariants(lazy, cert).flags.all()
         # F_1, W_3 and W_4 on every step; W_1 and W_2 only at steps 0 and 5
         assert lazy.spectra_svds == 6 * 3 + 2 * 2

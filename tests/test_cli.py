@@ -136,6 +136,45 @@ class TestTrain:
         assert res.exit_code == 0, res.output
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "args, name, keys",
+        [
+            (
+                ["train", "--seed", "3", "--eta", "1e308", "--max-steps", "400"],
+                "summary.json",
+                ["final_loss"],
+            ),
+            (
+                ["lambda-star", "--samples", "1", "--method", "mc"],
+                "gram.json",
+                ["monte_carlo", "stderr_max"],
+            ),
+            (["sweep", "--config", "{config}"], "aggregate.json", ["runs", 0, "final_loss"]),
+        ],
+        ids=["train", "lambda-star", "sweep"],
+    )
+    def test_non_finite_floats_are_written_as_null(self, tmp_path, args, name, keys):
+        config = tmp_path / "sweep.json"
+        config.write_text(
+            json.dumps({"sweep": {"seeds": [3]}, "train": {"eta": 1e308, "max_steps": 400}})
+        )
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run([a.format(config=config) for a in args] + ["--out", str(out)])
+        json.loads(res.stdout, parse_constant=_reject_constant)
+        for path in out.rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+        value = json.loads((out / name).read_text())
+        for key in keys:
+            value = value[key]
+        assert value is None
+
+
 class TestLambdaStar:
     def test_both_methods_report_discrepancy(self, tmp_path):
         out = tmp_path / "ls"

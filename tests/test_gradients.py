@@ -16,7 +16,9 @@ from pyrcert.gradients import (
     jacobian_block,
     pl_lower_bound,
     train,
+    trainlog_from_csv,
     trainlog_summary,
+    trainlog_to_csv,
 )
 from pyrcert.network import Dataset, Params, forward, loss, loss_of, theta_distance, vec
 
@@ -258,31 +260,38 @@ class TestTrain:
         assert log.stop_reason == "diverged"
         assert log.n_steps < 10_001
 
-    @pytest.mark.parametrize("monitor", [{}, {"spectra": True}])
-    def test_overflow_ends_run_as_diverged(self, monitor):
-        # eta = 1e300 overflows the weights after step 0; the next forward
-        # pass meets non-finite pre-activations
+    @pytest.mark.parametrize("eta", [1e300, 1e308])
+    def test_overflow_ends_run_as_diverged(self, eta):
+        # the step-0 update overflows the forward pass (eta = 1e300) or the
+        # weights themselves (eta = 1e308); the next forward pass meets
+        # non-finite pre-activations
         rng = np.random.default_rng(36)
         data, params = random_instance(rng, 4, 3, (5, 3, 2), y_scale=10.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            log = train(params, data, ACT, TrainConfig(eta=1e300, max_steps=10, **monitor))
+            log = train(params, data, ACT, TrainConfig(eta=eta, max_steps=10))
         assert log.diverged and log.stop_reason == "diverged"
         assert log.n_steps == 2
         assert math.isfinite(log.loss[0]) and not math.isfinite(log.loss[1])
-        if monitor:
-            assert log.spectra_exact.all()
+        assert log.spectra_exact.all()
+        # an iterate with non-finite weights leaves the initial one as final
+        finite = all(np.all(np.isfinite(w)) for w in log.final_params.weights)
+        assert finite and (log.final_params is params) == (eta == 1e308)
 
-    def test_log_grows_past_its_first_allocation(self):
+    def test_log_grows_past_its_first_allocation(self, tmp_path):
         rng = np.random.default_rng(37)
         data, params = random_instance(rng, 3, 2, (4, 1))
-        cfg = TrainConfig(eta=1e-4, max_steps=2500, spectra=True)
-        log = train(params, data, ACT, cfg)
+        log = train(params, data, ACT, TrainConfig(eta=1e-4, max_steps=2500))
         assert log.n_steps == 2501
-        assert np.array_equal(log.steps, np.arange(2501))
+        assert log.grad_norm.shape == log.sv_f1.shape == (2501,)
+        assert log.min_sv_w.shape == (2501, 0) and log.norm_w.shape == (2501, 2)
         assert np.all(np.isfinite(log.loss)) and np.all(np.isfinite(log.norm_w))
-        assert np.all(np.isnan(log.bound))  # no certificate, no bound
         assert np.all(np.diff(log.loss) <= 0.0)
         assert log.spectra_exact.all() and log.spectra_svds == 2501 * 3
+        trainlog_to_csv(log, tmp_path / "log.csv")
+        cols = trainlog_from_csv(tmp_path / "log.csv")
+        assert np.array_equal(cols["k"], np.arange(2501))
+        assert np.all(np.isnan(cols["bound"]))  # no report, no bound
+        assert not any(name.startswith("flag_") for name in cols)
 
     def test_logged_loss_and_gradient_match_loss_and_grad(self):
         # the trainer runs the kernels of forward and grad, so its first and
@@ -299,13 +308,6 @@ class TestTrain:
         data, params = random_instance(rng, 4, 3, (5, 3, 2))
         log = train(params, data, ACT, TrainConfig(eta=1e-3, max_steps=200))
         assert np.all(np.diff(log.loss) <= 1e-12)
-
-    def test_monitor_spectra_without_certificate(self):
-        rng = np.random.default_rng(42)
-        data, params = random_instance(rng, 3, 2, (4, 2, 1))
-        log = train(params, data, ACT, TrainConfig(eta=0.01, max_steps=10, spectra=True))
-        assert log.sv_f1 is not None and log.norm_w.shape == (11, 3)
-        assert log.flags is None
 
     def test_summary_fields(self):
         rng = np.random.default_rng(44)

@@ -4,9 +4,11 @@ pyrcert names, and every name it patches must stay bound, or
 step counter, which must stay observable, or ``train_certified``'s
 ``unit_us`` silently falls back to a pass mean."""
 
+import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pyrcert import cli, gradients
 from pyrcert.activation import ActivationParams
@@ -26,6 +28,23 @@ def test_every_traced_name_is_bound(monkeypatch):
         install(tracer)  # getattr of an unbound name raises AttributeError
         assert cli.train is not gradients.train
     assert cli.train is gradients.train and np.linalg.svd is svd
+
+
+def test_certified_run_is_judged_once(monkeypatch, tmp_path):
+    # the trainer only measures: one monitor_invariants call judges the run,
+    # and its report feeds both the CSV and summary.json
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer, install
+
+    args = ["train", "--seed", "0", "--max-steps", "200", "--out", str(tmp_path)]
+    with Tracer() as tracer:
+        install(tracer)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(args)
+    assert exit_info.value.code == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["certified"]
+    assert tracer.total("certificates.monitor_invariants")[0] == 1
+    assert tracer.total("gradients.trainlog_to_csv")[0] == 1
 
 
 def test_step_sampler_reads_the_certified_trainer(monkeypatch):

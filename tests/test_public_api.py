@@ -1,5 +1,6 @@
 """Every exported name resolves, and deleted names stay deleted."""
 
+import dataclasses
 import importlib
 import types
 
@@ -56,3 +57,39 @@ def test_lambda_star_is_the_submodule():
 def test_init_config_fields():
     fields = pyrcert.InitConfig.__dataclass_fields__
     assert list(fields) == ["gain", "second_layer_var", "seed"]
+
+
+@pytest.mark.parametrize(
+    "cls, names",
+    [
+        (pyrcert.TrainConfig, ["eta", "max_steps", "stop_loss"]),
+        (
+            pyrcert.TrainLog,
+            [
+                "loss",
+                "grad_norm",
+                "sv_f1",
+                "min_sv_w",
+                "norm_w",
+                "spectra_exact",
+                "spectra_svds",
+                "final_params",
+                "eta",
+                "diverged",
+                "stop_reason",
+            ],
+        ),
+        (
+            pyrcert.certificates.InvariantReport,
+            ["bound", "flags", "first_violation", "n_violations", "all_hold", "distance"],
+        ),
+    ],
+    ids=["TrainConfig", "TrainLog", "InvariantReport"],
+)
+def test_trainer_and_report_fields(cls, names):
+    assert [f.name for f in dataclasses.fields(cls)] == names
+
+
+def test_train_config_has_no_spectra_option():
+    with pytest.raises(TypeError):
+        pyrcert.TrainConfig(eta=0.1, max_steps=1, spectra=True)
