@@ -76,28 +76,42 @@ def deriv2(params: ActivationParams, x):
 
 
 def value_and_slope(params: ActivationParams, x):
-    """Value and first derivative in one pass.
+    """Value and first derivative in one pass: one ``erfc``, three buffers.
 
-    With ``z`` the scaled argument and ``u = z/sqrt(2)``, the two normal
-    CDFs are ``ncdf(z) = 0.5*erfc(-u)`` and ``ncdf(-z) = 0.5*erfc(u)``;
-    the slope reuses the first, so it costs one multiply-add beyond the
-    value.
+    With ``z`` the scaled argument and ``u = z/sqrt(2)``, the slope is
+    ``g + (1-g)*ncdf(z)`` with ``ncdf(z) = 0.5*erfc(-u)``.  Since
+    ``ncdf(z) + ncdf(-z) = 1``, the two ramp terms
+    ``x*ncdf(z) + g*x*ncdf(-z)`` of the value sum to ``x*slope``, so
+    ``sigma(x) = a*(bump - 1) + x*slope`` needs no second ``erfc``.
+
+    The work runs in place: one buffer holds ``z``, then ``-u``, then
+    ``erfc(-u)``, then the slope; a second holds ``-z*z/2``, then the
+    bump, then ``a*bump - a``; the third is the value.  The slope is
+    bit-exact against ``g + (1-g)*(0.5*erfc(-u))`` (scaling by 0.5 is
+    exact); the value is within a few ulps of the two-``erfc`` sum.
     """
     arr = _as_finite_array(x)
     g, b = params.gamma, params.beta
     a = (1.0 - g) ** 2 / (2.0 * math.pi * b)
-    z = (b * _SQRT_2PI / (1.0 - g)) * arr
-    # exp underflows to 0 for large |x|, which is the correct limit here
-    with np.errstate(under="ignore"):
-        bump = np.exp(-0.5 * z * z)
-    u = z * _INV_SQRT2
-    # erfc keeps full relative accuracy in the tails
-    cdf_pos = 0.5 * special.erfc(-u)
-    cdf_neg = 0.5 * special.erfc(u)
-    val = -a + a * bump + arr * cdf_pos + g * arr * cdf_neg
-    slope = g + (1.0 - g) * cdf_pos
+    xs = arr.reshape(1) if arr.ndim == 0 else arr  # ufuncs with out= need an array
+    # z*z overflows and exp underflows to 0 for large |x|, and z itself can
+    # overflow to inf; every one of these reaches the correct limit
+    with np.errstate(under="ignore", over="ignore"):
+        slope = np.multiply(xs, b * _SQRT_2PI / (1.0 - g))
+        bump = np.multiply(slope, slope)
+        bump *= -0.5
+        np.exp(bump, out=bump)
+        bump *= a
+        bump -= a
+        slope *= -_INV_SQRT2
+        # erfc keeps full relative accuracy in the tails
+        special.erfc(slope, out=slope)
+        slope *= 0.5 * (1.0 - g)
+        slope += g
+        val = np.multiply(xs, slope)
+        val += bump
     if arr.ndim == 0:
-        return float(val), float(slope)
+        return float(val[0]), float(slope[0])
     return val, slope
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -101,24 +102,46 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     return out
 
 
-def _load_config(path: str | None) -> dict:
-    """Defaults merged with the JSON file at ``path``; a key the defaults do
-    not have, or a value outside ``CHOICES``, raises ``ValueError`` (exit 1)
-    instead of being ignored."""
-    base = json.loads(json.dumps(DEFAULTS))  # deep copy: commands mutate their config
-    if path is None:
-        return base
-    with open(path) as fh:
-        user = json.load(fh)
-    if not isinstance(user, dict):
-        raise ValueError(f"config root must be a JSON object: {path}")
-    cfg = _merge(base, user)
+def _check_finite(node, dotted: str = "") -> None:
+    """Reject a non-finite number anywhere in the config: strict JSON would
+    record it as ``null``, which reads back as "use the default"."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{dotted}.{key}" if dotted else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _check_finite(value, f"{dotted}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ValueError(f"config key {dotted!r} must be finite, got {node!r}")
+
+
+def _load_config(path: str | None, flags: dict) -> dict:
+    """Defaults merged with the JSON file at ``path``, then the flags that
+    were given (keyed by dotted config path, e.g. ``"lambda_star.r_max"``).
+    A key the defaults do not have, a value outside ``CHOICES`` or a
+    non-finite number raises ``ValueError`` (exit 1) instead of being
+    ignored."""
+    cfg = json.loads(json.dumps(DEFAULTS))  # deep copy: commands mutate their config
+    if path is not None:
+        with open(path) as fh:
+            user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ValueError(f"config root must be a JSON object: {path}")
+        cfg = _merge(cfg, user)
+    for dotted, value in flags.items():
+        if value is not None:
+            *parents, leaf = dotted.split(".")
+            node = cfg
+            for key in parents:
+                node = node[key]
+            node[leaf] = value
     for dotted, allowed in CHOICES.items():
         section, key = dotted.split(".")
         if cfg[section][key] not in allowed:
             raise ValueError(
                 f"config key {dotted!r} must be one of {allowed}, got {cfg[section][key]!r}"
             )
+    _check_finite(cfg)
     return cfg
 
 
@@ -138,17 +161,9 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _setup(command: str, config_path: str | None, out: str | None, flags: dict):
-    """Load the config, apply the flags that were given (keyed by dotted
-    config path, e.g. ``"lambda_star.r_max"``), resolve the output
+    """Load the config with the given flags applied, resolve the output
     directory and record ``config.json`` there."""
-    cfg = _load_config(config_path)
-    for dotted, value in flags.items():
-        if value is not None:
-            *parents, leaf = dotted.split(".")
-            node = cfg
-            for key in parents:
-                node = node[key]
-            node[leaf] = value
+    cfg = _load_config(config_path, flags)
     out_dir = _resolve_out(cfg, out, command)
     _write_json(out_dir / "config.json", cfg)
     return cfg, out_dir

@@ -209,6 +209,10 @@ class TrainLog:
 # its memory follows the rows used rather than ``max_steps``.
 _LOG_CHUNK = 1024
 
+# Rows ``trainlog_to_csv`` formats per write: blocks this small keep the
+# formatted text off the peak memory of a run.
+_CSV_BLOCK = 64
+
 # Lazy spectra.  LAPACK's SVD is backward stable: each computed singular
 # value of an m x n matrix A lies within a small multiple of
 # eps * max(m, n) * ||A||_2 of the true one; _SVD_ERR is that multiple, with
@@ -429,24 +433,23 @@ def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = Non
     header.extend(f"max_norm_W{l}" for l in range(1, L + 1))
     header.extend(["grad_norm", "spectra_exact"])
     bound = np.full(log.n_steps, math.nan)
+    ints = [log.spectra_exact]
     if report is not None:
         header.extend("flag_" + name for name in InvariantReport.CHECKS)
         bound = report.bound
-
-    def fmt(v: float) -> str:
-        return format(float(v), _FLOAT_FMT)
-
+        ints.extend(report.flags.T)
+    floats = [log.loss, bound, log.sv_f1, *log.min_sv_w.T, *log.norm_w.T, log.grad_norm]
+    # one %-template per row, the cells taken column-wise with tolist();
+    # "%.17g" % v is format(v, _FLOAT_FMT), and the rows end like csv's
+    template = ",".join(["%d"] + ["%" + _FLOAT_FMT] * len(floats) + ["%d"] * len(ints))
+    template += "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(log.n_steps):
-            row = [i, fmt(log.loss[i]), fmt(bound[i]), fmt(log.sv_f1[i])]
-            row.extend(fmt(v) for v in log.min_sv_w[i])
-            row.extend(fmt(v) for v in log.norm_w[i])
-            row.extend([fmt(log.grad_norm[i]), int(log.spectra_exact[i])])
-            if report is not None:
-                row.extend(int(b) for b in report.flags[i])
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        for start in range(0, log.n_steps, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, log.n_steps)
+            cols = [range(start, stop)]
+            cols.extend(col[start:stop].tolist() for col in floats + ints)
+            fh.write("".join(template % row for row in zip(*cols)))
 
 
 def trainlog_from_csv(path) -> dict[str, np.ndarray]:

@@ -2,13 +2,16 @@
 slope and gap guarantees."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
+from pyrcert import activation
 from pyrcert.activation import (
     ActivationParams,
     deriv,
@@ -230,6 +233,97 @@ class TestValueAndSlope:
         x[1, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             value_and_slope(ActivationParams(0.5, 1.0), x)
+
+
+def literal_value_and_slope(act, x):
+    """The closed form with both normal CDFs, written out term by term."""
+    g, b = act.gamma, act.beta
+    a = (1.0 - g) ** 2 / (2.0 * math.pi * b)
+    z = (b * math.sqrt(2.0 * math.pi) / (1.0 - g)) * x
+    with np.errstate(under="ignore"):
+        bump = np.exp(-0.5 * z * z)
+    u = z * (1.0 / math.sqrt(2.0))
+    cdf_pos = 0.5 * special.erfc(-u)
+    cdf_neg = 0.5 * special.erfc(u)
+    value = -a + a * bump + x * cdf_pos + g * x * cdf_neg
+    return value, g + (1.0 - g) * cdf_pos, a
+
+
+SHAPES = [(), (1,), (7,), (3, 5), (16, 6), (2, 3, 4)]
+
+
+class TestKernel:
+    """The one-erfc, in-place kernel against the literal two-erfc formula."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        g=st.floats(0.01, 0.99),
+        b=st.floats(0.05, 50.0),
+        scale=st.integers(-8, 4).map(lambda e: 10.0**e),
+        shape=st.sampled_from(SHAPES),
+    )
+    def test_matches_literal_formula(self, seed, g, b, scale, shape):
+        act = ActivationParams(g, b)
+        x = scale * np.random.default_rng(seed).normal(size=shape)
+        x_before = x.copy()
+        v, s = value_and_slope(act, x)
+        want_v, want_s, a = literal_value_and_slope(act, x)
+        # the slope keeps every bit; the value is x*slope + a*(bump - 1)
+        assert np.array_equal(s, want_s)
+        eps = np.finfo(np.float64).eps
+        assert np.all(np.abs(v - want_v) <= 8 * eps * (np.abs(x) + a))
+        assert np.array_equal(x, x_before)
+        assert np.shape(v) == np.shape(s) == shape
+
+    @pytest.mark.parametrize("act", PAIRS)
+    def test_zero_is_exactly_zero(self, act):
+        assert value_and_slope(act, 0.0)[0] == 0.0
+        v, _ = value_and_slope(act, np.zeros((2, 3)))
+        assert np.all(v == 0.0)
+
+    def test_layouts_agree_with_a_contiguous_copy(self):
+        act = ActivationParams(0.3, 2.0)
+        base = np.random.default_rng(5).normal(size=(6, 8))
+        for x in (base[::2, 1::3], base.T, np.asfortranarray(base), base[2, 3]):
+            v, s = value_and_slope(act, x)
+            want_v, want_s = value_and_slope(act, np.array(x, order="C"))
+            assert np.array_equal(v, want_v) and np.array_equal(s, want_s)
+        v, s = value_and_slope(act, base[2, 3])
+        assert type(v) is float and type(s) is float
+
+    def test_one_erfc_call(self, monkeypatch):
+        calls = []
+
+        def erfc(*args, **kwargs):
+            calls.append(args)
+            return special.erfc(*args, **kwargs)
+
+        monkeypatch.setattr(activation, "special", type("special", (), {"erfc": erfc}))
+        value_and_slope(ActivationParams(0.5, 1.0), np.linspace(-3.0, 3.0, 11))
+        assert len(calls) == 1
+
+    def test_peak_memory_is_three_buffers(self):
+        act = ActivationParams(0.5, 1.0)
+        x = np.random.default_rng(1).normal(size=(16, 10_000))
+        value_and_slope(act, x)  # warm up caches outside the measurement
+        tracemalloc.start()
+        try:
+            value_and_slope(act, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.nbytes + 4096
+
+    def test_huge_inputs_reach_the_ramp_without_warnings(self):
+        act = ActivationParams(0.5, 1.0)
+        a = (1.0 - act.gamma) ** 2 / (2.0 * math.pi * act.beta)
+        x = np.array([1e200, -1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, s = value_and_slope(act, x)
+        assert np.array_equal(s, [1.0, act.gamma])
+        assert np.array_equal(v, [x[0] - a, act.gamma * x[1] - a])
 
 
 def test_ramp_helper():

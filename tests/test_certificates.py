@@ -1,6 +1,7 @@
 """Certificate constants versus direct SVD/formula oracles, assumption
 verdict behavior, and trajectory-invariant monitoring."""
 
+import csv
 import dataclasses
 import math
 
@@ -36,6 +37,34 @@ from pyrcert.lambda_star import gram_hermite, hermite_coeffs
 from pyrcert.network import Dataset, Params, Shape
 
 ACT = ActivationParams(0.5, 1.0)
+
+
+def csv_cell_by_cell(log, path, report):
+    """The training-log CSV written one ``format`` call per cell."""
+    L = log.final_params.depth
+    header = ["k", "loss", "bound", "sv_F1"]
+    header.extend(f"min_sv_W{l}" for l in range(3, L + 1))
+    header.extend(f"max_norm_W{l}" for l in range(1, L + 1))
+    header.extend(["grad_norm", "spectra_exact"])
+    bound = np.full(log.n_steps, math.nan)
+    if report is not None:
+        header.extend("flag_" + name for name in InvariantReport.CHECKS)
+        bound = report.bound
+
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(log.n_steps):
+            row = [i, fmt(log.loss[i]), fmt(bound[i]), fmt(log.sv_f1[i])]
+            row.extend(fmt(v) for v in log.min_sv_w[i])
+            row.extend(fmt(v) for v in log.norm_w[i])
+            row.extend([fmt(log.grad_norm[i]), int(log.spectra_exact[i])])
+            if report is not None:
+                row.extend(int(b) for b in report.flags[i])
+            writer.writerow(row)
 
 
 def certifiable_instance(seed=0, n=6, d=4, widths=(6, 3, 2), y_scale=0.2):
@@ -293,6 +322,20 @@ class TestMonitorInvariants:
         assert set(cols) == {"k", "bound", *flag_names, *logged}
         for name, want in logged.items():
             assert np.array_equal(cols[name], want), name
+
+    def test_csv_bytes_match_the_cell_by_cell_writer(self, tmp_path):
+        # the block-wise %-template writer against csv.writer with one
+        # format() per cell, on a log of several blocks and a partial one
+        log, cert = self.make_certified_run()
+        report = monitor_invariants(log, cert)
+        assert log.n_steps % 64 != 0 and log.n_steps > 128
+        odd = dataclasses.replace(log, loss=log.loss.copy())
+        odd.loss[:4] = [math.inf, -math.inf, math.nan, -0.0]
+        for run, rep in ((log, report), (log, None), (odd, report)):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            trainlog_to_csv(run, got, rep)
+            csv_cell_by_cell(run, want, rep)
+            assert got.read_bytes() == want.read_bytes()
 
     def test_step_zero_flags_true_by_construction(self):
         log, cert = self.make_certified_run(max_steps=0)

@@ -384,6 +384,44 @@ class TestConfig:
         assert key in res.output and value in res.output
         assert not (out / "config.json").exists()
 
+    # strict JSON would record a non-finite number as null, which reads back
+    # as "use the default"; so no command may accept one
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_fails_before_config_is_written(self, tmp_path, text):
+        out = tmp_path / "o"
+        res = run(["train", "--eta", text, "--max-steps", "3", "--out", str(out)])
+        assert res.exit_code == 1
+        assert "'train.eta' must be finite" in res.output
+        assert not (out / "config.json").exists()
+
+    NON_FINITE = [
+        ('{"train": {"eta": NaN}}', "train.eta"),
+        ('{"activation": {"beta": Infinity}}', "activation.beta"),
+        ('{"dataset": {"target_scale": 1e999}}', "dataset.target_scale"),
+        ('{"sweep": {"seeds": [0, -Infinity]}}', "sweep.seeds[1]"),
+    ]
+
+    @pytest.mark.parametrize("text,key", NON_FINITE, ids=[key for _, key in NON_FINITE])
+    def test_non_finite_config_value_is_operational_error(self, tmp_path, text, key):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        res = run(["train", "--config", str(path), "--max-steps", "3", "--out", str(out)])
+        assert res.exit_code == 1
+        assert f"{key!r} must be finite" in res.output
+        assert not (out / "config.json").exists()
+
+    def test_recorded_config_reruns_the_same_step_size(self, tmp_path):
+        # a finite override survives the round trip through config.json
+        first = tmp_path / "a"
+        assert run(["train", "--eta", "1e-3", "--max-steps", "3", "--out", str(first)]).exit_code == 0
+        again = tmp_path / "b"
+        res = run(["train", "--config", str(first / "config.json"), "--out", str(again)])
+        assert res.exit_code == 0
+        for out in (first, again):
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["eta"] == 1e-3 and summary["certified"] is False
+
     # every override flag of every command, one value each, and the config
     # path it must land at in the recorded config.json
     OVERRIDES = [
