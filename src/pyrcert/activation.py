@@ -84,34 +84,47 @@ def value_and_slope(params: ActivationParams, x):
     ``x*ncdf(z) + g*x*ncdf(-z)`` of the value sum to ``x*slope``, so
     ``sigma(x) = a*(bump - 1) + x*slope`` needs no second ``erfc``.
 
-    The work runs in place: one buffer holds ``z``, then ``-u``, then
-    ``erfc(-u)``, then the slope; a second holds ``-z*z/2``, then the
-    bump, then ``a*bump - a``; the third is the value.  The slope is
-    bit-exact against ``g + (1-g)*(0.5*erfc(-u))`` (scaling by 0.5 is
-    exact); the value is within a few ulps of the two-``erfc`` sum.
+    This is the checked entry point: it converts the input, rejects
+    non-finite entries and handles 0-d input around ``_value_and_slope``.
+    The slope is bit-exact against ``g + (1-g)*(0.5*erfc(-u))`` (scaling
+    by 0.5 is exact); the value is within a few ulps of the two-``erfc`` sum.
     """
     arr = _as_finite_array(x)
-    g, b = params.gamma, params.beta
-    a = (1.0 - g) ** 2 / (2.0 * math.pi * b)
     xs = arr.reshape(1) if arr.ndim == 0 else arr  # ufuncs with out= need an array
-    # z*z overflows and exp underflows to 0 for large |x|, and z itself can
-    # overflow to inf; every one of these reaches the correct limit
     with np.errstate(under="ignore", over="ignore"):
-        slope = np.multiply(xs, b * _SQRT_2PI / (1.0 - g))
-        bump = np.multiply(slope, slope)
-        bump *= -0.5
-        np.exp(bump, out=bump)
-        bump *= a
-        bump -= a
-        slope *= -_INV_SQRT2
-        # erfc keeps full relative accuracy in the tails
-        special.erfc(slope, out=slope)
-        slope *= 0.5 * (1.0 - g)
-        slope += g
-        val = np.multiply(xs, slope)
-        val += bump
+        val, slope = _value_and_slope(params, xs)
     if arr.ndim == 0:
         return float(val[0]), float(slope[0])
+    return val, slope
+
+
+def _value_and_slope(params: ActivationParams, xs: np.ndarray):
+    """The unchecked kernel of ``value_and_slope``, for a finite float64
+    array of at least one dimension, which it does not check.
+
+    The work runs in place: one buffer holds ``z``, then ``-u``, then
+    ``erfc(-u)``, then the slope; a second holds ``-z*z/2``, then the
+    bump, then ``a*bump - a``; the third is the value.  ``z*z`` overflows
+    and ``exp`` underflows to 0 for large ``|x|``, and ``z`` itself can
+    overflow to inf; every one of these reaches the correct limit, so a
+    caller that wants no warnings runs this under
+    ``np.errstate(under="ignore", over="ignore")``.
+    """
+    g, b = params.gamma, params.beta
+    a = (1.0 - g) ** 2 / (2.0 * math.pi * b)
+    slope = np.multiply(xs, b * _SQRT_2PI / (1.0 - g))
+    bump = np.multiply(slope, slope)
+    bump *= -0.5
+    np.exp(bump, out=bump)
+    bump *= a
+    bump -= a
+    slope *= -_INV_SQRT2
+    # erfc keeps full relative accuracy in the tails
+    special.erfc(slope, out=slope)
+    slope *= 0.5 * (1.0 - g)
+    slope += g
+    val = np.multiply(xs, slope)
+    val += bump
     return val, slope
 
 

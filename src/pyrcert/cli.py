@@ -115,12 +115,29 @@ def _check_finite(node, dotted: str = "") -> None:
         raise ValueError(f"config key {dotted!r} must be finite, got {node!r}")
 
 
+def _check_seeds(cfg: dict) -> None:
+    """Reject a seed that is not a non-negative integer, and a sweep that
+    repeats one: a run would truncate 2.7 to seed 2, numpy's seeding
+    rejects -1 only after ``config.json`` is written, and two runs of one
+    seed write the same ``run_<seed>/``."""
+    seeds = cfg["sweep"]["seeds"]
+    if not isinstance(seeds, list):
+        raise ValueError(f"config key 'sweep.seeds' must be a list, got {seeds!r}")
+    named = [("seed", cfg["seed"])] + [(f"sweep.seeds[{i}]", s) for i, s in enumerate(seeds)]
+    for dotted, seed in named:
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"config key {dotted!r} must be a non-negative integer, got {seed!r}")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ValueError(f"config key 'sweep.seeds[{i}]' repeats seed {seed}")
+
+
 def _load_config(path: str | None, flags: dict) -> dict:
     """Defaults merged with the JSON file at ``path``, then the flags that
     were given (keyed by dotted config path, e.g. ``"lambda_star.r_max"``).
-    A key the defaults do not have, a value outside ``CHOICES`` or a
-    non-finite number raises ``ValueError`` (exit 1) instead of being
-    ignored."""
+    A key the defaults do not have, a value outside ``CHOICES``, a
+    non-finite number, a seed that is not a non-negative integer or a
+    repeated sweep seed raises ``ValueError`` (exit 1) instead of being ignored."""
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy: commands mutate their config
     if path is not None:
         with open(path) as fh:
@@ -142,6 +159,7 @@ def _load_config(path: str | None, flags: dict) -> dict:
                 f"config key {dotted!r} must be one of {allowed}, got {cfg[section][key]!r}"
             )
     _check_finite(cfg)
+    _check_seeds(cfg)
     return cfg
 
 

@@ -53,21 +53,28 @@ class GradientBundle:
         return self.layers[l - 1]
 
 
-def _backprop(F, S, weights, E: np.ndarray) -> tuple[list[np.ndarray], float]:
-    """The backward kernel: per-layer gradients and their summed squared
-    norm, from a forward pass's outputs ``F``, slopes ``S`` and residual
-    ``E = F[L] - Y``, on raw arrays."""
-    L = len(weights)
+def _flat_views(shapes) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One flat vector and its C-ordered views, one per shape, in order."""
+    flat = np.empty(sum(m * n for m, n in shapes))
+    views, start = [], 0
+    for m, n in shapes:
+        views.append(flat[start : start + m * n].reshape(m, n))
+        start += m * n
+    return flat, views
+
+
+def _backprop(F, S, weights, E: np.ndarray, flat: np.ndarray, grads) -> float:
+    """The backward kernel, on raw arrays: writes each layer's gradient
+    into ``grads``, views of the one vector ``flat`` shaped like
+    ``weights``, and returns the squared norm of ``flat``.  ``F`` and
+    ``S`` are a forward pass's outputs and slopes, and ``E = F[L] - Y``
+    its residual."""
     D = E
-    grads: list[np.ndarray] = [np.empty(0)] * L
-    sq = 0.0
-    for l in range(L, 0, -1):
-        g = F[l - 1].T @ D
-        grads[l - 1] = g
-        sq += float(np.vdot(g, g))
+    for l in range(len(weights), 0, -1):
+        np.matmul(F[l - 1].T, D, out=grads[l - 1])
         if l > 1:
             D = (D @ weights[l - 1].T) * S[l - 2]
-    return grads, sq
+    return float(np.vdot(flat, flat))
 
 
 def grad(
@@ -81,7 +88,8 @@ def grad(
         trace = forward(params, data, act)
     else:
         _check_dims(params, data)
-    grads, sq = _backprop(trace.F, trace.S, params.weights, trace.residual())
+    flat, grads = _flat_views([w.shape for w in params.weights])
+    sq = _backprop(trace.F, trace.S, params.weights, trace.residual(), flat, grads)
     return GradientBundle(layers=tuple(grads), sq_norm=sq)
 
 
@@ -281,7 +289,15 @@ def train(
             )
 
     X, Y = data.X, data.Y
-    W = [w.copy() for w in params0.weights]
+    # W_2..W_L are views of one flat vector, updated in one subtraction;
+    # W_1 is a separate array, replaced out of place
+    wshapes = [w.shape for w in params0.weights]
+    deep, deep_w = _flat_views(wshapes[1:])
+    for v, w in zip(deep_w, params0.weights[1:]):
+        v[...] = w
+    W = [params0.weights[0].copy(), *deep_w]
+    gflat, grads = _flat_views(wshapes)
+    gdeep = gflat[params0.weights[0].size :]
     # log columns: loss, grad norm, then per monitored matrix (F_1,
     # W_1..W_L) its lower bounds and its upper bounds
     LO, HI = 2, 2 + (L + 1)
@@ -298,15 +314,20 @@ def train(
         caps = [math.inf] + norm_caps.tolist()
     # ||A - A_ref||_F * inflate + margin bounds how far any singular value
     # an exact SVD of A would compute lies from the reference's computed
-    # ones.  inflate covers the rounding of the difference, the dot product
-    # (size * eps), the square root and the final add, and the SVD error of
-    # A growing with ||A||_2 <= ||A_ref||_2 + the displacement; margin covers
-    # the SVD error of both matrices at ||A_ref||_2, the rounding of the
-    # bounds, and underflowed squares.
-    shapes = [(X.shape[0], W[0].shape[1])] + [w.shape for w in W]
+    # ones.  inflate covers the rounding of the difference, the sum of
+    # squares (size * eps bounds its rounding in any summation order, so
+    # vdot and reduceat alike), the square root and the final add, and the
+    # SVD error of A growing with ||A||_2 <= ||A_ref||_2 + the displacement;
+    # margin covers the SVD error of both matrices at ||A_ref||_2, the
+    # rounding of the bounds, and underflowed squares.
+    shapes = [(X.shape[0], wshapes[0][1])] + wshapes
     inflate = [1.0 + (2.0 * m * n + _SVD_ERR * max(m, n) + 8.0) * _EPS for m, n in shapes]
     underflow = [2.0 * math.sqrt(m * n) * _SQRT_TINY for m, n in shapes]
-    refs: list = [None] * (L + 1)
+    # references: F_1 and W_1 are the arrays themselves (they are replaced,
+    # never changed in place); W_2..W_L are copies in one flat vector
+    refs: list = [None, None]
+    ref_deep, ref_w = _flat_views(wshapes[1:])
+    starts = np.cumsum([0] + [m * n for m, n in wshapes[1:-1]])
     tops = [math.nan] * (L + 1)
     lows = [math.nan] * (L + 1)
     margins = [math.nan] * (L + 1)
@@ -324,7 +345,7 @@ def train(
         except ValueError:
             # non-finite pre-activation: the iterates blew up, and NaN
             # layers carry through to a non-finite loss that ends the run
-            F = [X] + [np.full((X.shape[0], w.shape[1]), math.nan) for w in W]
+            F = [X] + [np.full((X.shape[0], n), math.nan) for _, n in wshapes]
             S = F[1:L]
         E = F[L] - Y
         loss_k = 0.5 * float(np.vdot(E, E))
@@ -334,7 +355,7 @@ def train(
             or loss_k <= cfg.stop_loss
             or k == cfg.max_steps
         )
-        grads, gsq = _backprop(F, S, W, E)
+        gsq = _backprop(F, S, W, E, gflat, grads)
 
         if k == cap:
             cap = min(2 * cap, max_rows)
@@ -344,11 +365,16 @@ def train(
         row[0] = loss_k
         row[1] = math.sqrt(gsq)
         prove = cert is not None and k > 0 and not last
+        if prove:
+            # squared displacements of W_2..W_L, summed per matrix
+            deep_sq = np.add.reduceat(np.square(deep - ref_deep), starts).tolist()
         all_exact = True
         for i in range(L + 1):
             a = F[1] if i == 0 else W[i - 1]
             if prove:
-                if a is refs[i]:  # zero displacement: sqrt(0) * inflate + margin
+                if i >= 2:
+                    radius = math.sqrt(deep_sq[i - 2]) * inflate[i] + margins[i]
+                elif a is refs[i]:  # zero displacement: sqrt(0) * inflate + margin
                     radius = margins[i]
                 else:
                     delta = a - refs[i]
@@ -370,8 +396,10 @@ def train(
                 tops[i], lows[i] = float(sv[0]), float(sv[-1])
             except np.linalg.LinAlgError:  # NaN entries of a blown-up run
                 tops[i] = lows[i] = math.nan
-            # F_1 and W_1 are replaced, never changed in place
-            refs[i] = a if i <= 1 else a.copy()
+            if i <= 1:
+                refs[i] = a
+            else:
+                ref_w[i - 2][...] = a
             m, n = shapes[i]
             margins[i] = (2.0 * _SVD_ERR * max(m, n) + 4.0) * _EPS * tops[i] + underflow[i]
             row[LO + i] = lows[i]
@@ -385,16 +413,22 @@ def train(
             elif loss_k <= cfg.stop_loss:
                 stop_reason = "stop_loss"
             break
-        w1 = W[0] - eta * grads[0]  # rounds exactly like the in-place update
-        if not np.array_equal(w1, W[0]):  # NaN entries compare unequal
+        # the gradient becomes the step in place, once for all layers; each
+        # entry rounds as in a per-layer ``W[l] -= eta * grads[l]``
+        gflat *= eta
+        w1 = W[0] - grads[0]
+        if not (w1 == W[0]).all():  # NaN entries compare unequal
             W[0] = w1
             first = None
-        for l in range(1, L):
-            W[l] -= eta * grads[l]
+        deep -= gdeep
         k += 1
 
-    # an update that overflowed a weight leaves no finite last iterate
-    final = Params(tuple(W)) if all(np.all(np.isfinite(w)) for w in W) else params0
+    # an update that overflowed a weight leaves no finite last iterate;
+    # the final deep weights are copies, not views of the trainer's vector
+    if np.isfinite(W[0]).all() and np.isfinite(deep).all():
+        final = Params((W[0], *(w.copy() for w in deep_w)))
+    else:
+        final = params0
     rows = rows[: k + 1]
     return TrainLog(
         loss=rows[:, 0].copy(),
@@ -432,17 +466,19 @@ def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = Non
     header.extend(f"min_sv_W{l}" for l in range(3, L + 1))
     header.extend(f"max_norm_W{l}" for l in range(1, L + 1))
     header.extend(["grad_norm", "spectra_exact"])
-    bound = np.full(log.n_steps, math.nan)
+    # one %-template per row, the cells taken column-wise with tolist();
+    # "%.17g" % v is format(v, _FLOAT_FMT), and the rows end like csv's.
+    # Without a report the bound cell is the literal NaN of the template.
+    num = "%" + _FLOAT_FMT
+    floats = [log.loss, log.sv_f1, *log.min_sv_w.T, *log.norm_w.T, log.grad_norm]
+    cells = ["%d", num, "nan"] + [num] * (len(floats) - 1)
     ints = [log.spectra_exact]
     if report is not None:
         header.extend("flag_" + name for name in InvariantReport.CHECKS)
-        bound = report.bound
+        floats.insert(1, report.bound)
+        cells[2] = num
         ints.extend(report.flags.T)
-    floats = [log.loss, bound, log.sv_f1, *log.min_sv_w.T, *log.norm_w.T, log.grad_norm]
-    # one %-template per row, the cells taken column-wise with tolist();
-    # "%.17g" % v is format(v, _FLOAT_FMT), and the rows end like csv's
-    template = ",".join(["%d"] + ["%" + _FLOAT_FMT] * len(floats) + ["%d"] * len(ints))
-    template += "\r\n"
+    template = ",".join(cells + ["%d"] * len(ints)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, log.n_steps, _CSV_BLOCK):

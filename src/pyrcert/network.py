@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import ActivationParams, value_and_slope
+from .activation import ActivationParams, _value_and_slope
 from .activation import evaluate  # noqa: F401 - bound here for perfbench's tracer
 
 __all__ = [
@@ -206,18 +206,26 @@ def _layers(X: np.ndarray, weights, act: ActivationParams, first=None):
     slopes ``S`` of one pass, on raw arrays.  It checks no dimensions
     because the trainer calls it every step; a non-finite pre-activation
     raises ``ValueError``.  ``first``, when given, is hidden layer 1's
-    ``(G_1, F_1, S_1)`` for these very weights, and the pass starts from it."""
+    ``(G_1, F_1, S_1)`` for these very weights, and the pass starts from it.
+
+    The hidden layers run the unchecked activation kernel after one
+    finiteness check each, inside one ``errstate`` per pass; so an overflow
+    of a hidden layer's matmul raises the ``ValueError`` without a warning.
+    The output layer's matmul stays outside it."""
     G, F, S = [], [X], []
     if first is not None:
         G.append(first[0])
         F.append(first[1])
         S.append(first[2])
-    for w in weights[len(S) : -1]:
-        g = F[-1] @ w
-        f, s = value_and_slope(act, g)
-        G.append(g)
-        F.append(f)
-        S.append(s)
+    with np.errstate(under="ignore", over="ignore"):
+        for w in weights[len(S) : -1]:
+            g = F[-1] @ w
+            if not np.isfinite(g).all():
+                raise ValueError("activation input must be finite")
+            f, s = _value_and_slope(act, g)
+            G.append(g)
+            F.append(f)
+            S.append(s)
     out = F[-1] @ weights[-1]
     G.append(out)  # G_L coincides with the linear output
     F.append(out)

@@ -4,6 +4,7 @@ verdict behavior, and trajectory-invariant monitoring."""
 import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,6 +337,23 @@ class TestMonitorInvariants:
             trainlog_to_csv(run, got, rep)
             csv_cell_by_cell(run, want, rep)
             assert got.read_bytes() == want.read_bytes()
+
+    def test_csv_without_a_report_allocates_no_bound_column(self, tmp_path):
+        # the NaN bound cells come from the row template; a report's bound
+        # and flags exist before the write, so a write without one peaks
+        # no higher than a write with one
+        log, cert = self.make_certified_run(max_steps=20_000)
+        report = monitor_invariants(log, cert)
+        peaks = []
+        for rep in (report, None):
+            trainlog_to_csv(log, tmp_path / "warm.csv", rep)
+            tracemalloc.start()
+            try:
+                trainlog_to_csv(log, tmp_path / "log.csv", rep)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0], peaks
 
     def test_step_zero_flags_true_by_construction(self):
         log, cert = self.make_certified_run(max_steps=0)

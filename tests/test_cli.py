@@ -411,6 +411,35 @@ class TestConfig:
         assert f"{key!r} must be finite" in res.output
         assert not (out / "config.json").exists()
 
+    # a seed is truncated by int(), a negative one fails only after
+    # config.json is written, and a repeated sweep seed runs twice into the
+    # same run_<seed>/ (with --jobs 2, at the same time)
+    BAD_SEEDS = [
+        (["train"], {"seed": 2.7}, "'seed' must be a non-negative integer, got 2.7"),
+        (["train"], {"seed": True}, "'seed' must be a non-negative integer, got True"),
+        (["kr"], {"seed": -1}, "'seed' must be a non-negative integer, got -1"),
+        (["sweep"], {"sweep": {"seeds": [1.5]}}, "'sweep.seeds[0]' must be a non-negative integer"),
+        (["sweep"], {"sweep": {"seeds": [1, 1]}}, "'sweep.seeds[1]' repeats seed 1"),
+        (["sweep", "--jobs", "2"], {"sweep": {"seeds": [0, 1, 0]}}, "'sweep.seeds[2]' repeats seed 0"),
+        (["sweep"], {"sweep": {"seeds": 3}}, "'sweep.seeds' must be a list"),
+    ]
+
+    @pytest.mark.parametrize(
+        "args,config,message",
+        BAD_SEEDS,
+        ids=[
+            "float", "bool", "negative", "float-in-sweep", "repeated", "repeated-jobs-2", "not-a-list"
+        ],
+    )
+    def test_bad_seed_is_operational_error(self, tmp_path, args, config, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        res = run([*args, "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert message in res.output
+        assert not out.exists()  # neither config.json nor a run directory
+
     def test_recorded_config_reruns_the_same_step_size(self, tmp_path):
         # a finite override survives the round trip through config.json
         first = tmp_path / "a"

@@ -294,14 +294,26 @@ class TestTrain:
         assert not any(name.startswith("flag_") for name in cols)
 
     def test_logged_loss_and_gradient_match_loss_and_grad(self):
-        # the trainer runs the kernels of forward and grad, so its first and
-        # last rows equal theirs bitwise
+        # the trainer runs the kernels of forward and grad, so every row
+        # equals theirs bitwise; a run of k steps ends at iterate k
         rng = np.random.default_rng(39)
         data, params = random_instance(rng, 4, 3, (5, 3, 2))
         log = train(params, data, ACT, TrainConfig(eta=1e-2, max_steps=20))
-        for row, p in ((0, params), (-1, log.final_params)):
-            assert log.loss[row] == loss(p, data, ACT)
-            assert log.grad_norm[row] == grad(p, data, ACT).norm
+        for k in range(log.n_steps):
+            p = train(params, data, ACT, TrainConfig(eta=1e-2, max_steps=k)).final_params
+            assert log.loss[k] == loss(p, data, ACT)
+            assert log.grad_norm[k] == grad(p, data, ACT).norm
+        assert theta_distance(p, log.final_params) == 0.0
+
+    def test_final_weights_own_their_memory(self):
+        # the trainer keeps W_2..W_L in one flat vector; the weights it
+        # returns are separate arrays, not views of it
+        rng = np.random.default_rng(41)
+        data, params = random_instance(rng, 4, 3, (5, 3, 2))
+        log = train(params, data, ACT, TrainConfig(eta=1e-2, max_steps=5))
+        for w, w0 in zip(log.final_params.weights, params.weights):
+            assert w.flags.c_contiguous and w.flags.owndata
+            assert w.shape == w0.shape and not np.shares_memory(w, w0)
 
     def test_descent_for_small_steps(self):
         rng = np.random.default_rng(38)

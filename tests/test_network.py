@@ -2,6 +2,7 @@
 serialization round trips, and the layer-norm/output-Lipschitz inequalities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,26 @@ class TestForward:
         a = forward(params, data, ACT).output
         b = forward(params, data, ACT).output
         assert np.array_equal(a, b)
+
+    def test_huge_pre_activations_pass_without_warnings(self):
+        # hidden pre-activations of +-1e200: the activation's squares
+        # overflow and its exponentials underflow, silently, to the ramp
+        data = Dataset(np.array([[1.0]]), np.array([[0.0]]))
+        params = Params((np.array([[1e200, -1e200]]), np.array([[1.0], [1.0]])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = forward(params, data, ACT)
+        a = (1.0 - ACT.gamma) ** 2 / (2.0 * math.pi * ACT.beta)
+        assert np.array_equal(trace.F[1], [[1e200 - a, -0.5e200 - a]])
+        assert np.array_equal(trace.S[0], [[1.0, 0.5]])
+
+    def test_overflowing_pre_activation_raises(self):
+        data = Dataset(np.array([[10.0]]), np.array([[0.0]]))
+        params = Params((np.array([[1e308, 1.0]]), np.array([[1.0], [1.0]])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                forward(params, data, ACT)
 
     def test_dimension_mismatch_names_layer(self):
         data = Dataset(np.zeros((3, 4)), np.zeros((3, 1)))
