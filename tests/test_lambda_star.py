@@ -2,11 +2,12 @@
 estimators, cross-checked against each other and closed-form cases."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -281,6 +282,100 @@ class TestGramMc:
         est = gram_mc(X, SIGMA, 5_000, seed=23)
         np.testing.assert_allclose(est.gram, est.gram.T, atol=1e-14)
         assert est.lambda_min >= -1e-10
+
+
+def _gram_mc_oracle(X, sigma, n_samples, seed, n_batches):
+    """The literal whole-batch Monte Carlo Gram: S = sigma(X W), then S S^T,
+    with gram_mc's batch sizes and substreams."""
+    n_batches = max(1, min(n_batches, n_samples))
+    N, d = X.shape
+    sizes = [n_samples // n_batches + (i < n_samples % n_batches) for i in range(n_batches)]
+    streams = np.random.SeedSequence(seed).spawn(n_batches)
+    total = np.zeros((N, N))
+    batch_means = np.empty((n_batches, N, N))
+    for b, (size, ss) in enumerate(zip(sizes, streams)):
+        W = np.random.default_rng(ss).normal(0.0, 1.0 / math.sqrt(d), size=(d, size))
+        S = np.asarray(sigma(X @ W), dtype=np.float64)
+        contrib = S @ S.T
+        total += contrib
+        batch_means[b] = contrib / size
+    G = total / n_samples
+    if n_batches > 1:
+        stderr = np.std(batch_means, axis=0, ddof=1) / math.sqrt(n_batches)
+    else:
+        stderr = np.full((N, N), np.nan)
+    return G, stderr, float(np.linalg.eigvalsh((G + G.T) / 2.0)[0])
+
+
+BAD_DATA = {
+    "nan entry": (np.array([[1.0, math.nan], [0.0, 1.0]]), "finite"),
+    "no rows": (np.zeros((0, 3)), "N >= 1"),
+    "no columns": (np.zeros((3, 0)), "d >= 1"),
+}
+
+
+class TestGramMcBlocks:
+    """gram_mc applies sigma blockwise inside one reused buffer; its outputs
+    must equal the whole-batch formula bit for bit."""
+
+    # blocks hold 2**14 // N columns: 163 at N=100, 54 at N=300, 1024 at N=16
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.sampled_from([1, 3, 16, 100, 300]),
+        d=st.sampled_from([1, 2, 3, 8, 40]),
+        n_samples=st.integers(1, 4000),
+        n_batches=st.integers(1, 12),
+        linear=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(N=100, d=40, n_samples=2345, n_batches=7, linear=False, seed=1)  # partial last block
+    @example(N=300, d=3, n_samples=1000, n_batches=3, linear=True, seed=2)  # many blocks
+    @example(N=16, d=8, n_samples=5, n_batches=10, linear=False, seed=3)  # n_samples < n_batches
+    @example(N=16, d=40, n_samples=3001, n_batches=10, linear=True, seed=4)  # size < block
+    @example(N=16, d=8, n_samples=20480, n_batches=10, linear=False, seed=0)  # exactly 2 blocks
+    def test_bit_identical_to_whole_batch_formula(self, N, d, n_samples, n_batches, linear, seed):
+        sigma = sigma_linear if linear else SIGMA
+        X = sphere_data(N, d, seed=seed % 1000)
+        est = gram_mc(X, sigma, n_samples, seed=seed, n_batches=n_batches)
+        gram, stderr, lambda_min = _gram_mc_oracle(X, sigma, n_samples, seed, n_batches)
+        np.testing.assert_array_equal(est.gram, gram)
+        np.testing.assert_array_equal(est.stderr, stderr)  # NaN-aware
+        np.testing.assert_array_equal(est.lambda_min, lambda_min)
+
+    def test_peak_memory_is_one_batch(self):
+        # one N x (samples/10) buffer and one d x (samples/10) draw, not the
+        # five batch-sized arrays of sigma(X @ W) computed whole
+        X = sphere_data(16, 8, seed=0)
+        gram_mc(X, SIGMA, 100_000)  # warm-up
+        tracemalloc.start()
+        try:
+            gram_mc(X, SIGMA, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 + 8) * 10**4 * 8 + 10**6
+
+
+class TestGramInputChecks:
+    @pytest.mark.parametrize("case", sorted(BAD_DATA))
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_gram_mc_rejects_bad_data_before_any_draw(self, case, linear):
+        X, cause = BAD_DATA[case]
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError, match=cause):
+                gram_mc(X, sigma_linear if linear else SIGMA, 100)
+
+    @pytest.mark.parametrize("case", sorted(BAD_DATA))
+    def test_gram_hermite_rejects_bad_data(self, case):
+        X, cause = BAD_DATA[case]
+        with pytest.raises(ValueError, match=cause):
+            gram_hermite(X, hermite_coeffs(sigma_linear, 2), 2)
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_gram_mc_rejects_an_overflowing_gram(self, linear):
+        X = 1e200 * np.eye(2)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+            gram_mc(X, sigma_linear if linear else SIGMA, 100)
 
 
 class TestGramHermite:

@@ -4,7 +4,9 @@ pyrcert names, and every name it patches must stay bound, or
 step counter, which must stay observable, or ``train_certified``'s
 ``unit_us`` silently falls back to a pass mean."""
 
+import itertools
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from pyrcert.initializers import InitConfig, sphere_data, sphere_targets, tune_g
 from pyrcert.network import Dataset, Shape
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PAUSE_TIMEOUT_S = 10.0
 
 
 def test_every_traced_name_is_bound(monkeypatch):
@@ -47,6 +50,19 @@ def test_certified_run_is_judged_once(monkeypatch, tmp_path):
     assert tracer.total("gradients.trainlog_to_csv")[0] == 1
 
 
+class _NotifyingList(list):
+    """The sampler's sample list, announcing each append on a condition."""
+
+    def __init__(self, cond: threading.Condition) -> None:
+        super().__init__()
+        self.cond = cond
+
+    def append(self, item) -> None:
+        with self.cond:
+            super().append(item)
+            self.cond.notify_all()
+
+
 def test_step_sampler_reads_the_certified_trainer(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from workloads import StepSampler
@@ -57,7 +73,27 @@ def test_step_sampler_reads_the_certified_trainer(monkeypatch):
     X = sphere_data(16, 8, seed=0)
     data = Dataset(X, sphere_targets("aligned", shape, X, act, 0, 0.1))
     _, params, cert = tune_gain(shape, data, act, InitConfig(gain=2.0, second_layer_var=0.0, seed=0))
-    with StepSampler() as sampler:
+
+    # Pause the trainer inside three steps until the sampler has read each
+    # paused frame, so the samples span two windows whatever the step speed.
+    pauses = (1000, 2000, 3000)
+    cond = threading.Condition()
+    sampler = StepSampler()
+    sampler._samples = samples = _NotifyingList(cond)
+    backprop = gradients._backprop
+    calls = itertools.count()
+
+    def pausing_backprop(*args):
+        if next(calls) in pauses:
+            with cond:
+                seen = len(samples)
+                if not cond.wait_for(lambda: len(samples) > seen, timeout=PAUSE_TIMEOUT_S):
+                    raise AssertionError(f"the step sampler read no sample in {PAUSE_TIMEOUT_S} s")
+        return backprop(*args)
+
+    monkeypatch.setattr(gradients, "_backprop", pausing_backprop)
+    with sampler:
         log = train(params, data, act, TrainConfig(eta=0.9 * cert.eta_max, max_steps=5000), cert)
     assert log.n_steps == 5001
+    assert set(pauses) <= {k for _, _, k in samples}
     assert sampler.step_seconds()  # at least one window of steps
