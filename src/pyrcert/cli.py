@@ -259,7 +259,7 @@ def certify_cmd(config_path, seed, out) -> None:
     try:
         cfg, out_dir = _setup("certify", config_path, out, {"seed": seed})
         run_seed = int(cfg["seed"])
-        shape = Shape(d=int(cfg["shape"]["d"]), widths=tuple(cfg["shape"]["widths"]))
+        shape = Shape(d=cfg["shape"]["d"], widths=tuple(cfg["shape"]["widths"]))
         act = _activation(cfg)
         data = _build_dataset(cfg, shape, act, run_seed)
         _dataset_to_json(data, out_dir / "dataset.json")
@@ -312,7 +312,7 @@ main.add_command(train_cmd, name="train")
 def _run_training(cfg: dict, out_dir: Path) -> tuple[dict, int]:
     """Shared train pipeline (also used by sweep workers)."""
     run_seed = int(cfg["seed"])
-    shape = Shape(d=int(cfg["shape"]["d"]), widths=tuple(cfg["shape"]["widths"]))
+    shape = Shape(d=cfg["shape"]["d"], widths=tuple(cfg["shape"]["widths"]))
     act = _activation(cfg)
     data = _build_dataset(cfg, shape, act, run_seed)
     tr = cfg["train"]

@@ -68,12 +68,13 @@ def _backprop(F, S, weights, E: np.ndarray, flat: np.ndarray, grads) -> float:
     into ``grads``, views of the one vector ``flat`` shaped like
     ``weights``, and returns the squared norm of ``flat``.  ``F`` and
     ``S`` are a forward pass's outputs and slopes, and ``E = F[L] - Y``
-    its residual."""
+    its residual.  The products are ``np.dot``, as in the forward kernel."""
     D = E
     for l in range(len(weights), 0, -1):
-        np.matmul(F[l - 1].T, D, out=grads[l - 1])
+        np.dot(F[l - 1].T, D, out=grads[l - 1])
         if l > 1:
-            D = (D @ weights[l - 1].T) * S[l - 2]
+            D = np.dot(D, weights[l - 1].T)
+            D *= S[l - 2]
     return float(np.vdot(flat, flat))
 
 
@@ -232,6 +233,16 @@ _SVD_ERR = 4.0
 _SQRT_TINY = math.sqrt(float(np.finfo(np.float64).tiny))
 
 
+def _freeze_tol(w: np.ndarray) -> float:
+    """A quarter of the smallest spacing of ``w``'s entries: subtracting a
+    float of smaller magnitude leaves every entry bitwise unchanged, since
+    each entry's rounding interval reaches half the gap on either side, and
+    the gap below a power of two is half the gap above.  Zero and subnormal
+    entries make it 0, so no step is proven to keep them; a NaN or infinite
+    entry makes it NaN, which no comparison passes."""
+    return float(np.min(np.spacing(np.abs(w)))) / 4.0
+
+
 def _grown(a: np.ndarray, rows: int, fill) -> np.ndarray:
     out = np.full((rows,) + a.shape[1:], fill, dtype=a.dtype)
     out[: len(a)] = a
@@ -270,12 +281,20 @@ def train(
     exactly 0, and its radius is the margin alone, since
     ``sqrt(0) * inflate + margin == margin`` in floating point.
 
-    Layer 1 is reused exactly.  ``W_1``'s update is computed out of place,
-    which rounds exactly like the in-place one; while it leaves ``W_1``
-    bitwise unchanged (at a certified step size ``eta * grad`` is often
-    below half an ulp), the next pass starts from the previous pass's
-    ``(G_1, F_1, S_1)``, which are then the very values a recomputation
-    would give.  Any change, NaN included, replaces ``W_1`` and drops them.
+    Layer 1 is reused exactly.  At a certified step size ``eta * grad``
+    is often below a quarter of ``W_1``'s smallest spacing, and then it
+    cannot move any entry of ``W_1``.  A step whose rounded
+    ``eta * ||grad_1||`` proves this updates ``W_2..W_L`` only.  Any other
+    step computes ``W_1``'s update out of place, which rounds exactly like
+    the in-place one, and keeps ``W_1`` if the result is bitwise equal to
+    it.  While ``W_1`` is kept, the next pass starts from the previous
+    pass's ``(G_1, F_1, S_1)``, which are then the very values a
+    recomputation would give.  Any change, NaN included, replaces ``W_1``
+    and drops them.
+
+    The whole loop runs in one ``np.errstate(under="ignore",
+    over="ignore")``: the forward kernel's activation needs it, and a run
+    that diverges ends as ``diverged`` without overflow warnings.
     """
     _check_dims(params0, data)
     L = params0.depth
@@ -297,7 +316,8 @@ def train(
         v[...] = w
     W = [params0.weights[0].copy(), *deep_w]
     gflat, grads = _flat_views(wshapes)
-    gdeep = gflat[params0.weights[0].size :]
+    w1_size = params0.weights[0].size
+    g1, gdeep = gflat[:w1_size], gflat[w1_size:]
     # log columns: loss, grad norm, then per monitored matrix (F_1,
     # W_1..W_L) its lower bounds and its upper bounds
     LO, HI = 2, 2 + (L + 1)
@@ -323,6 +343,13 @@ def train(
     shapes = [(X.shape[0], wshapes[0][1])] + wshapes
     inflate = [1.0 + (2.0 * m * n + _SVD_ERR * max(m, n) + 8.0) * _EPS for m, n in shapes]
     underflow = [2.0 * math.sqrt(m * n) * _SQRT_TINY for m, n in shapes]
+    # eta * (sqrt(vdot(g_1, g_1)) * w1_inflate + underflow[1]) bounds every
+    # entry of the rounded step eta * g_1: w1_inflate covers the rounding
+    # of the sum of squares, the square root and both products, and the
+    # underflow term the squares that underflow.  Below _freeze_tol(W_1),
+    # the step leaves W_1 bitwise unchanged.
+    w1_inflate = 1.0 + (w1_size + 4.0) * _EPS
+    w1_tol = _freeze_tol(W[0])
     # references: F_1 and W_1 are the arrays themselves (they are replaced,
     # never changed in place); W_2..W_L are copies in one flat vector
     refs: list = [None, None]
@@ -337,91 +364,96 @@ def train(
     k = 0
     diverged = False
     stop_reason = "max_steps"
-    while True:
-        try:
-            G, F, S = _layers(X, W, act, first)
-            if S:
-                first = (G[0], F[1], S[0])
-        except ValueError:
-            # non-finite pre-activation: the iterates blew up, and NaN
-            # layers carry through to a non-finite loss that ends the run
-            F = [X] + [np.full((X.shape[0], n), math.nan) for _, n in wshapes]
-            S = F[1:L]
-        E = F[L] - Y
-        loss_k = 0.5 * float(np.vdot(E, E))
-        last = (
-            not math.isfinite(loss_k)
-            or loss_k > DIVERGENCE_LOSS
-            or loss_k <= cfg.stop_loss
-            or k == cfg.max_steps
-        )
-        gsq = _backprop(F, S, W, E, gflat, grads)
-
-        if k == cap:
-            cap = min(2 * cap, max_rows)
-            rows = _grown(rows, cap, np.nan)
-            exact_a = _grown(exact_a, cap, False)
-        row = rows[k]
-        row[0] = loss_k
-        row[1] = math.sqrt(gsq)
-        prove = cert is not None and k > 0 and not last
-        if prove:
-            # squared displacements of W_2..W_L, summed per matrix
-            deep_sq = np.add.reduceat(np.square(deep - ref_deep), starts).tolist()
-        all_exact = True
-        for i in range(L + 1):
-            a = F[1] if i == 0 else W[i - 1]
-            if prove:
-                if i >= 2:
-                    radius = math.sqrt(deep_sq[i - 2]) * inflate[i] + margins[i]
-                elif a is refs[i]:  # zero displacement: sqrt(0) * inflate + margin
-                    radius = margins[i]
-                else:
-                    delta = a - refs[i]
-                    radius = (
-                        math.sqrt(float(np.vdot(delta, delta))) * inflate[i] + margins[i]
-                    )
-                lo = lows[i] - radius
-                hi = tops[i] + radius
-                if lo >= floors[i] and hi <= caps[i]:
-                    row[LO + i] = lo
-                    row[HI + i] = hi
-                    all_exact = False
-                    continue
-            # exact SVD: it decides this matrix's flags and becomes the
-            # reference of the proofs that follow
-            n_svds += 1
+    with np.errstate(under="ignore", over="ignore"):
+        while True:
             try:
-                sv = svd(a, compute_uv=False)
-                tops[i], lows[i] = float(sv[0]), float(sv[-1])
-            except np.linalg.LinAlgError:  # NaN entries of a blown-up run
-                tops[i] = lows[i] = math.nan
-            if i <= 1:
-                refs[i] = a
-            else:
-                ref_w[i - 2][...] = a
-            m, n = shapes[i]
-            margins[i] = (2.0 * _SVD_ERR * max(m, n) + 4.0) * _EPS * tops[i] + underflow[i]
-            row[LO + i] = lows[i]
-            row[HI + i] = tops[i]
-        exact_a[k] = all_exact
+                G, F, S = _layers(X, W, act, first)
+                if S:
+                    first = (G[0], F[1], S[0])
+            except ValueError:
+                # non-finite pre-activation: the iterates blew up, and NaN
+                # layers carry through to a non-finite loss that ends the run
+                F = [X] + [np.full((X.shape[0], n), math.nan) for _, n in wshapes]
+                S = F[1:L]
+            E = F[L] - Y
+            loss_k = 0.5 * float(np.vdot(E, E))
+            last = (
+                not math.isfinite(loss_k)
+                or loss_k > DIVERGENCE_LOSS
+                or loss_k <= cfg.stop_loss
+                or k == cfg.max_steps
+            )
+            gsq = _backprop(F, S, W, E, gflat, grads)
 
-        if last:
-            if not math.isfinite(loss_k) or loss_k > DIVERGENCE_LOSS:
-                diverged = True
-                stop_reason = "diverged"
-            elif loss_k <= cfg.stop_loss:
-                stop_reason = "stop_loss"
-            break
-        # the gradient becomes the step in place, once for all layers; each
-        # entry rounds as in a per-layer ``W[l] -= eta * grads[l]``
-        gflat *= eta
-        w1 = W[0] - grads[0]
-        if not (w1 == W[0]).all():  # NaN entries compare unequal
-            W[0] = w1
-            first = None
-        deep -= gdeep
-        k += 1
+            if k == cap:
+                cap = min(2 * cap, max_rows)
+                rows = _grown(rows, cap, np.nan)
+                exact_a = _grown(exact_a, cap, False)
+            row = rows[k]
+            row[0] = loss_k
+            row[1] = math.sqrt(gsq)
+            prove = cert is not None and k > 0 and not last
+            if prove:
+                # squared displacements of W_2..W_L, summed per matrix
+                deep_sq = np.add.reduceat(np.square(deep - ref_deep), starts).tolist()
+            all_exact = True
+            for i in range(L + 1):
+                a = F[1] if i == 0 else W[i - 1]
+                if prove:
+                    if i >= 2:
+                        radius = math.sqrt(deep_sq[i - 2]) * inflate[i] + margins[i]
+                    elif a is refs[i]:  # zero displacement: sqrt(0) * inflate + margin
+                        radius = margins[i]
+                    else:
+                        delta = a - refs[i]
+                        radius = (
+                            math.sqrt(float(np.vdot(delta, delta))) * inflate[i] + margins[i]
+                        )
+                    lo = lows[i] - radius
+                    hi = tops[i] + radius
+                    if lo >= floors[i] and hi <= caps[i]:
+                        row[LO + i] = lo
+                        row[HI + i] = hi
+                        all_exact = False
+                        continue
+                # exact SVD: it decides this matrix's flags and becomes the
+                # reference of the proofs that follow
+                n_svds += 1
+                try:
+                    sv = svd(a, compute_uv=False)
+                    tops[i], lows[i] = float(sv[0]), float(sv[-1])
+                except np.linalg.LinAlgError:  # NaN entries of a blown-up run
+                    tops[i] = lows[i] = math.nan
+                if i <= 1:
+                    refs[i] = a
+                else:
+                    ref_w[i - 2][...] = a
+                m, n = shapes[i]
+                margins[i] = (2.0 * _SVD_ERR * max(m, n) + 4.0) * _EPS * tops[i] + underflow[i]
+                row[LO + i] = lows[i]
+                row[HI + i] = tops[i]
+            exact_a[k] = all_exact
+
+            if last:
+                if not math.isfinite(loss_k) or loss_k > DIVERGENCE_LOSS:
+                    diverged = True
+                    stop_reason = "diverged"
+                elif loss_k <= cfg.stop_loss:
+                    stop_reason = "stop_loss"
+                break
+            # the gradient becomes the step in place; each entry rounds as in
+            # a per-layer ``W[l] -= eta * grads[l]``
+            if eta * (math.sqrt(float(np.vdot(g1, g1))) * w1_inflate + underflow[1]) < w1_tol:
+                gdeep *= eta  # W_1 provably stays put
+            else:
+                gflat *= eta
+                w1 = W[0] - grads[0]
+                if not (w1 == W[0]).all():  # NaN entries compare unequal
+                    W[0] = w1
+                    w1_tol = _freeze_tol(w1)
+                    first = None
+            deep -= gdeep
+            k += 1
 
     # an update that overflowed a weight leaves no finite last iterate;
     # the final deep weights are copies, not views of the trainer's vector

@@ -301,7 +301,9 @@ def gram_mc(
     the buffer plus the larger of one batch of draws and a few blocks, so
     about (N + d) * ceil(n_samples / n_batches) * 8 bytes: 1.95 MB at N=16,
     d=8 and 1e5 samples, 19.2 MB at 1e6.  Bad data (non-finite, or without
-    rows or columns) and a Gram that is not finite raise ``ValueError``.
+    rows or columns) and a Gram that is not finite raise ``ValueError``,
+    without a warning; the first batch whose Gram is not finite ends the
+    draws.
     """
     X = _check_data(X)
     n_samples = int(n_samples)
@@ -317,22 +319,26 @@ def gram_mc(
     block = max(1, _MC_BLOCK_ENTRIES // N)
     buf = np.empty(N * sizes[0])  # sizes[0] is the largest batch
 
+    not_finite = "the Monte Carlo Gram is not finite: sigma(X w) overflows or is NaN"
     total = np.zeros((N, N))
     batch_means = np.empty((n_batches, N, N))
-    for b, (size, ss) in enumerate(zip(sizes, streams)):
-        rng = np.random.default_rng(ss)
-        W = rng.normal(0.0, scale, size=(d, size))
-        # the product stays whole: X @ W[:, j:j+B] may round differently
-        S = np.matmul(X, W, out=buf[: N * size].reshape(N, size))
-        del W  # so the next batch's draws never coexist with these
-        for j in range(0, size, block):
-            S[:, j : j + block] = sigma(S[:, j : j + block])
-        contrib = S @ S.T
-        total += contrib
-        batch_means[b] = contrib / size
-    G = total / n_samples
-    if not np.isfinite(G).all():
-        raise ValueError("the Monte Carlo Gram is not finite: sigma(X w) overflows or is NaN")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, (size, ss) in enumerate(zip(sizes, streams)):
+            rng = np.random.default_rng(ss)
+            W = rng.normal(0.0, scale, size=(d, size))
+            # the product stays whole: X @ W[:, j:j+B] may round differently
+            S = np.matmul(X, W, out=buf[: N * size].reshape(N, size))
+            del W  # so the next batch's draws never coexist with these
+            for j in range(0, size, block):
+                S[:, j : j + block] = sigma(S[:, j : j + block])
+            contrib = S @ S.T
+            if not np.isfinite(contrib).all():
+                raise ValueError(not_finite)
+            total += contrib
+            batch_means[b] = contrib / size
+        G = total / n_samples
+    if not np.isfinite(G).all():  # finite batches may still sum past the float range
+        raise ValueError(not_finite)
     if n_batches > 1:
         stderr = np.std(batch_means, axis=0, ddof=1) / math.sqrt(n_batches)
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,17 @@ __all__ = [
 _FLOAT_FMT = ".17g"  # every float the package writes to CSV; round-trips float64
 
 
+def _size(value, name: str) -> int:
+    """``value`` as a Python int: integers of any kind pass, while a bool or
+    a float (even an integral one) is refused rather than truncated."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Shape:
     """Input dimension plus per-layer widths ``n_1..n_L`` (pyramidal)."""
@@ -50,10 +62,12 @@ class Shape:
     widths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if int(self.d) < 1:
+        d = _size(self.d, "shape.d")
+        widths = tuple(_size(w, f"shape.widths[{i}]") for i, w in enumerate(self.widths))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "widths", widths)
+        if self.d < 1:
             raise ValueError(f"input dimension must be >= 1, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
         if len(self.widths) < 2:
             raise ValueError("depth must be at least 2 (one hidden + output layer)")
         if any(w < 1 for w in self.widths):
@@ -208,34 +222,38 @@ def _layers(X: np.ndarray, weights, act: ActivationParams, first=None):
     raises ``ValueError``.  ``first``, when given, is hidden layer 1's
     ``(G_1, F_1, S_1)`` for these very weights, and the pass starts from it.
 
-    The hidden layers run the unchecked activation kernel after one
-    finiteness check each, inside one ``errstate`` per pass; so an overflow
-    of a hidden layer's matmul raises the ``ValueError`` without a warning.
-    The output layer's matmul stays outside it."""
+    The products are ``np.dot``, which calls the same BLAS gemm as ``@``
+    for less per-call overhead, so it gives the same bits.  The hidden
+    layers run the unchecked activation kernel after one finiteness check
+    each.  The kernel enters no ``errstate``: its callers hold one,
+    ``under`` and ``over`` ignored, so an overflow of a hidden layer's
+    product raises the ``ValueError`` without a warning."""
     G, F, S = [], [X], []
     if first is not None:
         G.append(first[0])
         F.append(first[1])
         S.append(first[2])
-    with np.errstate(under="ignore", over="ignore"):
-        for w in weights[len(S) : -1]:
-            g = F[-1] @ w
-            if not np.isfinite(g).all():
-                raise ValueError("activation input must be finite")
-            f, s = _value_and_slope(act, g)
-            G.append(g)
-            F.append(f)
-            S.append(s)
-    out = F[-1] @ weights[-1]
+    for w in weights[len(S) : -1]:
+        g = np.dot(F[-1], w)
+        if np.count_nonzero(np.isfinite(g)) != g.size:
+            raise ValueError("activation input must be finite")
+        f, s = _value_and_slope(act, g)
+        G.append(g)
+        F.append(f)
+        S.append(s)
+    out = np.dot(F[-1], weights[-1])
     G.append(out)  # G_L coincides with the linear output
     F.append(out)
     return tuple(G), tuple(F), tuple(S)
 
 
 def forward(params: Params, data: Dataset, act: ActivationParams) -> ForwardTrace:
-    """Forward pass over the whole dataset; deterministic."""
+    """Forward pass over the whole dataset; deterministic.  Overflow and
+    underflow pass silently: a hidden layer's overflow raises
+    ``ValueError``, and the output layer's reads as inf or NaN."""
     _check_dims(params, data)
-    G, F, S = _layers(data.X, params.weights, act)
+    with np.errstate(under="ignore", over="ignore"):
+        G, F, S = _layers(data.X, params.weights, act)
     return ForwardTrace(data=data, G=G, F=F, S=S)
 
 

@@ -440,6 +440,23 @@ class TestConfig:
         assert message in res.output
         assert not out.exists()  # neither config.json nor a run directory
 
+    @pytest.mark.parametrize("command", ["certify", "train"])
+    @pytest.mark.parametrize(
+        "shape,message",
+        [
+            ({"widths": [6, 3.5, 2]}, "shape.widths[1] must be an integer, got 3.5"),
+            ({"d": 4.0}, "shape.d must be an integer, got 4.0"),
+            ({"widths": [6, True]}, "shape.widths[1] must be an integer, got True"),
+        ],
+        ids=["float-width", "float-d", "bool-width"],
+    )
+    def test_non_integer_shape_is_operational_error(self, tmp_path, command, shape, message):
+        # these once trained a truncated network and exited 0
+        path = small_config(tmp_path, shape=shape)
+        res = run([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert message in res.output
+
     def test_recorded_config_reruns_the_same_step_size(self, tmp_path):
         # a finite override survives the round trip through config.json
         first = tmp_path / "a"

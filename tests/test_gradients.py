@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pyrcert.activation import ActivationParams
+from pyrcert.activation import ActivationParams, value_and_slope
 from pyrcert.gradients import (
     DIVERGENCE_LOSS,
     TrainConfig,
@@ -405,3 +405,82 @@ class TestTrainEquivalence:
         assert log.stop_reason == stop_reason
         for got, w in zip(log.final_params.weights, final.weights):
             assert np.array_equal(got, w)
+
+
+def literal_kernels(params, data, act):
+    """Forward and backward passes written with ``@`` and the checked
+    ``value_and_slope``: the oracle of the kernels' ``np.dot`` products."""
+    G, F, S = [], [data.X], []
+    for w in params.weights[:-1]:
+        G.append(F[-1] @ w)
+        f, s = value_and_slope(act, G[-1])
+        F.append(f)
+        S.append(s)
+    G.append(F[-1] @ params.weights[-1])
+    F.append(G[-1])
+    D, layers = F[-1] - data.Y, []
+    for l in range(params.depth, 0, -1):
+        layers.insert(0, F[l - 1].T @ D)
+        if l > 1:
+            D = (D @ params.weights[l - 1].T) * S[l - 2]
+    return G, F, S, layers
+
+
+class TestKernelProducts:
+    @settings(max_examples=150, deadline=None)
+    @given(pyramids())
+    def test_np_dot_kernels_match_matmul_bitwise(self, instance):
+        # np.dot and @ run the same BLAS gemm; any width may be 1, and N too
+        data, params = instance
+        G, F, S, layers = literal_kernels(params, data, ACT)
+        trace = forward(params, data, ACT)
+        for got, want in zip((trace.G, trace.F, trace.S), (G, F, S)):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        g = grad(params, data, ACT)
+        assert all(np.array_equal(a, b) for a, b in zip(g.layers, layers))
+
+
+class TestW1Freeze:
+    """The trainer skips W_1's update when eta * ||grad_1|| (rounded, then
+    inflated) is below a quarter of W_1's smallest spacing.  At the edge of
+    that proof every logged value and the final weights must still equal
+    the literal loop's bitwise."""
+
+    # N=1, d=2, widths (2, 1): X's zero column and W_2's zero row leave one
+    # nonzero entry in grad_1, at W_1[0, 0] = 0.25, the entry of smallest
+    # spacing; grad_1 and W_1[0, 0] are positive, so a step above a quarter
+    # spacing rounds W_1[0, 0] down to the float below.  Row 1 of W_1 meets
+    # X's zero column only; a zero or subnormal entry there makes the
+    # tolerance 0, so every step takes the exact test.
+    W1 = {
+        "powers-of-two": [[0.25, 1.0], [0.5, 2.0]],
+        "zero": [[0.25, 1.0], [0.0, 2.0]],
+        "subnormal": [[0.25, 1.0], [5e-324, 2.0]],
+    }
+    QUARTER_SPACING = 2.0**-56  # np.spacing(0.25) / 4
+
+    def instance(self, w1, x0):
+        data = Dataset(np.array([[x0, 0.0]]), np.array([[-1.0]]))
+        return data, Params((np.array(self.W1[w1]), np.array([[1.0], [0.0]])))
+
+    # x0 = 1e-170 makes grad_1 ~ 1e-170: its square underflows to 0, so
+    # only the proof's underflow term keeps it from reading as no step
+    @pytest.mark.parametrize("x0", [1.0, 1e-170], ids=["normal", "underflowing-grad"])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    @pytest.mark.parametrize("w1", sorted(W1))
+    def test_freeze_edge_matches_literal_loop(self, w1, side, x0):
+        data, params = self.instance(w1, x0)
+        g1 = grad(params, data, ACT).layers[0]
+        assert np.count_nonzero(g1) == 1 and g1[0, 0] > 0.0
+        # eta * ||grad_1|| just below or just above the tolerance
+        eta = self.QUARTER_SPACING / g1[0, 0] * (1.0 + side * 1e-12)
+        losses, norms, stop_reason, final = literal_train(params, data, ACT, eta, 3)
+        log = train(params, data, ACT, TrainConfig(eta=eta, max_steps=3))
+        assert np.array_equal(log.loss, losses) and np.array_equal(log.grad_norm, norms)
+        assert log.stop_reason == stop_reason == "max_steps"
+        for got, w in zip(log.final_params.weights, final.weights):
+            assert np.array_equal(got, w)
+        # the edge is real: below it W_1 stays, above it W_1[0, 0] moves
+        moved = not np.array_equal(final.weights[0], params.weights[0])
+        assert moved == (side > 0)

@@ -3,6 +3,7 @@ estimators, cross-checked against each other and closed-form cases."""
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -72,8 +73,6 @@ class TestHermiteCoeff:
     def test_smoothed_activation_coeffs_stable_under_refinement(self):
         # the narrow Gaussian bump needs ~200 nodes; from there doubling the
         # order moves every coefficient by less than 1e-9
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a = hermite_coeffs(SIGMA, 10, quad_order=200)
@@ -376,6 +375,18 @@ class TestGramInputChecks:
         X = 1e200 * np.eye(2)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
             gram_mc(X, sigma_linear if linear else SIGMA, 100)
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_gram_mc_stops_silently_at_the_first_overflowing_batch(self, linear):
+        # squared rows of norm 1e200 overflow in the first batch's Gram: no
+        # warning, and none of the other nine batches is drawn
+        X = 1e200 * np.eye(2)
+        rng = mock.Mock(side_effect=np.random.default_rng)
+        with warnings.catch_warnings(), mock.patch.object(np.random, "default_rng", rng):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                gram_mc(X, sigma_linear if linear else SIGMA, 100)
+        assert rng.call_count == 1
 
 
 class TestGramHermite:

@@ -2,6 +2,7 @@
 serialization round trips, and the layer-norm/output-Lipschitz inequalities."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -84,6 +85,29 @@ class TestShape:
         s = Shape(d=3, widths=(5, 2))
         assert s.dims == (3, 5, 2)
         assert s.depth == 2
+
+    # a non-integral size used to be truncated (6.5 -> 6) and a bool read as 1
+    BAD_SIZES = [
+        ({"d": 8.9}, "shape.d", "8.9"),
+        ({"d": 8.0}, "shape.d", "8.0"),
+        ({"d": True}, "shape.d", "True"),
+        ({"d": "8"}, "shape.d", "'8'"),
+        ({"widths": (16, 6.5, 4, 2)}, "shape.widths[1]", "6.5"),
+        ({"widths": (16, 6, 4, True)}, "shape.widths[3]", "True"),
+        ({"widths": (16, np.float64(6.0), 4, 2)}, "shape.widths[1]", "np.float64(6.0)"),
+        ({"widths": (16, np.True_, 1)}, "shape.widths[1]", "np.True_"),
+    ]
+
+    @pytest.mark.parametrize("fields,name,value", BAD_SIZES)
+    def test_non_integer_size_rejected_by_name(self, fields, name, value):
+        args = {"d": 8, "widths": (16, 6, 4, 2), **fields}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value}")):
+            Shape(**args)
+
+    def test_numpy_integers_become_python_ints(self):
+        s = Shape(d=np.int64(8), widths=tuple(np.array([16, 6, 4, 2], dtype=np.int32)))
+        assert s == Shape(d=8, widths=(16, 6, 4, 2))
+        assert all(type(n) is int for n in s.dims)
 
 
 class TestDataset:
