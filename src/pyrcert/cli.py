@@ -44,128 +44,126 @@ from .network import _FLOAT_FMT, Dataset, Shape, _write_matrix_csv
 from .network import dataset_from_csv, dataset_from_json
 from .network import dataset_to_json as _dataset_to_json
 
-DEFAULTS: dict = {
-    "seed": 0,
-    "out": None,
-    "shape": {"d": 8, "widths": [16, 6, 4, 2]},
-    "activation": {"gamma": 0.5, "beta": 1.0},
-    "dataset": {
-        "source": "sphere",
-        "n": 16,
-        "radius": None,  # default sqrt(d)
-        "targets": "aligned",
-        "target_scale": 0.1,
-        "x_csv": None,
-        "y_csv": None,
-        "bundle": None,
-    },
-    "init": {
-        "scheme": "certifiable",
-        "gain": 2.0,
-        "second_layer_var": 0.0,
-        "auto_gain": True,
-    },
-    "train": {"eta": None, "max_steps": 200_000, "stop_loss": 1e-10},
-    "lambda_star": {
-        "method": "both",
-        "sigma": "smoothed",
-        "samples": 100_000,
-        "r_max": 10,
-        "quad_order": 200,
-    },
-    "kr": {"r": 2, "n": 30, "d": 40, "n_seeds": 100},
-    "sweep": {"seeds": [0, 1, 2], "jobs": 1},
+# Every config leaf by dotted path: (default, type, domain).  A type is
+# "int", "float", "bool", "str" or "[int]" (a list of ints), with a trailing
+# "?" if null is allowed.  A string's domain is its choices; any other
+# domain holds rules: ">= 0" or ">= 1" (on a number or each list entry),
+# "unique" and "non-empty" (on a list).  A domain is given only where a
+# later step refuses the value anyway, so the walker refuses it sooner.
+CONFIG: dict[str, tuple] = {
+    "seed": (0, "int", (">= 0",)),
+    "out": (None, "str?", ()),
+    "shape.d": (8, "int", (">= 1",)),
+    "shape.widths": ([16, 6, 4, 2], "[int]", (">= 1", "non-empty")),
+    "activation.gamma": (0.5, "float", ()),
+    "activation.beta": (1.0, "float", ()),
+    "dataset.source": ("sphere", "str", ("sphere", "file")),
+    "dataset.n": (16, "int", (">= 1",)),
+    "dataset.radius": (None, "float?", ()),  # null: sqrt(d)
+    "dataset.targets": ("aligned", "str", ("aligned", "gaussian")),
+    "dataset.target_scale": (0.1, "float", ()),
+    "dataset.x_csv": (None, "str?", ()),
+    "dataset.y_csv": (None, "str?", ()),
+    "dataset.bundle": (None, "str?", ()),
+    "init.scheme": ("certifiable", "str", ("certifiable", "lecun")),
+    "init.gain": (2.0, "float", ()),
+    "init.second_layer_var": (0.0, "float", (">= 0",)),
+    "init.auto_gain": (True, "bool", ()),
+    "train.eta": (None, "float?", (">= 0",)),  # null: 0.9 * the certified cap
+    "train.max_steps": (200_000, "int", (">= 0",)),
+    "train.stop_loss": (1e-10, "float", (">= 0",)),
+    "lambda_star.method": ("both", "str", ("mc", "hermite", "both")),
+    "lambda_star.sigma": ("smoothed", "str", ("smoothed", "linear")),
+    "lambda_star.samples": (100_000, "int", (">= 1",)),
+    "lambda_star.r_max": (10, "int", (">= 0",)),
+    "lambda_star.quad_order": (200, "int", (">= 1",)),
+    "kr.r": (2, "int", (">= 1",)),
+    "kr.n": (30, "int", (">= 1",)),
+    "kr.d": (40, "int", (">= 1",)),
+    "kr.n_seeds": (100, "int", ()),
+    "sweep.seeds": ([0, 1, 2], "[int]", (">= 0", "unique", "non-empty")),
+    "sweep.jobs": (1, "int", (">= 1",)),
 }
 
-# the values each enumerated config key accepts
-CHOICES: dict = {
-    "init.scheme": ("certifiable", "lecun"),
-    "dataset.source": ("sphere", "file"),
-    "dataset.targets": ("aligned", "gaussian"),
-    "lambda_star.method": ("mc", "hermite", "both"),
-    "lambda_star.sigma": ("smoothed", "linear"),
-}
+_TYPES = {"int": (int, "integer"), "float": (float, "number"), "bool": (bool, "boolean"),
+          "str": (str, "string")}
+_BOUNDS = {">= 0": (0, "non-negative "), ">= 1": (1, "positive ")}
 
 
-def _merge(base: dict, override: dict, prefix: str = "") -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if key not in base:
-            raise ValueError(f"unknown config key {prefix + key!r}")
-        if isinstance(base[key], dict) != isinstance(value, dict):
-            kind = "an object" if isinstance(base[key], dict) else "not an object"
-            raise ValueError(f"config key {prefix + key!r} must be {kind}, got {value!r}")
-        if isinstance(value, dict):
-            out[key] = _merge(base[key], value, f"{prefix}{key}.")
+def _check(key: str, value, kind: str, domain: tuple):
+    """``value`` checked against a type and domain from ``CONFIG``; an int
+    given for a float comes back as a float."""
+    if kind == "[int]":
+        if not isinstance(value, list):
+            raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+        if not value and "non-empty" in domain:
+            raise ValueError(f"config key {key!r} must not be empty")
+        items = [_check(f"{key}[{i}]", v, "int", domain) for i, v in enumerate(value)]
+        for i, item in enumerate(items):
+            if "unique" in domain and item in items[:i]:
+                raise ValueError(f"config key '{key}[{i}]' repeats seed {item}")
+        return items
+    nullable, kind = kind.endswith("?"), kind.rstrip("?")
+    if value is None and nullable:
+        return None
+    if kind == "float" and type(value) is int:
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if isinstance(value, float) and not math.isfinite(value):
+        # strict JSON would record it as null, which reads back as the default
+        raise ValueError(f"config key {key!r} must be finite, got {value!r}")
+    typ, noun = _TYPES[kind]
+    choices = domain if kind == "str" else ()
+    low, sign = next((_BOUNDS[rule] for rule in domain if rule in _BOUNDS), (None, ""))
+    if type(value) is typ and (value in choices if choices else low is None or value >= low):
+        return value
+    article = "an " if (sign + noun)[0] in "aeiou" else "a "
+    want = f"one of {choices}" if choices else article + sign + noun
+    raise ValueError(
+        f"config key {key!r} must be {want}{' or null' if nullable else ''}, got {value!r}"
+    )
+
+
+def _flatten(node, prefix: str, flat: dict) -> None:
+    """Copy the leaves of the config section ``node`` (the whole config when
+    ``prefix`` is empty) into ``flat`` by dotted key."""
+    if not isinstance(node, dict):
+        where = f"key {prefix[:-1]!r}" if prefix else "root"
+        raise ValueError(f"config {where} must be an object, got {node!r}")
+    for key, value in node.items():
+        dotted = prefix + key
+        if "." not in key and dotted in CONFIG:
+            flat[dotted] = value  # _check refuses an object here
+        elif any(leaf.startswith(dotted + ".") for leaf in CONFIG):
+            _flatten(value, dotted + ".", flat)
         else:
-            out[key] = value
-    return out
-
-
-def _check_finite(node, dotted: str = "") -> None:
-    """Reject a non-finite number anywhere in the config: strict JSON would
-    record it as ``null``, which reads back as "use the default"."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _check_finite(value, f"{dotted}.{key}" if dotted else key)
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            _check_finite(value, f"{dotted}[{i}]")
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise ValueError(f"config key {dotted!r} must be finite, got {node!r}")
-
-
-def _check_seeds(cfg: dict) -> None:
-    """Reject a seed that is not a non-negative integer, and a sweep that
-    repeats one: a run would truncate 2.7 to seed 2, numpy's seeding
-    rejects -1 only after ``config.json`` is written, and two runs of one
-    seed write the same ``run_<seed>/``."""
-    seeds = cfg["sweep"]["seeds"]
-    if not isinstance(seeds, list):
-        raise ValueError(f"config key 'sweep.seeds' must be a list, got {seeds!r}")
-    named = [("seed", cfg["seed"])] + [(f"sweep.seeds[{i}]", s) for i, s in enumerate(seeds)]
-    for dotted, seed in named:
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"config key {dotted!r} must be a non-negative integer, got {seed!r}")
-    for i, seed in enumerate(seeds):
-        if seed in seeds[:i]:
-            raise ValueError(f"config key 'sweep.seeds[{i}]' repeats seed {seed}")
+            raise ValueError(f"unknown config key {dotted!r}")
 
 
 def _load_config(path: str | None, flags: dict) -> dict:
-    """Defaults merged with the JSON file at ``path``, then the flags that
-    were given (keyed by dotted config path, e.g. ``"lambda_star.r_max"``).
-    A key the defaults do not have, a value outside ``CHOICES``, a
-    non-finite number, a seed that is not a non-negative integer or a
-    repeated sweep seed raises ``ValueError`` (exit 1) instead of being ignored."""
-    cfg = json.loads(json.dumps(DEFAULTS))  # deep copy: commands mutate their config
+    """The defaults in ``CONFIG`` merged with the JSON file at ``path``, then
+    with the flags that were given (keyed by dotted path, e.g.
+    ``"lambda_star.r_max"``), every leaf checked against its type and domain.
+    An unknown key, an object where a value belongs or the reverse, a wrong
+    type, a non-finite number or a value outside its domain raises
+    ``ValueError`` (exit 1) naming the key."""
+    flat = {key: default for key, (default, _, _) in CONFIG.items()}
     if path is not None:
         with open(path) as fh:
-            user = json.load(fh)
-        if not isinstance(user, dict):
-            raise ValueError(f"config root must be a JSON object: {path}")
-        cfg = _merge(cfg, user)
-    for dotted, value in flags.items():
-        if value is not None:
-            *parents, leaf = dotted.split(".")
-            node = cfg
-            for key in parents:
-                node = node[key]
-            node[leaf] = value
-    for dotted, allowed in CHOICES.items():
-        section, key = dotted.split(".")
-        if cfg[section][key] not in allowed:
-            raise ValueError(
-                f"config key {dotted!r} must be one of {allowed}, got {cfg[section][key]!r}"
-            )
-    _check_finite(cfg)
-    _check_seeds(cfg)
+            _flatten(json.load(fh), "", flat)
+    flat.update((key, value) for key, value in flags.items() if value is not None)
+    cfg: dict = {}
+    for key, value in flat.items():
+        *sections, leaf = key.split(".")
+        node = cfg
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = _check(key, value, *CONFIG[key][1:])
     return cfg
 
 
 def _resolve_out(cfg: dict, out_flag: str | None, command: str) -> Path:
-    out = out_flag or cfg.get("out") or os.environ.get("PYRCERT_OUT") or "pyrcert_out"
-    path = Path(out) / command if out_flag is None and cfg.get("out") is None else Path(out)
+    out = out_flag or cfg["out"] or os.environ.get("PYRCERT_OUT") or "pyrcert_out"
+    path = Path(out) / command if out_flag is None and cfg["out"] is None else Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -189,7 +187,7 @@ def _setup(command: str, config_path: str | None, out: str | None, flags: dict):
 
 def _activation(cfg: dict) -> ActivationParams:
     a = cfg["activation"]
-    return ActivationParams(float(a["gamma"]), float(a["beta"]))
+    return ActivationParams(a["gamma"], a["beta"])
 
 
 def _sigma(cfg: dict):
@@ -206,8 +204,8 @@ def _build_dataset(cfg: dict, shape: Shape, act: ActivationParams, seed: int) ->
         if not (ds["x_csv"] and ds["y_csv"]):
             raise ValueError("file dataset needs either 'bundle' or both 'x_csv' and 'y_csv'")
         return dataset_from_csv(ds["x_csv"], ds["y_csv"])
-    X = sphere_data(int(ds["n"]), shape.d, radius=ds["radius"], seed=seed)
-    Y = sphere_targets(ds["targets"], shape, X, act, seed, float(ds["target_scale"]))
+    X = sphere_data(ds["n"], shape.d, radius=ds["radius"], seed=seed)
+    Y = sphere_targets(ds["targets"], shape, X, act, seed, ds["target_scale"])
     return Dataset(X, Y)
 
 
@@ -216,9 +214,7 @@ def _build_params_and_cert(cfg, shape, data, act, seed, tune=True):
     if init["scheme"] == "lecun":
         params = init_lecun(shape, seed)
         return params, certify(params, data, act)
-    icfg = InitConfig(
-        gain=float(init["gain"]), second_layer_var=float(init["second_layer_var"]), seed=seed
-    )
+    icfg = InitConfig(gain=init["gain"], second_layer_var=init["second_layer_var"], seed=seed)
     if tune and init["auto_gain"]:
         try:
             _, params, cert = tune_gain(shape, data, act, icfg)
@@ -240,17 +236,42 @@ def _echo_cert(cert) -> None:
     )
 
 
+class _Refused(RuntimeError):
+    """The certified step size was asked for and the certificate is refused."""
+
+    exit_code = 2  # a domain failure; every other error exits 1
+
+
 def _fail(exc: Exception) -> None:
     click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
+    sys.exit(getattr(exc, "exit_code", 1))
 
 
-@click.group()
+def _exit_one(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
+class _Main(click.Group):
+    """A usage error (unknown flag, bad flag value) exits 1 like every
+    operational error, not with click's 2, which means a domain failure here."""
+
+    def make_context(self, *args, **kwargs):
+        return _exit_one(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _exit_one(super().invoke, ctx)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Convergence certificates for deep pyramidal networks."""
 
 
-@main.command()
+@main.command(name="certify")
 @click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
 @click.option("--seed", type=int, default=None, help="Override the top-level seed.")
 @click.option("--out", type=str, default=None, help="Output directory.")
@@ -258,19 +279,18 @@ def certify_cmd(config_path, seed, out) -> None:
     """Compute a convergence certificate and write certificate.json."""
     try:
         cfg, out_dir = _setup("certify", config_path, out, {"seed": seed})
-        run_seed = int(cfg["seed"])
         shape = Shape(d=cfg["shape"]["d"], widths=tuple(cfg["shape"]["widths"]))
         act = _activation(cfg)
-        data = _build_dataset(cfg, shape, act, run_seed)
+        data = _build_dataset(cfg, shape, act, cfg["seed"])
         _dataset_to_json(data, out_dir / "dataset.json")
-        _, cert = _build_params_and_cert(cfg, shape, data, act, run_seed)
+        _, cert = _build_params_and_cert(cfg, shape, data, act, cfg["seed"])
         certificate_to_json(cert, out_dir / "certificate.json")
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _fail(exc)
     _echo_cert(cert)
     if cert.certified:
         click.echo(f"certificate holds; wrote {out_dir / 'certificate.json'}")
-        sys.exit(0)
+        return
     if cert.degenerate_reason is not None:
         click.echo(f"certificate failed: lambda_F = 0 ({cert.degenerate_reason})", err=True)
     else:
@@ -278,10 +298,7 @@ def certify_cmd(config_path, seed, out) -> None:
     sys.exit(2)
 
 
-main.add_command(certify_cmd, name="certify")
-
-
-@main.command()
+@main.command(name="train")
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=str, default=None)
@@ -306,12 +323,9 @@ def train_cmd(config_path, seed, out, eta, max_steps, stop_loss) -> None:
     sys.exit(code)
 
 
-main.add_command(train_cmd, name="train")
-
-
 def _run_training(cfg: dict, out_dir: Path) -> tuple[dict, int]:
     """Shared train pipeline (also used by sweep workers)."""
-    run_seed = int(cfg["seed"])
+    run_seed = cfg["seed"]
     shape = Shape(d=cfg["shape"]["d"], widths=tuple(cfg["shape"]["widths"]))
     act = _activation(cfg)
     data = _build_dataset(cfg, shape, act, run_seed)
@@ -322,13 +336,10 @@ def _run_training(cfg: dict, out_dir: Path) -> tuple[dict, int]:
     certificate_to_json(cert, out_dir / "certificate.json")
     if eta is None:
         if not cert.certified:
-            raise RuntimeError(
-                "no step size given and the certificate does not hold; pass --eta"
-            )
+            raise _Refused("no step size given and the certificate does not hold; pass --eta")
         eta = 0.9 * cert.eta_max  # strict inequality against the certified cap
-    eta = float(eta)
     use_cert = cert if (cert.certified and eta < cert.eta_max) else None
-    tcfg = TrainConfig(eta, int(tr["max_steps"]), float(tr["stop_loss"]))
+    tcfg = TrainConfig(eta, tr["max_steps"], tr["stop_loss"])
     log = train(params, data, act, tcfg, cert=use_cert)
     report = monitor_invariants(log, use_cert) if use_cert is not None else None
     trainlog_to_csv(log, out_dir / "trainlog.csv", report)
@@ -345,8 +356,8 @@ def _run_training(cfg: dict, out_dir: Path) -> tuple[dict, int]:
 
 @main.command(name="lambda-star")
 @click.option("--config", "config_path", type=str, default=None)
-@click.option("--method", type=click.Choice(CHOICES["lambda_star.method"]), default=None)
-@click.option("--sigma", type=click.Choice(CHOICES["lambda_star.sigma"]), default=None)
+@click.option("--method", type=click.Choice(CONFIG["lambda_star.method"][2]), default=None)
+@click.option("--sigma", type=click.Choice(CONFIG["lambda_star.sigma"][2]), default=None)
 @click.option("--gamma", type=float, default=None)
 @click.option("--beta", type=float, default=None)
 @click.option("--n", "--N", "n_samples", type=int, default=None, help="Number of data rows.")
@@ -374,22 +385,21 @@ def lambda_star_cmd(
         }
         cfg, out_dir = _setup("lambda_star", config_path, out, flags)
         ls = cfg["lambda_star"]
-        run_seed = int(cfg["seed"])
         ds = cfg["dataset"]
-        X = sphere_data(int(ds["n"]), int(cfg["shape"]["d"]), radius=ds["radius"], seed=run_seed)
+        X = sphere_data(ds["n"], cfg["shape"]["d"], radius=ds["radius"], seed=cfg["seed"])
         sig = _sigma(cfg)
-        payload: dict = {"sigma": getattr(sig, "label", "sigma"), "seed": run_seed}
+        payload: dict = {"sigma": getattr(sig, "label", "sigma"), "seed": cfg["seed"]}
         mc = herm = None
         if ls["method"] in ("mc", "both"):
-            mc = gram_mc(X, sig, int(ls["samples"]), seed=run_seed)
+            mc = gram_mc(X, sig, ls["samples"], seed=cfg["seed"])
             payload["monte_carlo"] = {
                 "lambda_min": mc.lambda_min,
                 "n_samples": mc.n_samples,
                 "stderr_max": mc.stderr_max,
             }
         if ls["method"] in ("hermite", "both"):
-            spec = hermite_coeffs(sig, int(ls["r_max"]), int(ls["quad_order"]))
-            herm = gram_hermite(X, spec, int(ls["r_max"]))
+            spec = hermite_coeffs(sig, ls["r_max"], ls["quad_order"])
+            herm = gram_hermite(X, spec, ls["r_max"])
             payload["hermite"] = {
                 "lambda_min": herm.lambda_min,
                 "r_max": herm.r_max,
@@ -407,7 +417,6 @@ def lambda_star_cmd(
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
     click.echo(_json_text(payload))
-    sys.exit(0)
 
 
 @main.command(name="kr")
@@ -425,12 +434,11 @@ def kr_cmd(config_path, n_rows, d, r, n_seeds, seed, out, fmt) -> None:
         flags = {"kr.n": n_rows, "kr.d": d, "kr.r": r, "kr.n_seeds": n_seeds, "seed": seed}
         cfg, out_dir = _setup("kr", config_path, out, flags)
         kr = cfg["kr"]
-        base = int(cfg["seed"])
-        dim, power = int(kr["d"]), int(kr["r"])
+        base, dim, power = cfg["seed"], kr["d"], kr["r"]
         threshold = dim ** (power / 2.0) / 2.0
         rows = []
-        for s in range(base, base + int(kr["n_seeds"])):
-            X = sphere_data(int(kr["n"]), dim, seed=s)
+        for s in range(base, base + kr["n_seeds"]):
+            X = sphere_data(kr["n"], dim, seed=s)
             exact, bound = kr_min_singular(X, power)
             rows.append((s, exact, bound, exact >= threshold))
         if fmt == "csv":
@@ -454,12 +462,11 @@ def kr_cmd(config_path, n_rows, d, r, n_seeds, seed, out, fmt) -> None:
     if len(rows) > 20:
         click.echo(f"... ({len(rows)} rows total)")
     click.echo(f"passes: {n_pass}/{len(rows)} at threshold d^(r/2)/2 = {threshold:.6g}")
-    sys.exit(0)
 
 
 @main.command(name="hermite")
 @click.option("--config", "config_path", type=str, default=None)
-@click.option("--sigma", type=click.Choice(CHOICES["lambda_star.sigma"]), default=None)
+@click.option("--sigma", type=click.Choice(CONFIG["lambda_star.sigma"][2]), default=None)
 @click.option("--gamma", type=float, default=None)
 @click.option("--beta", type=float, default=None)
 @click.option("--r-max", type=int, default=None)
@@ -479,7 +486,7 @@ def hermite_cmd(config_path, sigma, gamma, beta, r_max, quad_order, out, fmt) ->
         cfg, out_dir = _setup("hermite", config_path, out, flags)
         ls = cfg["lambda_star"]
         sig = _sigma(cfg)
-        spec = hermite_coeffs(sig, int(ls["r_max"]), int(ls["quad_order"]))
+        spec = hermite_coeffs(sig, ls["r_max"], ls["quad_order"])
         payload = {
             "target": spec.target,
             "quad_order": spec.quad_order,
@@ -498,7 +505,6 @@ def hermite_cmd(config_path, sigma, gamma, beta, r_max, quad_order, out, fmt) ->
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
     click.echo(_json_text(payload))
-    sys.exit(0)
 
 
 def _sweep_entry(cfg_json: str, seed: int, out_str: str) -> dict:
@@ -511,7 +517,7 @@ def _sweep_entry(cfg_json: str, seed: int, out_str: str) -> dict:
     try:
         summary, code = _run_training(cfg, out_dir)
     except Exception as exc:  # noqa: BLE001 - recorded per entry
-        return {"seed": seed, "error": str(exc), "exit_code": 1}
+        return {"seed": seed, "error": str(exc), "exit_code": getattr(exc, "exit_code", 1)}
     summary["exit_code"] = code
     _write_json(out_dir / "summary.json", summary)
     return summary
@@ -526,15 +532,10 @@ def sweep_cmd(config_path, out, jobs) -> None:
     """Run the train pipeline over a list of seeds and aggregate the outcomes."""
     try:
         cfg, out_dir = _setup("sweep", config_path, out, {"sweep.jobs": jobs})
-        seeds = list(cfg["sweep"]["seeds"])
-        if not seeds:
-            raise ValueError("sweep.seeds must be non-empty")
-        n_jobs = int(cfg["sweep"]["jobs"])
-        if n_jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {n_jobs}")
-        n_jobs = min(n_jobs, len(seeds), os.cpu_count() or 1)
+        seeds = cfg["sweep"]["seeds"]
+        n_jobs = min(cfg["sweep"]["jobs"], len(seeds), os.cpu_count() or 1)
         cfg_json = json.dumps(cfg)
-        entries = [(cfg_json, int(s), str(out_dir / f"run_{s}")) for s in seeds]
+        entries = [(cfg_json, s, str(out_dir / f"run_{s}")) for s in seeds]
         if n_jobs > 1:
             with ProcessPoolExecutor(max_workers=n_jobs) as pool:
                 results = list(pool.map(_sweep_entry, *zip(*entries)))
@@ -553,7 +554,8 @@ def sweep_cmd(config_path, out, jobs) -> None:
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
     click.echo(_json_text({k: aggregate[k] for k in ("n_runs", "total_violations", "all_certified")}))
-    sys.exit(2 if any(res.get("exit_code", 0) != 0 for res in results) else 0)
+    codes = {res["exit_code"] for res in results}
+    sys.exit(1 if 1 in codes else max(codes))  # an operational error outranks a domain failure
 
 
 if __name__ == "__main__":  # pragma: no cover

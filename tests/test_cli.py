@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyrcert import cli as cli_mod
 from pyrcert.cli import main
@@ -39,6 +44,16 @@ def small_config(tmp_path, **overrides):
     return path
 
 
+def degenerate_config(tmp_path, **overrides):
+    """A config whose dataset bundle repeats a row, so lambda_F = 0."""
+    X = sphere_data(6, 4, seed=0)
+    X[1] = X[0]
+    data = Dataset(X, np.random.default_rng(0).normal(size=(6, 2)))
+    bundle = tmp_path / "bundle.json"
+    dataset_to_json(data, bundle)
+    return small_config(tmp_path, dataset={"source": "file", "bundle": str(bundle)}, **overrides)
+
+
 class TestCertify:
     def test_passing_certificate_exits_zero(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -54,12 +69,7 @@ class TestCertify:
         assert (out / "config.json").exists()
 
     def test_degenerate_dataset_exits_two(self, tmp_path):
-        X = sphere_data(6, 4, seed=0)
-        X[1] = X[0]
-        data = Dataset(X, np.random.default_rng(0).normal(size=(6, 2)))
-        bundle = tmp_path / "bundle.json"
-        dataset_to_json(data, bundle)
-        cfg = small_config(tmp_path, dataset={"source": "file", "bundle": str(bundle)})
+        cfg = degenerate_config(tmp_path)
         res = run(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert "lambda_F = 0" in res.output
@@ -122,6 +132,15 @@ class TestTrain:
         assert res.exit_code == 0
         recorded = json.loads((out / "config.json").read_text())
         assert recorded["train"]["eta"] == 0.0
+
+    def test_refused_certificate_without_eta_exits_two(self, tmp_path):
+        # the certified step size was asked for and the certificate is refused
+        cfg = degenerate_config(tmp_path)
+        out = tmp_path / "o"
+        res = run(["train", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 2
+        assert "the certificate does not hold; pass --eta" in res.output
+        assert json.loads((out / "certificate.json").read_text())["certified"] is False
 
     def test_csv_dataset_source(self, tmp_path):
         X = sphere_data(6, 4, seed=3)
@@ -321,6 +340,27 @@ class TestSweep:
         assert res.exit_code == 0, res.output
         assert sizes == [2]
 
+    def test_refused_certificate_is_a_domain_failure(self, tmp_path):
+        cfg = degenerate_config(tmp_path, sweep={"seeds": [0, 1]})
+        out = tmp_path / "sw"
+        res = run(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 2
+        runs = json.loads((out / "aggregate.json").read_text())["runs"]
+        assert [run["exit_code"] for run in runs] == [2, 2]
+
+    def test_missing_bundle_is_operational_error(self, tmp_path):
+        # train exits 1 on this config, so the sweep of it must too
+        cfg = small_config(
+            tmp_path,
+            dataset={"source": "file", "bundle": str(tmp_path / "nope.json")},
+            sweep={"seeds": [0, 1]},
+        )
+        out = tmp_path / "sw"
+        res = run(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 1
+        runs = json.loads((out / "aggregate.json").read_text())["runs"]
+        assert [run["exit_code"] for run in runs] == [1, 1]
+
     def test_empty_seed_list_is_operational_error(self, tmp_path):
         cfg = small_config(tmp_path, sweep={"seeds": []})
         res = run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")])
@@ -351,8 +391,29 @@ class TestConfig:
         ({"seed": {"a": 1}}, "seed"),
         ({"train": {"eta": {"x": 1}}}, "train.eta"),
     ]
+    # values of the wrong type or outside their domain that some command
+    # once accepted, truncated, or refused only after writing config.json
+    TYPE_HOLES = {
+        "auto_gain-str": ({"init": {"auto_gain": "false"}}, "init.auto_gain"),
+        "stop_loss-str": ({"train": {"stop_loss": "1e-3"}}, "train.stop_loss"),
+        "eta-str": ({"train": {"eta": "0.001"}}, "train.eta"),
+        "max_steps-float": ({"train": {"max_steps": 2.5, "eta": 0.001}}, "train.max_steps"),
+        "sizes-float": ({"shape": {"d": 8.9}, "dataset": {"n": 4.7}}, "shape.d"),
+        "kr-float": ({"kr": {"n": 3.5, "n_seeds": 2.2}}, "kr.n"),
+        "radius-str": ({"dataset": {"radius": "2"}}, "dataset.radius"),
+        "gain-str": ({"init": {"gain": "2"}}, "init.gain"),
+        "gamma-bool": ({"activation": {"gamma": True}}, "activation.gamma"),
+        "width-float": ({"shape": {"widths": [16, 6.5, 4, 2]}}, "shape.widths[1]"),
+        "samples-negative": ({"lambda_star": {"samples": -5}}, "lambda_star.samples"),
+        "seeds-empty": ({"sweep": {"seeds": []}}, "sweep.seeds"),
+        "out-int": ({"out": 5}, "out"),
+    }
 
-    @pytest.mark.parametrize("config,key", BAD_KINDS, ids=[key for _, key in BAD_KINDS])
+    @pytest.mark.parametrize(
+        "config,key",
+        BAD_KINDS + list(TYPE_HOLES.values()),
+        ids=[key for _, key in BAD_KINDS] + list(TYPE_HOLES),
+    )
     def test_object_mismatch_is_operational_error(self, tmp_path, config, key):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
@@ -444,18 +505,20 @@ class TestConfig:
     @pytest.mark.parametrize(
         "shape,message",
         [
-            ({"widths": [6, 3.5, 2]}, "shape.widths[1] must be an integer, got 3.5"),
-            ({"d": 4.0}, "shape.d must be an integer, got 4.0"),
-            ({"widths": [6, True]}, "shape.widths[1] must be an integer, got True"),
+            ({"widths": [6, 3.5, 2]}, "'shape.widths[1]' must be a positive integer, got 3.5"),
+            ({"d": 4.0}, "'shape.d' must be a positive integer, got 4.0"),
+            ({"widths": [6, True]}, "'shape.widths[1]' must be a positive integer, got True"),
         ],
         ids=["float-width", "float-d", "bool-width"],
     )
     def test_non_integer_shape_is_operational_error(self, tmp_path, command, shape, message):
         # these once trained a truncated network and exited 0
         path = small_config(tmp_path, shape=shape)
-        res = run([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        res = run([command, "--config", str(path), "--out", str(out)])
         assert res.exit_code == 1
         assert message in res.output
+        assert not (out / "config.json").exists()
 
     def test_recorded_config_reruns_the_same_step_size(self, tmp_path):
         # a finite override survives the round trip through config.json
@@ -515,6 +578,127 @@ class TestConfig:
         for key in path.split("."):
             node = node[key]
         assert node == value and type(node) is type(value)
+
+
+def _nested(dotted, value):
+    """``{"a": {"b": value}}`` for ``"a.b"``."""
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return value
+
+
+# a value of every JSON kind, for drawing the wrong one for a leaf
+JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-(10**6), 10**6),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(max_size=4),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    "list": st.lists(st.integers(0, 50), max_size=3),
+}
+# the JSON kinds each config type accepts
+ACCEPTS = {"int": {"int"}, "float": {"int", "float"}, "bool": {"bool"}, "str": {"str"}, "[int]": {"list"}}
+
+
+def wrong_value(kind):
+    """A value of a JSON kind that config type ``kind`` refuses; for a list
+    of ints, also a list holding one refused entry."""
+    accepted = ACCEPTS[kind.rstrip("?")] | ({"null"} if kind.endswith("?") else set())
+    wrong = st.sampled_from(sorted(set(JSON_KINDS) - accepted)).flatmap(JSON_KINDS.get)
+    if kind != "[int]":
+        return wrong
+    bad_entry = st.sampled_from(["null", "bool", "float", "str", "object"]).flatmap(JSON_KINDS.get)
+    return wrong | st.tuples(st.lists(st.integers(0, 50), max_size=2), bad_entry).map(
+        lambda pair: pair[0] + [pair[1]]
+    )
+
+
+def valid_value(kind, domain):
+    """A value config type ``kind`` accepts within ``domain``."""
+    low = 1 if ">= 1" in domain else 0 if ">= 0" in domain else None
+    base = kind.rstrip("?")
+    if base == "str":
+        value = st.sampled_from(domain) if domain else st.text(max_size=6)
+    elif base == "bool":
+        value = st.booleans()
+    elif base == "int":
+        value = st.integers(min_value=low, max_value=2**40)
+    elif base == "float":
+        value = st.floats(min_value=low, allow_nan=False, allow_infinity=False)
+        value = value | st.integers(min_value=low, max_value=2**60)
+    else:
+        value = st.lists(st.integers(min_value=low, max_value=2**40), min_size=1, max_size=4,
+                         unique="unique" in domain)
+    return st.none() | value if kind.endswith("?") else value
+
+
+class TestConfigTable:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_wrong_type_names_its_key(self, data):
+        key = data.draw(st.sampled_from(sorted(cli_mod.CONFIG)), label="key")
+        value = data.draw(wrong_value(cli_mod.CONFIG[key][1]), label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "bad.json", Path(tmp) / "o"
+            path.write_text(json.dumps(_nested(key, value)))
+            res = run(["hermite", "--config", str(path), "--out", str(out)])
+            assert res.exit_code == 1
+            assert f"config key '{key}" in res.output
+            assert not out.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_accepted_config_round_trips_through_config_json(self, data):
+        keys = data.draw(st.sets(st.sampled_from(sorted(cli_mod.CONFIG))), label="keys")
+        user, given = {}, {}
+        for key in sorted(keys):
+            _, kind, domain = cli_mod.CONFIG[key]
+            given[key] = data.draw(valid_value(kind, domain), label=key)
+            *sections, leaf = key.split(".")
+            node = user
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[leaf] = given[key]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "in.json", Path(tmp) / "o"
+            path.write_text(json.dumps(user))
+            cfg, _ = cli_mod._setup("x", str(path), str(out), {})
+            assert cli_mod._load_config(str(out / "config.json"), {}) == cfg
+        for key, value in given.items():
+            node = cfg
+            for part in key.split("."):
+                node = node[part]
+            assert node == value
+
+    def test_readme_config_block_is_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config file")[1].split("```json")[1].split("```")[0]
+        defaults = cli_mod._load_config(None, {})
+        assert json.loads(block) == defaults
+        assert list(json.loads(block)) == list(defaults)
+
+    # a malformed flag is an operational error, not click's usage exit 2
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["train", "--seed", "abc"],
+            ["lambda-star", "--method", "bogus"],
+            ["certify", "--bogus-flag"],
+            ["--bogus-flag", "certify"],
+            ["bogus-command"],
+        ],
+        ids=["bad-int", "bad-choice", "unknown-flag", "unknown-group-flag", "unknown-command"],
+    )
+    def test_malformed_flag_exits_one(self, tmp_path, monkeypatch, args):
+        monkeypatch.setenv("PYRCERT_OUT", str(tmp_path / "env"))
+        out = tmp_path / "o"
+        res = run([*args, "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        with pytest.raises(click.UsageError) as info:
+            main([*args, "--out", str(out)], standalone_mode=False)
+        assert info.value.exit_code == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEnvOut:
