@@ -6,10 +6,12 @@ smoothing scale ``beta`` > 0.  It is the piecewise-linear ramp
 value at 0 is exactly 0.  The closed form goes through the standard normal
 CDF, so everything here reduces to ``erfc`` and ``exp`` calls.
 
-Key analytic facts used throughout the package (and asserted by the tests):
-the slope stays in ``[gamma, 1]``, ``|sigma(x)| <= |x|``, the slope is
-``beta``-Lipschitz, and the gap to the unsmoothed ramp is uniformly bounded
-by ``(1-gamma)^2/(2*pi*beta) + (1-gamma)/(pi*beta)``.
+Key analytic facts used throughout the package: the slope stays in
+``[gamma, 1]``, ``|sigma(x)| <= |x|``, the slope is ``beta``-Lipschitz, and
+the gap to the unsmoothed ramp is uniformly bounded by
+``(1-gamma)^2/(2*pi*beta) + (1-gamma)/(pi*beta)``.  The tests assert each
+one; the second derivative and the gap they check it with are reference
+implementations in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,11 +25,7 @@ from scipy import special
 __all__ = [
     "ActivationParams",
     "evaluate",
-    "deriv",
-    "deriv2",
     "value_and_slope",
-    "uniform_gap",
-    "gap_bound",
     "as_function",
 ]
 
@@ -59,20 +57,6 @@ def _as_finite_array(x) -> np.ndarray:
 def evaluate(params: ActivationParams, x):
     """Activation value; accepts scalars or arrays (applied entrywise)."""
     return value_and_slope(params, x)[0]
-
-
-def deriv(params: ActivationParams, x):
-    """First derivative; always inside ``[gamma, 1]`` and nondecreasing."""
-    return value_and_slope(params, x)[1]
-
-
-def deriv2(params: ActivationParams, x):
-    """Second derivative; positive everywhere and bounded by ``beta``."""
-    arr = _as_finite_array(x)
-    z = (params.beta * _SQRT_2PI / (1.0 - params.gamma)) * arr
-    with np.errstate(under="ignore"):
-        out = params.beta * np.exp(-0.5 * z * z)
-    return float(out) if arr.ndim == 0 else out
 
 
 def value_and_slope(params: ActivationParams, x):
@@ -126,22 +110,6 @@ def _value_and_slope(params: ActivationParams, xs: np.ndarray):
     val = np.multiply(xs, slope)
     val += bump
     return val, slope
-
-
-def uniform_gap(params: ActivationParams, grid) -> float:
-    """Max deviation from the ramp ``max(gamma*x, x)`` over a grid of
-    evaluation points."""
-    arr = _as_finite_array(grid)
-    if arr.size == 0:
-        raise ValueError("uniform_gap needs a non-empty grid")
-    ramp = np.maximum(params.gamma * arr, arr)
-    return float(np.max(np.abs(evaluate(params, arr) - ramp)))
-
-
-def gap_bound(params: ActivationParams) -> float:
-    """Closed-form upper bound on the deviation from the ramp, any x."""
-    g, b = params.gamma, params.beta
-    return (1.0 - g) ** 2 / (2.0 * math.pi * b) + (1.0 - g) / (math.pi * b)
 
 
 def as_function(params: ActivationParams):

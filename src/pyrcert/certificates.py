@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .activation import ActivationParams, evaluate
+from .activation import ActivationParams
+from .activation import evaluate  # noqa: F401 - bound here for perfbench's tracer
 from .network import Dataset, Params, forward, loss_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,12 +35,9 @@ __all__ = [
     "Certificate",
     "AssumptionVerdict",
     "InvariantReport",
-    "DistanceReport",
     "spectral_quantities",
-    "lambda_f",
     "check_assumption",
     "rate_constants",
-    "predicted_decay",
     "certify",
     "invariant_thresholds",
     "invariant_flags",
@@ -114,12 +112,6 @@ def spectral_quantities(params0: Params) -> tuple[tuple[float, ...], tuple[float
             bars.append(top)
             mins.append(float(svs[-1]))
     return tuple(bars), tuple(mins)
-
-
-def lambda_f(w1: np.ndarray, x: np.ndarray, act: ActivationParams) -> float:
-    """Smallest singular value of the first hidden layer output at init."""
-    f1 = evaluate(act, np.asarray(x, dtype=np.float64) @ np.asarray(w1, dtype=np.float64))
-    return float(np.linalg.svd(f1, compute_uv=False)[-1])
 
 
 def _deep_products(lambda_bar: tuple[float, ...], lambda_min_deep: tuple[float, ...]):
@@ -219,25 +211,6 @@ def rate_constants(
     return float(alpha0), float(q0), float(q1), r_product, float(eta_max), vacuous
 
 
-def predicted_decay(alpha0: float, eta: float, phi0: float, k) -> float | np.ndarray:
-    """Certified loss ceiling ``(1 - eta*alpha0)**k * phi0``."""
-    rate = eta * alpha0
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"eta*alpha0 must lie in (0, 1), got {rate}")
-    ks = np.asarray(k)
-    if np.any(ks < 0):
-        raise ValueError("step index must be >= 0")
-    out = _decay_bound(rate, phi0, ks)
-    return float(out) if out.ndim == 0 else out
-
-
-def _decay_bound(rate: float, phi0: float, ks: np.ndarray) -> np.ndarray:
-    # The one evaluation of the ceiling, shared by predicted_decay and
-    # monitor_invariants: a scalar power and NumPy's vectorised one differ
-    # in the last bit on some steps.
-    return (1.0 - rate) ** ks * phi0
-
-
 def certify(params0: Params, data: Dataset, act: ActivationParams) -> Certificate:
     """Compute the full certificate for an initialization on a dataset.
 
@@ -289,24 +262,6 @@ def certify(params0: Params, data: Dataset, act: ActivationParams) -> Certificat
 
 
 @dataclass(frozen=True)
-class DistanceReport:
-    """Parameter-distance decay check against the final iterate.
-
-    ``lhs`` is the remaining path length ``eta * sum of later gradient
-    norms``, a rigorous upper bound on the distance from step k to the last
-    iterate; ``rhs`` is the certified envelope plus the tail slack measured
-    at the end of the checked window.
-    """
-
-    holds: bool
-    k_window: int
-    eps_slack: float
-    lhs: np.ndarray
-    rhs: np.ndarray
-    first_violation: Optional[int]
-
-
-@dataclass(frozen=True)
 class InvariantReport:
     """The certified loss ceiling and the four invariants' verdicts, per step."""
 
@@ -315,7 +270,6 @@ class InvariantReport:
     first_violation: dict[str, Optional[int]]
     n_violations: dict[str, int]
     all_hold: bool
-    distance: Optional[DistanceReport]
 
     CHECKS = ("sv_w", "norm_w", "sv_f1", "loss_bound")
 
@@ -360,24 +314,17 @@ def invariant_flags(
     return flags
 
 
-def monitor_invariants(
-    log: "TrainLog",
-    cert: Certificate,
-    distance_upto_loss: Optional[float] = None,
-) -> InvariantReport:
+def monitor_invariants(log: "TrainLog", cert: Certificate) -> InvariantReport:
     """Judge a logged run against a certificate: per step, the certified
     decay bound ``(1 - eta*alpha0)**k * phi0`` and the invariant flags.
     A certified run logs certified bounds where it skipped an SVD, each
     proving its thresholds, so against the run's own certificate the flags
     equal those of an exact SVD on every step; against a tighter
     certificate a bound may fail to prove a step that holds.
-    When ``distance_upto_loss`` is given, the parameter-distance envelope is
-    additionally checked for every step up to the first step whose loss
-    falls below that threshold, using the final iterate as the limit proxy.
     """
-    n = log.n_steps
-    decay = 1.0 - log.eta * cert.alpha0
-    bound = _decay_bound(log.eta * cert.alpha0, log.phi0, np.arange(n))
+    # one vectorised power: a scalar power per step would differ from it in
+    # the last bit on some steps, and the logged bound column is pinned bitwise
+    bound = (1.0 - log.eta * cert.alpha0) ** np.arange(log.n_steps) * log.phi0
     flags = invariant_flags(cert, log.sv_f1, log.min_sv_w, log.norm_w, log.loss, bound)
 
     first = {
@@ -386,37 +333,12 @@ def monitor_invariants(
     counts = {
         name: int((~flags[:, i]).sum()) for i, name in enumerate(InvariantReport.CHECKS)
     }
-
-    distance = None
-    if distance_upto_loss is not None:
-        hit = np.flatnonzero(log.loss <= distance_upto_loss)
-        k_window = int(hit[0]) if hit.size else n - 1
-        # eta * suffix sums of gradient norms: movement still ahead of step k,
-        # an upper bound on the distance to the final iterate
-        moves = log.eta * log.grad_norm[: n - 1]
-        suffix = np.concatenate([np.cumsum(moves[::-1])[::-1], [0.0]])
-        eps_slack = float(suffix[k_window])
-        ks = np.arange(k_window + 1, dtype=np.float64)
-        rhs = decay ** (ks / 2.0) * cert.q1 + eps_slack
-        lhs = suffix[: k_window + 1]
-        ok = lhs <= rhs
-        distance = DistanceReport(
-            holds=bool(np.all(ok)),
-            k_window=k_window,
-            eps_slack=eps_slack,
-            lhs=lhs,
-            rhs=rhs,
-            first_violation=_first_false(ok),
-        )
-
-    all_hold = bool(np.all(flags)) and (distance is None or distance.holds)
     return InvariantReport(
         bound=bound,
         flags=flags,
         first_violation=first,
         n_violations=counts,
-        all_hold=all_hold,
-        distance=distance,
+        all_hold=bool(np.all(flags)),
     )
 
 

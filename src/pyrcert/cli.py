@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +25,7 @@ import numpy as np
 from .activation import ActivationParams, as_function
 from .activation import evaluate  # noqa: F401 - bound here for perfbench's tracer
 from .certificates import _json_safe, certificate_to_json, certify, monitor_invariants
-from .gradients import TrainConfig, train, trainlog_summary, trainlog_to_csv
+from .gradients import TrainConfig, train, trainlog_to_csv
 from .initializers import (
     InitConfig,
     init_certifiable,
@@ -34,6 +35,7 @@ from .initializers import (
     tune_gain,
 )
 from .lambda_star import (
+    MAX_HERMITE_ORDER,
     gram_hermite,
     gram_mc,
     hermite_coeffs,
@@ -47,26 +49,27 @@ from .network import dataset_to_json as _dataset_to_json
 # Every config leaf by dotted path: (default, type, domain).  A type is
 # "int", "float", "bool", "str" or "[int]" (a list of ints), with a trailing
 # "?" if null is allowed.  A string's domain is its choices; any other
-# domain holds rules: ">= 0" or ">= 1" (on a number or each list entry),
-# "unique" and "non-empty" (on a list).  A domain is given only where a
-# later step refuses the value anyway, so the walker refuses it sooner.
+# domain holds rules: bounds such as ">= 0", "> 1" or "< 1" (on a number or
+# each list entry), "unique" and "non-empty" (on a list).  A domain is given
+# where a later step refuses the value anyway, so the walker refuses it
+# sooner, and on kr.n_seeds, whose 0 would run no seed.
 CONFIG: dict[str, tuple] = {
     "seed": (0, "int", (">= 0",)),
     "out": (None, "str?", ()),
     "shape.d": (8, "int", (">= 1",)),
     "shape.widths": ([16, 6, 4, 2], "[int]", (">= 1", "non-empty")),
-    "activation.gamma": (0.5, "float", ()),
-    "activation.beta": (1.0, "float", ()),
+    "activation.gamma": (0.5, "float", ("> 0", "< 1")),
+    "activation.beta": (1.0, "float", ("> 0",)),
     "dataset.source": ("sphere", "str", ("sphere", "file")),
     "dataset.n": (16, "int", (">= 1",)),
-    "dataset.radius": (None, "float?", ()),  # null: sqrt(d)
+    "dataset.radius": (None, "float?", ("> 0",)),  # null: sqrt(d)
     "dataset.targets": ("aligned", "str", ("aligned", "gaussian")),
     "dataset.target_scale": (0.1, "float", ()),
     "dataset.x_csv": (None, "str?", ()),
     "dataset.y_csv": (None, "str?", ()),
     "dataset.bundle": (None, "str?", ()),
     "init.scheme": ("certifiable", "str", ("certifiable", "lecun")),
-    "init.gain": (2.0, "float", ()),
+    "init.gain": (2.0, "float", ("> 1",)),
     "init.second_layer_var": (0.0, "float", (">= 0",)),
     "init.auto_gain": (True, "bool", ()),
     "train.eta": (None, "float?", (">= 0",)),  # null: 0.9 * the certified cap
@@ -75,19 +78,26 @@ CONFIG: dict[str, tuple] = {
     "lambda_star.method": ("both", "str", ("mc", "hermite", "both")),
     "lambda_star.sigma": ("smoothed", "str", ("smoothed", "linear")),
     "lambda_star.samples": (100_000, "int", (">= 1",)),
-    "lambda_star.r_max": (10, "int", (">= 0",)),
+    "lambda_star.r_max": (10, "int", (">= 0", f"<= {MAX_HERMITE_ORDER}")),
     "lambda_star.quad_order": (200, "int", (">= 1",)),
     "kr.r": (2, "int", (">= 1",)),
     "kr.n": (30, "int", (">= 1",)),
     "kr.d": (40, "int", (">= 1",)),
-    "kr.n_seeds": (100, "int", ()),
+    "kr.n_seeds": (100, "int", (">= 1",)),
     "sweep.seeds": ([0, 1, 2], "[int]", (">= 0", "unique", "non-empty")),
     "sweep.jobs": (1, "int", (">= 1",)),
 }
 
 _TYPES = {"int": (int, "integer"), "float": (float, "number"), "bool": (bool, "boolean"),
           "str": (str, "string")}
-_BOUNDS = {">= 0": (0, "non-negative "), ">= 1": (1, "positive ")}
+_OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+_SIGNS = {">= 0": "non-negative ", ">= 1": "positive "}
+
+
+def _holds(value, bound: str) -> bool:
+    """Whether a number meets a bound rule such as ``"> 0"``."""
+    op, limit = bound.split()
+    return _OPS[op](value, float(limit))
 
 
 def _check(key: str, value, kind: str, domain: tuple):
@@ -113,11 +123,17 @@ def _check(key: str, value, kind: str, domain: tuple):
         raise ValueError(f"config key {key!r} must be finite, got {value!r}")
     typ, noun = _TYPES[kind]
     choices = domain if kind == "str" else ()
-    low, sign = next((_BOUNDS[rule] for rule in domain if rule in _BOUNDS), (None, ""))
-    if type(value) is typ and (value in choices if choices else low is None or value >= low):
+    bounds = () if choices else [rule for rule in domain if rule.split()[0] in _OPS]
+    if type(value) is typ and (
+        value in choices if choices else all(_holds(value, rule) for rule in bounds)
+    ):
         return value
+    sign = "".join(_SIGNS.get(rule, "") for rule in bounds)
+    rest = " and ".join(rule for rule in bounds if rule not in _SIGNS)
     article = "an " if (sign + noun)[0] in "aeiou" else "a "
     want = f"one of {choices}" if choices else article + sign + noun
+    if rest:
+        want += " " + rest
     raise ValueError(
         f"config key {key!r} must be {want}{' or null' if nullable else ''}, got {value!r}"
     )
@@ -142,7 +158,8 @@ def _flatten(node, prefix: str, flat: dict) -> None:
 def _load_config(path: str | None, flags: dict) -> dict:
     """The defaults in ``CONFIG`` merged with the JSON file at ``path``, then
     with the flags that were given (keyed by dotted path, e.g.
-    ``"lambda_star.r_max"``), every leaf checked against its type and domain.
+    ``"lambda_star.r_max"``), every leaf checked against its type and domain,
+    and ``lambda_star.quad_order`` checked to exceed ``lambda_star.r_max``.
     An unknown key, an object where a value belongs or the reverse, a wrong
     type, a non-finite number or a value outside its domain raises
     ``ValueError`` (exit 1) naming the key."""
@@ -158,6 +175,12 @@ def _load_config(path: str | None, flags: dict) -> dict:
         for section in sections:
             node = node.setdefault(section, {})
         node[leaf] = _check(key, value, *CONFIG[key][1:])
+    ls = cfg["lambda_star"]
+    if ls["quad_order"] <= ls["r_max"]:
+        raise ValueError(
+            f"config key 'lambda_star.quad_order' must exceed 'lambda_star.r_max' "
+            f"({ls['r_max']}), got {ls['quad_order']}"
+        )
     return cfg
 
 
@@ -343,12 +366,21 @@ def _run_training(cfg: dict, out_dir: Path) -> tuple[dict, int]:
     log = train(params, data, act, tcfg, cert=use_cert)
     report = monitor_invariants(log, use_cert) if use_cert is not None else None
     trainlog_to_csv(log, out_dir / "trainlog.csv", report)
-    summary = trainlog_summary(log)
-    summary["seed"] = run_seed
-    summary["certified"] = use_cert is not None
+    summary = {
+        "steps": log.n_steps - 1,
+        "records": log.n_steps,
+        "initial_loss": log.phi0,
+        "final_loss": log.final_loss,
+        "eta": log.eta,
+        "alpha0": None if report is None else use_cert.alpha0,
+        "diverged": log.diverged,
+        "stop_reason": log.stop_reason,
+        "violations": {} if report is None else report.n_violations,
+        "spectra_svds": log.spectra_svds,
+        "seed": run_seed,
+        "certified": report is not None,
+    }
     if report is not None:
-        summary["alpha0"] = use_cert.alpha0
-        summary["violations"] = report.n_violations
         summary["invariants_hold"] = report.all_hold
         summary["first_violation"] = report.first_violation
     return summary, (2 if log.diverged else 0)

@@ -1,4 +1,4 @@
-"""Gradients, Jacobian blocks, the PL-style gradient floor, and the trainer.
+"""Gradients, the PL-style gradient floor, and the trainer.
 
 Gradients are computed by reverse accumulation, which is algebraically
 identical to the closed-form product of per-layer slope diagonals and
@@ -27,12 +27,9 @@ __all__ = [
     "TrainConfig",
     "TrainLog",
     "grad",
-    "jacobian_block",
     "pl_lower_bound",
     "train",
     "trainlog_to_csv",
-    "trainlog_from_csv",
-    "trainlog_summary",
 ]
 
 DIVERGENCE_LOSS = 1e12
@@ -48,9 +45,6 @@ class GradientBundle:
     @property
     def norm(self) -> float:
         return math.sqrt(self.sq_norm)
-
-    def layer(self, l: int) -> np.ndarray:
-        return self.layers[l - 1]
 
 
 def _flat_views(shapes) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -94,42 +88,6 @@ def grad(
     return GradientBundle(layers=tuple(grads), sq_norm=sq)
 
 
-def jacobian_block(
-    params: Params,
-    data: Dataset,
-    act: ActivationParams,
-    l: int,
-    trace: Optional[ForwardTrace] = None,
-) -> np.ndarray:
-    """Dense Jacobian of vec(F_L) with respect to vec(W_l).
-
-    Shape ``(N*n_L, n_{l-1}*n_l)`` under column-major vec on both sides.
-    Built by propagating the layer-l seed through slope diagonals and weight
-    contractions; cost is quadratic in the parameter count, so this is meant
-    for diagnostics and verification, not training.
-    """
-    L = params.depth
-    if not 1 <= l <= L:
-        raise ValueError(f"layer index out of range: {l} (depth {L})")
-    if trace is None:
-        trace = forward(params, data, act)
-    N = data.n_samples
-    n_lm1, n_l = params.weights[l - 1].shape
-    f_prev = trace.F[l - 1]
-
-    # T[a, q, b, c] = d(F_t)[a, q] / d(W_l)[b, c], starting at t = l
-    T = np.zeros((N, n_l, n_lm1, n_l))
-    for q in range(n_l):
-        T[:, q, :, q] = f_prev
-    for t in range(l + 1, L + 1):
-        T = T * trace.sigma_prime(t - 1)[:, :, None, None]
-        T = np.einsum("aqbc,qr->arbc", T, params.weights[t - 1])
-
-    n_L = params.widths[-1]
-    # rows follow vec(F_L) (index a + q*N), cols follow vec(W_l) (index b + c*n_{l-1})
-    return T.transpose(1, 0, 3, 2).reshape(N * n_L, n_lm1 * n_l)
-
-
 def pl_lower_bound(trace: ForwardTrace, params: Params) -> float:
     """Certified floor for the norm of the second-layer gradient.
 
@@ -143,11 +101,10 @@ def pl_lower_bound(trace: ForwardTrace, params: Params) -> float:
         raise ValueError("need depth >= 2")
     value = float(np.linalg.svd(trace.F[1], compute_uv=False)[-1])
     for p in range(3, L + 1):
-        sigma_floor = float(np.min(trace.sigma_prime(p - 1)))
+        sigma_floor = float(np.min(trace.S[p - 2]))
         sv_min = float(np.linalg.svd(params.weights[p - 1], compute_uv=False)[-1])
         value *= sigma_floor * sv_min
-    r = trace.residual_vec()
-    return value * float(np.linalg.norm(r))
+    return value * float(np.linalg.norm(trace.residual()))
 
 
 # ---------------------------------------------------------------------------
@@ -518,33 +475,3 @@ def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = Non
             cols = [range(start, stop)]
             cols.extend(col[start:stop].tolist() for col in floats + ints)
             fh.write("".join(template % row for row in zip(*cols)))
-
-
-def trainlog_from_csv(path) -> dict[str, np.ndarray]:
-    """Re-parse an exported training log into named numeric columns."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    if not rows or any(len(row) != len(header) for row in rows):
-        raise ValueError(f"malformed training log CSV: {path}")
-    table = np.asarray(rows, dtype=np.float64)
-    return {name: table[:, i] for i, name in enumerate(header)}
-
-
-def trainlog_summary(log: TrainLog) -> dict:
-    """JSON-ready run summary.  ``alpha0`` and ``violations`` are left empty:
-    a caller with a certificate fills them from ``cert.alpha0`` and
-    ``monitor_invariants(log, cert).n_violations``."""
-    return {
-        "steps": log.n_steps - 1,
-        "records": log.n_steps,
-        "initial_loss": log.phi0,
-        "final_loss": log.final_loss,
-        "eta": log.eta,
-        "alpha0": None,
-        "diverged": log.diverged,
-        "stop_reason": log.stop_reason,
-        "violations": {},
-        "spectra_svds": log.spectra_svds,
-    }

@@ -11,8 +11,8 @@ estimators:
 
 The same identity gives the smallest singular value of a Khatri-Rao power
 from its N x N Gram; the powers themselves are built only when that route
-cannot certify the value.  The module also provides the normalized
-probabilists' Hermite polynomials and coefficients that feed the series.
+cannot certify the value.  The module also provides the Hermite
+coefficients that feed the series.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from scipy import special
 __all__ = [
     "GramEstimate",
     "HermiteSpec",
-    "hermite_poly",
     "hermite_coeffs",
     "khatri_rao_power",
     "kr_min_singular",
@@ -114,7 +113,9 @@ def _check_order(r: int) -> int:
 
 
 def _hermite_table(x: np.ndarray, r_max: int) -> np.ndarray:
-    """Values h_0..h_{r_max} at each point, by the three-term recurrence."""
+    """Values h_0..h_{r_max} at each point, by the three-term recurrence:
+    the normalized probabilists' Hermite polynomials, orthonormal under the
+    standard Gaussian weight."""
     H = np.empty((r_max + 1,) + x.shape)
     H[0] = 1.0
     if r_max >= 1:
@@ -122,15 +123,6 @@ def _hermite_table(x: np.ndarray, r_max: int) -> np.ndarray:
     for r in range(1, r_max):
         H[r + 1] = (x * H[r] - math.sqrt(r) * H[r - 1]) / math.sqrt(r + 1)
     return H
-
-
-def hermite_poly(r: int, x):
-    """Normalized probabilists' Hermite polynomial h_r, orthonormal under
-    the standard Gaussian weight."""
-    r = _check_order(r)
-    arr = np.asarray(x, dtype=np.float64)
-    out = _hermite_table(np.atleast_1d(arr), r)[r]
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _coeffs_at_order(sigma: Callable, r_max: int, quad_order: int) -> tuple[np.ndarray, float]:

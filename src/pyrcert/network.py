@@ -1,21 +1,15 @@
 """Pyramidal fully-connected networks: shapes, data, forward pass, square loss.
 
-Conventions fixed here and relied on everywhere else:
-
-* A network with depth ``L`` has weight matrices ``W_l`` of shape
-  ``(n_{l-1}, n_l)`` with ``n_0 = d``.  Hidden layers ``1..L-1`` apply the
-  activation entrywise; the output layer is linear.
-* ``vec`` is column-major (columns concatenated top to bottom).  All
-  Jacobian and gradient index arithmetic in :mod:`pyrcert.gradients` assumes
-  this ordering.
-* Parameter distance is the root of summed squared Frobenius norms.
+A network with depth ``L`` has weight matrices ``W_l`` of shape
+``(n_{l-1}, n_l)`` with ``n_0 = d``, a convention every module relies on.
+Hidden layers ``1..L-1`` apply the activation entrywise; the output layer is
+linear.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import operator
 from dataclasses import dataclass
 
@@ -32,9 +26,6 @@ __all__ = [
     "forward",
     "loss",
     "loss_of",
-    "vec",
-    "theta_distance",
-    "dataset_to_csv",
     "dataset_from_csv",
     "dataset_to_json",
     "dataset_from_json",
@@ -162,9 +153,6 @@ class Params:
         """Shape of this parameter tuple; raises if not pyramidal."""
         return Shape(d=self.d, widths=self.widths)
 
-    def copy(self) -> "Params":
-        return Params(tuple(w.copy() for w in self.weights))
-
 
 @dataclass(frozen=True)
 class ForwardTrace:
@@ -181,25 +169,8 @@ class ForwardTrace:
     F: tuple[np.ndarray, ...]
     S: tuple[np.ndarray, ...]
 
-    @property
-    def depth(self) -> int:
-        return len(self.G)
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.F[-1]
-
     def residual(self) -> np.ndarray:
         return self.F[-1] - self.data.Y
-
-    def residual_vec(self) -> np.ndarray:
-        return vec(self.residual())
-
-    def sigma_prime(self, layer: int) -> np.ndarray:
-        """Entrywise activation slope at hidden layer ``layer`` (1-based)."""
-        if not 1 <= layer <= self.depth - 1:
-            raise ValueError(f"hidden layer index out of range: {layer}")
-        return self.S[layer - 1]
 
 
 def _check_dims(params: Params, data: Dataset) -> None:
@@ -268,22 +239,6 @@ def loss(params: Params, data: Dataset, act: ActivationParams) -> float:
     return loss_of(forward(params, data, act))
 
 
-def vec(M) -> np.ndarray:
-    """Column-major flattening (columns concatenated)."""
-    return np.asarray(M, dtype=np.float64).flatten(order="F")
-
-
-def theta_distance(a: Params, b: Params) -> float:
-    """Root of summed squared Frobenius norms of the per-layer differences."""
-    if a.widths != b.widths or a.d != b.d:
-        raise ValueError("parameter tuples have different architectures")
-    total = 0.0
-    for wa, wb in zip(a.weights, b.weights):
-        delta = wa - wb
-        total += float(np.vdot(delta, delta))
-    return math.sqrt(total)
-
-
 # ---------------------------------------------------------------------------
 # Dataset serialization
 # ---------------------------------------------------------------------------
@@ -306,12 +261,6 @@ def _read_matrix_csv(path) -> np.ndarray:
     if M.ndim != 2 or M.shape[1] != len(header):
         raise ValueError(f"malformed matrix CSV: {path}")
     return M
-
-
-def dataset_to_csv(data: Dataset, x_path, y_path) -> None:
-    """Write X and Y to separate CSV files with header rows."""
-    _write_matrix_csv(data.X, x_path, "x")
-    _write_matrix_csv(data.Y, y_path, "y")
 
 
 def dataset_from_csv(x_path, y_path) -> Dataset:

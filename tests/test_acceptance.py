@@ -10,18 +10,19 @@ import time
 
 import numpy as np
 import pytest
-
-from pyrcert.activation import (
-    ActivationParams,
-    as_function,
-    deriv,
+from oracles import (
     deriv2,
-    evaluate,
+    distance_envelope,
     gap_bound,
+    hermite_poly,
+    jacobian_block,
+    theta_distance,
     uniform_gap,
 )
+
+from pyrcert.activation import ActivationParams, as_function, evaluate, value_and_slope
 from pyrcert.certificates import certify, monitor_invariants
-from pyrcert.gradients import TrainConfig, grad, jacobian_block, train
+from pyrcert.gradients import TrainConfig, grad, train
 from pyrcert.initializers import (
     InitConfig,
     init_lecun,
@@ -34,11 +35,10 @@ from pyrcert.lambda_star import (
     gram_hermite,
     gram_mc,
     hermite_coeffs,
-    hermite_poly,
     kr_min_singular,
     sigma_linear,
 )
-from pyrcert.network import Dataset, Params, Shape, forward, loss, theta_distance, vec
+from pyrcert.network import Dataset, Params, Shape, forward, loss
 
 ACT = ActivationParams(0.5, 1.0)
 
@@ -87,9 +87,9 @@ def fd_loss_gradient(params, data, act, l, h=1e-6):
 def kron_gradient(params, trace, l):
     N = trace.data.n_samples
     L = params.depth
-    v = trace.residual_vec()
+    v = trace.residual().ravel(order="F")
     for p in range(L, l, -1):
-        slope_diag = np.diag(vec(trace.sigma_prime(p - 1)))
+        slope_diag = np.diag(trace.S[p - 2].ravel(order="F"))
         v = slope_diag @ (np.kron(params.weights[p - 1], np.eye(N)) @ v)
     return np.kron(np.eye(params.widths[l - 1]), trace.F[l - 1].T) @ v
 
@@ -114,7 +114,8 @@ def test_criterion_1_gradient_correctness():
             rel = np.max(np.abs(fd - g.layers[l - 1]) / np.maximum(np.abs(fd), floor))
             worst_fd = max(worst_fd, float(rel))
             kron = kron_gradient(params, tr, l)
-            worst_kron = max(worst_kron, float(np.max(np.abs(kron - vec(g.layers[l - 1])))))
+            got = g.layers[l - 1].ravel(order="F")
+            worst_kron = max(worst_kron, float(np.max(np.abs(kron - got))))
     elapsed = time.time() - start
     ok = worst_fd <= 1e-5 and worst_kron <= 1e-10 and elapsed < 60.0
     report(
@@ -195,8 +196,7 @@ def test_criterion_3_parameter_convergence(certified_runs):
     holds = 0
     worst_margin = math.inf
     for cert, log in runs:
-        rep = monitor_invariants(log, cert, distance_upto_loss=1e-8)
-        dist = rep.distance
+        dist = distance_envelope(log, cert, 1e-8)
         if dist.holds:
             holds += 1
         worst_margin = min(worst_margin, float(np.min(dist.rhs - dist.lhs)))
@@ -219,7 +219,7 @@ def test_criterion_4_activation_suite():
     pairs = [ActivationParams(g, b) for g in (0.1, 0.5, 0.9) for b in (0.5, 1.0, 3.0)]
     ok = True
     for act in pairs:
-        slope = deriv(act, grid)
+        slope = value_and_slope(act, grid)[1]
         ok &= bool(np.all(slope >= act.gamma) and np.all(slope <= 1.0))
         ok &= bool(np.all(np.abs(evaluate(act, grid)) <= np.abs(grid) + 1e-12))
         ok &= bool(np.all(np.abs(deriv2(act, grid)) <= act.beta + 1e-15))
@@ -248,7 +248,7 @@ def test_criterion_5_norm_inequalities():
         pb = Params(tuple(w + 0.1 * rng.normal(size=w.shape) for w in pa.weights))
         tra = forward(pa, data, ACT)
         ga = grad(pa, data, ACT, trace=tra)
-        res = float(np.linalg.norm(tra.residual_vec()))
+        res = float(np.linalg.norm(tra.residual()))
         xf = float(np.linalg.norm(data.X))
         norms = [float(np.linalg.norm(w, 2)) for w in pa.weights]
         L = pa.depth

@@ -9,18 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import deriv2, gap_bound, uniform_gap
 from scipy import integrate, special
 
 from pyrcert import activation
-from pyrcert.activation import (
-    ActivationParams,
-    deriv,
-    deriv2,
-    evaluate,
-    gap_bound,
-    uniform_gap,
-    value_and_slope,
-)
+from pyrcert.activation import ActivationParams, evaluate, value_and_slope
 
 PAIRS = [
     ActivationParams(g, b)
@@ -112,23 +105,25 @@ class TestEvaluate:
 class TestDeriv:
     def test_value_at_zero(self):
         # slope at zero is the midpoint (1 + gamma) / 2
-        assert deriv(ActivationParams(0.5, 1.0), 0.0) == pytest.approx(0.75, abs=1e-15)
+        slope = value_and_slope(ActivationParams(0.5, 1.0), 0.0)[1]
+        assert slope == pytest.approx(0.75, abs=1e-15)
 
     def test_lower_endpoint_in_the_limit(self):
-        assert deriv(ActivationParams(0.25, 1.0), -50.0) == pytest.approx(0.25, abs=1e-9)
+        slope = value_and_slope(ActivationParams(0.25, 1.0), -50.0)[1]
+        assert slope == pytest.approx(0.25, abs=1e-9)
 
     def test_matches_finite_difference_of_evaluate(self):
         act = ActivationParams(0.5, 1.0)
         h = 1e-6
         fd = (evaluate(act, 0.3 + h) - evaluate(act, 0.3 - h)) / (2 * h)
-        assert abs(fd - deriv(act, 0.3)) <= 1e-6
+        assert abs(fd - value_and_slope(act, 0.3)[1]) <= 1e-6
 
     @pytest.mark.parametrize("act", PAIRS)
     def test_finite_difference_on_grid(self, act):
         xs = np.linspace(-4, 4, 41)
         h = 1e-6
         fd = (evaluate(act, xs + h) - evaluate(act, xs - h)) / (2 * h)
-        assert np.max(np.abs(fd - deriv(act, xs))) <= 1e-5
+        assert np.max(np.abs(fd - value_and_slope(act, xs)[1])) <= 1e-5
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -137,13 +132,13 @@ class TestDeriv:
         b=st.floats(0.05, 50.0),
     )
     def test_slope_range(self, x, g, b):
-        s = deriv(ActivationParams(g, b), x)
+        s = value_and_slope(ActivationParams(g, b), x)[1]
         assert g <= s <= 1.0
 
     def test_monotone_nondecreasing(self):
         act = ActivationParams(0.3, 2.0)
         xs = np.linspace(-6, 6, 500)
-        assert np.all(np.diff(deriv(act, xs)) >= 0)
+        assert np.all(np.diff(value_and_slope(act, xs)[1]) >= 0)
 
 
 class TestDeriv2:
@@ -154,7 +149,7 @@ class TestDeriv2:
     def test_matches_finite_difference_of_deriv(self):
         act = ActivationParams(0.4, 2.0)
         h = 1e-6
-        fd = (deriv(act, 1.1 + h) - deriv(act, 1.1 - h)) / (2 * h)
+        fd = (value_and_slope(act, 1.1 + h)[1] - value_and_slope(act, 1.1 - h)[1]) / (2 * h)
         assert abs(fd - deriv2(act, 1.1)) <= 1e-5
 
     @pytest.mark.parametrize("act", PAIRS)
@@ -195,7 +190,7 @@ class TestSlopeLipschitz:
     @pytest.mark.parametrize("act", PAIRS)
     def test_slope_is_beta_lipschitz_on_grid(self, act):
         xs = np.linspace(-5, 5, 1001)
-        slopes = deriv(act, xs)
+        slopes = value_and_slope(act, xs)[1]
         rates = np.abs(np.diff(slopes)) / np.diff(xs)
         assert np.max(rates) <= act.beta * (1 + 1e-9)
 
@@ -204,9 +199,8 @@ class TestValueAndSlope:
     def test_agrees_with_separate_calls(self):
         act = ActivationParams(0.37, 1.8)
         xs = np.linspace(-4, 4, 57)
-        v, s = value_and_slope(act, xs)
+        v, _ = value_and_slope(act, xs)
         np.testing.assert_allclose(v, evaluate(act, xs), rtol=0, atol=0)
-        np.testing.assert_allclose(s, deriv(act, xs), rtol=0, atol=0)
 
     def test_scalar_path(self):
         act = ActivationParams(0.5, 1.0)
@@ -223,9 +217,8 @@ class TestValueAndSlope:
     def test_bit_identical_to_evaluate_and_deriv(self, seed, g, b, scale):
         act = ActivationParams(g, b)
         x = scale * np.random.default_rng(seed).normal(size=(7, 5))
-        v, s = value_and_slope(act, x)
+        v, _ = value_and_slope(act, x)
         assert np.array_equal(v, evaluate(act, x))
-        assert np.array_equal(s, deriv(act, x))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite(self, bad):

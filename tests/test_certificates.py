@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import distance_envelope, trainlog_from_csv
 
 from pyrcert.activation import ActivationParams, as_function, evaluate
 from pyrcert.certificates import (
@@ -19,13 +20,11 @@ from pyrcert.certificates import (
     certify,
     check_assumption,
     invariant_flags,
-    lambda_f,
     monitor_invariants,
-    predicted_decay,
     rate_constants,
     spectral_quantities,
 )
-from pyrcert.gradients import TrainConfig, train, trainlog_from_csv, trainlog_to_csv
+from pyrcert.gradients import TrainConfig, train, trainlog_to_csv
 from pyrcert.initializers import (
     InitConfig,
     init_certifiable,
@@ -75,6 +74,24 @@ def certifiable_instance(seed=0, n=6, d=4, widths=(6, 3, 2), y_scale=0.2):
     return shape, Dataset(X, Y), InitConfig(seed=seed)
 
 
+def lambda_f(w1, X):
+    """``lambda_F`` as ``certify`` computes it for a first layer ``w1`` on
+    inputs ``X``, behind a zero output layer."""
+    params = Params((w1, np.zeros((w1.shape[1], 1))))
+    return certify(params, Dataset(X, np.zeros((X.shape[0], 1))), ACT).lambda_f
+
+
+def decay_bound(alpha0, eta, phi0, n_steps):
+    """The ``bound`` column ``monitor_invariants`` gives a run of ``n_steps``
+    records at step size ``eta`` from initial loss ``phi0`` under a
+    certificate of rate ``alpha0``."""
+    shape, data, cfg = certifiable_instance()
+    _, params, cert = tune_gain(shape, data, ACT, cfg)
+    log = train(params, data, ACT, TrainConfig(eta=0.0, max_steps=n_steps - 1))
+    log = dataclasses.replace(log, eta=eta, loss=np.full(n_steps, phi0))
+    return monitor_invariants(log, dataclasses.replace(cert, alpha0=alpha0)).bound
+
+
 class TestSpectralQuantities:
     def test_identity_deep_layers(self):
         ws = (np.zeros((3, 6)), np.zeros((6, 4)), np.eye(4), np.eye(4))
@@ -108,14 +125,14 @@ class TestLambdaF:
     def test_duplicate_rows_give_zero(self):
         X = np.vstack([np.ones((1, 3)), np.ones((1, 3)), np.eye(3)[:1]])
         w1 = np.random.default_rng(5).normal(size=(3, 4))
-        assert lambda_f(w1, X, ACT) <= 1e-12
+        assert lambda_f(w1, X) <= 1e-12
 
     def test_small_case_matches_svd_oracle(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(2, 2))
         w1 = rng.normal(size=(2, 3))
         want = np.linalg.svd(evaluate(ACT, X @ w1), compute_uv=False)[-1]
-        assert lambda_f(w1, X, ACT) == pytest.approx(want, abs=1e-10)
+        assert lambda_f(w1, X) == pytest.approx(want, abs=1e-10)
 
     def test_statistical_floor_from_gram_eigenvalue(self):
         # floor sqrt(n1 * lambda*)/2 should hold in >= 95% of 200 draws
@@ -127,7 +144,7 @@ class TestLambdaF:
         hits = 0
         for s in range(200):
             w1 = layer_rng(s, 1).normal(0.0, 1.0 / math.sqrt(d), size=(d, n1))
-            if lambda_f(w1, X, ACT) >= threshold:
+            if lambda_f(w1, X) >= threshold:
                 hits += 1
         assert hits >= 190
 
@@ -221,20 +238,14 @@ class TestRateConstants:
 
 class TestPredictedDecay:
     def test_arithmetic(self):
-        assert predicted_decay(1.0, 0.1, 1.0, 2) == pytest.approx(0.81, rel=1e-15)
-        assert predicted_decay(1.0, 0.5, 8.0, 3) == pytest.approx(1.0, rel=1e-15)
+        assert decay_bound(1.0, 0.1, 1.0, 3)[2] == pytest.approx(0.81, rel=1e-15)
+        assert decay_bound(1.0, 0.5, 8.0, 4)[3] == pytest.approx(1.0, rel=1e-15)
 
     def test_step_zero_returns_initial_loss(self):
-        assert predicted_decay(2.0, 0.01, 7.0, 0) == 7.0
-
-    def test_rejects_rate_outside_validity(self):
-        with pytest.raises(ValueError):
-            predicted_decay(1.0, 1.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            predicted_decay(1.0, 0.0, 1.0, 1)
+        assert decay_bound(2.0, 0.01, 7.0, 1)[0] == 7.0
 
     def test_vectorized_over_steps(self):
-        out = predicted_decay(1.0, 0.5, 8.0, np.arange(4))
+        out = decay_bound(1.0, 0.5, 8.0, 4)
         np.testing.assert_allclose(out, [8.0, 4.0, 2.0, 1.0], rtol=1e-15)
 
 
@@ -289,11 +300,11 @@ class TestMonitorInvariants:
         assert report.flags.shape == (log.n_steps, 4)
 
     def test_bound_column_is_predicted_decay(self):
-        # one evaluation of the ceiling: a scalar power per step would differ
-        # from the vectorised one in the last bit on some steps
+        # the vectorised (1 - eta*alpha0)**k * phi0: a scalar power per step
+        # would differ from it in the last bit on some steps
         log, cert = self.make_certified_run(max_steps=3000)
         report = monitor_invariants(log, cert)
-        want = predicted_decay(cert.alpha0, log.eta, log.phi0, np.arange(log.n_steps))
+        want = (1.0 - log.eta * cert.alpha0) ** np.arange(log.n_steps) * log.phi0
         assert np.array_equal(report.bound, want)
         assert np.array_equal(report.flags[:, 3], log.loss <= want)
 
@@ -375,9 +386,8 @@ class TestMonitorInvariants:
 
     def test_distance_envelope_checked(self):
         log, cert = self.make_certified_run()
-        report = monitor_invariants(log, cert, distance_upto_loss=log.loss[-1] * 2)
-        assert report.distance is not None
-        assert report.distance.lhs.shape == report.distance.rhs.shape
+        dist = distance_envelope(log, cert, log.loss[-1] * 2)
+        assert dist.lhs.shape == dist.rhs.shape == (dist.k_window + 1,)
 
     def test_certified_run_descends_by_half_eta_grad_sq(self):
         # below the smoothness cap each step gains at least (eta/2)*||grad||^2
@@ -408,8 +418,8 @@ class TestDepthTwo:
             TrainConfig(eta=0.9 * cert.eta_max, max_steps=50_000, stop_loss=1e-26),
             cert=cert,
         )
-        rep = monitor_invariants(log, cert, distance_upto_loss=1e-22)
-        assert rep.all_hold and rep.distance.holds
+        assert monitor_invariants(log, cert).all_hold
+        assert distance_envelope(log, cert, 1e-22).holds
         assert log.final_loss <= 1e-26
 
 

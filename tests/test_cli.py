@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, emitted files, round trips."""
 
+import contextlib
 import csv
 import json
 import math
@@ -12,14 +13,22 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dataset_to_csv, trainlog_from_csv
 
 from pyrcert import cli as cli_mod
 from pyrcert.cli import main
-from pyrcert.network import dataset_from_json, dataset_to_csv, dataset_to_json
+from pyrcert.network import dataset_from_json, dataset_to_json
 from pyrcert.initializers import sphere_data
 from pyrcert.network import Dataset
 
 runner = CliRunner()
+
+# summary.json keys in the order train writes them; a certified run appends
+# its report's verdicts
+SUMMARY_KEYS = [
+    "steps", "records", "initial_loss", "final_loss", "eta", "alpha0", "diverged",
+    "stop_reason", "violations", "spectra_svds", "seed", "certified",
+]
 
 
 def run(args, **kwargs):
@@ -97,6 +106,10 @@ class TestTrain:
             assert row["flag_loss_bound"] == "1"
         summary = json.loads((out / "summary.json").read_text())
         assert summary["certified"] and summary["invariants_hold"]
+        assert list(summary) == SUMMARY_KEYS + ["invariants_hold", "first_violation"]
+        cert = json.loads((out / "certificate.json").read_text())
+        assert summary["alpha0"] == cert["alpha0"]
+        assert summary["violations"] == dict.fromkeys(("sv_w", "norm_w", "sv_f1", "loss_bound"), 0)
 
     def test_eta_zero_constant_loss(self, tmp_path):
         cfg = small_config(tmp_path, train={"eta": 0.0, "max_steps": 25, "stop_loss": 0.0})
@@ -106,6 +119,11 @@ class TestTrain:
         with open(out / "trainlog.csv") as fh:
             losses = [float(row["loss"]) for row in csv.DictReader(fh)]
         assert len(set(losses)) == 1 and len(losses) == 26
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary) == SUMMARY_KEYS
+        assert summary["steps"] == 25 and summary["records"] == 26
+        assert summary["diverged"] is False and not summary["certified"]
+        assert summary["alpha0"] is None and summary["violations"] == {}
 
     def test_overflowing_run_exits_two_with_log(self, tmp_path):
         cfg = small_config(
@@ -407,6 +425,18 @@ class TestConfig:
         "samples-negative": ({"lambda_star": {"samples": -5}}, "lambda_star.samples"),
         "seeds-empty": ({"sweep": {"seeds": []}}, "sweep.seeds"),
         "out-int": ({"out": 5}, "out"),
+        "gamma-above-one": ({"activation": {"gamma": 1.5}}, "activation.gamma"),
+        "gamma-zero": ({"activation": {"gamma": 0}}, "activation.gamma"),
+        "beta-zero": ({"activation": {"beta": 0.0}}, "activation.beta"),
+        "gain-one": ({"init": {"gain": 1}}, "init.gain"),
+        "radius-zero": ({"dataset": {"radius": 0.0}}, "dataset.radius"),
+        "r_max-above-cap": (
+            {"lambda_star": {"r_max": 201, "quad_order": 500}}, "lambda_star.r_max"
+        ),
+        "quad_order-below-r_max": (
+            {"lambda_star": {"r_max": 20, "quad_order": 5}}, "lambda_star.quad_order"
+        ),
+        "n_seeds-zero": ({"kr": {"n_seeds": 0}}, "kr.n_seeds"),
     }
 
     @pytest.mark.parametrize(
@@ -562,6 +592,9 @@ class TestConfig:
         ("hermite", "--quad-order", "150", "lambda_star.quad_order", 150),
         ("sweep", "--jobs", "2", "sweep.jobs", 2),
     ]
+    # these two leave Hermite coefficients that do not settle when the
+    # quadrature order doubles, and hermite_coeffs warns about them
+    UNSETTLED = {("hermite", "--beta"), ("hermite", "--quad-order")}
 
     @pytest.mark.parametrize("command,flag,text,path,value", OVERRIDES)
     def test_flag_lands_at_its_config_path(self, tmp_path, command, flag, text, path, value):
@@ -572,7 +605,13 @@ class TestConfig:
             kr={"n": 4, "d": 3, "n_seeds": 1},
         )
         out = tmp_path / "o"
-        res = run([command, "--config", str(cfg), "--out", str(out), flag, text])
+        warns = (
+            pytest.warns(UserWarning, match="did not stabilize")
+            if (command, flag) in self.UNSETTLED
+            else contextlib.nullcontext()
+        )
+        with warns:
+            res = run([command, "--config", str(cfg), "--out", str(out), flag, text])
         assert res.exit_code in (0, 2), res.output
         node = json.loads((out / "config.json").read_text())
         for key in path.split("."):
@@ -616,20 +655,31 @@ def wrong_value(kind):
 
 def valid_value(kind, domain):
     """A value config type ``kind`` accepts within ``domain``."""
-    low = 1 if ">= 1" in domain else 0 if ">= 0" in domain else None
+    rules = dict(rule.split() for rule in domain if rule[0] in "<>")
+    low = next((float(rules[op]) for op in (">=", ">") if op in rules), None)
+    high = next((float(rules[op]) for op in ("<=", "<") if op in rules), None)
+    open_low, open_high = ">" in rules, "<" in rules
+
+    def ints(top):
+        """The integers within the bounds, up to ``top`` if unbounded above;
+        a float key accepts them too."""
+        lo = None if low is None else math.floor(low) + 1 if open_low else math.ceil(low)
+        hi = top if high is None else math.ceil(high) - 1 if open_high else math.floor(high)
+        return st.integers(min_value=lo, max_value=hi) if lo is None or lo <= hi else st.nothing()
+
     base = kind.rstrip("?")
     if base == "str":
         value = st.sampled_from(domain) if domain else st.text(max_size=6)
     elif base == "bool":
         value = st.booleans()
     elif base == "int":
-        value = st.integers(min_value=low, max_value=2**40)
+        value = ints(2**40)
     elif base == "float":
-        value = st.floats(min_value=low, allow_nan=False, allow_infinity=False)
-        value = value | st.integers(min_value=low, max_value=2**60)
+        value = st.floats(min_value=low, max_value=high, exclude_min=open_low,
+                          exclude_max=open_high, allow_nan=False, allow_infinity=False)
+        value = value | ints(2**60)
     else:
-        value = st.lists(st.integers(min_value=low, max_value=2**40), min_size=1, max_size=4,
-                         unique="unique" in domain)
+        value = st.lists(ints(2**40), min_size=1, max_size=4, unique="unique" in domain)
     return st.none() | value if kind.endswith("?") else value
 
 
@@ -651,9 +701,15 @@ class TestConfigTable:
     @given(data=st.data())
     def test_accepted_config_round_trips_through_config_json(self, data):
         keys = data.draw(st.sets(st.sampled_from(sorted(cli_mod.CONFIG))), label="keys")
+        if "lambda_star.r_max" in keys:
+            keys.add("lambda_star.quad_order")  # the default 200 may not exceed r_max
         user, given = {}, {}
-        for key in sorted(keys):
+        # r_max before quad_order, which must exceed it
+        for key in sorted(keys, key=lambda key: (key == "lambda_star.quad_order", key)):
             _, kind, domain = cli_mod.CONFIG[key]
+            if key == "lambda_star.quad_order":
+                r_max = given.get("lambda_star.r_max", cli_mod.CONFIG["lambda_star.r_max"][0])
+                domain = (f"> {r_max}",)
             given[key] = data.draw(valid_value(kind, domain), label=key)
             *sections, leaf = key.split(".")
             node = user
@@ -669,7 +725,9 @@ class TestConfigTable:
             node = cfg
             for part in key.split("."):
                 node = node[part]
-            assert node == value
+            # an int for a float key is recorded as the nearest float
+            floating = cli_mod.CONFIG[key][1].startswith("float") and value is not None
+            assert node == (float(value) if floating else value)
 
     def test_readme_config_block_is_the_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -720,8 +778,6 @@ class TestRoundTrip:
         assert np.linalg.norm(data.Y) == pytest.approx(0.2, rel=1e-12)
 
     def test_emitted_trainlog_reparses(self, tmp_path):
-        from pyrcert.gradients import trainlog_from_csv
-
         cfg = small_config(tmp_path, train={"eta": 0.0, "max_steps": 4, "stop_loss": 0.0})
         out = tmp_path / "rt2"
         res = run(["train", "--config", str(cfg), "--out", str(out)])

@@ -7,20 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import jacobian_block, theta_distance, trainlog_from_csv
 
 from pyrcert.activation import ActivationParams, value_and_slope
 from pyrcert.gradients import (
     DIVERGENCE_LOSS,
     TrainConfig,
     grad,
-    jacobian_block,
     pl_lower_bound,
     train,
-    trainlog_from_csv,
-    trainlog_summary,
     trainlog_to_csv,
 )
-from pyrcert.network import Dataset, Params, forward, loss, loss_of, theta_distance, vec
+from pyrcert.network import Dataset, Params, forward, loss, loss_of
 
 ACT = ActivationParams(0.5, 1.0)
 
@@ -59,18 +57,19 @@ def kron_jacobian(params, trace, l):
     L = params.depth
     M = np.kron(np.eye(params.widths[l - 1]), trace.F[l - 1])
     for t in range(l + 1, L + 1):
-        slope_diag = np.diag(vec(trace.sigma_prime(t - 1)))
+        slope_diag = np.diag(trace.S[t - 2].ravel(order="F"))
         M = np.kron(params.weights[t - 1].T, np.eye(N)) @ (slope_diag @ M)
     return M
 
 
 def kron_gradient(params, trace, l):
-    """vec of the layer-l gradient from the literal product form."""
+    """The layer-l gradient from the literal product form, flattened
+    column-major."""
     N = trace.data.n_samples
     L = params.depth
-    v = trace.residual_vec()
+    v = trace.residual().ravel(order="F")
     for p in range(L, l, -1):
-        slope_diag = np.diag(vec(trace.sigma_prime(p - 1)))
+        slope_diag = np.diag(trace.S[p - 2].ravel(order="F"))
         v = slope_diag @ (np.kron(params.weights[p - 1], np.eye(N)) @ v)
     return np.kron(np.eye(params.widths[l - 1]), trace.F[l - 1].T) @ v
 
@@ -79,7 +78,7 @@ class TestGrad:
     def test_zero_residual_gives_zero_gradient(self):
         rng = np.random.default_rng(2)
         data, params = random_instance(rng, 4, 3, (5, 3, 2))
-        fitted = Dataset(data.X, forward(params, data, ACT).output)
+        fitted = Dataset(data.X, forward(params, data, ACT).F[-1])
         g = grad(params, fitted, ACT)
         for layer in g.layers:
             assert np.all(layer == 0.0)
@@ -101,7 +100,7 @@ class TestGrad:
         g = grad(params, data, ACT, trace=tr)
         for l in range(1, 4):
             want = kron_gradient(params, tr, l)
-            assert np.max(np.abs(want - vec(g.layers[l - 1]))) <= 1e-10
+            assert np.max(np.abs(want - g.layers[l - 1].ravel(order="F"))) <= 1e-10
 
     def test_shapes_mirror_params(self):
         rng = np.random.default_rng(8)
@@ -131,11 +130,11 @@ class TestJacobianBlock:
         data, params = random_instance(rng, 4, 3, (5, 3, 2))
         tr = forward(params, data, ACT)
         g = grad(params, data, ACT, trace=tr)
-        r = tr.residual_vec()
+        r = tr.residual().ravel(order="F")
         for l in range(1, 4):
             J = jacobian_block(params, data, ACT, l, trace=tr)
             assert J.shape == (4 * 2, params.weights[l - 1].size)
-            assert np.max(np.abs(J.T @ r - vec(g.layers[l - 1]))) <= 1e-10
+            assert np.max(np.abs(J.T @ r - g.layers[l - 1].ravel(order="F"))) <= 1e-10
 
     def test_matches_dense_kronecker_jacobian(self):
         rng = np.random.default_rng(16)
@@ -156,8 +155,8 @@ class TestJacobianBlock:
             minus = [w.copy() for w in params.weights]
             plus[1][i, j] += h
             minus[1][i, j] -= h
-            fp = vec(forward(Params(tuple(plus)), data, ACT).output)
-            fm = vec(forward(Params(tuple(minus)), data, ACT).output)
+            fp = forward(Params(tuple(plus)), data, ACT).F[-1].ravel(order="F")
+            fm = forward(Params(tuple(minus)), data, ACT).F[-1].ravel(order="F")
             fd = (fp - fm) / (2 * h)
             denom = max(np.abs(fd).max(), 1e-8)
             assert np.max(np.abs(fd - J[:, col])) / denom <= 1e-5
@@ -174,7 +173,7 @@ class TestPlLowerBound:
     def test_zero_residual_gives_zero(self):
         rng = np.random.default_rng(22)
         data, params = random_instance(rng, 4, 3, (5, 3, 2))
-        fitted = Dataset(data.X, forward(params, data, ACT).output)
+        fitted = Dataset(data.X, forward(params, data, ACT).F[-1])
         tr = forward(params, fitted, ACT)
         assert pl_lower_bound(tr, params) == 0.0
 
@@ -184,7 +183,7 @@ class TestPlLowerBound:
         tr = forward(params, data, ACT)
         want = (
             np.linalg.svd(tr.F[1], compute_uv=False)[-1]
-            * np.linalg.norm(tr.residual_vec())
+            * np.linalg.norm(tr.residual())
         )
         assert pl_lower_bound(tr, params) == pytest.approx(want, rel=1e-12)
 
@@ -206,7 +205,7 @@ class TestNormInequalities:
             data, params = random_instance(rng, 4, 3, (6, 4, 2))
             tr = forward(params, data, ACT)
             g = grad(params, data, ACT, trace=tr)
-            res = np.linalg.norm(tr.residual_vec())
+            res = np.linalg.norm(tr.residual())
             norms = [np.linalg.norm(w, 2) for w in params.weights]
             for l in range(1, 4):
                 rhs = np.linalg.norm(data.X) * res
@@ -320,14 +319,6 @@ class TestTrain:
         data, params = random_instance(rng, 4, 3, (5, 3, 2))
         log = train(params, data, ACT, TrainConfig(eta=1e-3, max_steps=200))
         assert np.all(np.diff(log.loss) <= 1e-12)
-
-    def test_summary_fields(self):
-        rng = np.random.default_rng(44)
-        data, params = random_instance(rng, 3, 2, (4, 1))
-        log = train(params, data, ACT, TrainConfig(eta=0.01, max_steps=5))
-        s = trainlog_summary(log)
-        assert s["steps"] == 5 and s["records"] == 6
-        assert s["diverged"] is False
 
     def test_rejects_negative_eta(self):
         with pytest.raises(ValueError):

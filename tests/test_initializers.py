@@ -39,7 +39,7 @@ class TestCertifiableInit:
         shape = Shape(d=4, widths=(6, 3, 2))
         data = make_data()
         params = init_certifiable(shape, data, InitConfig(second_layer_var=0.0))
-        assert np.all(forward(params, data, ACT).output == 0.0)
+        assert np.all(forward(params, data, ACT).F[-1] == 0.0)
         # so the initial loss is exactly half the squared target norm
         assert loss(params, data, ACT) == pytest.approx(
             0.5 * np.linalg.norm(data.Y) ** 2, rel=1e-15

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import hermite_poly
 from scipy import special
 
 from pyrcert import lambda_star as ls_mod
@@ -19,7 +20,6 @@ from pyrcert.lambda_star import (
     gram_hermite,
     gram_mc,
     hermite_coeffs,
-    hermite_poly,
     khatri_rao_power,
     kr_min_singular,
     sigma_linear,
@@ -50,10 +50,11 @@ class TestHermitePoly:
                 assert inner == pytest.approx(1.0 if j == k else 0.0, abs=1e-8)
 
     def test_order_cap(self):
-        with pytest.raises(ValueError):
-            hermite_poly(201, 0.0)
-        with pytest.raises(ValueError):
-            hermite_poly(-1, 0.0)
+        # the series stops at MAX_HERMITE_ORDER, where 64-bit values stay stable
+        with pytest.raises(ValueError, match="cap 200"):
+            hermite_coeffs(SIGMA, 201, quad_order=400)
+        with pytest.raises(ValueError, match=">= 0"):
+            hermite_coeffs(SIGMA, -1)
 
 
 class TestHermiteCoeff:

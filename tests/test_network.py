@@ -1,5 +1,5 @@
-"""Forward pass vs a straight-line reimplementation, vec conventions, loss,
-serialization round trips, and the layer-norm/output-Lipschitz inequalities."""
+"""Forward pass vs a straight-line reimplementation, loss, serialization
+round trips, and the layer-norm/output-Lipschitz inequalities."""
 
 import math
 import re
@@ -7,22 +7,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from oracles import dataset_to_csv, theta_distance
 
-from pyrcert.activation import ActivationParams
+from pyrcert.activation import ActivationParams, value_and_slope
 from pyrcert.network import (
     Dataset,
     Params,
     Shape,
     dataset_from_csv,
     dataset_from_json,
-    dataset_to_csv,
     dataset_to_json,
     forward,
     loss,
-    theta_distance,
-    vec,
 )
 
 ACT = ActivationParams(0.5, 1.0)
@@ -135,21 +131,21 @@ class TestForward:
         data = Dataset(np.ones((3, 2)), np.zeros((3, 1)))
         params = Params((np.zeros((2, 4)), np.zeros((4, 2)), np.zeros((2, 1))))
         tr = forward(params, data, ACT)
-        assert np.all(tr.output == 0.0)
+        assert np.all(tr.F[-1] == 0.0)
 
     def test_zero_input_gives_zero_output(self):
         rng = np.random.default_rng(3)
         data, params = random_instance(rng, 4, 2, (5, 3, 1))
         data0 = Dataset(np.zeros_like(data.X), data.Y)
         tr = forward(params, data0, ACT)
-        assert np.max(np.abs(tr.output)) == 0.0
+        assert np.max(np.abs(tr.F[-1])) == 0.0
 
     def test_matches_straight_line_reimplementation(self):
         rng = np.random.default_rng(11)
         data, params = random_instance(rng, 3, 2, (4, 2, 1))
         tr = forward(params, data, ACT)
         want = naive_forward([w.tolist() for w in params.weights], data.X, 0.5, 1.0)
-        np.testing.assert_allclose(tr.output, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tr.F[-1], want, rtol=0, atol=1e-12)
 
     def test_trace_invariants(self):
         rng = np.random.default_rng(5)
@@ -157,17 +153,16 @@ class TestForward:
         tr = forward(params, data, ACT)
         assert tr.F[0] is data.X
         np.testing.assert_array_equal(tr.F[-1], tr.G[-1])
-        from pyrcert.activation import deriv, evaluate
-
         for l in range(1, params.depth):
-            np.testing.assert_array_equal(tr.F[l], evaluate(ACT, tr.G[l - 1]))
-            np.testing.assert_array_equal(tr.S[l - 1], deriv(ACT, tr.G[l - 1]))
+            value, slope = value_and_slope(ACT, tr.G[l - 1])
+            np.testing.assert_array_equal(tr.F[l], value)
+            np.testing.assert_array_equal(tr.S[l - 1], slope)
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         data, params = random_instance(rng, 4, 3, (6, 3, 2))
-        a = forward(params, data, ACT).output
-        b = forward(params, data, ACT).output
+        a = forward(params, data, ACT).F[-1]
+        b = forward(params, data, ACT).F[-1]
         assert np.array_equal(a, b)
 
     def test_huge_pre_activations_pass_without_warnings(self):
@@ -211,7 +206,7 @@ class TestLoss:
     def test_zero_residual_gives_zero(self):
         rng = np.random.default_rng(21)
         data, params = random_instance(rng, 4, 3, (6, 3, 2))
-        out = forward(params, data, ACT).output
+        out = forward(params, data, ACT).F[-1]
         fitted = Dataset(data.X, out)
         assert loss(params, fitted, ACT) == 0.0
 
@@ -225,23 +220,6 @@ class TestLoss:
             for j in range(2)
         )
         assert loss(params, data, ACT) == pytest.approx(want, abs=1e-12)
-
-
-class TestVec:
-    def test_column_major_on_2x2(self):
-        M = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(vec(M), [1.0, 3.0, 2.0, 4.0])
-
-    def test_row_vector_passthrough(self):
-        M = np.array([[5.0, 6.0, 7.0]])
-        np.testing.assert_array_equal(vec(M), [5.0, 6.0, 7.0])
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))
-    def test_round_trip(self, m, n, seed):
-        # column j of M is the j-th block of m entries of vec(M)
-        M = np.random.default_rng(seed).normal(size=(m, n))
-        np.testing.assert_array_equal(vec(M).reshape(n, m).T, M)
 
 
 class TestNormBounds:
@@ -267,8 +245,8 @@ class TestNormBounds:
                 max(np.linalg.norm(wa, 2), np.linalg.norm(wb, 2))
                 for wa, wb in zip(pa.weights, pb.weights)
             ]
-            fa = forward(pa, data, ACT).output
-            fb = forward(pb, data, ACT).output
+            fa = forward(pa, data, ACT).F[-1]
+            fb = forward(pb, data, ACT).F[-1]
             L = pa.depth
             rhs = (
                 math.sqrt(L)

@@ -31,6 +31,22 @@ DELETED = [
     "hermite_coeff",
     "SCHEMES",
     "DEEP_STYLES",
+    # reference implementations, now in tests/oracles.py
+    "jacobian_block",
+    "theta_distance",
+    "DistanceReport",
+    "deriv2",
+    "uniform_gap",
+    "gap_bound",
+    "hermite_poly",
+    "trainlog_from_csv",
+    "dataset_to_csv",
+    # wrappers and dead code
+    "vec",
+    "deriv",
+    "lambda_f",
+    "predicted_decay",
+    "trainlog_summary",
 ]
 
 
@@ -81,7 +97,7 @@ def test_init_config_fields():
         ),
         (
             pyrcert.certificates.InvariantReport,
-            ["bound", "flags", "first_violation", "n_violations", "all_hold", "distance"],
+            ["bound", "flags", "first_violation", "n_violations", "all_hold"],
         ),
     ],
     ids=["TrainConfig", "TrainLog", "InvariantReport"],
