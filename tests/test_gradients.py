@@ -320,6 +320,15 @@ class TestTrain:
         log = train(params, data, ACT, TrainConfig(eta=1e-3, max_steps=200))
         assert np.all(np.diff(log.loss) <= 1e-12)
 
+    def test_summary_fields(self):
+        # summary.json's steps/records/diverged/stop_reason read these fields
+        rng = np.random.default_rng(44)
+        data, params = random_instance(rng, 3, 2, (4, 1))
+        log = train(params, data, ACT, TrainConfig(eta=0.01, max_steps=5))
+        assert log.n_steps - 1 == 5 and log.n_steps == 6
+        assert log.diverged is False and log.stop_reason == "max_steps"
+        assert log.phi0 == log.loss[0] and log.final_loss == log.loss[-1]
+
     def test_rejects_negative_eta(self):
         with pytest.raises(ValueError):
             TrainConfig(eta=-0.1, max_steps=10)
