@@ -4,10 +4,9 @@ networks trained by full-batch gradient descent."""
 from .activation import ActivationParams, evaluate
 from .certificates import (
     Certificate,
+    certificate_from_spectra,
     certify,
-    check_assumption,
     monitor_invariants,
-    rate_constants,
     spectral_quantities,
 )
 from .gradients import (
@@ -53,8 +52,8 @@ __all__ = [
     "Shape",
     "TrainConfig",
     "TrainLog",
+    "certificate_from_spectra",
     "certify",
-    "check_assumption",
     "evaluate",
     "first_layer",
     "forward",
@@ -69,7 +68,6 @@ __all__ = [
     "loss",
     "monitor_invariants",
     "pl_lower_bound",
-    "rate_constants",
     "spectral_quantities",
     "sphere_data",
     "sphere_targets",

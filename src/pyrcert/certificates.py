@@ -1,10 +1,11 @@
 """Convergence certificates: initialization spectra, rate constants, and
 trajectory-invariant monitoring.
 
-A certificate gathers, for a concrete (parameters, dataset, activation)
-triple: spectral proxies of every initial weight matrix, the smallest
-singular value of the first hidden layer's output, verdicts for the two
-initial-condition inequalities, and the derived rate constants
+``certify`` measures a concrete (parameters, dataset, activation) triple:
+the initial loss, spectral proxies of every initial weight matrix and the
+smallest singular value of the first hidden layer's output.
+``certificate_from_spectra`` turns these into verdicts for the two
+initial-condition inequalities and the derived rate constants
 
 * ``alpha0`` - certified geometric contraction rate of the loss,
 * ``q0``    - gradient-smoothness proxy bounding the admissible step size,
@@ -33,11 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "Certificate",
-    "AssumptionVerdict",
     "InvariantReport",
     "spectral_quantities",
-    "check_assumption",
-    "rate_constants",
+    "certificate_from_spectra",
     "certify",
     "invariant_thresholds",
     "invariant_flags",
@@ -47,17 +46,6 @@ __all__ = [
 ]
 
 DEGENERATE_LAMBDA_F = 1e-12
-
-
-@dataclass(frozen=True)
-class AssumptionVerdict:
-    """Verdicts and slack ratios for the two initial-condition inequalities."""
-
-    cond1_holds: bool
-    cond1_slack: float
-    cond2_holds: bool
-    cond2_slack: float
-    reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -114,92 +102,52 @@ def spectral_quantities(params0: Params) -> tuple[tuple[float, ...], tuple[float
     return tuple(bars), tuple(mins)
 
 
-def _deep_products(lambda_bar: tuple[float, ...], lambda_min_deep: tuple[float, ...]):
-    bar_deep = float(np.prod(lambda_bar[2:])) if len(lambda_bar) > 2 else 1.0
-    min_deep = float(np.prod(lambda_min_deep)) if lambda_min_deep else 1.0
-    return bar_deep, min_deep
-
-
-def check_assumption(
-    lambda_bar: tuple[float, ...],
-    lambda_min_deep: tuple[float, ...],
-    lam_f: float,
-    X: np.ndarray,
-    phi0: float,
-    gamma: float,
-) -> AssumptionVerdict:
-    """Evaluate both initial-condition inequalities literally.
-
-    At depth 2 the deep products are empty (= 1) and the max() term keeps
-    only its last two arguments, since the minimum over an empty layer range
-    would be +inf and annihilate the first argument.
-    """
-    L = len(lambda_bar)
-    X = np.asarray(X, dtype=np.float64)
-    x_fro = float(np.linalg.norm(X, "fro"))
-    x_op = float(np.linalg.norm(X, 2))
-    bar_deep, min_deep = _deep_products(lambda_bar, lambda_min_deep)
-    pref = (gamma**4 / 3.0) * (6.0 / gamma**2) ** L
-    root_phi = math.sqrt(2.0 * phi0)
-    ratio = bar_deep / min_deep**2 if min_deep > 0 else math.inf
-
-    if L >= 3:
-        pair_min = min(
-            lb * lm for lb, lm in zip(lambda_bar[2:], lambda_min_deep)
-        )
-        first_arg = (
-            2.0 * lambda_bar[0] * lambda_bar[1] / pair_min if pair_min > 0 else math.inf
-        )
-        max_term = max(first_arg, lambda_bar[0], lambda_bar[1])
-    else:
-        max_term = max(lambda_bar[0], lambda_bar[1])
-
-    rhs1 = pref * x_fro * root_phi * ratio * max_term
-    rhs2 = 2.0 * pref * x_op * x_fro * root_phi * ratio * lambda_bar[1]
-    lhs1 = lam_f**2
-    lhs2 = lam_f**3
-
-    cond1 = lhs1 >= rhs1
-    cond2 = lhs2 >= rhs2
-    slack1 = lhs1 / rhs1 if rhs1 > 0 else math.inf
-    slack2 = lhs2 / rhs2 if rhs2 > 0 else math.inf
-    reason = None
-    if lam_f <= DEGENERATE_LAMBDA_F and phi0 > 0:
-        reason = "degenerate data"
-    return AssumptionVerdict(
-        cond1_holds=bool(cond1),
-        cond1_slack=float(slack1),
-        cond2_holds=bool(cond2),
-        cond2_slack=float(slack2),
-        reason=reason,
-    )
-
-
-def rate_constants(
+def certificate_from_spectra(
     lambda_bar: tuple[float, ...],
     lambda_min_deep: tuple[float, ...],
     lam_f: float,
     X: np.ndarray,
     phi0: float,
     act: ActivationParams,
-) -> tuple[float, float, float, float, float, bool]:
-    """Literal evaluation of (alpha0, q0, q1, r_product, eta_max, vacuous)."""
+) -> Certificate:
+    """The certificate of measured spectra: both initial-condition
+    inequalities with their slacks, then the rate constants, literally.
+
+    At depth 2 the deep products are empty (= 1) and the max() term keeps
+    only its last two arguments, since the minimum over an empty layer range
+    would be +inf and annihilate the first argument.
+    """
     L = len(lambda_bar)
     gamma, beta = act.gamma, act.beta
     X = np.asarray(X, dtype=np.float64)
     x_fro = float(np.linalg.norm(X, "fro"))
-    _, min_deep = _deep_products(lambda_bar, lambda_min_deep)
+    x_op = float(np.linalg.norm(X, 2))
+    bar_deep = float(np.prod(lambda_bar[2:])) if L > 2 else 1.0
+    min_deep = float(np.prod(lambda_min_deep)) if lambda_min_deep else 1.0
     root_phi = math.sqrt(2.0 * phi0)
 
+    # the two initial conditions: lambda_F**2 >= rhs1 and lambda_F**3 >= rhs2
+    pref = (gamma**4 / 3.0) * (6.0 / gamma**2) ** L
+    ratio = bar_deep / min_deep**2 if min_deep > 0 else math.inf
+    if L >= 3:
+        pair_min = min(lb * lm for lb, lm in zip(lambda_bar[2:], lambda_min_deep))
+        first_arg = 2.0 * lambda_bar[0] * lambda_bar[1] / pair_min if pair_min > 0 else math.inf
+        max_term = max(first_arg, lambda_bar[0], lambda_bar[1])
+    else:
+        max_term = max(lambda_bar[0], lambda_bar[1])
+    rhs1 = pref * x_fro * root_phi * ratio * max_term
+    rhs2 = 2.0 * pref * x_op * x_fro * root_phi * ratio * lambda_bar[1]
+    lhs1, lhs2 = lam_f**2, lam_f**3
+
+    # the rate constants
     alpha0 = (4.0 / gamma**4) * (gamma**2 / 4.0) ** L * lam_f**2 * min_deep**2
     r_product = float(np.prod([max(1.0, 1.5 * lb) for lb in lambda_bar]))
     bar_all = float(np.prod(lambda_bar))
     bar_min = min(lambda_bar)
     ls = L * math.sqrt(L)
-    q0 = (
-        ls * 1.5 ** (2 * (L - 1)) * x_fro**2 * bar_all**2 / bar_min**2
-        + ls * x_fro * (1.0 + L * beta * x_fro * r_product) * r_product * root_phi
-    )
+    # +inf for a zero deep layer, whose lambda_min = 0 makes alpha0 = 0 (vacuous)
+    q0 = ls * 1.5 ** (2 * (L - 1)) * x_fro**2 * bar_all**2 / bar_min**2 if bar_min else math.inf
+    q0 += ls * x_fro * (1.0 + L * beta * x_fro * r_product) * r_product * root_phi
     vacuous = not alpha0 > 0.0
     if vacuous:
         q1 = math.inf if phi0 > 0 else 0.0
@@ -208,11 +156,34 @@ def rate_constants(
         sum_term = sum(bar_all / lb for lb in lambda_bar)
         q1 = (4.0 / 3.0) * 1.5**L * (x_fro / alpha0) * sum_term * root_phi
         eta_max = min(1.0 / alpha0, 1.0 / q0) if q0 > 0 else 1.0 / alpha0
-    return float(alpha0), float(q0), float(q1), r_product, float(eta_max), vacuous
+    return Certificate(
+        lambda_bar=tuple(lambda_bar),
+        lambda_min_deep=tuple(lambda_min_deep),
+        lambda_f=lam_f,
+        phi0=phi0,
+        alpha0=float(alpha0),
+        q0=float(q0),
+        q1=float(q1),
+        r_product=r_product,
+        eta_max=float(eta_max),
+        cond1_holds=bool(lhs1 >= rhs1),
+        cond1_slack=float(lhs1 / rhs1 if rhs1 > 0 else math.inf),
+        cond2_holds=bool(lhs2 >= rhs2),
+        cond2_slack=float(lhs2 / rhs2 if rhs2 > 0 else math.inf),
+        gamma=gamma,
+        beta=beta,
+        depth=L,
+        x_fro=x_fro,
+        x_op=x_op,
+        vacuous=vacuous,
+        degenerate_reason="degenerate data" if lam_f <= DEGENERATE_LAMBDA_F and phi0 > 0 else None,
+        depth2_convention=L == 2,
+    )
 
 
 def certify(params0: Params, data: Dataset, act: ActivationParams) -> Certificate:
-    """Compute the full certificate for an initialization on a dataset.
+    """The certificate of an initialization on a dataset: measures the
+    initial loss and spectra, then evaluates :func:`certificate_from_spectra`.
 
     Requires the pyramidal shape plus a first layer at least as wide as the
     sample count (the width hypothesis behind the gradient floor).
@@ -227,33 +198,7 @@ def certify(params0: Params, data: Dataset, act: ActivationParams) -> Certificat
     phi0 = loss_of(trace)
     lambda_bar, lambda_min_deep = spectral_quantities(params0)
     lam_f = float(np.linalg.svd(trace.F[1], compute_uv=False)[-1])
-    verdict = check_assumption(lambda_bar, lambda_min_deep, lam_f, data.X, phi0, act.gamma)
-    alpha0, q0, q1, r_product, eta_max, vacuous = rate_constants(
-        lambda_bar, lambda_min_deep, lam_f, data.X, phi0, act
-    )
-    return Certificate(
-        lambda_bar=lambda_bar,
-        lambda_min_deep=lambda_min_deep,
-        lambda_f=lam_f,
-        phi0=phi0,
-        alpha0=alpha0,
-        q0=q0,
-        q1=q1,
-        r_product=r_product,
-        eta_max=eta_max,
-        cond1_holds=verdict.cond1_holds,
-        cond1_slack=verdict.cond1_slack,
-        cond2_holds=verdict.cond2_holds,
-        cond2_slack=verdict.cond2_slack,
-        gamma=act.gamma,
-        beta=act.beta,
-        depth=shape.depth,
-        x_fro=float(np.linalg.norm(data.X, "fro")),
-        x_op=float(np.linalg.norm(data.X, 2)),
-        vacuous=vacuous,
-        degenerate_reason=verdict.reason,
-        depth2_convention=shape.depth == 2,
-    )
+    return certificate_from_spectra(lambda_bar, lambda_min_deep, lam_f, data.X, phi0, act)
 
 
 # ---------------------------------------------------------------------------

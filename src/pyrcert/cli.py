@@ -239,11 +239,8 @@ def _build_params_and_cert(cfg, shape, data, act, seed, tune=True):
         return params, certify(params, data, act)
     icfg = InitConfig(gain=init["gain"], second_layer_var=init["second_layer_var"], seed=seed)
     if tune and init["auto_gain"]:
-        try:
-            _, params, cert = tune_gain(shape, data, act, icfg)
-            return params, cert
-        except RuntimeError:
-            pass  # fall through and report the failing certificate as-is
+        _, params, cert = tune_gain(shape, data, act, icfg)
+        return params, cert
     params = init_certifiable(shape, data, icfg)
     return params, certify(params, data, act)
 

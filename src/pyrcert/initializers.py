@@ -43,8 +43,8 @@ __all__ = [
 # stream tags for dataset inputs and targets, disjoint from layer indices
 _DATA_STREAM = 104729
 _TARGET_STREAM = 104730
-# tune_gain gives up above GAIN_MAX and returns the flip point times
-# GAIN_MARGIN when that still certifies
+# tune_gain gives up above GAIN_MAX; a certified search returns the flip
+# point times GAIN_MARGIN when that still certifies
 GAIN_MAX = 1e15
 GAIN_MARGIN = 1.2
 
@@ -92,23 +92,20 @@ def init_certifiable(shape: Shape, data: Dataset, cfg: InitConfig) -> Params:
     a top-block identity.
     """
     dims = shape.dims
-    L = shape.depth
     if shape.widths[0] < data.n_samples:
         warnings.warn(
             f"first layer width {shape.widths[0]} is below the sample count "
             f"{data.n_samples}; the certificate cannot hold",
             stacklevel=2,
         )
-    weights = [first_layer(shape, cfg.seed)]
-    if L >= 2:
-        if cfg.second_layer_var == 0.0:
-            w2 = np.zeros((dims[1], dims[2]))
-        else:
-            w2 = layer_rng(cfg.seed, 2).normal(
-                0.0, math.sqrt(cfg.second_layer_var), size=(dims[1], dims[2])
-            )
-        weights.append(w2)
-    for l in range(3, L + 1):
+    if cfg.second_layer_var == 0.0:
+        w2 = np.zeros((dims[1], dims[2]))
+    else:
+        w2 = layer_rng(cfg.seed, 2).normal(
+            0.0, math.sqrt(cfg.second_layer_var), size=(dims[1], dims[2])
+        )
+    weights = [first_layer(shape, cfg.seed), w2]
+    for l in range(3, shape.depth + 1):
         w = np.zeros((dims[l - 1], dims[l]))
         np.fill_diagonal(w, cfg.gain)  # top block = gain * identity
         weights.append(w)
@@ -131,9 +128,10 @@ def tune_gain(
 
     Doubles the gain to find a passing value, bisects down to ~1% of the
     flip point, then applies the ``GAIN_MARGIN`` safety factor.  Returns the
-    final gain, the drawn parameters, and their certificate.  Raises if no
-    gain up to ``GAIN_MAX`` certifies (e.g. degenerate data with zero
-    lambda_F).
+    final gain, the drawn parameters, and their certificate.  A refused
+    instance (degenerate data with zero lambda_F, or no certifying gain up
+    to ``GAIN_MAX``) returns its starting attempt ``(cfg.gain, params,
+    cert)``, whose certificate says why.
     """
 
     def attempt(g: float) -> tuple[Params, Certificate]:
@@ -143,13 +141,14 @@ def tune_gain(
     g = cfg.gain
     params, cert = attempt(g)
     if not cert.certified:
+        refused = g, params, cert
         if cert.degenerate_reason is not None:
-            raise RuntimeError(f"cannot certify: {cert.degenerate_reason}")
+            return refused
         lo = g
         while True:
             g *= 2.0
             if g > GAIN_MAX:
-                raise RuntimeError(f"no certifying gain found up to {GAIN_MAX:g}")
+                return refused
             params, cert = attempt(g)
             if cert.certified:
                 break

@@ -42,6 +42,7 @@ KR_ENTRY_BUDGET = 10**8
 # route before it falls back to an SVD of the Khatri-Rao power.
 KR_REL_TOL = 1e-10
 COEFF_CONVERGENCE_TOL = 1e-8
+MAX_QUAD_ORDER = 2**16  # hermite_coeffs doubles the quadrature order up to here
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -140,15 +141,21 @@ def _coeffs_at_order(sigma: Callable, r_max: int, quad_order: int) -> tuple[np.n
 def hermite_coeffs(sigma: Callable, r_max: int, quad_order: int = 200) -> HermiteSpec:
     """Coefficients mu_0..mu_{r_max} by Gauss-Hermite quadrature.
 
-    Each coefficient is recomputed at double the order; a coefficient whose
-    value moves by 1e-8 or more is flagged as non-converged (with a warning).
+    The order doubles from ``quad_order`` until doubling it once more moves
+    no coefficient by 1e-8 or more; the spec keeps that order and the
+    coefficients at double it.  Doubling stops at ``MAX_QUAD_ORDER``, where
+    coefficients still moving are flagged as non-converged (with a warning).
     """
     r_max = _check_order(r_max)
     if quad_order < r_max + 1:
         raise ValueError("quad_order must exceed the highest requested order")
     base, _ = _coeffs_at_order(sigma, r_max, quad_order)
-    refined, norm_sq = _coeffs_at_order(sigma, r_max, 2 * quad_order)
-    converged = np.abs(refined - base) < COEFF_CONVERGENCE_TOL
+    while True:
+        refined, norm_sq = _coeffs_at_order(sigma, r_max, 2 * quad_order)
+        converged = np.abs(refined - base) < COEFF_CONVERGENCE_TOL
+        if np.all(converged) or 4 * quad_order > MAX_QUAD_ORDER:
+            break
+        quad_order, base = 2 * quad_order, refined
     if not np.all(converged):
         bad = np.flatnonzero(~converged)
         warnings.warn(

@@ -1,11 +1,12 @@
 """Reference implementations the tests compare pyrcert against.
 
-No command reaches any of these, so they live with the tests: the dense
-Jacobian blocks and the parameter distance behind the gradient and
-Lipschitz checks, the parameter-distance envelope of acceptance criterion 3,
-the activation's second derivative and its gap to the ramp behind
-criterion 4, the normalized Hermite polynomials, and a CSV writer and
-parser for fixtures.
+No command reaches any of these, so they live with the tests: the literal
+initial-condition and rate-constant formulas that
+``certificate_from_spectra`` must match bitwise, the dense Jacobian blocks
+and the parameter distance behind the gradient and Lipschitz checks, the
+parameter-distance envelope of acceptance criterion 3, the activation's
+second derivative and its gap to the ramp behind criterion 4, the
+normalized Hermite polynomials, and a CSV writer and parser for fixtures.
 """
 
 import csv
@@ -16,12 +17,120 @@ from typing import Optional
 import numpy as np
 
 from pyrcert.activation import ActivationParams, evaluate
-from pyrcert.certificates import Certificate, _first_false
+from pyrcert.certificates import DEGENERATE_LAMBDA_F, Certificate, _first_false
 from pyrcert.gradients import TrainLog
 from pyrcert.lambda_star import _hermite_table
 from pyrcert.network import Dataset, ForwardTrace, Params, _write_matrix_csv, forward
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+@dataclass(frozen=True)
+class AssumptionVerdict:
+    """Verdicts and slack ratios for the two initial-condition inequalities."""
+
+    cond1_holds: bool
+    cond1_slack: float
+    cond2_holds: bool
+    cond2_slack: float
+    reason: Optional[str] = None
+
+
+def _deep_products(lambda_bar: tuple[float, ...], lambda_min_deep: tuple[float, ...]):
+    bar_deep = float(np.prod(lambda_bar[2:])) if len(lambda_bar) > 2 else 1.0
+    min_deep = float(np.prod(lambda_min_deep)) if lambda_min_deep else 1.0
+    return bar_deep, min_deep
+
+
+def check_assumption(
+    lambda_bar: tuple[float, ...],
+    lambda_min_deep: tuple[float, ...],
+    lam_f: float,
+    X: np.ndarray,
+    phi0: float,
+    gamma: float,
+) -> AssumptionVerdict:
+    """Evaluate both initial-condition inequalities literally.
+
+    At depth 2 the deep products are empty (= 1) and the max() term keeps
+    only its last two arguments, since the minimum over an empty layer range
+    would be +inf and annihilate the first argument.
+    """
+    L = len(lambda_bar)
+    X = np.asarray(X, dtype=np.float64)
+    x_fro = float(np.linalg.norm(X, "fro"))
+    x_op = float(np.linalg.norm(X, 2))
+    bar_deep, min_deep = _deep_products(lambda_bar, lambda_min_deep)
+    pref = (gamma**4 / 3.0) * (6.0 / gamma**2) ** L
+    root_phi = math.sqrt(2.0 * phi0)
+    ratio = bar_deep / min_deep**2 if min_deep > 0 else math.inf
+
+    if L >= 3:
+        pair_min = min(
+            lb * lm for lb, lm in zip(lambda_bar[2:], lambda_min_deep)
+        )
+        first_arg = (
+            2.0 * lambda_bar[0] * lambda_bar[1] / pair_min if pair_min > 0 else math.inf
+        )
+        max_term = max(first_arg, lambda_bar[0], lambda_bar[1])
+    else:
+        max_term = max(lambda_bar[0], lambda_bar[1])
+
+    rhs1 = pref * x_fro * root_phi * ratio * max_term
+    rhs2 = 2.0 * pref * x_op * x_fro * root_phi * ratio * lambda_bar[1]
+    lhs1 = lam_f**2
+    lhs2 = lam_f**3
+
+    cond1 = lhs1 >= rhs1
+    cond2 = lhs2 >= rhs2
+    slack1 = lhs1 / rhs1 if rhs1 > 0 else math.inf
+    slack2 = lhs2 / rhs2 if rhs2 > 0 else math.inf
+    reason = None
+    if lam_f <= DEGENERATE_LAMBDA_F and phi0 > 0:
+        reason = "degenerate data"
+    return AssumptionVerdict(
+        cond1_holds=bool(cond1),
+        cond1_slack=float(slack1),
+        cond2_holds=bool(cond2),
+        cond2_slack=float(slack2),
+        reason=reason,
+    )
+
+
+def rate_constants(
+    lambda_bar: tuple[float, ...],
+    lambda_min_deep: tuple[float, ...],
+    lam_f: float,
+    X: np.ndarray,
+    phi0: float,
+    act: ActivationParams,
+) -> tuple[float, float, float, float, float, bool]:
+    """Literal evaluation of (alpha0, q0, q1, r_product, eta_max, vacuous)."""
+    L = len(lambda_bar)
+    gamma, beta = act.gamma, act.beta
+    X = np.asarray(X, dtype=np.float64)
+    x_fro = float(np.linalg.norm(X, "fro"))
+    _, min_deep = _deep_products(lambda_bar, lambda_min_deep)
+    root_phi = math.sqrt(2.0 * phi0)
+
+    alpha0 = (4.0 / gamma**4) * (gamma**2 / 4.0) ** L * lam_f**2 * min_deep**2
+    r_product = float(np.prod([max(1.0, 1.5 * lb) for lb in lambda_bar]))
+    bar_all = float(np.prod(lambda_bar))
+    bar_min = min(lambda_bar)
+    ls = L * math.sqrt(L)
+    q0 = (
+        ls * 1.5 ** (2 * (L - 1)) * x_fro**2 * bar_all**2 / bar_min**2
+        + ls * x_fro * (1.0 + L * beta * x_fro * r_product) * r_product * root_phi
+    )
+    vacuous = not alpha0 > 0.0
+    if vacuous:
+        q1 = math.inf if phi0 > 0 else 0.0
+        eta_max = math.nan
+    else:
+        sum_term = sum(bar_all / lb for lb in lambda_bar)
+        q1 = (4.0 / 3.0) * 1.5**L * (x_fro / alpha0) * sum_term * root_phi
+        eta_max = min(1.0 / alpha0, 1.0 / q0) if q0 > 0 else 1.0 / alpha0
+    return float(alpha0), float(q0), float(q1), r_product, float(eta_max), vacuous
 
 
 def jacobian_block(

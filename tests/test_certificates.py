@@ -10,18 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import distance_envelope, trainlog_from_csv
+from oracles import check_assumption, distance_envelope, rate_constants, trainlog_from_csv
 
 from pyrcert.activation import ActivationParams, as_function, evaluate
 from pyrcert.certificates import (
+    Certificate,
     InvariantReport,
     certificate_from_json,
+    certificate_from_spectra,
     certificate_to_json,
     certify,
-    check_assumption,
     invariant_flags,
     monitor_invariants,
-    rate_constants,
     spectral_quantities,
 )
 from pyrcert.gradients import TrainConfig, train, trainlog_to_csv
@@ -190,19 +190,21 @@ class TestCheckAssumption:
         assert not cert_big.cond1_holds and not cert_big.cond2_holds
 
     def test_slack_monotone_in_lambda_f(self):
+        # doubling lambda_F scales cond1's slack by 2**2 and cond2's by 2**3
         lb = (1.5, 0.8, 2.0)
         lm = (1.7,)
         X = sphere_data(5, 3, seed=2)
-        v1 = check_assumption(lb, lm, 0.5, X, 1.0, 0.5)
-        v2 = check_assumption(lb, lm, 1.0, X, 1.0, 0.5)
-        assert v2.cond1_slack > v1.cond1_slack
-        assert v2.cond1_slack == pytest.approx(4.0 * v1.cond1_slack, rel=1e-12)
+        c1 = certificate_from_spectra(lb, lm, 0.5, X, 1.0, ACT)
+        c2 = certificate_from_spectra(lb, lm, 1.0, X, 1.0, ACT)
+        assert c2.cond1_slack > c1.cond1_slack
+        assert c2.cond1_slack == pytest.approx(4.0 * c1.cond1_slack, rel=1e-12)
+        assert c2.cond2_slack == pytest.approx(8.0 * c1.cond2_slack, rel=1e-12)
 
     def test_zero_loss_holds_trivially(self):
         X = sphere_data(4, 3, seed=3)
-        v = check_assumption((1.0, 1.0), (), 0.0, X, 0.0, 0.5)
-        assert v.cond1_holds and v.cond2_holds
-        assert v.cond1_slack == math.inf
+        cert = certificate_from_spectra((1.0, 1.0), (), 0.0, X, 0.0, ACT)
+        assert cert.cond1_holds and cert.cond2_holds
+        assert cert.cond1_slack == math.inf
 
 
 class TestRateConstants:
@@ -210,30 +212,105 @@ class TestRateConstants:
         X = sphere_data(4, 3, seed=4)
         for gamma in (0.1, 0.3, 0.5, 0.9):
             act = ActivationParams(gamma, 1.0)
-            alpha0, *_ = rate_constants((1.0, 1.0), (), 2.0, X, 1.0, act)
-            assert alpha0 == pytest.approx(1.0, rel=1e-12)
+            cert = certificate_from_spectra((1.0, 1.0), (), 2.0, X, 1.0, act)
+            assert cert.alpha0 == pytest.approx(1.0, rel=1e-12)
 
     def test_r_product_floors_at_one(self):
         X = sphere_data(4, 3, seed=5)
-        _, _, _, r_prod, _, _ = rate_constants(
-            (2 / 3, 2 / 3, 0.5), (0.4,), 1.0, X, 1.0, ACT
-        )
-        assert r_prod == 1.0
+        cert = certificate_from_spectra((2 / 3, 2 / 3, 0.5), (0.4,), 1.0, X, 1.0, ACT)
+        assert cert.r_product == 1.0
 
     def test_zero_initial_loss_zeroes_q1(self):
         X = sphere_data(4, 3, seed=6)
-        _, _, q1, _, _, vac = rate_constants((1.0, 1.0), (), 2.0, X, 0.0, ACT)
-        assert q1 == 0.0 and not vac
+        cert = certificate_from_spectra((1.0, 1.0), (), 2.0, X, 0.0, ACT)
+        assert cert.q1 == 0.0 and not cert.vacuous
 
     def test_vacuous_when_lambda_f_zero(self):
         X = sphere_data(4, 3, seed=7)
-        alpha0, _, q1, _, eta_max, vac = rate_constants((1.0, 1.0), (), 0.0, X, 1.0, ACT)
-        assert vac and alpha0 == 0.0 and math.isinf(q1) and math.isnan(eta_max)
+        cert = certificate_from_spectra((1.0, 1.0), (), 0.0, X, 1.0, ACT)
+        assert cert.vacuous and cert.alpha0 == 0.0
+        assert math.isinf(cert.q1) and math.isnan(cert.eta_max)
 
     def test_eta_max_is_min_of_inverses(self):
         shape, data, cfg = certifiable_instance()
         _, _, cert = tune_gain(shape, data, ACT, cfg)
         assert cert.eta_max == pytest.approx(min(1 / cert.alpha0, 1 / cert.q0), rel=1e-15)
+
+    def test_zero_deep_layer_is_vacuous(self, tmp_path):
+        # W3 = 0 has lambda_min = 0 and norm 0: Q0's shape term is +inf
+        X = sphere_data(4, 3, seed=8)
+        Y = np.random.default_rng(8).normal(size=(4, 2))
+        ws = (
+            layer_rng(8, 1).normal(size=(3, 6)),
+            layer_rng(8, 2).normal(size=(6, 4)),
+            np.zeros((4, 2)),
+        )
+        cert = certify(Params(ws), Dataset(X, Y), ACT)
+        assert cert.vacuous and not cert.certified
+        assert cert.q0 == math.inf and math.isnan(cert.eta_max)
+        path = tmp_path / "cert.json"
+        assert certificate_to_json(cert, path)["q0"] is None
+        back = certificate_from_json(path)
+        assert same_fields(back, cert)
+        assert back.vacuous and not back.certified
+
+
+def same_fields(a, b):
+    """Whether two certificates agree bit for bit in every field: ``repr``
+    round-trips every float exactly and prints every NaN alike."""
+    return repr(dataclasses.astuple(a)) == repr(dataclasses.astuple(b))
+
+
+@st.composite
+def spectra(draw):
+    """Random certificate inputs at depths 2..8, with zero loss and zero
+    lambda_F among the draws."""
+    L = draw(st.integers(2, 8))
+    pos = st.floats(1e-3, 1e3, allow_nan=False)
+    bars = tuple(draw(pos) for _ in range(L))
+    mins = tuple(draw(st.floats(1e-3, 1.0)) * b for b in bars[2:])
+    lam_f = draw(st.one_of(st.just(0.0), pos))
+    phi0 = draw(st.one_of(st.just(0.0), pos))
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, d))
+    act = ActivationParams(draw(st.floats(0.05, 0.95)), draw(st.floats(0.1, 10.0)))
+    return bars, mins, lam_f, X, phi0, act
+
+
+class TestAgainstLiteralFormulas:
+    @settings(max_examples=200, deadline=None)
+    @given(spectra())
+    def test_every_field_matches_the_oracle(self, args):
+        bars, mins, lam_f, X, phi0, act = args
+        cert = certificate_from_spectra(bars, mins, lam_f, X, phi0, act)
+        verdict = check_assumption(bars, mins, lam_f, X, phi0, act.gamma)
+        alpha0, q0, q1, r_product, eta_max, vacuous = rate_constants(
+            bars, mins, lam_f, X, phi0, act
+        )
+        want = Certificate(
+            lambda_bar=bars,
+            lambda_min_deep=mins,
+            lambda_f=lam_f,
+            phi0=phi0,
+            alpha0=alpha0,
+            q0=q0,
+            q1=q1,
+            r_product=r_product,
+            eta_max=eta_max,
+            cond1_holds=verdict.cond1_holds,
+            cond1_slack=verdict.cond1_slack,
+            cond2_holds=verdict.cond2_holds,
+            cond2_slack=verdict.cond2_slack,
+            gamma=act.gamma,
+            beta=act.beta,
+            depth=len(bars),
+            x_fro=float(np.linalg.norm(X, "fro")),
+            x_op=float(np.linalg.norm(X, 2)),
+            vacuous=vacuous,
+            degenerate_reason=verdict.reason,
+            depth2_convention=len(bars) == 2,
+        )
+        assert same_fields(cert, want), (cert, want)
 
 
 class TestPredictedDecay:

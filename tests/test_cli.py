@@ -1,6 +1,5 @@
 """End-to-end command-line behavior: exit codes, emitted files, round trips."""
 
-import contextlib
 import csv
 import json
 import math
@@ -82,6 +81,21 @@ class TestCertify:
         res = run(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert "lambda_F = 0" in res.output
+
+    def test_refused_instance_ignores_auto_gain(self, tmp_path):
+        # no gain certifies seed 36 at widths 16-6-2, so tune_gain returns its
+        # first attempt: the certificate of the configured gain
+        written = []
+        for auto_gain in (True, False):
+            cfg = tmp_path / f"auto_{auto_gain}.json"
+            cfg.write_text(json.dumps(
+                {"shape": {"widths": [16, 6, 2]}, "init": {"auto_gain": auto_gain}}
+            ))
+            out = tmp_path / f"o_{auto_gain}"
+            res = run(["certify", "--config", str(cfg), "--seed", "36", "--out", str(out)])
+            assert res.exit_code == 2, res.output
+            written.append((out / "certificate.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_missing_dataset_file_exits_one(self, tmp_path):
         cfg = small_config(
@@ -592,10 +606,6 @@ class TestConfig:
         ("hermite", "--quad-order", "150", "lambda_star.quad_order", 150),
         ("sweep", "--jobs", "2", "sweep.jobs", 2),
     ]
-    # these two leave Hermite coefficients that do not settle when the
-    # quadrature order doubles, and hermite_coeffs warns about them
-    UNSETTLED = {("hermite", "--beta"), ("hermite", "--quad-order")}
-
     @pytest.mark.parametrize("command,flag,text,path,value", OVERRIDES)
     def test_flag_lands_at_its_config_path(self, tmp_path, command, flag, text, path, value):
         cfg = small_config(
@@ -605,13 +615,7 @@ class TestConfig:
             kr={"n": 4, "d": 3, "n_seeds": 1},
         )
         out = tmp_path / "o"
-        warns = (
-            pytest.warns(UserWarning, match="did not stabilize")
-            if (command, flag) in self.UNSETTLED
-            else contextlib.nullcontext()
-        )
-        with warns:
-            res = run([command, "--config", str(cfg), "--out", str(out), flag, text])
+        res = run([command, "--config", str(cfg), "--out", str(out), flag, text])
         assert res.exit_code in (0, 2), res.output
         node = json.loads((out / "config.json").read_text())
         for key in path.split("."):

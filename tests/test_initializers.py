@@ -94,12 +94,15 @@ class TestTuneGain:
         # returned params really are drawn at the returned gain
         assert np.linalg.svd(params.weights[2], compute_uv=False)[0] == gain
 
-    def test_degenerate_data_raises(self):
+    def test_degenerate_data_returns_first_attempt(self):
         X = sphere_data(6, 4, seed=1)
         X[1] = X[0]
         data = Dataset(X, make_data().Y)
-        with pytest.raises(RuntimeError, match="degenerate"):
-            tune_gain(Shape(d=4, widths=(6, 3, 2)), data, ACT, InitConfig())
+        cfg = InitConfig()
+        gain, params, cert = tune_gain(Shape(d=4, widths=(6, 3, 2)), data, ACT, cfg)
+        assert gain == cfg.gain
+        assert not cert.certified and cert.degenerate_reason == "degenerate data"
+        assert np.linalg.svd(params.weights[2], compute_uv=False)[0] == cfg.gain
 
 
 class TestLecunInit:

@@ -47,6 +47,10 @@ DELETED = [
     "lambda_f",
     "predicted_decay",
     "trainlog_summary",
+    # folded into certificate_from_spectra; the literal formulas are oracles
+    "check_assumption",
+    "rate_constants",
+    "AssumptionVerdict",
 ]
 
 
