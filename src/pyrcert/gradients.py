@@ -20,7 +20,7 @@ import numpy as np
 from .activation import ActivationParams
 from .activation import value_and_slope  # noqa: F401 - bound here for perfbench's tracer
 from .certificates import Certificate, InvariantReport, invariant_thresholds
-from .network import _FLOAT_FMT, Dataset, ForwardTrace, Params, _check_dims, _layers, forward
+from .network import _FLOAT_FMT, Dataset, ForwardTrace, Params, _check_dims, _layers, _size, forward
 
 __all__ = [
     "GradientBundle",
@@ -126,6 +126,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eta) and self.eta >= 0.0):
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        object.__setattr__(self, "max_steps", _size(self.max_steps, "max_steps"))
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
         if not (math.isfinite(self.stop_loss) and self.stop_loss >= 0.0):
@@ -206,6 +207,89 @@ def _grown(a: np.ndarray, rows: int, fill) -> np.ndarray:
     return out
 
 
+class _Spectra:
+    """Lazy but rigorous spectra of one run's monitored matrices of
+    ``shapes``: ``F_1``, then ``W_1..W_L``, as matrices ``0..L``.
+
+    Each matrix keeps a reference with the singular values of one exact
+    SVD.  By Weyl's inequality no singular value moves further from the
+    reference's than ``||A - A_ref||_2 <= ||A - A_ref||_F``.  That
+    displacement, inflated for rounding and widened by the SVD error of
+    both matrices, bounds what an exact SVD of the current matrix would
+    compute.  ``prove`` ``measure``s each matrix whose bounds do not prove
+    its ``thresholds`` (as ``invariant_thresholds`` returns them), and that
+    exact SVD becomes its new reference; so the bounds decide each flag as
+    an exact SVD would.
+    """
+
+    def __init__(self, shapes, thresholds) -> None:
+        if thresholds is not None:
+            f1_floor, deep_floors, norm_caps = thresholds
+            self.floors = [f1_floor, -math.inf, -math.inf] + deep_floors.tolist()
+            self.caps = [math.inf] + norm_caps.tolist()
+        # ||A - A_ref||_F * inflate + margin bounds how far any singular value
+        # an exact SVD of A would compute lies from the reference's computed
+        # ones.  inflate covers the rounding of the difference, the sum of
+        # squares (size * eps bounds its rounding in any summation order, so
+        # vdot and reduceat alike), the square root and the final add, and the
+        # SVD error of A growing with ||A||_2 <= ||A_ref||_2 + the displacement;
+        # margin covers the SVD error of both matrices at ||A_ref||_2, the
+        # rounding of the bounds, and underflowed squares.
+        self.inflate = [1.0 + (2.0 * m * n + _SVD_ERR * max(m, n) + 8.0) * _EPS for m, n in shapes]
+        self.underflow = [2.0 * math.sqrt(m * n) * _SQRT_TINY for m, n in shapes]
+        self.svd_err = [(2.0 * _SVD_ERR * max(m, n) + 4.0) * _EPS for m, n in shapes]
+        # references: F_1 and W_1 are the arrays themselves (the trainer replaces
+        # them, never changes them in place); W_2..W_L are copies in one vector
+        self.refs: list = [None, None]
+        self.ref_deep, self.ref_w = _flat_views(shapes[2:])
+        self.starts = np.cumsum([0] + [m * n for m, n in shapes[2:-1]])
+        self.tops = [math.nan] * len(shapes)
+        self.lows = [math.nan] * len(shapes)
+        self.margins = [math.nan] * len(shapes)
+        self.n_svds = 0
+
+    def measure(self, i: int, a: np.ndarray) -> None:
+        """One exact SVD of matrix ``i``, now ``a``, which becomes its reference."""
+        self.n_svds += 1
+        try:
+            sv = np.linalg.svd(a, compute_uv=False)
+            self.tops[i], self.lows[i] = float(sv[0]), float(sv[-1])
+        except np.linalg.LinAlgError:  # NaN entries of a blown-up run
+            self.tops[i] = self.lows[i] = math.nan
+        if i <= 1:
+            self.refs[i] = a
+        else:
+            self.ref_w[i - 2][...] = a
+        self.margins[i] = self.svd_err[i] * self.tops[i] + self.underflow[i]
+
+    def prove(self, f1, weights, deep: np.ndarray, out: np.ndarray) -> bool:
+        """Bound the extreme singular values of the ``n`` matrices ``f1`` and
+        ``weights`` (``W_2..W_L`` views of ``deep``) into ``out[i]`` and ``out[n + i]``,
+        measuring where bounds cannot prove thresholds.  True if all were measured."""
+        lows, tops, margins, inflate = self.lows, self.tops, self.margins, self.inflate
+        refs, floors, caps, n = self.refs, self.floors, self.caps, len(lows)
+        # squared displacements of W_2..W_L, summed per matrix
+        deep_sq = np.add.reduceat(np.square(deep - self.ref_deep), self.starts).tolist()
+        all_exact = True
+        for i, a in enumerate((f1, *weights)):
+            if i >= 2:
+                radius = math.sqrt(deep_sq[i - 2]) * inflate[i] + margins[i]
+            elif a is refs[i]:  # zero displacement: sqrt(0) * inflate + margin == margin
+                radius = margins[i]
+            else:
+                delta = a - refs[i]
+                radius = math.sqrt(float(np.vdot(delta, delta))) * inflate[i] + margins[i]
+            low = lows[i] - radius
+            top = tops[i] + radius
+            if low >= floors[i] and top <= caps[i]:
+                out[i], out[n + i] = low, top
+                all_exact = False
+            else:
+                self.measure(i, a)
+                out[i], out[n + i] = lows[i], tops[i]
+        return all_exact
+
+
 def train(
     params0: Params,
     data: Dataset,
@@ -222,21 +306,9 @@ def train(
     exceeds ``1e12`` or turns non-finite, including when the iterates
     overflow and the forward pass meets a non-finite pre-activation.
 
-    Spectra of a certified run are lazy but rigorous.  Each monitored matrix
-    (``F_1`` and every ``W_l``) keeps a reference copy with the singular
-    values of one exact SVD.  By Weyl's inequality no singular value moves
-    further from the reference's than ``||A - A_ref||_2 <= ||A - A_ref||_F``.
-    That displacement, inflated for rounding and widened by the SVD error
-    of both matrices, turns the reference extremes into certified bounds
-    on what an exact SVD of the current matrix would compute.  A matrix
-    whose bounds do not prove its thresholds gets an exact SVD, which is
-    logged and becomes its new reference; so the logged spectra decide each
-    flag as an exact SVD would, on every step.  Step 0, the last logged
-    step and every step of an uncertified run take exact SVDs, ``L + 1``
-    per step.  A matrix that is still the very array of its reference
-    (``F_1`` and ``W_1`` while ``W_1`` is unchanged) has displacement
-    exactly 0, and its radius is the margin alone, since
-    ``sqrt(0) * inflate + margin == margin`` in floating point.
+    Spectra of a certified run are lazy but rigorous: ``_Spectra`` proves
+    them from earlier exact SVDs or measures them.  Step 0, the last step
+    and every step of an uncertified run take ``L + 1`` exact SVDs.
 
     Layer 1 is reused exactly.  At a certified step size ``eta * grad``
     is often below a quarter of ``W_1``'s smallest spacing, and then it
@@ -275,47 +347,23 @@ def train(
     gflat, grads = _flat_views(wshapes)
     w1_size = params0.weights[0].size
     g1, gdeep = gflat[:w1_size], gflat[w1_size:]
-    # log columns: loss, grad norm, then per monitored matrix (F_1,
-    # W_1..W_L) its lower bounds and its upper bounds
-    LO, HI = 2, 2 + (L + 1)
+    # log columns: the lower bounds of the monitored matrices (F_1,
+    # W_1..W_L), their upper bounds, then loss and grad norm
+    HI, LOSS = L + 1, 2 * (L + 1)
     max_rows = cfg.max_steps + 1
     cap = min(max_rows, _LOG_CHUNK)
-    rows = np.full((cap, HI + (L + 1)), np.nan)
+    rows = np.full((cap, LOSS + 2), np.nan)
     exact_a = np.zeros(cap, dtype=bool)
-
-    svd = np.linalg.svd
-    if cert is not None:
-        # thresholds each monitored matrix must prove, or else check exactly
-        f1_floor, deep_floors, norm_caps = invariant_thresholds(cert)
-        floors = [f1_floor, -math.inf, -math.inf] + deep_floors.tolist()
-        caps = [math.inf] + norm_caps.tolist()
-    # ||A - A_ref||_F * inflate + margin bounds how far any singular value
-    # an exact SVD of A would compute lies from the reference's computed
-    # ones.  inflate covers the rounding of the difference, the sum of
-    # squares (size * eps bounds its rounding in any summation order, so
-    # vdot and reduceat alike), the square root and the final add, and the
-    # SVD error of A growing with ||A||_2 <= ||A_ref||_2 + the displacement;
-    # margin covers the SVD error of both matrices at ||A_ref||_2, the
-    # rounding of the bounds, and underflowed squares.
-    shapes = [(X.shape[0], wshapes[0][1])] + wshapes
-    inflate = [1.0 + (2.0 * m * n + _SVD_ERR * max(m, n) + 8.0) * _EPS for m, n in shapes]
-    underflow = [2.0 * math.sqrt(m * n) * _SQRT_TINY for m, n in shapes]
-    # eta * (sqrt(vdot(g_1, g_1)) * w1_inflate + underflow[1]) bounds every
+    thresholds = None if cert is None else invariant_thresholds(cert)
+    spectra = _Spectra([(X.shape[0], wshapes[0][1])] + wshapes, thresholds)
+    # eta * (sqrt(vdot(g_1, g_1)) * w1_inflate + w1_underflow) bounds every
     # entry of the rounded step eta * g_1: w1_inflate covers the rounding
-    # of the sum of squares, the square root and both products, and the
-    # underflow term the squares that underflow.  Below _freeze_tol(W_1),
+    # of the sum of squares, the square root and both products, and
+    # w1_underflow the squares that underflow.  Below _freeze_tol(W_1),
     # the step leaves W_1 bitwise unchanged.
     w1_inflate = 1.0 + (w1_size + 4.0) * _EPS
+    w1_underflow = 2.0 * math.sqrt(w1_size) * _SQRT_TINY
     w1_tol = _freeze_tol(W[0])
-    # references: F_1 and W_1 are the arrays themselves (they are replaced,
-    # never changed in place); W_2..W_L are copies in one flat vector
-    refs: list = [None, None]
-    ref_deep, ref_w = _flat_views(wshapes[1:])
-    starts = np.cumsum([0] + [m * n for m, n in wshapes[1:-1]])
-    tops = [math.nan] * (L + 1)
-    lows = [math.nan] * (L + 1)
-    margins = [math.nan] * (L + 1)
-    n_svds = 0
 
     first = None  # hidden layer 1's (G_1, F_1, S_1) while W_1 is unchanged
     k = 0
@@ -347,49 +395,15 @@ def train(
                 rows = _grown(rows, cap, np.nan)
                 exact_a = _grown(exact_a, cap, False)
             row = rows[k]
-            row[0] = loss_k
-            row[1] = math.sqrt(gsq)
-            prove = cert is not None and k > 0 and not last
-            if prove:
-                # squared displacements of W_2..W_L, summed per matrix
-                deep_sq = np.add.reduceat(np.square(deep - ref_deep), starts).tolist()
-            all_exact = True
-            for i in range(L + 1):
-                a = F[1] if i == 0 else W[i - 1]
-                if prove:
-                    if i >= 2:
-                        radius = math.sqrt(deep_sq[i - 2]) * inflate[i] + margins[i]
-                    elif a is refs[i]:  # zero displacement: sqrt(0) * inflate + margin
-                        radius = margins[i]
-                    else:
-                        delta = a - refs[i]
-                        radius = (
-                            math.sqrt(float(np.vdot(delta, delta))) * inflate[i] + margins[i]
-                        )
-                    lo = lows[i] - radius
-                    hi = tops[i] + radius
-                    if lo >= floors[i] and hi <= caps[i]:
-                        row[LO + i] = lo
-                        row[HI + i] = hi
-                        all_exact = False
-                        continue
-                # exact SVD: it decides this matrix's flags and becomes the
-                # reference of the proofs that follow
-                n_svds += 1
-                try:
-                    sv = svd(a, compute_uv=False)
-                    tops[i], lows[i] = float(sv[0]), float(sv[-1])
-                except np.linalg.LinAlgError:  # NaN entries of a blown-up run
-                    tops[i] = lows[i] = math.nan
-                if i <= 1:
-                    refs[i] = a
-                else:
-                    ref_w[i - 2][...] = a
-                m, n = shapes[i]
-                margins[i] = (2.0 * _SVD_ERR * max(m, n) + 4.0) * _EPS * tops[i] + underflow[i]
-                row[LO + i] = lows[i]
-                row[HI + i] = tops[i]
-            exact_a[k] = all_exact
+            row[LOSS] = loss_k
+            row[LOSS + 1] = math.sqrt(gsq)
+            if cert is not None and k > 0 and not last:
+                exact_a[k] = spectra.prove(F[1], W, deep, row)
+            else:
+                for i, a in enumerate((F[1], *W)):
+                    spectra.measure(i, a)
+                row[:LOSS] = spectra.lows + spectra.tops
+                exact_a[k] = True
 
             if last:
                 if not math.isfinite(loss_k) or loss_k > DIVERGENCE_LOSS:
@@ -400,7 +414,7 @@ def train(
                 break
             # the gradient becomes the step in place; each entry rounds as in
             # a per-layer ``W[l] -= eta * grads[l]``
-            if eta * (math.sqrt(float(np.vdot(g1, g1))) * w1_inflate + underflow[1]) < w1_tol:
+            if eta * (math.sqrt(float(np.vdot(g1, g1))) * w1_inflate + w1_underflow) < w1_tol:
                 gdeep *= eta  # W_1 provably stays put
             else:
                 gflat *= eta
@@ -420,13 +434,13 @@ def train(
         final = params0
     rows = rows[: k + 1]
     return TrainLog(
-        loss=rows[:, 0].copy(),
-        grad_norm=rows[:, 1].copy(),
-        sv_f1=rows[:, LO].copy(),
-        min_sv_w=rows[:, LO + 3 : HI].copy(),
-        norm_w=rows[:, HI + 1 :].copy(),
+        loss=rows[:, LOSS].copy(),
+        grad_norm=rows[:, LOSS + 1].copy(),
+        sv_f1=rows[:, 0].copy(),
+        min_sv_w=rows[:, 3:HI].copy(),
+        norm_w=rows[:, HI + 1 : LOSS].copy(),
         spectra_exact=exact_a[: k + 1].copy(),
-        spectra_svds=n_svds,
+        spectra_svds=spectra.n_svds,
         final_params=final,
         eta=eta,
         diverged=diverged,

@@ -64,10 +64,12 @@ class InitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.gain > 1.0:
-            raise ValueError(f"gain must exceed 1, got {self.gain}")
-        if self.second_layer_var < 0.0:
-            raise ValueError("second_layer_var must be >= 0")
+        if not (math.isfinite(self.gain) and self.gain > 1.0):
+            raise ValueError(f"gain must be finite and exceed 1, got {self.gain}")
+        if not (math.isfinite(self.second_layer_var) and self.second_layer_var >= 0.0):
+            raise ValueError(
+                f"second_layer_var must be finite and >= 0, got {self.second_layer_var}"
+            )
 
 
 def layer_rng(seed: int, stream: int) -> np.random.Generator:
@@ -129,9 +131,9 @@ def tune_gain(
     Doubles the gain to find a passing value, bisects down to ~1% of the
     flip point, then applies the ``GAIN_MARGIN`` safety factor.  Returns the
     final gain, the drawn parameters, and their certificate.  A refused
-    instance (degenerate data with zero lambda_F, or no certifying gain up
-    to ``GAIN_MAX``) returns its starting attempt ``(cfg.gain, params,
-    cert)``, whose certificate says why.
+    instance (degenerate data with zero lambda_F, depth 2, where the gain
+    enters no weight, or no certifying gain up to ``GAIN_MAX``) returns its
+    starting attempt ``(cfg.gain, params, cert)``, whose certificate says why.
     """
 
     def attempt(g: float) -> tuple[Params, Certificate]:
@@ -142,7 +144,7 @@ def tune_gain(
     params, cert = attempt(g)
     if not cert.certified:
         refused = g, params, cert
-        if cert.degenerate_reason is not None:
+        if cert.degenerate_reason is not None or shape.depth == 2:
             return refused
         lo = g
         while True:

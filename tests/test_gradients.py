@@ -13,6 +13,8 @@ from pyrcert.activation import ActivationParams, value_and_slope
 from pyrcert.gradients import (
     DIVERGENCE_LOSS,
     TrainConfig,
+    _flat_views,
+    _Spectra,
     grad,
     pl_lower_bound,
     train,
@@ -332,6 +334,110 @@ class TestTrain:
     def test_rejects_negative_eta(self):
         with pytest.raises(ValueError):
             TrainConfig(eta=-0.1, max_steps=10)
+
+    @pytest.mark.parametrize("max_steps", [3.0, 2.5, True, "3"])
+    def test_rejects_non_integer_max_steps(self, max_steps):
+        # a float would reach np.full as a row count, a bool would run a step
+        with pytest.raises(ValueError, match="max_steps"):
+            TrainConfig(eta=0.0, max_steps=max_steps)
+
+    def test_numpy_integer_max_steps_is_stored_as_int(self):
+        cfg = TrainConfig(eta=0.0, max_steps=np.int64(3))
+        assert type(cfg.max_steps) is int and cfg.max_steps == 3
+
+
+class TestSpectra:
+    """``_Spectra`` alone, on random walks of its four matrices (``F_1``,
+    ``W_1``, ``W_2``, ``W_3``), as the trainer drives it: step 0 measures
+    every matrix, later steps ``prove``.  ``F_1`` and ``W_1`` move by
+    replacement and ``W_2``, ``W_3`` in place in one flat vector.  The
+    thresholds sit near the exact extremes of the first matrices."""
+
+    SHAPES = [(5, 4), (3, 4), (4, 3), (3, 2)]
+
+    @staticmethod
+    def extremes(a):
+        sv = np.linalg.svd(a, compute_uv=False)
+        return float(sv[-1]), float(sv[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(-0.02, 0.1), min_size=5, max_size=5),
+        st.lists(
+            st.lists(st.none() | st.floats(-16.0, -0.5), min_size=4, max_size=4),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_bounds_hold_and_measure_exactly_when_unproven(self, seed, offsets, walk):
+        rng = np.random.default_rng(seed)
+        f1, w1 = (rng.normal(size=shape) for shape in self.SHAPES[:2])
+        deep, deep_w = _flat_views(self.SHAPES[2:])
+        deep[...] = rng.normal(size=deep.size)
+        first = [self.extremes(a) for a in (f1, w1, *deep_w)]
+        # floors of F_1 and W_3, caps of W_1..W_3: a negative offset puts a
+        # threshold beyond the exact value, which no bound can prove
+        f1_floor = first[0][0] * (1.0 - offsets[0])
+        w3_floor = first[3][0] * (1.0 - offsets[1])
+        caps = [top * (1.0 + off) for (_, top), off in zip(first[1:], offsets[2:])]
+        spectra = _Spectra(self.SHAPES, (f1_floor, np.array([w3_floor]), np.array(caps)))
+        floors = [f1_floor, -math.inf, -math.inf, w3_floor]
+        caps = [math.inf, *caps]
+
+        measured = []
+        measure = spectra.measure
+        spectra.measure = lambda i, a: (measured.append(i), measure(i, a))
+        out = np.empty(8)
+        lo, hi = out[:4], out[4:]
+        for i, a in enumerate((f1, w1, *deep_w)):
+            spectra.measure(i, a)
+        refs = [a.copy() for a in (f1, w1, *deep_w)]
+        ref_ext = list(first)
+        assert spectra.lows == [e[0] for e in first] and spectra.tops == [e[1] for e in first]
+
+        for moves in walk:
+            mats = [f1, w1, *deep_w]
+            for i, log_step in enumerate(moves):
+                if log_step is not None:
+                    step = rng.normal(size=self.SHAPES[i])
+                    step *= 10.0**log_step * first[i][1] / np.linalg.norm(step)
+                    if i < 2:  # replaced, as the trainer replaces F_1 and W_1
+                        mats[i] = mats[i] + step
+                    else:
+                        mats[i] += step
+            f1, w1 = mats[:2]
+            # what the prover may use: its rounding factors and margins
+            inflate, margins = list(spectra.inflate), list(spectra.margins)
+            same = [f1 is spectra.refs[0], w1 is spectra.refs[1]]
+            measured.clear()
+            n_svds = spectra.n_svds
+            all_exact = spectra.prove(f1, [w1, *deep_w], deep, out)
+            assert all_exact == (len(measured) == 4)
+            assert spectra.n_svds == n_svds + len(measured)
+            assert measured == sorted(set(measured))
+            for i, a in enumerate(mats):
+                low, top = self.extremes(a)
+                # no bound is ever contradicted by an exact SVD
+                assert lo[i] <= low and hi[i] >= top
+                if i in measured:
+                    assert lo[i] == low and hi[i] == top  # bitwise
+                else:
+                    assert lo[i] >= floors[i] and hi[i] <= caps[i]
+                # Weyl's radius with the displacement computed here; its
+                # summation order may differ from the prover's, so the radius
+                # is widened and narrowed by a relative 1e-12 on either side
+                disp = 0.0 if i < 2 and same[i] else float(np.linalg.norm(a - refs[i]))
+                proven = [
+                    ref_ext[i][0] - r >= floors[i] and ref_ext[i][1] + r <= caps[i]
+                    for r in (disp * f * inflate[i] + margins[i] for f in (1 + 1e-12, 1 - 1e-12))
+                ]
+                if proven[0]:
+                    assert i not in measured
+                if not proven[1]:
+                    assert i in measured
+                if i in measured:
+                    refs[i], ref_ext[i] = a.copy(), (low, top)
 
 
 def literal_train(params, data, act, eta, max_steps):

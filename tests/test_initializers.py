@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pyrcert import initializers
 from pyrcert.activation import ActivationParams, evaluate
 from pyrcert.certificates import certify
 from pyrcert.initializers import (
@@ -32,6 +33,12 @@ class TestInitConfig:
     def test_rejects_gain_at_or_below_one(self):
         with pytest.raises(ValueError):
             InitConfig(gain=1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["gain", "second_layer_var"])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            InitConfig(**{field: value})
 
 
 class TestCertifiableInit:
@@ -103,6 +110,27 @@ class TestTuneGain:
         assert gain == cfg.gain
         assert not cert.certified and cert.degenerate_reason == "degenerate data"
         assert np.linalg.svd(params.weights[2], compute_uv=False)[0] == cfg.gain
+
+    def test_depth_two_refusal_takes_one_attempt(self, monkeypatch):
+        # widths 16-2 have no deep layer, so the gain enters no weight: the
+        # first attempt's refusal stands, and no other gain is tried
+        shape = Shape(d=8, widths=(16, 2))
+        X = sphere_data(16, 8, seed=0)
+        data = Dataset(X, sphere_targets("aligned", shape, X, ACT, 0, 0.1))
+        cfg = InitConfig()
+        calls = []
+
+        def counting_certify(*args):
+            calls.append(args)
+            return certify(*args)
+
+        monkeypatch.setattr(initializers, "certify", counting_certify)
+        gain, params, cert = tune_gain(shape, data, ACT, cfg)
+        assert len(calls) == 1
+        want = init_certifiable(shape, data, cfg)
+        assert gain == cfg.gain == 2.0 and not cert.certified
+        assert all(np.array_equal(a, b) for a, b in zip(params.weights, want.weights))
+        assert repr(cert) == repr(certify(want, data, ACT))
 
 
 class TestLecunInit:
