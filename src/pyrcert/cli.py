@@ -11,6 +11,7 @@ operational errors (missing files, bad config).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import operator
@@ -262,11 +263,6 @@ class _Refused(RuntimeError):
     exit_code = 2  # a domain failure; every other error exits 1
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(getattr(exc, "exit_code", 1))
-
-
 def _exit_one(call, *args, **kwargs):
     try:
         return call(*args, **kwargs)
@@ -276,14 +272,23 @@ def _exit_one(call, *args, **kwargs):
 
 
 class _Main(click.Group):
-    """A usage error (unknown flag, bad flag value) exits 1 like every
-    operational error, not with click's 2, which means a domain failure here."""
+    """The commands' one error boundary.  A usage error (unknown flag, bad
+    flag value) exits 1 like every operational error, not with click's 2,
+    which means a domain failure here.  Any other exception that is not
+    click's prints ``error: <message>`` and exits with the exception's
+    ``exit_code``: 2 for ``_Refused``, else 1."""
 
     def make_context(self, *args, **kwargs):
         return _exit_one(super().make_context, *args, **kwargs)
 
     def invoke(self, ctx):
-        return _exit_one(super().invoke, ctx)
+        try:
+            return _exit_one(super().invoke, ctx)
+        except (click.ClickException, click.exceptions.Exit):
+            raise
+        except Exception as exc:  # noqa: BLE001 - CLI boundary
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(getattr(exc, "exit_code", 1))
 
 
 @click.group(cls=_Main)
@@ -291,22 +296,44 @@ def main() -> None:
     """Convergence certificates for deep pyramidal networks."""
 
 
-@main.command(name="certify")
-@click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
-@click.option("--seed", type=int, default=None, help="Override the top-level seed.")
-@click.option("--out", type=str, default=None, help="Output directory.")
-def certify_cmd(config_path, seed, out) -> None:
+def _command(name: str, *keys: str):
+    """Register the decorated function as command ``name``, with
+    ``--config``, ``--out`` and one override flag per dotted config key in
+    ``keys``.  A flag is named after its key's leaf (``train.max_steps`` is
+    ``--max-steps``, and ``n`` also answers to ``--N``) and typed by
+    ``CONFIG``, where a string key's choices make a ``click.Choice``.  The
+    function is called with the config and output directory from ``_setup``
+    in place of these flags, and with its own options as keywords."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(config_path, out, **given):
+            flags = {key: given.pop(key.replace(".", "__")) for key in keys}
+            fn(*_setup(name.replace("-", "_"), config_path, out, flags), **given)
+
+        for key in reversed(keys):
+            _, kind, domain = CONFIG[key]
+            flag = "--" + key.rpartition(".")[2].replace("_", "-")
+            typ = click.Choice(domain) if kind == "str" else _TYPES[kind.rstrip("?")][0]
+            names = (flag, "--N") if flag == "--n" else (flag,)
+            run = click.option(*names, key.replace(".", "__"), type=typ, default=None,
+                               help=f"Sets {key}.")(run)
+        run = click.option("--out", default=None, help="Output directory.")(run)
+        run = click.option("--config", "config_path", default=None, help="JSON config file.")(run)
+        return main.command(name=name)(run)
+
+    return decorate
+
+
+@_command("certify", "seed")
+def certify_cmd(cfg: dict, out_dir: Path) -> None:
     """Compute a convergence certificate and write certificate.json."""
-    try:
-        cfg, out_dir = _setup("certify", config_path, out, {"seed": seed})
-        shape = Shape(d=cfg["shape"]["d"], widths=tuple(cfg["shape"]["widths"]))
-        act = _activation(cfg)
-        data = _build_dataset(cfg, shape, act, cfg["seed"])
-        _dataset_to_json(data, out_dir / "dataset.json")
-        _, cert = _build_params_and_cert(cfg, shape, data, act, cfg["seed"])
-        certificate_to_json(cert, out_dir / "certificate.json")
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        _fail(exc)
+    shape = Shape(d=cfg["shape"]["d"], widths=tuple(cfg["shape"]["widths"]))
+    act = _activation(cfg)
+    data = _build_dataset(cfg, shape, act, cfg["seed"])
+    _dataset_to_json(data, out_dir / "dataset.json")
+    _, cert = _build_params_and_cert(cfg, shape, data, act, cfg["seed"])
+    certificate_to_json(cert, out_dir / "certificate.json")
     _echo_cert(cert)
     if cert.certified:
         click.echo(f"certificate holds; wrote {out_dir / 'certificate.json'}")
@@ -318,27 +345,11 @@ def certify_cmd(config_path, seed, out) -> None:
     sys.exit(2)
 
 
-@main.command(name="train")
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=str, default=None)
-@click.option("--eta", type=float, default=None, help="Step size; omit to use the certified cap.")
-@click.option("--max-steps", type=int, default=None)
-@click.option("--stop-loss", type=float, default=None)
-def train_cmd(config_path, seed, out, eta, max_steps, stop_loss) -> None:
+@_command("train", "seed", "train.eta", "train.max_steps", "train.stop_loss")
+def train_cmd(cfg: dict, out_dir: Path) -> None:
     """Run full-batch gradient descent, logging loss, bound, and invariants."""
-    try:
-        flags = {
-            "seed": seed,
-            "train.eta": eta,
-            "train.max_steps": max_steps,
-            "train.stop_loss": stop_loss,
-        }
-        cfg, out_dir = _setup("train", config_path, out, flags)
-        summary, code = _run_training(cfg, out_dir)
-        _write_json(out_dir / "summary.json", summary)
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    summary, code = _run_training(cfg, out_dir)
+    _write_json(out_dir / "summary.json", summary)
     click.echo(_json_text(summary))
     sys.exit(code)
 
@@ -383,107 +394,69 @@ def _run_training(cfg: dict, out_dir: Path) -> tuple[dict, int]:
     return summary, (2 if log.diverged else 0)
 
 
-@main.command(name="lambda-star")
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--method", type=click.Choice(CONFIG["lambda_star.method"][2]), default=None)
-@click.option("--sigma", type=click.Choice(CONFIG["lambda_star.sigma"][2]), default=None)
-@click.option("--gamma", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--n", "--N", "n_samples", type=int, default=None, help="Number of data rows.")
-@click.option("--d", type=int, default=None, help="Data dimension.")
-@click.option("--samples", type=int, default=None, help="Monte Carlo sample count.")
-@click.option("--r-max", type=int, default=None, help="Series truncation order.")
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=str, default=None)
+@_command("lambda-star", "lambda_star.method", "lambda_star.sigma", "activation.gamma",
+          "activation.beta", "dataset.n", "shape.d", "lambda_star.samples",
+          "lambda_star.r_max", "seed")
 @click.option("--full-matrix", is_flag=True, help="Also write the Gram matrix as CSV.")
-def lambda_star_cmd(
-    config_path, method, sigma, gamma, beta, n_samples, d, samples, r_max, seed, out, full_matrix
-) -> None:
+def lambda_star_cmd(cfg: dict, out_dir: Path, full_matrix: bool) -> None:
     """Estimate the expected first-layer Gram matrix and its bottom eigenvalue."""
-    try:
-        flags = {
-            "lambda_star.method": method,
-            "lambda_star.sigma": sigma,
-            "lambda_star.samples": samples,
-            "lambda_star.r_max": r_max,
-            "activation.gamma": gamma,
-            "activation.beta": beta,
-            "dataset.n": n_samples,
-            "shape.d": d,
-            "seed": seed,
+    ls = cfg["lambda_star"]
+    ds = cfg["dataset"]
+    X = sphere_data(ds["n"], cfg["shape"]["d"], radius=ds["radius"], seed=cfg["seed"])
+    sig = _sigma(cfg)
+    payload: dict = {"sigma": getattr(sig, "label", "sigma"), "seed": cfg["seed"]}
+    mc = herm = None
+    if ls["method"] in ("mc", "both"):
+        mc = gram_mc(X, sig, ls["samples"], seed=cfg["seed"])
+        payload["monte_carlo"] = {
+            "lambda_min": mc.lambda_min,
+            "n_samples": mc.n_samples,
+            "stderr_max": mc.stderr_max,
         }
-        cfg, out_dir = _setup("lambda_star", config_path, out, flags)
-        ls = cfg["lambda_star"]
-        ds = cfg["dataset"]
-        X = sphere_data(ds["n"], cfg["shape"]["d"], radius=ds["radius"], seed=cfg["seed"])
-        sig = _sigma(cfg)
-        payload: dict = {"sigma": getattr(sig, "label", "sigma"), "seed": cfg["seed"]}
-        mc = herm = None
-        if ls["method"] in ("mc", "both"):
-            mc = gram_mc(X, sig, ls["samples"], seed=cfg["seed"])
-            payload["monte_carlo"] = {
-                "lambda_min": mc.lambda_min,
-                "n_samples": mc.n_samples,
-                "stderr_max": mc.stderr_max,
-            }
-        if ls["method"] in ("hermite", "both"):
-            spec = hermite_coeffs(sig, ls["r_max"], ls["quad_order"])
-            herm = gram_hermite(X, spec, ls["r_max"])
-            payload["hermite"] = {
-                "lambda_min": herm.lambda_min,
-                "r_max": herm.r_max,
-                "tail_mass": herm.tail_mass,
-            }
-        if mc is not None and herm is not None:
-            diff = float(np.max(np.abs(mc.gram - herm.gram)))
-            payload["discrepancy"] = {
-                "max_abs_entry_diff": diff,
-                "allowance_5stderr_plus_tail": 5.0 * mc.stderr_max + herm.tail_mass,
-            }
-        _write_json(out_dir / "gram.json", payload)
-        if full_matrix:
-            _write_matrix_csv((mc if mc is not None else herm).gram, out_dir / "gram.csv", "g")
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    if ls["method"] in ("hermite", "both"):
+        spec = hermite_coeffs(sig, ls["r_max"], ls["quad_order"])
+        herm = gram_hermite(X, spec, ls["r_max"])
+        payload["hermite"] = {
+            "lambda_min": herm.lambda_min,
+            "r_max": herm.r_max,
+            "tail_mass": herm.tail_mass,
+        }
+    if mc is not None and herm is not None:
+        diff = float(np.max(np.abs(mc.gram - herm.gram)))
+        payload["discrepancy"] = {
+            "max_abs_entry_diff": diff,
+            "allowance_5stderr_plus_tail": 5.0 * mc.stderr_max + herm.tail_mass,
+        }
+    _write_json(out_dir / "gram.json", payload)
+    if full_matrix:
+        _write_matrix_csv((mc if mc is not None else herm).gram, out_dir / "gram.csv", "g")
     click.echo(_json_text(payload))
 
 
-@main.command(name="kr")
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--n", "--N", "n_rows", type=int, default=None)
-@click.option("--d", type=int, default=None)
-@click.option("--r", type=int, default=None)
-@click.option("--n-seeds", type=int, default=None)
-@click.option("--seed", type=int, default=None, help="First seed of the sweep.")
-@click.option("--out", type=str, default=None)
+@_command("kr", "kr.n", "kr.d", "kr.r", "kr.n_seeds", "seed")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-def kr_cmd(config_path, n_rows, d, r, n_seeds, seed, out, fmt) -> None:
+def kr_cmd(cfg: dict, out_dir: Path, fmt: str) -> None:
     """Smallest singular values of Khatri-Rao powers over seeded sphere data."""
-    try:
-        flags = {"kr.n": n_rows, "kr.d": d, "kr.r": r, "kr.n_seeds": n_seeds, "seed": seed}
-        cfg, out_dir = _setup("kr", config_path, out, flags)
-        kr = cfg["kr"]
-        base, dim, power = cfg["seed"], kr["d"], kr["r"]
-        threshold = dim ** (power / 2.0) / 2.0
-        rows = []
-        for s in range(base, base + kr["n_seeds"]):
-            X = sphere_data(kr["n"], dim, seed=s)
-            exact, bound = kr_min_singular(X, power)
-            rows.append((s, exact, bound, exact >= threshold))
-        if fmt == "csv":
-            with open(out_dir / "kr.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["seed", "sigma_min", "bound", "pass"])
-                for s, exact, bound, ok in rows:
-                    writer.writerow([s, format(exact, _FLOAT_FMT), format(bound, _FLOAT_FMT), int(ok)])
-        else:
-            payload = [
-                {"seed": s, "sigma_min": exact, "bound": bound, "pass": bool(ok)}
-                for s, exact, bound, ok in rows
-            ]
-            _write_json(out_dir / "kr.json", payload)
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    kr = cfg["kr"]
+    base, dim, power = cfg["seed"], kr["d"], kr["r"]
+    threshold = dim ** (power / 2.0) / 2.0
+    rows = []
+    for s in range(base, base + kr["n_seeds"]):
+        X = sphere_data(kr["n"], dim, seed=s)
+        exact, bound = kr_min_singular(X, power)
+        rows.append((s, exact, bound, exact >= threshold))
+    if fmt == "csv":
+        with open(out_dir / "kr.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["seed", "sigma_min", "bound", "pass"])
+            for s, exact, bound, ok in rows:
+                writer.writerow([s, format(exact, _FLOAT_FMT), format(bound, _FLOAT_FMT), int(ok)])
+    else:
+        payload = [
+            {"seed": s, "sigma_min": exact, "bound": bound, "pass": bool(ok)}
+            for s, exact, bound, ok in rows
+        ]
+        _write_json(out_dir / "kr.json", payload)
     n_pass = sum(1 for row in rows if row[3])
     click.echo(f"{'seed':>6} {'sigma_min':>14} {'bound':>14} pass")
     for s, exact, bound, ok in rows[:20]:
@@ -493,46 +466,29 @@ def kr_cmd(config_path, n_rows, d, r, n_seeds, seed, out, fmt) -> None:
     click.echo(f"passes: {n_pass}/{len(rows)} at threshold d^(r/2)/2 = {threshold:.6g}")
 
 
-@main.command(name="hermite")
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--sigma", type=click.Choice(CONFIG["lambda_star.sigma"][2]), default=None)
-@click.option("--gamma", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--r-max", type=int, default=None)
-@click.option("--quad-order", type=int, default=None)
-@click.option("--out", type=str, default=None)
+@_command("hermite", "lambda_star.sigma", "activation.gamma", "activation.beta",
+          "lambda_star.r_max", "lambda_star.quad_order")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json")
-def hermite_cmd(config_path, sigma, gamma, beta, r_max, quad_order, out, fmt) -> None:
+def hermite_cmd(cfg: dict, out_dir: Path, fmt: str) -> None:
     """Hermite coefficients of the configured activation."""
-    try:
-        flags = {
-            "lambda_star.sigma": sigma,
-            "activation.gamma": gamma,
-            "activation.beta": beta,
-            "lambda_star.r_max": r_max,
-            "lambda_star.quad_order": quad_order,
-        }
-        cfg, out_dir = _setup("hermite", config_path, out, flags)
-        ls = cfg["lambda_star"]
-        sig = _sigma(cfg)
-        spec = hermite_coeffs(sig, ls["r_max"], ls["quad_order"])
-        payload = {
-            "target": spec.target,
-            "quad_order": spec.quad_order,
-            "coeffs": spec.coeffs.tolist(),
-            "converged": spec.converged.tolist(),
-            "norm_sq": spec.norm_sq,
-            "tail_mass": spec.tail_mass(spec.r_max),
-        }
-        _write_json(out_dir / "hermite.json", payload)
-        if fmt == "csv":
-            with open(out_dir / "hermite.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["r", "coeff", "converged"])
-                for r, (mu, conv) in enumerate(zip(spec.coeffs, spec.converged)):
-                    writer.writerow([r, format(mu, _FLOAT_FMT), int(conv)])
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    ls = cfg["lambda_star"]
+    sig = _sigma(cfg)
+    spec = hermite_coeffs(sig, ls["r_max"], ls["quad_order"])
+    payload = {
+        "target": spec.target,
+        "quad_order": spec.quad_order,
+        "coeffs": spec.coeffs.tolist(),
+        "converged": spec.converged.tolist(),
+        "norm_sq": spec.norm_sq,
+        "tail_mass": spec.tail_mass(spec.r_max),
+    }
+    _write_json(out_dir / "hermite.json", payload)
+    if fmt == "csv":
+        with open(out_dir / "hermite.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["r", "coeff", "converged"])
+            for r, (mu, conv) in enumerate(zip(spec.coeffs, spec.converged)):
+                writer.writerow([r, format(mu, _FLOAT_FMT), int(conv)])
     click.echo(_json_text(payload))
 
 
@@ -552,36 +508,25 @@ def _sweep_entry(cfg_json: str, seed: int, out_str: str) -> dict:
     return summary
 
 
-@main.command(name="sweep")
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--out", type=str, default=None)
-@click.option("--jobs", type=int, default=None,
-              help="Worker pool size (>= 1; capped at the seed and CPU counts).")
-def sweep_cmd(config_path, out, jobs) -> None:
+@_command("sweep", "sweep.jobs")
+def sweep_cmd(cfg: dict, out_dir: Path) -> None:
     """Run the train pipeline over a list of seeds and aggregate the outcomes."""
-    try:
-        cfg, out_dir = _setup("sweep", config_path, out, {"sweep.jobs": jobs})
-        seeds = cfg["sweep"]["seeds"]
-        n_jobs = min(cfg["sweep"]["jobs"], len(seeds), os.cpu_count() or 1)
-        cfg_json = json.dumps(cfg)
-        entries = [(cfg_json, s, str(out_dir / f"run_{s}")) for s in seeds]
-        if n_jobs > 1:
-            with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                results = list(pool.map(_sweep_entry, *zip(*entries)))
-        else:
-            results = [_sweep_entry(*entry) for entry in entries]
-        violations = 0
-        for res in results:
-            violations += sum(res.get("violations", {}).values())
-        aggregate = {
-            "n_runs": len(results),
-            "total_violations": violations,
-            "all_certified": all(res.get("certified", False) for res in results),
-            "runs": results,
-        }
-        _write_json(out_dir / "aggregate.json", aggregate)
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    seeds = cfg["sweep"]["seeds"]
+    n_jobs = min(cfg["sweep"]["jobs"], len(seeds), os.cpu_count() or 1)
+    cfg_json = json.dumps(cfg)
+    entries = [(cfg_json, s, str(out_dir / f"run_{s}")) for s in seeds]
+    if n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            results = list(pool.map(_sweep_entry, *zip(*entries)))
+    else:
+        results = [_sweep_entry(*entry) for entry in entries]
+    aggregate = {
+        "n_runs": len(results),
+        "total_violations": sum(sum(res.get("violations", {}).values()) for res in results),
+        "all_certified": all(res.get("certified", False) for res in results),
+        "runs": results,
+    }
+    _write_json(out_dir / "aggregate.json", aggregate)
     click.echo(_json_text({k: aggregate[k] for k in ("n_runs", "total_violations", "all_certified")}))
     codes = {res["exit_code"] for res in results}
     sys.exit(1 if 1 in codes else max(codes))  # an operational error outranks a domain failure

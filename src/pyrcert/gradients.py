@@ -126,9 +126,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eta) and self.eta >= 0.0):
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
-        object.__setattr__(self, "max_steps", _size(self.max_steps, "max_steps"))
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
+        object.__setattr__(self, "max_steps", _size(self.max_steps, "max_steps", 0))
         if not (math.isfinite(self.stop_loss) and self.stop_loss >= 0.0):
             raise ValueError("stop_loss must be finite and >= 0")
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .activation import ActivationParams, evaluate
 from .certificates import Certificate, certify
-from .network import Dataset, Params, Shape
+from .network import Dataset, Params, Shape, _size
 
 __all__ = [
     "InitConfig",
@@ -56,7 +56,7 @@ class InitConfig:
     ``gain`` (> 1) anchors the deep layers, which are exactly ``gain``
     times a top-block identity.  ``second_layer_var`` is the iid variance of
     the second layer (0 gives an exactly-zero second layer, which zeroes the
-    initial network output).
+    initial network output).  ``seed`` is an integer >= 0.
     """
 
     gain: float = 2.0
@@ -70,11 +70,13 @@ class InitConfig:
             raise ValueError(
                 f"second_layer_var must be finite and >= 0, got {self.second_layer_var}"
             )
+        object.__setattr__(self, "seed", _size(self.seed, "seed", 0))
 
 
 def layer_rng(seed: int, stream: int) -> np.random.Generator:
-    """Deterministic per-stream generator; streams never interact."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream)]))
+    """Deterministic per-stream generator; streams never interact.  ``seed``
+    must be an integer >= 0; it is never truncated."""
+    return np.random.default_rng(np.random.SeedSequence([_size(seed, "seed", 0), stream]))
 
 
 def _lecun_layer(seed: int, l: int, fan_in: int, fan_out: int) -> np.ndarray:
@@ -177,9 +179,9 @@ def tune_gain(
 
 
 def sphere_data(n_samples: int, d: int, radius: float | None = None, seed: int = 0) -> np.ndarray:
-    """iid rows uniform on the sphere of the given radius (default sqrt(d))."""
-    if n_samples < 1 or d < 1:
-        raise ValueError("n_samples and d must be >= 1")
+    """iid rows uniform on the sphere of the given radius (default sqrt(d));
+    ``n_samples`` and ``d`` are integers >= 1."""
+    n_samples, d = _size(n_samples, "n_samples", 1), _size(d, "d", 1)
     r = math.sqrt(d) if radius is None else float(radius)
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"radius must be positive and finite, got {radius}")

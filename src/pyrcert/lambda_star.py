@@ -25,6 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
+from .network import _size
+
 __all__ = [
     "GramEstimate",
     "HermiteSpec",
@@ -103,9 +105,7 @@ class HermiteSpec:
 
 
 def _check_order(r: int) -> int:
-    r = int(r)
-    if r < 0:
-        raise ValueError(f"order must be >= 0, got {r}")
+    r = _size(r, "order", 0)
     if r > MAX_HERMITE_ORDER:
         raise ValueError(
             f"order {r} exceeds the 64-bit stability cap {MAX_HERMITE_ORDER}"
@@ -192,17 +192,9 @@ def _check_data(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _kr_args(X: np.ndarray, r: int) -> tuple[np.ndarray, int]:
-    X = _check_data(X)
-    r = int(r)
-    if r < 1:
-        raise ValueError(f"power must be >= 1, got {r}")
-    return X, r
-
-
 def khatri_rao_power(X: np.ndarray, r: int) -> np.ndarray:
     """Row-wise r-fold Kronecker power: row i becomes x_i x ... x x_i (r times)."""
-    X, r = _kr_args(X, r)
+    X, r = _check_data(X), _size(r, "power", 1)
     n, d = X.shape
     entries = n * d**r
     if entries > KR_ENTRY_BUDGET:
@@ -232,7 +224,7 @@ def kr_min_singular(X: np.ndarray, r: int) -> tuple[float, float]:
     vacuous (non-positive) whenever the data are too coherent.  Non-finite
     ``X``, or a Gram that overflows, raises ``ValueError``.
     """
-    X, r = _kr_args(X, r)
+    X, r = _check_data(X), _size(r, "power", 1)
     n, d = X.shape
     C = X @ X.T
     G = C.copy()
@@ -305,10 +297,8 @@ def gram_mc(
     draws.
     """
     X = _check_data(X)
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    n_batches = max(1, min(int(n_batches), n_samples))
+    n_samples = _size(n_samples, "n_samples", 1)
+    n_batches = min(_size(n_batches, "n_batches", 1), n_samples)
     N, d = X.shape
     scale = 1.0 / math.sqrt(d)
     sizes = [n_samples // n_batches] * n_batches
@@ -367,8 +357,8 @@ def gram_hermite(X: np.ndarray, coeffs: HermiteSpec, r_max: Optional[int] = None
         raise ValueError("rows must have norm sqrt(d) for the series expansion")
     if r_max is None:
         r_max = coeffs.r_max
-    r_max = int(r_max)
-    if r_max < 0 or r_max > coeffs.r_max:
+    r_max = _size(r_max, "r_max", 0)
+    if r_max > coeffs.r_max:
         raise ValueError(f"r_max must lie in [0, {coeffs.r_max}], got {r_max}")
     C = (X @ X.T) / d
     G = np.zeros((N, N))

@@ -34,15 +34,19 @@ __all__ = [
 _FLOAT_FMT = ".17g"  # every float the package writes to CSV; round-trips float64
 
 
-def _size(value, name: str) -> int:
-    """``value`` as a Python int: integers of any kind pass, while a bool or
-    a float (even an integral one) is refused rather than truncated."""
+def _size(value, name: str, low: int) -> int:
+    """``value`` as a Python int of at least ``low``: integers of any kind
+    pass, while a bool or a float (even an integral one) is refused rather
+    than truncated, and so is an integer below ``low``."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -53,16 +57,12 @@ class Shape:
     widths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        d = _size(self.d, "shape.d")
-        widths = tuple(_size(w, f"shape.widths[{i}]") for i, w in enumerate(self.widths))
+        d = _size(self.d, "shape.d", 1)
+        widths = tuple(_size(w, f"shape.widths[{i}]", 1) for i, w in enumerate(self.widths))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "widths", widths)
-        if self.d < 1:
-            raise ValueError(f"input dimension must be >= 1, got {self.d}")
         if len(self.widths) < 2:
             raise ValueError("depth must be at least 2 (one hidden + output layer)")
-        if any(w < 1 for w in self.widths):
-            raise ValueError(f"all widths must be positive, got {self.widths}")
         deep = self.widths[1:]
         if any(a < b for a, b in zip(deep, deep[1:])):
             raise ValueError(

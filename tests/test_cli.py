@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -28,6 +29,65 @@ SUMMARY_KEYS = [
     "steps", "records", "initial_loss", "final_loss", "eta", "alpha0", "diverged",
     "stop_reason", "violations", "spectra_svds", "seed", "certified",
 ]
+
+# Every option of every command: its names, its click type (a choice list
+# for a click.Choice), its default, and the config key it sets (None for
+# the options that are not config keys).
+TEXT = ("text", None, None)
+SURFACE = {
+    "certify": {
+        ("--config",): TEXT,
+        ("--seed",): ("integer", None, "seed"),
+        ("--out",): TEXT,
+    },
+    "train": {
+        ("--config",): TEXT,
+        ("--seed",): ("integer", None, "seed"),
+        ("--out",): TEXT,
+        ("--eta",): ("float", None, "train.eta"),
+        ("--max-steps",): ("integer", None, "train.max_steps"),
+        ("--stop-loss",): ("float", None, "train.stop_loss"),
+    },
+    "lambda-star": {
+        ("--config",): TEXT,
+        ("--method",): (("mc", "hermite", "both"), None, "lambda_star.method"),
+        ("--sigma",): (("smoothed", "linear"), None, "lambda_star.sigma"),
+        ("--gamma",): ("float", None, "activation.gamma"),
+        ("--beta",): ("float", None, "activation.beta"),
+        ("--n", "--N"): ("integer", None, "dataset.n"),
+        ("--d",): ("integer", None, "shape.d"),
+        ("--samples",): ("integer", None, "lambda_star.samples"),
+        ("--r-max",): ("integer", None, "lambda_star.r_max"),
+        ("--seed",): ("integer", None, "seed"),
+        ("--out",): TEXT,
+        ("--full-matrix",): ("boolean", False, None),
+    },
+    "kr": {
+        ("--config",): TEXT,
+        ("--n", "--N"): ("integer", None, "kr.n"),
+        ("--d",): ("integer", None, "kr.d"),
+        ("--r",): ("integer", None, "kr.r"),
+        ("--n-seeds",): ("integer", None, "kr.n_seeds"),
+        ("--seed",): ("integer", None, "seed"),
+        ("--out",): TEXT,
+        ("--format",): (("csv", "json"), "csv", None),
+    },
+    "hermite": {
+        ("--config",): TEXT,
+        ("--sigma",): (("smoothed", "linear"), None, "lambda_star.sigma"),
+        ("--gamma",): ("float", None, "activation.gamma"),
+        ("--beta",): ("float", None, "activation.beta"),
+        ("--r-max",): ("integer", None, "lambda_star.r_max"),
+        ("--quad-order",): ("integer", None, "lambda_star.quad_order"),
+        ("--out",): TEXT,
+        ("--format",): (("csv", "json"), "json", None),
+    },
+    "sweep": {
+        ("--config",): TEXT,
+        ("--out",): TEXT,
+        ("--jobs",): ("integer", None, "sweep.jobs"),
+    },
+}
 
 
 def run(args, **kwargs):
@@ -171,7 +231,9 @@ class TestTrain:
         out = tmp_path / "o"
         res = run(["train", "--config", str(cfg), "--out", str(out)])
         assert res.exit_code == 2
-        assert "the certificate does not hold; pass --eta" in res.output
+        assert res.stderr.splitlines() == [
+            "error: no step size given and the certificate does not hold; pass --eta"
+        ]
         assert json.loads((out / "certificate.json").read_text())["certified"] is False
 
     def test_csv_dataset_source(self, tmp_path):
@@ -621,6 +683,57 @@ class TestConfig:
         for key in path.split("."):
             node = node[key]
         assert node == value and type(node) is type(value)
+
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_missing_config_file_exits_one(self, tmp_path, command):
+        path, out = tmp_path / "nope.json", tmp_path / "o"
+        res = run([command, "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr.splitlines() == [f"error: [Errno 2] No such file or directory: '{path}'"]
+        assert res.stdout == "" and not out.exists()
+
+
+def _names(param):
+    return tuple(param.opts + param.secondary_opts)
+
+
+class TestSurface:
+    """The flags of every command, pinned so that no change of the CLI can
+    drop, rename or retype one unnoticed."""
+
+    def test_commands(self):
+        assert sorted(main.commands) == sorted(SURFACE)
+
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_options_and_their_config_keys(self, command):
+        options = {}
+        for param in main.commands[command].params:
+            kind = param.type
+            kind = tuple(kind.choices) if isinstance(kind, click.Choice) else kind.name
+            options[_names(param)] = (kind, param.default)
+        assert options == {names: spec[:2] for names, spec in SURFACE[command].items()}
+        # test_flag_lands_at_its_config_path runs every override flag
+        landed = {(flag, path) for cmd, flag, _, path, _ in TestConfig.OVERRIDES if cmd == command}
+        keyed = {(name, spec[2]) for names, spec in SURFACE[command].items() if spec[2] for name in names}
+        assert landed == keyed
+
+    def test_readme_flag_table_is_the_cli(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line")[1].split("### Config file")[0]
+        listed = set()
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                flags, key, commands = (cell.strip() for cell in line.strip("|").split("|"))
+                names = tuple(re.findall(r"`(--[\w-]+)", flags))
+                key = key.strip("`") if re.fullmatch(r"`[\w.]+`", key) else None
+                for command in SURFACE if commands == "all" else commands.split(", "):
+                    listed.add((command, names, key))
+        assert listed == {
+            (command, names, spec[2]) for command, options in SURFACE.items()
+            for names, spec in options.items()
+        }
+        defined = {(name, _names(param)) for name, cmd in main.commands.items() for param in cmd.params}
+        assert {(command, names) for command, names, _ in listed} == defined
 
 
 def _nested(dotted, value):

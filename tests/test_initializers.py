@@ -40,6 +40,18 @@ class TestInitConfig:
         with pytest.raises(ValueError, match=field):
             InitConfig(**{field: value})
 
+    # a float seed once drew the weights of its truncation, and a negative
+    # one failed later inside NumPy without naming the field
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3"])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            InitConfig(seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            layer_rng(seed, 1)
+
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        assert type(InitConfig(seed=np.int64(3)).seed) is int
+
 
 class TestCertifiableInit:
     def test_zero_second_layer_zeroes_the_output(self):
@@ -183,10 +195,19 @@ class TestSphereData:
         np.testing.assert_array_equal(sphere_data(5, 3, seed=8), sphere_data(5, 3, seed=8))
 
     def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_samples"):
             sphere_data(0, 3)
         with pytest.raises(ValueError):
             sphere_data(3, 3, radius=-1.0)
+        # sizes and seeds are refused, not truncated
+        with pytest.raises(ValueError, match="n_samples"):
+            sphere_data(4.5, 3)
+        with pytest.raises(ValueError, match="d must"):
+            sphere_data(4, 3.0)
+        with pytest.raises(ValueError, match="seed"):
+            sphere_data(4, 3, seed=1.7)
+        with pytest.raises(ValueError, match="seed"):
+            sphere_data(4, 3, seed=-2)
 
 
 class TestSphereTargets:

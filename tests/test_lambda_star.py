@@ -55,6 +55,8 @@ class TestHermitePoly:
             hermite_coeffs(SIGMA, 201, quad_order=400)
         with pytest.raises(ValueError, match=">= 0"):
             hermite_coeffs(SIGMA, -1)
+        with pytest.raises(ValueError, match="order must be an integer"):
+            hermite_coeffs(SIGMA, 3.9)
 
 
 class TestHermiteCoeff:
@@ -370,6 +372,25 @@ class TestGramInputChecks:
         X, cause = BAD_DATA[case]
         with pytest.raises(ValueError, match=cause):
             gram_hermite(X, hermite_coeffs(sigma_linear, 2), 2)
+
+    # counts and orders are refused, not truncated: each of these once ran
+    # with the value rounded toward zero
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda X: kr_min_singular(X, 2.7), "power"),
+            (lambda X: khatri_rao_power(X, 2.7), "power"),
+            (lambda X: gram_mc(X, SIGMA, 10.9), "n_samples"),
+            (lambda X: gram_mc(X, SIGMA, 100, n_batches=2.5), "n_batches"),
+            (lambda X: gram_mc(X, SIGMA, 100, n_batches=0), "n_batches"),
+            (lambda X: gram_hermite(X, hermite_coeffs(sigma_linear, 4), 2.5), "r_max"),
+        ],
+        ids=["kr-power", "kr-product-power", "mc-samples", "mc-batches", "mc-zero-batches",
+             "hermite-r_max"],
+    )
+    def test_rejects_non_integer_counts(self, call, name):
+        with pytest.raises(ValueError, match=name):
+            call(sphere_data(4, 3, seed=0))
 
     @pytest.mark.parametrize("linear", [False, True])
     def test_gram_mc_rejects_an_overflowing_gram(self, linear):
