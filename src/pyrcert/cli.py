@@ -71,7 +71,6 @@ CONFIG: dict[str, tuple] = {
     "dataset.bundle": (None, "str?", ()),
     "init.scheme": ("certifiable", "str", ("certifiable", "lecun")),
     "init.gain": (2.0, "float", ("> 1",)),
-    "init.second_layer_var": (0.0, "float", (">= 0",)),
     "init.auto_gain": (True, "bool", ()),
     "train.eta": (None, "float?", (">= 0",)),  # null: 0.9 * the certified cap
     "train.max_steps": (200_000, "int", (">= 0",)),
@@ -238,11 +237,11 @@ def _build_params_and_cert(cfg, shape, data, act, seed, tune=True):
     if init["scheme"] == "lecun":
         params = init_lecun(shape, seed)
         return params, certify(params, data, act)
-    icfg = InitConfig(gain=init["gain"], second_layer_var=init["second_layer_var"], seed=seed)
+    icfg = InitConfig(gain=init["gain"], seed=seed)
     if tune and init["auto_gain"]:
         _, params, cert = tune_gain(shape, data, act, icfg)
         return params, cert
-    params = init_certifiable(shape, data, icfg)
+    params = init_certifiable(shape, icfg)
     return params, certify(params, data, act)
 
 

@@ -2,12 +2,12 @@
 
 Two schemes are provided:
 
-* ``certifiable`` - a wide LeCun first layer, a second layer with small
-  (possibly zero) variance, and deep layers equal to a gain above 1 times a
-  top-block identity, so every deep singular value is exactly the gain.
-  Raising the gain shrinks the right-hand sides of the certificate's
-  initial conditions, so a finite gain always exists that makes the
-  certificate pass (``tune_gain`` finds it).
+* ``certifiable`` - a wide LeCun first layer, an exactly-zero second layer,
+  and deep layers equal to a gain above 1 times a top-block identity, so
+  every deep singular value is exactly the gain.  Raising the gain shrinks
+  the right-hand sides of the certificate's initial conditions, so from
+  depth 3 on a finite gain always exists that makes the certificate pass
+  (``tune_gain`` finds it from one measurement).
 * ``lecun`` - iid Gaussians with variance equal to the reciprocal fan-in.
   A wide first layer under this scheme is the paper's LeCun application;
   ``certify`` decides each instance on its own.
@@ -20,13 +20,12 @@ inputs and targets have streams of their own.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .activation import ActivationParams, evaluate
-from .certificates import Certificate, certify
+from .certificates import Certificate, certificate_from_spectra, certify
 from .network import Dataset, Params, Shape, _size
 
 __all__ = [
@@ -54,22 +53,15 @@ class InitConfig:
     """Knobs of the certifiable scheme.
 
     ``gain`` (> 1) anchors the deep layers, which are exactly ``gain``
-    times a top-block identity.  ``second_layer_var`` is the iid variance of
-    the second layer (0 gives an exactly-zero second layer, which zeroes the
-    initial network output).  ``seed`` is an integer >= 0.
+    times a top-block identity.  ``seed`` is an integer >= 0.
     """
 
     gain: float = 2.0
-    second_layer_var: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gain) and self.gain > 1.0):
             raise ValueError(f"gain must be finite and exceed 1, got {self.gain}")
-        if not (math.isfinite(self.second_layer_var) and self.second_layer_var >= 0.0):
-            raise ValueError(
-                f"second_layer_var must be finite and >= 0, got {self.second_layer_var}"
-            )
         object.__setattr__(self, "seed", _size(self.seed, "seed", 0))
 
 
@@ -88,27 +80,15 @@ def first_layer(shape: Shape, seed: int) -> np.ndarray:
     return _lecun_layer(seed, 1, shape.d, shape.widths[0])
 
 
-def init_certifiable(shape: Shape, data: Dataset, cfg: InitConfig) -> Params:
+def init_certifiable(shape: Shape, cfg: InitConfig) -> Params:
     """Draw the certifiable initialization for the given shape.
 
-    First layer: iid N(0, 1/d).  Second layer: iid N(0, second_layer_var)
-    (exactly zero when the variance is zero).  Deep layers: ``gain`` times
-    a top-block identity.
+    First layer: iid N(0, 1/d).  Second layer: exactly zero, which zeroes
+    the initial network output.  Deep layers: ``gain`` times a top-block
+    identity.
     """
     dims = shape.dims
-    if shape.widths[0] < data.n_samples:
-        warnings.warn(
-            f"first layer width {shape.widths[0]} is below the sample count "
-            f"{data.n_samples}; the certificate cannot hold",
-            stacklevel=2,
-        )
-    if cfg.second_layer_var == 0.0:
-        w2 = np.zeros((dims[1], dims[2]))
-    else:
-        w2 = layer_rng(cfg.seed, 2).normal(
-            0.0, math.sqrt(cfg.second_layer_var), size=(dims[1], dims[2])
-        )
-    weights = [first_layer(shape, cfg.seed), w2]
+    weights = [first_layer(shape, cfg.seed), np.zeros((dims[1], dims[2]))]
     for l in range(3, shape.depth + 1):
         w = np.zeros((dims[l - 1], dims[l]))
         np.fill_diagonal(w, cfg.gain)  # top block = gain * identity
@@ -136,41 +116,59 @@ def tune_gain(
     instance (degenerate data with zero lambda_F, depth 2, where the gain
     enters no weight, or no certifying gain up to ``GAIN_MAX``) returns its
     starting attempt ``(cfg.gain, params, cert)``, whose certificate says why.
+
+    The network is drawn and certified once at ``cfg.gain``, and once more
+    at the chosen gain if it moved; every other attempt replays that one
+    measurement through ``certificate_from_spectra`` with the deep spectra
+    set to the gain.  The replay equals a real ``certify`` of the drawn
+    network, bit for bit, because:
+
+    * W_2 = 0 makes every later hidden layer sigma(0) = 0 exactly, so the
+      output is 0 and phi0 = ||Y||^2 / 2 at every gain;
+    * W_1, and so F_1 and lambda_F, do not depend on the gain, and neither
+      do the first two spectral proxies;
+    * each deep layer is g * [I; 0], whose computed singular values are
+      exactly g.
     """
 
-    def attempt(g: float) -> tuple[Params, Certificate]:
-        params = init_certifiable(shape, data, replace(cfg, gain=g))
+    def draw(g: float) -> tuple[Params, Certificate]:
+        params = init_certifiable(shape, replace(cfg, gain=g))
         return params, certify(params, data, act)
 
+    params, cert = draw(cfg.gain)
+    n_deep = shape.depth - 2
+
+    def certifies(g: float) -> bool:
+        deep = (g,) * n_deep
+        return certificate_from_spectra(
+            cert.lambda_bar[:2] + deep, deep, cert.lambda_f, data.X, cert.phi0, act
+        ).certified
+
     g = cfg.gain
-    params, cert = attempt(g)
     if not cert.certified:
-        refused = g, params, cert
-        if cert.degenerate_reason is not None or shape.depth == 2:
-            return refused
+        if cert.degenerate_reason is not None or n_deep == 0:
+            return g, params, cert
         lo = g
         while True:
             g *= 2.0
             if g > GAIN_MAX:
-                return refused
-            params, cert = attempt(g)
-            if cert.certified:
+                return cfg.gain, params, cert
+            if certifies(g):
                 break
             lo = g
         hi = g
         while hi / lo > 1.01:
             mid = math.sqrt(lo * hi)
-            p_mid, c_mid = attempt(mid)
-            if c_mid.certified:
-                hi, params, cert = mid, p_mid, c_mid
+            if certifies(mid):
+                hi = mid
             else:
                 lo = mid
         g = hi
-    g_final = g * GAIN_MARGIN
-    p_fin, c_fin = attempt(g_final)
-    if c_fin.certified:
-        return g_final, p_fin, c_fin
-    return g, params, cert
+    if certifies(g * GAIN_MARGIN):
+        g *= GAIN_MARGIN
+    if g == cfg.gain:
+        return g, params, cert
+    return (g, *draw(g))
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,8 @@ def gram_mc(
 
     Samples are split across independent substreams (one per batch) and
     reduced in batch order, so a given (seed, n_samples) pair is bit
-    reproducible.  Per-entry standard errors come from the batch means.
+    reproducible; ``seed`` is an integer >= 0.  Per-entry standard errors
+    come from the batch means.
 
     ``sigma`` must act entrywise, as both in-package activations do: each
     batch's pre-activations ``X W`` fill one buffer reused by every batch,
@@ -299,6 +300,7 @@ def gram_mc(
     X = _check_data(X)
     n_samples = _size(n_samples, "n_samples", 1)
     n_batches = min(_size(n_batches, "n_batches", 1), n_samples)
+    seed = _size(seed, "seed", 0)
     N, d = X.shape
     scale = 1.0 / math.sqrt(d)
     sizes = [n_samples // n_batches] * n_batches

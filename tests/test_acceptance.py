@@ -141,7 +141,7 @@ def certified_instance(seed, n=16, d=8, widths=(16, 6, 4, 2), y_scale=0.1):
     """
     shape = Shape(d=d, widths=widths)
     X = sphere_data(n, d, seed=seed)
-    cfg = InitConfig(gain=2.0, second_layer_var=0.0, seed=seed)
+    cfg = InitConfig(gain=2.0, seed=seed)
     data = Dataset(X, sphere_targets("aligned", shape, X, ACT, seed, y_scale))
     gain, params, cert = tune_gain(shape, data, ACT, cfg)
     return data, params, cert

@@ -155,7 +155,7 @@ class TestCheckAssumption:
         X = data.X.copy()
         X[1] = X[0]  # duplicate row
         dup = Dataset(X, data.Y)
-        params = init_certifiable(shape, dup, cfg)
+        params = init_certifiable(shape, cfg)
         cert = certify(params, dup, ACT)
         assert not cert.cond1_holds and not cert.cond2_holds
         assert cert.degenerate_reason == "degenerate data"
@@ -166,9 +166,7 @@ class TestCheckAssumption:
         flip = None
         for j in range(60):
             gain = 2.0 ** (j + 1)
-            params = init_certifiable(
-                shape, data, InitConfig(gain=gain, seed=cfg.seed)
-            )
+            params = init_certifiable(shape, InitConfig(gain=gain, seed=cfg.seed))
             cert = certify(params, data, ACT)
             if cert.cond1_holds and cert.cond2_holds:
                 seen_pass = True
@@ -177,7 +175,7 @@ class TestCheckAssumption:
             seen_fail = True
         assert seen_fail and seen_pass
         # once flipped, a larger gain keeps it passing (monotone slack)
-        params = init_certifiable(shape, data, InitConfig(gain=4 * flip, seed=cfg.seed))
+        params = init_certifiable(shape, InitConfig(gain=4 * flip, seed=cfg.seed))
         cert = certify(params, data, ACT)
         assert cert.cond1_holds and cert.cond2_holds
 
@@ -330,8 +328,7 @@ class TestCertify:
     def test_requires_wide_first_layer(self):
         shape, data, cfg = certifiable_instance()
         narrow = Shape(d=shape.d, widths=(4, 3, 2))  # n1 < N = 6
-        with pytest.warns(UserWarning, match="below the sample count"):
-            params = init_certifiable(narrow, data, cfg)
+        params = init_certifiable(narrow, cfg)
         with pytest.raises(ValueError, match="n1"):
             certify(params, data, ACT)
 
@@ -344,11 +341,11 @@ class TestCertify:
         shape2 = Shape(d=3, widths=(8, 2))
         X2 = sphere_data(6, 3, seed=0)
         data2 = Dataset(X2, sphere_targets("aligned", shape2, X2, ACT, 0, 1e-9))
-        depth2 = certify(init_certifiable(shape2, data2, cfg), data2, ACT)
+        depth2 = certify(init_certifiable(shape2, cfg), data2, ACT)
         X = data.X.copy()
         X[1] = X[0]  # duplicate row: lambda_F = 0
         dup = Dataset(X, data.Y)
-        degenerate = certify(init_certifiable(shape, dup, cfg), dup, ACT)
+        degenerate = certify(init_certifiable(shape, cfg), dup, ACT)
         assert depth2.lambda_min_deep == () and degenerate.degenerate_reason is not None
         for i, want in enumerate((cert, vacuous, depth2, degenerate)):
             path = tmp_path / f"cert{i}.json"
@@ -483,7 +480,7 @@ class TestDepthTwo:
         X = sphere_data(6, 3, seed=0)
         cfg = InitConfig(seed=0)
         data = Dataset(X, sphere_targets("aligned", shape, X, ACT, 0, 1e-9))
-        params = init_certifiable(shape, data, cfg)
+        params = init_certifiable(shape, cfg)
         cert = certify(params, data, ACT)
         assert cert.depth2_convention
         assert cert.lambda_min_deep == ()
@@ -565,7 +562,7 @@ class TestLazySpectra:
         # thresholds at the median of each exact spectral trajectory: the
         # proofs fail near them, the exact SVDs rebase, and flags turn false
         shape, data, cfg = certifiable_instance(seed=seed, widths=widths, y_scale=1.0)
-        params = init_certifiable(shape, data, cfg)
+        params = init_certifiable(shape, cfg)
         eager = self.exact_replay(params, data, eta, 60)
         med = lambda a: tuple(float(v) for v in np.median(a, axis=0))  # noqa: E731
         cert = dataclasses.replace(
@@ -586,7 +583,7 @@ class TestLazySpectra:
         # margin stands between the bound and a threshold equal to the exact
         # value: it must never be proven without an SVD
         shape, data, cfg = certifiable_instance(widths=(6, 4, 3, 2))
-        params = init_certifiable(shape, data, cfg)
+        params = init_certifiable(shape, cfg)
         eager = self.exact_replay(params, data, 0.0, 0)
         cert = dataclasses.replace(
             certify(params, data, ACT),

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import click
@@ -478,6 +479,28 @@ class TestConfig:
         res = run(["certify", "--config", str(path), "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
         assert "init.deep_style" in res.output
+
+    def test_second_layer_var_is_an_unknown_key(self, tmp_path):
+        # the certifiable second layer is always exactly zero
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"init": {"second_layer_var": 0.0}}))
+        res = run(["certify", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert "init.second_layer_var" in res.output
+
+    @pytest.mark.parametrize("command", ["certify", "train"])
+    def test_narrow_first_layer_prints_one_error_line(self, tmp_path, command):
+        # n1 = 16 < N = 20: certify's refusal is the one message, with no
+        # warning printed ahead of it
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps({"dataset": {"n": 20}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # print a warning as the command line would
+            res = run([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert res.stderr.splitlines() == [
+            "error: certificate requires first-layer width >= sample count (n1=16, N=20)"
+        ]
 
     # a section given a non-object, and a plain key given an object
     BAD_KINDS = [

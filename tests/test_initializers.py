@@ -7,7 +7,7 @@ import pytest
 
 from pyrcert import initializers
 from pyrcert.activation import ActivationParams, evaluate
-from pyrcert.certificates import certify
+from pyrcert.certificates import certificate_from_spectra, certify
 from pyrcert.initializers import (
     InitConfig,
     first_layer,
@@ -35,7 +35,7 @@ class TestInitConfig:
             InitConfig(gain=1.0)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("field", ["gain", "second_layer_var"])
+    @pytest.mark.parametrize("field", ["gain"])
     def test_rejects_non_finite_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             InitConfig(**{field: value})
@@ -57,7 +57,7 @@ class TestCertifiableInit:
     def test_zero_second_layer_zeroes_the_output(self):
         shape = Shape(d=4, widths=(6, 3, 2))
         data = make_data()
-        params = init_certifiable(shape, data, InitConfig(second_layer_var=0.0))
+        params = init_certifiable(shape, InitConfig())
         assert np.all(forward(params, data, ACT).F[-1] == 0.0)
         # so the initial loss is exactly half the squared target norm
         assert loss(params, data, ACT) == pytest.approx(
@@ -66,41 +66,39 @@ class TestCertifiableInit:
 
     def test_scaled_identity_spectrum_is_exactly_the_gain(self):
         shape = Shape(d=4, widths=(6, 4, 4, 2))
-        data = make_data(n_out=2)
         gain = 2.5
-        params = init_certifiable(shape, data, InitConfig(gain=gain))
+        params = init_certifiable(shape, InitConfig(gain=gain))
         for w in params.weights[2:]:
             svs = np.linalg.svd(w, compute_uv=False)
             assert svs[0] == svs[-1] == gain
 
     def test_deterministic_and_layer_streams_stable(self):
-        data = make_data()
         cfg = InitConfig(seed=9)
-        a = init_certifiable(Shape(d=4, widths=(6, 3, 2)), data, cfg)
-        b = init_certifiable(Shape(d=4, widths=(6, 3, 2)), data, cfg)
+        a = init_certifiable(Shape(d=4, widths=(6, 3, 2)), cfg)
+        b = init_certifiable(Shape(d=4, widths=(6, 3, 2)), cfg)
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         # adding a layer must not change the earlier draws
-        deeper = init_certifiable(Shape(d=4, widths=(6, 3, 3, 2)), data, cfg)
+        deeper = init_certifiable(Shape(d=4, widths=(6, 3, 3, 2)), cfg)
         np.testing.assert_array_equal(a.weights[0], deeper.weights[0])
-
-    def test_warns_when_first_layer_too_narrow(self):
-        data = make_data(n=10)
-        with pytest.warns(UserWarning, match="below the sample count"):
-            init_certifiable(Shape(d=4, widths=(6, 3, 2)), data, InitConfig())
 
     def test_initial_loss_chain_bound(self):
         # sqrt(2 phi0) <= ||Y||_F + prod ||W_l||_2 * ||X||_F on every draw
         for seed in range(10):
             shape = Shape(d=4, widths=(8, 4, 2))
             data = make_data(n=8, seed=seed)
-            params = init_certifiable(
-                shape, data, InitConfig(second_layer_var=0.01, seed=seed)
-            )
+            params = init_lecun(shape, seed)  # a nonzero W_2
             phi0 = loss(params, data, ACT)
             prod = np.prod([np.linalg.norm(w, 2) for w in params.weights])
             rhs = np.linalg.norm(data.Y) + prod * np.linalg.norm(data.X)
             assert math.sqrt(2 * phi0) <= rhs * (1 + 1e-12)
+
+
+def aligned_instance(widths, seed):
+    """The acceptance layout: N=16, d=8, aligned targets of norm 0.1."""
+    shape = Shape(d=8, widths=widths)
+    X = sphere_data(16, 8, seed=seed)
+    return shape, Dataset(X, sphere_targets("aligned", shape, X, ACT, seed, 0.1))
 
 
 class TestTuneGain:
@@ -126,9 +124,7 @@ class TestTuneGain:
     def test_depth_two_refusal_takes_one_attempt(self, monkeypatch):
         # widths 16-2 have no deep layer, so the gain enters no weight: the
         # first attempt's refusal stands, and no other gain is tried
-        shape = Shape(d=8, widths=(16, 2))
-        X = sphere_data(16, 8, seed=0)
-        data = Dataset(X, sphere_targets("aligned", shape, X, ACT, 0, 0.1))
+        shape, data = aligned_instance((16, 2), seed=0)
         cfg = InitConfig()
         calls = []
 
@@ -139,10 +135,63 @@ class TestTuneGain:
         monkeypatch.setattr(initializers, "certify", counting_certify)
         gain, params, cert = tune_gain(shape, data, ACT, cfg)
         assert len(calls) == 1
-        want = init_certifiable(shape, data, cfg)
+        want = init_certifiable(shape, cfg)
         assert gain == cfg.gain == 2.0 and not cert.certified
         assert all(np.array_equal(a, b) for a, b in zip(params.weights, want.weights))
         assert repr(cert) == repr(certify(want, data, ACT))
+
+
+class TestGainReplay:
+    """``tune_gain`` decides every gain but the first and the last from one
+    measurement; these pin its premise and its cost."""
+
+    # the doubling grid, off-grid bisection points, the margin and both ends
+    GAINS = sorted(
+        {2.0 * 2.0**k for k in range(50)}
+        | {2.0 * 2.0 ** (k + 0.5) for k in range(0, 50, 7)}
+        | {3.7, 1234.5678, 6.02e14, initializers.GAIN_MAX * initializers.GAIN_MARGIN}
+    )
+
+    @pytest.mark.parametrize("depth", [3, 4, 8, 20])
+    def test_replayed_certificate_is_the_real_one(self, depth):
+        shape, data = aligned_instance((16,) + (6,) * (depth - 2) + (2,), seed=1)
+        cert0 = certify(init_certifiable(shape, InitConfig(seed=1)), data, ACT)
+
+        def outcome(evaluate):
+            # a deep product past the float range raises in both alike
+            try:
+                return repr(evaluate())
+            except OverflowError as exc:
+                return repr(exc)
+
+        for g in self.GAINS:
+            deep = (g,) * (depth - 2)
+            replayed = outcome(lambda: certificate_from_spectra(
+                cert0.lambda_bar[:2] + deep, deep, cert0.lambda_f, data.X, cert0.phi0, ACT
+            ))
+            real = outcome(lambda: certify(
+                init_certifiable(shape, InitConfig(gain=g, seed=1)), data, ACT
+            ))
+            assert replayed == real, g
+
+    @pytest.mark.parametrize(
+        "widths, seed, calls, certified",
+        [((16, 6, 2), 36, 1, False), ((16, 6, 4, 2), 0, 2, True)],
+    )
+    def test_certify_calls(self, monkeypatch, widths, seed, calls, certified):
+        # one draw at the configured gain, one more only if the gain moved
+        shape, data = aligned_instance(widths, seed)
+        seen = []
+
+        def counting_certify(*args):
+            seen.append(args)
+            return certify(*args)
+
+        monkeypatch.setattr(initializers, "certify", counting_certify)
+        gain, params, cert = tune_gain(shape, data, ACT, InitConfig(seed=seed))
+        assert len(seen) == calls and cert.certified is certified
+        assert (gain != 2.0) is (calls == 2)
+        assert repr(cert) == repr(certify(params, data, ACT))
 
 
 class TestLecunInit:

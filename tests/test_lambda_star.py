@@ -392,6 +392,19 @@ class TestGramInputChecks:
         with pytest.raises(ValueError, match=name):
             call(sphere_data(4, 3, seed=0))
 
+    # a float seed once raised NumPy's TypeError, a negative one a message
+    # naming no field, and True drew seed 1's samples
+    @pytest.mark.parametrize("seed", [1.5, -1, True])
+    def test_gram_mc_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            gram_mc(sphere_data(4, 3, seed=0), SIGMA, 100, seed=seed)
+
+    def test_gram_mc_numpy_integer_seed_is_stored_as_int(self):
+        X = sphere_data(4, 3, seed=0)
+        est = gram_mc(X, SIGMA, 100, seed=np.int64(1))
+        assert type(est.seed) is int
+        np.testing.assert_array_equal(est.gram, gram_mc(X, SIGMA, 100, seed=1).gram)
+
     @pytest.mark.parametrize("linear", [False, True])
     def test_gram_mc_rejects_an_overflowing_gram(self, linear):
         X = 1e200 * np.eye(2)

@@ -76,7 +76,7 @@ def test_step_sampler_reads_the_certified_trainer(monkeypatch):
     shape = Shape(d=8, widths=(16, 6, 4, 2))
     X = sphere_data(16, 8, seed=0)
     data = Dataset(X, sphere_targets("aligned", shape, X, act, 0, 0.1))
-    _, params, cert = tune_gain(shape, data, act, InitConfig(gain=2.0, second_layer_var=0.0, seed=0))
+    _, params, cert = tune_gain(shape, data, act, InitConfig(gain=2.0, seed=0))
 
     # Pause the trainer inside three steps until the sampler has read each
     # paused frame, so the samples span two windows whatever the step speed.

@@ -76,7 +76,7 @@ def test_lambda_star_is_the_submodule():
 
 def test_init_config_fields():
     fields = pyrcert.InitConfig.__dataclass_fields__
-    assert list(fields) == ["gain", "second_layer_var", "seed"]
+    assert list(fields) == ["gain", "seed"]
 
 
 @pytest.mark.parametrize(
