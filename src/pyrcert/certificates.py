@@ -115,7 +115,8 @@ def certificate_from_spectra(
 
     At depth 2 the deep products are empty (= 1) and the max() term keeps
     only its last two arguments, since the minimum over an empty layer range
-    would be +inf and annihilate the first argument.
+    would be +inf and annihilate the first argument.  A constant past the
+    float64 range raises ``ValueError`` naming the depth.
     """
     L = len(lambda_bar)
     gamma, beta = act.gamma, act.beta
@@ -126,36 +127,41 @@ def certificate_from_spectra(
     min_deep = float(np.prod(lambda_min_deep)) if lambda_min_deep else 1.0
     root_phi = math.sqrt(2.0 * phi0)
 
-    # the two initial conditions: lambda_F**2 >= rhs1 and lambda_F**3 >= rhs2
-    pref = (gamma**4 / 3.0) * (6.0 / gamma**2) ** L
-    ratio = bar_deep / min_deep**2 if min_deep > 0 else math.inf
-    if L >= 3:
-        pair_min = min(lb * lm for lb, lm in zip(lambda_bar[2:], lambda_min_deep))
-        first_arg = 2.0 * lambda_bar[0] * lambda_bar[1] / pair_min if pair_min > 0 else math.inf
-        max_term = max(first_arg, lambda_bar[0], lambda_bar[1])
-    else:
-        max_term = max(lambda_bar[0], lambda_bar[1])
-    rhs1 = pref * x_fro * root_phi * ratio * max_term
-    rhs2 = 2.0 * pref * x_op * x_fro * root_phi * ratio * lambda_bar[1]
-    lhs1, lhs2 = lam_f**2, lam_f**3
+    try:
+        # the two initial conditions: lambda_F**2 >= rhs1 and lambda_F**3 >= rhs2
+        pref = (gamma**4 / 3.0) * (6.0 / gamma**2) ** L
+        ratio = bar_deep / min_deep**2 if min_deep > 0 else math.inf
+        if L >= 3:
+            pair_min = min(lb * lm for lb, lm in zip(lambda_bar[2:], lambda_min_deep))
+            first_arg = 2.0 * lambda_bar[0] * lambda_bar[1] / pair_min if pair_min > 0 else math.inf
+            max_term = max(first_arg, lambda_bar[0], lambda_bar[1])
+        else:
+            max_term = max(lambda_bar[0], lambda_bar[1])
+        rhs1 = pref * x_fro * root_phi * ratio * max_term
+        rhs2 = 2.0 * pref * x_op * x_fro * root_phi * ratio * lambda_bar[1]
+        lhs1, lhs2 = lam_f**2, lam_f**3
 
-    # the rate constants
-    alpha0 = (4.0 / gamma**4) * (gamma**2 / 4.0) ** L * lam_f**2 * min_deep**2
-    r_product = float(np.prod([max(1.0, 1.5 * lb) for lb in lambda_bar]))
-    bar_all = float(np.prod(lambda_bar))
-    bar_min = min(lambda_bar)
-    ls = L * math.sqrt(L)
-    # +inf for a zero deep layer, whose lambda_min = 0 makes alpha0 = 0 (vacuous)
-    q0 = ls * 1.5 ** (2 * (L - 1)) * x_fro**2 * bar_all**2 / bar_min**2 if bar_min else math.inf
-    q0 += ls * x_fro * (1.0 + L * beta * x_fro * r_product) * r_product * root_phi
-    vacuous = not alpha0 > 0.0
-    if vacuous:
-        q1 = math.inf if phi0 > 0 else 0.0
-        eta_max = math.nan
-    else:
-        sum_term = sum(bar_all / lb for lb in lambda_bar)
-        q1 = (4.0 / 3.0) * 1.5**L * (x_fro / alpha0) * sum_term * root_phi
-        eta_max = min(1.0 / alpha0, 1.0 / q0) if q0 > 0 else 1.0 / alpha0
+        # the rate constants
+        alpha0 = (4.0 / gamma**4) * (gamma**2 / 4.0) ** L * lam_f**2 * min_deep**2
+        r_product = float(np.prod([max(1.0, 1.5 * lb) for lb in lambda_bar]))
+        bar_all = float(np.prod(lambda_bar))
+        bar_min = min(lambda_bar)
+        ls = L * math.sqrt(L)
+        # +inf for a zero deep layer, whose lambda_min = 0 makes alpha0 = 0 (vacuous)
+        q0 = ls * 1.5 ** (2 * (L - 1)) * x_fro**2 * bar_all**2 / bar_min**2 if bar_min else math.inf
+        q0 += ls * x_fro * (1.0 + L * beta * x_fro * r_product) * r_product * root_phi
+        vacuous = not alpha0 > 0.0
+        if vacuous:
+            q1 = math.inf if phi0 > 0 else 0.0
+            eta_max = math.nan
+        else:
+            sum_term = sum(bar_all / lb for lb in lambda_bar)
+            q1 = (4.0 / 3.0) * 1.5**L * (x_fro / alpha0) * sum_term * root_phi
+            eta_max = min(1.0 / alpha0, 1.0 / q0) if q0 > 0 else 1.0 / alpha0
+    except OverflowError:  # a float power past the float64 range
+        raise ValueError(
+            f"the certificate's constants at depth {L} leave the float64 range"
+        ) from None
     return Certificate(
         lambda_bar=tuple(lambda_bar),
         lambda_min_deep=tuple(lambda_min_deep),

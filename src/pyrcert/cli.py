@@ -79,7 +79,6 @@ CONFIG: dict[str, tuple] = {
     "lambda_star.sigma": ("smoothed", "str", ("smoothed", "linear")),
     "lambda_star.samples": (100_000, "int", (">= 1",)),
     "lambda_star.r_max": (10, "int", (">= 0", f"<= {MAX_HERMITE_ORDER}")),
-    "lambda_star.quad_order": (200, "int", (">= 1",)),
     "kr.r": (2, "int", (">= 1",)),
     "kr.n": (30, "int", (">= 1",)),
     "kr.d": (40, "int", (">= 1",)),
@@ -158,8 +157,7 @@ def _flatten(node, prefix: str, flat: dict) -> None:
 def _load_config(path: str | None, flags: dict) -> dict:
     """The defaults in ``CONFIG`` merged with the JSON file at ``path``, then
     with the flags that were given (keyed by dotted path, e.g.
-    ``"lambda_star.r_max"``), every leaf checked against its type and domain,
-    and ``lambda_star.quad_order`` checked to exceed ``lambda_star.r_max``.
+    ``"lambda_star.r_max"``), every leaf checked against its type and domain.
     An unknown key, an object where a value belongs or the reverse, a wrong
     type, a non-finite number or a value outside its domain raises
     ``ValueError`` (exit 1) naming the key."""
@@ -175,12 +173,6 @@ def _load_config(path: str | None, flags: dict) -> dict:
         for section in sections:
             node = node.setdefault(section, {})
         node[leaf] = _check(key, value, *CONFIG[key][1:])
-    ls = cfg["lambda_star"]
-    if ls["quad_order"] <= ls["r_max"]:
-        raise ValueError(
-            f"config key 'lambda_star.quad_order' must exceed 'lambda_star.r_max' "
-            f"({ls['r_max']}), got {ls['quad_order']}"
-        )
     return cfg
 
 
@@ -413,7 +405,7 @@ def lambda_star_cmd(cfg: dict, out_dir: Path, full_matrix: bool) -> None:
             "stderr_max": mc.stderr_max,
         }
     if ls["method"] in ("hermite", "both"):
-        spec = hermite_coeffs(sig, ls["r_max"], ls["quad_order"])
+        spec = hermite_coeffs(sig, ls["r_max"])
         herm = gram_hermite(X, spec, ls["r_max"])
         payload["hermite"] = {
             "lambda_min": herm.lambda_min,
@@ -466,13 +458,13 @@ def kr_cmd(cfg: dict, out_dir: Path, fmt: str) -> None:
 
 
 @_command("hermite", "lambda_star.sigma", "activation.gamma", "activation.beta",
-          "lambda_star.r_max", "lambda_star.quad_order")
+          "lambda_star.r_max")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json")
 def hermite_cmd(cfg: dict, out_dir: Path, fmt: str) -> None:
     """Hermite coefficients of the configured activation."""
     ls = cfg["lambda_star"]
     sig = _sigma(cfg)
-    spec = hermite_coeffs(sig, ls["r_max"], ls["quad_order"])
+    spec = hermite_coeffs(sig, ls["r_max"])
     payload = {
         "target": spec.target,
         "quad_order": spec.quad_order,

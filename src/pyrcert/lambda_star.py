@@ -44,7 +44,9 @@ KR_ENTRY_BUDGET = 10**8
 # route before it falls back to an SVD of the Khatri-Rao power.
 KR_REL_TOL = 1e-10
 COEFF_CONVERGENCE_TOL = 1e-8
+QUAD_START = 200  # hermite_coeffs' first quadrature order, unless r_max + 1 is higher
 MAX_QUAD_ORDER = 2**16  # hermite_coeffs doubles the quadrature order up to here
+MC_BATCHES = 10  # gram_mc's independent sample batches
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -70,7 +72,6 @@ class GramEstimate:
 
     gram: np.ndarray
     lambda_min: float
-    method: str  # "monte_carlo" | "hermite"
     n_samples: Optional[int] = None
     r_max: Optional[int] = None
     stderr: Optional[np.ndarray] = None
@@ -138,17 +139,17 @@ def _coeffs_at_order(sigma: Callable, r_max: int, quad_order: int) -> tuple[np.n
     return coeffs, norm_sq
 
 
-def hermite_coeffs(sigma: Callable, r_max: int, quad_order: int = 200) -> HermiteSpec:
+def hermite_coeffs(sigma: Callable, r_max: int) -> HermiteSpec:
     """Coefficients mu_0..mu_{r_max} by Gauss-Hermite quadrature.
 
-    The order doubles from ``quad_order`` until doubling it once more moves
-    no coefficient by 1e-8 or more; the spec keeps that order and the
-    coefficients at double it.  Doubling stops at ``MAX_QUAD_ORDER``, where
-    coefficients still moving are flagged as non-converged (with a warning).
+    The order doubles from ``QUAD_START``, or from ``r_max + 1`` if that is
+    higher, until doubling it once more moves no coefficient by 1e-8 or
+    more; the spec keeps that order and the coefficients at double it.
+    Doubling stops at ``MAX_QUAD_ORDER``, where coefficients still moving
+    are flagged as non-converged (with a warning).
     """
     r_max = _check_order(r_max)
-    if quad_order < r_max + 1:
-        raise ValueError("quad_order must exceed the highest requested order")
+    quad_order = max(QUAD_START, r_max + 1)
     base, _ = _coeffs_at_order(sigma, r_max, quad_order)
     while True:
         refined, norm_sq = _coeffs_at_order(sigma, r_max, 2 * quad_order)
@@ -276,14 +277,13 @@ def gram_mc(
     sigma: Callable,
     n_samples: int,
     seed: int = 0,
-    n_batches: int = 10,
 ) -> GramEstimate:
     """Monte Carlo estimate of E[sigma(Xw) sigma(Xw)^T], w ~ N(0, I_d/d).
 
-    Samples are split across independent substreams (one per batch) and
-    reduced in batch order, so a given (seed, n_samples) pair is bit
-    reproducible; ``seed`` is an integer >= 0.  Per-entry standard errors
-    come from the batch means.
+    Samples are split across ``MC_BATCHES`` independent substreams (fewer
+    if ``n_samples`` is smaller), one per batch, and reduced in batch order,
+    so a given (seed, n_samples) pair is bit reproducible; ``seed`` is an
+    integer >= 0.  Per-entry standard errors come from the batch means.
 
     ``sigma`` must act entrywise, as both in-package activations do: each
     batch's pre-activations ``X W`` fill one buffer reused by every batch,
@@ -291,7 +291,7 @@ def gram_mc(
     entries (128 KiB) at a time.  The estimate is bit-identical to the
     whole-batch formula ``S = sigma(X W)``, ``S S^T``.  The peak memory is
     the buffer plus the larger of one batch of draws and a few blocks, so
-    about (N + d) * ceil(n_samples / n_batches) * 8 bytes: 1.95 MB at N=16,
+    about (N + d) * ceil(n_samples / MC_BATCHES) * 8 bytes: 1.95 MB at N=16,
     d=8 and 1e5 samples, 19.2 MB at 1e6.  Bad data (non-finite, or without
     rows or columns) and a Gram that is not finite raise ``ValueError``,
     without a warning; the first batch whose Gram is not finite ends the
@@ -299,7 +299,7 @@ def gram_mc(
     """
     X = _check_data(X)
     n_samples = _size(n_samples, "n_samples", 1)
-    n_batches = min(_size(n_batches, "n_batches", 1), n_samples)
+    n_batches = min(MC_BATCHES, n_samples)
     seed = _size(seed, "seed", 0)
     N, d = X.shape
     scale = 1.0 / math.sqrt(d)
@@ -337,7 +337,6 @@ def gram_mc(
     return GramEstimate(
         gram=G,
         lambda_min=_lambda_min_sym(G),
-        method="monte_carlo",
         n_samples=n_samples,
         stderr=stderr,
         seed=seed,
@@ -372,7 +371,6 @@ def gram_hermite(X: np.ndarray, coeffs: HermiteSpec, r_max: Optional[int] = None
     return GramEstimate(
         gram=G,
         lambda_min=_lambda_min_sym(G),
-        method="hermite",
         r_max=r_max,
         tail_mass=coeffs.tail_mass(r_max),
     )

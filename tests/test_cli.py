@@ -79,7 +79,6 @@ SURFACE = {
         ("--gamma",): ("float", None, "activation.gamma"),
         ("--beta",): ("float", None, "activation.beta"),
         ("--r-max",): ("integer", None, "lambda_star.r_max"),
-        ("--quad-order",): ("integer", None, "lambda_star.quad_order"),
         ("--out",): TEXT,
         ("--format",): (("csv", "json"), "json", None),
     },
@@ -157,6 +156,22 @@ class TestCertify:
             assert res.exit_code == 2, res.output
             written.append((out / "certificate.json").read_bytes())
         assert written[0] == written[1]
+
+    @pytest.mark.parametrize(
+        "depth, init",
+        [(240, {}), (20, {"gain": 1e10, "auto_gain": False})],
+        ids=["default-depth-240", "gain-1e10-depth-20"],
+    )
+    def test_constants_past_the_float_range_exit_one(self, tmp_path, depth, init):
+        # (6/gamma^2)^L and the deep products overflow a float64
+        path = tmp_path / "deep.json"
+        widths = [16] + [6] * (depth - 2) + [2]
+        path.write_text(json.dumps({"shape": {"widths": widths}, "init": init}))
+        res = run(["certify", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert res.stderr.splitlines() == [
+            f"error: the certificate's constants at depth {depth} leave the float64 range"
+        ]
 
     def test_missing_dataset_file_exits_one(self, tmp_path):
         cfg = small_config(
@@ -387,6 +402,15 @@ class TestHermite:
         assert len(payload["coeffs"]) == 9
         assert payload["tail_mass"] >= 0.0
 
+    def test_r_max_at_the_cap_needs_no_other_key(self, tmp_path):
+        # the quadrature starts above r_max on its own
+        out = tmp_path / "h"
+        res = run(["hermite", "--r-max", "200", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads((out / "hermite.json").read_text())
+        assert len(payload["coeffs"]) == 201 and all(payload["converged"])
+        assert payload["quad_order"] > 200
+
 
 class TestSweep:
     def test_aggregate_written(self, tmp_path):
@@ -488,6 +512,14 @@ class TestConfig:
         assert res.exit_code == 1
         assert "init.second_layer_var" in res.output
 
+    def test_quad_order_is_an_unknown_key(self, tmp_path):
+        # the Hermite quadrature starts at an order the code derives from r_max
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"lambda_star": {"quad_order": 200}}))
+        res = run(["hermite", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert res.stderr.splitlines() == ["error: unknown config key 'lambda_star.quad_order'"]
+
     @pytest.mark.parametrize("command", ["certify", "train"])
     def test_narrow_first_layer_prints_one_error_line(self, tmp_path, command):
         # n1 = 16 < N = 20: certify's refusal is the one message, with no
@@ -529,12 +561,7 @@ class TestConfig:
         "beta-zero": ({"activation": {"beta": 0.0}}, "activation.beta"),
         "gain-one": ({"init": {"gain": 1}}, "init.gain"),
         "radius-zero": ({"dataset": {"radius": 0.0}}, "dataset.radius"),
-        "r_max-above-cap": (
-            {"lambda_star": {"r_max": 201, "quad_order": 500}}, "lambda_star.r_max"
-        ),
-        "quad_order-below-r_max": (
-            {"lambda_star": {"r_max": 20, "quad_order": 5}}, "lambda_star.quad_order"
-        ),
+        "r_max-above-cap": ({"lambda_star": {"r_max": 201}}, "lambda_star.r_max"),
         "n_seeds-zero": ({"kr": {"n_seeds": 0}}, "kr.n_seeds"),
     }
 
@@ -688,7 +715,6 @@ class TestConfig:
         ("hermite", "--gamma", "0.3", "activation.gamma", 0.3),
         ("hermite", "--beta", "1.5", "activation.beta", 1.5),
         ("hermite", "--r-max", "3", "lambda_star.r_max", 3),
-        ("hermite", "--quad-order", "150", "lambda_star.quad_order", 150),
         ("sweep", "--jobs", "2", "sweep.jobs", 2),
     ]
     @pytest.mark.parametrize("command,flag,text,path,value", OVERRIDES)
@@ -841,15 +867,9 @@ class TestConfigTable:
     @given(data=st.data())
     def test_accepted_config_round_trips_through_config_json(self, data):
         keys = data.draw(st.sets(st.sampled_from(sorted(cli_mod.CONFIG))), label="keys")
-        if "lambda_star.r_max" in keys:
-            keys.add("lambda_star.quad_order")  # the default 200 may not exceed r_max
         user, given = {}, {}
-        # r_max before quad_order, which must exceed it
-        for key in sorted(keys, key=lambda key: (key == "lambda_star.quad_order", key)):
+        for key in sorted(keys):
             _, kind, domain = cli_mod.CONFIG[key]
-            if key == "lambda_star.quad_order":
-                r_max = given.get("lambda_star.r_max", cli_mod.CONFIG["lambda_star.r_max"][0])
-                domain = (f"> {r_max}",)
             given[key] = data.draw(valid_value(kind, domain), label=key)
             *sections, leaf = key.split(".")
             node = user

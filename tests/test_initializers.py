@@ -161,7 +161,7 @@ class TestGainReplay:
             # a deep product past the float range raises in both alike
             try:
                 return repr(evaluate())
-            except OverflowError as exc:
+            except ValueError as exc:
                 return repr(exc)
 
         for g in self.GAINS:

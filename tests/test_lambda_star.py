@@ -52,7 +52,7 @@ class TestHermitePoly:
     def test_order_cap(self):
         # the series stops at MAX_HERMITE_ORDER, where 64-bit values stay stable
         with pytest.raises(ValueError, match="cap 200"):
-            hermite_coeffs(SIGMA, 201, quad_order=400)
+            hermite_coeffs(SIGMA, 201)
         with pytest.raises(ValueError, match=">= 0"):
             hermite_coeffs(SIGMA, -1)
         with pytest.raises(ValueError, match="order must be an integer"):
@@ -74,14 +74,14 @@ class TestHermiteCoeff:
         assert np.max(np.abs(others)) <= 1e-10
 
     def test_smoothed_activation_coeffs_stable_under_refinement(self):
-        # the narrow Gaussian bump needs ~200 nodes; from there doubling the
-        # order moves every coefficient by less than 1e-9
+        # the narrow Gaussian bump needs ~200 nodes; from there the start of
+        # the doubling does not matter: 800 nodes move no coefficient by 1e-9
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            a = hermite_coeffs(SIGMA, 10, quad_order=200)
-            b = hermite_coeffs(SIGMA, 10, quad_order=400)
-        assert np.all(a.converged) and np.all(b.converged)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-9
+            spec = hermite_coeffs(SIGMA, 10)
+        fine, _ = ls_mod._coeffs_at_order(SIGMA, 10, 800)
+        assert np.all(spec.converged)
+        assert np.max(np.abs(spec.coeffs - fine)) <= 1e-9
 
     def test_single_coefficient_helper(self):
         assert hermite_coeffs(SIGMA, 1).coeffs[1] == pytest.approx((1 + ACT.gamma) / 2, abs=1e-10)
@@ -286,10 +286,10 @@ class TestGramMc:
         assert est.lambda_min >= -1e-10
 
 
-def _gram_mc_oracle(X, sigma, n_samples, seed, n_batches):
+def _gram_mc_oracle(X, sigma, n_samples, seed):
     """The literal whole-batch Monte Carlo Gram: S = sigma(X W), then S S^T,
     with gram_mc's batch sizes and substreams."""
-    n_batches = max(1, min(n_batches, n_samples))
+    n_batches = min(ls_mod.MC_BATCHES, n_samples)
     N, d = X.shape
     sizes = [n_samples // n_batches + (i < n_samples % n_batches) for i in range(n_batches)]
     streams = np.random.SeedSequence(seed).spawn(n_batches)
@@ -325,21 +325,21 @@ class TestGramMcBlocks:
     @given(
         N=st.sampled_from([1, 3, 16, 100, 300]),
         d=st.sampled_from([1, 2, 3, 8, 40]),
-        n_samples=st.integers(1, 4000),
-        n_batches=st.integers(1, 12),
+        n_samples=st.integers(1, 4000),  # below MC_BATCHES, and uneven batches
         linear=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(N=100, d=40, n_samples=2345, n_batches=7, linear=False, seed=1)  # partial last block
-    @example(N=300, d=3, n_samples=1000, n_batches=3, linear=True, seed=2)  # many blocks
-    @example(N=16, d=8, n_samples=5, n_batches=10, linear=False, seed=3)  # n_samples < n_batches
-    @example(N=16, d=40, n_samples=3001, n_batches=10, linear=True, seed=4)  # size < block
-    @example(N=16, d=8, n_samples=20480, n_batches=10, linear=False, seed=0)  # exactly 2 blocks
-    def test_bit_identical_to_whole_batch_formula(self, N, d, n_samples, n_batches, linear, seed):
+    @example(N=100, d=40, n_samples=2345, linear=False, seed=1)  # partial last block, uneven
+    @example(N=300, d=3, n_samples=3000, linear=True, seed=2)  # many blocks
+    @example(N=16, d=8, n_samples=5, linear=False, seed=3)  # n_samples < MC_BATCHES
+    @example(N=3, d=2, n_samples=1, linear=True, seed=5)  # one batch: no standard error
+    @example(N=16, d=40, n_samples=3001, linear=True, seed=4)  # size < block
+    @example(N=16, d=8, n_samples=20480, linear=False, seed=0)  # exactly 2 blocks
+    def test_bit_identical_to_whole_batch_formula(self, N, d, n_samples, linear, seed):
         sigma = sigma_linear if linear else SIGMA
         X = sphere_data(N, d, seed=seed % 1000)
-        est = gram_mc(X, sigma, n_samples, seed=seed, n_batches=n_batches)
-        gram, stderr, lambda_min = _gram_mc_oracle(X, sigma, n_samples, seed, n_batches)
+        est = gram_mc(X, sigma, n_samples, seed=seed)
+        gram, stderr, lambda_min = _gram_mc_oracle(X, sigma, n_samples, seed)
         np.testing.assert_array_equal(est.gram, gram)
         np.testing.assert_array_equal(est.stderr, stderr)  # NaN-aware
         np.testing.assert_array_equal(est.lambda_min, lambda_min)
@@ -381,12 +381,9 @@ class TestGramInputChecks:
             (lambda X: kr_min_singular(X, 2.7), "power"),
             (lambda X: khatri_rao_power(X, 2.7), "power"),
             (lambda X: gram_mc(X, SIGMA, 10.9), "n_samples"),
-            (lambda X: gram_mc(X, SIGMA, 100, n_batches=2.5), "n_batches"),
-            (lambda X: gram_mc(X, SIGMA, 100, n_batches=0), "n_batches"),
             (lambda X: gram_hermite(X, hermite_coeffs(sigma_linear, 4), 2.5), "r_max"),
         ],
-        ids=["kr-power", "kr-product-power", "mc-samples", "mc-batches", "mc-zero-batches",
-             "hermite-r_max"],
+        ids=["kr-power", "kr-product-power", "mc-samples", "hermite-r_max"],
     )
     def test_rejects_non_integer_counts(self, call, name):
         with pytest.raises(ValueError, match=name):
