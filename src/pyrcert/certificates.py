@@ -116,15 +116,21 @@ def certificate_from_spectra(
     At depth 2 the deep products are empty (= 1) and the max() term keeps
     only its last two arguments, since the minimum over an empty layer range
     would be +inf and annihilate the first argument.  A constant past the
-    float64 range raises ``ValueError`` naming the depth.
+    float64 range (a float power that overflows, or a non-vacuous
+    certificate's infinite ``alpha0`` or ``q0``) raises ``ValueError``
+    naming the depth.
     """
     L = len(lambda_bar)
     gamma, beta = act.gamma, act.beta
     X = np.asarray(X, dtype=np.float64)
     x_fro = float(np.linalg.norm(X, "fro"))
     x_op = float(np.linalg.norm(X, 2))
-    bar_deep = float(np.prod(lambda_bar[2:])) if L > 2 else 1.0
-    min_deep = float(np.prod(lambda_min_deep)) if lambda_min_deep else 1.0
+    # a product past the float64 range reads as inf, caught below
+    with np.errstate(over="ignore"):
+        bar_deep = float(np.prod(lambda_bar[2:])) if L > 2 else 1.0
+        min_deep = float(np.prod(lambda_min_deep)) if lambda_min_deep else 1.0
+        r_product = float(np.prod([max(1.0, 1.5 * lb) for lb in lambda_bar]))
+        bar_all = float(np.prod(lambda_bar))
     root_phi = math.sqrt(2.0 * phi0)
 
     try:
@@ -143,8 +149,6 @@ def certificate_from_spectra(
 
         # the rate constants
         alpha0 = (4.0 / gamma**4) * (gamma**2 / 4.0) ** L * lam_f**2 * min_deep**2
-        r_product = float(np.prod([max(1.0, 1.5 * lb) for lb in lambda_bar]))
-        bar_all = float(np.prod(lambda_bar))
         bar_min = min(lambda_bar)
         ls = L * math.sqrt(L)
         # +inf for a zero deep layer, whose lambda_min = 0 makes alpha0 = 0 (vacuous)
@@ -155,10 +159,14 @@ def certificate_from_spectra(
             q1 = math.inf if phi0 > 0 else 0.0
             eta_max = math.nan
         else:
+            # every lambda_bar is > 0 here, so an infinite alpha0 or q0 is a
+            # product past the float64 range
+            if not (math.isfinite(alpha0) and math.isfinite(q0)):
+                raise OverflowError
             sum_term = sum(bar_all / lb for lb in lambda_bar)
             q1 = (4.0 / 3.0) * 1.5**L * (x_fro / alpha0) * sum_term * root_phi
             eta_max = min(1.0 / alpha0, 1.0 / q0) if q0 > 0 else 1.0 / alpha0
-    except OverflowError:  # a float power past the float64 range
+    except OverflowError:  # a float power or product past the float64 range
         raise ValueError(
             f"the certificate's constants at depth {L} leave the float64 range"
         ) from None

@@ -236,11 +236,12 @@ class _Spectra:
         self.inflate = [1.0 + (2.0 * m * n + _SVD_ERR * max(m, n) + 8.0) * _EPS for m, n in shapes]
         self.underflow = [2.0 * math.sqrt(m * n) * _SQRT_TINY for m, n in shapes]
         self.svd_err = [(2.0 * _SVD_ERR * max(m, n) + 4.0) * _EPS for m, n in shapes]
-        # references: F_1 and W_1 are the arrays themselves (the trainer replaces
-        # them, never changes them in place); W_2..W_L are copies in one vector
-        self.refs: list = [None, None]
-        self.ref_deep, self.ref_w = _flat_views(shapes[2:])
-        self.starts = np.cumsum([0] + [m * n for m, n in shapes[2:-1]])
+        # references: F_1 is the array itself (the trainer replaces it, never
+        # changes it in place); W_1..W_L are copies in one vector, laid out
+        # like the trainer's
+        self.ref_f1 = None
+        self.ref_theta, self.ref_w = _flat_views(shapes[1:])
+        self.starts = np.cumsum([0] + [m * n for m, n in shapes[1:-1]])
         self.tops = [math.nan] * len(shapes)
         self.lows = [math.nan] * len(shapes)
         self.margins = [math.nan] * len(shapes)
@@ -254,29 +255,30 @@ class _Spectra:
             self.tops[i], self.lows[i] = float(sv[0]), float(sv[-1])
         except np.linalg.LinAlgError:  # NaN entries of a blown-up run
             self.tops[i] = self.lows[i] = math.nan
-        if i <= 1:
-            self.refs[i] = a
+        if i == 0:
+            self.ref_f1 = a
         else:
-            self.ref_w[i - 2][...] = a
+            self.ref_w[i - 1][...] = a
         self.margins[i] = self.svd_err[i] * self.tops[i] + self.underflow[i]
 
-    def prove(self, f1, weights, deep: np.ndarray, out: np.ndarray) -> bool:
+    def prove(self, f1, weights, theta: np.ndarray, out: np.ndarray) -> bool:
         """Bound the extreme singular values of the ``n`` matrices ``f1`` and
-        ``weights`` (``W_2..W_L`` views of ``deep``) into ``out[i]`` and ``out[n + i]``,
+        ``weights`` (``W_1..W_L`` views of ``theta``) into ``out[i]`` and ``out[n + i]``,
         measuring where bounds cannot prove thresholds.  True if all were measured."""
         lows, tops, margins, inflate = self.lows, self.tops, self.margins, self.inflate
-        refs, floors, caps, n = self.refs, self.floors, self.caps, len(lows)
-        # squared displacements of W_2..W_L, summed per matrix
-        deep_sq = np.add.reduceat(np.square(deep - self.ref_deep), self.starts).tolist()
+        floors, caps, n = self.floors, self.caps, len(lows)
+        # squared displacements from the references: 0 for the reference F_1
+        # itself (sqrt(0) * inflate + margin == margin), and W_1..W_L's summed
+        # per matrix in one reduceat
+        if f1 is self.ref_f1:
+            f1_sq = 0.0
+        else:
+            delta = f1 - self.ref_f1
+            f1_sq = float(np.vdot(delta, delta))
+        w_sq = np.add.reduceat(np.square(theta - self.ref_theta), self.starts).tolist()
         all_exact = True
-        for i, a in enumerate((f1, *weights)):
-            if i >= 2:
-                radius = math.sqrt(deep_sq[i - 2]) * inflate[i] + margins[i]
-            elif a is refs[i]:  # zero displacement: sqrt(0) * inflate + margin == margin
-                radius = margins[i]
-            else:
-                delta = a - refs[i]
-                radius = math.sqrt(float(np.vdot(delta, delta))) * inflate[i] + margins[i]
+        for i, (a, sq) in enumerate(zip((f1, *weights), [f1_sq, *w_sq])):
+            radius = math.sqrt(sq) * inflate[i] + margins[i]
             low = lows[i] - radius
             top = tops[i] + radius
             if low >= floors[i] and top <= caps[i]:
@@ -308,16 +310,14 @@ def train(
     them from earlier exact SVDs or measures them.  Step 0, the last step
     and every step of an uncertified run take ``L + 1`` exact SVDs.
 
-    Layer 1 is reused exactly.  At a certified step size ``eta * grad``
-    is often below a quarter of ``W_1``'s smallest spacing, and then it
-    cannot move any entry of ``W_1``.  A step whose rounded
-    ``eta * ||grad_1||`` proves this updates ``W_2..W_L`` only.  Any other
-    step computes ``W_1``'s update out of place, which rounds exactly like
-    the in-place one, and keeps ``W_1`` if the result is bitwise equal to
-    it.  While ``W_1`` is kept, the next pass starts from the previous
-    pass's ``(G_1, F_1, S_1)``, which are then the very values a
-    recomputation would give.  Any change, NaN included, replaces ``W_1``
-    and drops them.
+    The weights ``W_1..W_L`` are views of one flat vector, and every
+    step updates them all with one multiply and one subtraction.  At a
+    certified step size ``eta * grad_1`` is often below a quarter of
+    ``W_1``'s smallest spacing, and then it cannot move any entry of
+    ``W_1``.  While a step's rounded ``eta * ||grad_1||`` proves this, the
+    next pass starts from the previous pass's ``(G_1, F_1, S_1)``, which
+    are then the very values a recomputation would give.  A step without
+    the proof drops them and recomputes that spacing.
 
     The whole loop runs in one ``np.errstate(under="ignore",
     over="ignore")``: the forward kernel's activation needs it, and a run
@@ -335,16 +335,13 @@ def train(
             )
 
     X, Y = data.X, data.Y
-    # W_2..W_L are views of one flat vector, updated in one subtraction;
-    # W_1 is a separate array, replaced out of place
+    # W_1..W_L are views of one flat vector, updated in one subtraction
     wshapes = [w.shape for w in params0.weights]
-    deep, deep_w = _flat_views(wshapes[1:])
-    for v, w in zip(deep_w, params0.weights[1:]):
+    theta, W = _flat_views(wshapes)
+    for v, w in zip(W, params0.weights):
         v[...] = w
-    W = [params0.weights[0].copy(), *deep_w]
     gflat, grads = _flat_views(wshapes)
     w1_size = params0.weights[0].size
-    g1, gdeep = gflat[:w1_size], gflat[w1_size:]
     # log columns: the lower bounds of the monitored matrices (F_1,
     # W_1..W_L), their upper bounds, then loss and grad norm
     HI, LOSS = L + 1, 2 * (L + 1)
@@ -365,8 +362,6 @@ def train(
 
     first = None  # hidden layer 1's (G_1, F_1, S_1) while W_1 is unchanged
     k = 0
-    diverged = False
-    stop_reason = "max_steps"
     with np.errstate(under="ignore", over="ignore"):
         while True:
             try:
@@ -380,12 +375,14 @@ def train(
                 S = F[1:L]
             E = F[L] - Y
             loss_k = 0.5 * float(np.vdot(E, E))
-            last = (
-                not math.isfinite(loss_k)
-                or loss_k > DIVERGENCE_LOSS
-                or loss_k <= cfg.stop_loss
-                or k == cfg.max_steps
-            )
+            if not math.isfinite(loss_k) or loss_k > DIVERGENCE_LOSS:
+                stop_reason = "diverged"
+            elif loss_k <= cfg.stop_loss:
+                stop_reason = "stop_loss"
+            elif k == cfg.max_steps:
+                stop_reason = "max_steps"
+            else:
+                stop_reason = None
             gsq = _backprop(F, S, W, E, gflat, grads)
 
             if k == cap:
@@ -395,41 +392,32 @@ def train(
             row = rows[k]
             row[LOSS] = loss_k
             row[LOSS + 1] = math.sqrt(gsq)
-            if cert is not None and k > 0 and not last:
-                exact_a[k] = spectra.prove(F[1], W, deep, row)
+            if cert is not None and k > 0 and stop_reason is None:
+                exact_a[k] = spectra.prove(F[1], W, theta, row)
             else:
                 for i, a in enumerate((F[1], *W)):
                     spectra.measure(i, a)
                 row[:LOSS] = spectra.lows + spectra.tops
                 exact_a[k] = True
 
-            if last:
-                if not math.isfinite(loss_k) or loss_k > DIVERGENCE_LOSS:
-                    diverged = True
-                    stop_reason = "diverged"
-                elif loss_k <= cfg.stop_loss:
-                    stop_reason = "stop_loss"
+            if stop_reason is not None:
                 break
+            # whether the step provably keeps W_1; NaN fails the proof, and
+            # so does a W_1 with zero or subnormal entries
+            g1_norm = math.sqrt(float(np.vdot(grads[0], grads[0])))
+            w1_kept = eta * (g1_norm * w1_inflate + w1_underflow) < w1_tol
             # the gradient becomes the step in place; each entry rounds as in
             # a per-layer ``W[l] -= eta * grads[l]``
-            if eta * (math.sqrt(float(np.vdot(g1, g1))) * w1_inflate + w1_underflow) < w1_tol:
-                gdeep *= eta  # W_1 provably stays put
-            else:
-                gflat *= eta
-                w1 = W[0] - grads[0]
-                if not (w1 == W[0]).all():  # NaN entries compare unequal
-                    W[0] = w1
-                    w1_tol = _freeze_tol(w1)
-                    first = None
-            deep -= gdeep
+            gflat *= eta
+            theta -= gflat
+            if not w1_kept:
+                first = None
+                w1_tol = _freeze_tol(W[0])
             k += 1
 
     # an update that overflowed a weight leaves no finite last iterate;
-    # the final deep weights are copies, not views of the trainer's vector
-    if np.isfinite(W[0]).all() and np.isfinite(deep).all():
-        final = Params((W[0], *(w.copy() for w in deep_w)))
-    else:
-        final = params0
+    # the final weights are copies, not views of the trainer's vector
+    final = Params(tuple(w.copy() for w in W)) if np.isfinite(theta).all() else params0
     rows = rows[: k + 1]
     return TrainLog(
         loss=rows[:, LOSS].copy(),
@@ -441,7 +429,7 @@ def train(
         spectra_svds=spectra.n_svds,
         final_params=final,
         eta=eta,
-        diverged=diverged,
+        diverged=stop_reason == "diverged",
         stop_reason=stop_reason,
     )
 

@@ -139,10 +139,14 @@ def tune_gain(
     n_deep = shape.depth - 2
 
     def certifies(g: float) -> bool:
+        # a gain whose constants leave the float64 range does not certify
         deep = (g,) * n_deep
-        return certificate_from_spectra(
-            cert.lambda_bar[:2] + deep, deep, cert.lambda_f, data.X, cert.phi0, act
-        ).certified
+        try:
+            return certificate_from_spectra(
+                cert.lambda_bar[:2] + deep, deep, cert.lambda_f, data.X, cert.phi0, act
+            ).certified
+        except ValueError:
+            return False
 
     g = cfg.gain
     if not cert.certified:

@@ -255,7 +255,7 @@ def _write_matrix_csv(M: np.ndarray, path, prefix: str) -> None:
 def _read_matrix_csv(path) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file is malformed too
         rows = [[float(v) for v in row] for row in reader if row]
     M = np.asarray(rows, dtype=np.float64)
     if M.ndim != 2 or M.shape[1] != len(header):
@@ -281,6 +281,9 @@ def dataset_to_json(data: Dataset, path) -> None:
 def dataset_from_json(path) -> Dataset:
     with open(path) as fh:
         payload = json.load(fh)
+    for key in ("X", "Y"):
+        if key not in payload:
+            raise ValueError(f"dataset bundle {path} has no {key!r} array")
     data = Dataset(X=np.asarray(payload["X"]), Y=np.asarray(payload["Y"]))
     want = payload.get("shape")
     if want is not None:

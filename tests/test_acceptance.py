@@ -161,6 +161,8 @@ def certified_runs():
             TrainConfig(eta=eta, max_steps=1_500_000, stop_loss=1e-12),
             cert=cert,
         )
+        # no certified step moves W_1: the trainer reuses layer 1 throughout
+        assert log.final_params.weights[0].tobytes() == params.weights[0].tobytes(), seed
         runs.append((cert, log))
     return runs, time.time() - start
 

@@ -234,6 +234,18 @@ class TestRateConstants:
         _, _, cert = tune_gain(shape, data, ACT, cfg)
         assert cert.eta_max == pytest.approx(min(1 / cert.alpha0, 1 / cert.q0), rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "deep",
+        [(40.0,) * 88, (1e200, 1e200)],
+        ids=["q0-product-depth-90", "alpha0-product-depth-4"],
+    )
+    def test_infinite_rate_constant_raises(self, deep):
+        # every factor is finite, but a product overflows to inf silently:
+        # a certificate with an infinite q0 or alpha0 would cap eta at 0
+        X = sphere_data(16, 8, seed=9)
+        with pytest.raises(ValueError, match=f"at depth {len(deep) + 2} leave the float64"):
+            certificate_from_spectra((1.0, 1.0) + deep, deep, 0.02, X, 0.005, ACT)
+
     def test_zero_deep_layer_is_vacuous(self, tmp_path):
         # W3 = 0 has lambda_min = 0 and norm 0: Q0's shape term is +inf
         X = sphere_data(4, 3, seed=8)

@@ -173,13 +173,44 @@ class TestCertify:
             f"error: the certificate's constants at depth {depth} leave the float64 range"
         ]
 
-    def test_missing_dataset_file_exits_one(self, tmp_path):
-        cfg = small_config(
-            tmp_path, dataset={"source": "file", "bundle": str(tmp_path / "nope.json")}
-        )
+    @pytest.mark.parametrize(
+        "files, dataset, message",
+        [
+            ({}, {"bundle": "nope.json"},
+             "[Errno 2] No such file or directory: '{}/nope.json'"),
+            ({"x.csv": "", "y.csv": "y0\n1\n"}, {"x_csv": "x.csv", "y_csv": "y.csv"},
+             "malformed matrix CSV: {}/x.csv"),
+            ({"b.json": '{"Y": [[1.0]]}'}, {"bundle": "b.json"},
+             "dataset bundle {}/b.json has no 'X' array"),
+        ],
+        ids=["missing-bundle", "empty-x-csv", "bundle-without-X"],
+    )
+    def test_bad_dataset_file_exits_one(self, tmp_path, files, dataset, message):
+        # the message names the file, and the bundle's missing key
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        paths = {key: str(tmp_path / name) for key, name in dataset.items()}
+        cfg = small_config(tmp_path, dataset={"source": "file", **paths})
         res = run(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
-        assert "error" in res.output
+        assert res.stderr.splitlines() == ["error: " + message.format(tmp_path)]
+
+    @pytest.mark.parametrize("depth, seed, code", [(90, 0, 0), (100, 0, 2), (100, 36, 2)])
+    def test_deep_gain_search_writes_finite_constants(self, tmp_path, depth, seed, code):
+        # the gain search counts a replay past the float range as refused:
+        # depth 90 certifies a gain with finite q0, and no gain certifies at
+        # depth 100, which writes the first attempt, at gain 2, with exit 2
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"shape": {"widths": [16] + [6] * (depth - 2) + [2]}}))
+        out = tmp_path / "o"
+        res = run(["certify", "--config", str(path), "--seed", str(seed), "--out", str(out)])
+        assert res.exit_code == code, res.output
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["certified"] is (code == 0)
+        assert math.isfinite(cert["alpha0"]) and math.isfinite(cert["q0"])
+        assert cert["eta_max"] > 0.0
+        if code == 2:
+            assert cert["lambda_bar"][2:] == [2.0] * (depth - 2)
 
 
 class TestTrain:

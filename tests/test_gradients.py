@@ -307,7 +307,7 @@ class TestTrain:
         assert theta_distance(p, log.final_params) == 0.0
 
     def test_final_weights_own_their_memory(self):
-        # the trainer keeps W_2..W_L in one flat vector; the weights it
+        # the trainer keeps W_1..W_L in one flat vector; the weights it
         # returns are separate arrays, not views of it
         rng = np.random.default_rng(41)
         data, params = random_instance(rng, 4, 3, (5, 3, 2))
@@ -349,9 +349,9 @@ class TestTrain:
 class TestSpectra:
     """``_Spectra`` alone, on random walks of its four matrices (``F_1``,
     ``W_1``, ``W_2``, ``W_3``), as the trainer drives it: step 0 measures
-    every matrix, later steps ``prove``.  ``F_1`` and ``W_1`` move by
-    replacement and ``W_2``, ``W_3`` in place in one flat vector.  The
-    thresholds sit near the exact extremes of the first matrices."""
+    every matrix, later steps ``prove``.  ``F_1`` moves by replacement and
+    ``W_1..W_3`` in place in one flat vector.  The thresholds sit near the
+    exact extremes of the first matrices."""
 
     SHAPES = [(5, 4), (3, 4), (4, 3), (3, 2)]
 
@@ -372,10 +372,10 @@ class TestSpectra:
     )
     def test_bounds_hold_and_measure_exactly_when_unproven(self, seed, offsets, walk):
         rng = np.random.default_rng(seed)
-        f1, w1 = (rng.normal(size=shape) for shape in self.SHAPES[:2])
-        deep, deep_w = _flat_views(self.SHAPES[2:])
-        deep[...] = rng.normal(size=deep.size)
-        first = [self.extremes(a) for a in (f1, w1, *deep_w)]
+        f1 = rng.normal(size=self.SHAPES[0])
+        theta, weights = _flat_views(self.SHAPES[1:])
+        theta[...] = rng.normal(size=theta.size)
+        first = [self.extremes(a) for a in (f1, *weights)]
         # floors of F_1 and W_3, caps of W_1..W_3: a negative offset puts a
         # threshold beyond the exact value, which no bound can prove
         f1_floor = first[0][0] * (1.0 - offsets[0])
@@ -390,29 +390,29 @@ class TestSpectra:
         spectra.measure = lambda i, a: (measured.append(i), measure(i, a))
         out = np.empty(8)
         lo, hi = out[:4], out[4:]
-        for i, a in enumerate((f1, w1, *deep_w)):
+        for i, a in enumerate((f1, *weights)):
             spectra.measure(i, a)
-        refs = [a.copy() for a in (f1, w1, *deep_w)]
+        refs = [a.copy() for a in (f1, *weights)]
         ref_ext = list(first)
         assert spectra.lows == [e[0] for e in first] and spectra.tops == [e[1] for e in first]
 
         for moves in walk:
-            mats = [f1, w1, *deep_w]
+            mats = [f1, *weights]
             for i, log_step in enumerate(moves):
                 if log_step is not None:
                     step = rng.normal(size=self.SHAPES[i])
                     step *= 10.0**log_step * first[i][1] / np.linalg.norm(step)
-                    if i < 2:  # replaced, as the trainer replaces F_1 and W_1
+                    if i == 0:  # replaced, as the trainer replaces F_1
                         mats[i] = mats[i] + step
                     else:
                         mats[i] += step
-            f1, w1 = mats[:2]
+            f1 = mats[0]
             # what the prover may use: its rounding factors and margins
             inflate, margins = list(spectra.inflate), list(spectra.margins)
-            same = [f1 is spectra.refs[0], w1 is spectra.refs[1]]
+            same_f1 = f1 is spectra.ref_f1
             measured.clear()
             n_svds = spectra.n_svds
-            all_exact = spectra.prove(f1, [w1, *deep_w], deep, out)
+            all_exact = spectra.prove(f1, weights, theta, out)
             assert all_exact == (len(measured) == 4)
             assert spectra.n_svds == n_svds + len(measured)
             assert measured == sorted(set(measured))
@@ -427,7 +427,7 @@ class TestSpectra:
                 # Weyl's radius with the displacement computed here; its
                 # summation order may differ from the prover's, so the radius
                 # is widened and narrowed by a relative 1e-12 on either side
-                disp = 0.0 if i < 2 and same[i] else float(np.linalg.norm(a - refs[i]))
+                disp = 0.0 if i == 0 and same_f1 else float(np.linalg.norm(a - refs[i]))
                 proven = [
                     ref_ext[i][0] - r >= floors[i] and ref_ext[i][1] + r <= caps[i]
                     for r in (disp * f * inflate[i] + margins[i] for f in (1 + 1e-12, 1 - 1e-12))
