@@ -69,47 +69,65 @@ def value_and_slope(params: ActivationParams, x):
     ``sigma(x) = a*(bump - 1) + x*slope`` needs no second ``erfc``.
 
     This is the checked entry point: it converts the input, rejects
-    non-finite entries and handles 0-d input around ``_value_and_slope``.
-    The slope is bit-exact against ``g + (1-g)*(0.5*erfc(-u))`` (scaling
-    by 0.5 is exact); the value is within a few ulps of the two-``erfc`` sum.
+    non-finite entries, allocates the value, slope and bump buffers and
+    handles 0-d input around ``_value_and_slope``.  The slope is bit-exact
+    against ``g + (1-g)*(0.5*erfc(-u))`` (scaling by 0.5 is exact); the
+    value is within a few ulps of the two-``erfc`` sum.
     """
     arr = _as_finite_array(x)
     xs = arr.reshape(1) if arr.ndim == 0 else arr  # ufuncs with out= need an array
+    val, slope, bump = np.empty_like(xs), np.empty_like(xs), np.empty_like(xs)
     with np.errstate(under="ignore", over="ignore"):
-        val, slope = _value_and_slope(params, xs)
+        _value_and_slope(_constants(params), xs, val, slope, bump)
     if arr.ndim == 0:
         return float(val[0]), float(slope[0])
     return val, slope
 
 
-def _value_and_slope(params: ActivationParams, xs: np.ndarray):
-    """The unchecked kernel of ``value_and_slope``, for a finite float64
-    array of at least one dimension, which it does not check.
-
-    The work runs in place: one buffer holds ``z``, then ``-u``, then
-    ``erfc(-u)``, then the slope; a second holds ``-z*z/2``, then the
-    bump, then ``a*bump - a``; the third is the value.  ``z*z`` overflows
-    and ``exp`` underflows to 0 for large ``|x|``, and ``z`` itself can
-    overflow to inf; every one of these reaches the correct limit, so a
-    caller that wants no warnings runs this under
-    ``np.errstate(under="ignore", over="ignore")``.
-    """
+def _constants(params: ActivationParams) -> tuple[float, float, float, float]:
+    """What ``_value_and_slope`` needs of ``params``: the scale of ``z``,
+    the bump height ``a``, the slope's ``(1-g)/2`` and its floor ``g``."""
     g, b = params.gamma, params.beta
-    a = (1.0 - g) ** 2 / (2.0 * math.pi * b)
-    slope = np.multiply(xs, b * _SQRT_2PI / (1.0 - g))
-    bump = np.multiply(slope, slope)
-    bump *= -0.5
-    np.exp(bump, out=bump)
-    bump *= a
-    bump -= a
-    slope *= -_INV_SQRT2
+    return b * _SQRT_2PI / (1.0 - g), (1.0 - g) ** 2 / (2.0 * math.pi * b), 0.5 * (1.0 - g), g
+
+
+# The kernel's fixed factors as 0-d arrays: a ufunc takes one with less
+# per-call work than a Python float, and rounds with the same float64 value.
+_MINUS_HALF = np.array(-0.5)
+_MINUS_INV_SQRT2 = np.array(-_INV_SQRT2)
+
+
+def _value_and_slope(consts, xs: np.ndarray, val: np.ndarray, slope: np.ndarray, bump: np.ndarray) -> None:
+    """The unchecked kernel of ``value_and_slope``: writes the value of the
+    finite float64 array ``xs`` into ``val`` and its slope into ``slope``,
+    using ``bump`` as scratch; ``consts`` is ``_constants(params)``, as
+    floats or, for a caller that runs it every step, as 0-d arrays.  The
+    three buffers are the caller's, shaped like ``xs`` and distinct from it
+    and from each other, so a caller that runs it every step allocates
+    nothing.
+
+    One buffer holds ``z``, then ``-u``, then ``erfc(-u)``, then the slope;
+    a second holds ``-z*z/2``, then the bump, then ``a*bump - a``; the third
+    is the value.  ``z*z`` overflows and ``exp`` underflows to 0 for large
+    ``|x|``, and ``z`` itself can overflow to inf; every one of these
+    reaches the correct limit, so a caller that wants no warnings runs this
+    under ``np.errstate(under="ignore", over="ignore")``.
+    """
+    scale, a, half_gap, g = consts
+    multiply, add = np.multiply, np.add
+    multiply(xs, scale, slope)
+    multiply(slope, slope, bump)
+    multiply(bump, _MINUS_HALF, bump)
+    np.exp(bump, bump)
+    multiply(bump, a, bump)
+    np.subtract(bump, a, bump)
+    multiply(slope, _MINUS_INV_SQRT2, slope)
     # erfc keeps full relative accuracy in the tails
-    special.erfc(slope, out=slope)
-    slope *= 0.5 * (1.0 - g)
-    slope += g
-    val = np.multiply(xs, slope)
-    val += bump
-    return val, slope
+    special.erfc(slope, slope)
+    multiply(slope, half_gap, slope)
+    add(slope, g, slope)
+    multiply(xs, slope, val)
+    add(val, bump, val)
 
 
 def as_function(params: ActivationParams):

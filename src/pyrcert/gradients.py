@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,7 +21,7 @@ import numpy as np
 from .activation import ActivationParams
 from .activation import value_and_slope  # noqa: F401 - bound here for perfbench's tracer
 from .certificates import Certificate, InvariantReport, invariant_thresholds
-from .network import _FLOAT_FMT, Dataset, ForwardTrace, Params, _check_dims, _layers, _size, forward
+from .network import _FLOAT_FMT, Dataset, ForwardTrace, Params, _check_dims, _Kernel, _size, forward
 
 __all__ = [
     "GradientBundle",
@@ -57,35 +58,24 @@ def _flat_views(shapes) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, views
 
 
-def _backprop(F, S, weights, E: np.ndarray, flat: np.ndarray, grads) -> float:
-    """The backward kernel, on raw arrays: writes each layer's gradient
-    into ``grads``, views of the one vector ``flat`` shaped like
-    ``weights``, and returns the squared norm of ``flat``.  ``F`` and
-    ``S`` are a forward pass's outputs and slopes, and ``E = F[L] - Y``
-    its residual.  The products are ``np.dot``, as in the forward kernel."""
-    D = E
-    for l in range(len(weights), 0, -1):
-        np.dot(F[l - 1].T, D, out=grads[l - 1])
-        if l > 1:
-            D = np.dot(D, weights[l - 1].T)
-            D *= S[l - 2]
-    return float(np.vdot(flat, flat))
-
-
 def grad(
     params: Params,
     data: Dataset,
     act: ActivationParams,
     trace: Optional[ForwardTrace] = None,
 ) -> GradientBundle:
-    """Gradient of the square loss with respect to every weight matrix."""
+    """Gradient of the square loss with respect to every weight matrix,
+    written by the network kernel's backward pass into views of one flat
+    vector, whose squared norm is one ``vdot``."""
     if trace is None:
         trace = forward(params, data, act)
     else:
         _check_dims(params, data)
     flat, grads = _flat_views([w.shape for w in params.weights])
-    sq = _backprop(trace.F, trace.S, params.weights, trace.residual(), flat, grads)
-    return GradientBundle(layers=tuple(grads), sq_norm=sq)
+    kernel = _Kernel(trace.F[0], trace.data.Y, params.weights, act, (trace.G, trace.F, trace.S), grads)
+    kernel.loss()
+    kernel.backward()
+    return GradientBundle(layers=tuple(grads), sq_norm=float(np.vdot(flat, flat)))
 
 
 def pl_lower_bound(trace: ForwardTrace, params: Params) -> float:
@@ -187,6 +177,8 @@ _SVD_ERR = 4.0
 # Squares of entries below this underflow, so a computed Frobenius norm may
 # miss up to this much per entry.
 _SQRT_TINY = math.sqrt(float(np.finfo(np.float64).tiny))
+# The smallest subnormal: a product that underflows is off by half of it.
+_TINIEST = math.ulp(0.0)
 
 
 def _freeze_tol(w: np.ndarray) -> float:
@@ -209,85 +201,208 @@ class _Spectra:
     """Lazy but rigorous spectra of one run's monitored matrices of
     ``shapes``: ``F_1``, then ``W_1..W_L``, as matrices ``0..L``.
 
-    Each matrix keeps a reference with the singular values of one exact
-    SVD.  By Weyl's inequality no singular value moves further from the
-    reference's than ``||A - A_ref||_2 <= ||A - A_ref||_F``.  That
-    displacement, inflated for rounding and widened by the SVD error of
-    both matrices, bounds what an exact SVD of the current matrix would
-    compute.  ``prove`` ``measure``s each matrix whose bounds do not prove
-    its ``thresholds`` (as ``invariant_thresholds`` returns them), and that
-    exact SVD becomes its new reference; so the bounds decide each flag as
-    an exact SVD would.
+    A log row holds what the log reports, in the CSV's order: the lower
+    bounds of ``F_1`` and ``W_3..W_L`` (cells ``lo_cells``), the upper
+    bounds of ``W_1..W_L`` (cells ``hi_cells``), the loss (cell
+    ``loss_cell``) and the gradient norm.  One more cell serves the prover:
+    on a row where ``F_1``'s bound changed, the bound that stands on later
+    rows, and while ``fill`` runs, the running sum.
+
+    Each matrix keeps a reference: the singular values of one exact SVD
+    (``rebase``).  By Weyl's inequality no singular value moves further
+    from the reference's than the displacement ``||A - A_ref||_F``.  That
+    displacement times ``inflate``, plus ``margin``, bounds what an exact
+    SVD of the current matrix would compute: ``inflate`` covers the SVD
+    error growing with ``||A||_2`` and the rounding of the displacement's
+    norm and of the bound; ``margin`` the SVD error of both matrices at
+    ``||A_ref||_2``, the rounding of the bounds, and underflowed squares.
+    A matrix whose bounds cannot prove its ``thresholds`` (as
+    ``invariant_thresholds`` returns them) is measured and rebased, so the
+    bounds decide each flag as an exact SVD would.  ``events[i]`` lists the
+    rows where matrix ``i`` was rebased (for ``F_1``, also where its bound
+    was proven anew).
+
+    ``F_1`` changes only on a step that recomputes layer 1 (``W_1`` moved):
+    ``check`` then measures its displacement from a copy of the reference.
+    Between such steps its bound stands, and ``f1_ok`` says whether that
+    bound proves its floor.
+
+    ``W_1..W_L`` are audited in O(1) per step from the path length.  The
+    trainer's step rounds ``s = fl(eta * g)`` and then ``fl(theta - s)``
+    entrywise over the ``n`` weights; ``theta_i`` itself is a float at distance ``|s_i|`` from
+    the exact difference, so the nearest float moves ``theta_i`` by at
+    most ``2 |s_i|``, and ``theta`` by at most ``2 ||s||``.  With ``u``
+    the unit roundoff, ``||s|| <= (1 + u) eta ||g|| + sqrt(n) ulp(0) / 2``
+    (a product that underflows is off by half the smallest subnormal), and
+    ``||g|| <= gn (1 + (n + 2) eps) + 2 sqrt(n) sqrt(tiny)`` for the
+    computed norm ``gn`` (rounding of the ``n`` squares, their sum and the
+    square root; squares that underflow).  So one step moves ``theta`` by
+    at most ``t = gn * rate + creep``; the spare factors of ``rate`` and
+    ``creep`` cover the rounding of ``t`` itself, also where it underflows.
+    The trainer keeps the running sum ``P`` of these ``t``.  Each addition
+    of non-negative floats rounds by at most ``u`` times the later sum, so
+    after ``j <= max_steps`` additions the exact sum is at most
+    ``P (1 + j eps) <= P * grow``.  With ``base[i]`` the sum at ``W_i``'s
+    reference, its displacement is at most ``P * grow - base[i]``, and
+
+        radius_i(P) = (P * grow - base[i]) * inflate[i] + margin[i].
+
+    Every rounding is monotone, so the computed radius grows with ``P``.
+    ``limits[i]`` is the largest ``P`` whose computed radius proves
+    ``W_i``'s thresholds, found once per reference; the trainer compares
+    ``P`` with their minimum ``limit`` once per step, and ``check``
+    measures and rebases only the ``W_i`` whose own limit ``P`` passed.
+    ``fill`` writes the bound cells the loop left out from the same
+    formula, after the run: it recomputes ``P`` from the logged gradient
+    norms by the same sequential sum, so every cell the loop proved meets
+    its threshold, and a flag read from the log is the exact SVD's.
     """
 
-    def __init__(self, shapes, thresholds) -> None:
+    def __init__(self, shapes, thresholds, eta: float, max_steps: int) -> None:
         if thresholds is not None:
             f1_floor, deep_floors, norm_caps = thresholds
             self.floors = [f1_floor, -math.inf, -math.inf] + deep_floors.tolist()
             self.caps = [math.inf] + norm_caps.tolist()
-        # ||A - A_ref||_F * inflate + margin bounds how far any singular value
-        # an exact SVD of A would compute lies from the reference's computed
-        # ones.  inflate covers the rounding of the difference, the sum of
-        # squares (size * eps bounds its rounding in any summation order, so
-        # vdot and reduceat alike), the square root and the final add, and the
-        # SVD error of A growing with ||A||_2 <= ||A_ref||_2 + the displacement;
-        # margin covers the SVD error of both matrices at ||A_ref||_2, the
-        # rounding of the bounds, and underflowed squares.
+        self.certified = thresholds is not None
         self.inflate = [1.0 + (2.0 * m * n + _SVD_ERR * max(m, n) + 8.0) * _EPS for m, n in shapes]
         self.underflow = [2.0 * math.sqrt(m * n) * _SQRT_TINY for m, n in shapes]
         self.svd_err = [(2.0 * _SVD_ERR * max(m, n) + 4.0) * _EPS for m, n in shapes]
-        # references: F_1 is the array itself (the trainer replaces it, never
-        # changes it in place); W_1..W_L are copies in one vector, laid out
-        # like the trainer's
-        self.ref_f1 = None
-        self.ref_theta, self.ref_w = _flat_views(shapes[1:])
-        self.starts = np.cumsum([0] + [m * n for m, n in shapes[1:-1]])
-        self.tops = [math.nan] * len(shapes)
-        self.lows = [math.nan] * len(shapes)
-        self.margins = [math.nan] * len(shapes)
+        size = sum(m * n for m, n in shapes[1:])
+        root = math.sqrt(size)
+        self.rate = 2.0 * eta * (1.0 + (size + 8.0) * _EPS)
+        self.creep = 8.0 * eta * root * _SQRT_TINY + 4.0 * root * _TINIEST
+        self.grow = 1.0 + (max_steps + 8.0) * _EPS
+        self.ref_f1 = np.empty(shapes[0])
+        n = len(shapes)
+        n_low = max(n - 3, 0)
+        self.lo_cells = [0, None, None, *range(1, 1 + n_low)]
+        self.hi_cells = [None, *range(1 + n_low, n + n_low)]
+        self.loss_cell = n + n_low
+        self.n_cells = self.loss_cell + 3
+        self.tops = [math.nan] * n
+        self.lows = [math.nan] * n
+        self.margins = [math.nan] * n
+        self.base = [0.0] * n
+        self.limits = [-math.inf] * n
+        self.limit = -math.inf
+        self.f1_ok = False
+        self.events = [array("q") for _ in range(n)]
         self.n_svds = 0
 
     def measure(self, i: int, a: np.ndarray) -> None:
-        """One exact SVD of matrix ``i``, now ``a``, which becomes its reference."""
+        """One exact SVD of matrix ``i``, now ``a``."""
         self.n_svds += 1
         try:
             sv = np.linalg.svd(a, compute_uv=False)
             self.tops[i], self.lows[i] = float(sv[0]), float(sv[-1])
         except np.linalg.LinAlgError:  # NaN entries of a blown-up run
             self.tops[i] = self.lows[i] = math.nan
-        if i == 0:
-            self.ref_f1 = a
-        else:
-            self.ref_w[i - 1][...] = a
         self.margins[i] = self.svd_err[i] * self.tops[i] + self.underflow[i]
 
-    def prove(self, f1, weights, theta: np.ndarray, out: np.ndarray) -> bool:
-        """Bound the extreme singular values of the ``n`` matrices ``f1`` and
-        ``weights`` (``W_1..W_L`` views of ``theta``) into ``out[i]`` and ``out[n + i]``,
-        measuring where bounds cannot prove thresholds.  True if all were measured."""
-        lows, tops, margins, inflate = self.lows, self.tops, self.margins, self.inflate
-        floors, caps, n = self.floors, self.caps, len(lows)
-        # squared displacements from the references: 0 for the reference F_1
-        # itself (sqrt(0) * inflate + margin == margin), and W_1..W_L's summed
-        # per matrix in one reduceat
-        if f1 is self.ref_f1:
-            f1_sq = 0.0
-        else:
-            delta = f1 - self.ref_f1
-            f1_sq = float(np.vdot(delta, delta))
-        w_sq = np.add.reduceat(np.square(theta - self.ref_theta), self.starts).tolist()
-        all_exact = True
-        for i, (a, sq) in enumerate(zip((f1, *weights), [f1_sq, *w_sq])):
-            radius = math.sqrt(sq) * inflate[i] + margins[i]
-            low = lows[i] - radius
-            top = tops[i] + radius
-            if low >= floors[i] and top <= caps[i]:
-                out[i], out[n + i] = low, top
-                all_exact = False
-            else:
+    def _proves(self, i: int, radius: float) -> bool:
+        return self.lows[i] - radius >= self.floors[i] and self.tops[i] + radius <= self.caps[i]
+
+    def _radius(self, i: int, P: float) -> float:
+        return (P * self.grow - self.base[i]) * self.inflate[i] + self.margins[i]
+
+    def _limit(self, i: int) -> float:
+        """The largest running sum whose radius proves ``W_i``'s thresholds
+        from its reference, or -inf if none does."""
+        b = self.base[i]
+        slack = min(self.lows[i] - self.floors[i], self.caps[i] - self.tops[i]) - self.margins[i]
+        if not slack >= 0.0:
+            return -math.inf
+        P = (slack / self.inflate[i] + b) / self.grow
+        # the computed radius may miss the exact inverse by a few roundings
+        for shift in range(-50, 8):
+            if self._proves(i, self._radius(i, P)):
+                return P
+            P -= (P - b) * 2.0**shift
+        return -math.inf
+
+    def _rebase(self, k: int, i: int, a: np.ndarray, P: float, row: np.ndarray) -> None:
+        """``measure`` matrix ``i`` on row ``k``; it becomes the reference,
+        at running sum ``P``."""
+        self.measure(i, a)
+        self.events[i].append(k)
+        if i == 0:
+            self.ref_f1[...] = a
+            # sqrt(0) * inflate + margin == margin in floating point
+            row[0], row[-1] = self.lows[0], self.lows[0] - self.margins[0]
+            self.f1_ok = self._proves(0, self.margins[0])
+            return
+        if i >= 3:
+            row[self.lo_cells[i]] = self.lows[i]
+        row[self.hi_cells[i]] = self.tops[i]
+        self.base[i] = P
+        self.limits[i] = self._limit(i)
+
+    def rebase_all(self, k: int, mats, P: float, row: np.ndarray) -> None:
+        """Measure every matrix into row ``k``; a certified run rebases them."""
+        if not self.certified:
+            for i, a in enumerate(mats):
                 self.measure(i, a)
-                out[i], out[n + i] = lows[i], tops[i]
-        return all_exact
+            row[: self.loss_cell] = self.lows[:1] + self.lows[3:] + self.tops[1:]
+            return
+        for i, a in enumerate(mats):
+            self._rebase(k, i, a, P, row)
+        self.limit = min(self.limits[1:])
+
+    def check(self, k: int, P: float, f1_moved: bool, f1: np.ndarray, weights, row: np.ndarray) -> bool:
+        """Row ``k`` of a certified run, where the running sum ``P`` passed
+        ``limit``, ``F_1`` moved or its bound failed: measure and rebase each
+        ``W_i`` whose limit ``P`` passed, and bound ``F_1`` from its
+        displacement or measure it.  True if every matrix was measured."""
+        svds = self.n_svds
+        if not P <= self.limit:
+            for i, a in enumerate(weights, 1):
+                if not P <= self.limits[i]:
+                    self._rebase(k, i, a, P, row)
+            self.limit = min(self.limits[1:])
+        if f1_moved or not self.f1_ok:
+            delta = f1 - self.ref_f1
+            radius = math.sqrt(float(np.vdot(delta, delta))) * self.inflate[0] + self.margins[0]
+            if self._proves(0, radius):
+                self.events[0].append(k)
+                row[0] = row[-1] = self.lows[0] - radius
+                self.f1_ok = True
+            else:
+                self._rebase(k, 0, f1, P, row)
+        return self.n_svds - svds == len(self.lows)
+
+    def fill(self, rows: np.ndarray) -> None:
+        """Write the bound cells of a certified run's log that the loop left,
+        in place: ``F_1``'s from its last event, ``W_i``'s from the running
+        sum, recomputed here, and the reference of its segment."""
+        for a, z in _gaps(self.events[0]):
+            rows[a + 1 : z, 0] = rows[a, -1]
+        # the running sum before each row, as the loop summed it, in the
+        # cell F_1 no longer needs
+        P = rows[:, -1]
+        P[0] = 0.0
+        np.multiply(rows[:-1, self.loss_cell + 1], self.rate, P[1:])
+        np.add(P[1:], self.creep, P[1:])
+        np.cumsum(P[1:], out=P[1:])
+        for i in range(1, len(self.lows)):
+            lo, hi = self.lo_cells[i], self.hi_cells[i]
+            for a, z in _gaps(self.events[i]):
+                margin = self.svd_err[i] * rows[a, hi] + self.underflow[i]
+                radius = rows[a + 1 : z, hi]
+                np.multiply(P[a + 1 : z], self.grow, radius)
+                np.subtract(radius, P[a], radius)
+                np.multiply(radius, self.inflate[i], radius)
+                np.add(radius, margin, radius)
+                if lo is not None:
+                    np.subtract(rows[a, lo], radius, rows[a + 1 : z, lo])
+                np.add(radius, rows[a, hi], radius)
+
+
+def _gaps(events):
+    """``(a, z)`` for each run of rows ``a + 1 .. z - 1`` between
+    consecutive ``events`` ``a`` and ``z``."""
+    rows = np.frombuffer(events, dtype=np.int64)
+    for j in np.flatnonzero(np.diff(rows) > 1):
+        yield int(rows[j]), int(rows[j + 1])
 
 
 def train(
@@ -303,25 +418,32 @@ def train(
     cap, and the logged spectra prove or refute the certificate's
     thresholds on every step; ``certificates.monitor_invariants`` turns them
     into the invariant flags.  A run is aborted (log retained) if the loss
-    exceeds ``1e12`` or turns non-finite, including when the iterates
-    overflow and the forward pass meets a non-finite pre-activation.
+    exceeds ``1e12`` or turns non-finite.  A non-finite loss is also where
+    a non-finite hidden pre-activation shows (the iterates overflowed):
+    only then are the hidden layers checked, and if one is not finite the
+    step is logged with NaN layers, loss and gradient norm.
 
-    Spectra of a certified run are lazy but rigorous: ``_Spectra`` proves
-    them from earlier exact SVDs or measures them.  Step 0, the last step
-    and every step of an uncertified run take ``L + 1`` exact SVDs.
+    Every step runs the network kernel (``network._Kernel``) on buffers
+    made once for the run.  Spectra of a certified run are lazy but
+    rigorous: ``_Spectra`` proves them from earlier exact SVDs or measures
+    them.  Its per-step audit is one running sum of the logged gradient
+    norms and one comparison; the bound cells it proves are filled in after
+    the loop.  Step 0, the last step and every step of an uncertified run
+    take ``L + 1`` exact SVDs.
 
     The weights ``W_1..W_L`` are views of one flat vector, and every
     step updates them all with one multiply and one subtraction.  At a
     certified step size ``eta * grad_1`` is often below a quarter of
     ``W_1``'s smallest spacing, and then it cannot move any entry of
     ``W_1``.  While a step's rounded ``eta * ||grad_1||`` proves this, the
-    next pass starts from the previous pass's ``(G_1, F_1, S_1)``, which
-    are then the very values a recomputation would give.  A step without
-    the proof drops them and recomputes that spacing.
+    next pass keeps layer 1's ``(G_1, F_1, S_1)``, which are then the very
+    values a recomputation would give.  A step without the proof
+    recomputes that layer and that spacing.
 
     The whole loop runs in one ``np.errstate(under="ignore",
-    over="ignore")``: the forward kernel's activation needs it, and a run
-    that diverges ends as ``diverged`` without overflow warnings.
+    over="ignore", invalid="ignore")``: the activation needs the first two,
+    and an overflowed layer meets ``inf * 0`` in a product, so a run that
+    diverges ends as ``diverged`` without warnings.
     """
     _check_dims(params0, data)
     L = params0.depth
@@ -334,23 +456,28 @@ def train(
                 f"eta={eta} is not below the certified cap {cert.eta_max}"
             )
 
-    X, Y = data.X, data.Y
+    X = data.X
     # W_1..W_L are views of one flat vector, updated in one subtraction
     wshapes = [w.shape for w in params0.weights]
     theta, W = _flat_views(wshapes)
     for v, w in zip(W, params0.weights):
         v[...] = w
     gflat, grads = _flat_views(wshapes)
+    kernel = _Kernel(X, data.Y, W, act, grads=grads)
+    forward_pass, backward, loss_of_pass = kernel.forward, kernel.backward, kernel.loss
+    F1 = kernel.F[1]
     w1_size = params0.weights[0].size
-    # log columns: the lower bounds of the monitored matrices (F_1,
-    # W_1..W_L), their upper bounds, then loss and grad norm
-    HI, LOSS = L + 1, 2 * (L + 1)
+    certified = cert is not None
+    thresholds = invariant_thresholds(cert) if certified else None
+    spectra = _Spectra([(X.shape[0], wshapes[0][1])] + wshapes, thresholds, eta, cfg.max_steps)
+    # log columns as _Spectra lays them out: bounds, then loss and grad norm
+    HI, LOSS = spectra.hi_cells[1], spectra.loss_cell
     max_rows = cfg.max_steps + 1
     cap = min(max_rows, _LOG_CHUNK)
-    rows = np.full((cap, LOSS + 2), np.nan)
+    rows = np.full((cap, spectra.n_cells), np.nan)
     exact_a = np.zeros(cap, dtype=bool)
-    thresholds = None if cert is None else invariant_thresholds(cert)
-    spectra = _Spectra([(X.shape[0], wshapes[0][1])] + wshapes, thresholds)
+    rate, creep = spectra.rate, spectra.creep
+    eta_0d = np.array(eta)  # a ufunc takes a 0-d array with less work than a float
     # eta * (sqrt(vdot(g_1, g_1)) * w1_inflate + w1_underflow) bounds every
     # entry of the rounded step eta * g_1: w1_inflate covers the rounding
     # of the sum of squares, the square root and both products, and
@@ -360,21 +487,17 @@ def train(
     w1_underflow = 2.0 * math.sqrt(w1_size) * _SQRT_TINY
     w1_tol = _freeze_tol(W[0])
 
-    first = None  # hidden layer 1's (G_1, F_1, S_1) while W_1 is unchanged
+    reuse = min(L - 1, 1)  # the pass that keeps layer 1 starts here
+    start = 0  # reuse while layer 1's buffers hold the values for W_1
+    P = 0.0  # the audit's running sum of step bounds
     k = 0
-    with np.errstate(under="ignore", over="ignore"):
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         while True:
-            try:
-                G, F, S = _layers(X, W, act, first)
-                if S:
-                    first = (G[0], F[1], S[0])
-            except ValueError:
-                # non-finite pre-activation: the iterates blew up, and NaN
-                # layers carry through to a non-finite loss that ends the run
-                F = [X] + [np.full((X.shape[0], n), math.nan) for _, n in wshapes]
-                S = F[1:L]
-            E = F[L] - Y
-            loss_k = 0.5 * float(np.vdot(E, E))
+            forward_pass(start)
+            loss_k = loss_of_pass()
+            if not math.isfinite(loss_k) and not kernel.finite():
+                kernel.blank()
+                loss_k = loss_of_pass()
             if not math.isfinite(loss_k) or loss_k > DIVERGENCE_LOSS:
                 stop_reason = "diverged"
             elif loss_k <= cfg.stop_loss:
@@ -383,22 +506,20 @@ def train(
                 stop_reason = "max_steps"
             else:
                 stop_reason = None
-            gsq = _backprop(F, S, W, E, gflat, grads)
+            backward()
+            gn = math.sqrt(float(np.vdot(gflat, gflat)))
 
             if k == cap:
                 cap = min(2 * cap, max_rows)
                 rows = _grown(rows, cap, np.nan)
                 exact_a = _grown(exact_a, cap, False)
-            row = rows[k]
-            row[LOSS] = loss_k
-            row[LOSS + 1] = math.sqrt(gsq)
-            if cert is not None and k > 0 and stop_reason is None:
-                exact_a[k] = spectra.prove(F[1], W, theta, row)
-            else:
-                for i, a in enumerate((F[1], *W)):
-                    spectra.measure(i, a)
-                row[:LOSS] = spectra.lows + spectra.tops
+            rows[k, LOSS] = loss_k
+            rows[k, LOSS + 1] = gn
+            if not (certified and k > 0 and stop_reason is None):
+                spectra.rebase_all(k, (F1, *W), P, rows[k])
                 exact_a[k] = True
+            elif not P <= spectra.limit or start == 0 or not spectra.f1_ok:
+                exact_a[k] = spectra.check(k, P, start == 0, F1, W, rows[k])
 
             if stop_reason is not None:
                 break
@@ -408,10 +529,13 @@ def train(
             w1_kept = eta * (g1_norm * w1_inflate + w1_underflow) < w1_tol
             # the gradient becomes the step in place; each entry rounds as in
             # a per-layer ``W[l] -= eta * grads[l]``
-            gflat *= eta
-            theta -= gflat
-            if not w1_kept:
-                first = None
+            np.multiply(gflat, eta_0d, gflat)
+            np.subtract(theta, gflat, theta)
+            P += gn * rate + creep
+            if w1_kept:
+                start = reuse
+            else:
+                start = 0
                 w1_tol = _freeze_tol(W[0])
             k += 1
 
@@ -419,12 +543,14 @@ def train(
     # the final weights are copies, not views of the trainer's vector
     final = Params(tuple(w.copy() for w in W)) if np.isfinite(theta).all() else params0
     rows = rows[: k + 1]
+    if certified:
+        spectra.fill(rows)
     return TrainLog(
         loss=rows[:, LOSS].copy(),
         grad_norm=rows[:, LOSS + 1].copy(),
         sv_f1=rows[:, 0].copy(),
-        min_sv_w=rows[:, 3:HI].copy(),
-        norm_w=rows[:, HI + 1 : LOSS].copy(),
+        min_sv_w=rows[:, 1:HI].copy(),
+        norm_w=rows[:, HI:LOSS].copy(),
         spectra_exact=exact_a[: k + 1].copy(),
         spectra_svds=spectra.n_svds,
         final_params=final,

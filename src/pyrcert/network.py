@@ -1,4 +1,4 @@
-"""Pyramidal fully-connected networks: shapes, data, forward pass, square loss.
+"""Pyramidal fully-connected networks: shapes, data, the pass kernel, square loss.
 
 A network with depth ``L`` has weight matrices ``W_l`` of shape
 ``(n_{l-1}, n_l)`` with ``n_0 = d``, a convention every module relies on.
@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import ActivationParams, _value_and_slope
+from .activation import ActivationParams, _constants, _value_and_slope
 from .activation import evaluate  # noqa: F401 - bound here for perfbench's tracer
 
 __all__ = [
@@ -186,46 +187,104 @@ def _check_dims(params: Params, data: Dataset) -> None:
         )
 
 
-def _layers(X: np.ndarray, weights, act: ActivationParams, first=None):
-    """The forward kernel: pre-activations ``G``, outputs ``F`` and hidden
-    slopes ``S`` of one pass, on raw arrays.  It checks no dimensions
-    because the trainer calls it every step; a non-finite pre-activation
-    raises ``ValueError``.  ``first``, when given, is hidden layer 1's
-    ``(G_1, F_1, S_1)`` for these very weights, and the pass starts from it.
+class _Kernel:
+    """The forward and backward pass of one network on one dataset, on
+    buffers made once: ``forward``, ``grad`` and the trainer all run it.
 
-    The products are ``np.dot``, which calls the same BLAS gemm as ``@``
-    for less per-call overhead, so it gives the same bits.  The hidden
-    layers run the unchecked activation kernel after one finiteness check
-    each.  The kernel enters no ``errstate``: its callers hold one,
-    ``under`` and ``over`` ignored, so an overflow of a hidden layer's
-    product raises the ``ValueError`` without a warning."""
-    G, F, S = [], [X], []
-    if first is not None:
-        G.append(first[0])
-        F.append(first[1])
-        S.append(first[2])
-    for w in weights[len(S) : -1]:
-        g = np.dot(F[-1], w)
-        if np.count_nonzero(np.isfinite(g)) != g.size:
-            raise ValueError("activation input must be finite")
-        f, s = _value_and_slope(act, g)
-        G.append(g)
-        F.append(f)
-        S.append(s)
-    out = np.dot(F[-1], weights[-1])
-    G.append(out)  # G_L coincides with the linear output
-    F.append(out)
-    return tuple(G), tuple(F), tuple(S)
+    ``weights`` are the caller's arrays, read on every pass, so a trainer
+    that updates them in place steps the same kernel.  ``G``, ``F`` and
+    ``S`` are the pre-activations, layer outputs and hidden slopes of the
+    last pass, laid out as in ``ForwardTrace`` (``F[0]`` is ``X`` and
+    ``F[L]`` is ``G[L]``); ``layers`` passes existing ``(G, F, S)`` in,
+    for a backward pass over a trace already computed.  ``E`` is the
+    residual and ``grads``, when given, are the arrays ``backward`` writes
+    each layer's gradient into, shaped like ``weights``.
+
+    Every product is ``np.dot(a, b, out)``, which calls the same BLAS gemm
+    as ``@`` for less per-call overhead and gives the same bits; the
+    transposes it needs are views made here once.  The hidden layers run
+    the unchecked activation kernel into their own buffers.  The kernel
+    checks nothing and enters no ``errstate``: a non-finite pre-activation
+    carries through IEEE arithmetic to a non-finite output (``inf * 0`` is
+    NaN inside ``np.dot``), so a caller checks ``finite`` only when the
+    loss is not finite, and holds ``np.errstate(under, over, invalid
+    ignored)`` around its passes."""
+
+    def __init__(self, X, Y, weights, act: ActivationParams, layers=None, grads=None) -> None:
+        N = X.shape[0]
+        widths = [w.shape[1] for w in weights]
+        if layers is None:
+            G = [np.empty((N, n)) for n in widths]
+            F = [X, *(np.empty((N, n)) for n in widths[:-1]), G[-1]]
+            S = [np.empty((N, n)) for n in widths[:-1]]
+        else:
+            G, F, S = (list(part) for part in layers)
+        self.G, self.F, self.S, self.Y = G, F, S, Y
+        self.E = np.empty((N, widths[-1]))
+        self._consts = tuple(np.array(c) for c in _constants(act))
+        scratch = [np.empty((N, n)) for n in widths[:-1]]
+        self._hidden = [
+            (F[l], w, G[l], F[l + 1], S[l], scratch[l]) for l, w in enumerate(weights[:-1])
+        ]
+        self._output = (F[-2], weights[-1], G[-1])
+        if grads is not None:
+            # layer l's delta D_l is E for the output layer and, below it,
+            # the activation's scratch of that layer, free once the forward
+            # pass is done; each step back writes grad_l = F_{l-1}^T D_l,
+            # then D_{l-1} = (D_l W_l^T) * S_{l-1}
+            D = [*scratch, self.E]
+            self._back = [
+                (F[l].T, D[l], grads[l]) + ((weights[l].T, D[l - 1], S[l - 1]) if l else (None,) * 3)
+                for l in reversed(range(len(widths)))
+            ]
+
+    def forward(self, start: int = 0) -> None:
+        """One pass from hidden layer ``start + 1`` on: ``start = 1`` keeps
+        layer 1's buffers, which must hold the values for these weights."""
+        consts = self._consts
+        for a, w, g, f, s, bump in self._hidden[start:]:
+            np.dot(a, w, g)
+            _value_and_slope(consts, g, f, s, bump)
+        a, w, g = self._output
+        np.dot(a, w, g)
+
+    def loss(self) -> float:
+        """The square loss of the last pass; leaves its residual in ``E``."""
+        E = self.E
+        np.subtract(self.F[-1], self.Y, E)
+        return 0.5 * float(np.vdot(E, E))
+
+    def backward(self) -> None:
+        """Each layer's gradient into ``grads``, from the residual ``E``."""
+        for ft, d, grad, wt, down, s in self._back:
+            np.dot(ft, d, grad)
+            if wt is not None:
+                np.dot(d, wt, down)
+                np.multiply(down, s, down)
+
+    def finite(self) -> bool:
+        """Whether every hidden pre-activation of the last pass is finite."""
+        return all(np.isfinite(g).all() for g in self.G[:-1])
+
+    def blank(self) -> None:
+        """NaN layers, as a pass that met a non-finite pre-activation logs
+        them: the loss and every gradient computed from them are NaN."""
+        for f in self.F[1:]:
+            f.fill(math.nan)
 
 
 def forward(params: Params, data: Dataset, act: ActivationParams) -> ForwardTrace:
     """Forward pass over the whole dataset; deterministic.  Overflow and
-    underflow pass silently: a hidden layer's overflow raises
-    ``ValueError``, and the output layer's reads as inf or NaN."""
+    underflow pass silently: a non-finite hidden pre-activation raises
+    ``ValueError`` after the pass, and the output layer's reads as inf or
+    NaN."""
     _check_dims(params, data)
-    with np.errstate(under="ignore", over="ignore"):
-        G, F, S = _layers(data.X, params.weights, act)
-    return ForwardTrace(data=data, G=G, F=F, S=S)
+    kernel = _Kernel(data.X, data.Y, params.weights, act)
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        kernel.forward()
+    if not kernel.finite():
+        raise ValueError("activation input must be finite")
+    return ForwardTrace(data=data, G=tuple(kernel.G), F=tuple(kernel.F), S=tuple(kernel.S))
 
 
 def loss_of(trace: ForwardTrace) -> float:
@@ -281,6 +340,8 @@ def dataset_to_json(data: Dataset, path) -> None:
 def dataset_from_json(path) -> Dataset:
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f'dataset bundle {path} must be a JSON object with "X" and "Y"')
     for key in ("X", "Y"):
         if key not in payload:
             raise ValueError(f"dataset bundle {path} has no {key!r} array")

@@ -163,6 +163,9 @@ def certified_runs():
         )
         # no certified step moves W_1: the trainer reuses layer 1 throughout
         assert log.final_params.weights[0].tobytes() == params.weights[0].tobytes(), seed
+        # the corridor audit proves every step between the first and the
+        # last, which alone take exact SVDs: 2 * (L + 1) of them
+        assert log.spectra_svds == 10, seed
         runs.append((cert, log))
     return runs, time.time() - start
 

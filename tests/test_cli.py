@@ -182,8 +182,12 @@ class TestCertify:
              "malformed matrix CSV: {}/x.csv"),
             ({"b.json": '{"Y": [[1.0]]}'}, {"bundle": "b.json"},
              "dataset bundle {}/b.json has no 'X' array"),
+            ({"b.json": "5"}, {"bundle": "b.json"},
+             'dataset bundle {}/b.json must be a JSON object with "X" and "Y"'),
+            ({"b.json": '"XY"'}, {"bundle": "b.json"},
+             'dataset bundle {}/b.json must be a JSON object with "X" and "Y"'),
         ],
-        ids=["missing-bundle", "empty-x-csv", "bundle-without-X"],
+        ids=["missing-bundle", "empty-x-csv", "bundle-without-X", "bundle-not-object", "bundle-string"],
     )
     def test_bad_dataset_file_exits_one(self, tmp_path, files, dataset, message):
         # the message names the file, and the bundle's missing key

@@ -13,6 +13,7 @@ from pyrcert.activation import ActivationParams, value_and_slope
 from pyrcert.gradients import (
     DIVERGENCE_LOSS,
     TrainConfig,
+    _EPS,
     _flat_views,
     _Spectra,
     grad,
@@ -278,6 +279,23 @@ class TestTrain:
         finite = all(np.all(np.isfinite(w)) for w in log.final_params.weights)
         assert finite and (log.final_params is params) == (eta == 1e308)
 
+    def test_overflow_into_a_zero_weight_ends_as_diverged(self):
+        # G_1 overflows to inf in one unit, and W_2 = 0, as the certifiable
+        # init sets it, multiplies it by 0: np.dot makes that NaN, which
+        # reaches the loss, and only then are the hidden layers checked.
+        # The run ends as diverged without a warning, logged as the literal
+        # loop logs it, and forward still refuses the pass.
+        data = Dataset(np.array([[1e300, 1.0]]), np.array([[1.0]]))
+        params = Params((np.array([[1e10, 1.0], [0.0, 1.0]]), np.zeros((2, 1))))
+        log = train(params, data, ACT, TrainConfig(eta=0.1, max_steps=3))
+        losses, norms, stop_reason, _ = literal_train(params, data, ACT, 0.1, 3)
+        assert log.stop_reason == stop_reason == "diverged" and log.n_steps == 1
+        assert np.array_equal(log.loss, losses, equal_nan=True)
+        assert np.array_equal(log.grad_norm, norms, equal_nan=True)
+        assert np.isnan(log.loss[0]) and np.isnan(log.grad_norm[0])
+        with pytest.raises(ValueError, match="activation input must be finite"):
+            forward(params, data, ACT)
+
     def test_log_grows_past_its_first_allocation(self, tmp_path):
         rng = np.random.default_rng(37)
         data, params = random_instance(rng, 3, 2, (4, 1))
@@ -347,25 +365,85 @@ class TestTrain:
 
 
 class TestSpectra:
-    """``_Spectra`` alone, on random walks of its four matrices (``F_1``,
-    ``W_1``, ``W_2``, ``W_3``), as the trainer drives it: step 0 measures
-    every matrix, later steps ``prove``.  ``F_1`` moves by replacement and
-    ``W_1..W_3`` in place in one flat vector.  The thresholds sit near the
-    exact extremes of the first matrices."""
+    """``_Spectra`` alone, on walks of its four matrices (``F_1``, ``W_1``,
+    ``W_2``, ``W_3``), driven as the trainer drives it: the first and last
+    rows measure every matrix; before each row between them, one step
+    updates ``W_1..W_3`` in one flat vector by ``theta -= fl(eta * g)`` and
+    adds its bound to the running sum, and ``check`` runs on the rows where
+    that sum passed ``limit``, ``F_1`` moved (by replacement) or its bound
+    failed.  ``fill`` writes the rest of the log."""
 
     SHAPES = [(5, 4), (3, 4), (4, 3), (3, 2)]
+    N = 4
 
     @staticmethod
     def extremes(a):
         sv = np.linalg.svd(a, compute_uv=False)
         return float(sv[-1]), float(sv[0])
 
+    def walk(self, spectra, f1, theta, weights, n_moves, move, eta):
+        """The log of a walk of ``n_moves`` moves, ``move(k)`` giving the
+        ``k``-th as a new ``F_1`` (or None) and a flat gradient ``g``: rows,
+        the matrices measured on each row, the exact extremes of every
+        matrix on every row, and for each checked row what the prover knew
+        before it (running sum, references)."""
+        n_rows = n_moves + 1
+        rows = np.full((n_rows, spectra.n_cells), np.nan)
+        exact, measured, known = [], [], []
+        measure = spectra.measure
+        spectra.measure = lambda i, a: (measured[-1].append(i), measure(i, a))
+        P = 0.0
+        measured.append([])
+        spectra.rebase_all(0, (f1, *weights), P, rows[0])
+        exact.append([self.extremes(a) for a in (f1, *weights)])
+        for k in range(1, n_rows):
+            new_f1, g = move(k)
+            gn = math.sqrt(float(np.vdot(g, g)))
+            rows[k - 1, spectra.loss_cell + 1] = gn
+            g = g * eta
+            theta -= g
+            P += gn * spectra.rate + spectra.creep
+            if new_f1 is not None:
+                f1 = new_f1
+            measured.append([])
+            if k == n_moves:
+                spectra.rebase_all(k, (f1, *weights), P, rows[k])
+            else:
+                known.append(dict(
+                    P=P, base=list(spectra.base), lows=list(spectra.lows), tops=list(spectra.tops),
+                    margins=list(spectra.margins), ref_f1=spectra.ref_f1.copy(), f1_ok=spectra.f1_ok,
+                    new_f1=new_f1, measured=measured[-1],
+                ))
+                if not P <= spectra.limit or new_f1 is not None or not spectra.f1_ok:
+                    all_exact = spectra.check(k, P, new_f1 is not None, f1, weights, rows[k])
+                    assert all_exact == (len(measured[-1]) == self.N)
+            assert len(set(measured[-1])) == len(measured[-1])  # each at most once
+            exact.append([self.extremes(a) for a in (f1, *weights)])
+        spectra.fill(rows)
+        return rows, measured, exact, known
+
+    def assert_log_holds(self, spectra, rows, measured, exact):
+        """No logged bound is contradicted by an exact SVD, a measured one is
+        the SVD's bitwise, and a proven one meets its threshold."""
+        for k, ext in enumerate(exact):
+            for i, (low, top) in enumerate(ext):
+                # the logged cells: the lower bounds of F_1 and the floored
+                # W's, the upper bounds of every W
+                lo, hi = (None if c is None else rows[k, c] for c in (spectra.lo_cells[i], spectra.hi_cells[i]))
+                if i in measured[k]:
+                    assert lo in (None, low) and hi in (None, top)  # bitwise
+                    continue
+                if lo is not None:
+                    assert low >= lo >= spectra.floors[i]
+                if hi is not None:
+                    assert top <= hi <= spectra.caps[i]
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
         st.lists(st.floats(-0.02, 0.1), min_size=5, max_size=5),
         st.lists(
-            st.lists(st.none() | st.floats(-16.0, -0.5), min_size=4, max_size=4),
+            st.lists(st.none() | st.floats(-17.0, -0.5), min_size=4, max_size=4),
             min_size=1,
             max_size=20,
         ),
@@ -381,63 +459,84 @@ class TestSpectra:
         f1_floor = first[0][0] * (1.0 - offsets[0])
         w3_floor = first[3][0] * (1.0 - offsets[1])
         caps = [top * (1.0 + off) for (_, top), off in zip(first[1:], offsets[2:])]
-        spectra = _Spectra(self.SHAPES, (f1_floor, np.array([w3_floor]), np.array(caps)))
-        floors = [f1_floor, -math.inf, -math.inf, w3_floor]
-        caps = [math.inf, *caps]
+        spectra = _Spectra(self.SHAPES, (f1_floor, np.array([w3_floor]), np.array(caps)), 1.0, len(walk))
+        floors, caps = spectra.floors, spectra.caps
 
-        measured = []
-        measure = spectra.measure
-        spectra.measure = lambda i, a: (measured.append(i), measure(i, a))
-        out = np.empty(8)
-        lo, hi = out[:4], out[4:]
-        for i, a in enumerate((f1, *weights)):
-            spectra.measure(i, a)
-        refs = [a.copy() for a in (f1, *weights)]
-        ref_ext = list(first)
-        assert spectra.lows == [e[0] for e in first] and spectra.tops == [e[1] for e in first]
-
-        for moves in walk:
-            mats = [f1, *weights]
-            for i, log_step in enumerate(moves):
+        # each listed matrix moves by a random step of relative size
+        # 10**log_step, down to below half an ulp, where rounding doubles it
+        moves, cur = [], f1
+        for sizes in walk:
+            g, parts = _flat_views(self.SHAPES[1:])
+            g[...] = 0.0
+            new_f1 = None
+            for i, log_step in enumerate(sizes):
                 if log_step is not None:
                     step = rng.normal(size=self.SHAPES[i])
                     step *= 10.0**log_step * first[i][1] / np.linalg.norm(step)
-                    if i == 0:  # replaced, as the trainer replaces F_1
-                        mats[i] = mats[i] + step
+                    if i == 0:
+                        new_f1 = cur = cur + step
                     else:
-                        mats[i] += step
-            f1 = mats[0]
-            # what the prover may use: its rounding factors and margins
-            inflate, margins = list(spectra.inflate), list(spectra.margins)
-            same_f1 = f1 is spectra.ref_f1
-            measured.clear()
-            n_svds = spectra.n_svds
-            all_exact = spectra.prove(f1, weights, theta, out)
-            assert all_exact == (len(measured) == 4)
-            assert spectra.n_svds == n_svds + len(measured)
-            assert measured == sorted(set(measured))
-            for i, a in enumerate(mats):
-                low, top = self.extremes(a)
-                # no bound is ever contradicted by an exact SVD
-                assert lo[i] <= low and hi[i] >= top
-                if i in measured:
-                    assert lo[i] == low and hi[i] == top  # bitwise
-                else:
-                    assert lo[i] >= floors[i] and hi[i] <= caps[i]
-                # Weyl's radius with the displacement computed here; its
-                # summation order may differ from the prover's, so the radius
-                # is widened and narrowed by a relative 1e-12 on either side
-                disp = 0.0 if i == 0 and same_f1 else float(np.linalg.norm(a - refs[i]))
-                proven = [
-                    ref_ext[i][0] - r >= floors[i] and ref_ext[i][1] + r <= caps[i]
-                    for r in (disp * f * inflate[i] + margins[i] for f in (1 + 1e-12, 1 - 1e-12))
+                        parts[i - 1][...] = step
+            moves.append((new_f1, g))
+        rows, measured, exact, known_rows = self.walk(
+            spectra, f1, theta, weights, len(moves), lambda k: moves[k - 1], 1.0
+        )
+        self.assert_log_holds(spectra, rows, measured, exact)
+
+        # the audit measures a matrix where its bound, with the running sum
+        # or F_1's displacement widened or narrowed by a relative 1e-12,
+        # could not or could prove its thresholds
+        def proves(known, i, radius):
+            return known["lows"][i] - radius >= floors[i] and known["tops"][i] + radius <= caps[i]
+
+        for known in known_rows:
+            new_f1, measured = known["new_f1"], known["measured"]
+            for i in range(1, self.N):
+                radii = [
+                    (known["P"] * f * spectra.grow - known["base"][i]) * spectra.inflate[i] + known["margins"][i]
+                    for f in (1 + 1e-12, 1 - 1e-12)
                 ]
-                if proven[0]:
+                if proves(known, i, radii[0]):
                     assert i not in measured
-                if not proven[1]:
+                if not proves(known, i, radii[1]):
                     assert i in measured
-                if i in measured:
-                    refs[i], ref_ext[i] = a.copy(), (low, top)
+            if new_f1 is None and known["f1_ok"]:
+                assert 0 not in measured
+                continue
+            disp = 0.0 if new_f1 is None else float(np.linalg.norm(new_f1 - known["ref_f1"]))
+            radii = [disp * f * spectra.inflate[0] + known["margins"][0] for f in (1 + 1e-12, 1 - 1e-12)]
+            if proves(known, 0, radii[0]):
+                assert 0 not in measured
+            if not proves(known, 0, radii[1]):
+                assert 0 in measured
+
+    def test_a_rounded_step_moves_up_to_twice_its_size(self):
+        # W_1 = u v^T has power-of-two entries; each step asks for a
+        # relative 0.51 ulp, and every entry rounds up by a whole ulp, so
+        # W_1 grows by a relative eps per step, twice the step's size.  A
+        # path bound without the factor 2 falls below the exact norm.
+        rng = np.random.default_rng(7)
+        f1 = rng.normal(size=self.SHAPES[0])
+        theta, weights = _flat_views(self.SHAPES[1:])
+        theta[...] = rng.normal(size=theta.size)
+        weights[0][...] = np.outer([1.0, 2.0, 0.5], [1.0, 4.0, 0.25, 2.0])
+        w1 = weights[0].copy()
+        eta = 0.51 * _EPS
+        first = [self.extremes(a) for a in (f1, *weights)]
+        caps = np.array([2.0 * top for _, top in first[1:]])
+        steps = 400
+        spectra = _Spectra(self.SHAPES, (0.5 * first[0][0], np.array([0.5 * first[3][0]]), caps), eta, steps)
+        g, parts = _flat_views(self.SHAPES[1:])
+
+        def move(_k):
+            g[...] = 0.0
+            np.negative(weights[0], parts[0])
+            return None, g
+
+        rows, measured, exact, _ = self.walk(spectra, f1, theta, weights, steps, move, eta)
+        assert np.array_equal(weights[0], w1 * (1.0 + steps * _EPS))
+        assert not any(measured[1:-1])  # only the first and last rows measure
+        self.assert_log_holds(spectra, rows, measured, exact)
 
 
 def literal_train(params, data, act, eta, max_steps):

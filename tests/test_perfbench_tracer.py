@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pyrcert import cli, gradients
+from pyrcert import cli, gradients, network
 from pyrcert.activation import ActivationParams
 from pyrcert.gradients import TrainConfig, train
 from pyrcert.initializers import InitConfig, sphere_data, sphere_targets, tune_gain
@@ -84,18 +84,18 @@ def test_step_sampler_reads_the_certified_trainer(monkeypatch):
     cond = threading.Condition()
     sampler = StepSampler()
     sampler._samples = samples = _NotifyingList(cond)
-    backprop = gradients._backprop
+    backward = network._Kernel.backward
     calls = itertools.count()
 
-    def pausing_backprop(*args):
+    def pausing_backward(*args):
         if next(calls) in pauses:
             with cond:
                 seen = len(samples)
                 if not cond.wait_for(lambda: len(samples) > seen, timeout=PAUSE_TIMEOUT_S):
                     raise AssertionError(f"the step sampler read no sample in {PAUSE_TIMEOUT_S} s")
-        return backprop(*args)
+        return backward(*args)
 
-    monkeypatch.setattr(gradients, "_backprop", pausing_backprop)
+    monkeypatch.setattr(network._Kernel, "backward", pausing_backward)
     with sampler:
         log = train(params, data, act, TrainConfig(eta=0.9 * cert.eta_max, max_steps=5000), cert)
     assert log.n_steps == 5001
