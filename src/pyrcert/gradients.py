@@ -126,13 +126,14 @@ class TrainLog:
     """Per-step measurements of a gradient-descent run, row k for step k;
     ``certificates.monitor_invariants`` judges them against a certificate.
 
-    The spectra (``sv_f1``, ``min_sv_w``, ``norm_w``) of a certified run are
-    certified one-sided bounds: lower bounds for the smallest singular
-    values, upper bounds for the operator norms.  They are exact on rows
-    where ``spectra_exact`` is set, and on every row of an uncertified run.
-    ``spectra_svds`` counts the exact SVDs the run took.  ``final_params``
-    is the last iterate, or ``params0`` if an update overflowed a weight to
-    a non-finite value (the run has then ``diverged``).
+    ``sv_f1`` is exact on every row.  The other spectra (``min_sv_w``,
+    ``norm_w``) of a certified run are certified one-sided bounds: lower
+    bounds for the smallest singular values, upper bounds for the operator
+    norms.  They are exact on rows where ``spectra_exact`` is set, and on
+    every row of an uncertified run.  ``spectra_svds`` counts the exact
+    SVDs the run took.  ``final_params`` is the last iterate, or
+    ``params0`` if an update overflowed a weight to a non-finite value (the
+    run has then ``diverged``).
     """
 
     loss: np.ndarray
@@ -174,21 +175,32 @@ _CSV_BLOCK = 64
 # room to spare.
 _EPS = float(np.finfo(np.float64).eps)
 _SVD_ERR = 4.0
-# Squares of entries below this underflow, so a computed Frobenius norm may
-# miss up to this much per entry.
-_SQRT_TINY = math.sqrt(float(np.finfo(np.float64).tiny))
+# The smallest normal float.  Squares of entries below its square root
+# underflow, so a computed Frobenius norm may miss up to that much per entry.
+_TINY = float(np.finfo(np.float64).tiny)
+_SQRT_TINY = math.sqrt(_TINY)
 # The smallest subnormal: a product that underflows is off by half of it.
 _TINIEST = math.ulp(0.0)
 
 
-def _freeze_tol(w: np.ndarray) -> float:
-    """A quarter of the smallest spacing of ``w``'s entries: subtracting a
-    float of smaller magnitude leaves every entry bitwise unchanged, since
-    each entry's rounding interval reaches half the gap on either side, and
-    the gap below a power of two is half the gap above.  Zero and subnormal
-    entries make it 0, so no step is proven to keep them; a NaN or infinite
-    entry makes it NaN, which no comparison passes."""
-    return float(np.min(np.spacing(np.abs(w)))) / 4.0
+def _freeze_tol_sq(w: np.ndarray) -> float:
+    """The square of ``tol``, a quarter of the smallest spacing of ``w``'s
+    entries, or 0 where that square is not a normal float.
+
+    Subtracting a float below ``tol`` in magnitude leaves every entry
+    bitwise unchanged, since each entry's rounding interval reaches half
+    the gap on either side, and the gap below a power of two is half the
+    gap above.  A step ``s`` whose computed ``vdot(s, s)`` is below the
+    returned square has every ``|s_i| < tol``: rounding is monotone, so an
+    ``|s_i| >= tol`` has a rounded square (or a rounded square plus a
+    partial sum) no smaller than it, and a rounded sum of non-negative
+    terms is never below any one of them.  The square is 0, which no sum
+    is below, where it would not be a normal float, so the proof does not
+    depend on how the dot product treats subnormals.  Zero, subnormal,
+    NaN and infinite entries all make it 0."""
+    tol = float(np.min(np.spacing(np.abs(w)))) / 4.0
+    sq = tol * tol
+    return sq if sq >= _TINY else 0.0
 
 
 def _grown(a: np.ndarray, rows: int, fill) -> np.ndarray:
@@ -201,31 +213,28 @@ class _Spectra:
     """Lazy but rigorous spectra of one run's monitored matrices of
     ``shapes``: ``F_1``, then ``W_1..W_L``, as matrices ``0..L``.
 
-    A log row holds what the log reports, in the CSV's order: the lower
-    bounds of ``F_1`` and ``W_3..W_L`` (cells ``lo_cells``), the upper
-    bounds of ``W_1..W_L`` (cells ``hi_cells``), the loss (cell
-    ``loss_cell``) and the gradient norm.  One more cell serves the prover:
-    on a row where ``F_1``'s bound changed, the bound that stands on later
-    rows, and while ``fill`` runs, the running sum.
+    A log row holds what the log reports, in the CSV's order: ``F_1``'s
+    smallest singular value and the lower bounds of ``W_3..W_L`` (cells
+    ``lo_cells``), the upper bounds of ``W_1..W_L`` (cells ``hi_cells``),
+    the loss (cell ``loss_cell``) and the gradient norm.  ``events[i]``
+    lists the rows where matrix ``i`` was measured (``rebase``).
 
-    Each matrix keeps a reference: the singular values of one exact SVD
-    (``rebase``).  By Weyl's inequality no singular value moves further
-    from the reference's than the displacement ``||A - A_ref||_F``.  That
+    ``F_1`` changes only on a step that recomputes layer 1; on every other
+    step it is bitwise the matrix last measured.  So ``check`` measures it
+    on each step that recomputes it, and ``fill`` copies that exact value
+    to the rows in between: its cell is exact on every row.
+
+    Each ``W_i`` keeps a reference: the singular values of one exact SVD.
+    By Weyl's inequality no singular value moves further from the
+    reference's than the displacement ``||W_i - W_ref||_F``.  That
     displacement times ``inflate``, plus ``margin``, bounds what an exact
     SVD of the current matrix would compute: ``inflate`` covers the SVD
-    error growing with ``||A||_2`` and the rounding of the displacement's
-    norm and of the bound; ``margin`` the SVD error of both matrices at
-    ``||A_ref||_2``, the rounding of the bounds, and underflowed squares.
-    A matrix whose bounds cannot prove its ``thresholds`` (as
+    error growing with ``||W_i||_2`` and the rounding of the bound;
+    ``margin`` the SVD error of both matrices at ``||W_ref||_2``, the
+    rounding of the bounds, and underflowed squares.
+    A ``W_i`` whose bounds cannot prove its ``thresholds`` (as
     ``invariant_thresholds`` returns them) is measured and rebased, so the
-    bounds decide each flag as an exact SVD would.  ``events[i]`` lists the
-    rows where matrix ``i`` was rebased (for ``F_1``, also where its bound
-    was proven anew).
-
-    ``F_1`` changes only on a step that recomputes layer 1 (``W_1`` moved):
-    ``check`` then measures its displacement from a copy of the reference.
-    Between such steps its bound stands, and ``f1_ok`` says whether that
-    bound proves its floor.
+    bounds decide each flag as an exact SVD would.
 
     ``W_1..W_L`` are audited in O(1) per step from the path length.  The
     trainer's step rounds ``s = fl(eta * g)`` and then ``fl(theta - s)``
@@ -260,8 +269,9 @@ class _Spectra:
 
     def __init__(self, shapes, thresholds, eta: float, max_steps: int) -> None:
         if thresholds is not None:
-            f1_floor, deep_floors, norm_caps = thresholds
-            self.floors = [f1_floor, -math.inf, -math.inf] + deep_floors.tolist()
+            # F_1 is measured wherever it changes, so its floor needs no proof
+            _, deep_floors, norm_caps = thresholds
+            self.floors = [-math.inf] * 3 + deep_floors.tolist()
             self.caps = [math.inf] + norm_caps.tolist()
         self.certified = thresholds is not None
         self.inflate = [1.0 + (2.0 * m * n + _SVD_ERR * max(m, n) + 8.0) * _EPS for m, n in shapes]
@@ -272,20 +282,18 @@ class _Spectra:
         self.rate = 2.0 * eta * (1.0 + (size + 8.0) * _EPS)
         self.creep = 8.0 * eta * root * _SQRT_TINY + 4.0 * root * _TINIEST
         self.grow = 1.0 + (max_steps + 8.0) * _EPS
-        self.ref_f1 = np.empty(shapes[0])
         n = len(shapes)
         n_low = max(n - 3, 0)
         self.lo_cells = [0, None, None, *range(1, 1 + n_low)]
         self.hi_cells = [None, *range(1 + n_low, n + n_low)]
         self.loss_cell = n + n_low
-        self.n_cells = self.loss_cell + 3
+        self.n_cells = self.loss_cell + 2
         self.tops = [math.nan] * n
         self.lows = [math.nan] * n
         self.margins = [math.nan] * n
         self.base = [0.0] * n
         self.limits = [-math.inf] * n
         self.limit = -math.inf
-        self.f1_ok = False
         self.events = [array("q") for _ in range(n)]
         self.n_svds = 0
 
@@ -321,18 +329,14 @@ class _Spectra:
         return -math.inf
 
     def _rebase(self, k: int, i: int, a: np.ndarray, P: float, row: np.ndarray) -> None:
-        """``measure`` matrix ``i`` on row ``k``; it becomes the reference,
-        at running sum ``P``."""
+        """``measure`` matrix ``i`` into row ``k``; a ``W_i`` takes it as its
+        reference, at running sum ``P``."""
         self.measure(i, a)
         self.events[i].append(k)
-        if i == 0:
-            self.ref_f1[...] = a
-            # sqrt(0) * inflate + margin == margin in floating point
-            row[0], row[-1] = self.lows[0], self.lows[0] - self.margins[0]
-            self.f1_ok = self._proves(0, self.margins[0])
-            return
-        if i >= 3:
+        if self.lo_cells[i] is not None:
             row[self.lo_cells[i]] = self.lows[i]
+        if i == 0:
+            return
         row[self.hi_cells[i]] = self.tops[i]
         self.base[i] = P
         self.limits[i] = self._limit(i)
@@ -350,35 +354,27 @@ class _Spectra:
 
     def check(self, k: int, P: float, f1_moved: bool, f1: np.ndarray, weights, row: np.ndarray) -> bool:
         """Row ``k`` of a certified run, where the running sum ``P`` passed
-        ``limit``, ``F_1`` moved or its bound failed: measure and rebase each
-        ``W_i`` whose limit ``P`` passed, and bound ``F_1`` from its
-        displacement or measure it.  True if every matrix was measured."""
+        ``limit`` or ``F_1`` was recomputed: rebase each ``W_i`` whose limit
+        ``P`` passed, and ``F_1`` if it was recomputed.  True if every
+        matrix was measured."""
         svds = self.n_svds
         if not P <= self.limit:
             for i, a in enumerate(weights, 1):
                 if not P <= self.limits[i]:
                     self._rebase(k, i, a, P, row)
             self.limit = min(self.limits[1:])
-        if f1_moved or not self.f1_ok:
-            delta = f1 - self.ref_f1
-            radius = math.sqrt(float(np.vdot(delta, delta))) * self.inflate[0] + self.margins[0]
-            if self._proves(0, radius):
-                self.events[0].append(k)
-                row[0] = row[-1] = self.lows[0] - radius
-                self.f1_ok = True
-            else:
-                self._rebase(k, 0, f1, P, row)
+        if f1_moved:
+            self._rebase(k, 0, f1, P, row)
         return self.n_svds - svds == len(self.lows)
 
     def fill(self, rows: np.ndarray) -> None:
-        """Write the bound cells of a certified run's log that the loop left,
-        in place: ``F_1``'s from its last event, ``W_i``'s from the running
-        sum, recomputed here, and the reference of its segment."""
+        """Write the cells of a certified run's log that the loop left, in
+        place: ``F_1``'s from its last measurement, ``W_i``'s bounds from the
+        running sum, recomputed here, and the reference of its segment."""
         for a, z in _gaps(self.events[0]):
-            rows[a + 1 : z, 0] = rows[a, -1]
-        # the running sum before each row, as the loop summed it, in the
-        # cell F_1 no longer needs
-        P = rows[:, -1]
+            rows[a + 1 : z, 0] = rows[a, 0]
+        # the running sum before each row, as the loop summed it
+        P = np.empty(len(rows))
         P[0] = 0.0
         np.multiply(rows[:-1, self.loss_cell + 1], self.rate, P[1:])
         np.add(P[1:], self.creep, P[1:])
@@ -425,19 +421,22 @@ def train(
 
     Every step runs the network kernel (``network._Kernel``) on buffers
     made once for the run.  Spectra of a certified run are lazy but
-    rigorous: ``_Spectra`` proves them from earlier exact SVDs or measures
-    them.  Its per-step audit is one running sum of the logged gradient
-    norms and one comparison; the bound cells it proves are filled in after
-    the loop.  Step 0, the last step and every step of an uncertified run
-    take ``L + 1`` exact SVDs.
+    rigorous (``_Spectra``).  ``F_1`` is measured on each step that
+    recomputes layer 1, and its exact value stands on the steps between.
+    The bounds of ``W_1..W_L`` are proven from earlier exact SVDs, or
+    measured; their per-step audit is one running sum of the logged
+    gradient norms and one comparison, and the bound cells it proves are
+    filled in after the loop.  Step 0, the last step and every step of an
+    uncertified run take ``L + 1`` exact SVDs.
 
     The weights ``W_1..W_L`` are views of one flat vector, and every
     step updates them all with one multiply and one subtraction.  At a
-    certified step size ``eta * grad_1`` is often below a quarter of
-    ``W_1``'s smallest spacing, and then it cannot move any entry of
-    ``W_1``.  While a step's rounded ``eta * ||grad_1||`` proves this, the
-    next pass keeps layer 1's ``(G_1, F_1, S_1)``, which are then the very
-    values a recomputation would give.  A step without the proof
+    certified step size the rounded step ``eta * grad_1`` is often below a
+    quarter of ``W_1``'s smallest spacing, and then it cannot move any
+    entry of ``W_1``.  While the step's computed sum of squares is below
+    the square of that quarter spacing (``_freeze_tol_sq``), which proves
+    this, the next pass keeps layer 1's ``(G_1, F_1, S_1)``: they are then
+    the very values a recomputation would give.  A step without the proof
     recomputes that layer and that spacing.
 
     The whole loop runs in one ``np.errstate(under="ignore",
@@ -466,7 +465,6 @@ def train(
     kernel = _Kernel(X, data.Y, W, act, grads=grads)
     forward_pass, backward, loss_of_pass = kernel.forward, kernel.backward, kernel.loss
     F1 = kernel.F[1]
-    w1_size = params0.weights[0].size
     certified = cert is not None
     thresholds = invariant_thresholds(cert) if certified else None
     spectra = _Spectra([(X.shape[0], wshapes[0][1])] + wshapes, thresholds, eta, cfg.max_steps)
@@ -478,14 +476,7 @@ def train(
     exact_a = np.zeros(cap, dtype=bool)
     rate, creep = spectra.rate, spectra.creep
     eta_0d = np.array(eta)  # a ufunc takes a 0-d array with less work than a float
-    # eta * (sqrt(vdot(g_1, g_1)) * w1_inflate + w1_underflow) bounds every
-    # entry of the rounded step eta * g_1: w1_inflate covers the rounding
-    # of the sum of squares, the square root and both products, and
-    # w1_underflow the squares that underflow.  Below _freeze_tol(W_1),
-    # the step leaves W_1 bitwise unchanged.
-    w1_inflate = 1.0 + (w1_size + 4.0) * _EPS
-    w1_underflow = 2.0 * math.sqrt(w1_size) * _SQRT_TINY
-    w1_tol = _freeze_tol(W[0])
+    w1_tol_sq = _freeze_tol_sq(W[0])
 
     reuse = min(L - 1, 1)  # the pass that keeps layer 1 starts here
     start = 0  # reuse while layer 1's buffers hold the values for W_1
@@ -518,25 +509,23 @@ def train(
             if not (certified and k > 0 and stop_reason is None):
                 spectra.rebase_all(k, (F1, *W), P, rows[k])
                 exact_a[k] = True
-            elif not P <= spectra.limit or start == 0 or not spectra.f1_ok:
+            elif not P <= spectra.limit or start == 0:
                 exact_a[k] = spectra.check(k, P, start == 0, F1, W, rows[k])
 
             if stop_reason is not None:
                 break
-            # whether the step provably keeps W_1; NaN fails the proof, and
-            # so does a W_1 with zero or subnormal entries
-            g1_norm = math.sqrt(float(np.vdot(grads[0], grads[0])))
-            w1_kept = eta * (g1_norm * w1_inflate + w1_underflow) < w1_tol
             # the gradient becomes the step in place; each entry rounds as in
             # a per-layer ``W[l] -= eta * grads[l]``
             np.multiply(gflat, eta_0d, gflat)
+            # whether the step provably keeps W_1; a NaN step fails the proof
+            w1_kept = float(np.vdot(grads[0], grads[0])) < w1_tol_sq
             np.subtract(theta, gflat, theta)
             P += gn * rate + creep
             if w1_kept:
                 start = reuse
             else:
                 start = 0
-                w1_tol = _freeze_tol(W[0])
+                w1_tol_sq = _freeze_tol_sq(W[0])
             k += 1
 
     # an update that overflowed a weight leaves no finite last iterate;
@@ -571,10 +560,10 @@ def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = Non
     ``InvariantReport.CHECKS``.  Bound and flags come from ``report``;
     without one the bound is NaN and the flag columns are left out.
 
-    The spectra columns of a certified run are certified one-sided bounds:
-    ``sv_F1`` and ``min_sv_W*`` lower bounds, ``max_norm_W*`` upper bounds.
-    They are exact on rows with ``spectra_exact`` = 1, which an uncertified
-    run has throughout.
+    ``sv_F1`` is exact on every row.  The other spectra columns of a
+    certified run are certified one-sided bounds: ``min_sv_W*`` lower
+    bounds, ``max_norm_W*`` upper bounds.  They are exact on rows with
+    ``spectra_exact`` = 1, which an uncertified run has throughout.
     """
     L = log.final_params.depth
     header = ["k", "loss", "bound", "sv_F1"]

@@ -315,9 +315,11 @@ def _read_matrix_csv(path) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])  # an empty file is malformed too
-        rows = [[float(v) for v in row] for row in reader if row]
-    M = np.asarray(rows, dtype=np.float64)
-    if M.ndim != 2 or M.shape[1] != len(header):
+        try:
+            M = np.asarray([[float(v) for v in row] for row in reader if row], dtype=np.float64)
+        except ValueError:  # a ragged row or a cell that is not a number
+            M = None
+    if M is None or M.ndim != 2 or M.shape[1] != len(header):
         raise ValueError(f"malformed matrix CSV: {path}")
     return M
 
@@ -342,10 +344,15 @@ def dataset_from_json(path) -> Dataset:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f'dataset bundle {path} must be a JSON object with "X" and "Y"')
+    arrays = {}
     for key in ("X", "Y"):
         if key not in payload:
             raise ValueError(f"dataset bundle {path} has no {key!r} array")
-    data = Dataset(X=np.asarray(payload["X"]), Y=np.asarray(payload["Y"]))
+        try:
+            arrays[key] = np.asarray(payload[key], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"dataset bundle {path} has a ragged or non-numeric {key!r} array") from None
+    data = Dataset(**arrays)
     want = payload.get("shape")
     if want is not None:
         got = {"N": data.n_samples, "d": data.d, "n_out": data.n_out}

@@ -6,9 +6,11 @@ initial-condition and rate-constant formulas that
 and the parameter distance behind the gradient and Lipschitz checks, the
 parameter-distance envelope of acceptance criterion 3, the activation's
 second derivative and its gap to the ramp behind criterion 4, the
-normalized Hermite polynomials, and a CSV writer and parser for fixtures.
+normalized Hermite polynomials, a CSV writer and parser for fixtures,
+and a recorder of the network kernel's forward passes.
 """
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from pyrcert.activation import ActivationParams, evaluate
 from pyrcert.certificates import DEGENERATE_LAMBDA_F, Certificate, _first_false
 from pyrcert.gradients import TrainLog
 from pyrcert.lambda_star import _hermite_table
-from pyrcert.network import Dataset, ForwardTrace, Params, _write_matrix_csv, forward
+from pyrcert.network import Dataset, ForwardTrace, Params, _Kernel, _write_matrix_csv, forward
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -257,6 +259,24 @@ def dataset_to_csv(data: Dataset, x_path, y_path) -> None:
     ``file`` dataset source reads."""
     _write_matrix_csv(data.X, x_path, "x")
     _write_matrix_csv(data.Y, y_path, "y")
+
+
+@contextlib.contextmanager
+def forward_starts():
+    """Yield a list that receives the ``start`` of every
+    ``network._Kernel.forward`` pass run inside the block: 0 where the pass
+    recomputes layer 1, 1 where it keeps layer 1's buffers."""
+    starts, forward_pass = [], _Kernel.forward
+
+    def recorded(kernel, start=0):
+        starts.append(start)
+        forward_pass(kernel, start)
+
+    _Kernel.forward = recorded
+    try:
+        yield starts
+    finally:
+        _Kernel.forward = forward_pass
 
 
 def trainlog_from_csv(path) -> dict[str, np.ndarray]:

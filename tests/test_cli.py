@@ -186,8 +186,17 @@ class TestCertify:
              'dataset bundle {}/b.json must be a JSON object with "X" and "Y"'),
             ({"b.json": '"XY"'}, {"bundle": "b.json"},
              'dataset bundle {}/b.json must be a JSON object with "X" and "Y"'),
+            ({"x.csv": "x0,x1\n1,2\n3\n", "y.csv": "y0\n1\n2\n"}, {"x_csv": "x.csv", "y_csv": "y.csv"},
+             "malformed matrix CSV: {}/x.csv"),
+            ({"x.csv": "x0\n1\n", "y.csv": "y0\nabc\n"}, {"x_csv": "x.csv", "y_csv": "y.csv"},
+             "malformed matrix CSV: {}/y.csv"),
+            ({"b.json": '{"X": [[1.0, 2.0], [3.0]], "Y": [[1.0], [2.0]]}'}, {"bundle": "b.json"},
+             "dataset bundle {}/b.json has a ragged or non-numeric 'X' array"),
+            ({"b.json": '{"X": [[1.0]], "Y": [["abc"]]}'}, {"bundle": "b.json"},
+             "dataset bundle {}/b.json has a ragged or non-numeric 'Y' array"),
         ],
-        ids=["missing-bundle", "empty-x-csv", "bundle-without-X", "bundle-not-object", "bundle-string"],
+        ids=["missing-bundle", "empty-x-csv", "bundle-without-X", "bundle-not-object", "bundle-string",
+             "ragged-x-csv", "text-y-csv", "ragged-bundle", "text-bundle"],
     )
     def test_bad_dataset_file_exits_one(self, tmp_path, files, dataset, message):
         # the message names the file, and the bundle's missing key
