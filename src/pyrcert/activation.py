@@ -43,7 +43,9 @@ class ActivationParams:
     def __post_init__(self) -> None:
         if not (isinstance(self.gamma, (int, float)) and 0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie strictly in (0, 1), got {self.gamma!r}")
-        if not (isinstance(self.beta, (int, float)) and math.isfinite(self.beta) and self.beta > 0.0):
+        # a bool is an int, but True is no smoothing scale
+        beta_ok = isinstance(self.beta, (int, float)) and not isinstance(self.beta, bool)
+        if not (beta_ok and math.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
 
 

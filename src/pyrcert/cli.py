@@ -397,6 +397,9 @@ def lambda_star_cmd(cfg: dict, out_dir: Path, full_matrix: bool) -> None:
     sig = _sigma(cfg)
     payload: dict = {"sigma": getattr(sig, "label", "sigma"), "seed": cfg["seed"]}
     mc = herm = None
+    # the series first: it refuses rows off the sphere before any sampling
+    if ls["method"] in ("hermite", "both"):
+        herm = gram_hermite(X, hermite_coeffs(sig, ls["r_max"]), ls["r_max"])
     if ls["method"] in ("mc", "both"):
         mc = gram_mc(X, sig, ls["samples"], seed=cfg["seed"])
         payload["monte_carlo"] = {
@@ -404,9 +407,7 @@ def lambda_star_cmd(cfg: dict, out_dir: Path, full_matrix: bool) -> None:
             "n_samples": mc.n_samples,
             "stderr_max": mc.stderr_max,
         }
-    if ls["method"] in ("hermite", "both"):
-        spec = hermite_coeffs(sig, ls["r_max"])
-        herm = gram_hermite(X, spec, ls["r_max"])
+    if herm is not None:
         payload["hermite"] = {
             "lambda_min": herm.lambda_min,
             "r_max": herm.r_max,

@@ -114,11 +114,12 @@ class TrainConfig:
     stop_loss: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.eta) and self.eta >= 0.0):
-            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        for name in ("eta", "stop_loss"):
+            value = getattr(self, name)
+            # a bool would pass as 0 or 1
+            if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         object.__setattr__(self, "max_steps", _size(self.max_steps, "max_steps", 0))
-        if not (math.isfinite(self.stop_loss) and self.stop_loss >= 0.0):
-            raise ValueError("stop_loss must be finite and >= 0")
 
 
 @dataclass
@@ -129,11 +130,12 @@ class TrainLog:
     ``sv_f1`` is exact on every row.  The other spectra (``min_sv_w``,
     ``norm_w``) of a certified run are certified one-sided bounds: lower
     bounds for the smallest singular values, upper bounds for the operator
-    norms.  They are exact on rows where ``spectra_exact`` is set, and on
-    every row of an uncertified run.  ``spectra_svds`` counts the exact
-    SVDs the run took.  ``final_params`` is the last iterate, or
-    ``params0`` if an update overflowed a weight to a non-finite value (the
-    run has then ``diverged``).
+    norms.  They are exact on rows where ``spectra_exact`` is set: step 0,
+    and every row from the first after it that measured every matrix (the
+    last row, if the proof lasts the run; row 1 of an uncertified run).
+    ``spectra_svds`` counts the exact SVDs the run took.  ``final_params``
+    is the last iterate, or ``params0`` if an update overflowed a weight to
+    a non-finite value (the run has then ``diverged``).
     """
 
     loss: np.ndarray
@@ -216,27 +218,24 @@ class _Spectra:
     A log row holds what the log reports, in the CSV's order: ``F_1``'s
     smallest singular value and the lower bounds of ``W_3..W_L`` (cells
     ``lo_cells``), the upper bounds of ``W_1..W_L`` (cells ``hi_cells``),
-    the loss (cell ``loss_cell``) and the gradient norm.  ``events[i]``
-    lists the rows where matrix ``i`` was measured (``rebase``).
+    the loss (cell ``loss_cell``) and the gradient norm.
 
     ``F_1`` changes only on a step that recomputes layer 1; on every other
-    step it is bitwise the matrix last measured.  So ``check`` measures it
-    on each step that recomputes it, and ``fill`` copies that exact value
-    to the rows in between: its cell is exact on every row.
+    step it is bitwise the matrix last measured.  So ``measure_f1``
+    measures it on each step that recomputes it, ``f1_rows`` lists the rows
+    where it was measured, and ``fill`` copies that exact value to the rows
+    in between: its cell is exact on every row.
 
-    Each ``W_i`` keeps a reference: the singular values of one exact SVD.
-    By Weyl's inequality no singular value moves further from the
-    reference's than the displacement ``||W_i - W_ref||_F``.  That
-    displacement times ``inflate``, plus ``margin``, bounds what an exact
-    SVD of the current matrix would compute: ``inflate`` covers the SVD
-    error growing with ``||W_i||_2`` and the rounding of the bound;
-    ``margin`` the SVD error of both matrices at ``||W_ref||_2``, the
+    Step 0's exact SVDs (``measure_all``) are the run's one reference for
+    ``W_1..W_L``.  By Weyl's inequality no singular value of ``W_i`` moves
+    further from step 0's than the displacement ``||W_i - W_i(0)||_F``.
+    That displacement times ``inflate``, plus ``margin``, bounds what an
+    exact SVD of the current matrix would compute: ``inflate`` covers the
+    SVD error growing with ``||W_i||_2`` and the rounding of the bound;
+    ``margin`` the SVD error of both matrices at ``||W_i(0)||_2``, the
     rounding of the bounds, and underflowed squares.
-    A ``W_i`` whose bounds cannot prove its ``thresholds`` (as
-    ``invariant_thresholds`` returns them) is measured and rebased, so the
-    bounds decide each flag as an exact SVD would.
 
-    ``W_1..W_L`` are audited in O(1) per step from the path length.  The
+    The displacement is audited in O(1) per step from the path length.  The
     trainer's step rounds ``s = fl(eta * g)`` and then ``fl(theta - s)``
     entrywise over the ``n`` weights; ``theta_i`` itself is a float at distance ``|s_i|`` from
     the exact difference, so the nearest float moves ``theta_i`` by at
@@ -251,29 +250,33 @@ class _Spectra:
     The trainer keeps the running sum ``P`` of these ``t``.  Each addition
     of non-negative floats rounds by at most ``u`` times the later sum, so
     after ``j <= max_steps`` additions the exact sum is at most
-    ``P (1 + j eps) <= P * grow``.  With ``base[i]`` the sum at ``W_i``'s
-    reference, its displacement is at most ``P * grow - base[i]``, and
+    ``P (1 + j eps) <= P * grow``, which bounds every displacement, and
 
-        radius_i(P) = (P * grow - base[i]) * inflate[i] + margin[i].
+        radius_i(P) = P * grow * inflate[i] + margin[i].
 
     Every rounding is monotone, so the computed radius grows with ``P``.
-    ``limits[i]`` is the largest ``P`` whose computed radius proves
-    ``W_i``'s thresholds, found once per reference; the trainer compares
-    ``P`` with their minimum ``limit`` once per step, and ``check``
-    measures and rebases only the ``W_i`` whose own limit ``P`` passed.
-    ``fill`` writes the bound cells the loop left out from the same
-    formula, after the run: it recomputes ``P`` from the logged gradient
-    norms by the same sequential sum, so every cell the loop proved meets
-    its threshold, and a flag read from the log is the exact SVD's.
+    ``limit`` is the minimum over ``W_1..W_L`` of the largest ``P`` whose
+    computed radius proves ``W_i``'s ``thresholds`` (as
+    ``invariant_thresholds`` returns them), found once at step 0; an
+    uncertified run (``thresholds`` None) proves nothing, and its ``limit``
+    is -inf.  The trainer compares ``P`` with ``limit`` once per step and
+    measures every matrix on each row from the first whose ``P`` passed
+    it (``first``): ``P`` never decreases, so the rows proven are ``1 ..
+    first - 1``.  ``fill`` writes their bound cells from the same formula,
+    after the run: it recomputes ``P`` from the logged gradient norms by
+    the same sequential sum, so every cell it writes meets its threshold,
+    and a flag read from the log is the exact SVD's.
     """
 
     def __init__(self, shapes, thresholds, eta: float, max_steps: int) -> None:
+        n = len(shapes)
+        # an uncertified run's thresholds: no bound proves them.  F_1 is
+        # measured wherever it changes, so its floor needs no proof.
+        self.floors, self.caps = [math.inf] * n, [-math.inf] * n
         if thresholds is not None:
-            # F_1 is measured wherever it changes, so its floor needs no proof
             _, deep_floors, norm_caps = thresholds
             self.floors = [-math.inf] * 3 + deep_floors.tolist()
             self.caps = [math.inf] + norm_caps.tolist()
-        self.certified = thresholds is not None
         self.inflate = [1.0 + (2.0 * m * n + _SVD_ERR * max(m, n) + 8.0) * _EPS for m, n in shapes]
         self.underflow = [2.0 * math.sqrt(m * n) * _SQRT_TINY for m, n in shapes]
         self.svd_err = [(2.0 * _SVD_ERR * max(m, n) + 4.0) * _EPS for m, n in shapes]
@@ -282,7 +285,6 @@ class _Spectra:
         self.rate = 2.0 * eta * (1.0 + (size + 8.0) * _EPS)
         self.creep = 8.0 * eta * root * _SQRT_TINY + 4.0 * root * _TINIEST
         self.grow = 1.0 + (max_steps + 8.0) * _EPS
-        n = len(shapes)
         n_low = max(n - 3, 0)
         self.lo_cells = [0, None, None, *range(1, 1 + n_low)]
         self.hi_cells = [None, *range(1 + n_low, n + n_low)]
@@ -291,10 +293,9 @@ class _Spectra:
         self.tops = [math.nan] * n
         self.lows = [math.nan] * n
         self.margins = [math.nan] * n
-        self.base = [0.0] * n
-        self.limits = [-math.inf] * n
         self.limit = -math.inf
-        self.events = [array("q") for _ in range(n)]
+        self.first = 0  # 0 until a row after step 0 has measured every matrix
+        self.f1_rows = array("q")
         self.n_svds = 0
 
     def measure(self, i: int, a: np.ndarray) -> None:
@@ -310,87 +311,58 @@ class _Spectra:
     def _proves(self, i: int, radius: float) -> bool:
         return self.lows[i] - radius >= self.floors[i] and self.tops[i] + radius <= self.caps[i]
 
-    def _radius(self, i: int, P: float) -> float:
-        return (P * self.grow - self.base[i]) * self.inflate[i] + self.margins[i]
-
     def _limit(self, i: int) -> float:
         """The largest running sum whose radius proves ``W_i``'s thresholds
-        from its reference, or -inf if none does."""
-        b = self.base[i]
+        from step 0's measurement, or -inf if none does."""
         slack = min(self.lows[i] - self.floors[i], self.caps[i] - self.tops[i]) - self.margins[i]
         if not slack >= 0.0:
             return -math.inf
-        P = (slack / self.inflate[i] + b) / self.grow
+        P = slack / self.inflate[i] / self.grow
         # the computed radius may miss the exact inverse by a few roundings
         for shift in range(-50, 8):
-            if self._proves(i, self._radius(i, P)):
+            if self._proves(i, P * self.grow * self.inflate[i] + self.margins[i]):
                 return P
-            P -= (P - b) * 2.0**shift
+            P -= P * 2.0**shift
         return -math.inf
 
-    def _rebase(self, k: int, i: int, a: np.ndarray, P: float, row: np.ndarray) -> None:
-        """``measure`` matrix ``i`` into row ``k``; a ``W_i`` takes it as its
-        reference, at running sum ``P``."""
-        self.measure(i, a)
-        self.events[i].append(k)
-        if self.lo_cells[i] is not None:
-            row[self.lo_cells[i]] = self.lows[i]
-        if i == 0:
-            return
-        row[self.hi_cells[i]] = self.tops[i]
-        self.base[i] = P
-        self.limits[i] = self._limit(i)
+    def measure_f1(self, k: int, f1: np.ndarray, row: np.ndarray) -> None:
+        """Measure ``F_1`` into row ``k``."""
+        self.measure(0, f1)
+        self.f1_rows.append(k)
+        row[0] = self.lows[0]
 
-    def rebase_all(self, k: int, mats, P: float, row: np.ndarray) -> None:
-        """Measure every matrix into row ``k``; a certified run rebases them."""
-        if not self.certified:
-            for i, a in enumerate(mats):
-                self.measure(i, a)
-            row[: self.loss_cell] = self.lows[:1] + self.lows[3:] + self.tops[1:]
-            return
+    def measure_all(self, k: int, mats, row: np.ndarray) -> None:
+        """Measure every matrix into row ``k``; at step 0 this is the
+        reference, and it sets ``limit``."""
         for i, a in enumerate(mats):
-            self._rebase(k, i, a, P, row)
-        self.limit = min(self.limits[1:])
-
-    def check(self, k: int, P: float, f1_moved: bool, f1: np.ndarray, weights, row: np.ndarray) -> bool:
-        """Row ``k`` of a certified run, where the running sum ``P`` passed
-        ``limit`` or ``F_1`` was recomputed: rebase each ``W_i`` whose limit
-        ``P`` passed, and ``F_1`` if it was recomputed.  True if every
-        matrix was measured."""
-        svds = self.n_svds
-        if not P <= self.limit:
-            for i, a in enumerate(weights, 1):
-                if not P <= self.limits[i]:
-                    self._rebase(k, i, a, P, row)
-            self.limit = min(self.limits[1:])
-        if f1_moved:
-            self._rebase(k, 0, f1, P, row)
-        return self.n_svds - svds == len(self.lows)
+            self.measure(i, a)
+        row[: self.loss_cell] = self.lows[:1] + self.lows[3:] + self.tops[1:]
+        self.f1_rows.append(k)
+        if k == 0:
+            self.limit = min(self._limit(i) for i in range(1, len(mats)))
+        elif not self.first:
+            self.first = k
 
     def fill(self, rows: np.ndarray) -> None:
-        """Write the cells of a certified run's log that the loop left, in
-        place: ``F_1``'s from its last measurement, ``W_i``'s bounds from the
-        running sum, recomputed here, and the reference of its segment."""
-        for a, z in _gaps(self.events[0]):
+        """Write the cells the loop left, in place: ``F_1``'s from its last
+        measurement, and the bounds of ``W_1..W_L`` on rows ``1 ..
+        first - 1`` from the running sum, recomputed here, and step 0."""
+        for a, z in _gaps(self.f1_rows):
             rows[a + 1 : z, 0] = rows[a, 0]
-        # the running sum before each row, as the loop summed it
-        P = np.empty(len(rows))
-        P[0] = 0.0
-        np.multiply(rows[:-1, self.loss_cell + 1], self.rate, P[1:])
-        np.add(P[1:], self.creep, P[1:])
-        np.cumsum(P[1:], out=P[1:])
+        # P * grow on rows 1 .. first - 1, the running sum as the loop summed it
+        grown = rows[: max(self.first - 1, 0), self.loss_cell + 1] * self.rate
+        np.add(grown, self.creep, grown)
+        np.cumsum(grown, out=grown)
+        np.multiply(grown, self.grow, grown)
+        proven = rows[1 : 1 + len(grown)]
         for i in range(1, len(self.lows)):
             lo, hi = self.lo_cells[i], self.hi_cells[i]
-            for a, z in _gaps(self.events[i]):
-                margin = self.svd_err[i] * rows[a, hi] + self.underflow[i]
-                radius = rows[a + 1 : z, hi]
-                np.multiply(P[a + 1 : z], self.grow, radius)
-                np.subtract(radius, P[a], radius)
-                np.multiply(radius, self.inflate[i], radius)
-                np.add(radius, margin, radius)
-                if lo is not None:
-                    np.subtract(rows[a, lo], radius, rows[a + 1 : z, lo])
-                np.add(radius, rows[a, hi], radius)
+            radius = proven[:, hi]
+            np.multiply(grown, self.inflate[i], radius)
+            np.add(radius, self.svd_err[i] * rows[0, hi] + self.underflow[i], radius)
+            if lo is not None:
+                np.subtract(rows[0, lo], radius, proven[:, lo])
+            np.add(radius, rows[0, hi], radius)
 
 
 def _gaps(events):
@@ -420,14 +392,15 @@ def train(
     step is logged with NaN layers, loss and gradient norm.
 
     Every step runs the network kernel (``network._Kernel``) on buffers
-    made once for the run.  Spectra of a certified run are lazy but
-    rigorous (``_Spectra``).  ``F_1`` is measured on each step that
-    recomputes layer 1, and its exact value stands on the steps between.
-    The bounds of ``W_1..W_L`` are proven from earlier exact SVDs, or
-    measured; their per-step audit is one running sum of the logged
-    gradient norms and one comparison, and the bound cells it proves are
-    filled in after the loop.  Step 0, the last step and every step of an
-    uncertified run take ``L + 1`` exact SVDs.
+    made once for the run.  Spectra are lazy but rigorous (``_Spectra``).
+    ``F_1`` is measured on each step that recomputes layer 1, and its exact
+    value stands on the steps between.  The bounds of ``W_1..W_L`` are
+    proven from step 0's exact SVDs; their per-step audit is one running
+    sum of the logged gradient norms and one comparison with
+    ``_Spectra.limit``, and the bound cells it proves are filled in after
+    the loop.  Step 0, the last step and every step from the first whose
+    running sum passes the limit take ``L + 1`` exact SVDs; an uncertified
+    run proves nothing (its limit is -inf), so that is every step.
 
     The weights ``W_1..W_L`` are views of one flat vector, and every
     step updates them all with one multiply and one subtraction.  At a
@@ -465,8 +438,7 @@ def train(
     kernel = _Kernel(X, data.Y, W, act, grads=grads)
     forward_pass, backward, loss_of_pass = kernel.forward, kernel.backward, kernel.loss
     F1 = kernel.F[1]
-    certified = cert is not None
-    thresholds = invariant_thresholds(cert) if certified else None
+    thresholds = invariant_thresholds(cert) if cert is not None else None
     spectra = _Spectra([(X.shape[0], wshapes[0][1])] + wshapes, thresholds, eta, cfg.max_steps)
     # log columns as _Spectra lays them out: bounds, then loss and grad norm
     HI, LOSS = spectra.hi_cells[1], spectra.loss_cell
@@ -506,11 +478,12 @@ def train(
                 exact_a = _grown(exact_a, cap, False)
             rows[k, LOSS] = loss_k
             rows[k, LOSS + 1] = gn
-            if not (certified and k > 0 and stop_reason is None):
-                spectra.rebase_all(k, (F1, *W), P, rows[k])
+            # limit is -inf until step 0 measures every matrix and sets it
+            if stop_reason is not None or not P <= spectra.limit:
+                spectra.measure_all(k, (F1, *W), rows[k])
                 exact_a[k] = True
-            elif not P <= spectra.limit or start == 0:
-                exact_a[k] = spectra.check(k, P, start == 0, F1, W, rows[k])
+            elif start == 0:
+                spectra.measure_f1(k, F1, rows[k])
 
             if stop_reason is not None:
                 break
@@ -532,8 +505,7 @@ def train(
     # the final weights are copies, not views of the trainer's vector
     final = Params(tuple(w.copy() for w in W)) if np.isfinite(theta).all() else params0
     rows = rows[: k + 1]
-    if certified:
-        spectra.fill(rows)
+    spectra.fill(rows)
     return TrainLog(
         loss=rows[:, LOSS].copy(),
         grad_norm=rows[:, LOSS + 1].copy(),

@@ -52,8 +52,9 @@ class TestParams:
                 ActivationParams(g, 1.0)
 
     def test_rejects_bad_beta(self):
-        for b in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
+        # a bool is no smoothing scale, though True == 1
+        for b in (0.0, -1.0, math.inf, math.nan, True, np.bool_(True)):
+            with pytest.raises(ValueError, match="beta"):
                 ActivationParams(0.5, b)
 
 

@@ -521,9 +521,10 @@ class TestWeylSanity:
 
 
 class TestLazySpectra:
-    """The certified trainer measures F_1 where layer 1 is recomputed,
-    proves the thresholds of the weights by Weyl's inequality, and takes an
-    exact SVD of a weight only when the proof fails.  Replaying the same
+    """The certified trainer measures F_1 where layer 1 is recomputed and
+    proves the thresholds of the weights by Weyl's inequality from step 0's
+    exact SVDs; from the first step where that proof runs out, it measures
+    every matrix on every step.  Replaying the same
     run with an exact SVD on every step (an uncertified run follows
     bit-identical iterates) must give the same flags and the same
     ``sv_f1``, and every logged bound must sit on the right side of the
@@ -589,10 +590,50 @@ class TestLazySpectra:
             alpha0=0.01,
             eta_max=math.inf,
         )
-        lazy = train(params, data, ACT, TrainConfig(eta=eta, max_steps=60), cert=cert)
+        with forward_starts() as starts:
+            lazy = train(params, data, ACT, TrainConfig(eta=eta, max_steps=60), cert=cert)
         flags = self.check_against_exact(lazy, eager, cert)
         assert not flags[:, :3].all()
         assert lazy.spectra_svds > 2 * (len(widths) + 1)
+        # every matrix is measured on row 0 and on each row from the first
+        # after it that measured every matrix; F_1 alone on the rows before
+        # that which recompute layer 1
+        exact = lazy.spectra_exact
+        first = 1 + int(np.argmax(exact[1:]))
+        assert exact[0] and exact[first:].all() and not exact[1:first].any()
+        n_all = 1 + lazy.n_steps - first
+        assert lazy.spectra_svds == (len(widths) + 1) * n_all + starts[1:first].count(0)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 40), st.sampled_from([(6, 3, 2), (6, 4, 3, 2)]))
+    def test_proof_runs_out_mid_run(self, seed, widths):
+        # the weights' thresholds sit one path length past step 0's exact
+        # extremes, that path being 2 * eta times the first 30 gradient
+        # norms: the running sum, whose rate is a little above 2 * eta,
+        # passes the proof's limit at row 30 and not before, and from there
+        # every matrix is measured on every row
+        shape, data, cfg = certifiable_instance(seed=seed, widths=widths, y_scale=1.0)
+        params = init_certifiable(shape, cfg)
+        eta = 0.02
+        eager = self.exact_replay(params, data, eta, 60)
+        path = 2.0 * eta * float(np.sum(eager.grad_norm[:30]))
+        cert = dataclasses.replace(
+            certify(params, data, ACT),
+            lambda_f=float(np.min(eager.sv_f1)),
+            lambda_min_deep=tuple(2.0 * (v - path) for v in eager.min_sv_w[0]),
+            lambda_bar=tuple((v + path) / 1.5 for v in eager.norm_w[0]),
+            alpha0=0.01,
+            eta_max=math.inf,
+        )
+        with forward_starts() as starts:
+            lazy = train(params, data, ACT, TrainConfig(eta=eta, max_steps=60), cert=cert)
+        self.check_against_exact(lazy, eager, cert)
+        exact = lazy.spectra_exact
+        first = 1 + int(np.argmax(exact[1:]))
+        assert first == 30
+        assert exact[first:].all() and not exact[1:first].any()
+        n_all = 1 + lazy.n_steps - first
+        assert lazy.spectra_svds == (len(widths) + 1) * n_all + starts[1:first].count(0)
 
     def test_threshold_met_with_equality_is_checked_exactly(self):
         # with eta = 0 the displacement is exactly 0, so only the rounding
@@ -608,6 +649,7 @@ class TestLazySpectra:
         )
         lazy = train(params, data, ACT, TrainConfig(eta=0.0, max_steps=5), cert=cert)
         assert monitor_invariants(lazy, cert).flags.all()
-        # W_3 and W_4 on every step; F_1, which never changes at eta = 0,
-        # W_1 and W_2 only at steps 0 and 5
-        assert lazy.spectra_svds == 6 * 2 + 2 * 3
+        # W_3's and W_4's limits are -inf at step 0, so the run's limit is
+        # too: every matrix is measured on all 6 rows
+        assert lazy.spectra_svds == 6 * 5
+        assert lazy.spectra_exact.all()

@@ -376,6 +376,21 @@ class TestLambdaStar:
             <= payload["discrepancy"]["allowance_5stderr_plus_tail"]
         )
 
+    def test_off_sphere_rows_refused_before_sampling(self, tmp_path, monkeypatch):
+        # the series needs rows of norm sqrt(d): with both methods it must
+        # refuse them before the Monte Carlo spends its samples
+        def no_mc(*args, **kwargs):
+            pytest.fail("gram_mc ran before the Hermite series refused the rows")
+
+        monkeypatch.setattr(cli_mod, "gram_mc", no_mc)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"dataset": {"radius": 1.0}, "shape": {"d": 4}}))
+        out = tmp_path / "ls"
+        res = run(["lambda-star", "--config", str(cfg), "--method", "both", "--out", str(out)])
+        assert res.exit_code == 1
+        assert "norm sqrt(d)" in res.stderr
+        assert not (out / "gram.json").exists()
+
     def test_linear_sigma_overdetermined_lambda_near_zero(self, tmp_path):
         out = tmp_path / "lin"
         res = run(

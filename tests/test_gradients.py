@@ -350,8 +350,14 @@ class TestTrain:
         assert log.phi0 == log.loss[0] and log.final_loss == log.loss[-1]
 
     def test_rejects_negative_eta(self):
-        with pytest.raises(ValueError):
-            TrainConfig(eta=-0.1, max_steps=10)
+        # and bools: True would train at eta = 1 or stop at loss 1.0
+        cases = [
+            ("eta", -0.1), ("eta", True), ("eta", np.bool_(True)),
+            ("stop_loss", True), ("stop_loss", np.bool_(False)),
+        ]
+        for field, value in cases:
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(**{"eta": 0.0, "max_steps": 10, field: value})
 
     @pytest.mark.parametrize("max_steps", [3.0, 2.5, True, "3"])
     def test_rejects_non_integer_max_steps(self, max_steps):
@@ -366,12 +372,13 @@ class TestTrain:
 
 class TestSpectra:
     """``_Spectra`` alone, on walks of its four matrices (``F_1``, ``W_1``,
-    ``W_2``, ``W_3``), driven as the trainer drives it: the first and last
-    rows measure every matrix; before each row between them, one step
+    ``W_2``, ``W_3``), driven as the trainer drives it: row 0 measures
+    every matrix and is the reference; before each later row, one step
     updates ``W_1..W_3`` in one flat vector by ``theta -= fl(eta * g)`` and
-    adds its bound to the running sum, and ``check`` runs on the rows where
-    that sum passed ``limit`` or ``F_1`` moved (by replacement).  ``fill``
-    writes the rest of the log."""
+    adds its bound to the running sum.  The last row, and every row whose
+    running sum passed ``limit``, measures every matrix; another row where
+    ``F_1`` moved (by replacement) measures ``F_1``.  ``fill`` writes the
+    rest of the log."""
 
     SHAPES = [(5, 4), (3, 4), (4, 3), (3, 2)]
     N = 4
@@ -385,16 +392,17 @@ class TestSpectra:
         """The log of a walk of ``n_moves`` moves, ``move(k)`` giving the
         ``k``-th as a new ``F_1`` (or None) and a flat gradient ``g``: rows,
         the matrices measured on each row, the exact extremes of every
-        matrix on every row, and for each checked row what the prover knew
-        before it (running sum, references)."""
+        matrix on every row, the running sum before each row, which rows
+        moved ``F_1``, and row 0's extremes and margins, the reference."""
         n_rows = n_moves + 1
         rows = np.full((n_rows, spectra.n_cells), np.nan)
-        exact, measured, known = [], [], []
+        exact, measured, sums, f1_moved = [], [], [0.0], [False]
         measure = spectra.measure
         spectra.measure = lambda i, a: (measured[-1].append(i), measure(i, a))
         P = 0.0
         measured.append([])
-        spectra.rebase_all(0, (f1, *weights), P, rows[0])
+        spectra.measure_all(0, (f1, *weights), rows[0])
+        ref = (list(spectra.lows), list(spectra.tops), list(spectra.margins))
         exact.append([self.extremes(a) for a in (f1, *weights)])
         for k in range(1, n_rows):
             new_f1, g = move(k)
@@ -403,23 +411,19 @@ class TestSpectra:
             g = g * eta
             theta -= g
             P += gn * spectra.rate + spectra.creep
+            sums.append(P)
+            f1_moved.append(new_f1 is not None)
             if new_f1 is not None:
                 f1 = new_f1
             measured.append([])
-            if k == n_moves:
-                spectra.rebase_all(k, (f1, *weights), P, rows[k])
-            else:
-                known.append(dict(
-                    P=P, base=list(spectra.base), lows=list(spectra.lows), tops=list(spectra.tops),
-                    margins=list(spectra.margins), new_f1=new_f1, measured=measured[-1],
-                ))
-                if not P <= spectra.limit or new_f1 is not None:
-                    all_exact = spectra.check(k, P, new_f1 is not None, f1, weights, rows[k])
-                    assert all_exact == (len(measured[-1]) == self.N)
+            if k == n_moves or not P <= spectra.limit:
+                spectra.measure_all(k, (f1, *weights), rows[k])
+            elif new_f1 is not None:
+                spectra.measure_f1(k, f1, rows[k])
             assert len(set(measured[-1])) == len(measured[-1])  # each at most once
             exact.append([self.extremes(a) for a in (f1, *weights)])
         spectra.fill(rows)
-        return rows, measured, exact, known
+        return rows, measured, exact, sums, f1_moved, ref
 
     def assert_log_holds(self, spectra, rows, measured, exact):
         """F_1's cell is the exact SVD's bitwise on every row.  No logged
@@ -442,7 +446,9 @@ class TestSpectra:
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
-        st.lists(st.floats(-0.02, 0.1), min_size=4, max_size=4),
+        # threshold offsets on either side of the exact values, or all provable
+        st.lists(st.floats(-0.02, 0.1), min_size=4, max_size=4)
+        | st.lists(st.floats(1e-6, 0.1), min_size=4, max_size=4),
         st.lists(
             st.lists(st.none() | st.floats(-17.0, -0.5), min_size=4, max_size=4),
             min_size=1,
@@ -479,29 +485,40 @@ class TestSpectra:
                     else:
                         parts[i - 1][...] = step
             moves.append((new_f1, g))
-        rows, measured, exact, known_rows = self.walk(
+        rows, measured, exact, sums, f1_moved, ref = self.walk(
             spectra, f1, theta, weights, len(moves), lambda k: moves[k - 1], 1.0
         )
         self.assert_log_holds(spectra, rows, measured, exact)
 
-        # the audit measures F_1 on exactly the checked rows where it moved,
-        # and a W where its bound, with the running sum widened or narrowed
-        # by a relative 1e-12, could not or could prove its thresholds
-        def proves(known, i, radius):
-            return known["lows"][i] - radius >= floors[i] and known["tops"][i] + radius <= caps[i]
+        # every matrix is measured on each row from the first whose running
+        # sum passed limit (or the last row), and no W on a row before it
+        # but row 0; F_1 there exactly where it moved
+        n_rows = len(rows)
+        past = [k for k in range(1, n_rows) if not sums[k] <= spectra.limit]
+        edge = min(past + [n_rows - 1])
+        assert spectra.first == edge
+        for k in range(1, n_rows):
+            if k >= edge:
+                assert sorted(measured[k]) == list(range(self.N))
+            else:
+                assert measured[k] == ([0] if f1_moved[k] else [])
 
-        for known in known_rows:
-            measured = known["measured"]
-            assert (0 in measured) == (known["new_f1"] is not None)
+        # limit is the proof's own edge: with the running sum widened or
+        # narrowed by a relative 1e-12, step 0's bounds could not or could
+        # prove every W's thresholds
+        def proves_all(P):
+            lows, tops, margins = ref
             for i in range(1, self.N):
-                radii = [
-                    (known["P"] * f * spectra.grow - known["base"][i]) * spectra.inflate[i] + known["margins"][i]
-                    for f in (1 + 1e-12, 1 - 1e-12)
-                ]
-                if proves(known, i, radii[0]):
-                    assert i not in measured
-                if not proves(known, i, radii[1]):
-                    assert i in measured
+                radius = P * spectra.grow * spectra.inflate[i] + margins[i]
+                if not (lows[i] - radius >= floors[i] and tops[i] + radius <= caps[i]):
+                    return False
+            return True
+
+        for k in range(1, n_rows - 1):
+            if proves_all(sums[k] * (1 + 1e-12)):
+                assert k < edge
+            if not proves_all(sums[k] * (1 - 1e-12)):
+                assert k >= edge
 
     def test_a_rounded_step_moves_up_to_twice_its_size(self):
         # W_1 = u v^T has power-of-two entries; each step asks for a
@@ -526,7 +543,7 @@ class TestSpectra:
             np.negative(weights[0], parts[0])
             return None, g
 
-        rows, measured, exact, _ = self.walk(spectra, f1, theta, weights, steps, move, eta)
+        rows, measured, exact, *_ = self.walk(spectra, f1, theta, weights, steps, move, eta)
         assert np.array_equal(weights[0], w1 * (1.0 + steps * _EPS))
         assert not any(measured[1:-1])  # only the first and last rows measure
         self.assert_log_holds(spectra, rows, measured, exact)
