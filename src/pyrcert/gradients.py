@@ -177,32 +177,11 @@ _CSV_BLOCK = 64
 # room to spare.
 _EPS = float(np.finfo(np.float64).eps)
 _SVD_ERR = 4.0
-# The smallest normal float.  Squares of entries below its square root
+# The square root of the smallest normal float.  Squares of entries below it
 # underflow, so a computed Frobenius norm may miss up to that much per entry.
-_TINY = float(np.finfo(np.float64).tiny)
-_SQRT_TINY = math.sqrt(_TINY)
+_SQRT_TINY = math.sqrt(float(np.finfo(np.float64).tiny))
 # The smallest subnormal: a product that underflows is off by half of it.
 _TINIEST = math.ulp(0.0)
-
-
-def _freeze_tol_sq(w: np.ndarray) -> float:
-    """The square of ``tol``, a quarter of the smallest spacing of ``w``'s
-    entries, or 0 where that square is not a normal float.
-
-    Subtracting a float below ``tol`` in magnitude leaves every entry
-    bitwise unchanged, since each entry's rounding interval reaches half
-    the gap on either side, and the gap below a power of two is half the
-    gap above.  A step ``s`` whose computed ``vdot(s, s)`` is below the
-    returned square has every ``|s_i| < tol``: rounding is monotone, so an
-    ``|s_i| >= tol`` has a rounded square (or a rounded square plus a
-    partial sum) no smaller than it, and a rounded sum of non-negative
-    terms is never below any one of them.  The square is 0, which no sum
-    is below, where it would not be a normal float, so the proof does not
-    depend on how the dot product treats subnormals.  Zero, subnormal,
-    NaN and infinite entries all make it 0."""
-    tol = float(np.min(np.spacing(np.abs(w)))) / 4.0
-    sq = tol * tol
-    return sq if sq >= _TINY else 0.0
 
 
 def _grown(a: np.ndarray, rows: int, fill) -> np.ndarray:
@@ -404,13 +383,11 @@ def train(
 
     The weights ``W_1..W_L`` are views of one flat vector, and every
     step updates them all with one multiply and one subtraction.  At a
-    certified step size the rounded step ``eta * grad_1`` is often below a
-    quarter of ``W_1``'s smallest spacing, and then it cannot move any
-    entry of ``W_1``.  While the step's computed sum of squares is below
-    the square of that quarter spacing (``_freeze_tol_sq``), which proves
-    this, the next pass keeps layer 1's ``(G_1, F_1, S_1)``: they are then
-    the very values a recomputation would give.  A step without the proof
-    recomputes that layer and that spacing.
+    certified step size the rounded step ``eta * grad_1`` often rounds
+    away against ``W_1``.  Whenever ``W_1``'s bytes after a step equal its
+    bytes before, the next pass keeps layer 1's ``(G_1, F_1, S_1)``: the
+    pass is deterministic, so they are the very values a recomputation
+    would give.  Any other step recomputes that layer.
 
     The whole loop runs in one ``np.errstate(under="ignore",
     over="ignore", invalid="ignore")``: the activation needs the first two,
@@ -445,13 +422,12 @@ def train(
     max_rows = cfg.max_steps + 1
     cap = min(max_rows, _LOG_CHUNK)
     rows = np.full((cap, spectra.n_cells), np.nan)
-    exact_a = np.zeros(cap, dtype=bool)
     rate, creep = spectra.rate, spectra.creep
     eta_0d = np.array(eta)  # a ufunc takes a 0-d array with less work than a float
-    w1_tol_sq = _freeze_tol_sq(W[0])
+    w1_bits = W[0].tobytes()  # the W_1 that layer 1's buffers hold
 
     reuse = min(L - 1, 1)  # the pass that keeps layer 1 starts here
-    start = 0  # reuse while layer 1's buffers hold the values for W_1
+    start = 0
     P = 0.0  # the audit's running sum of step bounds
     k = 0
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
@@ -475,13 +451,11 @@ def train(
             if k == cap:
                 cap = min(2 * cap, max_rows)
                 rows = _grown(rows, cap, np.nan)
-                exact_a = _grown(exact_a, cap, False)
             rows[k, LOSS] = loss_k
             rows[k, LOSS + 1] = gn
             # limit is -inf until step 0 measures every matrix and sets it
             if stop_reason is not None or not P <= spectra.limit:
                 spectra.measure_all(k, (F1, *W), rows[k])
-                exact_a[k] = True
             elif start == 0:
                 spectra.measure_f1(k, F1, rows[k])
 
@@ -490,15 +464,11 @@ def train(
             # the gradient becomes the step in place; each entry rounds as in
             # a per-layer ``W[l] -= eta * grads[l]``
             np.multiply(gflat, eta_0d, gflat)
-            # whether the step provably keeps W_1; a NaN step fails the proof
-            w1_kept = float(np.vdot(grads[0], grads[0])) < w1_tol_sq
             np.subtract(theta, gflat, theta)
             P += gn * rate + creep
-            if w1_kept:
-                start = reuse
-            else:
-                start = 0
-                w1_tol_sq = _freeze_tol_sq(W[0])
+            bits = W[0].tobytes()
+            start = reuse if bits == w1_bits else 0
+            w1_bits = bits
             k += 1
 
     # an update that overflowed a weight leaves no finite last iterate;
@@ -506,13 +476,16 @@ def train(
     final = Params(tuple(w.copy() for w in W)) if np.isfinite(theta).all() else params0
     rows = rows[: k + 1]
     spectra.fill(rows)
+    # every matrix was measured on row 0 and on rows first .. k
+    exact = np.arange(k + 1) >= spectra.first
+    exact[0] = True
     return TrainLog(
         loss=rows[:, LOSS].copy(),
         grad_norm=rows[:, LOSS + 1].copy(),
         sv_f1=rows[:, 0].copy(),
         min_sv_w=rows[:, 1:HI].copy(),
         norm_w=rows[:, HI:LOSS].copy(),
-        spectra_exact=exact_a[: k + 1].copy(),
+        spectra_exact=exact,
         spectra_svds=spectra.n_svds,
         final_params=final,
         eta=eta,

@@ -185,7 +185,8 @@ def sphere_data(n_samples: int, d: int, radius: float | None = None, seed: int =
     ``n_samples`` and ``d`` are integers >= 1."""
     n_samples, d = _size(n_samples, "n_samples", 1), _size(d, "d", 1)
     r = math.sqrt(d) if radius is None else float(radius)
-    if not (math.isfinite(r) and r > 0):
+    # a bool would pass as 1
+    if isinstance(radius, (bool, np.bool_)) or not (math.isfinite(r) and r > 0):
         raise ValueError(f"radius must be positive and finite, got {radius}")
     rng = layer_rng(seed, _DATA_STREAM)
     X = rng.normal(size=(n_samples, d))

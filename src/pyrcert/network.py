@@ -92,6 +92,9 @@ class Dataset:
         Y = np.asarray(self.Y, dtype=np.float64)
         if X.ndim != 2 or Y.ndim != 2:
             raise ValueError("X and Y must both be 2-D arrays")
+        for name, a in (("X", X), ("Y", Y)):
+            if a.shape[1] < 1:
+                raise ValueError(f"{name} must have at least one column")
         if X.shape[0] != Y.shape[0]:
             raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
         if X.shape[0] < 1:
@@ -127,6 +130,8 @@ class Params:
         for i, w in enumerate(ws, start=1):
             if w.ndim != 2:
                 raise ValueError(f"W_{i} must be 2-D, got shape {w.shape}")
+            if 0 in w.shape:
+                raise ValueError(f"W_{i} must have rows and columns, got shape {w.shape}")
             if not np.all(np.isfinite(w)):
                 raise ValueError(f"W_{i} has non-finite entries")
         for i in range(1, len(ws)):

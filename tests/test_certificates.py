@@ -635,6 +635,21 @@ class TestLazySpectra:
         n_all = 1 + lazy.n_steps - first
         assert lazy.spectra_svds == (len(widths) + 1) * n_all + starts[1:first].count(0)
 
+    @pytest.mark.parametrize("seed", [5, 10, 30])
+    def test_unmoved_w1_keeps_layer_1(self, seed):
+        # W_1 never moves on these runs, though its step is not far below
+        # every entry's spacing: layer 1 must be kept on every pass after
+        # step 0, and F_1 and the weights measured only at step 0 and the
+        # last step
+        shape, data, cfg = certifiable_instance(seed=seed)
+        _, params, cert = tune_gain(shape, data, ACT, cfg)
+        eta = 0.9 * cert.eta_max
+        with forward_starts() as starts:
+            log = train(params, data, ACT, TrainConfig(eta=eta, max_steps=150), cert=cert)
+        assert starts == [0] + [1] * 150
+        assert log.spectra_svds == 8
+        assert np.array_equal(log.final_params.weights[0], params.weights[0])
+
     def test_threshold_met_with_equality_is_checked_exactly(self):
         # with eta = 0 the displacement is exactly 0, so only the rounding
         # margin stands between a weight's bound and a threshold equal to

@@ -657,19 +657,18 @@ class TestKernelProducts:
 
 
 class TestW1Freeze:
-    """The trainer keeps layer 1 for the next pass when the computed sum of
-    squares of the rounded step eta * grad_1 is below the square of a
-    quarter of W_1's smallest spacing.  At the edge of that proof every
-    logged value and the final weights must still equal the literal loop's
-    bitwise."""
+    """The trainer keeps layer 1 for the next pass exactly when the step
+    left W_1's bytes unchanged.  On either side of the edge where the step
+    first moves W_1, the passes must keep layer 1 just where W_1 stayed,
+    and every logged value and the final weights must equal the literal
+    loop's bitwise."""
 
     # N=1, d=2, widths (2, 1): X's zero column and W_2's zero row leave one
-    # nonzero entry in grad_1, at W_1[0, 0] = 0.25, the entry of smallest
-    # spacing; grad_1 and W_1[0, 0] are positive, so a step above a quarter
-    # spacing rounds W_1[0, 0] down to the float below.  Row 1 of W_1 meets
-    # X's zero column only; a zero or subnormal entry there makes the
-    # tolerance 0, and so does 1e-140, whose quarter spacing 2**-520 is
-    # normal but has a subnormal square: every step recomputes layer 1.
+    # nonzero entry in grad_1, at W_1[0, 0] = 0.25; grad_1 and W_1[0, 0] are
+    # positive, so a step above a quarter of its spacing rounds W_1[0, 0]
+    # down to the float below.  Row 1 of W_1 meets X's zero column only: a
+    # zero, subnormal or tiny entry there never moves, and it does not
+    # change the edge.
     W1 = {
         "powers-of-two": [[0.25, 1.0], [0.5, 2.0]],
         "zero": [[0.25, 1.0], [0.0, 2.0]],
@@ -683,8 +682,7 @@ class TestW1Freeze:
         return data, Params((np.array(self.W1[w1]), np.array([[1.0], [0.0]])))
 
     # x0 = 1e-170 makes grad_1 ~ 1e-170, whose square underflows to 0; the
-    # proof squares the rounded step eta * grad_1 ~ 2**-56 instead, whose
-    # square is a normal float, so the edge stays where it is
+    # rounded step eta * grad_1 ~ 2**-56 is the same, so the edge stays
     @pytest.mark.parametrize("x0", [1.0, 1e-170], ids=["normal", "underflowing-grad"])
     @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
     @pytest.mark.parametrize("w1", sorted(W1))
@@ -697,10 +695,9 @@ class TestW1Freeze:
         losses, norms, stop_reason, final = literal_train(params, data, ACT, eta, 3)
         with forward_starts() as starts:
             log = train(params, data, ACT, TrainConfig(eta=eta, max_steps=3))
-        # the pass after a step below the edge keeps layer 1 (starts at 1)
-        # where the proof can hold; every other pass recomputes it
-        kept = side < 0 and w1 == "powers-of-two"
-        assert starts == [0] + [int(kept)] * 3
+        # every pass after a step below the edge keeps layer 1 (starts at
+        # 1); every pass after a step above it recomputes layer 1
+        assert starts == [0] + [int(side < 0)] * 3
         assert np.array_equal(log.loss, losses) and np.array_equal(log.grad_norm, norms)
         assert log.stop_reason == stop_reason == "max_steps"
         for got, w in zip(log.final_params.weights, final.weights):

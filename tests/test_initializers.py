@@ -248,6 +248,10 @@ class TestSphereData:
             sphere_data(0, 3)
         with pytest.raises(ValueError):
             sphere_data(3, 3, radius=-1.0)
+        # a bool radius would draw rows of norm 1
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(ValueError, match="radius"):
+                sphere_data(3, 2, radius=flag)
         # sizes and seeds are refused, not truncated
         with pytest.raises(ValueError, match="n_samples"):
             sphere_data(4.5, 3)

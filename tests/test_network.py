@@ -115,11 +115,30 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("name", ["X", "Y"])
+    def test_rejects_no_columns(self, name):
+        arrays = {"X": np.ones((3, 2)), "Y": np.ones((3, 1)), name: np.ones((3, 0))}
+        with pytest.raises(ValueError, match=f"^{name} must have at least one column$"):
+            Dataset(arrays["X"], arrays["Y"])
+
 
 class TestParams:
     def test_rejects_broken_chain(self):
         with pytest.raises(ValueError):
             Params((np.zeros((3, 4)), np.zeros((5, 2))))
+
+    @pytest.mark.parametrize(
+        "ws, field",
+        [
+            ((np.ones((0, 0)),), "W_1"),
+            ((np.ones((3, 0)), np.ones((0, 2))), "W_1"),
+            ((np.ones((0, 4)), np.ones((4, 2))), "W_1"),
+            ((np.ones((3, 4)), np.ones((4, 0))), "W_2"),
+        ],
+    )
+    def test_rejects_zero_dimension(self, ws, field):
+        with pytest.raises(ValueError, match=f"^{field} must have rows and columns"):
+            Params(ws)
 
     def test_shape_property(self):
         p = Params((np.zeros((3, 6)), np.zeros((6, 2))))
