@@ -266,8 +266,15 @@ def invariant_flags(
     """
     f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
     flags = np.empty((len(loss), 4), dtype=bool)
-    flags[:, 0] = np.all(min_sv_w >= lam_floor[None, :], axis=1)
-    flags[:, 1] = np.all(norm_w <= norm_cap[None, :], axis=1)
+    # one layer at a time: a reduction along the rows of a block would
+    # buffer it in chunks
+    for col, cells, test, limits in (
+        (flags[:, 0], min_sv_w, np.greater_equal, lam_floor),
+        (flags[:, 1], norm_w, np.less_equal, norm_cap),
+    ):
+        col[...] = True
+        for j, limit in enumerate(limits):
+            col &= test(cells[:, j], limit)
     flags[:, 2] = sv_f1 >= f1_floor
     flags[:, 3] = loss <= bound
     return flags
@@ -282,8 +289,11 @@ def monitor_invariants(log: "TrainLog", cert: Certificate) -> InvariantReport:
     certificate a bound may fail to prove a step that holds.
     """
     # one vectorised power: a scalar power per step would differ from it in
-    # the last bit on some steps, and the logged bound column is pinned bitwise
-    bound = (1.0 - log.eta * cert.alpha0) ** np.arange(log.n_steps) * log.phi0
+    # the last bit on some steps, and the logged bound column is pinned
+    # bitwise.  It equals ``base ** np.arange(n) * phi0``, built in one buffer.
+    bound = np.arange(log.n_steps, dtype=np.float64)
+    np.power(1.0 - log.eta * cert.alpha0, bound, out=bound)
+    np.multiply(bound, log.phi0, out=bound)
     flags = invariant_flags(cert, log.sv_f1, log.min_sv_w, log.norm_w, log.loss, bound)
 
     first = {

@@ -10,7 +10,6 @@ preserve; ``certificates.monitor_invariants`` judges them.
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from dataclasses import dataclass
@@ -135,7 +134,9 @@ class TrainLog:
     last row, if the proof lasts the run; row 1 of an uncertified run).
     ``spectra_svds`` counts the exact SVDs the run took.  ``final_params``
     is the last iterate, or ``params0`` if an update overflowed a weight to
-    a non-finite value (the run has then ``diverged``).
+    a non-finite value (the run has then ``diverged``).  The log is not
+    copied: ``loss`` and ``grad_norm`` view the arrays the trainer appended
+    to, and the spectra one column-major block.
     """
 
     loss: np.ndarray
@@ -163,10 +164,6 @@ class TrainLog:
         return float(self.loss[-1])
 
 
-# First log allocation in rows; the log doubles whenever it fills up, so
-# its memory follows the rows used rather than ``max_steps``.
-_LOG_CHUNK = 1024
-
 # Rows ``trainlog_to_csv`` formats per write: blocks this small keep the
 # formatted text off the peak memory of a run.
 _CSV_BLOCK = 64
@@ -184,26 +181,21 @@ _SQRT_TINY = math.sqrt(float(np.finfo(np.float64).tiny))
 _TINIEST = math.ulp(0.0)
 
 
-def _grown(a: np.ndarray, rows: int, fill) -> np.ndarray:
-    out = np.full((rows,) + a.shape[1:], fill, dtype=a.dtype)
-    out[: len(a)] = a
-    return out
-
-
 class _Spectra:
     """Lazy but rigorous spectra of one run's monitored matrices of
     ``shapes``: ``F_1``, then ``W_1..W_L``, as matrices ``0..L``.
 
-    A log row holds what the log reports, in the CSV's order: ``F_1``'s
-    smallest singular value and the lower bounds of ``W_3..W_L`` (cells
-    ``lo_cells``), the upper bounds of ``W_1..W_L`` (cells ``hi_cells``),
-    the loss (cell ``loss_cell``) and the gradient norm.
+    The spectra of a log row are ``n_cells`` cells, in the CSV's order:
+    ``F_1``'s smallest singular value and the lower bounds of ``W_3..W_L``
+    (cells ``lo_cells``), then the upper bounds of ``W_1..W_L`` (cells
+    ``hi_cells``).  The loop records only the rows it measures, one array
+    per cell; ``columns`` builds the log's spectra from them after the run.
 
     ``F_1`` changes only on a step that recomputes layer 1; on every other
     step it is bitwise the matrix last measured.  So ``measure_f1``
     measures it on each step that recomputes it, ``f1_rows`` lists the rows
-    where it was measured, and ``fill`` copies that exact value to the rows
-    in between: its cell is exact on every row.
+    where it alone was measured, and ``columns`` copies each exact value to
+    the rows up to the next measurement: its cell is exact on every row.
 
     Step 0's exact SVDs (``measure_all``) are the run's one reference for
     ``W_1..W_L``.  By Weyl's inequality no singular value of ``W_i`` moves
@@ -241,10 +233,10 @@ class _Spectra:
     is -inf.  The trainer compares ``P`` with ``limit`` once per step and
     measures every matrix on each row from the first whose ``P`` passed
     it (``first``): ``P`` never decreases, so the rows proven are ``1 ..
-    first - 1``.  ``fill`` writes their bound cells from the same formula,
-    after the run: it recomputes ``P`` from the logged gradient norms by
-    the same sequential sum, so every cell it writes meets its threshold,
-    and a flag read from the log is the exact SVD's.
+    first - 1``.  ``columns`` writes their bound cells from the same
+    formula, after the run: it recomputes ``P`` from the logged gradient
+    norms by the same sequential sum, so every cell it writes meets its
+    threshold, and a flag read from the log is the exact SVD's.
     """
 
     def __init__(self, shapes, thresholds, eta: float, max_steps: int) -> None:
@@ -267,14 +259,16 @@ class _Spectra:
         n_low = max(n - 3, 0)
         self.lo_cells = [0, None, None, *range(1, 1 + n_low)]
         self.hi_cells = [None, *range(1 + n_low, n + n_low)]
-        self.loss_cell = n + n_low
-        self.n_cells = self.loss_cell + 2
+        self.n_cells = n + n_low
         self.tops = [math.nan] * n
         self.lows = [math.nan] * n
         self.margins = [math.nan] * n
         self.limit = -math.inf
         self.first = 0  # 0 until a row after step 0 has measured every matrix
         self.f1_rows = array("q")
+        # the measured cells, one array per cell: the weights' on row 0 and
+        # on rows first .. k, F_1's on those and on the rows of f1_rows
+        self.cells = [array("d") for _ in range(self.n_cells)]
         self.n_svds = 0
 
     def measure(self, i: int, a: np.ndarray) -> None:
@@ -304,52 +298,63 @@ class _Spectra:
             P -= P * 2.0**shift
         return -math.inf
 
-    def measure_f1(self, k: int, f1: np.ndarray, row: np.ndarray) -> None:
-        """Measure ``F_1`` into row ``k``."""
+    def measure_f1(self, k: int, f1: np.ndarray) -> None:
+        """Measure ``F_1`` on row ``k``."""
         self.measure(0, f1)
         self.f1_rows.append(k)
-        row[0] = self.lows[0]
+        self.cells[0].append(self.lows[0])
 
-    def measure_all(self, k: int, mats, row: np.ndarray) -> None:
-        """Measure every matrix into row ``k``; at step 0 this is the
+    def measure_all(self, k: int, mats) -> None:
+        """Measure every matrix on row ``k``; at step 0 this is the
         reference, and it sets ``limit``."""
         for i, a in enumerate(mats):
             self.measure(i, a)
-        row[: self.loss_cell] = self.lows[:1] + self.lows[3:] + self.tops[1:]
-        self.f1_rows.append(k)
+        for cell, v in zip(self.cells, self.lows[:1] + self.lows[3:] + self.tops[1:]):
+            cell.append(v)
         if k == 0:
             self.limit = min(self._limit(i) for i in range(1, len(mats)))
         elif not self.first:
             self.first = k
 
-    def fill(self, rows: np.ndarray) -> None:
-        """Write the cells the loop left, in place: ``F_1``'s from its last
-        measurement, and the bounds of ``W_1..W_L`` on rows ``1 ..
-        first - 1`` from the running sum, recomputed here, and step 0."""
-        for a, z in _gaps(self.f1_rows):
-            rows[a + 1 : z, 0] = rows[a, 0]
+    def columns(self, grad_norm: np.ndarray) -> np.ndarray:
+        """The log's spectra, ``(n_rows, n_cells)`` for the ``n_rows`` cells
+        of ``grad_norm``, each column contiguous along the steps: ``F_1``'s
+        cell copied forward from each measurement, and the bounds of
+        ``W_1..W_L`` on rows ``1 .. first - 1`` from the running sum,
+        recomputed here, and step 0.  The columns are appended in order to
+        one array, which starts as ``F_1``'s record if ``F_1`` was measured
+        on every row, and each record is released once its column is built,
+        so the spectra are never held twice."""
+        n_rows, cells = len(grad_norm), self.cells
         # P * grow on rows 1 .. first - 1, the running sum as the loop summed it
-        grown = rows[: max(self.first - 1, 0), self.loss_cell + 1] * self.rate
+        grown = grad_norm[: max(self.first - 1, 0)] * self.rate
         np.add(grown, self.creep, grown)
         np.cumsum(grown, out=grown)
         np.multiply(grown, self.grow, grown)
-        proven = rows[1 : 1 + len(grown)]
-        for i in range(1, len(self.lows)):
-            lo, hi = self.lo_cells[i], self.hi_cells[i]
-            radius = proven[:, hi]
-            np.multiply(grown, self.inflate[i], radius)
-            np.add(radius, self.svd_err[i] * rows[0, hi] + self.underflow[i], radius)
-            if lo is not None:
-                np.subtract(rows[0, lo], radius, proven[:, lo])
-            np.add(radius, rows[0, hi], radius)
-
-
-def _gaps(events):
-    """``(a, z)`` for each run of rows ``a + 1 .. z - 1`` between
-    consecutive ``events`` ``a`` and ``z``."""
-    rows = np.frombuffer(events, dtype=np.int64)
-    for j in np.flatnonzero(np.diff(rows) > 1):
-        yield int(rows[j]), int(rows[j + 1])
+        radius = np.empty_like(grown)
+        row0 = [cell[0] for cell in cells]
+        out, cells[0] = cells[0], None
+        if len(out) < n_rows:
+            # F_1's record holds row 0, the rows of f1_rows, then rows first ..
+            rec, m = np.frombuffer(out), 1 + len(self.f1_rows)
+            stands = np.diff(np.frombuffer(self.f1_rows, np.int64), prepend=0, append=self.first)
+            out = array("d")
+            out.frombytes(np.repeat(rec[:m], stands).view(np.uint8))
+            out.frombytes(rec[m:].view(np.uint8))
+        # cells 1.. hold the lower bounds of W_3..W_L, then the upper bounds of W_1..W_L
+        for j, i in enumerate([*range(3, len(self.lows)), *range(1, len(self.lows))], 1):
+            rec, cells[j] = np.frombuffer(cells[j]), None
+            out.append(row0[j])
+            if len(grown):
+                np.multiply(grown, self.inflate[i], radius)
+                np.add(radius, self.svd_err[i] * row0[self.hi_cells[i]] + self.underflow[i], radius)
+                if j == self.lo_cells[i]:
+                    np.subtract(row0[j], radius, radius)
+                else:
+                    np.add(radius, row0[j], radius)
+                out.frombytes(radius.view(np.uint8))
+            out.frombytes(rec[1:].view(np.uint8))
+        return np.frombuffer(out).reshape(self.n_cells, n_rows).T
 
 
 def train(
@@ -376,10 +381,14 @@ def train(
     value stands on the steps between.  The bounds of ``W_1..W_L`` are
     proven from step 0's exact SVDs; their per-step audit is one running
     sum of the logged gradient norms and one comparison with
-    ``_Spectra.limit``, and the bound cells it proves are filled in after
+    ``_Spectra.limit``, and the bound cells it proves are written after
     the loop.  Step 0, the last step and every step from the first whose
     running sum passes the limit take ``L + 1`` exact SVDs; an uncertified
     run proves nothing (its limit is -inf), so that is every step.
+
+    The log is held once, so memory follows the rows logged, not
+    ``max_steps``: each step appends its loss and gradient norm to two
+    growing arrays, and ``_Spectra`` records only the cells it measures.
 
     The weights ``W_1..W_L`` are views of one flat vector, and every
     step updates them all with one multiply and one subtraction.  At a
@@ -417,11 +426,7 @@ def train(
     F1 = kernel.F[1]
     thresholds = invariant_thresholds(cert) if cert is not None else None
     spectra = _Spectra([(X.shape[0], wshapes[0][1])] + wshapes, thresholds, eta, cfg.max_steps)
-    # log columns as _Spectra lays them out: bounds, then loss and grad norm
-    HI, LOSS = spectra.hi_cells[1], spectra.loss_cell
-    max_rows = cfg.max_steps + 1
-    cap = min(max_rows, _LOG_CHUNK)
-    rows = np.full((cap, spectra.n_cells), np.nan)
+    loss_log, gn_log = array("d"), array("d")
     rate, creep = spectra.rate, spectra.creep
     eta_0d = np.array(eta)  # a ufunc takes a 0-d array with less work than a float
     w1_bits = W[0].tobytes()  # the W_1 that layer 1's buffers hold
@@ -448,16 +453,13 @@ def train(
             backward()
             gn = math.sqrt(float(np.vdot(gflat, gflat)))
 
-            if k == cap:
-                cap = min(2 * cap, max_rows)
-                rows = _grown(rows, cap, np.nan)
-            rows[k, LOSS] = loss_k
-            rows[k, LOSS + 1] = gn
+            loss_log.append(loss_k)
+            gn_log.append(gn)
             # limit is -inf until step 0 measures every matrix and sets it
             if stop_reason is not None or not P <= spectra.limit:
-                spectra.measure_all(k, (F1, *W), rows[k])
+                spectra.measure_all(k, (F1, *W))
             elif start == 0:
-                spectra.measure_f1(k, F1, rows[k])
+                spectra.measure_f1(k, F1)
 
             if stop_reason is not None:
                 break
@@ -474,17 +476,18 @@ def train(
     # an update that overflowed a weight leaves no finite last iterate;
     # the final weights are copies, not views of the trainer's vector
     final = Params(tuple(w.copy() for w in W)) if np.isfinite(theta).all() else params0
-    rows = rows[: k + 1]
-    spectra.fill(rows)
+    grad_norm = np.frombuffer(gn_log)
+    cols = spectra.columns(grad_norm)
+    HI = spectra.hi_cells[1]
     # every matrix was measured on row 0 and on rows first .. k
-    exact = np.arange(k + 1) >= spectra.first
-    exact[0] = True
+    exact = np.ones(k + 1, dtype=bool)
+    exact[1 : spectra.first] = False
     return TrainLog(
-        loss=rows[:, LOSS].copy(),
-        grad_norm=rows[:, LOSS + 1].copy(),
-        sv_f1=rows[:, 0].copy(),
-        min_sv_w=rows[:, 1:HI].copy(),
-        norm_w=rows[:, HI:LOSS].copy(),
+        loss=np.frombuffer(loss_log),
+        grad_norm=grad_norm,
+        sv_f1=cols[:, 0],
+        min_sv_w=cols[:, 1:HI],
+        norm_w=cols[:, HI:],
         spectra_exact=exact,
         spectra_svds=spectra.n_svds,
         final_params=final,
@@ -529,7 +532,7 @@ def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = Non
         ints.extend(report.flags.T)
     template = ",".join(cells + ["%d"] * len(ints)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for start in range(0, log.n_steps, _CSV_BLOCK):
             stop = min(start + _CSV_BLOCK, log.n_steps)
             cols = [range(start, stop)]

@@ -7,7 +7,8 @@ and the parameter distance behind the gradient and Lipschitz checks, the
 parameter-distance envelope of acceptance criterion 3, the activation's
 second derivative and its gap to the ramp behind criterion 4, the
 normalized Hermite polynomials, a CSV writer and parser for fixtures,
-and a recorder of the network kernel's forward passes.
+a recorder of the network kernel's forward passes, and the trainer's log
+written row by row.
 """
 
 import contextlib
@@ -20,9 +21,9 @@ import numpy as np
 
 from pyrcert.activation import ActivationParams, evaluate
 from pyrcert.certificates import DEGENERATE_LAMBDA_F, Certificate, _first_false
-from pyrcert.gradients import TrainLog
+from pyrcert.gradients import TrainLog, _Spectra, grad
 from pyrcert.lambda_star import _hermite_table
-from pyrcert.network import Dataset, ForwardTrace, Params, _Kernel, _write_matrix_csv, forward
+from pyrcert.network import Dataset, ForwardTrace, Params, _Kernel, _write_matrix_csv, forward, loss_of
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -289,3 +290,59 @@ def trainlog_from_csv(path) -> dict[str, np.ndarray]:
         raise ValueError(f"malformed training log CSV: {path}")
     table = np.asarray(rows, dtype=np.float64)
     return {name: table[:, i] for i, name in enumerate(header)}
+
+
+def _extremes(a: np.ndarray) -> tuple[float, float]:
+    """The smallest and largest singular value, or NaNs where LAPACK fails."""
+    try:
+        sv = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return math.nan, math.nan
+    return float(sv[-1]), float(sv[0])
+
+
+def dense_log(params, data, act, eta, n_rows, thresholds, max_steps, first) -> dict[str, np.ndarray]:
+    """The columns of a training log of ``n_rows`` rows, written one row at
+    a time: ``forward`` and ``grad`` of the current weights and an exact
+    SVD of ``F_1`` and of every weight on each row, then ``W -= eta * g``.
+    A pass with a non-finite pre-activation logs NaN for ``F_1``, the loss
+    and the gradient norm.  On rows ``1 .. first - 1`` the weights' cells
+    are instead the bounds a certified run proves there, one scalar
+    operation at a time in the order of the trainer's arithmetic: the
+    running sum of step bounds with ``_Spectra``'s constants for
+    ``thresholds``, widened around step 0's exact values."""
+    W = [w.copy() for w in params.weights]
+    spectra = _Spectra([(data.n_samples, W[0].shape[1])] + [w.shape for w in W], thresholds, eta, max_steps)
+    losses, norms, rows = [], [], []
+    for k in range(n_rows):
+        try:
+            p = Params(tuple(W))
+            trace = forward(p, data, act)
+            g = grad(p, data, act, trace)
+            losses.append(loss_of(trace))
+            norms.append(g.norm)
+            f1 = _extremes(trace.F[1])
+        except ValueError:
+            losses.append(math.nan)
+            norms.append(math.nan)
+            f1 = (math.nan, math.nan)
+        rows.append([f1] + [_extremes(w) for w in W])
+        if k + 1 < n_rows:
+            for w, gl in zip(W, g.layers):
+                w -= eta * gl
+    P = 0.0
+    for k in range(1, first):
+        P += norms[k - 1] * spectra.rate + spectra.creep
+        for i in range(1, len(W) + 1):
+            low0, top0 = rows[0][i]
+            margin = spectra.svd_err[i] * top0 + spectra.underflow[i]
+            radius = P * spectra.grow * spectra.inflate[i] + margin
+            rows[k][i] = (low0 - radius, radius + top0)
+    table = np.array(rows).reshape(n_rows, len(W) + 1, 2)
+    return {
+        "loss": np.array(losses),
+        "grad_norm": np.array(norms),
+        "sv_f1": table[:, 0, 0],
+        "min_sv_w": table[:, 3:, 0],
+        "norm_w": table[:, 1:, 1],
+    }

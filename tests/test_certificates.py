@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import check_assumption, distance_envelope, forward_starts, rate_constants, trainlog_from_csv
+from oracles import (
+    check_assumption,
+    dense_log,
+    distance_envelope,
+    forward_starts,
+    rate_constants,
+    trainlog_from_csv,
+)
 
 from pyrcert.activation import ActivationParams, as_function, evaluate
 from pyrcert.certificates import (
@@ -21,6 +28,7 @@ from pyrcert.certificates import (
     certificate_to_json,
     certify,
     invariant_flags,
+    invariant_thresholds,
     monitor_invariants,
     spectral_quantities,
 )
@@ -452,6 +460,33 @@ class TestMonitorInvariants:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0], peaks
 
+    def test_csv_peak_memory_is_a_few_blocks(self, tmp_path):
+        # rows are formatted 64 at a time; a header written by a throwaway
+        # csv.writer left the later writes peaking at 139 KB on this log
+        log, cert = self.make_certified_run(max_steps=20_000)
+        report = monitor_invariants(log, cert)
+        for rep in (report, None):
+            trainlog_to_csv(log, tmp_path / "warm.csv", rep)
+            tracemalloc.start()
+            try:
+                trainlog_to_csv(log, tmp_path / "log.csv", rep)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 96 * 1024, peak
+
+    @pytest.mark.parametrize("n_steps", [1, 1_295, 46_424, 200_001])
+    def test_bound_column_equals_the_literal_power_bitwise(self, n_steps):
+        # the bound is built in one buffer; it must equal the literal
+        # (1 - eta*alpha0)**k * phi0 bitwise, for three bases
+        log, cert = self.make_certified_run(max_steps=0)
+        columns = ("loss", "grad_norm", "sv_f1", "min_sv_w", "norm_w", "spectra_exact")
+        long = dataclasses.replace(log, **{f: np.repeat(getattr(log, f), n_steps, axis=0) for f in columns})
+        for base in (1.0 - log.eta * cert.alpha0, 0.999, 0.5):
+            c = dataclasses.replace(cert, alpha0=(1.0 - base) / log.eta)
+            want = (1.0 - log.eta * c.alpha0) ** np.arange(n_steps) * log.phi0
+            assert monitor_invariants(long, c).bound.tobytes() == want.tobytes()
+
     def test_step_zero_flags_true_by_construction(self):
         log, cert = self.make_certified_run(max_steps=0)
         report = monitor_invariants(log, cert)
@@ -482,6 +517,120 @@ class TestMonitorInvariants:
         need = 0.5 * log.eta * log.grad_norm[:-1] ** 2
         assert np.all(drop >= need - 1e-12 * log.loss[0])
         assert np.all(np.diff(log.loss) <= 0.0)
+
+
+class TestInvariantFlags:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 5))
+    def test_matches_reductions_over_whole_rows(self, seed, n_steps, depth):
+        # flags built one layer at a time equal np.all over each row, on
+        # cells below, at and above their thresholds, and NaN
+        rng = np.random.default_rng(seed)
+        _, data, cfg = certifiable_instance()
+        cert = dataclasses.replace(
+            certify(init_certifiable(Shape(4, (6, 3, 2)), cfg), data, ACT),
+            lambda_f=2.0,
+            lambda_min_deep=tuple(2.0 * rng.choice([0.5, 1.0, 2.0], size=max(depth - 2, 0))),
+            lambda_bar=tuple(rng.choice([0.5, 1.0, 2.0], size=depth) / 1.5),
+        )
+        f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
+
+        def cells(shape):
+            return rng.choice([0.25, 0.5, 1.0, 2.0, 4.0, math.nan], size=shape)
+
+        sv_f1, min_sv_w, norm_w = cells(n_steps), cells((n_steps, len(lam_floor))), cells((n_steps, depth))
+        loss, bound = cells(n_steps), cells(n_steps)
+        got = invariant_flags(cert, sv_f1, min_sv_w, norm_w, loss, bound)
+        want = np.stack(
+            [
+                np.all(min_sv_w >= lam_floor[None, :], axis=1),
+                np.all(norm_w <= norm_cap[None, :], axis=1),
+                sv_f1 >= f1_floor,
+                loss <= bound,
+            ],
+            axis=1,
+        )
+        assert got.shape == (n_steps, 4) and np.array_equal(got, want)
+
+
+class TestLogColumns:
+    """The trainer logs loss and gradient norm by appending to two arrays
+    and records only the spectra it measures; after the run it builds the
+    spectra by column.  Each column must equal the log written one row at
+    a time (``oracles.dense_log``) bitwise, and lie contiguous along the
+    steps, on runs of one row, with a NaN row, where the proof runs out
+    mid-run, where ``F_1`` is measured on interior rows, and without a
+    certificate (every row measured)."""
+
+    @staticmethod
+    def certified(seed):
+        shape, data, cfg = certifiable_instance(seed=seed)
+        _, params, cert = tune_gain(shape, data, ACT, cfg)
+        return params, data, cert
+
+    def run(self, case):
+        """``(params, data, eta, max_steps, cert)`` of each case."""
+        if case == "one_row":
+            params, data, cert = self.certified(0)
+            return params, data, 0.9 * cert.eta_max, 0, cert
+        if case == "nan_row":
+            # the step-0 update overflows the weights: row 1 is NaN
+            params, data, cert = self.certified(0)
+            return params, data, 1e308, 10, dataclasses.replace(cert, eta_max=math.inf)
+        if case == "proof_runs_out":
+            params, data, eta, _, cert = proof_runs_out_at_30(3, (6, 4, 3, 2))
+            return params, data, eta, 60, cert
+        if case == "w1_moves":
+            params, data, cert = self.certified(29)
+            return params, data, 0.9 * cert.eta_max, 150, cert
+        params, data, cert = self.certified(0)
+        return params, data, 0.9 * cert.eta_max, 40, None
+
+    @pytest.mark.parametrize("case", ["one_row", "nan_row", "proof_runs_out", "w1_moves", "uncertified"])
+    def test_columns_match_the_log_written_row_by_row(self, case):
+        params, data, eta, max_steps, cert = self.run(case)
+        with np.errstate(over="ignore", invalid="ignore"), forward_starts() as starts:
+            log = train(params, data, ACT, TrainConfig(eta=eta, max_steps=max_steps), cert=cert)
+        exact = log.spectra_exact
+        first = 1 + int(np.argmax(exact[1:])) if log.n_steps > 1 else 0
+        assert exact[0] and exact[first:].all() and not exact[1:first].any()
+        thresholds = None if cert is None else invariant_thresholds(cert)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = dense_log(params, data, ACT, eta, log.n_steps, thresholds, max_steps, first)
+        for name, col in want.items():
+            got = getattr(log, name)
+            assert got.shape == col.shape and np.array_equal(got, col, equal_nan=True), name
+            assert got.strides[0] == got.itemsize, name  # contiguous along the steps
+        if case == "one_row":
+            assert log.n_steps == 1
+        elif case == "nan_row":
+            assert log.diverged and log.n_steps == 2 and np.isnan(log.sv_f1[1])
+        elif case == "proof_runs_out":
+            assert first == 30
+        elif case == "w1_moves":
+            # layer 1 recomputed between rows proven for the weights
+            assert first == log.n_steps - 1 and 0 in starts[1:-1]
+        else:
+            assert first == 1 and log.n_steps == 41
+
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_peak_memory_is_the_log_and_a_little(self, certified):
+        # the log is held once: loss and gradient norm grow in place, and
+        # the spectra are built column by column after the run, each
+        # record released as its column is built
+        params, data, cert = self.certified(0)
+        cfg = TrainConfig(eta=0.9 * cert.eta_max, max_steps=5_000)
+        run = lambda: train(params, data, ACT, cfg, cert=cert if certified else None)  # noqa: E731
+        run()  # warm-up
+        tracemalloc.start()
+        try:
+            log = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.n_steps == 5_001 and log.spectra_exact[1:-1].any() != certified
+        columns = (log.loss, log.grad_norm, log.sv_f1, log.min_sv_w, log.norm_w, log.spectra_exact)
+        assert peak <= 1.5 * sum(c.nbytes for c in columns) + 64 * 1024, peak
 
 
 class TestDepthTwo:
@@ -518,6 +667,27 @@ class TestWeylSanity:
             sa = np.linalg.svd(A, compute_uv=False)
             sb = np.linalg.svd(B, compute_uv=False)
             assert np.max(np.abs(sa - sb)) <= np.linalg.norm(A - B, 2) * (1 + 1e-12)
+
+
+def proof_runs_out_at_30(seed, widths):
+    """A run of 60 steps at eta = 0.02 whose certificate's weight thresholds
+    sit one path length past step 0's exact extremes, that path being
+    2 * eta times the first 30 gradient norms: ``params, data, eta``, the
+    exact replay and the certificate."""
+    shape, data, cfg = certifiable_instance(seed=seed, widths=widths, y_scale=1.0)
+    params = init_certifiable(shape, cfg)
+    eta = 0.02
+    eager = train(params, data, ACT, TrainConfig(eta=eta, max_steps=60))
+    path = 2.0 * eta * float(np.sum(eager.grad_norm[:30]))
+    cert = dataclasses.replace(
+        certify(params, data, ACT),
+        lambda_f=float(np.min(eager.sv_f1)),
+        lambda_min_deep=tuple(2.0 * (v - path) for v in eager.min_sv_w[0]),
+        lambda_bar=tuple((v + path) / 1.5 for v in eager.norm_w[0]),
+        alpha0=0.01,
+        eta_max=math.inf,
+    )
+    return params, data, eta, eager, cert
 
 
 class TestLazySpectra:
@@ -612,19 +782,7 @@ class TestLazySpectra:
         # norms: the running sum, whose rate is a little above 2 * eta,
         # passes the proof's limit at row 30 and not before, and from there
         # every matrix is measured on every row
-        shape, data, cfg = certifiable_instance(seed=seed, widths=widths, y_scale=1.0)
-        params = init_certifiable(shape, cfg)
-        eta = 0.02
-        eager = self.exact_replay(params, data, eta, 60)
-        path = 2.0 * eta * float(np.sum(eager.grad_norm[:30]))
-        cert = dataclasses.replace(
-            certify(params, data, ACT),
-            lambda_f=float(np.min(eager.sv_f1)),
-            lambda_min_deep=tuple(2.0 * (v - path) for v in eager.min_sv_w[0]),
-            lambda_bar=tuple((v + path) / 1.5 for v in eager.norm_w[0]),
-            alpha0=0.01,
-            eta_max=math.inf,
-        )
+        params, data, eta, eager, cert = proof_runs_out_at_30(seed, widths)
         with forward_starts() as starts:
             lazy = train(params, data, ACT, TrainConfig(eta=eta, max_steps=60), cert=cert)
         self.check_against_exact(lazy, eager, cert)

@@ -377,8 +377,8 @@ class TestSpectra:
     updates ``W_1..W_3`` in one flat vector by ``theta -= fl(eta * g)`` and
     adds its bound to the running sum.  The last row, and every row whose
     running sum passed ``limit``, measures every matrix; another row where
-    ``F_1`` moved (by replacement) measures ``F_1``.  ``fill`` writes the
-    rest of the log."""
+    ``F_1`` moved (by replacement) measures ``F_1``.  ``columns`` builds
+    the log's spectra from the gradient norms."""
 
     SHAPES = [(5, 4), (3, 4), (4, 3), (3, 2)]
     N = 4
@@ -395,19 +395,19 @@ class TestSpectra:
         matrix on every row, the running sum before each row, which rows
         moved ``F_1``, and row 0's extremes and margins, the reference."""
         n_rows = n_moves + 1
-        rows = np.full((n_rows, spectra.n_cells), np.nan)
+        norms = np.full(n_rows, np.nan)
         exact, measured, sums, f1_moved = [], [], [0.0], [False]
         measure = spectra.measure
         spectra.measure = lambda i, a: (measured[-1].append(i), measure(i, a))
         P = 0.0
         measured.append([])
-        spectra.measure_all(0, (f1, *weights), rows[0])
+        spectra.measure_all(0, (f1, *weights))
         ref = (list(spectra.lows), list(spectra.tops), list(spectra.margins))
         exact.append([self.extremes(a) for a in (f1, *weights)])
         for k in range(1, n_rows):
             new_f1, g = move(k)
             gn = math.sqrt(float(np.vdot(g, g)))
-            rows[k - 1, spectra.loss_cell + 1] = gn
+            norms[k - 1] = gn
             g = g * eta
             theta -= g
             P += gn * spectra.rate + spectra.creep
@@ -417,12 +417,12 @@ class TestSpectra:
                 f1 = new_f1
             measured.append([])
             if k == n_moves or not P <= spectra.limit:
-                spectra.measure_all(k, (f1, *weights), rows[k])
+                spectra.measure_all(k, (f1, *weights))
             elif new_f1 is not None:
-                spectra.measure_f1(k, f1, rows[k])
+                spectra.measure_f1(k, f1)
             assert len(set(measured[-1])) == len(measured[-1])  # each at most once
             exact.append([self.extremes(a) for a in (f1, *weights)])
-        spectra.fill(rows)
+        rows = spectra.columns(norms)
         return rows, measured, exact, sums, f1_moved, ref
 
     def assert_log_holds(self, spectra, rows, measured, exact):
