@@ -17,6 +17,7 @@ implementations in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,18 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a Python float: ints, floats and NumPy real scalars
+    pass, an int past the float range as an infinity; a bool (a number only
+    by accident), a string, None or a complex number is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class ActivationParams:
     """Slope floor and smoothness scale of one member of the family."""
@@ -41,12 +54,13 @@ class ActivationParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.gamma, (int, float)) and 0.0 < self.gamma < 1.0):
+        gamma, beta = _real(self.gamma, "gamma"), _real(self.beta, "beta")
+        if not 0.0 < gamma < 1.0:
             raise ValueError(f"gamma must lie strictly in (0, 1), got {self.gamma!r}")
-        # a bool is an int, but True is no smoothing scale
-        beta_ok = isinstance(self.beta, (int, float)) and not isinstance(self.beta, bool)
-        if not (beta_ok and math.isfinite(self.beta) and self.beta > 0.0):
+        if not (math.isfinite(beta) and beta > 0.0):
             raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "beta", beta)
 
 
 def _as_finite_array(x) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .activation import ActivationParams
+from .activation import ActivationParams, _real
 from .activation import value_and_slope  # noqa: F401 - bound here for perfbench's tracer
 from .certificates import Certificate, InvariantReport, invariant_thresholds
 from .network import _FLOAT_FMT, Dataset, ForwardTrace, Params, _check_dims, _Kernel, _size, forward
@@ -114,10 +114,10 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in ("eta", "stop_loss"):
-            value = getattr(self, name)
-            # a bool would pass as 0 or 1
-            if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            value = _real(getattr(self, name), name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "max_steps", _size(self.max_steps, "max_steps", 0))
 
 
@@ -136,7 +136,8 @@ class TrainLog:
     is the last iterate, or ``params0`` if an update overflowed a weight to
     a non-finite value (the run has then ``diverged``).  The log is not
     copied: ``loss`` and ``grad_norm`` view the arrays the trainer appended
-    to, and the spectra one column-major block.
+    to, and the spectra one column-major block, grown after the run from
+    the array of ``sv_f1``.
     """
 
     loss: np.ndarray
@@ -185,17 +186,16 @@ class _Spectra:
     """Lazy but rigorous spectra of one run's monitored matrices of
     ``shapes``: ``F_1``, then ``W_1..W_L``, as matrices ``0..L``.
 
-    The spectra of a log row are ``n_cells`` cells, in the CSV's order:
-    ``F_1``'s smallest singular value and the lower bounds of ``W_3..W_L``
-    (cells ``lo_cells``), then the upper bounds of ``W_1..W_L`` (cells
-    ``hi_cells``).  The loop records only the rows it measures, one array
-    per cell; ``columns`` builds the log's spectra from them after the run.
-
     ``F_1`` changes only on a step that recomputes layer 1; on every other
-    step it is bitwise the matrix last measured.  So ``measure_f1``
-    measures it on each step that recomputes it, ``f1_rows`` lists the rows
-    where it alone was measured, and ``columns`` copies each exact value to
-    the rows up to the next measurement: its cell is exact on every row.
+    step it is bitwise the matrix last measured.  So the trainer measures
+    it on each step that recomputes it and appends ``lows[0]`` to its own
+    column on every row, like the loss: that cell is exact on every row.
+    The weights' cells of a row are ``cells``, in the CSV's order: the
+    lower bounds of ``W_3..W_L``, then the upper bounds of ``W_1..W_L``,
+    each a matrix and the sign of its bound's radius.  They are recorded,
+    one array per cell, only on the rows that measure every matrix;
+    ``columns`` appends the log's spectra to ``F_1``'s column after the
+    run.
 
     Step 0's exact SVDs (``measure_all``) are the run's one reference for
     ``W_1..W_L``.  By Weyl's inequality no singular value of ``W_i`` moves
@@ -256,19 +256,15 @@ class _Spectra:
         self.rate = 2.0 * eta * (1.0 + (size + 8.0) * _EPS)
         self.creep = 8.0 * eta * root * _SQRT_TINY + 4.0 * root * _TINIEST
         self.grow = 1.0 + (max_steps + 8.0) * _EPS
-        n_low = max(n - 3, 0)
-        self.lo_cells = [0, None, None, *range(1, 1 + n_low)]
-        self.hi_cells = [None, *range(1 + n_low, n + n_low)]
-        self.n_cells = n + n_low
+        # the weights' cells in the CSV's order, each a matrix and the sign
+        # of its bound's radius
+        self.cells = [(i, -1.0) for i in range(3, n)] + [(i, 1.0) for i in range(1, n)]
         self.tops = [math.nan] * n
         self.lows = [math.nan] * n
-        self.margins = [math.nan] * n
         self.limit = -math.inf
         self.first = 0  # 0 until a row after step 0 has measured every matrix
-        self.f1_rows = array("q")
-        # the measured cells, one array per cell: the weights' on row 0 and
-        # on rows first .. k, F_1's on those and on the rows of f1_rows
-        self.cells = [array("d") for _ in range(self.n_cells)]
+        # the cells measured on row 0 and on rows first .. k, one array per cell
+        self.records = [array("d") for _ in self.cells]
         self.n_svds = 0
 
     def measure(self, i: int, a: np.ndarray) -> None:
@@ -279,7 +275,6 @@ class _Spectra:
             self.tops[i], self.lows[i] = float(sv[0]), float(sv[-1])
         except np.linalg.LinAlgError:  # NaN entries of a blown-up run
             self.tops[i] = self.lows[i] = math.nan
-        self.margins[i] = self.svd_err[i] * self.tops[i] + self.underflow[i]
 
     def _proves(self, i: int, radius: float) -> bool:
         return self.lows[i] - radius >= self.floors[i] and self.tops[i] + radius <= self.caps[i]
@@ -298,63 +293,47 @@ class _Spectra:
             P -= P * 2.0**shift
         return -math.inf
 
-    def measure_f1(self, k: int, f1: np.ndarray) -> None:
-        """Measure ``F_1`` on row ``k``."""
-        self.measure(0, f1)
-        self.f1_rows.append(k)
-        self.cells[0].append(self.lows[0])
-
     def measure_all(self, k: int, mats) -> None:
         """Measure every matrix on row ``k``; at step 0 this is the
-        reference, and it sets ``limit``."""
+        reference, and it sets ``margins`` and ``limit``."""
         for i, a in enumerate(mats):
             self.measure(i, a)
-        for cell, v in zip(self.cells, self.lows[:1] + self.lows[3:] + self.tops[1:]):
-            cell.append(v)
+        for (i, sign), record in zip(self.cells, self.records):
+            record.append(self.tops[i] if sign > 0 else self.lows[i])
         if k == 0:
+            self.margins = [e * top + u for e, top, u in zip(self.svd_err, self.tops, self.underflow)]
             self.limit = min(self._limit(i) for i in range(1, len(mats)))
         elif not self.first:
             self.first = k
 
-    def columns(self, grad_norm: np.ndarray) -> np.ndarray:
-        """The log's spectra, ``(n_rows, n_cells)`` for the ``n_rows`` cells
-        of ``grad_norm``, each column contiguous along the steps: ``F_1``'s
-        cell copied forward from each measurement, and the bounds of
-        ``W_1..W_L`` on rows ``1 .. first - 1`` from the running sum,
-        recomputed here, and step 0.  The columns are appended in order to
-        one array, which starts as ``F_1``'s record if ``F_1`` was measured
-        on every row, and each record is released once its column is built,
-        so the spectra are never held twice."""
-        n_rows, cells = len(grad_norm), self.cells
+    def columns(self, out: array, grad_norm: np.ndarray) -> np.ndarray:
+        """The log's spectra, ``(n_rows, 1 + len(cells))`` for the
+        ``n_rows`` cells of ``grad_norm``, each column contiguous along the
+        steps: ``out``, ``F_1``'s column, then the weights' cells, appended
+        to it in order.  Each W's bounds on rows ``1 .. first - 1`` come
+        from the running sum, recomputed here, and step 0, and are written
+        in place at the end of ``out``; each record is released once its
+        column is built, so the spectra are never held twice."""
+        n_rows = len(grad_norm)
         # P * grow on rows 1 .. first - 1, the running sum as the loop summed it
         grown = grad_norm[: max(self.first - 1, 0)] * self.rate
         np.add(grown, self.creep, grown)
         np.cumsum(grown, out=grown)
         np.multiply(grown, self.grow, grown)
-        radius = np.empty_like(grown)
-        row0 = [cell[0] for cell in cells]
-        out, cells[0] = cells[0], None
-        if len(out) < n_rows:
-            # F_1's record holds row 0, the rows of f1_rows, then rows first ..
-            rec, m = np.frombuffer(out), 1 + len(self.f1_rows)
-            stands = np.diff(np.frombuffer(self.f1_rows, np.int64), prepend=0, append=self.first)
-            out = array("d")
-            out.frombytes(np.repeat(rec[:m], stands).view(np.uint8))
-            out.frombytes(rec[m:].view(np.uint8))
-        # cells 1.. hold the lower bounds of W_3..W_L, then the upper bounds of W_1..W_L
-        for j, i in enumerate([*range(3, len(self.lows)), *range(1, len(self.lows))], 1):
-            rec, cells[j] = np.frombuffer(cells[j]), None
-            out.append(row0[j])
-            if len(grown):
-                np.multiply(grown, self.inflate[i], radius)
-                np.add(radius, self.svd_err[i] * row0[self.hi_cells[i]] + self.underflow[i], radius)
-                if j == self.lo_cells[i]:
-                    np.subtract(row0[j], radius, radius)
-                else:
-                    np.add(radius, row0[j], radius)
-                out.frombytes(radius.view(np.uint8))
-            out.frombytes(rec[1:].view(np.uint8))
-        return np.frombuffer(out).reshape(self.n_cells, n_rows).T
+        for j, (i, sign) in enumerate(self.cells):
+            record, self.records[j] = np.frombuffer(self.records[j]), None
+            out.append(record[0])
+            end = len(out)
+            out.frombytes(grown.view(np.uint8))
+            # value + sign * radius; negating is exact, so a lower bound is
+            # value - radius bitwise.  The view must go before out grows.
+            bound = np.frombuffer(out)[end:]
+            np.multiply(bound, sign * self.inflate[i], bound)
+            np.add(bound, sign * self.margins[i], bound)
+            np.add(bound, record[0], bound)
+            del bound
+            out.frombytes(record[1:].view(np.uint8))
+        return np.frombuffer(out).reshape(1 + len(self.cells), n_rows).T
 
 
 def train(
@@ -377,18 +356,19 @@ def train(
 
     Every step runs the network kernel (``network._Kernel``) on buffers
     made once for the run.  Spectra are lazy but rigorous (``_Spectra``).
-    ``F_1`` is measured on each step that recomputes layer 1, and its exact
-    value stands on the steps between.  The bounds of ``W_1..W_L`` are
-    proven from step 0's exact SVDs; their per-step audit is one running
-    sum of the logged gradient norms and one comparison with
-    ``_Spectra.limit``, and the bound cells it proves are written after
-    the loop.  Step 0, the last step and every step from the first whose
+    ``F_1`` is measured on each step that recomputes layer 1, and each step
+    logs its last measured value, which is exact.  The bounds of
+    ``W_1..W_L`` are proven from step 0's exact SVDs; their per-step audit
+    is one running sum of the logged gradient norms and one comparison
+    with ``_Spectra.limit``, and the bound cells it proves are written
+    after the loop.  Step 0, the last step and every step from the first whose
     running sum passes the limit take ``L + 1`` exact SVDs; an uncertified
     run proves nothing (its limit is -inf), so that is every step.
 
     The log is held once, so memory follows the rows logged, not
-    ``max_steps``: each step appends its loss and gradient norm to two
-    growing arrays, and ``_Spectra`` records only the cells it measures.
+    ``max_steps``: each step appends its loss, gradient norm and ``F_1``'s
+    smallest singular value to three growing arrays, and ``_Spectra``
+    records the weights' cells only on the rows that measure them.
 
     The weights ``W_1..W_L`` are views of one flat vector, and every
     step updates them all with one multiply and one subtraction.  At a
@@ -405,7 +385,7 @@ def train(
     """
     _check_dims(params0, data)
     L = params0.depth
-    eta = float(cfg.eta)
+    eta = cfg.eta
     if cert is not None:
         if cert.vacuous:
             raise ValueError("certificate is vacuous (zero rate), cannot certify a step size")
@@ -426,12 +406,11 @@ def train(
     F1 = kernel.F[1]
     thresholds = invariant_thresholds(cert) if cert is not None else None
     spectra = _Spectra([(X.shape[0], wshapes[0][1])] + wshapes, thresholds, eta, cfg.max_steps)
-    loss_log, gn_log = array("d"), array("d")
-    rate, creep = spectra.rate, spectra.creep
+    loss_log, gn_log, f1_log = array("d"), array("d"), array("d")
+    rate, creep, lows = spectra.rate, spectra.creep, spectra.lows
     eta_0d = np.array(eta)  # a ufunc takes a 0-d array with less work than a float
     w1_bits = W[0].tobytes()  # the W_1 that layer 1's buffers hold
 
-    reuse = min(L - 1, 1)  # the pass that keeps layer 1 starts here
     start = 0
     P = 0.0  # the audit's running sum of step bounds
     k = 0
@@ -459,7 +438,8 @@ def train(
             if stop_reason is not None or not P <= spectra.limit:
                 spectra.measure_all(k, (F1, *W))
             elif start == 0:
-                spectra.measure_f1(k, F1)
+                spectra.measure(0, F1)
+            f1_log.append(lows[0])
 
             if stop_reason is not None:
                 break
@@ -469,7 +449,7 @@ def train(
             np.subtract(theta, gflat, theta)
             P += gn * rate + creep
             bits = W[0].tobytes()
-            start = reuse if bits == w1_bits else 0
+            start = 1 if bits == w1_bits else 0  # 1 keeps layer 1
             w1_bits = bits
             k += 1
 
@@ -477,8 +457,8 @@ def train(
     # the final weights are copies, not views of the trainer's vector
     final = Params(tuple(w.copy() for w in W)) if np.isfinite(theta).all() else params0
     grad_norm = np.frombuffer(gn_log)
-    cols = spectra.columns(grad_norm)
-    HI = spectra.hi_cells[1]
+    cols = spectra.columns(f1_log, grad_norm)
+    HI = max(L - 1, 1)  # the first upper bound's column
     # every matrix was measured on row 0 and on rows first .. k
     exact = np.ones(k + 1, dtype=bool)
     exact[1 : spectra.first] = False

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .activation import ActivationParams, evaluate
+from .activation import ActivationParams, _real, evaluate
 from .certificates import Certificate, certificate_from_spectra, certify
 from .network import Dataset, Params, Shape, _size
 
@@ -60,6 +60,7 @@ class InitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "gain", _real(self.gain, "gain"))
         if not (math.isfinite(self.gain) and self.gain > 1.0):
             raise ValueError(f"gain must be finite and exceed 1, got {self.gain}")
         object.__setattr__(self, "seed", _size(self.seed, "seed", 0))
@@ -184,9 +185,8 @@ def sphere_data(n_samples: int, d: int, radius: float | None = None, seed: int =
     """iid rows uniform on the sphere of the given radius (default sqrt(d));
     ``n_samples`` and ``d`` are integers >= 1."""
     n_samples, d = _size(n_samples, "n_samples", 1), _size(d, "d", 1)
-    r = math.sqrt(d) if radius is None else float(radius)
-    # a bool would pass as 1
-    if isinstance(radius, (bool, np.bool_)) or not (math.isfinite(r) and r > 0):
+    r = math.sqrt(d) if radius is None else _real(radius, "radius")
+    if not (math.isfinite(r) and r > 0):
         raise ValueError(f"radius must be positive and finite, got {radius}")
     rng = layer_rng(seed, _DATA_STREAM)
     X = rng.normal(size=(n_samples, d))

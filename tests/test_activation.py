@@ -14,6 +14,8 @@ from scipy import integrate, special
 
 from pyrcert import activation
 from pyrcert.activation import ActivationParams, evaluate, value_and_slope
+from pyrcert.gradients import TrainConfig
+from pyrcert.initializers import InitConfig, sphere_data
 
 PAIRS = [
     ActivationParams(g, b)
@@ -56,6 +58,41 @@ class TestParams:
         for b in (0.0, -1.0, math.inf, math.nan, True, np.bool_(True)):
             with pytest.raises(ValueError, match="beta"):
                 ActivationParams(0.5, b)
+
+    def test_numpy_reals_are_stored_as_floats(self):
+        act = ActivationParams(np.float32(0.5), np.int64(1))
+        assert act == ActivationParams(0.5, 1.0)
+        assert type(act.gamma) is float and type(act.beta) is float
+
+
+# every real-valued field of the API's constructors, given one bad value
+REAL_FIELDS = {
+    "gamma": lambda v: ActivationParams(v, 1.0),
+    "beta": lambda v: ActivationParams(0.5, v),
+    "eta": lambda v: TrainConfig(eta=v, max_steps=1),
+    "stop_loss": lambda v: TrainConfig(eta=0.1, max_steps=1, stop_loss=v),
+    "gain": lambda v: InitConfig(gain=v),
+    "radius": lambda v: sphere_data(4, 3, radius=v),
+}
+NOT_REAL = {
+    "str": "0.5", "None": None, "bool": True, "np.bool_": np.bool_(True),
+    "complex": 0.5 + 0j, "np.complex128": np.complex128(0.5),
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    # sphere_data's radius None is its default, sqrt(d)
+    [
+        pytest.param(f, v, id=f"{f}-{kind}")
+        for f in REAL_FIELDS
+        for kind, v in NOT_REAL.items()
+        if not (f == "radius" and v is None)
+    ],
+)
+def test_non_real_input_is_refused_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+        REAL_FIELDS[field](value)
 
 
 class TestEvaluate:

@@ -632,6 +632,23 @@ class TestLogColumns:
         columns = (log.loss, log.grad_norm, log.sv_f1, log.min_sv_w, log.norm_w, log.spectra_exact)
         assert peak <= 1.5 * sum(c.nbytes for c in columns) + 64 * 1024, peak
 
+    def test_certified_peak_is_the_uncertified_peak_and_a_little(self):
+        # a certified run writes its proven bounds in place after the run,
+        # with the running sum as its one temporary column (40 KB here)
+        params, data, cert = self.certified(0)
+        cfg = TrainConfig(eta=0.9 * cert.eta_max, max_steps=5_000)
+        peaks = []
+        for use in (cert, None):
+            train(params, data, ACT, cfg, cert=use)  # warm-up
+            tracemalloc.start()
+            try:
+                log = train(params, data, ACT, cfg, cert=use)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert log.n_steps == 5_001
+        assert peaks[0] <= peaks[1] + 16 * 1024, peaks
+
 
 class TestDepthTwo:
     def test_depth_two_certificate_and_run(self):

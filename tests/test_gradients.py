@@ -2,6 +2,7 @@
 Kronecker-product construction, the PL-style floor, and trainer behavior."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -350,9 +351,10 @@ class TestTrain:
         assert log.phi0 == log.loss[0] and log.final_loss == log.loss[-1]
 
     def test_rejects_negative_eta(self):
-        # and bools: True would train at eta = 1 or stop at loss 1.0
+        # and bools: True would train at eta = 1 or stop at loss 1.0; an
+        # int past the float range is refused as infinite
         cases = [
-            ("eta", -0.1), ("eta", True), ("eta", np.bool_(True)),
+            ("eta", -0.1), ("eta", True), ("eta", np.bool_(True)), ("eta", 10**400),
             ("stop_loss", True), ("stop_loss", np.bool_(False)),
         ]
         for field, value in cases:
@@ -377,8 +379,10 @@ class TestSpectra:
     updates ``W_1..W_3`` in one flat vector by ``theta -= fl(eta * g)`` and
     adds its bound to the running sum.  The last row, and every row whose
     running sum passed ``limit``, measures every matrix; another row where
-    ``F_1`` moved (by replacement) measures ``F_1``.  ``columns`` builds
-    the log's spectra from the gradient norms."""
+    ``F_1`` moved (by replacement) measures ``F_1``.  Every row appends
+    ``F_1``'s last measured smallest singular value to its own column, and
+    ``columns`` builds the log's spectra from that column and the gradient
+    norms."""
 
     SHAPES = [(5, 4), (3, 4), (4, 3), (3, 2)]
     N = 4
@@ -396,12 +400,14 @@ class TestSpectra:
         moved ``F_1``, and row 0's extremes and margins, the reference."""
         n_rows = n_moves + 1
         norms = np.full(n_rows, np.nan)
+        f1_col = array("d")
         exact, measured, sums, f1_moved = [], [], [0.0], [False]
         measure = spectra.measure
         spectra.measure = lambda i, a: (measured[-1].append(i), measure(i, a))
         P = 0.0
         measured.append([])
         spectra.measure_all(0, (f1, *weights))
+        f1_col.append(spectra.lows[0])
         ref = (list(spectra.lows), list(spectra.tops), list(spectra.margins))
         exact.append([self.extremes(a) for a in (f1, *weights)])
         for k in range(1, n_rows):
@@ -419,22 +425,26 @@ class TestSpectra:
             if k == n_moves or not P <= spectra.limit:
                 spectra.measure_all(k, (f1, *weights))
             elif new_f1 is not None:
-                spectra.measure_f1(k, f1)
+                spectra.measure(0, f1)
+            f1_col.append(spectra.lows[0])
             assert len(set(measured[-1])) == len(measured[-1])  # each at most once
             exact.append([self.extremes(a) for a in (f1, *weights)])
-        rows = spectra.columns(norms)
+        rows = spectra.columns(f1_col, norms)
         return rows, measured, exact, sums, f1_moved, ref
 
     def assert_log_holds(self, spectra, rows, measured, exact):
         """F_1's cell is the exact SVD's bitwise on every row.  No logged
         bound of a W is contradicted by an exact SVD, a measured one is the
         SVD's bitwise, and a proven one meets its threshold."""
+        # the logged cells after F_1's, in the CSV's order: the lower bound
+        # of the floored W_3 (sign -1), the upper bounds of every W (+1)
+        assert spectra.cells == [(3, -1.0), (1, 1.0), (2, 1.0), (3, 1.0)]
+        column = {cell: 1 + j for j, cell in enumerate(spectra.cells)}
+        assert rows.shape[1] == 1 + len(column)
         for k, ext in enumerate(exact):
-            assert rows[k, spectra.lo_cells[0]] == ext[0][0]
+            assert rows[k, 0] == ext[0][0]
             for i, (low, top) in enumerate(ext[1:], 1):
-                # the logged cells: the lower bounds of the floored W's, the
-                # upper bounds of every W
-                lo, hi = (None if c is None else rows[k, c] for c in (spectra.lo_cells[i], spectra.hi_cells[i]))
+                lo, hi = (rows[k, column[i, s]] if (i, s) in column else None for s in (-1.0, 1.0))
                 if i in measured[k]:
                     assert lo in (None, low) and hi in (None, top)  # bitwise
                     continue

@@ -1,0 +1,67 @@
+"""Digest of the pinned CLI runs, for checking that a change keeps their
+outputs byte-identical.
+
+Runs each pinned command of the checkout that holds this script, from a
+fresh temporary working directory with fixed relative ``--out`` paths, and
+prints one ``<sha256> <path>`` line per output file, and per run for its
+stdout, stderr and exit code.  Compare two checkouts with::
+
+    python3 tools/pinned_runs.py > new.txt
+    python3 /path/to/other/checkout/tools/pinned_runs.py > old.txt
+    diff old.txt new.txt
+
+(or run this script with ``--src /path/to/other/checkout/src``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# (output directory, CLI arguments): each run writes only under its directory
+RUNS = [
+    ("train_seed0", ["train", "--seed", "0", "--stop-loss", "1e-12"]),
+    ("train_seed6", ["train", "--seed", "6", "--stop-loss", "1e-12"]),
+    ("sweep", ["sweep"]),
+    *(
+        (f"train_eta{eta}", ["train", "--seed", "0", "--eta", eta, "--max-steps", "3000"])
+        for eta in ("1e-26", "1e-6", "1e-4", "0.05")
+    ),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(src: Path) -> list[str]:
+    """One line per output file, stream and exit code of every pinned run."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args in RUNS:
+            cmd = [sys.executable, "-m", "pyrcert.cli", *args, "--out", name]
+            done = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True)
+            lines.append(f"{_sha(done.stdout)} {name}/<stdout>")
+            lines.append(f"{_sha(done.stderr)} {name}/<stderr>")
+            lines.append(f"{_sha(str(done.returncode).encode())} {name}/<exit {done.returncode}>")
+            for path in sorted(Path(tmp, name).rglob("*")):
+                if path.is_file():
+                    lines.append(f"{_sha(path.read_bytes())} {path.relative_to(tmp).as_posix()}")
+    return lines
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    default = Path(__file__).resolve().parent.parent / "src"
+    parser.add_argument("--src", type=Path, default=default, help="the package's source directory")
+    print("\n".join(digest(parser.parse_args().src)))
+
+
+if __name__ == "__main__":
+    main()
