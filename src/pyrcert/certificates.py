@@ -222,7 +222,8 @@ def certify(params0: Params, data: Dataset, act: ActivationParams) -> Certificat
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """The certified loss ceiling and the four invariants' verdicts, per step."""
+    """The certified loss ceiling and the four invariants' verdicts, per
+    step; ``flags`` is the transpose of a ``(4, n_steps)`` block."""
 
     bound: np.ndarray  # (n_steps,)
     flags: np.ndarray  # (n_steps, 4) bool, in the order of CHECKS
@@ -234,8 +235,9 @@ class InvariantReport:
 
 
 def _first_false(col: np.ndarray) -> Optional[int]:
-    bad = np.flatnonzero(~col)
-    return int(bad[0]) if bad.size else None
+    # argmin finds the first False without a negated copy
+    bad = int(np.argmin(col)) if col.size else 0
+    return bad if col.size and not col[bad] else None
 
 
 def invariant_thresholds(cert: Certificate) -> tuple[float, np.ndarray, np.ndarray]:
@@ -258,26 +260,27 @@ def invariant_flags(
     bound: np.ndarray,
 ) -> np.ndarray:
     """Per-step verdicts ``(n_steps, 4)`` for the four invariants, in the
-    order of ``InvariantReport.CHECKS``.
+    order of ``InvariantReport.CHECKS``, each column contiguous.
 
     The spectra may be exact or certified one-sided bounds (lower bounds for
     ``sv_f1`` and ``min_sv_w``, upper bounds for ``norm_w``); with bounds a
     flag holds only where the bound proves it.
     """
     f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
-    flags = np.empty((len(loss), 4), dtype=bool)
-    # one layer at a time: a reduction along the rows of a block would
-    # buffer it in chunks
+    # each check's column is contiguous: the rows of a (4, n_steps) block
+    block = np.empty((4, len(loss)), dtype=bool)
+    # one layer at a time into the loss check's row, free until last, then
+    # ANDed in place (``where=col`` with ``out=col`` overlap, so NumPy copies)
     for col, cells, test, limits in (
-        (flags[:, 0], min_sv_w, np.greater_equal, lam_floor),
-        (flags[:, 1], norm_w, np.less_equal, norm_cap),
+        (block[0], min_sv_w, np.greater_equal, lam_floor),
+        (block[1], norm_w, np.less_equal, norm_cap),
     ):
-        col[...] = True
+        col.fill(True)
         for j, limit in enumerate(limits):
-            col &= test(cells[:, j], limit)
-    flags[:, 2] = sv_f1 >= f1_floor
-    flags[:, 3] = loss <= bound
-    return flags
+            col &= test(cells[:, j], limit, out=block[3])
+    np.greater_equal(sv_f1, f1_floor, out=block[2])
+    np.less_equal(loss, bound, out=block[3])
+    return block.T
 
 
 def monitor_invariants(log: "TrainLog", cert: Certificate) -> InvariantReport:
@@ -295,19 +298,16 @@ def monitor_invariants(log: "TrainLog", cert: Certificate) -> InvariantReport:
     np.power(1.0 - log.eta * cert.alpha0, bound, out=bound)
     np.multiply(bound, log.phi0, out=bound)
     flags = invariant_flags(cert, log.sv_f1, log.min_sv_w, log.norm_w, log.loss, bound)
-
-    first = {
-        name: _first_false(flags[:, i]) for i, name in enumerate(InvariantReport.CHECKS)
-    }
-    counts = {
-        name: int((~flags[:, i]).sum()) for i, name in enumerate(InvariantReport.CHECKS)
-    }
+    # counted and searched in place, with no negated copy of a column
+    columns = dict(zip(InvariantReport.CHECKS, flags.T))
+    counts = {name: col.size - int(np.count_nonzero(col)) for name, col in columns.items()}
+    first = {name: _first_false(col) for name, col in columns.items()}
     return InvariantReport(
         bound=bound,
         flags=flags,
         first_violation=first,
         n_violations=counts,
-        all_hold=bool(np.all(flags)),
+        all_hold=not any(counts.values()),
     )
 
 

@@ -10,7 +10,6 @@ operational errors (missing files, bad config).
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -43,7 +42,7 @@ from .lambda_star import (
     kr_min_singular,
     sigma_linear,
 )
-from .network import _FLOAT_FMT, Dataset, Shape, _write_matrix_csv
+from .network import _FLOAT_CELL, Dataset, Shape, _write_csv, _write_matrix_csv
 from .network import dataset_from_csv, dataset_from_json
 from .network import dataset_to_json as _dataset_to_json
 
@@ -65,7 +64,7 @@ CONFIG: dict[str, tuple] = {
     "dataset.n": (16, "int", (">= 1",)),
     "dataset.radius": (None, "float?", ("> 0",)),  # null: sqrt(d)
     "dataset.targets": ("aligned", "str", ("aligned", "gaussian")),
-    "dataset.target_scale": (0.1, "float", ()),
+    "dataset.target_scale": (0.1, "float", (">= 0",)),
     "dataset.x_csv": (None, "str?", ()),
     "dataset.y_csv": (None, "str?", ()),
     "dataset.bundle": (None, "str?", ()),
@@ -438,11 +437,8 @@ def kr_cmd(cfg: dict, out_dir: Path, fmt: str) -> None:
         exact, bound = kr_min_singular(X, power)
         rows.append((s, exact, bound, exact >= threshold))
     if fmt == "csv":
-        with open(out_dir / "kr.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", "sigma_min", "bound", "pass"])
-            for s, exact, bound, ok in rows:
-                writer.writerow([s, format(exact, _FLOAT_FMT), format(bound, _FLOAT_FMT), int(ok)])
+        header, cells = ["seed", "sigma_min", "bound", "pass"], ["%d", _FLOAT_CELL, _FLOAT_CELL, "%d"]
+        _write_csv(out_dir / "kr.csv", header, cells, zip(*rows))
     else:
         payload = [
             {"seed": s, "sigma_min": exact, "bound": bound, "pass": bool(ok)}
@@ -476,11 +472,8 @@ def hermite_cmd(cfg: dict, out_dir: Path, fmt: str) -> None:
     }
     _write_json(out_dir / "hermite.json", payload)
     if fmt == "csv":
-        with open(out_dir / "hermite.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "coeff", "converged"])
-            for r, (mu, conv) in enumerate(zip(spec.coeffs, spec.converged)):
-                writer.writerow([r, format(mu, _FLOAT_FMT), int(conv)])
+        columns = (range(len(spec.coeffs)), spec.coeffs, spec.converged)
+        _write_csv(out_dir / "hermite.csv", ["r", "coeff", "converged"], ["%d", _FLOAT_CELL, "%d"], columns)
     click.echo(_json_text(payload))
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from .activation import ActivationParams, _real
 from .activation import value_and_slope  # noqa: F401 - bound here for perfbench's tracer
 from .certificates import Certificate, InvariantReport, invariant_thresholds
-from .network import _FLOAT_FMT, Dataset, ForwardTrace, Params, _check_dims, _Kernel, _size, forward
+from .network import _FLOAT_CELL, Dataset, ForwardTrace, Params, _check_dims, _Kernel, _size, forward
+from .network import _write_csv
 
 __all__ = [
     "GradientBundle",
@@ -137,7 +138,8 @@ class TrainLog:
     a non-finite value (the run has then ``diverged``).  The log is not
     copied: ``loss`` and ``grad_norm`` view the arrays the trainer appended
     to, and the spectra one column-major block, grown after the run from
-    the array of ``sv_f1``.
+    the array of ``sv_f1``.  ``trainlog_to_csv`` writes these columns row by
+    row, adding a few KiB to what the log and its report hold.
     """
 
     loss: np.ndarray
@@ -164,10 +166,6 @@ class TrainLog:
     def final_loss(self) -> float:
         return float(self.loss[-1])
 
-
-# Rows ``trainlog_to_csv`` formats per write: blocks this small keep the
-# formatted text off the peak memory of a run.
-_CSV_BLOCK = 64
 
 # Lazy spectra.  LAPACK's SVD is backward stable: each computed singular
 # value of an m x n matrix A lies within a small multiple of
@@ -409,7 +407,7 @@ def train(
     loss_log, gn_log, f1_log = array("d"), array("d"), array("d")
     rate, creep, lows = spectra.rate, spectra.creep, spectra.lows
     eta_0d = np.array(eta)  # a ufunc takes a 0-d array with less work than a float
-    w1_bits = W[0].tobytes()  # the W_1 that layer 1's buffers hold
+    bits = w1_bits = W[0].tobytes()  # the W_1 that layer 1's buffers hold
 
     start = 0
     P = 0.0  # the audit's running sum of step bounds
@@ -456,6 +454,8 @@ def train(
     # an update that overflowed a weight leaves no finite last iterate;
     # the final weights are copies, not views of the trainer's vector
     final = Params(tuple(w.copy() for w in W)) if np.isfinite(theta).all() else params0
+    # the kernel's buffers and both vectors go before the spectra are built
+    del kernel, forward_pass, backward, loss_of_pass, F1, theta, W, v, gflat, grads, w1_bits, bits
     grad_norm = np.frombuffer(gn_log)
     cols = spectra.columns(f1_log, grad_norm)
     HI = max(L - 1, 1)  # the first upper bound's column
@@ -492,29 +492,23 @@ def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = Non
     certified run are certified one-sided bounds: ``min_sv_W*`` lower
     bounds, ``max_norm_W*`` upper bounds.  They are exact on rows with
     ``spectra_exact`` = 1, which an uncertified run has throughout.
+
+    Each row is formatted from the columns and written on its own, so the
+    write holds one row and the file's buffer beside the log and report.
     """
     L = log.final_params.depth
     header = ["k", "loss", "bound", "sv_F1"]
     header.extend(f"min_sv_W{l}" for l in range(3, L + 1))
     header.extend(f"max_norm_W{l}" for l in range(1, L + 1))
     header.extend(["grad_norm", "spectra_exact"])
-    # one %-template per row, the cells taken column-wise with tolist();
-    # "%.17g" % v is format(v, _FLOAT_FMT), and the rows end like csv's.
-    # Without a report the bound cell is the literal NaN of the template.
-    num = "%" + _FLOAT_FMT
-    floats = [log.loss, log.sv_f1, *log.min_sv_w.T, *log.norm_w.T, log.grad_norm]
-    cells = ["%d", num, "nan"] + [num] * (len(floats) - 1)
-    ints = [log.spectra_exact]
+    # without a report the bound cell is the literal NaN of the template
+    floats = [log.sv_f1, *log.min_sv_w.T, *log.norm_w.T, log.grad_norm]
+    columns = [range(log.n_steps), log.loss, *floats, log.spectra_exact]
+    cells = ["%d", _FLOAT_CELL, "nan"] + [_FLOAT_CELL] * len(floats) + ["%d"]
     if report is not None:
         header.extend("flag_" + name for name in InvariantReport.CHECKS)
-        floats.insert(1, report.bound)
-        cells[2] = num
-        ints.extend(report.flags.T)
-    template = ",".join(cells + ["%d"] * len(ints)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, log.n_steps, _CSV_BLOCK):
-            stop = min(start + _CSV_BLOCK, log.n_steps)
-            cols = [range(start, stop)]
-            cols.extend(col[start:stop].tolist() for col in floats + ints)
-            fh.write("".join(template % row for row in zip(*cols)))
+        columns.insert(2, report.bound)
+        cells[2] = _FLOAT_CELL
+        columns.extend(report.flags.T)
+        cells.extend(["%d"] * len(InvariantReport.CHECKS))
+    _write_csv(path, header, cells, columns)

@@ -202,7 +202,8 @@ def sphere_data(n_samples: int, d: int, radius: float | None = None, seed: int =
 def sphere_targets(
     mode: str, shape: Shape, X: np.ndarray, act: ActivationParams, seed: int, scale: float
 ) -> np.ndarray:
-    """Targets ``Y`` (N x n_L) of Frobenius norm ``scale`` for inputs ``X``.
+    """Targets ``Y`` (N x n_L) of Frobenius norm ``scale``, a finite real
+    number >= 0, for inputs ``X``.
 
     ``"gaussian"``: iid normal entries from the target stream, normalized.
     ``"aligned"``: rank 1 along the dominant left singular vector of the
@@ -211,6 +212,9 @@ def sphere_targets(
     targets keep a certified run short: off-mode components converge very
     slowly.
     """
+    scale = _real(scale, "scale")
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ValueError(f"scale must be finite and >= 0, got {scale}")
     n, n_out = X.shape[0], shape.widths[-1]
     if mode == "gaussian":
         G = layer_rng(seed, _TARGET_STREAM).normal(size=(n, n_out))

@@ -32,7 +32,19 @@ __all__ = [
     "dataset_from_json",
 ]
 
-_FLOAT_FMT = ".17g"  # every float the package writes to CSV; round-trips float64
+_FLOAT_CELL = "%.17g"  # every float the package writes to CSV; round-trips float64
+
+
+def _write_csv(path, header, cells, columns) -> None:
+    """The ``header`` row, then one row per entry of the ``columns`` by the
+    %-template of ``cells`` (a literal cell reads no column), each written
+    on its own and ended in ``\\r\\n`` like ``csv.writer``'s; a memoryview
+    reads a NumPy column as Python scalars, with no list of them."""
+    template = (",".join(cells) + "\r\n").encode()
+    rows = zip(*(memoryview(c) if isinstance(c, np.ndarray) else c for c in columns))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        fh.writelines(template % row for row in rows)
 
 
 def _size(value, name: str, low: int) -> int:
@@ -309,11 +321,8 @@ def loss(params: Params, data: Dataset, act: ActivationParams) -> float:
 
 
 def _write_matrix_csv(M: np.ndarray, path, prefix: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"{prefix}{j}" for j in range(M.shape[1])])
-        for row in M:
-            writer.writerow([format(v, _FLOAT_FMT) for v in row])
+    n = M.shape[1]
+    _write_csv(path, [f"{prefix}{j}" for j in range(n)], [_FLOAT_CELL] * n, M.T)
 
 
 def _read_matrix_csv(path) -> np.ndarray:

@@ -430,11 +430,10 @@ class TestMonitorInvariants:
             assert np.array_equal(cols[name], want), name
 
     def test_csv_bytes_match_the_cell_by_cell_writer(self, tmp_path):
-        # the block-wise %-template writer against csv.writer with one
-        # format() per cell, on a log of several blocks and a partial one
+        # the row-by-row %-template writer against csv.writer with one
+        # format() per cell
         log, cert = self.make_certified_run()
         report = monitor_invariants(log, cert)
-        assert log.n_steps % 64 != 0 and log.n_steps > 128
         odd = dataclasses.replace(log, loss=log.loss.copy())
         odd.loss[:4] = [math.inf, -math.inf, math.nan, -0.0]
         for run, rep in ((log, report), (log, None), (odd, report)):
@@ -461,19 +460,70 @@ class TestMonitorInvariants:
         assert peaks[1] <= peaks[0], peaks
 
     def test_csv_peak_memory_is_a_few_blocks(self, tmp_path):
-        # rows are formatted 64 at a time; a header written by a throwaway
-        # csv.writer left the later writes peaking at 139 KB on this log
-        log, cert = self.make_certified_run(max_steps=20_000)
-        report = monitor_invariants(log, cert)
-        for rep in (report, None):
-            trainlog_to_csv(log, tmp_path / "warm.csv", rep)
-            tracemalloc.start()
-            try:
-                trainlog_to_csv(log, tmp_path / "log.csv", rep)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 96 * 1024, peak
+        # rows are written one at a time, so the peak is the file's buffer
+        # and a row whatever the log's length (a 64-row block of text and
+        # cell lists is 62 KB)
+        for max_steps in (1_000, 20_000):
+            log, cert = self.make_certified_run(max_steps=max_steps)
+            assert log.n_steps == max_steps + 1
+            report = monitor_invariants(log, cert)
+            for rep in (report, None):
+                trainlog_to_csv(log, tmp_path / "warm.csv", rep)
+                tracemalloc.start()
+                try:
+                    trainlog_to_csv(log, tmp_path / "log.csv", rep)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 24 * 1024, (max_steps, rep is None, peak)
+
+    def test_monitor_allocates_its_report_and_a_little(self):
+        # the flags are compared into their columns and counted in place:
+        # no temporary bool column on a 200,001-row log
+        log, cert = self.make_certified_run(max_steps=0)
+        columns = ("loss", "grad_norm", "sv_f1", "min_sv_w", "norm_w", "spectra_exact")
+        long = dataclasses.replace(log, **{f: np.repeat(getattr(log, f), 200_001, axis=0) for f in columns})
+        monitor_invariants(long, cert)  # warm-up
+        tracemalloc.start()
+        try:
+            report = monitor_invariants(long, cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the repeated loss stays put while its bound decays
+        assert report.flags.shape == (200_001, 4) and report.n_violations["loss_bound"] == 200_000
+        assert peak <= report.bound.nbytes + report.flags.nbytes + 16 * 1024, peak
+
+    @pytest.mark.parametrize("case", ["all_hold", "all_fail", "row_0_fails", "nan_rows"])
+    def test_first_violations_and_counts(self, case):
+        # each check's count and first failing step against the rows where
+        # its literal comparison fails; each flag column is contiguous
+        log, cert = self.make_certified_run(max_steps=40)
+        rows = {"all_hold": [], "all_fail": slice(None), "row_0_fails": [0], "nan_rows": [3, 17, 18, 40]}[case]
+        low, high = (math.nan, math.nan) if case == "nan_rows" else (0.0, math.inf)
+        cols = {f: getattr(log, f).copy() for f in ("loss", "sv_f1", "min_sv_w", "norm_w")}
+        cols["sv_f1"][rows] = cols["min_sv_w"][rows] = low
+        cols["norm_w"][rows] = high
+        cols["loss"][rows] = math.nan  # a NaN first loss makes every bound NaN
+        report = monitor_invariants(dataclasses.replace(log, **cols), cert)
+        f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
+        holds = [
+            np.all(cols["min_sv_w"] >= lam_floor, axis=1),
+            np.all(cols["norm_w"] <= norm_cap, axis=1),
+            cols["sv_f1"] >= f1_floor,
+            cols["loss"] <= report.bound,
+        ]
+        injected = np.zeros(log.n_steps, dtype=bool)
+        injected[rows] = True
+        for i, (name, ok) in enumerate(zip(InvariantReport.CHECKS, holds)):
+            col = report.flags[:, i]
+            assert col.flags.c_contiguous and np.array_equal(col, ok), name
+            bad = np.flatnonzero(~ok)
+            assert report.n_violations[name] == bad.size, name
+            assert report.first_violation[name] == (int(bad[0]) if bad.size else None), name
+            want = np.ones_like(injected) if case == "row_0_fails" and name == "loss_bound" else injected
+            assert np.array_equal(~ok, want), name
+        assert report.all_hold == (case == "all_hold")
 
     @pytest.mark.parametrize("n_steps", [1, 1_295, 46_424, 200_001])
     def test_bound_column_equals_the_literal_power_bitwise(self, n_steps):

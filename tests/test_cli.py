@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -295,6 +296,31 @@ class TestTrain:
             "error: no step size given and the certificate does not hold; pass --eta"
         ]
         assert json.loads((out / "certificate.json").read_text())["certified"] is False
+
+    def test_certified_run_peaks_at_its_log_and_report(self, tmp_path, monkeypatch):
+        # the pipeline's peak is the log and the report the CSV is written
+        # from, plus set-up state and the writer's buffer; the kernel held
+        # through the spectra, negated flag columns and CSV text formatted
+        # in 64-row blocks add 84 KB to them on this 1,296-row run
+        cfg = cli_mod._load_config(None, {"seed": 2, "train.stop_loss": 2.5e-3})
+        held = []
+        write = cli_mod.trainlog_to_csv
+
+        def spy(log, path, report=None):
+            arrays = (log.loss, log.grad_norm, log.sv_f1, log.min_sv_w, log.norm_w, log.spectra_exact)
+            held.append(sum(a.nbytes for a in arrays) + report.bound.nbytes + report.flags.nbytes)
+            write(log, path, report)
+
+        monkeypatch.setattr(cli_mod, "trainlog_to_csv", spy)
+        cli_mod._run_training(cfg, tmp_path)  # warm-up
+        tracemalloc.start()
+        try:
+            summary, code = cli_mod._run_training(cfg, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and summary["certified"] and summary["records"] == 1_296
+        assert peak <= held[-1] + 64 * 1024, (peak, held[-1])
 
     def test_csv_dataset_source(self, tmp_path):
         X = sphere_data(6, 4, seed=3)
@@ -676,6 +702,15 @@ class TestConfig:
         ('{"dataset": {"target_scale": 1e999}}', "dataset.target_scale"),
         ('{"sweep": {"seeds": [0, -Infinity]}}', "sweep.seeds[1]"),
     ]
+
+    def test_negative_target_scale_is_operational_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dataset": {"target_scale": -0.1}}')
+        out = tmp_path / "o"
+        res = run(["train", "--config", str(path), "--max-steps", "3", "--out", str(out)])
+        assert res.exit_code == 1
+        assert "'dataset.target_scale' must be a non-negative number, got -0.1" in res.output
+        assert not (out / "config.json").exists()
 
     @pytest.mark.parametrize("text,key", NON_FINITE, ids=[key for _, key in NON_FINITE])
     def test_non_finite_config_value_is_operational_error(self, tmp_path, text, key):

@@ -290,6 +290,20 @@ class TestSphereTargets:
         with pytest.raises(ValueError, match="target mode"):
             sphere_targets("spherical", self.SHAPE, sphere_data(6, 4), ACT, 0, 1.0)
 
+    BAD_SCALES = ["1", None, True, np.True_, 1 + 0j, math.nan, math.inf, -math.inf, -1.0, -5e-324]
+
+    @pytest.mark.parametrize("mode", ["gaussian", "aligned"])
+    @pytest.mark.parametrize("scale", BAD_SCALES, ids=repr)
+    def test_rejects_bad_scale(self, mode, scale):
+        # refused by name, in either mode, before any target is drawn
+        with pytest.raises(ValueError, match="scale"):
+            sphere_targets(mode, self.SHAPE, sphere_data(6, 4), ACT, 0, scale)
+
+    @pytest.mark.parametrize("scale", [0, 0.0, 1, np.float64(0.3), np.int64(2)])
+    def test_accepts_real_scales_at_least_zero(self, scale):
+        Y = sphere_targets("gaussian", self.SHAPE, sphere_data(6, 4), ACT, 0, scale)
+        assert Y.dtype == np.float64 and np.linalg.norm(Y) == pytest.approx(float(scale), rel=1e-14)
+
 
 class TestLecunOutputBound:
     def test_forward_norm_bound_frequency(self):

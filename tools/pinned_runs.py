@@ -32,6 +32,10 @@ RUNS = [
         (f"train_eta{eta}", ["train", "--seed", "0", "--eta", eta, "--max-steps", "3000"])
         for eta in ("1e-26", "1e-6", "1e-4", "0.05")
     ),
+    # one run per other CSV writer: kr.csv, hermite.csv and gram.csv
+    ("kr", ["kr"]),
+    ("hermite_csv", ["hermite", "--format", "csv"]),
+    ("lambda_star_matrix", ["lambda-star", "--samples", "20000", "--full-matrix"]),
 ]
 
 
