@@ -27,7 +27,7 @@ import numpy as np
 
 from .activation import ActivationParams
 from .activation import evaluate  # noqa: F401 - bound here for perfbench's tracer
-from .network import Dataset, Params, forward, loss_of
+from .network import Dataset, Params, _json_safe, _write_json, forward, loss_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .gradients import TrainLog
@@ -240,6 +240,11 @@ def _first_false(col: np.ndarray) -> Optional[int]:
     return bad if col.size and not col[bad] else None
 
 
+def _check_depth(cert: Certificate, depth: int) -> None:
+    if cert.depth != depth:
+        raise ValueError(f"the certificate is for depth {cert.depth}, but the network has depth {depth}")
+
+
 def invariant_thresholds(cert: Certificate) -> tuple[float, np.ndarray, np.ndarray]:
     """The certified corridor: the floor of ``sigma_min(F_1)``, the floors of
     ``sigma_min(W_l)`` for layers 3..L and the caps of ``||W_l||_2`` for
@@ -289,8 +294,10 @@ def monitor_invariants(log: "TrainLog", cert: Certificate) -> InvariantReport:
     A certified run logs certified bounds where it skipped an SVD, each
     proving its thresholds, so against the run's own certificate the flags
     equal those of an exact SVD on every step; against a tighter
-    certificate a bound may fail to prove a step that holds.
+    certificate a bound may fail to prove a step that holds.  A certificate
+    of another depth than the logged network's raises ``ValueError``.
     """
+    _check_depth(cert, log.final_params.depth)
     # one vectorised power: a scalar power per step would differ from it in
     # the last bit on some steps, and the logged bound column is pinned
     # bitwise.  It equals ``base ** np.arange(n) * phi0``, built in one buffer.
@@ -325,21 +332,12 @@ _NESTED = {
 }
 
 
-def _json_safe(v):
-    """``v`` with every non-finite float in it replaced by ``None``."""
-    if isinstance(v, dict):
-        return {key: _json_safe(x) for key, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_json_safe(x) for x in v]
-    return None if isinstance(v, float) and not math.isfinite(v) else v
-
-
 def certificate_to_json(cert: Certificate, path=None) -> dict:
     """JSON payload with every field of the certificate plus its verdict
     ``certified``; non-finite floats are written as ``null``."""
     payload: dict = {}
     for f in fields(Certificate):
-        v = _json_safe(getattr(cert, f.name))
+        v = getattr(cert, f.name)
         outer, inner = _NESTED.get(f.name, (f.name, None))
         if inner is None:
             payload[outer] = v
@@ -347,9 +345,8 @@ def certificate_to_json(cert: Certificate, path=None) -> dict:
             payload.setdefault(outer, {})[inner] = v
     payload["certified"] = cert.certified
     if path is not None:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, allow_nan=False)
-    return payload
+        _write_json(path, payload)
+    return _json_safe(payload)
 
 
 def certificate_from_json(path) -> Certificate:

@@ -22,9 +22,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .activation import ActivationParams, as_function
+from .activation import ActivationParams, _real, as_function
 from .activation import evaluate  # noqa: F401 - bound here for perfbench's tracer
-from .certificates import _json_safe, certificate_to_json, certify, monitor_invariants
+from .certificates import certificate_to_json, certify, monitor_invariants
 from .gradients import TrainConfig, train, trainlog_to_csv
 from .initializers import (
     InitConfig,
@@ -42,7 +42,8 @@ from .lambda_star import (
     kr_min_singular,
     sigma_linear,
 )
-from .network import _FLOAT_CELL, Dataset, Shape, _write_csv, _write_matrix_csv
+from .network import _FLOAT_CELL, Dataset, Shape, _json_text, _write_csv, _write_json
+from .network import _write_matrix_csv
 from .network import dataset_from_csv, dataset_from_json
 from .network import dataset_to_json as _dataset_to_json
 
@@ -115,7 +116,7 @@ def _check(key: str, value, kind: str, domain: tuple):
     if value is None and nullable:
         return None
     if kind == "float" and type(value) is int:
-        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+        value = _real(value, key)
     if isinstance(value, float) and not math.isfinite(value):
         # strict JSON would record it as null, which reads back as the default
         raise ValueError(f"config key {key!r} must be finite, got {value!r}")
@@ -182,14 +183,6 @@ def _resolve_out(cfg: dict, out_flag: str | None, command: str) -> Path:
     return path
 
 
-def _json_text(payload) -> str:
-    return json.dumps(_json_safe(payload), indent=2, allow_nan=False)
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(_json_text(payload))
-
-
 def _setup(command: str, config_path: str | None, out: str | None, flags: dict):
     """Load the config with the given flags applied, resolve the output
     directory and record ``config.json`` there."""
@@ -199,41 +192,39 @@ def _setup(command: str, config_path: str | None, out: str | None, flags: dict):
     return cfg, out_dir
 
 
-def _activation(cfg: dict) -> ActivationParams:
-    a = cfg["activation"]
-    return ActivationParams(a["gamma"], a["beta"])
-
-
 def _sigma(cfg: dict):
     """The function whose Gram and Hermite series lambda-star and hermite study."""
     linear = cfg["lambda_star"]["sigma"] == "linear"
-    return sigma_linear if linear else as_function(_activation(cfg))
+    return sigma_linear if linear else as_function(ActivationParams(**cfg["activation"]))
 
 
-def _build_dataset(cfg: dict, shape: Shape, act: ActivationParams, seed: int) -> Dataset:
-    ds = cfg["dataset"]
-    if ds["source"] == "file":
-        if ds["bundle"]:
-            return dataset_from_json(ds["bundle"])
-        if not (ds["x_csv"] and ds["y_csv"]):
-            raise ValueError("file dataset needs either 'bundle' or both 'x_csv' and 'y_csv'")
-        return dataset_from_csv(ds["x_csv"], ds["y_csv"])
-    X = sphere_data(ds["n"], shape.d, radius=ds["radius"], seed=seed)
-    Y = sphere_targets(ds["targets"], shape, X, act, seed, ds["target_scale"])
-    return Dataset(X, Y)
-
-
-def _build_params_and_cert(cfg, shape, data, act, seed, tune=True):
-    init = cfg["init"]
+def _instance(cfg: dict, tune: bool, bundle: Path | None = None):
+    """The run's activation, dataset, initial weights and certificate.  The
+    gain is searched if ``tune`` and ``init.auto_gain``; a given ``bundle``
+    receives the dataset before the weights are drawn and certified."""
+    seed, ds, init = cfg["seed"], cfg["dataset"], cfg["init"]
+    shape = Shape(d=cfg["shape"]["d"], widths=tuple(cfg["shape"]["widths"]))
+    act = ActivationParams(**cfg["activation"])
+    if ds["source"] == "sphere":
+        X = sphere_data(ds["n"], shape.d, radius=ds["radius"], seed=seed)
+        data = Dataset(X, sphere_targets(ds["targets"], shape, X, act, seed, ds["target_scale"]))
+    elif ds["bundle"]:
+        data = dataset_from_json(ds["bundle"])
+    elif ds["x_csv"] and ds["y_csv"]:
+        data = dataset_from_csv(ds["x_csv"], ds["y_csv"])
+    else:
+        raise ValueError("file dataset needs either 'bundle' or both 'x_csv' and 'y_csv'")
+    if bundle is not None:
+        _dataset_to_json(data, bundle)
+    icfg = InitConfig(gain=init["gain"], seed=seed)
     if init["scheme"] == "lecun":
         params = init_lecun(shape, seed)
-        return params, certify(params, data, act)
-    icfg = InitConfig(gain=init["gain"], seed=seed)
-    if tune and init["auto_gain"]:
+    elif tune and init["auto_gain"]:
         _, params, cert = tune_gain(shape, data, act, icfg)
-        return params, cert
-    params = init_certifiable(shape, icfg)
-    return params, certify(params, data, act)
+        return act, data, params, cert
+    else:
+        params = init_certifiable(shape, icfg)
+    return act, data, params, certify(params, data, act)
 
 
 def _echo_cert(cert) -> None:
@@ -318,11 +309,7 @@ def _command(name: str, *keys: str):
 @_command("certify", "seed")
 def certify_cmd(cfg: dict, out_dir: Path) -> None:
     """Compute a convergence certificate and write certificate.json."""
-    shape = Shape(d=cfg["shape"]["d"], widths=tuple(cfg["shape"]["widths"]))
-    act = _activation(cfg)
-    data = _build_dataset(cfg, shape, act, cfg["seed"])
-    _dataset_to_json(data, out_dir / "dataset.json")
-    _, cert = _build_params_and_cert(cfg, shape, data, act, cfg["seed"])
+    *_, cert = _instance(cfg, tune=True, bundle=out_dir / "dataset.json")
     certificate_to_json(cert, out_dir / "certificate.json")
     _echo_cert(cert)
     if cert.certified:
@@ -339,21 +326,16 @@ def certify_cmd(cfg: dict, out_dir: Path) -> None:
 def train_cmd(cfg: dict, out_dir: Path) -> None:
     """Run full-batch gradient descent, logging loss, bound, and invariants."""
     summary, code = _run_training(cfg, out_dir)
-    _write_json(out_dir / "summary.json", summary)
-    click.echo(_json_text(summary))
+    click.echo(_write_json(out_dir / "summary.json", summary))
     sys.exit(code)
 
 
 def _run_training(cfg: dict, out_dir: Path) -> tuple[dict, int]:
     """Shared train pipeline (also used by sweep workers)."""
-    run_seed = cfg["seed"]
-    shape = Shape(d=cfg["shape"]["d"], widths=tuple(cfg["shape"]["widths"]))
-    act = _activation(cfg)
-    data = _build_dataset(cfg, shape, act, run_seed)
     tr = cfg["train"]
     eta = tr["eta"]
     # gain auto-tuning only when the run needs the certified step size
-    params, cert = _build_params_and_cert(cfg, shape, data, act, run_seed, tune=eta is None)
+    act, data, params, cert = _instance(cfg, tune=eta is None)
     certificate_to_json(cert, out_dir / "certificate.json")
     if eta is None:
         if not cert.certified:
@@ -375,7 +357,7 @@ def _run_training(cfg: dict, out_dir: Path) -> tuple[dict, int]:
         "stop_reason": log.stop_reason,
         "violations": {} if report is None else report.n_violations,
         "spectra_svds": log.spectra_svds,
-        "seed": run_seed,
+        "seed": cfg["seed"],
         "certified": report is not None,
     }
     if report is not None:
@@ -418,10 +400,9 @@ def lambda_star_cmd(cfg: dict, out_dir: Path, full_matrix: bool) -> None:
             "max_abs_entry_diff": diff,
             "allowance_5stderr_plus_tail": 5.0 * mc.stderr_max + herm.tail_mass,
         }
-    _write_json(out_dir / "gram.json", payload)
+    click.echo(_write_json(out_dir / "gram.json", payload))
     if full_matrix:
         _write_matrix_csv((mc if mc is not None else herm).gram, out_dir / "gram.csv", "g")
-    click.echo(_json_text(payload))
 
 
 @_command("kr", "kr.n", "kr.d", "kr.r", "kr.n_seeds", "seed")
@@ -470,24 +451,20 @@ def hermite_cmd(cfg: dict, out_dir: Path, fmt: str) -> None:
         "norm_sq": spec.norm_sq,
         "tail_mass": spec.tail_mass(spec.r_max),
     }
-    _write_json(out_dir / "hermite.json", payload)
+    click.echo(_write_json(out_dir / "hermite.json", payload))
     if fmt == "csv":
         columns = (range(len(spec.coeffs)), spec.coeffs, spec.converged)
         _write_csv(out_dir / "hermite.csv", ["r", "coeff", "converged"], ["%d", _FLOAT_CELL, "%d"], columns)
-    click.echo(_json_text(payload))
 
 
-def _sweep_entry(cfg_json: str, seed: int, out_str: str) -> dict:
+def _sweep_entry(cfg: dict, out_dir: Path) -> dict:
     """One sweep run; top level so a process pool can pickle it."""
-    cfg = json.loads(cfg_json)
-    cfg["seed"] = seed
-    out_dir = Path(out_str)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", cfg)
     try:
         summary, code = _run_training(cfg, out_dir)
     except Exception as exc:  # noqa: BLE001 - recorded per entry
-        return {"seed": seed, "error": str(exc), "exit_code": getattr(exc, "exit_code", 1)}
+        return {"seed": cfg["seed"], "error": str(exc), "exit_code": getattr(exc, "exit_code", 1)}
     summary["exit_code"] = code
     _write_json(out_dir / "summary.json", summary)
     return summary
@@ -498,8 +475,7 @@ def sweep_cmd(cfg: dict, out_dir: Path) -> None:
     """Run the train pipeline over a list of seeds and aggregate the outcomes."""
     seeds = cfg["sweep"]["seeds"]
     n_jobs = min(cfg["sweep"]["jobs"], len(seeds), os.cpu_count() or 1)
-    cfg_json = json.dumps(cfg)
-    entries = [(cfg_json, s, str(out_dir / f"run_{s}")) for s in seeds]
+    entries = [({**cfg, "seed": s}, out_dir / f"run_{s}") for s in seeds]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(_sweep_entry, *zip(*entries)))

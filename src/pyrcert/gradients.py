@@ -19,7 +19,7 @@ import numpy as np
 
 from .activation import ActivationParams, _real
 from .activation import value_and_slope  # noqa: F401 - bound here for perfbench's tracer
-from .certificates import Certificate, InvariantReport, invariant_thresholds
+from .certificates import Certificate, InvariantReport, _check_depth, invariant_thresholds
 from .network import _FLOAT_CELL, Dataset, ForwardTrace, Params, _check_dims, _Kernel, _size, forward
 from .network import _write_csv
 
@@ -343,11 +343,11 @@ def train(
 ) -> TrainLog:
     """Full-batch gradient descent from ``params0``.
 
-    With a certificate, the step size must sit strictly below the certified
-    cap, and the logged spectra prove or refute the certificate's
-    thresholds on every step; ``certificates.monitor_invariants`` turns them
-    into the invariant flags.  A run is aborted (log retained) if the loss
-    exceeds ``1e12`` or turns non-finite.  A non-finite loss is also where
+    With a certificate of the network's depth, the step size must sit
+    strictly below the certified cap, and the logged spectra prove or refute
+    the certificate's thresholds on every step; ``monitor_invariants`` turns
+    them into the invariant flags.  A run is aborted (log retained) if the
+    loss exceeds ``1e12`` or turns non-finite.  A non-finite loss is also where
     a non-finite hidden pre-activation shows (the iterates overflowed):
     only then are the hidden layers checked, and if one is not finite the
     step is logged with NaN layers, loss and gradient norm.
@@ -385,6 +385,7 @@ def train(
     L = params0.depth
     eta = cfg.eta
     if cert is not None:
+        _check_depth(cert, L)
         if cert.vacuous:
             raise ValueError("certificate is vacuous (zero rate), cannot certify a step size")
         if not eta < cert.eta_max:

@@ -12,9 +12,11 @@ Two schemes are provided:
   A wide first layer under this scheme is the paper's LeCun application;
   ``certify`` decides each instance on its own.
 
-All draws are split into per-layer streams keyed by (seed, layer index), so
-adding layers never perturbs the draws of earlier layers; the synthetic
-inputs and targets have streams of their own.
+This module holds the layout of every random stream.  Weights are drawn
+from per-layer streams keyed by (seed, layer index), so adding layers never
+perturbs the draws of earlier layers; the synthetic inputs and targets have
+streams of their own, and ``lambda_star.gram_mc``'s Monte Carlo batches
+streams spawned from its seed.
 """
 
 from __future__ import annotations
@@ -70,6 +72,12 @@ def layer_rng(seed: int, stream: int) -> np.random.Generator:
     """Deterministic per-stream generator; streams never interact.  ``seed``
     must be an integer >= 0; it is never truncated."""
     return np.random.default_rng(np.random.SeedSequence([_size(seed, "seed", 0), stream]))
+
+
+def _batch_rngs(seed: int, n: int):
+    """``n`` streams spawned from ``seed``, each made when it is reached."""
+    for stream in np.random.SeedSequence(seed).spawn(n):
+        yield np.random.default_rng(stream)
 
 
 def _lecun_layer(seed: int, l: int, fan_in: int, fan_out: int) -> np.ndarray:
@@ -149,26 +157,21 @@ def tune_gain(
         except ValueError:
             return False
 
-    g = cfg.gain
+    # hi certifies and a searched lo refuses; hi is inf while the gain doubles
+    lo = hi = cfg.gain
     if not cert.certified:
         if cert.degenerate_reason is not None or n_deep == 0:
-            return g, params, cert
-        lo = g
-        while True:
-            g *= 2.0
-            if g > GAIN_MAX:
-                return cfg.gain, params, cert
-            if certifies(g):
-                break
+            return cfg.gain, params, cert
+        hi = math.inf
+    while hi / lo > 1.01:
+        g = 2.0 * lo if hi == math.inf else math.sqrt(lo * hi)
+        if g > GAIN_MAX:
+            return cfg.gain, params, cert
+        if certifies(g):
+            hi = g
+        else:
             lo = g
-        hi = g
-        while hi / lo > 1.01:
-            mid = math.sqrt(lo * hi)
-            if certifies(mid):
-                hi = mid
-            else:
-                lo = mid
-        g = hi
+    g = hi
     if certifies(g * GAIN_MARGIN):
         g *= GAIN_MARGIN
     if g == cfg.gain:

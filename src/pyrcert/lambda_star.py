@@ -25,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
+from .initializers import _batch_rngs
 from .network import _size
 
 __all__ = [
@@ -98,9 +99,8 @@ class HermiteSpec:
         return len(self.coeffs) - 1
 
     def tail_mass(self, r: int) -> float:
-        """Coefficient mass beyond order ``r`` (clamped at zero)."""
-        if r < 0:
-            raise ValueError("order must be >= 0")
+        """Coefficient mass (clamped at zero) beyond the integer order ``r`` >= 0."""
+        r = _size(r, "order", 0)
         head = float(np.sum(self.coeffs[: r + 1] ** 2))
         return max(self.norm_sq - head, 0.0)
 
@@ -280,10 +280,11 @@ def gram_mc(
 ) -> GramEstimate:
     """Monte Carlo estimate of E[sigma(Xw) sigma(Xw)^T], w ~ N(0, I_d/d).
 
-    Samples are split across ``MC_BATCHES`` independent substreams (fewer
-    if ``n_samples`` is smaller), one per batch, and reduced in batch order,
-    so a given (seed, n_samples) pair is bit reproducible; ``seed`` is an
-    integer >= 0.  Per-entry standard errors come from the batch means.
+    Samples are split across ``MC_BATCHES`` independent substreams of
+    ``seed`` (fewer if ``n_samples`` is smaller), one per batch, and reduced
+    in batch order, so a given (seed, n_samples) pair is bit reproducible;
+    ``seed`` is an integer >= 0.  Per-entry standard errors come from the
+    batch means.
 
     ``sigma`` must act entrywise, as both in-package activations do: each
     batch's pre-activations ``X W`` fill one buffer reused by every batch,
@@ -306,7 +307,6 @@ def gram_mc(
     sizes = [n_samples // n_batches] * n_batches
     for i in range(n_samples % n_batches):
         sizes[i] += 1
-    streams = np.random.SeedSequence(seed).spawn(n_batches)
     block = max(1, _MC_BLOCK_ENTRIES // N)
     buf = np.empty(N * sizes[0])  # sizes[0] is the largest batch
 
@@ -314,8 +314,7 @@ def gram_mc(
     total = np.zeros((N, N))
     batch_means = np.empty((n_batches, N, N))
     with np.errstate(over="ignore", invalid="ignore"):
-        for b, (size, ss) in enumerate(zip(sizes, streams)):
-            rng = np.random.default_rng(ss)
+        for b, (size, rng) in enumerate(zip(sizes, _batch_rngs(seed, n_batches))):
             W = rng.normal(0.0, scale, size=(d, size))
             # the product stays whole: X @ W[:, j:j+B] may round differently
             S = np.matmul(X, W, out=buf[: N * size].reshape(N, size))

@@ -47,6 +47,28 @@ def _write_csv(path, header, cells, columns) -> None:
         fh.writelines(template % row for row in rows)
 
 
+def _json_safe(v):
+    """``v`` with every non-finite float in it replaced by ``None``."""
+    if isinstance(v, dict):
+        return {key: _json_safe(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_safe(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def _json_text(payload) -> str:
+    """Strict JSON, indented by 2, with every non-finite float as ``null``."""
+    return json.dumps(_json_safe(payload), indent=2, allow_nan=False)
+
+
+def _write_json(path, payload) -> str:
+    """``payload`` written to ``path`` as ``_json_text``, which it returns."""
+    text = _json_text(payload)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return text
+
+
 def _size(value, name: str, low: int) -> int:
     """``value`` as a Python int of at least ``low``: integers of any kind
     pass, while a bool or a float (even an integral one) is refused rather
@@ -344,13 +366,8 @@ def dataset_from_csv(x_path, y_path) -> Dataset:
 
 def dataset_to_json(data: Dataset, path) -> None:
     """Single-file bundle: inputs, targets, and their dimensions."""
-    payload = {
-        "X": data.X.tolist(),
-        "Y": data.Y.tolist(),
-        "shape": {"N": data.n_samples, "d": data.d, "n_out": data.n_out},
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    shape = {"N": data.n_samples, "d": data.d, "n_out": data.n_out}
+    _write_json(path, {"X": data.X.tolist(), "Y": data.Y.tolist(), "shape": shape})
 
 
 def dataset_from_json(path) -> Dataset:

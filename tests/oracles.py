@@ -2,7 +2,8 @@
 
 No command reaches any of these, so they live with the tests: the literal
 initial-condition and rate-constant formulas that
-``certificate_from_spectra`` must match bitwise, the dense Jacobian blocks
+``certificate_from_spectra`` must match bitwise, the gain search with a real
+``certify`` of every gain, the dense Jacobian blocks
 and the parameter distance behind the gradient and Lipschitz checks, the
 parameter-distance envelope of acceptance criterion 3, the activation's
 second derivative and its gap to the ramp behind criterion 4, the
@@ -14,14 +15,15 @@ written row by row.
 import contextlib
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from pyrcert.activation import ActivationParams, evaluate
-from pyrcert.certificates import DEGENERATE_LAMBDA_F, Certificate, _first_false
+from pyrcert.certificates import DEGENERATE_LAMBDA_F, Certificate, _first_false, certify
 from pyrcert.gradients import TrainLog, _Spectra, grad
+from pyrcert.initializers import GAIN_MARGIN, GAIN_MAX, init_certifiable
 from pyrcert.lambda_star import _hermite_table
 from pyrcert.network import Dataset, ForwardTrace, Params, _Kernel, _write_matrix_csv, forward, loss_of
 
@@ -134,6 +136,47 @@ def rate_constants(
         q1 = (4.0 / 3.0) * 1.5**L * (x_fro / alpha0) * sum_term * root_phi
         eta_max = min(1.0 / alpha0, 1.0 / q0) if q0 > 0 else 1.0 / alpha0
     return float(alpha0), float(q0), float(q1), r_product, float(eta_max), vacuous
+
+
+def tune_gain_literal(shape, data, act, cfg) -> tuple[float, Certificate]:
+    """``initializers.tune_gain``'s search as two loops, with every gain
+    drawn and certified for real: double the gain from ``cfg.gain`` until
+    one certifies, bisect down to 1% of the flip point, then apply
+    ``GAIN_MARGIN`` if that still certifies.  Returns the chosen gain and
+    its certificate; a refused instance returns ``cfg.gain`` and its."""
+
+    def attempt(g):
+        return certify(init_certifiable(shape, replace(cfg, gain=g)), data, act)
+
+    def certifies(g):
+        try:
+            return attempt(g).certified
+        except ValueError:  # constants past the float64 range
+            return False
+
+    cert, g = attempt(cfg.gain), cfg.gain
+    if not cert.certified:
+        if cert.degenerate_reason is not None or shape.depth == 2:
+            return g, cert
+        lo = g
+        while True:
+            g *= 2.0
+            if g > GAIN_MAX:
+                return cfg.gain, cert
+            if certifies(g):
+                break
+            lo = g
+        hi = g
+        while hi / lo > 1.01:
+            mid = math.sqrt(lo * hi)
+            if certifies(mid):
+                hi = mid
+            else:
+                lo = mid
+        g = hi
+    if certifies(g * GAIN_MARGIN):
+        g *= GAIN_MARGIN
+    return g, attempt(g)
 
 
 def jacobian_block(

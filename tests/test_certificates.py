@@ -386,6 +386,28 @@ class TestMonitorInvariants:
         )
         return log, cert
 
+    @pytest.mark.parametrize(
+        "run_widths, cert_widths",
+        [((6, 3, 3, 2), (6, 3, 3, 3, 2)), ((6, 3, 3, 3, 2), (6, 3, 3, 2))],
+        ids=["deeper-certificate", "shallower-certificate"],
+    )
+    def test_a_certificate_of_another_depth_is_refused(self, run_widths, cert_widths):
+        # train once proved the wrong layers' thresholds or raised an
+        # IndexError, and so did monitor_invariants
+        shape, data, cfg = certifiable_instance(widths=run_widths)
+        _, params, _ = tune_gain(shape, data, ACT, cfg)
+        _, _, cert = tune_gain(Shape(d=4, widths=cert_widths), data, ACT, cfg)
+        assert cert.certified
+        message = (
+            f"certificate is for depth {len(cert_widths)}, "
+            f"but the network has depth {len(run_widths)}"
+        )
+        with pytest.raises(ValueError, match=message):
+            train(params, data, ACT, TrainConfig(eta=0.9 * cert.eta_max, max_steps=5), cert=cert)
+        log = train(params, data, ACT, TrainConfig(eta=0.0, max_steps=5))
+        with pytest.raises(ValueError, match=message):
+            monitor_invariants(log, cert)
+
     def test_certified_run_has_zero_violations(self):
         log, cert = self.make_certified_run()
         report = monitor_invariants(log, cert)

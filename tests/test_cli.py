@@ -618,6 +618,8 @@ class TestConfig:
         assert res.stderr.splitlines() == [
             "error: certificate requires first-layer width >= sample count (n1=16, N=20)"
         ]
+        # certify writes the dataset before it draws and certifies the weights
+        assert (tmp_path / "o" / "dataset.json").exists() is (command == "certify")
 
     # a section given a non-object, and a plain key given an object
     BAD_KINDS = [
@@ -702,6 +704,16 @@ class TestConfig:
         ('{"dataset": {"target_scale": 1e999}}', "dataset.target_scale"),
         ('{"sweep": {"seeds": [0, -Infinity]}}', "sweep.seeds[1]"),
     ]
+
+    def test_huge_negative_int_reads_as_minus_inf(self, tmp_path):
+        # an int past the float range takes the sign of its value
+        path = tmp_path / "bad.json"
+        path.write_text('{"train": {"eta": -1%s}}' % ("0" * 400))
+        out = tmp_path / "o"
+        res = run(["train", "--config", str(path), "--max-steps", "3", "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr.splitlines() == ["error: config key 'train.eta' must be finite, got -inf"]
+        assert not (out / "config.json").exists()
 
     def test_negative_target_scale_is_operational_error(self, tmp_path):
         path = tmp_path / "bad.json"

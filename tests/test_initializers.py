@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import tune_gain_literal
 
 from pyrcert import initializers
 from pyrcert.activation import ActivationParams, evaluate
@@ -192,6 +193,21 @@ class TestGainReplay:
         assert len(seen) == calls and cert.certified is certified
         assert (gain != 2.0) is (calls == 2)
         assert repr(cert) == repr(certify(params, data, ACT))
+
+
+class TestGainSearch:
+    @pytest.mark.parametrize("mode", ["aligned", "gaussian"])
+    @pytest.mark.parametrize("seed", [0, 6, 36])
+    @pytest.mark.parametrize("depth", [3, 4, 8, 20])
+    def test_matches_the_literal_search(self, depth, seed, mode):
+        # the one loop tries the gains of doubling, then bisection, in order
+        shape = Shape(d=8, widths=(16,) + (6,) * (depth - 2) + (2,))
+        X = sphere_data(16, 8, seed=seed)
+        data = Dataset(X, sphere_targets(mode, shape, X, ACT, seed, 0.1))
+        gain, _, cert = tune_gain(shape, data, ACT, InitConfig(seed=seed))
+        want_gain, want_cert = tune_gain_literal(shape, data, ACT, InitConfig(seed=seed))
+        assert gain == want_gain
+        assert repr(cert) == repr(want_cert)
 
 
 class TestLecunInit:

@@ -466,6 +466,13 @@ class TestGramHermite:
         assert est.tail_mass == pytest.approx(spec.tail_mass(4))
         assert est.tail_mass > gram_hermite(X, spec, r_max=10).tail_mass
 
+    # a float or a string once raised a TypeError naming nothing, and a
+    # bool read as an order
+    @pytest.mark.parametrize("r", [2.5, 2.0, "2", True, None, -1])
+    def test_tail_mass_refuses_a_bad_order(self, r):
+        with pytest.raises(ValueError, match="order"):
+            hermite_coeffs(SIGMA, 4).tail_mass(r)
+
 
 class TestLambdaStar:
     def test_duplicate_rows_drive_it_to_zero(self):

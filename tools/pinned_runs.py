@@ -23,7 +23,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-# (output directory, CLI arguments): each run writes only under its directory
+# config files the runs read, written into the working directory first
+CONFIGS = {
+    "lecun.json": '{"init": {"scheme": "lecun"}}',
+    # the dataset bundle the certify run writes
+    "bundle.json": '{"dataset": {"source": "file", "bundle": "certify/dataset.json"}}',
+}
+
+# (output directory, CLI arguments), in order: each run writes only under
+# its directory
 RUNS = [
     ("train_seed0", ["train", "--seed", "0", "--stop-loss", "1e-12"]),
     ("train_seed6", ["train", "--seed", "6", "--stop-loss", "1e-12"]),
@@ -36,6 +44,12 @@ RUNS = [
     ("kr", ["kr"]),
     ("hermite_csv", ["hermite", "--format", "csv"]),
     ("lambda_star_matrix", ["lambda-star", "--samples", "20000", "--full-matrix"]),
+    # one run per JSON writer and per way a run's instance is set up
+    ("certify", ["certify"]),
+    ("certify_lecun", ["certify", "--config", "lecun.json"]),
+    ("train_bundle", ["train", "--config", "bundle.json"]),
+    ("kr_json", ["kr", "--format", "json"]),
+    ("hermite", ["hermite"]),
 ]
 
 
@@ -48,6 +62,8 @@ def digest(src: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
+        for name, text in CONFIGS.items():
+            Path(tmp, name).write_text(text)
         for name, args in RUNS:
             cmd = [sys.executable, "-m", "pyrcert.cli", *args, "--out", name]
             done = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True)
