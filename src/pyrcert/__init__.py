@@ -14,7 +14,6 @@ from .gradients import (
     TrainConfig,
     TrainLog,
     grad,
-    pl_lower_bound,
     train,
 )
 from .initializers import (
@@ -67,7 +66,6 @@ __all__ = [
     "kr_min_singular",
     "loss",
     "monitor_invariants",
-    "pl_lower_bound",
     "spectral_quantities",
     "sphere_data",
     "sphere_targets",

@@ -74,6 +74,15 @@ class Certificate:
     degenerate_reason: Optional[str]
     depth2_convention: bool
 
+    def __post_init__(self) -> None:
+        want = (self.depth, max(self.depth - 2, 0))
+        got = (len(self.lambda_bar), len(self.lambda_min_deep))
+        if got != want:
+            raise ValueError(
+                f"a depth-{self.depth} certificate needs {want[0]} lambda_bar and {want[1]} "
+                f"lambda_min_deep entries, got {got[0]} and {got[1]}"
+            )
+
     @property
     def certified(self) -> bool:
         return self.cond1_holds and self.cond2_holds and not self.vacuous

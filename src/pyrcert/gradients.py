@@ -1,6 +1,7 @@
-"""Gradients, the PL-style gradient floor, and the trainer.
+"""Gradients and the trainer.
 
-Gradients are computed by reverse accumulation, which is algebraically
+A gradient is the backward pass of the network kernel that ran the forward
+pass (``network._pass``): reverse accumulation, which is algebraically
 identical to the closed-form product of per-layer slope diagonals and
 Kronecker factors (the tests rebuild that product literally and compare).
 The trainer runs plain full-batch gradient descent and logs, per step, the
@@ -20,7 +21,7 @@ import numpy as np
 from .activation import ActivationParams, _real
 from .activation import value_and_slope  # noqa: F401 - bound here for perfbench's tracer
 from .certificates import Certificate, InvariantReport, _check_depth, invariant_thresholds
-from .network import _FLOAT_CELL, Dataset, ForwardTrace, Params, _check_dims, _Kernel, _size, forward
+from .network import _FLOAT_CELL, Dataset, Params, _check_dims, _Kernel, _pass, _size
 from .network import _write_csv
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "TrainConfig",
     "TrainLog",
     "grad",
-    "pl_lower_bound",
     "train",
     "trainlog_to_csv",
 ]
@@ -58,43 +58,15 @@ def _flat_views(shapes) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, views
 
 
-def grad(
-    params: Params,
-    data: Dataset,
-    act: ActivationParams,
-    trace: Optional[ForwardTrace] = None,
-) -> GradientBundle:
+def grad(params: Params, data: Dataset, act: ActivationParams) -> GradientBundle:
     """Gradient of the square loss with respect to every weight matrix,
-    written by the network kernel's backward pass into views of one flat
-    vector, whose squared norm is one ``vdot``."""
-    if trace is None:
-        trace = forward(params, data, act)
-    else:
-        _check_dims(params, data)
+    written by the backward pass of ``_pass``'s kernel into views of one
+    flat vector, whose squared norm is one ``vdot``."""
     flat, grads = _flat_views([w.shape for w in params.weights])
-    kernel = _Kernel(trace.F[0], trace.data.Y, params.weights, act, (trace.G, trace.F, trace.S), grads)
+    kernel = _pass(params, data, act, grads)
     kernel.loss()
     kernel.backward()
     return GradientBundle(layers=tuple(grads), sq_norm=float(np.vdot(flat, flat)))
-
-
-def pl_lower_bound(trace: ForwardTrace, params: Params) -> float:
-    """Certified floor for the norm of the second-layer gradient.
-
-    Product of the smallest singular value of the first hidden layer output,
-    the per-layer slope floors (minimum diagonal entry of each slope
-    diagonal), the smallest singular values of the deep weights, and the
-    residual norm.  Empty products (depth 2) equal 1.
-    """
-    L = params.depth
-    if L < 2:
-        raise ValueError("need depth >= 2")
-    value = float(np.linalg.svd(trace.F[1], compute_uv=False)[-1])
-    for p in range(3, L + 1):
-        sigma_floor = float(np.min(trace.S[p - 2]))
-        sv_min = float(np.linalg.svd(params.weights[p - 1], compute_uv=False)[-1])
-        value *= sigma_floor * sv_min
-    return value * float(np.linalg.norm(trace.residual()))
 
 
 # ---------------------------------------------------------------------------

@@ -234,10 +234,9 @@ class _Kernel:
     that updates them in place steps the same kernel.  ``G``, ``F`` and
     ``S`` are the pre-activations, layer outputs and hidden slopes of the
     last pass, laid out as in ``ForwardTrace`` (``F[0]`` is ``X`` and
-    ``F[L]`` is ``G[L]``); ``layers`` passes existing ``(G, F, S)`` in,
-    for a backward pass over a trace already computed.  ``E`` is the
-    residual and ``grads``, when given, are the arrays ``backward`` writes
-    each layer's gradient into, shaped like ``weights``.
+    ``F[L]`` is ``G[L]``).  ``E`` is the residual and ``grads``, when
+    given, are the arrays ``backward`` writes each layer's gradient into,
+    shaped like ``weights``.
 
     Every product is ``np.dot(a, b, out)``, which calls the same BLAS gemm
     as ``@`` for less per-call overhead and gives the same bits; the
@@ -249,15 +248,12 @@ class _Kernel:
     loss is not finite, and holds ``np.errstate(under, over, invalid
     ignored)`` around its passes."""
 
-    def __init__(self, X, Y, weights, act: ActivationParams, layers=None, grads=None) -> None:
+    def __init__(self, X, Y, weights, act: ActivationParams, grads=None) -> None:
         N = X.shape[0]
         widths = [w.shape[1] for w in weights]
-        if layers is None:
-            G = [np.empty((N, n)) for n in widths]
-            F = [X, *(np.empty((N, n)) for n in widths[:-1]), G[-1]]
-            S = [np.empty((N, n)) for n in widths[:-1]]
-        else:
-            G, F, S = (list(part) for part in layers)
+        G = [np.empty((N, n)) for n in widths]
+        F = [X, *(np.empty((N, n)) for n in widths[:-1]), G[-1]]
+        S = [np.empty((N, n)) for n in widths[:-1]]
         self.G, self.F, self.S, self.Y = G, F, S, Y
         self.E = np.empty((N, widths[-1]))
         self._consts = tuple(np.array(c) for c in _constants(act))
@@ -312,17 +308,26 @@ class _Kernel:
             f.fill(math.nan)
 
 
-def forward(params: Params, data: Dataset, act: ActivationParams) -> ForwardTrace:
-    """Forward pass over the whole dataset; deterministic.  Overflow and
-    underflow pass silently: a non-finite hidden pre-activation raises
-    ``ValueError`` after the pass, and the output layer's reads as inf or
-    NaN."""
+def _pass(params: Params, data: Dataset, act: ActivationParams, grads=None) -> _Kernel:
+    """The one checked pass: check the dimensions, build a kernel of
+    ``params`` on ``data`` with buffers of its own (and ``grads`` for its
+    ``backward``), run its forward pass over the whole dataset and return
+    it.  The pass is deterministic.  Overflow and underflow pass silently:
+    a non-finite hidden pre-activation raises ``ValueError`` after the
+    pass, and the output layer's reads as inf or NaN."""
     _check_dims(params, data)
-    kernel = _Kernel(data.X, data.Y, params.weights, act)
+    kernel = _Kernel(data.X, data.Y, params.weights, act, grads)
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         kernel.forward()
     if not kernel.finite():
         raise ValueError("activation input must be finite")
+    return kernel
+
+
+def forward(params: Params, data: Dataset, act: ActivationParams) -> ForwardTrace:
+    """Forward pass over the whole dataset, run and checked by ``_pass``: a
+    non-finite hidden pre-activation raises ``ValueError``."""
+    kernel = _pass(params, data, act)
     return ForwardTrace(data=data, G=tuple(kernel.G), F=tuple(kernel.F), S=tuple(kernel.S))
 
 

@@ -5,11 +5,11 @@ initial-condition and rate-constant formulas that
 ``certificate_from_spectra`` must match bitwise, the gain search with a real
 ``certify`` of every gain, the dense Jacobian blocks
 and the parameter distance behind the gradient and Lipschitz checks, the
-parameter-distance envelope of acceptance criterion 3, the activation's
-second derivative and its gap to the ramp behind criterion 4, the
-normalized Hermite polynomials, a CSV writer and parser for fixtures,
-a recorder of the network kernel's forward passes, and the trainer's log
-written row by row.
+parameter-distance envelope of acceptance criterion 3, the PL-style floor
+of the second-layer gradient, the activation's second derivative and its
+gap to the ramp behind criterion 4, the normalized Hermite polynomials, a
+CSV writer and parser for fixtures, a recorder of the network kernel's
+forward passes, and the trainer's log written row by row.
 """
 
 import contextlib
@@ -225,6 +225,25 @@ def theta_distance(a: Params, b: Params) -> float:
     return math.sqrt(total)
 
 
+def pl_lower_bound(trace: ForwardTrace, params: Params) -> float:
+    """Certified floor for the norm of the second-layer gradient.
+
+    Product of the smallest singular value of the first hidden layer output,
+    the per-layer slope floors (minimum diagonal entry of each slope
+    diagonal), the smallest singular values of the deep weights, and the
+    residual norm.  Empty products (depth 2) equal 1.
+    """
+    L = params.depth
+    if L < 2:
+        raise ValueError("need depth >= 2")
+    value = float(np.linalg.svd(trace.F[1], compute_uv=False)[-1])
+    for p in range(3, L + 1):
+        sigma_floor = float(np.min(trace.S[p - 2]))
+        sv_min = float(np.linalg.svd(params.weights[p - 1], compute_uv=False)[-1])
+        value *= sigma_floor * sv_min
+    return value * float(np.linalg.norm(trace.residual()))
+
+
 @dataclass(frozen=True)
 class DistanceReport:
     """Parameter-distance decay check against the final iterate.
@@ -361,7 +380,7 @@ def dense_log(params, data, act, eta, n_rows, thresholds, max_steps, first) -> d
         try:
             p = Params(tuple(W))
             trace = forward(p, data, act)
-            g = grad(p, data, act, trace)
+            g = grad(p, data, act)
             losses.append(loss_of(trace))
             norms.append(g.norm)
             f1 = _extremes(trace.F[1])

@@ -107,7 +107,7 @@ def test_criterion_1_gradient_correctness():
     for _ in range(50):
         data, params = random_pyramidal_instance(rng)
         tr = forward(params, data, ACT)
-        g = grad(params, data, ACT, trace=tr)
+        g = grad(params, data, ACT)
         for l in range(1, params.depth + 1):
             fd = fd_loss_gradient(params, data, ACT, l)
             floor = 1e-6 * max(1.0, float(np.abs(fd).max()))
@@ -252,7 +252,7 @@ def test_criterion_5_norm_inequalities():
         data, pa = random_pyramidal_instance(rng, max_n=5, max_d=4, max_depth=3)
         pb = Params(tuple(w + 0.1 * rng.normal(size=w.shape) for w in pa.weights))
         tra = forward(pa, data, ACT)
-        ga = grad(pa, data, ACT, trace=tra)
+        ga = grad(pa, data, ACT)
         res = float(np.linalg.norm(tra.residual()))
         xf = float(np.linalg.norm(data.X))
         norms = [float(np.linalg.norm(w, 2)) for w in pa.weights]

@@ -3,6 +3,7 @@ verdict behavior, and trajectory-invariant monitoring."""
 
 import csv
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -376,6 +377,30 @@ class TestCertify:
                 assert a == b or (a != a and b != b), (i, f.name, a, b)
                 assert type(a) is type(b), (i, f.name, a, b)
 
+    @pytest.mark.parametrize("key", ["lambda_bar", "lambda_min_deep"])
+    def test_json_with_spectra_of_another_depth_is_refused(self, tmp_path, key):
+        # one extra entry once passed the depth check of train, which ran
+        # against the wrong caps, and monitor_invariants raised IndexError
+        shape, data, cfg = certifiable_instance(widths=(6, 3, 3, 2))
+        _, _, cert = tune_gain(shape, data, ACT, cfg)
+        assert cert.certified
+        path = tmp_path / "cert.json"
+        payload = certificate_to_json(cert, path)
+        payload[key].append(1.0)
+        path.write_text(json.dumps(payload))
+        got = "5 and 2" if key == "lambda_bar" else "4 and 3"
+        want = f"depth-4 certificate needs 4 lambda_bar and 2 lambda_min_deep entries, got {got}"
+        with pytest.raises(ValueError, match=want):
+            certificate_from_json(path)
+
+    @pytest.mark.parametrize("deep", [(0.5,), (0.5, 0.5, 0.5)], ids=["one-too-few", "one-too-many"])
+    def test_spectra_of_another_depth_are_refused(self, deep):
+        # zip once cut the pairs short and the certificate came back
+        X = sphere_data(4, 3, seed=1)
+        want = f"depth-4 certificate needs 4 lambda_bar and 2 lambda_min_deep entries, got 4 and {len(deep)}"
+        with pytest.raises(ValueError, match=want):
+            certificate_from_spectra((1.0, 1.0, 2.0, 2.0), deep, 1.0, X, 1.0, ACT)
+
 
 class TestMonitorInvariants:
     def make_certified_run(self, max_steps=400):
@@ -604,6 +629,7 @@ class TestInvariantFlags:
             lambda_f=2.0,
             lambda_min_deep=tuple(2.0 * rng.choice([0.5, 1.0, 2.0], size=max(depth - 2, 0))),
             lambda_bar=tuple(rng.choice([0.5, 1.0, 2.0], size=depth) / 1.5),
+            depth=depth,
         )
         f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
 

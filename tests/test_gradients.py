@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import forward_starts, jacobian_block, theta_distance, trainlog_from_csv
+from oracles import forward_starts, jacobian_block, pl_lower_bound, theta_distance, trainlog_from_csv
 
+from pyrcert import gradients, network
 from pyrcert.activation import ActivationParams, value_and_slope
 from pyrcert.gradients import (
     DIVERGENCE_LOSS,
@@ -18,7 +19,6 @@ from pyrcert.gradients import (
     _flat_views,
     _Spectra,
     grad,
-    pl_lower_bound,
     train,
     trainlog_to_csv,
 )
@@ -101,7 +101,7 @@ class TestGrad:
         rng = np.random.default_rng(6)
         data, params = random_instance(rng, 4, 3, (5, 3, 2))
         tr = forward(params, data, ACT)
-        g = grad(params, data, ACT, trace=tr)
+        g = grad(params, data, ACT)
         for l in range(1, 4):
             want = kron_gradient(params, tr, l)
             assert np.max(np.abs(want - g.layers[l - 1].ravel(order="F"))) <= 1e-10
@@ -112,6 +112,23 @@ class TestGrad:
         g = grad(params, data, ACT)
         for gw, w in zip(g.layers, params.weights):
             assert gw.shape == w.shape
+
+    def test_one_kernel_per_call(self, monkeypatch):
+        # the gradient is the backward pass of the kernel that ran the
+        # forward pass, so one call builds one kernel
+        rng = np.random.default_rng(9)
+        data, params = random_instance(rng, 4, 3, (5, 3, 2))
+        built = []
+
+        class Counted(network._Kernel):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(network, "_Kernel", Counted)
+        monkeypatch.setattr(gradients, "_Kernel", Counted)
+        grad(params, data, ACT)
+        assert len(built) == 1
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(10)
@@ -133,7 +150,7 @@ class TestJacobianBlock:
         rng = np.random.default_rng(14)
         data, params = random_instance(rng, 4, 3, (5, 3, 2))
         tr = forward(params, data, ACT)
-        g = grad(params, data, ACT, trace=tr)
+        g = grad(params, data, ACT)
         r = tr.residual().ravel(order="F")
         for l in range(1, 4):
             J = jacobian_block(params, data, ACT, l, trace=tr)
@@ -196,7 +213,7 @@ class TestPlLowerBound:
         for _ in range(25):
             data, params = random_instance(rng, 4, 3, (6, 4, 2))
             tr = forward(params, data, ACT)
-            g = grad(params, data, ACT, trace=tr)
+            g = grad(params, data, ACT)
             lhs = pl_lower_bound(tr, params)
             assert lhs <= np.linalg.norm(g.layers[1]) * (1 + 1e-9)
 
@@ -208,7 +225,7 @@ class TestNormInequalities:
         for _ in range(25):
             data, params = random_instance(rng, 4, 3, (6, 4, 2))
             tr = forward(params, data, ACT)
-            g = grad(params, data, ACT, trace=tr)
+            g = grad(params, data, ACT)
             res = np.linalg.norm(tr.residual())
             norms = [np.linalg.norm(w, 2) for w in params.weights]
             for l in range(1, 4):
@@ -296,6 +313,8 @@ class TestTrain:
         assert np.isnan(log.loss[0]) and np.isnan(log.grad_norm[0])
         with pytest.raises(ValueError, match="activation input must be finite"):
             forward(params, data, ACT)
+        with pytest.raises(ValueError, match="activation input must be finite"):
+            grad(params, data, ACT)
 
     def test_log_grows_past_its_first_allocation(self, tmp_path):
         rng = np.random.default_rng(37)
@@ -571,7 +590,7 @@ def literal_train(params, data, act, eta, max_steps):
         try:
             p = Params(tuple(W))
             trace = forward(p, data, act)
-            g = grad(p, data, act, trace)
+            g = grad(p, data, act)
             loss_k, norm_k = loss_of(trace), g.norm
         except ValueError:
             loss_k = norm_k = math.nan

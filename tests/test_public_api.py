@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import types
 
+import numpy as np
 import pytest
 
 import pyrcert
@@ -41,6 +42,7 @@ DELETED = [
     "hermite_poly",
     "trainlog_from_csv",
     "dataset_to_csv",
+    "pl_lower_bound",
     # wrappers and dead code
     "vec",
     "deriv",
@@ -113,3 +115,15 @@ def test_trainer_and_report_fields(cls, names):
 def test_train_config_has_no_spectra_option():
     with pytest.raises(TypeError):
         pyrcert.TrainConfig(eta=0.1, max_steps=1, spectra=True)
+
+
+def test_grad_has_no_trace_option():
+    rng = np.random.default_rng(0)
+    data = pyrcert.Dataset(rng.normal(size=(3, 2)), rng.normal(size=(3, 1)))
+    params = pyrcert.Params((rng.normal(size=(2, 4)), rng.normal(size=(4, 1))))
+    act = pyrcert.ActivationParams(0.5, 1.0)
+    trace = pyrcert.forward(params, data, act)
+    with pytest.raises(TypeError):
+        pyrcert.grad(params, data, act, trace=trace)
+    with pytest.raises(TypeError):
+        pyrcert.grad(params, data, act, trace)

@@ -28,6 +28,11 @@ CONFIGS = {
     "lecun.json": '{"init": {"scheme": "lecun"}}',
     # the dataset bundle the certify run writes
     "bundle.json": '{"dataset": {"source": "file", "bundle": "certify/dataset.json"}}',
+    # a depth-2 network on a literal CSV dataset: a 4x3 X and a 4x1 Y
+    "csv.json": '{"shape": {"d": 3, "widths": [4, 1]}, '
+    '"dataset": {"source": "file", "x_csv": "x.csv", "y_csv": "y.csv"}}',
+    "x.csv": "x0,x1,x2\n0.5,-1.2,0.3\n1.1,0.4,-0.7\n-0.6,0.9,1.3\n0.2,-0.3,-1.5\n",
+    "y.csv": "y0\n0.1\n-0.2\n0.3\n0.05\n",
 }
 
 # (output directory, CLI arguments), in order: each run writes only under
@@ -50,6 +55,12 @@ RUNS = [
     ("train_bundle", ["train", "--config", "bundle.json"]),
     ("kr_json", ["kr", "--format", "json"]),
     ("hermite", ["hermite"]),
+    # the CSV dataset reader and the depth-2 certificate (exit 2: it fails)
+    ("certify_csv", ["certify", "--config", "csv.json"]),
+    ("train_csv", ["train", "--config", "csv.json", "--eta", "1e-3", "--max-steps", "100"]),
+    # the linear sigma of lambda-star and hermite
+    ("hermite_linear", ["hermite", "--sigma", "linear"]),
+    ("lambda_star_linear", ["lambda-star", "--sigma", "linear", "--samples", "20000"]),
 ]
 
 
