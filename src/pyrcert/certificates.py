@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
@@ -268,30 +268,32 @@ def invariant_thresholds(cert: Certificate) -> tuple[float, np.ndarray, np.ndarr
 def invariant_flags(
     cert: Certificate,
     sv_f1: np.ndarray,
-    min_sv_w: np.ndarray,
-    norm_w: np.ndarray,
+    w_columns: Iterable[np.ndarray],
     loss: np.ndarray,
     bound: np.ndarray,
 ) -> np.ndarray:
     """Per-step verdicts ``(n_steps, 4)`` for the four invariants, in the
     order of ``InvariantReport.CHECKS``, each column contiguous.
 
-    The spectra may be exact or certified one-sided bounds (lower bounds for
-    ``sv_f1`` and ``min_sv_w``, upper bounds for ``norm_w``); with bounds a
-    flag holds only where the bound proves it.
+    ``w_columns`` are the weights' cells as 1-D columns in the CSV's order:
+    the lower bounds of ``W_3..W_L``, then the upper bounds of
+    ``W_1..W_L``.  Each is read once, in order, and released before the
+    next is asked for, so an iterator may compute each one when it is
+    reached (``TrainLog.w_cells.columns``).  The spectra may be exact or
+    certified one-sided bounds (lower bounds for ``sv_f1`` and the floors,
+    upper bounds for the norms); with bounds a flag holds only where the
+    bound proves it.
     """
     f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
     # each check's column is contiguous: the rows of a (4, n_steps) block
     block = np.empty((4, len(loss)), dtype=bool)
-    # one layer at a time into the loss check's row, free until last, then
+    block[:2].fill(True)
+    checks = [(block[0], np.greater_equal, limit) for limit in lam_floor]
+    checks += [(block[1], np.less_equal, limit) for limit in norm_cap]
+    # one cell at a time into the loss check's row, free until last, then
     # ANDed in place (``where=col`` with ``out=col`` overlap, so NumPy copies)
-    for col, cells, test, limits in (
-        (block[0], min_sv_w, np.greater_equal, lam_floor),
-        (block[1], norm_w, np.less_equal, norm_cap),
-    ):
-        col.fill(True)
-        for j, limit in enumerate(limits):
-            col &= test(cells[:, j], limit, out=block[3])
+    for (col, test, limit), cells in zip(checks, w_columns, strict=True):
+        col &= test(cells, limit, out=block[3])
     np.greater_equal(sv_f1, f1_floor, out=block[2])
     np.less_equal(loss, bound, out=block[3])
     return block.T
@@ -313,7 +315,7 @@ def monitor_invariants(log: "TrainLog", cert: Certificate) -> InvariantReport:
     bound = np.arange(log.n_steps, dtype=np.float64)
     np.power(1.0 - log.eta * cert.alpha0, bound, out=bound)
     np.multiply(bound, log.phi0, out=bound)
-    flags = invariant_flags(cert, log.sv_f1, log.min_sv_w, log.norm_w, log.loss, bound)
+    flags = invariant_flags(cert, log.sv_f1, log.w_cells.columns(log.grad_norm), log.loss, bound)
     # counted and searched in place, with no negated copy of a column
     columns = dict(zip(InvariantReport.CHECKS, flags.T))
     counts = {name: col.size - int(np.count_nonzero(col)) for name, col in columns.items()}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -94,6 +94,78 @@ class TrainConfig:
         object.__setattr__(self, "max_steps", _size(self.max_steps, "max_steps", 0))
 
 
+@dataclass(frozen=True)
+class _WeightCells:
+    """The weights' spectra cells of a log, held as the data that proves
+    them, not as columns.  The cells are in the CSV's order: the lower
+    bounds of ``W_3..W_L``, then the upper bounds of ``W_1..W_L``.
+
+    ``records[j]`` is cell ``j`` on the rows that measured every matrix:
+    row 0 and the last ``len(records[j]) - 1`` rows.  Each row between is
+    proven (``_Spectra``).  With ``P`` the running sum of ``grad_norm *
+    rate + creep`` over the rows before it, added in row order as the
+    trainer added it, cell ``j`` of such a row is ``((P * grow) *
+    scales[j] + offsets[j]) + records[j][0]``.  The cells are computed
+    when they are read, by these float operations in this order:
+    ``columns`` a column at a time with NumPy, ``streams`` a row at a time
+    with Python floats, so both give the same bits.
+    """
+
+    records: tuple[np.ndarray, ...]
+    rate: float
+    creep: float
+    grow: float
+    scales: tuple[float, ...]  # the sign of the cell's bound times inflate
+    offsets: tuple[float, ...]  # the sign times margin
+
+    def column(self, j: int, grad_norm: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Cell ``j`` on every row of ``grad_norm``, written into ``out``."""
+        record = self.records[j]
+        proven = len(grad_norm) - len(record)
+        out[0] = record[0]
+        out[proven + 1 :] = record[1:]
+        seg = out[1 : proven + 1]
+        np.multiply(grad_norm[:proven], self.rate, seg)
+        np.add(seg, self.creep, seg)
+        np.cumsum(seg, out=seg)  # adds in row order
+        np.multiply(seg, self.grow, seg)
+        # value + sign * radius; negating is exact, so a lower bound is
+        # value - radius bitwise
+        np.multiply(seg, self.scales[j], seg)
+        np.add(seg, self.offsets[j], seg)
+        np.add(seg, record[0], seg)
+        return out
+
+    def columns(self, grad_norm: np.ndarray) -> Iterator[np.ndarray]:
+        """Each cell's column in order: a record of every row as it is, any
+        other cell written into one buffer that the next one overwrites."""
+        out = None
+        for j, record in enumerate(self.records):
+            if len(record) == len(grad_norm):
+                yield record
+                continue
+            if out is None:
+                out = np.empty(len(grad_norm))
+            yield self.column(j, grad_norm, out)
+
+    def _stream(self, j: int, grad_norm: np.ndarray) -> Iterator[float]:
+        record = self.records[j]
+        proven = len(grad_norm) - len(record)
+        rate, creep, grow = self.rate, self.creep, self.grow
+        value, scale, offset = float(record[0]), self.scales[j], self.offsets[j]
+        yield value
+        P = 0.0
+        for gn in memoryview(grad_norm[:proven]):
+            P += gn * rate + creep
+            yield P * grow * scale + offset + value
+        yield from memoryview(record[1:])
+
+    def streams(self, grad_norm: np.ndarray) -> list[Iterator[float]]:
+        """One iterator per cell over its rows, as Python floats: what
+        ``column`` writes, one row at a time."""
+        return [self._stream(j, grad_norm) for j in range(len(self.records))]
+
+
 @dataclass
 class TrainLog:
     """Per-step measurements of a gradient-descent run, row k for step k;
@@ -107,18 +179,21 @@ class TrainLog:
     last row, if the proof lasts the run; row 1 of an uncertified run).
     ``spectra_svds`` counts the exact SVDs the run took.  ``final_params``
     is the last iterate, or ``params0`` if an update overflowed a weight to
-    a non-finite value (the run has then ``diverged``).  The log is not
-    copied: ``loss`` and ``grad_norm`` view the arrays the trainer appended
-    to, and the spectra one column-major block, grown after the run from
-    the array of ``sv_f1``.  ``trainlog_to_csv`` writes these columns row by
-    row, adding a few KiB to what the log and its report hold.
+    a non-finite value (the run has then ``diverged``).
+
+    The log is not copied: ``loss``, ``grad_norm`` and ``sv_f1`` view the
+    arrays the trainer appended to.  ``w_cells`` holds the weights' cells
+    only on the rows that measured them, and computes the proven rows from
+    ``grad_norm`` when they are read (``_WeightCells``).  ``min_sv_w`` and
+    ``norm_w`` build their arrays on each access; ``monitor_invariants``
+    reads the cells one column at a time and ``trainlog_to_csv`` one row at
+    a time, so neither holds them as a block.
     """
 
     loss: np.ndarray
     grad_norm: np.ndarray
     sv_f1: np.ndarray
-    min_sv_w: np.ndarray
-    norm_w: np.ndarray
+    w_cells: _WeightCells
     spectra_exact: np.ndarray
     spectra_svds: int
     final_params: Params
@@ -137,6 +212,23 @@ class TrainLog:
     @property
     def final_loss(self) -> float:
         return float(self.loss[-1])
+
+    def _block(self, cells: range) -> np.ndarray:
+        # column-major: each cell contiguous along the steps
+        block = np.empty((len(cells), self.n_steps))
+        for j, row in zip(cells, block):
+            self.w_cells.column(j, self.grad_norm, row)
+        return block.T
+
+    @property
+    def min_sv_w(self) -> np.ndarray:
+        """``(n_steps, L - 2)``: the lower bounds of ``W_3..W_L``."""
+        return self._block(range(max(self.final_params.depth - 2, 0)))
+
+    @property
+    def norm_w(self) -> np.ndarray:
+        """``(n_steps, L)``: the upper bounds of ``W_1..W_L``."""
+        return self._block(range(max(self.final_params.depth - 2, 0), len(self.w_cells.records)))
 
 
 # Lazy spectra.  LAPACK's SVD is backward stable: each computed singular
@@ -164,8 +256,8 @@ class _Spectra:
     lower bounds of ``W_3..W_L``, then the upper bounds of ``W_1..W_L``,
     each a matrix and the sign of its bound's radius.  They are recorded,
     one array per cell, only on the rows that measure every matrix;
-    ``columns`` appends the log's spectra to ``F_1``'s column after the
-    run.
+    ``weight_cells`` hands them to the log with the constants that prove
+    the rows between (``_WeightCells``).
 
     Step 0's exact SVDs (``measure_all``) are the run's one reference for
     ``W_1..W_L``.  By Weyl's inequality no singular value of ``W_i`` moves
@@ -203,10 +295,11 @@ class _Spectra:
     is -inf.  The trainer compares ``P`` with ``limit`` once per step and
     measures every matrix on each row from the first whose ``P`` passed
     it (``first``): ``P`` never decreases, so the rows proven are ``1 ..
-    first - 1``.  ``columns`` writes their bound cells from the same
-    formula, after the run: it recomputes ``P`` from the logged gradient
-    norms by the same sequential sum, so every cell it writes meets its
-    threshold, and a flag read from the log is the exact SVD's.
+    first - 1``.  Their bound cells are computed from the same formula
+    only when the log is read: ``_WeightCells`` recomputes ``P`` from the
+    logged gradient norms by the same sequential sum, so every cell it
+    gives meets its threshold, and a flag read from the log is the exact
+    SVD's.
     """
 
     def __init__(self, shapes, thresholds, eta: float, max_steps: int) -> None:
@@ -276,34 +369,17 @@ class _Spectra:
         elif not self.first:
             self.first = k
 
-    def columns(self, out: array, grad_norm: np.ndarray) -> np.ndarray:
-        """The log's spectra, ``(n_rows, 1 + len(cells))`` for the
-        ``n_rows`` cells of ``grad_norm``, each column contiguous along the
-        steps: ``out``, ``F_1``'s column, then the weights' cells, appended
-        to it in order.  Each W's bounds on rows ``1 .. first - 1`` come
-        from the running sum, recomputed here, and step 0, and are written
-        in place at the end of ``out``; each record is released once its
-        column is built, so the spectra are never held twice."""
-        n_rows = len(grad_norm)
-        # P * grow on rows 1 .. first - 1, the running sum as the loop summed it
-        grown = grad_norm[: max(self.first - 1, 0)] * self.rate
-        np.add(grown, self.creep, grown)
-        np.cumsum(grown, out=grown)
-        np.multiply(grown, self.grow, grown)
-        for j, (i, sign) in enumerate(self.cells):
-            record, self.records[j] = np.frombuffer(self.records[j]), None
-            out.append(record[0])
-            end = len(out)
-            out.frombytes(grown.view(np.uint8))
-            # value + sign * radius; negating is exact, so a lower bound is
-            # value - radius bitwise.  The view must go before out grows.
-            bound = np.frombuffer(out)[end:]
-            np.multiply(bound, sign * self.inflate[i], bound)
-            np.add(bound, sign * self.margins[i], bound)
-            np.add(bound, record[0], bound)
-            del bound
-            out.frombytes(record[1:].view(np.uint8))
-        return np.frombuffer(out).reshape(1 + len(self.cells), n_rows).T
+    def weight_cells(self) -> _WeightCells:
+        """The weights' cells of the log: the records, and the constants
+        that prove the rows between."""
+        return _WeightCells(
+            records=tuple(np.frombuffer(r) for r in self.records),
+            rate=self.rate,
+            creep=self.creep,
+            grow=self.grow,
+            scales=tuple(sign * self.inflate[i] for i, sign in self.cells),
+            offsets=tuple(sign * self.margins[i] for i, sign in self.cells),
+        )
 
 
 def train(
@@ -330,15 +406,18 @@ def train(
     logs its last measured value, which is exact.  The bounds of
     ``W_1..W_L`` are proven from step 0's exact SVDs; their per-step audit
     is one running sum of the logged gradient norms and one comparison
-    with ``_Spectra.limit``, and the bound cells it proves are written
-    after the loop.  Step 0, the last step and every step from the first whose
-    running sum passes the limit take ``L + 1`` exact SVDs; an uncertified
-    run proves nothing (its limit is -inf), so that is every step.
+    with ``_Spectra.limit``.  The bound cells it proves are not stored:
+    the log computes them from ``grad_norm`` when they are read.  Step 0,
+    the last step and every step from the first whose running sum passes
+    the limit take ``L + 1`` exact SVDs; an uncertified run proves nothing
+    (its limit is -inf), so that is every step.
 
     The log is held once, so memory follows the rows logged, not
     ``max_steps``: each step appends its loss, gradient norm and ``F_1``'s
     smallest singular value to three growing arrays, and ``_Spectra``
-    records the weights' cells only on the rows that measure them.
+    records the weights' cells only on the rows that measure them.  A
+    certified run whose proof lasts thus holds three columns and its
+    ``spectra_exact`` flags, not nine columns.
 
     The weights ``W_1..W_L`` are views of one flat vector, and every
     step updates them all with one multiply and one subtraction.  At a
@@ -427,20 +506,14 @@ def train(
     # an update that overflowed a weight leaves no finite last iterate;
     # the final weights are copies, not views of the trainer's vector
     final = Params(tuple(w.copy() for w in W)) if np.isfinite(theta).all() else params0
-    # the kernel's buffers and both vectors go before the spectra are built
-    del kernel, forward_pass, backward, loss_of_pass, F1, theta, W, v, gflat, grads, w1_bits, bits
-    grad_norm = np.frombuffer(gn_log)
-    cols = spectra.columns(f1_log, grad_norm)
-    HI = max(L - 1, 1)  # the first upper bound's column
     # every matrix was measured on row 0 and on rows first .. k
     exact = np.ones(k + 1, dtype=bool)
     exact[1 : spectra.first] = False
     return TrainLog(
         loss=np.frombuffer(loss_log),
-        grad_norm=grad_norm,
-        sv_f1=cols[:, 0],
-        min_sv_w=cols[:, 1:HI],
-        norm_w=cols[:, HI:],
+        grad_norm=np.frombuffer(gn_log),
+        sv_f1=np.frombuffer(f1_log),
+        w_cells=spectra.weight_cells(),
         spectra_exact=exact,
         spectra_svds=spectra.n_svds,
         final_params=final,
@@ -466,8 +539,10 @@ def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = Non
     bounds, ``max_norm_W*`` upper bounds.  They are exact on rows with
     ``spectra_exact`` = 1, which an uncertified run has throughout.
 
-    Each row is formatted from the columns and written on its own, so the
-    write holds one row and the file's buffer beside the log and report.
+    Each row is formatted from the columns and written on its own, and the
+    weights' proven cells are computed row by row as they are written
+    (``_WeightCells.streams``), so the write holds one row and the file's
+    buffer beside the log and report.
     """
     L = log.final_params.depth
     header = ["k", "loss", "bound", "sv_F1"]
@@ -475,7 +550,7 @@ def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = Non
     header.extend(f"max_norm_W{l}" for l in range(1, L + 1))
     header.extend(["grad_norm", "spectra_exact"])
     # without a report the bound cell is the literal NaN of the template
-    floats = [log.sv_f1, *log.min_sv_w.T, *log.norm_w.T, log.grad_norm]
+    floats = [log.sv_f1, *log.w_cells.streams(log.grad_norm), log.grad_norm]
     columns = [range(log.n_steps), log.loss, *floats, log.spectra_exact]
     cells = ["%d", _FLOAT_CELL, "nan"] + [_FLOAT_CELL] * len(floats) + ["%d"]
     if report is not None:

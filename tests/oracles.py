@@ -9,7 +9,8 @@ parameter-distance envelope of acceptance criterion 3, the PL-style floor
 of the second-layer gradient, the activation's second derivative and its
 gap to the ramp behind criterion 4, the normalized Hermite polynomials, a
 CSV writer and parser for fixtures, a recorder of the network kernel's
-forward passes, and the trainer's log written row by row.
+forward passes, the trainer's log written row by row, and the block of the
+weights' spectra cells that the trainer once built after each run.
 """
 
 import contextlib
@@ -408,3 +409,44 @@ def dense_log(params, data, act, eta, n_rows, thresholds, max_steps, first) -> d
         "min_sv_w": table[:, 3:, 0],
         "norm_w": table[:, 1:, 1],
     }
+
+
+def run_spectra(params, data, act, thresholds, eta, max_steps, first) -> _Spectra:
+    """The ``_Spectra`` of a ``train`` run of ``params`` after its step 0,
+    which sets its constants, and with the run's ``first``."""
+    W = params.weights
+    spectra = _Spectra([(data.n_samples, W[0].shape[1])] + [w.shape for w in W], thresholds, eta, max_steps)
+    spectra.measure_all(0, (forward(params, data, act).F[1], *W))
+    spectra.first = first
+    return spectra
+
+
+def cells_block(spectra, records, grad_norm) -> np.ndarray:
+    """The weights' cells of a log as one ``(n_rows, n_cells)`` block, as
+    the trainer built it after each run before it computed them when read:
+    the cumulative sum of ``grad_norm * rate + creep`` over rows
+    ``1 .. first - 1``, times ``grow``, then for each cell ``record[0] +
+    sign * radius`` there, between the rows measured, ``records``."""
+    grown = grad_norm[: max(spectra.first - 1, 0)] * spectra.rate
+    grown = np.cumsum(grown + spectra.creep) * spectra.grow
+    cols = []
+    for (i, sign), record in zip(spectra.cells, records):
+        bound = grown * (sign * spectra.inflate[i]) + sign * spectra.margins[i] + record[0]
+        cols.append(np.concatenate([record[:1], bound, record[1:]]))
+    return np.stack(cols, axis=1)
+
+
+def read_cells(cells, grad_norm) -> tuple[np.ndarray, np.ndarray]:
+    """A log's weight cells as ``(n_rows, n_cells)`` blocks, read column by
+    column as ``monitor_invariants`` reads them and row by row as the CSV
+    writer does."""
+    columns = np.stack([c.copy() for c in cells.columns(grad_norm)], axis=1)
+    rows = np.array(list(zip(*cells.streams(grad_norm))))
+    return columns, rows
+
+
+def with_w_columns(log: TrainLog, min_sv_w, norm_w) -> TrainLog:
+    """``log`` with weight cells measured on every row, ``min_sv_w`` and
+    ``norm_w`` (shaped like the log's own)."""
+    records = tuple(np.ascontiguousarray(c) for c in (*np.transpose(min_sv_w), *np.transpose(norm_w)))
+    return replace(log, w_cells=replace(log.w_cells, records=records))

@@ -12,12 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    cells_block,
     check_assumption,
     dense_log,
     distance_envelope,
     forward_starts,
     rate_constants,
+    read_cells,
+    run_spectra,
     trainlog_from_csv,
+    with_w_columns,
 )
 
 from pyrcert.activation import ActivationParams, as_function, evaluate
@@ -63,13 +67,14 @@ def csv_cell_by_cell(log, path, report):
     def fmt(v):
         return format(float(v), ".17g")
 
+    min_sv_w, norm_w = log.min_sv_w, log.norm_w  # each built on access
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(log.n_steps):
             row = [i, fmt(log.loss[i]), fmt(bound[i]), fmt(log.sv_f1[i])]
-            row.extend(fmt(v) for v in log.min_sv_w[i])
-            row.extend(fmt(v) for v in log.norm_w[i])
+            row.extend(fmt(v) for v in min_sv_w[i])
+            row.extend(fmt(v) for v in norm_w[i])
             row.extend([fmt(log.grad_norm[i]), int(log.spectra_exact[i])])
             if report is not None:
                 row.extend(int(b) for b in report.flags[i])
@@ -528,8 +533,7 @@ class TestMonitorInvariants:
         # the flags are compared into their columns and counted in place:
         # no temporary bool column on a 200,001-row log
         log, cert = self.make_certified_run(max_steps=0)
-        columns = ("loss", "grad_norm", "sv_f1", "min_sv_w", "norm_w", "spectra_exact")
-        long = dataclasses.replace(log, **{f: np.repeat(getattr(log, f), 200_001, axis=0) for f in columns})
+        long = self.repeated(log, 200_001)
         monitor_invariants(long, cert)  # warm-up
         tracemalloc.start()
         try:
@@ -540,6 +544,13 @@ class TestMonitorInvariants:
         # the repeated loss stays put while its bound decays
         assert report.flags.shape == (200_001, 4) and report.n_violations["loss_bound"] == 200_000
         assert peak <= report.bound.nbytes + report.flags.nbytes + 16 * 1024, peak
+
+    @staticmethod
+    def repeated(log, n_steps):
+        """A one-row ``log`` repeated to ``n_steps`` rows, every one measured."""
+        columns = ("loss", "grad_norm", "sv_f1", "spectra_exact")
+        long = dataclasses.replace(log, **{f: np.repeat(getattr(log, f), n_steps) for f in columns})
+        return with_w_columns(long, np.repeat(log.min_sv_w, n_steps, axis=0), np.repeat(log.norm_w, n_steps, axis=0))
 
     @pytest.mark.parametrize("case", ["all_hold", "all_fail", "row_0_fails", "nan_rows"])
     def test_first_violations_and_counts(self, case):
@@ -552,7 +563,8 @@ class TestMonitorInvariants:
         cols["sv_f1"][rows] = cols["min_sv_w"][rows] = low
         cols["norm_w"][rows] = high
         cols["loss"][rows] = math.nan  # a NaN first loss makes every bound NaN
-        report = monitor_invariants(dataclasses.replace(log, **cols), cert)
+        injected_log = dataclasses.replace(log, loss=cols["loss"], sv_f1=cols["sv_f1"])
+        report = monitor_invariants(with_w_columns(injected_log, cols["min_sv_w"], cols["norm_w"]), cert)
         f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
         holds = [
             np.all(cols["min_sv_w"] >= lam_floor, axis=1),
@@ -577,8 +589,7 @@ class TestMonitorInvariants:
         # the bound is built in one buffer; it must equal the literal
         # (1 - eta*alpha0)**k * phi0 bitwise, for three bases
         log, cert = self.make_certified_run(max_steps=0)
-        columns = ("loss", "grad_norm", "sv_f1", "min_sv_w", "norm_w", "spectra_exact")
-        long = dataclasses.replace(log, **{f: np.repeat(getattr(log, f), n_steps, axis=0) for f in columns})
+        long = self.repeated(log, n_steps)
         for base in (1.0 - log.eta * cert.alpha0, 0.999, 0.5):
             c = dataclasses.replace(cert, alpha0=(1.0 - base) / log.eta)
             want = (1.0 - log.eta * c.alpha0) ** np.arange(n_steps) * log.phi0
@@ -638,7 +649,7 @@ class TestInvariantFlags:
 
         sv_f1, min_sv_w, norm_w = cells(n_steps), cells((n_steps, len(lam_floor))), cells((n_steps, depth))
         loss, bound = cells(n_steps), cells(n_steps)
-        got = invariant_flags(cert, sv_f1, min_sv_w, norm_w, loss, bound)
+        got = invariant_flags(cert, sv_f1, [*min_sv_w.T, *norm_w.T], loss, bound)
         want = np.stack(
             [
                 np.all(min_sv_w >= lam_floor[None, :], axis=1),
@@ -713,9 +724,9 @@ class TestLogColumns:
 
     @pytest.mark.parametrize("certified", [True, False])
     def test_peak_memory_is_the_log_and_a_little(self, certified):
-        # the log is held once: loss and gradient norm grow in place, and
-        # the spectra are built column by column after the run, each
-        # record released as its column is built
+        # the log is held once: loss, gradient norm and F_1's column grow
+        # in place, and the weights' cells are recorded only on the rows
+        # that measure them
         params, data, cert = self.certified(0)
         cfg = TrainConfig(eta=0.9 * cert.eta_max, max_steps=5_000)
         run = lambda: train(params, data, ACT, cfg, cert=cert if certified else None)  # noqa: E731
@@ -727,12 +738,13 @@ class TestLogColumns:
         finally:
             tracemalloc.stop()
         assert log.n_steps == 5_001 and log.spectra_exact[1:-1].any() != certified
-        columns = (log.loss, log.grad_norm, log.sv_f1, log.min_sv_w, log.norm_w, log.spectra_exact)
+        # what the log holds: the weights' cells only on the rows measured
+        columns = (log.loss, log.grad_norm, log.sv_f1, log.spectra_exact, *log.w_cells.records)
         assert peak <= 1.5 * sum(c.nbytes for c in columns) + 64 * 1024, peak
 
     def test_certified_peak_is_the_uncertified_peak_and_a_little(self):
-        # a certified run writes its proven bounds in place after the run,
-        # with the running sum as its one temporary column (40 KB here)
+        # a certified run holds its proven bounds as the data that proves
+        # them, and computes them only when they are read
         params, data, cert = self.certified(0)
         cfg = TrainConfig(eta=0.9 * cert.eta_max, max_steps=5_000)
         peaks = []
@@ -746,6 +758,69 @@ class TestLogColumns:
                 tracemalloc.stop()
             assert log.n_steps == 5_001
         assert peaks[0] <= peaks[1] + 16 * 1024, peaks
+
+
+class TestWeightCells:
+    """A log holds the weights' cells only on the rows that measured them
+    and computes the rows between from ``grad_norm`` when they are read.
+    Read as arrays, column by column (the flags) or row by row (the CSV),
+    they must equal bit for bit the block the trainer once built after the
+    run, at depths 1 to 4, where the proof lasts, where it runs out, on an
+    uncertified run and on a run of one row."""
+
+    @staticmethod
+    def depth_one(eta=0.02, steps=60):
+        """A depth-1 run whose certificate caps ``||W_1||_2`` one path length
+        above step 0's, that path being ``2 * eta`` times the first 30
+        gradient norms: ``params, data, eta, max_steps, cert``."""
+        rng = np.random.default_rng(11)
+        params = Params((rng.normal(size=(3, 2)),))
+        data = Dataset(rng.normal(size=(4, 3)), rng.normal(size=(4, 2)))
+        eager = train(params, data, ACT, TrainConfig(eta=eta, max_steps=steps))
+        path = 2.0 * eta * float(np.sum(eager.grad_norm[:30]))
+        shape, data3, cfg = certifiable_instance()
+        cert = dataclasses.replace(
+            certify(init_certifiable(shape, cfg), data3, ACT),
+            depth=1,
+            lambda_bar=((float(eager.norm_w[0, 0]) + path) / 1.5,),
+            lambda_min_deep=(),
+            lambda_f=float(np.min(eager.sv_f1)),
+            alpha0=0.01,
+            eta_max=math.inf,
+        )
+        return params, data, eta, steps, cert
+
+    def run(self, case):
+        """``(params, data, eta, max_steps, cert)`` of each case."""
+        if case == "depth_1":
+            return self.depth_one()
+        if case in ("proof_lasts", "one_row", "uncertified"):
+            shape, data, cfg = certifiable_instance()
+            _, params, cert = tune_gain(shape, data, ACT, cfg)
+            max_steps = {"proof_lasts": 150, "one_row": 0, "uncertified": 40}[case]
+            return params, data, 0.9 * cert.eta_max, max_steps, None if case == "uncertified" else cert
+        widths = {"depth_2": (6, 2), "depth_3": (6, 3, 2), "depth_4": (6, 4, 3, 2)}[case]
+        params, data, eta, _, cert = proof_runs_out_at_30(3, widths)
+        return params, data, eta, 60, cert
+
+    @pytest.mark.parametrize(
+        "case", ["proof_lasts", "one_row", "uncertified", "depth_1", "depth_2", "depth_3", "depth_4"]
+    )
+    def test_cells_equal_the_block_built_after_the_run(self, case):
+        params, data, eta, max_steps, cert = self.run(case)
+        log = train(params, data, ACT, TrainConfig(eta=eta, max_steps=max_steps), cert=cert)
+        first = assert_cells_are_the_block(log, params, data, eta, max_steps, cert)
+        n_rows = log.n_steps
+        # each record holds row 0 and rows first .. n_rows - 1
+        assert {len(r) for r in log.w_cells.records} == {n_rows - max(first - 1, 0)}
+        if case == "one_row":
+            assert n_rows == 1
+        elif case == "uncertified":
+            assert first == 1 and n_rows == 41
+        elif case == "proof_lasts":
+            assert first == n_rows - 1 == 150
+        else:
+            assert log.final_params.depth == int(case[-1]) and 1 < first < n_rows - 1
 
 
 class TestDepthTwo:
@@ -805,6 +880,21 @@ def proof_runs_out_at_30(seed, widths):
     return params, data, eta, eager, cert
 
 
+def assert_cells_are_the_block(log, params, data, eta, max_steps, cert):
+    """Assert that ``log``'s weight cells, read as arrays, by column and by
+    row, equal bit for bit the block the trainer once built after the run
+    (``oracles.cells_block``); return the run's ``first``."""
+    exact = log.spectra_exact
+    first = 1 + int(np.argmax(exact[1:])) if log.n_steps > 1 else 0
+    thresholds = None if cert is None else invariant_thresholds(cert)
+    spectra = run_spectra(params, data, ACT, thresholds, eta, max_steps, first)
+    want = cells_block(spectra, log.w_cells.records, log.grad_norm)
+    arrays = np.concatenate([log.min_sv_w, log.norm_w], axis=1)
+    for got in (arrays, *read_cells(log.w_cells, log.grad_norm)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return first
+
+
 class TestLazySpectra:
     """The certified trainer measures F_1 where layer 1 is recomputed and
     proves the thresholds of the weights by Weyl's inequality from step 0's
@@ -827,7 +917,7 @@ class TestLazySpectra:
         assert eager.spectra_exact.all()
         report = monitor_invariants(lazy, cert)
         want = invariant_flags(
-            cert, eager.sv_f1, eager.min_sv_w, eager.norm_w, eager.loss, report.bound
+            cert, eager.sv_f1, [*eager.min_sv_w.T, *eager.norm_w.T], eager.loss, report.bound
         )
         assert np.array_equal(report.flags, want)
         assert np.array_equal(lazy.sv_f1, eager.sv_f1)  # exact on every row
@@ -904,6 +994,7 @@ class TestLazySpectra:
         exact = lazy.spectra_exact
         first = 1 + int(np.argmax(exact[1:]))
         assert first == 30
+        assert_cells_are_the_block(lazy, params, data, eta, 60, cert)
         assert exact[first:].all() and not exact[1:first].any()
         n_all = 1 + lazy.n_steps - first
         assert lazy.spectra_svds == (len(widths) + 1) * n_all + starts[1:first].count(0)

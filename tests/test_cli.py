@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracles import dataset_to_csv, trainlog_from_csv
 
 from pyrcert import cli as cli_mod
+from pyrcert.certificates import InvariantReport, certificate_from_json, invariant_flags
 from pyrcert.cli import main
 from pyrcert.network import dataset_from_json, dataset_to_json
 from pyrcert.initializers import sphere_data
@@ -297,21 +298,18 @@ class TestTrain:
         ]
         assert json.loads((out / "certificate.json").read_text())["certified"] is False
 
-    def test_certified_run_peaks_at_its_log_and_report(self, tmp_path, monkeypatch):
-        # the pipeline's peak is the log and the report the CSV is written
-        # from, plus set-up state and the writer's buffer; the kernel held
-        # through the spectra, negated flag columns and CSV text formatted
-        # in 64-row blocks add 84 KB to them on this 1,296-row run
-        cfg = cli_mod._load_config(None, {"seed": 2, "train.stop_loss": 2.5e-3})
-        held = []
-        write = cli_mod.trainlog_to_csv
+    @staticmethod
+    def traced_run(cfg, tmp_path, monkeypatch):
+        """The tracemalloc peak of a second ``_run_training`` of ``cfg``, and
+        its summary, exit code, log and report."""
+        seen = []
+        monitor = cli_mod.monitor_invariants
 
-        def spy(log, path, report=None):
-            arrays = (log.loss, log.grad_norm, log.sv_f1, log.min_sv_w, log.norm_w, log.spectra_exact)
-            held.append(sum(a.nbytes for a in arrays) + report.bound.nbytes + report.flags.nbytes)
-            write(log, path, report)
+        def spy(log, cert):
+            seen[:] = [log, monitor(log, cert)]
+            return seen[1]
 
-        monkeypatch.setattr(cli_mod, "trainlog_to_csv", spy)
+        monkeypatch.setattr(cli_mod, "monitor_invariants", spy)
         cli_mod._run_training(cfg, tmp_path)  # warm-up
         tracemalloc.start()
         try:
@@ -319,8 +317,50 @@ class TestTrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return peak, summary, code, *seen
+
+    def test_certified_run_peaks_at_its_log_and_report(self, tmp_path, monkeypatch):
+        # the pipeline's peak is the log and the report the CSV is written
+        # from, plus set-up state, one column of the weights' cells computed
+        # for the flags and the writer's buffer, which add about 46 KB to
+        # them on this 1,296-row run
+        cfg = cli_mod._load_config(None, {"seed": 2, "train.stop_loss": 2.5e-3})
+        peak, summary, code, log, report = self.traced_run(cfg, tmp_path, monkeypatch)
         assert code == 0 and summary["certified"] and summary["records"] == 1_296
-        assert peak <= held[-1] + 64 * 1024, (peak, held[-1])
+        arrays = (log.loss, log.grad_norm, log.sv_f1, log.spectra_exact, *log.w_cells.records)
+        held = sum(a.nbytes for a in arrays) + report.bound.nbytes + report.flags.nbytes
+        assert peak <= held + 64 * 1024, (peak, held)
+
+    def test_certified_run_holds_no_weight_columns(self, tmp_path, monkeypatch):
+        # the weights' six bound columns are computed when read, not held:
+        # the pipeline peaks within 64 KiB of the loss, gradient norm and
+        # F_1 columns and the report (the six columns alone are 62 KB here)
+        cfg = cli_mod._load_config(None, {"seed": 2, "train.stop_loss": 2.5e-3})
+        peak, summary, code, log, report = self.traced_run(cfg, tmp_path, monkeypatch)
+        assert code == 0 and summary["certified"] and summary["records"] == 1_296
+        held = sum(a.nbytes for a in (log.loss, log.grad_norm, log.sv_f1, report.bound, report.flags))
+        assert peak <= held + 64 * 1024, (peak, held)
+
+    def test_a_run_is_judged_again_from_its_csv(self, tmp_path, monkeypatch):
+        # trainlog.csv read back by np.genfromtxt and certificate.json give
+        # the run's own flags, bitwise, through the function that judged it
+        seen = []
+        monitor = cli_mod.monitor_invariants
+        monkeypatch.setattr(cli_mod, "monitor_invariants", lambda log, cert: seen.append(monitor(log, cert)) or seen[0])
+        res = run(["train", "--seed", "0", "--stop-loss", "2.5e-3", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        report = seen[0]
+        table = np.genfromtxt(tmp_path / "trainlog.csv", delimiter=",", names=True)
+        cert = certificate_from_json(tmp_path / "certificate.json")
+        L = cert.depth
+        cells = [table[f"min_sv_W{l}"] for l in range(3, L + 1)]
+        cells += [table[f"max_norm_W{l}"] for l in range(1, L + 1)]
+        flags = invariant_flags(cert, table["sv_F1"], cells, table["loss"], table["bound"])
+        assert len(flags) == json.loads((tmp_path / "summary.json").read_text())["records"] > 1
+        assert flags.tobytes() == report.flags.tobytes()
+        assert table["bound"].tobytes() == report.bound.tobytes()
+        written = np.stack([table["flag_" + name] for name in InvariantReport.CHECKS], axis=1)
+        assert np.array_equal(written, flags)
 
     def test_csv_dataset_source(self, tmp_path):
         X = sphere_data(6, 4, seed=3)

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import forward_starts, jacobian_block, pl_lower_bound, theta_distance, trainlog_from_csv
+from oracles import (
+    cells_block,
+    forward_starts,
+    jacobian_block,
+    pl_lower_bound,
+    read_cells,
+    theta_distance,
+    trainlog_from_csv,
+)
 
 from pyrcert import gradients, network
 from pyrcert.activation import ActivationParams, value_and_slope
@@ -400,8 +408,8 @@ class TestSpectra:
     running sum passed ``limit``, measures every matrix; another row where
     ``F_1`` moved (by replacement) measures ``F_1``.  Every row appends
     ``F_1``'s last measured smallest singular value to its own column, and
-    ``columns`` builds the log's spectra from that column and the gradient
-    norms."""
+    ``weight_cells`` holds the weights' cells, which compute the rows
+    proven from the gradient norms when they are read."""
 
     SHAPES = [(5, 4), (3, 4), (4, 3), (3, 2)]
     N = 4
@@ -448,7 +456,13 @@ class TestSpectra:
             f1_col.append(spectra.lows[0])
             assert len(set(measured[-1])) == len(measured[-1])  # each at most once
             exact.append([self.extremes(a) for a in (f1, *weights)])
-        rows = spectra.columns(f1_col, norms)
+        # the weights' cells, read by column and by row, are bit for bit
+        # the block built after the walk
+        cells = spectra.weight_cells()
+        want = cells_block(spectra, cells.records, norms)
+        by_column, by_row = read_cells(cells, norms)
+        assert by_column.tobytes() == by_row.tobytes() == want.tobytes()
+        rows = np.column_stack([np.frombuffer(f1_col), by_column])
         return rows, measured, exact, sums, f1_moved, ref
 
     def assert_log_holds(self, spectra, rows, measured, exact):

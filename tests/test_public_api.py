@@ -91,8 +91,7 @@ def test_init_config_fields():
                 "loss",
                 "grad_norm",
                 "sv_f1",
-                "min_sv_w",
-                "norm_w",
+                "w_cells",
                 "spectra_exact",
                 "spectra_svds",
                 "final_params",

@@ -11,12 +11,20 @@ stdout, stderr and exit code.  Compare two checkouts with::
     diff old.txt new.txt
 
 (or run this script with ``--src /path/to/other/checkout/src``).
+
+With ``--per-key``, each JSON output gets one ``<sha256> <path>#<key>``
+line per leaf, the digest of the leaf's JSON text, and each CSV output one
+per column, the digest of its cells; a key path joins object keys with
+``.`` and list indices as ``[i]``.  Other files, the streams and the exit
+codes keep their whole-file lines.  A change that only adds JSON keys or
+CSV columns then shows in ``diff`` as added lines only.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -68,8 +76,40 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(src: Path) -> list[str]:
-    """One line per output file, stream and exit code of every pinned run."""
+def json_leaves(value, key: str = ""):
+    """``(key path, JSON text)`` of every leaf of ``value``, in order; an
+    empty object or list is a leaf."""
+    if isinstance(value, dict) and value:
+        for name, item in value.items():
+            yield from json_leaves(item, f"{key}.{name}" if key else name)
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            yield from json_leaves(item, f"{key}[{i}]")
+    else:
+        yield key, json.dumps(value)
+
+
+def csv_columns(data: bytes):
+    """``(header name, cells)`` of every column of a CSV with no quoted
+    cells, the cells joined by newlines as written."""
+    header, *rows = [line.split(",") for line in data.decode().splitlines()]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError("ragged CSV")
+    return [(name, "\n".join(row[j] for row in rows)) for j, name in enumerate(header)]
+
+
+def file_lines(rel: str, data: bytes, per_key: bool = False) -> list[str]:
+    """The digest lines of output file ``rel`` holding ``data``."""
+    if per_key and rel.endswith(".json"):
+        return [f"{_sha(text.encode())} {rel}#{key}" for key, text in json_leaves(json.loads(data))]
+    if per_key and rel.endswith(".csv"):
+        return [f"{_sha(cells.encode())} {rel}#{name}" for name, cells in csv_columns(data)]
+    return [f"{_sha(data)} {rel}"]
+
+
+def digest(src: Path, per_key: bool = False) -> list[str]:
+    """One line per output file (or per JSON leaf and CSV column, with
+    ``per_key``), stream and exit code of every pinned run."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -83,7 +123,7 @@ def digest(src: Path) -> list[str]:
             lines.append(f"{_sha(str(done.returncode).encode())} {name}/<exit {done.returncode}>")
             for path in sorted(Path(tmp, name).rglob("*")):
                 if path.is_file():
-                    lines.append(f"{_sha(path.read_bytes())} {path.relative_to(tmp).as_posix()}")
+                    lines += file_lines(path.relative_to(tmp).as_posix(), path.read_bytes(), per_key)
     return lines
 
 
@@ -91,7 +131,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     default = Path(__file__).resolve().parent.parent / "src"
     parser.add_argument("--src", type=Path, default=default, help="the package's source directory")
-    print("\n".join(digest(parser.parse_args().src)))
+    parser.add_argument("--per-key", action="store_true", help="one line per JSON leaf and CSV column")
+    args = parser.parse_args()
+    print("\n".join(digest(args.src, args.per_key)))
 
 
 if __name__ == "__main__":
