@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable, Optional
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -231,16 +231,41 @@ def certify(params0: Params, data: Dataset, act: ActivationParams) -> Certificat
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """The certified loss ceiling and the four invariants' verdicts, per
-    step; ``flags`` is the transpose of a ``(4, n_steps)`` block."""
+    """The four invariants' verdicts on a log against a certificate: each
+    check's number of failing steps and first one, and whether all hold.
 
-    bound: np.ndarray  # (n_steps,)
-    flags: np.ndarray  # (n_steps, 4) bool, in the order of CHECKS
+    The per-step certified loss ceiling ``bound`` and the flags ``(n_steps,
+    4)`` (each check's column contiguous) are not held: they are judged
+    again from ``log`` and ``cert``, which the report refers to, when they
+    are read.  ``bound`` and ``flags`` build their arrays on each access;
+    ``blocks`` gives them a block of rows at a time (``TrainLog.blocks``)."""
+
+    log: "TrainLog" = field(repr=False, compare=False)
+    cert: Certificate = field(repr=False, compare=False)
     first_violation: dict[str, Optional[int]]
     n_violations: dict[str, int]
     all_hold: bool
 
     CHECKS = ("sv_w", "norm_w", "sv_f1", "loss_bound")
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """``(k0, cells, bound, flags)`` of each block of rows from row
+        ``k0``: the weights' cells judged, as ``TrainLog.blocks`` gives
+        them, then the block's bound and flags."""
+        return _judge(self.cert, self.log.eta, self.log.phi0, self.log.blocks())
+
+    @property
+    def bound(self) -> np.ndarray:
+        """``(n_steps,)``: the certified ceiling ``(1 - eta*alpha0)**k * phi0``."""
+        return _decay_bound(self.cert, self.log.eta, self.log.phi0, 0, self.log.n_steps)
+
+    @property
+    def flags(self) -> np.ndarray:
+        """``(n_steps, 4)`` bool, in the order of ``CHECKS``."""
+        block = np.empty((4, self.log.n_steps), dtype=bool)
+        for k0, _, _, flags in self.blocks():
+            block[:, k0 : k0 + len(flags)] = flags.T
+        return block.T
 
 
 def _first_false(col: np.ndarray) -> Optional[int]:
@@ -279,10 +304,10 @@ def invariant_flags(
     the lower bounds of ``W_3..W_L``, then the upper bounds of
     ``W_1..W_L``.  Each is read once, in order, and released before the
     next is asked for, so an iterator may compute each one when it is
-    reached (``TrainLog.w_cells.columns``).  The spectra may be exact or
-    certified one-sided bounds (lower bounds for ``sv_f1`` and the floors,
-    upper bounds for the norms); with bounds a flag holds only where the
-    bound proves it.
+    reached; a ``TrainLog.blocks`` block gives them as the rows of one
+    array.  The spectra may be exact or certified one-sided bounds (lower
+    bounds for ``sv_f1`` and the floors, upper bounds for the norms); with
+    bounds a flag holds only where the bound proves it.
     """
     f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
     # each check's column is contiguous: the rows of a (4, n_steps) block
@@ -299,6 +324,44 @@ def invariant_flags(
     return block.T
 
 
+def _decay_bound(cert: Certificate, eta: float, phi0: float, k0: int, k1: int) -> np.ndarray:
+    """The certified loss ceiling ``(1 - eta*alpha0)**k * phi0`` on rows
+    ``k = k0 .. k1 - 1``, built in one buffer.  ``np.power`` over an
+    ``arange`` gives each row the bits of the whole column's vectorised
+    power whatever the block; a scalar power per row would differ from it
+    in the last bit on some rows, and the logged bound column is pinned
+    bitwise."""
+    bound = np.arange(k0, k1, dtype=np.float64)
+    np.power(1.0 - eta * cert.alpha0, bound, out=bound)
+    np.multiply(bound, phi0, out=bound)
+    return bound
+
+
+def _judge(cert: Certificate, eta: float, phi0: float, blocks) -> Iterator[tuple]:
+    """``(k0, w_columns, bound, flags)`` of each block ``(k0, sv_f1,
+    w_columns, loss)`` of a log's rows from row ``k0``: the block's
+    ceiling by ``_decay_bound`` and its ``invariant_flags``."""
+    for k0, sv_f1, w_columns, loss in blocks:
+        bound = _decay_bound(cert, eta, phi0, k0, k0 + len(loss))
+        yield k0, w_columns, bound, invariant_flags(cert, sv_f1, w_columns, loss, bound)
+        del bound, sv_f1  # released before the next block is made
+
+
+def _tally(judged) -> tuple[dict[str, int], dict[str, Optional[int]]]:
+    """Each check's number of failing rows and first failing row, over the
+    blocks of ``_judge``."""
+    counts = dict.fromkeys(InvariantReport.CHECKS, 0)
+    first: dict[str, Optional[int]] = dict.fromkeys(InvariantReport.CHECKS)
+    for k0, _, _, flags in judged:
+        # counted and searched in place, with no negated copy of a column
+        for name, col in zip(InvariantReport.CHECKS, flags.T):
+            bad = col.size - int(np.count_nonzero(col))
+            if bad and first[name] is None:
+                first[name] = k0 + _first_false(col)
+            counts[name] += bad
+    return counts, first
+
+
 def monitor_invariants(log: "TrainLog", cert: Certificate) -> InvariantReport:
     """Judge a logged run against a certificate: per step, the certified
     decay bound ``(1 - eta*alpha0)**k * phi0`` and the invariant flags.
@@ -307,22 +370,17 @@ def monitor_invariants(log: "TrainLog", cert: Certificate) -> InvariantReport:
     equal those of an exact SVD on every step; against a tighter
     certificate a bound may fail to prove a step that holds.  A certificate
     of another depth than the logged network's raises ``ValueError``.
+
+    The log is judged a block of ``gradients.BLOCK_ROWS`` rows at a time
+    (``TrainLog.blocks``), and the report keeps only each check's count
+    and first violation: the judge holds one block's bound, flags and
+    cells, whatever the log's length.
     """
     _check_depth(cert, log.final_params.depth)
-    # one vectorised power: a scalar power per step would differ from it in
-    # the last bit on some steps, and the logged bound column is pinned
-    # bitwise.  It equals ``base ** np.arange(n) * phi0``, built in one buffer.
-    bound = np.arange(log.n_steps, dtype=np.float64)
-    np.power(1.0 - log.eta * cert.alpha0, bound, out=bound)
-    np.multiply(bound, log.phi0, out=bound)
-    flags = invariant_flags(cert, log.sv_f1, log.w_cells.columns(log.grad_norm), log.loss, bound)
-    # counted and searched in place, with no negated copy of a column
-    columns = dict(zip(InvariantReport.CHECKS, flags.T))
-    counts = {name: col.size - int(np.count_nonzero(col)) for name, col in columns.items()}
-    first = {name: _first_false(col) for name, col in columns.items()}
+    counts, first = _tally(_judge(cert, log.eta, log.phi0, log.blocks()))
     return InvariantReport(
-        bound=bound,
-        flags=flags,
+        log=log,
+        cert=cert,
         first_violation=first,
         n_violations=counts,
         all_hold=not any(counts.values()),

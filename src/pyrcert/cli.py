@@ -419,7 +419,7 @@ def kr_cmd(cfg: dict, out_dir: Path, fmt: str) -> None:
         rows.append((s, exact, bound, exact >= threshold))
     if fmt == "csv":
         header, cells = ["seed", "sigma_min", "bound", "pass"], ["%d", _FLOAT_CELL, _FLOAT_CELL, "%d"]
-        _write_csv(out_dir / "kr.csv", header, cells, zip(*rows))
+        _write_csv(out_dir / "kr.csv", header, cells, [zip(*rows)])
     else:
         payload = [
             {"seed": s, "sigma_min": exact, "bound": bound, "pass": bool(ok)}
@@ -454,7 +454,7 @@ def hermite_cmd(cfg: dict, out_dir: Path, fmt: str) -> None:
     click.echo(_write_json(out_dir / "hermite.json", payload))
     if fmt == "csv":
         columns = (range(len(spec.coeffs)), spec.coeffs, spec.converged)
-        _write_csv(out_dir / "hermite.csv", ["r", "coeff", "converged"], ["%d", _FLOAT_CELL, "%d"], columns)
+        _write_csv(out_dir / "hermite.csv", ["r", "coeff", "converged"], ["%d", _FLOAT_CELL, "%d"], [columns])
 
 
 def _sweep_entry(cfg: dict, out_dir: Path) -> dict:

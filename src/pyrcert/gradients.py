@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import chain, repeat, starmap
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -34,6 +35,10 @@ __all__ = [
 ]
 
 DIVERGENCE_LOSS = 1e12
+# Rows per block of a log read in blocks (``TrainLog.blocks``): the report's
+# bound and flags are computed a block at a time, and the buffers of a block
+# stay a few KiB, so a CSV written with a report peaks within 24 KiB.
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,27 @@ class TrainConfig:
         object.__setattr__(self, "max_steps", _size(self.max_steps, "max_steps", 0))
 
 
+def _split(record: np.ndarray, n: int) -> int:
+    """The first row after row 0 that ``record`` holds of an ``n``-row
+    column: a record holds row 0 and the last ``len(record) - 1`` rows
+    (``n`` if it holds only row 0)."""
+    return n - len(record) + 1
+
+
+def _spread(record: np.ndarray, n: int, k0: int, k1: int) -> np.ndarray:
+    """Rows ``k0 .. k1 - 1`` of an ``n``-row column held as ``record``,
+    every row between row 0 and ``_split`` reading row 0's value: a view of
+    the record where the rows are all recorded after row 0, else a new
+    array."""
+    split = _split(record, n)
+    if k0 >= split:
+        return record[k0 - split + 1 : k1 - split + 1]
+    col, cut = np.empty(k1 - k0), min(k1, split) - k0
+    col[:cut] = record[0]
+    col[cut:] = record[1 : k1 - k0 - cut + 1]
+    return col
+
+
 @dataclass(frozen=True)
 class _WeightCells:
     """The weights' spectra cells of a log, held as the data that proves
@@ -105,10 +131,9 @@ class _WeightCells:
     proven (``_Spectra``).  With ``P`` the running sum of ``grad_norm *
     rate + creep`` over the rows before it, added in row order as the
     trainer added it, cell ``j`` of such a row is ``((P * grow) *
-    scales[j] + offsets[j]) + records[j][0]``.  The cells are computed
-    when they are read, by these float operations in this order:
-    ``columns`` a column at a time with NumPy, ``streams`` a row at a time
-    with Python floats, so both give the same bits.
+    scales[j] + offsets[j]) + records[j][0]``.  ``blocks`` computes the
+    cells when they are read, a block of rows at a time, by these float
+    operations in this order, carrying ``P`` from one block to the next.
     """
 
     records: tuple[np.ndarray, ...]
@@ -118,52 +143,41 @@ class _WeightCells:
     scales: tuple[float, ...]  # the sign of the cell's bound times inflate
     offsets: tuple[float, ...]  # the sign times margin
 
-    def column(self, j: int, grad_norm: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Cell ``j`` on every row of ``grad_norm``, written into ``out``."""
-        record = self.records[j]
-        proven = len(grad_norm) - len(record)
-        out[0] = record[0]
-        out[proven + 1 :] = record[1:]
-        seg = out[1 : proven + 1]
-        np.multiply(grad_norm[:proven], self.rate, seg)
-        np.add(seg, self.creep, seg)
-        np.cumsum(seg, out=seg)  # adds in row order
-        np.multiply(seg, self.grow, seg)
-        # value + sign * radius; negating is exact, so a lower bound is
-        # value - radius bitwise
-        np.multiply(seg, self.scales[j], seg)
-        np.add(seg, self.offsets[j], seg)
-        np.add(seg, record[0], seg)
-        return out
-
-    def columns(self, grad_norm: np.ndarray) -> Iterator[np.ndarray]:
-        """Each cell's column in order: a record of every row as it is, any
-        other cell written into one buffer that the next one overwrites."""
-        out = None
-        for j, record in enumerate(self.records):
-            if len(record) == len(grad_norm):
-                yield record
-                continue
-            if out is None:
-                out = np.empty(len(grad_norm))
-            yield self.column(j, grad_norm, out)
-
-    def _stream(self, j: int, grad_norm: np.ndarray) -> Iterator[float]:
-        record = self.records[j]
-        proven = len(grad_norm) - len(record)
-        rate, creep, grow = self.rate, self.creep, self.grow
-        value, scale, offset = float(record[0]), self.scales[j], self.offsets[j]
-        yield value
+    def blocks(self, grad_norm: np.ndarray, size: int) -> Iterator[np.ndarray]:
+        """For each block of ``size`` rows of ``grad_norm`` in order, its
+        cells as the rows of one ``(n_cells, rows)`` array, written into a
+        buffer that the next block overwrites."""
+        n = len(grad_norm)
+        split = _split(self.records[0], n)  # rows 1 .. split - 1 are proven
+        grown, buf = np.empty(min(size, n)), np.empty((len(self.records), min(size, n)))
         P = 0.0
-        for gn in memoryview(grad_norm[:proven]):
-            P += gn * rate + creep
-            yield P * grow * scale + offset + value
-        yield from memoryview(record[1:])
-
-    def streams(self, grad_norm: np.ndarray) -> list[Iterator[float]]:
-        """One iterator per cell over its rows, as Python floats: what
-        ``column`` writes, one row at a time."""
-        return [self._stream(j, grad_norm) for j in range(len(self.records))]
+        for k0 in range(0, n, size):
+            k1 = min(k0 + size, n)
+            a, b = max(k0, 1), min(k1, split)  # the block's proven rows
+            seg = grown[: max(b - a, 0)]
+            if b > a:
+                np.multiply(grad_norm[a - 1 : b - 1], self.rate, seg)
+                np.add(seg, self.creep, seg)
+                seg[0] += P  # the sum of the rows before the block
+                np.add.accumulate(seg, out=seg)  # adds in row order
+                P = float(seg[-1])
+                np.multiply(seg, self.grow, seg)
+            block = buf[:, : k1 - k0]
+            # one cell at a time: a ufunc over a 2-D block allocates buffers
+            # larger than the block
+            for row, record, scale, offset in zip(block, self.records, self.scales, self.offsets):
+                if k0 == 0:
+                    row[0] = record[0]
+                if b > a:
+                    # value + sign * radius; negating is exact, so a lower
+                    # bound is value - radius bitwise
+                    cell = row[a - k0 : b - k0]
+                    np.multiply(seg, scale, cell)
+                    np.add(cell, offset, cell)
+                    np.add(cell, record[0], cell)
+                if k1 > split:  # rows recorded after row 0
+                    row[max(k0, split) - k0 :] = record[max(k0 - split, 0) + 1 : k1 - split + 1]
+            yield block
 
 
 @dataclass
@@ -181,20 +195,24 @@ class TrainLog:
     is the last iterate, or ``params0`` if an update overflowed a weight to
     a non-finite value (the run has then ``diverged``).
 
-    The log is not copied: ``loss``, ``grad_norm`` and ``sv_f1`` view the
-    arrays the trainer appended to.  ``w_cells`` holds the weights' cells
-    only on the rows that measured them, and computes the proven rows from
-    ``grad_norm`` when they are read (``_WeightCells``).  ``min_sv_w`` and
-    ``norm_w`` build their arrays on each access; ``monitor_invariants``
-    reads the cells one column at a time and ``trainlog_to_csv`` one row at
-    a time, so neither holds them as a block.
+    ``loss`` and ``grad_norm`` are the only columns held, views of the
+    arrays the trainer appended to.  Every other column is held as the
+    rows that measured it and the rule for the rows between, and
+    ``sv_f1``, ``min_sv_w``, ``norm_w`` and ``spectra_exact`` build their
+    arrays on each access.  ``f1_record`` is ``F_1``'s smallest singular
+    value on row 0 and on every row from the first after it that measured
+    ``F_1``; each row before that reads row 0's value, since ``F_1`` is
+    bitwise row 0's matrix there.  ``w_cells`` holds the weights' cells on
+    the rows that measured them and computes the proven rows from
+    ``grad_norm`` (``_WeightCells``).  ``blocks`` reads the log a block of
+    rows at a time, as ``monitor_invariants`` and ``trainlog_to_csv`` do,
+    so neither holds a column that is not held here.
     """
 
     loss: np.ndarray
     grad_norm: np.ndarray
-    sv_f1: np.ndarray
+    f1_record: np.ndarray
     w_cells: _WeightCells
-    spectra_exact: np.ndarray
     spectra_svds: int
     final_params: Params
     eta: float
@@ -213,11 +231,37 @@ class TrainLog:
     def final_loss(self) -> float:
         return float(self.loss[-1])
 
+    @property
+    def sv_f1(self) -> np.ndarray:
+        """``(n_steps,)``: ``F_1``'s smallest singular value."""
+        return _spread(self.f1_record, self.n_steps, 0, self.n_steps)
+
+    @property
+    def spectra_exact(self) -> np.ndarray:
+        """``(n_steps,)`` bool: the rows that measured every matrix."""
+        exact = np.ones(self.n_steps, dtype=bool)
+        exact[1 : _split(self.w_cells.records[0], self.n_steps)] = False
+        return exact
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """``(k0, sv_f1, cells, loss)`` of each block of ``BLOCK_ROWS``
+        rows from row ``k0``, ``cells`` the weights' cells as the rows of
+        one array, in the CSV's order.  ``sv_f1`` is row 0's value alone,
+        which broadcasts, where every row of the block reads it.  Each
+        block is valid until the next is asked for."""
+        n, record = self.n_steps, self.f1_record
+        split = _split(record, n)
+        cells = self.w_cells.blocks(self.grad_norm, BLOCK_ROWS)
+        for k0, block in zip(range(0, n, BLOCK_ROWS), cells):
+            k1 = min(k0 + BLOCK_ROWS, n)
+            sv_f1 = record[:1] if k1 <= split else _spread(record, n, k0, k1)
+            yield k0, sv_f1, block, self.loss[k0:k1]
+
     def _block(self, cells: range) -> np.ndarray:
         # column-major: each cell contiguous along the steps
         block = np.empty((len(cells), self.n_steps))
-        for j, row in zip(cells, block):
-            self.w_cells.column(j, self.grad_norm, row)
+        for k0, _, rows, _ in self.blocks():
+            block[:, k0 : k0 + rows.shape[1]] = rows[cells.start : cells.stop]
         return block.T
 
     @property
@@ -250,11 +294,13 @@ class _Spectra:
 
     ``F_1`` changes only on a step that recomputes layer 1; on every other
     step it is bitwise the matrix last measured.  So the trainer measures
-    it on each step that recomputes it and appends ``lows[0]`` to its own
-    column on every row, like the loss: that cell is exact on every row.
-    The weights' cells of a row are ``cells``, in the CSV's order: the
-    lower bounds of ``W_3..W_L``, then the upper bounds of ``W_1..W_L``,
-    each a matrix and the sign of its bound's radius.  They are recorded,
+    it on each step that recomputes it, and ``f1_record`` holds its
+    smallest singular value as a record: row 0, then every row from the
+    first after it that measured ``F_1``.  The rows before that read row
+    0's value, which is exact there.  The weights' cells of a row are
+    ``cells``, in the CSV's order: the lower bounds of ``W_3..W_L``, then
+    the upper bounds of ``W_1..W_L``, each a matrix and the sign of its
+    bound's radius.  They are recorded,
     one array per cell, only on the rows that measure every matrix;
     ``weight_cells`` hands them to the log with the constants that prove
     the rows between (``_WeightCells``).
@@ -294,7 +340,7 @@ class _Spectra:
     uncertified run (``thresholds`` None) proves nothing, and its ``limit``
     is -inf.  The trainer compares ``P`` with ``limit`` once per step and
     measures every matrix on each row from the first whose ``P`` passed
-    it (``first``): ``P`` never decreases, so the rows proven are ``1 ..
+    it, ``first``: ``P`` never decreases, so the rows proven are ``1 ..
     first - 1``.  Their bound cells are computed from the same formula
     only when the log is read: ``_WeightCells`` recomputes ``P`` from the
     logged gradient norms by the same sequential sum, so every cell it
@@ -325,9 +371,9 @@ class _Spectra:
         self.tops = [math.nan] * n
         self.lows = [math.nan] * n
         self.limit = -math.inf
-        self.first = 0  # 0 until a row after step 0 has measured every matrix
         # the cells measured on row 0 and on rows first .. k, one array per cell
         self.records = [array("d") for _ in self.cells]
+        self.f1_record = array("d")
         self.n_svds = 0
 
     def measure(self, i: int, a: np.ndarray) -> None:
@@ -366,8 +412,6 @@ class _Spectra:
         if k == 0:
             self.margins = [e * top + u for e, top, u in zip(self.svd_err, self.tops, self.underflow)]
             self.limit = min(self._limit(i) for i in range(1, len(mats)))
-        elif not self.first:
-            self.first = k
 
     def weight_cells(self) -> _WeightCells:
         """The weights' cells of the log: the records, and the constants
@@ -402,8 +446,8 @@ def train(
 
     Every step runs the network kernel (``network._Kernel``) on buffers
     made once for the run.  Spectra are lazy but rigorous (``_Spectra``).
-    ``F_1`` is measured on each step that recomputes layer 1, and each step
-    logs its last measured value, which is exact.  The bounds of
+    ``F_1`` is measured on each step that recomputes layer 1; its last
+    measured value is exact on every step.  The bounds of
     ``W_1..W_L`` are proven from step 0's exact SVDs; their per-step audit
     is one running sum of the logged gradient norms and one comparison
     with ``_Spectra.limit``.  The bound cells it proves are not stored:
@@ -413,11 +457,12 @@ def train(
     (its limit is -inf), so that is every step.
 
     The log is held once, so memory follows the rows logged, not
-    ``max_steps``: each step appends its loss, gradient norm and ``F_1``'s
-    smallest singular value to three growing arrays, and ``_Spectra``
-    records the weights' cells only on the rows that measure them.  A
-    certified run whose proof lasts thus holds three columns and its
-    ``spectra_exact`` flags, not nine columns.
+    ``max_steps``: each step appends its loss and gradient norm to two
+    growing arrays.  ``_Spectra`` records the weights' cells only on the
+    rows that measure every matrix, and ``F_1``'s smallest singular value
+    on row 0 and on every row from the first after it that measured
+    ``F_1``.  A certified run whose proof lasts and whose ``W_1`` never
+    moves thus holds two columns and two rows of each record.
 
     The weights ``W_1..W_L`` are views of one flat vector, and every
     step updates them all with one multiply and one subtraction.  At a
@@ -456,8 +501,10 @@ def train(
     F1 = kernel.F[1]
     thresholds = invariant_thresholds(cert) if cert is not None else None
     spectra = _Spectra([(X.shape[0], wshapes[0][1])] + wshapes, thresholds, eta, cfg.max_steps)
-    loss_log, gn_log, f1_log = array("d"), array("d"), array("d")
+    loss_log, gn_log = array("d"), array("d")
     rate, creep, lows = spectra.rate, spectra.creep, spectra.lows
+    f1_append = spectra.f1_record.append
+    suffix = False  # whether a row after step 0 has measured F_1
     eta_0d = np.array(eta)  # a ufunc takes a 0-d array with less work than a float
     bits = w1_bits = W[0].tobytes()  # the W_1 that layer 1's buffers hold
 
@@ -487,9 +534,12 @@ def train(
             # limit is -inf until step 0 measures every matrix and sets it
             if stop_reason is not None or not P <= spectra.limit:
                 spectra.measure_all(k, (F1, *W))
+                suffix = k > 0
             elif start == 0:
                 spectra.measure(0, F1)
-            f1_log.append(lows[0])
+                suffix = True
+            if suffix or k == 0:
+                f1_append(lows[0])
 
             if stop_reason is not None:
                 break
@@ -506,15 +556,11 @@ def train(
     # an update that overflowed a weight leaves no finite last iterate;
     # the final weights are copies, not views of the trainer's vector
     final = Params(tuple(w.copy() for w in W)) if np.isfinite(theta).all() else params0
-    # every matrix was measured on row 0 and on rows first .. k
-    exact = np.ones(k + 1, dtype=bool)
-    exact[1 : spectra.first] = False
     return TrainLog(
         loss=np.frombuffer(loss_log),
         grad_norm=np.frombuffer(gn_log),
-        sv_f1=np.frombuffer(f1_log),
+        f1_record=np.frombuffer(spectra.f1_record),
         w_cells=spectra.weight_cells(),
-        spectra_exact=exact,
         spectra_svds=spectra.n_svds,
         final_params=final,
         eta=eta,
@@ -539,24 +585,39 @@ def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = Non
     bounds, ``max_norm_W*`` upper bounds.  They are exact on rows with
     ``spectra_exact`` = 1, which an uncertified run has throughout.
 
-    Each row is formatted from the columns and written on its own, and the
-    weights' proven cells are computed row by row as they are written
-    (``_WeightCells.streams``), so the write holds one row and the file's
-    buffer beside the log and report.
+    Each row is formatted from the columns and written on its own.  The
+    columns the log does not hold are read as they are written:
+    ``sv_F1`` and ``spectra_exact`` row by row from their records, and the
+    weights' cells, with the report's bound and flags, a block of
+    ``BLOCK_ROWS`` rows at a time (``TrainLog.blocks``, ``report.blocks``).
+    So the write holds one block, one row and the file's buffer beside the
+    log.
     """
-    L = log.final_params.depth
+    L, n = log.final_params.depth, log.n_steps
     header = ["k", "loss", "bound", "sv_F1"]
     header.extend(f"min_sv_W{l}" for l in range(3, L + 1))
     header.extend(f"max_norm_W{l}" for l in range(1, L + 1))
     header.extend(["grad_norm", "spectra_exact"])
     # without a report the bound cell is the literal NaN of the template
-    floats = [log.sv_f1, *log.w_cells.streams(log.grad_norm), log.grad_norm]
-    columns = [range(log.n_steps), log.loss, *floats, log.spectra_exact]
-    cells = ["%d", _FLOAT_CELL, "nan"] + [_FLOAT_CELL] * len(floats) + ["%d"]
-    if report is not None:
+    cells = ["%d", _FLOAT_CELL, "nan", _FLOAT_CELL] + [_FLOAT_CELL] * len(log.w_cells.records)
+    cells += [_FLOAT_CELL, "%d"]
+    split = _split(log.f1_record, n)
+    sv_f1 = chain(repeat(float(log.f1_record[0]), split), memoryview(log.f1_record[1:]))
+    first = _split(log.w_cells.records[0], n)
+    exact = chain((1,), repeat(0, first - 1), repeat(1, n - first))
+
+    def block(k0, w_cells, bound=(), flags=()):
+        # the row numbers come first: zip stops there, before it reads the
+        # streams past the block
+        k1 = k0 + w_cells.shape[1]
+        return [range(k0, k1), log.loss[k0:k1], *bound, sv_f1, *w_cells, log.grad_norm[k0:k1], exact, *flags]
+
+    if report is None:
+        blocks = (block(k0, w_cells) for k0, _, w_cells, _ in log.blocks())
+    else:
         header.extend("flag_" + name for name in InvariantReport.CHECKS)
-        columns.insert(2, report.bound)
         cells[2] = _FLOAT_CELL
-        columns.extend(report.flags.T)
         cells.extend(["%d"] * len(InvariantReport.CHECKS))
-    _write_csv(path, header, cells, columns)
+        # starmap keeps no judged block once it is handed on
+        blocks = starmap(lambda k0, w_cells, bound, flags: block(k0, w_cells, [bound], flags.T), report.blocks())
+    _write_csv(path, header, cells, blocks)

@@ -35,16 +35,22 @@ __all__ = [
 _FLOAT_CELL = "%.17g"  # every float the package writes to CSV; round-trips float64
 
 
-def _write_csv(path, header, cells, columns) -> None:
-    """The ``header`` row, then one row per entry of the ``columns`` by the
-    %-template of ``cells`` (a literal cell reads no column), each written
-    on its own and ended in ``\\r\\n`` like ``csv.writer``'s; a memoryview
-    reads a NumPy column as Python scalars, with no list of them."""
+def _write_csv(path, header, cells, blocks) -> None:
+    """The ``header`` row, then one row per entry of the columns of each
+    of the ``blocks`` in turn by the %-template of ``cells`` (a literal
+    cell reads no column), each written on its own and ended in ``\\r\\n``
+    like ``csv.writer``'s; a memoryview reads a NumPy column as Python
+    scalars, with no list of them.  A block is a list of columns of its
+    rows, and may be made only when it is reached."""
     template = (",".join(cells) + "\r\n").encode()
-    rows = zip(*(memoryview(c) if isinstance(c, np.ndarray) else c for c in columns))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        fh.writelines(template % row for row in rows)
+        for columns in blocks:
+            # a list, not a generator: unpacking a generator resizes a new
+            # tuple each time, and CPython keeps every one on a free list
+            rows = zip(*[memoryview(c) if isinstance(c, np.ndarray) else c for c in columns])
+            fh.writelines(template % row for row in rows)
+            del columns, rows  # released before the next block is made
 
 
 def _json_safe(v):
@@ -349,7 +355,7 @@ def loss(params: Params, data: Dataset, act: ActivationParams) -> float:
 
 def _write_matrix_csv(M: np.ndarray, path, prefix: str) -> None:
     n = M.shape[1]
-    _write_csv(path, [f"{prefix}{j}" for j in range(n)], [_FLOAT_CELL] * n, M.T)
+    _write_csv(path, [f"{prefix}{j}" for j in range(n)], [_FLOAT_CELL] * n, [M.T])
 
 
 def _read_matrix_csv(path) -> np.ndarray:

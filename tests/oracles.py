@@ -9,8 +9,9 @@ parameter-distance envelope of acceptance criterion 3, the PL-style floor
 of the second-layer gradient, the activation's second derivative and its
 gap to the ramp behind criterion 4, the normalized Hermite polynomials, a
 CSV writer and parser for fixtures, a recorder of the network kernel's
-forward passes, the trainer's log written row by row, and the block of the
-weights' spectra cells that the trainer once built after each run.
+forward passes, the trainer's log written row by row, the block of the
+weights' spectra cells that the trainer once built after each run, the
+report judged over whole columns, and the per-row ``F_1`` column.
 """
 
 import contextlib
@@ -22,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from pyrcert.activation import ActivationParams, evaluate
-from pyrcert.certificates import DEGENERATE_LAMBDA_F, Certificate, _first_false, certify
+from pyrcert.certificates import DEGENERATE_LAMBDA_F, Certificate, InvariantReport, _first_false, certify
+from pyrcert.certificates import invariant_flags
 from pyrcert.gradients import TrainLog, _Spectra, grad
 from pyrcert.initializers import GAIN_MARGIN, GAIN_MAX, init_certifiable
 from pyrcert.lambda_star import _hermite_table
@@ -436,13 +438,11 @@ def cells_block(spectra, records, grad_norm) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def read_cells(cells, grad_norm) -> tuple[np.ndarray, np.ndarray]:
-    """A log's weight cells as ``(n_rows, n_cells)`` blocks, read column by
-    column as ``monitor_invariants`` reads them and row by row as the CSV
-    writer does."""
-    columns = np.stack([c.copy() for c in cells.columns(grad_norm)], axis=1)
-    rows = np.array(list(zip(*cells.streams(grad_norm))))
-    return columns, rows
+def read_cells(cells, grad_norm, size) -> np.ndarray:
+    """A log's weight cells as one ``(n_rows, n_cells)`` block, read a
+    block of ``size`` rows at a time as ``monitor_invariants`` and the CSV
+    writer read them."""
+    return np.concatenate([block.T.copy() for block in cells.blocks(grad_norm, size)])
 
 
 def with_w_columns(log: TrainLog, min_sv_w, norm_w) -> TrainLog:
@@ -450,3 +450,55 @@ def with_w_columns(log: TrainLog, min_sv_w, norm_w) -> TrainLog:
     ``norm_w`` (shaped like the log's own)."""
     records = tuple(np.ascontiguousarray(c) for c in (*np.transpose(min_sv_w), *np.transpose(norm_w)))
     return replace(log, w_cells=replace(log.w_cells, records=records))
+
+
+def whole_run_report(cert, eta, phi0, sv_f1, w_columns, loss):
+    """``monitor_invariants`` as it judged a run in one pass before it read
+    the log in blocks of rows: the bound by one vectorised power over
+    ``np.arange(n_steps)``, the flags by ``invariant_flags`` over whole
+    columns, and each check's count and first violation, searched in the
+    whole column: ``(bound, flags, n_violations, first_violation)``."""
+    bound = np.arange(len(loss), dtype=np.float64)
+    np.power(1.0 - eta * cert.alpha0, bound, out=bound)
+    np.multiply(bound, phi0, out=bound)
+    flags = invariant_flags(cert, sv_f1, w_columns, loss, bound)
+    columns = dict(zip(InvariantReport.CHECKS, flags.T))
+    counts = {name: col.size - int(np.count_nonzero(col)) for name, col in columns.items()}
+    first = {name: _first_false(col) for name, col in columns.items()}
+    return bound, flags, counts, first
+
+
+def f1_column(params, data, act, eta, n_rows) -> np.ndarray:
+    """``F_1``'s smallest singular value on each of ``n_rows`` rows, as the
+    trainer once logged it in a column of its own: the run replayed with
+    ``forward``, ``grad`` and ``W -= eta * g``, and an exact SVD of ``F_1``
+    on every row.  (The trainer measured ``F_1`` on each row that
+    recomputed layer 1 and logged the value last measured on every row;
+    on the rows between, ``F_1`` is bitwise the matrix measured.)"""
+    W = [w.copy() for w in params.weights]
+    column = []
+    for k in range(n_rows):
+        p = Params(tuple(W))
+        column.append(_extremes(forward(p, data, act).F[1])[0])
+        if k + 1 < n_rows:
+            for w, gl in zip(W, grad(p, data, act).layers):
+                w -= eta * gl
+    return np.array(column)
+
+
+@contextlib.contextmanager
+def measured_rows():
+    """Yield a list that receives the row of every
+    ``gradients._Spectra.measure_all`` call made inside the block: the rows
+    on which a run measured every matrix."""
+    rows, measure_all = [], _Spectra.measure_all
+
+    def recorded(spectra, k, mats):
+        rows.append(k)
+        measure_all(spectra, k, mats)
+
+    _Spectra.measure_all = recorded
+    try:
+        yield rows
+    finally:
+        _Spectra.measure_all = measure_all

@@ -5,7 +5,9 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -16,11 +18,14 @@ from oracles import (
     check_assumption,
     dense_log,
     distance_envelope,
+    f1_column,
     forward_starts,
+    measured_rows,
     rate_constants,
     read_cells,
     run_spectra,
     trainlog_from_csv,
+    whole_run_report,
     with_w_columns,
 )
 
@@ -37,7 +42,9 @@ from pyrcert.certificates import (
     monitor_invariants,
     spectral_quantities,
 )
-from pyrcert.gradients import TrainConfig, train, trainlog_to_csv
+from pyrcert import gradients
+from pyrcert.certificates import _decay_bound
+from pyrcert.gradients import BLOCK_ROWS, TrainConfig, train, trainlog_to_csv
 from pyrcert.initializers import (
     InitConfig,
     init_certifiable,
@@ -512,9 +519,10 @@ class TestMonitorInvariants:
         assert peaks[1] <= peaks[0], peaks
 
     def test_csv_peak_memory_is_a_few_blocks(self, tmp_path):
-        # rows are written one at a time, so the peak is the file's buffer
-        # and a row whatever the log's length (a 64-row block of text and
-        # cell lists is 62 KB)
+        # rows are written one at a time and the report's bound and flags
+        # computed a block of rows at a time, so the peak is the file's
+        # buffer, a row and one block of the report whatever the log's
+        # length (a 64-row block of text and cell lists is 62 KB)
         for max_steps in (1_000, 20_000):
             log, cert = self.make_certified_run(max_steps=max_steps)
             assert log.n_steps == max_steps + 1
@@ -530,8 +538,8 @@ class TestMonitorInvariants:
                 assert peak <= 24 * 1024, (max_steps, rep is None, peak)
 
     def test_monitor_allocates_its_report_and_a_little(self):
-        # the flags are compared into their columns and counted in place:
-        # no temporary bool column on a 200,001-row log
+        # the log is judged a block of rows at a time and the flags counted
+        # in place: no column of the log's length on a 200,001-row log
         log, cert = self.make_certified_run(max_steps=0)
         long = self.repeated(log, 200_001)
         monitor_invariants(long, cert)  # warm-up
@@ -543,12 +551,12 @@ class TestMonitorInvariants:
             tracemalloc.stop()
         # the repeated loss stays put while its bound decays
         assert report.flags.shape == (200_001, 4) and report.n_violations["loss_bound"] == 200_000
-        assert peak <= report.bound.nbytes + report.flags.nbytes + 16 * 1024, peak
+        assert peak <= 16 * 1024, peak
 
     @staticmethod
     def repeated(log, n_steps):
         """A one-row ``log`` repeated to ``n_steps`` rows, every one measured."""
-        columns = ("loss", "grad_norm", "sv_f1", "spectra_exact")
+        columns = ("loss", "grad_norm", "f1_record")
         long = dataclasses.replace(log, **{f: np.repeat(getattr(log, f), n_steps) for f in columns})
         return with_w_columns(long, np.repeat(log.min_sv_w, n_steps, axis=0), np.repeat(log.norm_w, n_steps, axis=0))
 
@@ -563,7 +571,8 @@ class TestMonitorInvariants:
         cols["sv_f1"][rows] = cols["min_sv_w"][rows] = low
         cols["norm_w"][rows] = high
         cols["loss"][rows] = math.nan  # a NaN first loss makes every bound NaN
-        injected_log = dataclasses.replace(log, loss=cols["loss"], sv_f1=cols["sv_f1"])
+        # a record of every row is its column
+        injected_log = dataclasses.replace(log, loss=cols["loss"], f1_record=cols["sv_f1"])
         report = monitor_invariants(with_w_columns(injected_log, cols["min_sv_w"], cols["norm_w"]), cert)
         f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
         holds = [
@@ -738,9 +747,20 @@ class TestLogColumns:
         finally:
             tracemalloc.stop()
         assert log.n_steps == 5_001 and log.spectra_exact[1:-1].any() != certified
-        # what the log holds: the weights' cells only on the rows measured
-        columns = (log.loss, log.grad_norm, log.sv_f1, log.spectra_exact, *log.w_cells.records)
+        # what the log holds: two columns, and the records of F_1 and of the
+        # weights' cells only on the rows measured
+        columns = (log.loss, log.grad_norm, log.f1_record, *log.w_cells.records)
         assert peak <= 1.5 * sum(c.nbytes for c in columns) + 64 * 1024, peak
+
+    def test_uncertified_run_holds_f1_once(self):
+        # an uncertified run measures F_1 on every row, so its record is
+        # the whole column, held once in the array the trainer appended to
+        # (array('d') over-allocates by up to 1/16, within the KiB here)
+        params, data, cert = self.certified(0)
+        log = train(params, data, ACT, TrainConfig(eta=0.9 * cert.eta_max, max_steps=5_000))
+        assert len(log.f1_record) == log.n_steps == 5_001
+        held = sys.getsizeof(log.f1_record.base.obj) - sys.getsizeof(array("d"))
+        assert held <= 8 * log.n_steps + 1024, held
 
     def test_certified_peak_is_the_uncertified_peak_and_a_little(self):
         # a certified run holds its proven bounds as the data that proves
@@ -763,7 +783,7 @@ class TestLogColumns:
 class TestWeightCells:
     """A log holds the weights' cells only on the rows that measured them
     and computes the rows between from ``grad_norm`` when they are read.
-    Read as arrays, column by column (the flags) or row by row (the CSV),
+    Read as arrays or a block of rows at a time (the flags and the CSV),
     they must equal bit for bit the block the trainer once built after the
     run, at depths 1 to 4, where the proof lasts, where it runs out, on an
     uncertified run and on a run of one row."""
@@ -881,18 +901,128 @@ def proof_runs_out_at_30(seed, widths):
 
 
 def assert_cells_are_the_block(log, params, data, eta, max_steps, cert):
-    """Assert that ``log``'s weight cells, read as arrays, by column and by
-    row, equal bit for bit the block the trainer once built after the run
-    (``oracles.cells_block``); return the run's ``first``."""
+    """Assert that ``log``'s weight cells, read as arrays and in blocks of
+    7 rows, equal bit for bit the block the trainer once built after the
+    run (``oracles.cells_block``); return the run's ``first``."""
     exact = log.spectra_exact
     first = 1 + int(np.argmax(exact[1:])) if log.n_steps > 1 else 0
     thresholds = None if cert is None else invariant_thresholds(cert)
     spectra = run_spectra(params, data, ACT, thresholds, eta, max_steps, first)
     want = cells_block(spectra, log.w_cells.records, log.grad_norm)
     arrays = np.concatenate([log.min_sv_w, log.norm_w], axis=1)
-    for got in (arrays, *read_cells(log.w_cells, log.grad_norm)):
+    for got in (arrays, read_cells(log.w_cells, log.grad_norm, 7)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     return first
+
+
+def assert_read_in_blocks_is_the_whole_run(log, cert, params, data, eta, rows):
+    """Assert that ``log``'s ``sv_f1`` and ``spectra_exact``, and its report
+    against ``cert``, read a block of rows at a time, equal bit for bit the
+    whole-run oracles: ``F_1`` measured on every row of a replay, the rows
+    ``rows`` that measured every matrix, and ``whole_run_report``."""
+    f1 = f1_column(params, data, ACT, eta, log.n_steps)
+    assert log.sv_f1.tobytes() == f1.tobytes()
+    assert np.array_equal(log.spectra_exact, np.isin(np.arange(log.n_steps), rows))
+    report = monitor_invariants(log, cert)
+    bound, flags, counts, first = whole_run_report(
+        cert, log.eta, log.phi0, f1, [*log.min_sv_w.T, *log.norm_w.T], log.loss
+    )
+    assert report.bound.tobytes() == bound.tobytes()
+    assert report.flags.shape == flags.shape and np.array_equal(report.flags, flags)
+    assert all(report.flags[:, i].flags.c_contiguous for i in range(4))
+    assert report.n_violations == counts and report.first_violation == first
+    assert report.all_hold == (not any(counts.values()))
+
+
+class TestReadInBlocks:
+    """A log holds ``loss`` and ``grad_norm`` per row and every other column
+    as the rows that measured it, and a report holds each check's count
+    and first violation.  ``sv_f1``, ``spectra_exact`` and the report's
+    bound and flags are read a block of rows at a time; they must equal
+    bit for bit the whole-run oracles, on logs of a block's length and a
+    row either side and of two blocks and a row, where ``W_1`` stays put
+    or moves on proven rows, on an uncertified run and a run of one row,
+    at depths 1, 2 and 4, and where a check fails first past the first
+    block, read in blocks of ``BLOCK_ROWS`` and of 7 rows."""
+
+    B = BLOCK_ROWS
+    ROWS = {"rows_B-1": B - 1, "rows_B": B, "rows_B+1": B + 1, "rows_2B+1": 2 * B + 1}
+    SEEDS = {"w1_seed5": 5, "w1_seed10": 10, "w1_seed30": 30, "w1_moves": 29}
+
+    def run(self, case):
+        """``(params, data, eta, max_steps, cert)`` of each case, and the
+        certificate its report is judged against."""
+        if case in self.ROWS or case in ("uncertified", "one_row"):
+            params, data, cert = TestLogColumns.certified(0)
+            steps = self.ROWS[case] - 1 if case in self.ROWS else 40 if case == "uncertified" else 0
+            return params, data, 0.9 * cert.eta_max, steps, None if case == "uncertified" else cert, cert
+        if case in self.SEEDS:
+            params, data, cert = TestLogColumns.certified(self.SEEDS[case])
+            return params, data, 0.9 * cert.eta_max, 150, cert, cert
+        if case == "depth_1":
+            params, data, eta, steps, cert = TestWeightCells.depth_one()
+            return params, data, eta, steps, cert, cert
+        if case == "violations":
+            # thresholds at the median of each exact spectral trajectory:
+            # every check fails, sv_w first past the first blocks of 7 rows
+            shape, data, cfg = certifiable_instance(seed=3, widths=(6, 4, 3, 2), y_scale=1.0)
+            params = init_certifiable(shape, cfg)
+            eager = train(params, data, ACT, TrainConfig(eta=0.05, max_steps=60))
+            med = lambda a: tuple(float(v) for v in np.median(a, axis=0))  # noqa: E731
+            cert = dataclasses.replace(
+                certify(params, data, ACT),
+                lambda_f=2.0 * med(eager.sv_f1[:, None])[0],
+                lambda_min_deep=tuple(2.0 * v for v in med(eager.min_sv_w)),
+                lambda_bar=tuple(v / 1.5 for v in med(eager.norm_w)),
+                alpha0=0.1,
+                eta_max=math.inf,
+            )
+            return params, data, 0.05, 60, cert, cert
+        params, data, eta, _, cert = proof_runs_out_at_30(3, {"depth_2": (6, 2), "depth_4": (6, 4, 3, 2)}[case])
+        return params, data, eta, 60, cert, cert
+
+    @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 7])
+    @pytest.mark.parametrize(
+        "case", [*ROWS, *SEEDS, "uncertified", "one_row", "depth_1", "depth_2", "depth_4", "violations"]
+    )
+    def test_blocks_equal_the_whole_run(self, case, block_rows, monkeypatch):
+        monkeypatch.setattr(gradients, "BLOCK_ROWS", block_rows)
+        params, data, eta, max_steps, cert, judge = self.run(case)
+        with measured_rows() as rows:
+            log = train(params, data, ACT, TrainConfig(eta=eta, max_steps=max_steps), cert=cert)
+        assert log.n_steps == self.ROWS.get(case, max_steps + 1)
+        assert_read_in_blocks_is_the_whole_run(log, judge, params, data, eta, rows)
+        if case in ("w1_seed5", "w1_seed10", "w1_seed30"):
+            # W_1 never moves: F_1 is measured on row 0 and the last row
+            assert len(log.f1_record) == 2
+        elif case == "w1_moves":
+            assert 2 < len(log.f1_record) < log.n_steps
+        elif case == "uncertified":
+            assert len(log.f1_record) == log.n_steps == 41
+        elif case == "violations":
+            first = monitor_invariants(log, judge).first_violation
+            assert None not in first.values() and max(first.values()) > 7, first
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3000), st.data())
+    def test_blockwise_power_and_carried_sum_are_the_whole_vector(self, n, data):
+        # the bound by np.power over an arange, and a running sum
+        # (np.add.accumulate) started from the sum carried over, give on any
+        # block of rows the bits of the whole vector
+        cut = data.draw(st.integers(0, n), label="cut")
+        alpha0 = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="alpha0")
+        phi0 = data.draw(st.floats(1e-300, 1e300), label="phi0")
+        cert = dataclasses.replace(self.run("one_row")[-1], alpha0=alpha0)
+        whole = _decay_bound(cert, 1.0, phi0, 0, n)
+        parts = [_decay_bound(cert, 1.0, phi0, 0, cut), _decay_bound(cert, 1.0, phi0, cut, n)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        assert ((1.0 - alpha0) ** np.arange(n) * phi0).tobytes() == whole.tobytes()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.exponential(size=n) * 10.0 ** rng.integers(-30, 30, size=n)
+        head, tail = np.add.accumulate(x[:cut]), x[cut:].copy()
+        if cut and n > cut:
+            tail[0] += head[-1]
+        assert np.concatenate([head, np.add.accumulate(tail)]).tobytes() == np.cumsum(x).tobytes()
 
 
 class TestLazySpectra:
@@ -988,9 +1118,10 @@ class TestLazySpectra:
         # passes the proof's limit at row 30 and not before, and from there
         # every matrix is measured on every row
         params, data, eta, eager, cert = proof_runs_out_at_30(seed, widths)
-        with forward_starts() as starts:
+        with forward_starts() as starts, measured_rows() as rows:
             lazy = train(params, data, ACT, TrainConfig(eta=eta, max_steps=60), cert=cert)
         self.check_against_exact(lazy, eager, cert)
+        assert_read_in_blocks_is_the_whole_run(lazy, cert, params, data, eta, rows)
         exact = lazy.spectra_exact
         first = 1 + int(np.argmax(exact[1:]))
         assert first == 30

@@ -431,7 +431,7 @@ class TestSpectra:
         exact, measured, sums, f1_moved = [], [], [0.0], [False]
         measure = spectra.measure
         spectra.measure = lambda i, a: (measured[-1].append(i), measure(i, a))
-        P = 0.0
+        P, first = 0.0, 0
         measured.append([])
         spectra.measure_all(0, (f1, *weights))
         f1_col.append(spectra.lows[0])
@@ -451,17 +451,21 @@ class TestSpectra:
             measured.append([])
             if k == n_moves or not P <= spectra.limit:
                 spectra.measure_all(k, (f1, *weights))
+                first = first or k
             elif new_f1 is not None:
                 spectra.measure(0, f1)
             f1_col.append(spectra.lows[0])
             assert len(set(measured[-1])) == len(measured[-1])  # each at most once
             exact.append([self.extremes(a) for a in (f1, *weights)])
-        # the weights' cells, read by column and by row, are bit for bit
-        # the block built after the walk
+        # the weights' cells, read in blocks of 3 rows, are bit for bit the
+        # block built after the walk
         cells = spectra.weight_cells()
+        # each record holds row 0 and rows first .. n_rows - 1
+        assert {len(r) for r in cells.records} == {n_rows - first + 1}
+        spectra.first = first  # the row cells_block proves up to
         want = cells_block(spectra, cells.records, norms)
-        by_column, by_row = read_cells(cells, norms)
-        assert by_column.tobytes() == by_row.tobytes() == want.tobytes()
+        by_column = read_cells(cells, norms, 3)
+        assert by_column.tobytes() == want.tobytes()
         rows = np.column_stack([np.frombuffer(f1_col), by_column])
         return rows, measured, exact, sums, f1_moved, ref
 

@@ -90,9 +90,8 @@ def test_init_config_fields():
             [
                 "loss",
                 "grad_norm",
-                "sv_f1",
+                "f1_record",
                 "w_cells",
-                "spectra_exact",
                 "spectra_svds",
                 "final_params",
                 "eta",
@@ -102,7 +101,7 @@ def test_init_config_fields():
         ),
         (
             pyrcert.certificates.InvariantReport,
-            ["bound", "flags", "first_violation", "n_violations", "all_hold"],
+            ["log", "cert", "first_violation", "n_violations", "all_hold"],
         ),
     ],
     ids=["TrainConfig", "TrainLog", "InvariantReport"],

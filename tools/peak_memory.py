@@ -1,0 +1,112 @@
+"""Peak memory and read-time costs of pinned train runs.
+
+For each pinned run, prints the ``tracemalloc`` peak of the whole train
+pipeline (``cli._run_training``: set-up, ``train``, ``monitor_invariants``
+and the CSV write) and of ``gradients.train`` alone, each measured after a
+warm-up run of the same pipeline, then the best of five timings of
+``monitor_invariants`` and of ``trainlog_to_csv`` on the run's log.
+
+Measures the package of the checkout that holds this script, or the one
+whose source directory is given with ``--src``::
+
+    python3 tools/peak_memory.py
+    python3 tools/peak_memory.py --src /path/to/other/checkout/src
+
+Peaks are in-process ``tracemalloc`` figures, which count the allocations
+made through Python's and NumPy's allocators; a run is about seven times
+slower while traced.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+# (name, config flags by dotted key), as `pyrcert train` takes them
+RUNS = [
+    ("train --seed 0 --stop-loss 1e-12", {"seed": 0, "train.stop_loss": 1e-12}),
+    ("train --seed 2 --stop-loss 2.5e-3", {"seed": 2, "train.stop_loss": 2.5e-3}),
+    ("train --eta 1e-4 --max-steps 20000", {"train.eta": 1e-4, "train.max_steps": 20_000}),
+]
+
+
+def _peak(call, *args) -> int:
+    """The ``tracemalloc`` peak, in bytes, of ``call(*args)``."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _best(call, *args, repeats: int) -> float:
+    """The shortest wall-clock of ``repeats`` calls of ``call(*args)``, in s."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call(*args)
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def measure(flags: dict, out_dir: Path, repeats: int = 5) -> dict:
+    """One train pipeline of the config ``flags``, writing into ``out_dir``:
+    its log's ``rows``, the ``pipeline`` and ``train`` peaks in bytes, and
+    the best of ``repeats`` timings in seconds of ``monitor`` (None for an
+    uncertified run) and ``csv``."""
+    from pyrcert import cli
+
+    cfg = cli._load_config(None, flags)
+    seen: dict = {}
+    train, monitor = cli.train, cli.monitor_invariants
+
+    def train_spy(*args, **kwargs):
+        seen["train"] = (args, kwargs)
+        seen["log"] = train(*args, **kwargs)
+        return seen["log"]
+
+    def monitor_spy(log, cert):
+        seen["cert"] = cert
+        return monitor(log, cert)
+
+    cli.train, cli.monitor_invariants = train_spy, monitor_spy
+    try:
+        cli._run_training(cfg, out_dir)  # the warm-up, which records the inputs
+    finally:
+        cli.train, cli.monitor_invariants = train, monitor
+    args, kwargs = seen["train"]
+    log, cert = seen["log"], seen.get("cert")
+    report = None if cert is None else monitor(log, cert)
+    return {
+        "rows": log.n_steps,
+        "pipeline": _peak(cli._run_training, cfg, out_dir),
+        "train": _peak(lambda: train(*args, **kwargs)),
+        "monitor": None if cert is None else _best(monitor, log, cert, repeats=repeats),
+        "csv": _best(cli.trainlog_to_csv, log, out_dir / "trainlog.csv", report, repeats=repeats),
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    default = Path(__file__).resolve().parent.parent / "src"
+    parser.add_argument("--src", type=Path, default=default, help="the package's source directory")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+    for name, flags in RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            m = measure(flags, Path(tmp))
+        monitor = "-" if m["monitor"] is None else f"{1e3 * m['monitor']:.2f} ms"
+        print(
+            f"{name}: {m['rows']} rows, pipeline peak {m['pipeline'] / 1e6:.3f} MB, "
+            f"train peak {m['train'] / 1e6:.3f} MB, monitor_invariants {monitor}, "
+            f"trainlog_to_csv {m['csv']:.3f} s"
+        )
+
+
+if __name__ == "__main__":
+    main()
