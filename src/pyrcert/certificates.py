@@ -250,8 +250,8 @@ class InvariantReport:
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
         """``(k0, cells, bound, flags)`` of each block of rows from row
-        ``k0``: the weights' cells judged, as ``TrainLog.blocks`` gives
-        them, then the block's bound and flags."""
+        ``k0``: the cells judged, as ``TrainLog.blocks`` gives them, then
+        the block's bound and flags."""
         return _judge(self.cert, self.log.eta, self.log.phi0, self.log.blocks())
 
     @property
@@ -292,34 +292,33 @@ def invariant_thresholds(cert: Certificate) -> tuple[float, np.ndarray, np.ndarr
 
 def invariant_flags(
     cert: Certificate,
-    sv_f1: np.ndarray,
-    w_columns: Iterable[np.ndarray],
+    columns: Iterable[np.ndarray],
     loss: np.ndarray,
     bound: np.ndarray,
 ) -> np.ndarray:
     """Per-step verdicts ``(n_steps, 4)`` for the four invariants, in the
     order of ``InvariantReport.CHECKS``, each column contiguous.
 
-    ``w_columns`` are the weights' cells as 1-D columns in the CSV's order:
-    the lower bounds of ``W_3..W_L``, then the upper bounds of
-    ``W_1..W_L``.  Each is read once, in order, and released before the
-    next is asked for, so an iterator may compute each one when it is
-    reached; a ``TrainLog.blocks`` block gives them as the rows of one
-    array.  The spectra may be exact or certified one-sided bounds (lower
-    bounds for ``sv_f1`` and the floors, upper bounds for the norms); with
-    bounds a flag holds only where the bound proves it.
+    ``columns`` are the CSV's ``sv_F1`` to ``max_norm_W{L}`` as 1-D
+    columns, as they are; another count raises ``ValueError``.  Each is
+    read once, in order, and released before the next is asked for, so an
+    iterator may compute each one when it is reached; a ``TrainLog.blocks``
+    block gives them as the rows of one array.  The spectra may be exact
+    or certified one-sided bounds (lower bounds for the floors, upper
+    bounds for the norms); with bounds a flag holds only where the bound
+    proves it.
     """
     f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
     # each check's column is contiguous: the rows of a (4, n_steps) block
     block = np.empty((4, len(loss)), dtype=bool)
-    block[:2].fill(True)
-    checks = [(block[0], np.greater_equal, limit) for limit in lam_floor]
+    block[:3].fill(True)
+    checks = [(block[2], np.greater_equal, f1_floor)]
+    checks += [(block[0], np.greater_equal, limit) for limit in lam_floor]
     checks += [(block[1], np.less_equal, limit) for limit in norm_cap]
     # one cell at a time into the loss check's row, free until last, then
     # ANDed in place (``where=col`` with ``out=col`` overlap, so NumPy copies)
-    for (col, test, limit), cells in zip(checks, w_columns, strict=True):
+    for (col, test, limit), cells in zip(checks, columns, strict=True):
         col &= test(cells, limit, out=block[3])
-    np.greater_equal(sv_f1, f1_floor, out=block[2])
     np.less_equal(loss, bound, out=block[3])
     return block.T
 
@@ -338,13 +337,13 @@ def _decay_bound(cert: Certificate, eta: float, phi0: float, k0: int, k1: int) -
 
 
 def _judge(cert: Certificate, eta: float, phi0: float, blocks) -> Iterator[tuple]:
-    """``(k0, w_columns, bound, flags)`` of each block ``(k0, sv_f1,
-    w_columns, loss)`` of a log's rows from row ``k0``: the block's
-    ceiling by ``_decay_bound`` and its ``invariant_flags``."""
-    for k0, sv_f1, w_columns, loss in blocks:
+    """``(k0, columns, bound, flags)`` of each block ``(k0, columns,
+    loss)`` of a log's rows from row ``k0``: the block's ceiling by
+    ``_decay_bound`` and its ``invariant_flags``."""
+    for k0, columns, loss in blocks:
         bound = _decay_bound(cert, eta, phi0, k0, k0 + len(loss))
-        yield k0, w_columns, bound, invariant_flags(cert, sv_f1, w_columns, loss, bound)
-        del bound, sv_f1  # released before the next block is made
+        yield k0, columns, bound, invariant_flags(cert, columns, loss, bound)
+        del bound  # released before the next block is made
 
 
 def _tally(judged) -> tuple[dict[str, int], dict[str, Optional[int]]]:

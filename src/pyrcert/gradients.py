@@ -106,34 +106,23 @@ def _split(record: np.ndarray, n: int) -> int:
     return n - len(record) + 1
 
 
-def _spread(record: np.ndarray, n: int, k0: int, k1: int) -> np.ndarray:
-    """Rows ``k0 .. k1 - 1`` of an ``n``-row column held as ``record``,
-    every row between row 0 and ``_split`` reading row 0's value: a view of
-    the record where the rows are all recorded after row 0, else a new
-    array."""
-    split = _split(record, n)
-    if k0 >= split:
-        return record[k0 - split + 1 : k1 - split + 1]
-    col, cut = np.empty(k1 - k0), min(k1, split) - k0
-    col[:cut] = record[0]
-    col[cut:] = record[1 : k1 - k0 - cut + 1]
-    return col
-
-
 @dataclass(frozen=True)
-class _WeightCells:
-    """The weights' spectra cells of a log, held as the data that proves
-    them, not as columns.  The cells are in the CSV's order: the lower
-    bounds of ``W_3..W_L``, then the upper bounds of ``W_1..W_L``.
+class _Cells:
+    """The spectra cells of a log, held as the data that proves them, not
+    as columns.  The cells are in the CSV's order: the lower bound of
+    ``F_1``, the lower bounds of ``W_3..W_L``, then the upper bounds of
+    ``W_1..W_L``.
 
-    ``records[j]`` is cell ``j`` on the rows that measured every matrix:
+    ``records[j]`` is cell ``j`` on the rows that measured its matrix:
     row 0 and the last ``len(records[j]) - 1`` rows.  Each row between is
     proven (``_Spectra``).  With ``P`` the running sum of ``grad_norm *
     rate + creep`` over the rows before it, added in row order as the
     trainer added it, cell ``j`` of such a row is ``((P * grow) *
-    scales[j] + offsets[j]) + records[j][0]``.  ``blocks`` computes the
-    cells when they are read, a block of rows at a time, by these float
-    operations in this order, carrying ``P`` from one block to the next.
+    scales[j] + offsets[j]) + records[j][0]``.  ``F_1`` is bitwise row
+    0's matrix there, so its radius is 0: with scale and offset 0 and a
+    finite ``P >= 0``, its cell is ``records[0][0]`` bitwise.  ``blocks``
+    computes the cells when they are read, a block of rows at a time, by
+    these float operations in this order, carrying ``P`` across blocks.
     """
 
     records: tuple[np.ndarray, ...]
@@ -148,12 +137,13 @@ class _WeightCells:
         cells as the rows of one ``(n_cells, rows)`` array, written into a
         buffer that the next block overwrites."""
         n = len(grad_norm)
-        split = _split(self.records[0], n)  # rows 1 .. split - 1 are proven
+        splits = [_split(record, n) for record in self.records]
+        split = max(splits)  # P runs over rows 1 .. split - 1
         grown, buf = np.empty(min(size, n)), np.empty((len(self.records), min(size, n)))
         P = 0.0
         for k0 in range(0, n, size):
             k1 = min(k0 + size, n)
-            a, b = max(k0, 1), min(k1, split)  # the block's proven rows
+            a, b = max(k0, 1), min(k1, split)  # the block's rows of P
             seg = grown[: max(b - a, 0)]
             if b > a:
                 np.multiply(grad_norm[a - 1 : b - 1], self.rate, seg)
@@ -165,7 +155,7 @@ class _WeightCells:
             block = buf[:, : k1 - k0]
             # one cell at a time: a ufunc over a 2-D block allocates buffers
             # larger than the block
-            for row, record, scale, offset in zip(block, self.records, self.scales, self.offsets):
+            for row, record, cut, scale, offset in zip(block, self.records, splits, self.scales, self.offsets):
                 if k0 == 0:
                     row[0] = record[0]
                 if b > a:
@@ -175,8 +165,8 @@ class _WeightCells:
                     np.multiply(seg, scale, cell)
                     np.add(cell, offset, cell)
                     np.add(cell, record[0], cell)
-                if k1 > split:  # rows recorded after row 0
-                    row[max(k0, split) - k0 :] = record[max(k0 - split, 0) + 1 : k1 - split + 1]
+                if k1 > cut:  # rows recorded after row 0, also over F_1's computed ones
+                    row[max(k0, cut) - k0 :] = record[max(k0 - cut, 0) + 1 : k1 - cut + 1]
             yield block
 
 
@@ -196,23 +186,18 @@ class TrainLog:
     a non-finite value (the run has then ``diverged``).
 
     ``loss`` and ``grad_norm`` are the only columns held, views of the
-    arrays the trainer appended to.  Every other column is held as the
-    rows that measured it and the rule for the rows between, and
-    ``sv_f1``, ``min_sv_w``, ``norm_w`` and ``spectra_exact`` build their
-    arrays on each access.  ``f1_record`` is ``F_1``'s smallest singular
-    value on row 0 and on every row from the first after it that measured
-    ``F_1``; each row before that reads row 0's value, since ``F_1`` is
-    bitwise row 0's matrix there.  ``w_cells`` holds the weights' cells on
-    the rows that measured them and computes the proven rows from
-    ``grad_norm`` (``_WeightCells``).  ``blocks`` reads the log a block of
-    rows at a time, as ``monitor_invariants`` and ``trainlog_to_csv`` do,
-    so neither holds a column that is not held here.
+    arrays the trainer appended to.  ``cells`` holds the spectra cells, in
+    the CSV's order from ``sv_F1``, on the rows that measured them, and
+    computes the rows between from ``grad_norm`` (``_Cells``).  ``sv_f1``,
+    ``min_sv_w``, ``norm_w`` and ``spectra_exact`` build their arrays on
+    each access.  ``blocks`` reads the log a block of rows at a time, as
+    ``monitor_invariants`` and ``trainlog_to_csv`` do, so neither holds a
+    column that is not held here.
     """
 
     loss: np.ndarray
     grad_norm: np.ndarray
-    f1_record: np.ndarray
-    w_cells: _WeightCells
+    cells: _Cells
     spectra_svds: int
     final_params: Params
     eta: float
@@ -232,47 +217,43 @@ class TrainLog:
         return float(self.loss[-1])
 
     @property
-    def sv_f1(self) -> np.ndarray:
-        """``(n_steps,)``: ``F_1``'s smallest singular value."""
-        return _spread(self.f1_record, self.n_steps, 0, self.n_steps)
-
-    @property
     def spectra_exact(self) -> np.ndarray:
         """``(n_steps,)`` bool: the rows that measured every matrix."""
         exact = np.ones(self.n_steps, dtype=bool)
-        exact[1 : _split(self.w_cells.records[0], self.n_steps)] = False
+        exact[1 : _split(self.cells.records[-1], self.n_steps)] = False
         return exact
 
-    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """``(k0, sv_f1, cells, loss)`` of each block of ``BLOCK_ROWS``
-        rows from row ``k0``, ``cells`` the weights' cells as the rows of
-        one array, in the CSV's order.  ``sv_f1`` is row 0's value alone,
-        which broadcasts, where every row of the block reads it.  Each
-        block is valid until the next is asked for."""
-        n, record = self.n_steps, self.f1_record
-        split = _split(record, n)
-        cells = self.w_cells.blocks(self.grad_norm, BLOCK_ROWS)
-        for k0, block in zip(range(0, n, BLOCK_ROWS), cells):
-            k1 = min(k0 + BLOCK_ROWS, n)
-            sv_f1 = record[:1] if k1 <= split else _spread(record, n, k0, k1)
-            yield k0, sv_f1, block, self.loss[k0:k1]
+    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``(k0, cells, loss)`` of each block of ``BLOCK_ROWS`` rows from
+        row ``k0``, ``cells`` the spectra cells as the rows of one array,
+        in the CSV's order.  Each block is valid until the next is asked
+        for."""
+        cells = self.cells.blocks(self.grad_norm, BLOCK_ROWS)
+        for k0, block in zip(range(0, self.n_steps, BLOCK_ROWS), cells):
+            yield k0, block, self.loss[k0 : k0 + block.shape[1]]
 
     def _block(self, cells: range) -> np.ndarray:
         # column-major: each cell contiguous along the steps
         block = np.empty((len(cells), self.n_steps))
-        for k0, _, rows, _ in self.blocks():
+        for k0, rows, _ in self.blocks():
             block[:, k0 : k0 + rows.shape[1]] = rows[cells.start : cells.stop]
         return block.T
 
     @property
+    def sv_f1(self) -> np.ndarray:
+        """``(n_steps,)``: ``F_1``'s smallest singular value."""
+        return self._block(range(1))[:, 0]
+
+    @property
     def min_sv_w(self) -> np.ndarray:
         """``(n_steps, L - 2)``: the lower bounds of ``W_3..W_L``."""
-        return self._block(range(max(self.final_params.depth - 2, 0)))
+        return self._block(range(1, len(self.cells.records) - self.final_params.depth))
 
     @property
     def norm_w(self) -> np.ndarray:
         """``(n_steps, L)``: the upper bounds of ``W_1..W_L``."""
-        return self._block(range(max(self.final_params.depth - 2, 0), len(self.w_cells.records)))
+        n_cells = len(self.cells.records)
+        return self._block(range(n_cells - self.final_params.depth, n_cells))
 
 
 # Lazy spectra.  LAPACK's SVD is backward stable: each computed singular
@@ -292,18 +273,15 @@ class _Spectra:
     """Lazy but rigorous spectra of one run's monitored matrices of
     ``shapes``: ``F_1``, then ``W_1..W_L``, as matrices ``0..L``.
 
-    ``F_1`` changes only on a step that recomputes layer 1; on every other
-    step it is bitwise the matrix last measured.  So the trainer measures
-    it on each step that recomputes it, and ``f1_record`` holds its
-    smallest singular value as a record: row 0, then every row from the
-    first after it that measured ``F_1``.  The rows before that read row
-    0's value, which is exact there.  The weights' cells of a row are
-    ``cells``, in the CSV's order: the lower bounds of ``W_3..W_L``, then
-    the upper bounds of ``W_1..W_L``, each a matrix and the sign of its
-    bound's radius.  They are recorded,
-    one array per cell, only on the rows that measure every matrix;
-    ``weight_cells`` hands them to the log with the constants that prove
-    the rows between (``_WeightCells``).
+    ``records`` holds one array per cell of a row, in the CSV's order:
+    ``F_1``'s, then the weights' ``cells``, each a matrix and the sign of
+    its bound's radius.  ``F_1`` changes only on a step that recomputes
+    layer 1, and is bitwise the matrix last measured on every other step.
+    So the trainer measures it on each step that recomputes it, and
+    records it on row 0 and on every row from the first after it that
+    measured ``F_1``.  The weights' cells are recorded only on the rows
+    that measure every matrix.  ``cell_table`` hands the records to the
+    log with the constants that prove the rows between (``_Cells``).
 
     Step 0's exact SVDs (``measure_all``) are the run's one reference for
     ``W_1..W_L``.  By Weyl's inequality no singular value of ``W_i`` moves
@@ -342,7 +320,7 @@ class _Spectra:
     measures every matrix on each row from the first whose ``P`` passed
     it, ``first``: ``P`` never decreases, so the rows proven are ``1 ..
     first - 1``.  Their bound cells are computed from the same formula
-    only when the log is read: ``_WeightCells`` recomputes ``P`` from the
+    only when the log is read: ``_Cells`` recomputes ``P`` from the
     logged gradient norms by the same sequential sum, so every cell it
     gives meets its threshold, and a flag read from the log is the exact
     SVD's.
@@ -371,9 +349,9 @@ class _Spectra:
         self.tops = [math.nan] * n
         self.lows = [math.nan] * n
         self.limit = -math.inf
-        # the cells measured on row 0 and on rows first .. k, one array per cell
-        self.records = [array("d") for _ in self.cells]
-        self.f1_record = array("d")
+        # F_1's cell, then the weights' cells measured on row 0 and on rows
+        # first .. k, one array per cell
+        self.records = [array("d") for _ in range(len(self.cells) + 1)]
         self.n_svds = 0
 
     def measure(self, i: int, a: np.ndarray) -> None:
@@ -407,22 +385,22 @@ class _Spectra:
         reference, and it sets ``margins`` and ``limit``."""
         for i, a in enumerate(mats):
             self.measure(i, a)
-        for (i, sign), record in zip(self.cells, self.records):
+        for (i, sign), record in zip(self.cells, self.records[1:]):
             record.append(self.tops[i] if sign > 0 else self.lows[i])
         if k == 0:
             self.margins = [e * top + u for e, top, u in zip(self.svd_err, self.tops, self.underflow)]
             self.limit = min(self._limit(i) for i in range(1, len(mats)))
 
-    def weight_cells(self) -> _WeightCells:
-        """The weights' cells of the log: the records, and the constants
-        that prove the rows between."""
-        return _WeightCells(
+    def cell_table(self) -> _Cells:
+        """The cells of the log: the records, and the constants that prove
+        the rows between (0 for ``F_1``, whose radius is 0)."""
+        return _Cells(
             records=tuple(np.frombuffer(r) for r in self.records),
             rate=self.rate,
             creep=self.creep,
             grow=self.grow,
-            scales=tuple(sign * self.inflate[i] for i, sign in self.cells),
-            offsets=tuple(sign * self.margins[i] for i, sign in self.cells),
+            scales=(0.0, *(sign * self.inflate[i] for i, sign in self.cells)),
+            offsets=(0.0, *(sign * self.margins[i] for i, sign in self.cells)),
         )
 
 
@@ -503,7 +481,7 @@ def train(
     spectra = _Spectra([(X.shape[0], wshapes[0][1])] + wshapes, thresholds, eta, cfg.max_steps)
     loss_log, gn_log = array("d"), array("d")
     rate, creep, lows = spectra.rate, spectra.creep, spectra.lows
-    f1_append = spectra.f1_record.append
+    f1_append = spectra.records[0].append
     suffix = False  # whether a row after step 0 has measured F_1
     eta_0d = np.array(eta)  # a ufunc takes a 0-d array with less work than a float
     bits = w1_bits = W[0].tobytes()  # the W_1 that layer 1's buffers hold
@@ -559,8 +537,7 @@ def train(
     return TrainLog(
         loss=np.frombuffer(loss_log),
         grad_norm=np.frombuffer(gn_log),
-        f1_record=np.frombuffer(spectra.f1_record),
-        w_cells=spectra.weight_cells(),
+        cells=spectra.cell_table(),
         spectra_svds=spectra.n_svds,
         final_params=final,
         eta=eta,
@@ -587,11 +564,11 @@ def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = Non
 
     Each row is formatted from the columns and written on its own.  The
     columns the log does not hold are read as they are written:
-    ``sv_F1`` and ``spectra_exact`` row by row from their records, and the
-    weights' cells, with the report's bound and flags, a block of
-    ``BLOCK_ROWS`` rows at a time (``TrainLog.blocks``, ``report.blocks``).
-    So the write holds one block, one row and the file's buffer beside the
-    log.
+    ``spectra_exact`` row by row from the weights' split, and the cells
+    from ``sv_F1`` to ``max_norm_W{L}``, with the report's bound and
+    flags, a block of ``BLOCK_ROWS`` rows at a time (``TrainLog.blocks``,
+    ``report.blocks``).  So the write holds one block, one row and the
+    file's buffer beside the log.
     """
     L, n = log.final_params.depth, log.n_steps
     header = ["k", "loss", "bound", "sv_F1"]
@@ -599,25 +576,22 @@ def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = Non
     header.extend(f"max_norm_W{l}" for l in range(1, L + 1))
     header.extend(["grad_norm", "spectra_exact"])
     # without a report the bound cell is the literal NaN of the template
-    cells = ["%d", _FLOAT_CELL, "nan", _FLOAT_CELL] + [_FLOAT_CELL] * len(log.w_cells.records)
-    cells += [_FLOAT_CELL, "%d"]
-    split = _split(log.f1_record, n)
-    sv_f1 = chain(repeat(float(log.f1_record[0]), split), memoryview(log.f1_record[1:]))
-    first = _split(log.w_cells.records[0], n)
+    cells = ["%d", _FLOAT_CELL, "nan"] + [_FLOAT_CELL] * len(log.cells.records) + [_FLOAT_CELL, "%d"]
+    first = _split(log.cells.records[-1], n)
     exact = chain((1,), repeat(0, first - 1), repeat(1, n - first))
-
-    def block(k0, w_cells, bound=(), flags=()):
-        # the row numbers come first: zip stops there, before it reads the
-        # streams past the block
-        k1 = k0 + w_cells.shape[1]
-        return [range(k0, k1), log.loss[k0:k1], *bound, sv_f1, *w_cells, log.grad_norm[k0:k1], exact, *flags]
-
-    if report is None:
-        blocks = (block(k0, w_cells) for k0, _, w_cells, _ in log.blocks())
-    else:
+    judged = report is not None
+    if judged:
         header.extend("flag_" + name for name in InvariantReport.CHECKS)
         cells[2] = _FLOAT_CELL
         cells.extend(["%d"] * len(InvariantReport.CHECKS))
-        # starmap keeps no judged block once it is handed on
-        blocks = starmap(lambda k0, w_cells, bound, flags: block(k0, w_cells, [bound], flags.T), report.blocks())
-    _write_csv(path, header, cells, blocks)
+
+    def block(k0, columns, *judgement):
+        # a judged block ends in its bound and flags, an unjudged one in its
+        # loss, which the row reads from the log.  The row numbers come
+        # first: zip stops there, before it reads the stream past the block
+        k1 = k0 + columns.shape[1]
+        bound, flags = ([judgement[0]], judgement[1].T) if judged else ((), ())
+        return [range(k0, k1), log.loss[k0:k1], *bound, *columns, log.grad_norm[k0:k1], exact, *flags]
+
+    # starmap keeps no judged block once it is handed on
+    _write_csv(path, header, cells, starmap(block, report.blocks() if judged else log.blocks()))

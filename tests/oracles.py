@@ -445,14 +445,14 @@ def read_cells(cells, grad_norm, size) -> np.ndarray:
     return np.concatenate([block.T.copy() for block in cells.blocks(grad_norm, size)])
 
 
-def with_w_columns(log: TrainLog, min_sv_w, norm_w) -> TrainLog:
-    """``log`` with weight cells measured on every row, ``min_sv_w`` and
-    ``norm_w`` (shaped like the log's own)."""
-    records = tuple(np.ascontiguousarray(c) for c in (*np.transpose(min_sv_w), *np.transpose(norm_w)))
-    return replace(log, w_cells=replace(log.w_cells, records=records))
+def with_columns(log: TrainLog, sv_f1, min_sv_w, norm_w) -> TrainLog:
+    """``log`` with cells measured on every row, ``sv_f1``, ``min_sv_w``
+    and ``norm_w`` (shaped like the log's own)."""
+    records = tuple(np.ascontiguousarray(c) for c in (sv_f1, *np.transpose(min_sv_w), *np.transpose(norm_w)))
+    return replace(log, cells=replace(log.cells, records=records))
 
 
-def whole_run_report(cert, eta, phi0, sv_f1, w_columns, loss):
+def whole_run_report(cert, eta, phi0, columns, loss):
     """``monitor_invariants`` as it judged a run in one pass before it read
     the log in blocks of rows: the bound by one vectorised power over
     ``np.arange(n_steps)``, the flags by ``invariant_flags`` over whole
@@ -461,7 +461,7 @@ def whole_run_report(cert, eta, phi0, sv_f1, w_columns, loss):
     bound = np.arange(len(loss), dtype=np.float64)
     np.power(1.0 - eta * cert.alpha0, bound, out=bound)
     np.multiply(bound, phi0, out=bound)
-    flags = invariant_flags(cert, sv_f1, w_columns, loss, bound)
+    flags = invariant_flags(cert, columns, loss, bound)
     columns = dict(zip(InvariantReport.CHECKS, flags.T))
     counts = {name: col.size - int(np.count_nonzero(col)) for name, col in columns.items()}
     first = {name: _first_false(col) for name, col in columns.items()}

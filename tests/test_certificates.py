@@ -26,7 +26,7 @@ from oracles import (
     run_spectra,
     trainlog_from_csv,
     whole_run_report,
-    with_w_columns,
+    with_columns,
 )
 
 from pyrcert.activation import ActivationParams, as_function, evaluate
@@ -556,9 +556,14 @@ class TestMonitorInvariants:
     @staticmethod
     def repeated(log, n_steps):
         """A one-row ``log`` repeated to ``n_steps`` rows, every one measured."""
-        columns = ("loss", "grad_norm", "f1_record")
+        columns = ("loss", "grad_norm")
         long = dataclasses.replace(log, **{f: np.repeat(getattr(log, f), n_steps) for f in columns})
-        return with_w_columns(long, np.repeat(log.min_sv_w, n_steps, axis=0), np.repeat(log.norm_w, n_steps, axis=0))
+        return with_columns(
+            long,
+            np.repeat(log.sv_f1, n_steps),
+            np.repeat(log.min_sv_w, n_steps, axis=0),
+            np.repeat(log.norm_w, n_steps, axis=0),
+        )
 
     @pytest.mark.parametrize("case", ["all_hold", "all_fail", "row_0_fails", "nan_rows"])
     def test_first_violations_and_counts(self, case):
@@ -572,8 +577,8 @@ class TestMonitorInvariants:
         cols["norm_w"][rows] = high
         cols["loss"][rows] = math.nan  # a NaN first loss makes every bound NaN
         # a record of every row is its column
-        injected_log = dataclasses.replace(log, loss=cols["loss"], f1_record=cols["sv_f1"])
-        report = monitor_invariants(with_w_columns(injected_log, cols["min_sv_w"], cols["norm_w"]), cert)
+        injected_log = dataclasses.replace(log, loss=cols["loss"])
+        report = monitor_invariants(with_columns(injected_log, cols["sv_f1"], cols["min_sv_w"], cols["norm_w"]), cert)
         f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
         holds = [
             np.all(cols["min_sv_w"] >= lam_floor, axis=1),
@@ -658,7 +663,7 @@ class TestInvariantFlags:
 
         sv_f1, min_sv_w, norm_w = cells(n_steps), cells((n_steps, len(lam_floor))), cells((n_steps, depth))
         loss, bound = cells(n_steps), cells(n_steps)
-        got = invariant_flags(cert, sv_f1, [*min_sv_w.T, *norm_w.T], loss, bound)
+        got = invariant_flags(cert, [sv_f1, *min_sv_w.T, *norm_w.T], loss, bound)
         want = np.stack(
             [
                 np.all(min_sv_w >= lam_floor[None, :], axis=1),
@@ -669,6 +674,19 @@ class TestInvariantFlags:
             axis=1,
         )
         assert got.shape == (n_steps, 4) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("count", ["weights_only", "one_long"])
+    def test_refuses_a_wrong_column_count(self, count):
+        # the columns are the CSV's sv_F1 .. max_norm_W{L}: the weights'
+        # columns alone, or one column more, are refused
+        _, data, cfg = certifiable_instance()
+        cert = certify(init_certifiable(Shape(4, (6, 3, 2)), cfg), data, ACT)
+        n_columns = 1 + len(cert.lambda_min_deep) + cert.depth
+        ones = np.ones(3)
+        columns = [ones] * (n_columns - 1 if count == "weights_only" else n_columns + 1)
+        assert len(invariant_flags(cert, [ones] * n_columns, ones, ones)) == 3
+        with pytest.raises(ValueError):
+            invariant_flags(cert, columns, ones, ones)
 
 
 class TestLogColumns:
@@ -749,7 +767,7 @@ class TestLogColumns:
         assert log.n_steps == 5_001 and log.spectra_exact[1:-1].any() != certified
         # what the log holds: two columns, and the records of F_1 and of the
         # weights' cells only on the rows measured
-        columns = (log.loss, log.grad_norm, log.f1_record, *log.w_cells.records)
+        columns = (log.loss, log.grad_norm, *log.cells.records)
         assert peak <= 1.5 * sum(c.nbytes for c in columns) + 64 * 1024, peak
 
     def test_uncertified_run_holds_f1_once(self):
@@ -758,8 +776,8 @@ class TestLogColumns:
         # (array('d') over-allocates by up to 1/16, within the KiB here)
         params, data, cert = self.certified(0)
         log = train(params, data, ACT, TrainConfig(eta=0.9 * cert.eta_max, max_steps=5_000))
-        assert len(log.f1_record) == log.n_steps == 5_001
-        held = sys.getsizeof(log.f1_record.base.obj) - sys.getsizeof(array("d"))
+        assert len(log.cells.records[0]) == log.n_steps == 5_001
+        held = sys.getsizeof(log.cells.records[0].base.obj) - sys.getsizeof(array("d"))
         assert held <= 8 * log.n_steps + 1024, held
 
     def test_certified_peak_is_the_uncertified_peak_and_a_little(self):
@@ -832,7 +850,7 @@ class TestWeightCells:
         first = assert_cells_are_the_block(log, params, data, eta, max_steps, cert)
         n_rows = log.n_steps
         # each record holds row 0 and rows first .. n_rows - 1
-        assert {len(r) for r in log.w_cells.records} == {n_rows - max(first - 1, 0)}
+        assert {len(r) for r in log.cells.records[1:]} == {n_rows - max(first - 1, 0)}
         if case == "one_row":
             assert n_rows == 1
         elif case == "uncertified":
@@ -908,9 +926,9 @@ def assert_cells_are_the_block(log, params, data, eta, max_steps, cert):
     first = 1 + int(np.argmax(exact[1:])) if log.n_steps > 1 else 0
     thresholds = None if cert is None else invariant_thresholds(cert)
     spectra = run_spectra(params, data, ACT, thresholds, eta, max_steps, first)
-    want = cells_block(spectra, log.w_cells.records, log.grad_norm)
+    want = cells_block(spectra, log.cells.records[1:], log.grad_norm)
     arrays = np.concatenate([log.min_sv_w, log.norm_w], axis=1)
-    for got in (arrays, read_cells(log.w_cells, log.grad_norm, 7)):
+    for got in (arrays, read_cells(log.cells, log.grad_norm, 7)[:, 1:]):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     return first
 
@@ -925,7 +943,7 @@ def assert_read_in_blocks_is_the_whole_run(log, cert, params, data, eta, rows):
     assert np.array_equal(log.spectra_exact, np.isin(np.arange(log.n_steps), rows))
     report = monitor_invariants(log, cert)
     bound, flags, counts, first = whole_run_report(
-        cert, log.eta, log.phi0, f1, [*log.min_sv_w.T, *log.norm_w.T], log.loss
+        cert, log.eta, log.phi0, [f1, *log.min_sv_w.T, *log.norm_w.T], log.loss
     )
     assert report.bound.tobytes() == bound.tobytes()
     assert report.flags.shape == flags.shape and np.array_equal(report.flags, flags)
@@ -994,11 +1012,11 @@ class TestReadInBlocks:
         assert_read_in_blocks_is_the_whole_run(log, judge, params, data, eta, rows)
         if case in ("w1_seed5", "w1_seed10", "w1_seed30"):
             # W_1 never moves: F_1 is measured on row 0 and the last row
-            assert len(log.f1_record) == 2
+            assert len(log.cells.records[0]) == 2
         elif case == "w1_moves":
-            assert 2 < len(log.f1_record) < log.n_steps
+            assert 2 < len(log.cells.records[0]) < log.n_steps
         elif case == "uncertified":
-            assert len(log.f1_record) == log.n_steps == 41
+            assert len(log.cells.records[0]) == log.n_steps == 41
         elif case == "violations":
             first = monitor_invariants(log, judge).first_violation
             assert None not in first.values() and max(first.values()) > 7, first
@@ -1047,7 +1065,7 @@ class TestLazySpectra:
         assert eager.spectra_exact.all()
         report = monitor_invariants(lazy, cert)
         want = invariant_flags(
-            cert, eager.sv_f1, [*eager.min_sv_w.T, *eager.norm_w.T], eager.loss, report.bound
+            cert, [eager.sv_f1, *eager.min_sv_w.T, *eager.norm_w.T], eager.loss, report.bound
         )
         assert np.array_equal(report.flags, want)
         assert np.array_equal(lazy.sv_f1, eager.sv_f1)  # exact on every row

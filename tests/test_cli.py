@@ -325,7 +325,7 @@ class TestTrain:
     def held(log) -> int:
         """The bytes a log holds: its loss and gradient norm columns and
         the records of ``F_1`` and of the weights' cells."""
-        return sum(a.nbytes for a in (log.loss, log.grad_norm, log.f1_record, *log.w_cells.records))
+        return sum(a.nbytes for a in (log.loss, log.grad_norm, *log.cells.records))
 
     def test_certified_run_peaks_at_its_log_and_report(self, tmp_path, monkeypatch):
         # the pipeline's peak is what the log holds, plus set-up state, the
@@ -369,9 +369,9 @@ class TestTrain:
         table = np.genfromtxt(tmp_path / "trainlog.csv", delimiter=",", names=True)
         cert = certificate_from_json(tmp_path / "certificate.json")
         L = cert.depth
-        cells = [table[f"min_sv_W{l}"] for l in range(3, L + 1)]
+        cells = [table["sv_F1"]] + [table[f"min_sv_W{l}"] for l in range(3, L + 1)]
         cells += [table[f"max_norm_W{l}"] for l in range(1, L + 1)]
-        flags = invariant_flags(cert, table["sv_F1"], cells, table["loss"], table["bound"])
+        flags = invariant_flags(cert, cells, table["loss"], table["bound"])
         assert len(flags) == json.loads((tmp_path / "summary.json").read_text())["records"] > 1
         assert flags.tobytes() == report.flags.tobytes()
         assert table["bound"].tobytes() == report.bound.tobytes()
@@ -387,8 +387,7 @@ class TestTrain:
         bound = [_decay_bound(cert, eta, phi0, k0, min(k0 + BLOCK_ROWS, n)) for k0 in starts]
         assert np.concatenate(bound).tobytes() == table["bound"].tobytes()
         blocks = (
-            (k0, table["sv_F1"][k0 : k0 + BLOCK_ROWS], [c[k0 : k0 + BLOCK_ROWS] for c in cells],
-             table["loss"][k0 : k0 + BLOCK_ROWS])
+            (k0, [c[k0 : k0 + BLOCK_ROWS] for c in cells], table["loss"][k0 : k0 + BLOCK_ROWS])
             for k0 in starts
         )
         counts, first = _tally(_judge(cert, eta, phi0, blocks))

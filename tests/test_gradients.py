@@ -2,7 +2,6 @@
 Kronecker-product construction, the PL-style floor, and trainer behavior."""
 
 import math
-from array import array
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from pyrcert.gradients import (
     DIVERGENCE_LOSS,
     TrainConfig,
     _EPS,
+    _Cells,
     _flat_views,
     _Spectra,
     grad,
@@ -406,10 +406,11 @@ class TestSpectra:
     updates ``W_1..W_3`` in one flat vector by ``theta -= fl(eta * g)`` and
     adds its bound to the running sum.  The last row, and every row whose
     running sum passed ``limit``, measures every matrix; another row where
-    ``F_1`` moved (by replacement) measures ``F_1``.  Every row appends
-    ``F_1``'s last measured smallest singular value to its own column, and
-    ``weight_cells`` holds the weights' cells, which compute the rows
-    proven from the gradient norms when they are read."""
+    ``F_1`` moved (by replacement) measures ``F_1``.  Row 0 and every row
+    from the first after it that measured ``F_1`` append ``F_1``'s last
+    measured smallest singular value to its record, and ``cell_table``
+    holds the cells, which compute the rows proven from the gradient
+    norms when they are read."""
 
     SHAPES = [(5, 4), (3, 4), (4, 3), (3, 2)]
     N = 4
@@ -427,14 +428,14 @@ class TestSpectra:
         moved ``F_1``, and row 0's extremes and margins, the reference."""
         n_rows = n_moves + 1
         norms = np.full(n_rows, np.nan)
-        f1_col = array("d")
+        f1_record = spectra.records[0]
         exact, measured, sums, f1_moved = [], [], [0.0], [False]
         measure = spectra.measure
         spectra.measure = lambda i, a: (measured[-1].append(i), measure(i, a))
-        P, first = 0.0, 0
+        P, first, suffix = 0.0, 0, False
         measured.append([])
         spectra.measure_all(0, (f1, *weights))
-        f1_col.append(spectra.lows[0])
+        f1_record.append(spectra.lows[0])
         ref = (list(spectra.lows), list(spectra.tops), list(spectra.margins))
         exact.append([self.extremes(a) for a in (f1, *weights)])
         for k in range(1, n_rows):
@@ -452,21 +453,23 @@ class TestSpectra:
             if k == n_moves or not P <= spectra.limit:
                 spectra.measure_all(k, (f1, *weights))
                 first = first or k
+                suffix = True
             elif new_f1 is not None:
                 spectra.measure(0, f1)
-            f1_col.append(spectra.lows[0])
+                suffix = True
+            if suffix:
+                f1_record.append(spectra.lows[0])
             assert len(set(measured[-1])) == len(measured[-1])  # each at most once
             exact.append([self.extremes(a) for a in (f1, *weights)])
         # the weights' cells, read in blocks of 3 rows, are bit for bit the
         # block built after the walk
-        cells = spectra.weight_cells()
-        # each record holds row 0 and rows first .. n_rows - 1
-        assert {len(r) for r in cells.records} == {n_rows - first + 1}
+        cells = spectra.cell_table()
+        # each weight record holds row 0 and rows first .. n_rows - 1
+        assert {len(r) for r in cells.records[1:]} == {n_rows - first + 1}
         spectra.first = first  # the row cells_block proves up to
-        want = cells_block(spectra, cells.records, norms)
-        by_column = read_cells(cells, norms, 3)
-        assert by_column.tobytes() == want.tobytes()
-        rows = np.column_stack([np.frombuffer(f1_col), by_column])
+        want = cells_block(spectra, cells.records[1:], norms)
+        rows = read_cells(cells, norms, 3)
+        assert rows[:, 1:].tobytes() == want.tobytes()
         return rows, measured, exact, sums, f1_moved, ref
 
     def assert_log_holds(self, spectra, rows, measured, exact):
@@ -594,6 +597,54 @@ class TestSpectra:
         assert np.array_equal(weights[0], w1 * (1.0 + steps * _EPS))
         assert not any(measured[1:-1])  # only the first and last rows measure
         self.assert_log_holds(spectra, rows, measured, exact)
+
+
+class TestCells:
+    """``_Cells`` alone, on synthetic records: ``F_1``'s (scale and offset
+    0) and three weights' cells, ``F_1``'s split at or before the weights'.
+    Read in blocks, every cell column must equal bitwise the whole-column
+    rule written out: the running sum of ``grad_norm * rate + creep`` as a
+    Python float in row order, ``((P * grow) * scale + offset) + record[0]``
+    on the rows before the cell's split, and the record after it."""
+
+    @staticmethod
+    def split(data, lo, hi, size, label):
+        """A split in ``lo .. hi``, on a block edge in some examples."""
+        edges = [e for e in range(size, hi + 1, size) if e >= lo]
+        pick = st.integers(lo, hi) | st.sampled_from(edges) if edges else st.integers(lo, hi)
+        return data.draw(pick, label=label)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200), st.sampled_from([1, 7, 64]), st.data())
+    def test_blocks_are_the_whole_column_rule(self, n, size, data):
+        s_w = self.split(data, 1, n, size, "s_w")
+        s_f = self.split(data, 1, s_w, size, "s_f")
+        grad_norm = np.array(data.draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n), label="gn"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        splits = [s_f] + [s_w] * 3
+        records = tuple(rng.exponential(size=n - s + 1) for s in splits)
+        rate, creep, grow = (float(v) for v in rng.uniform(0.0, 2.0, size=3))
+        scales = (0.0, *(float(v) for v in rng.uniform(-2.0, 2.0, size=3)))
+        offsets = (0.0, *(float(v) for v in rng.uniform(-1.0, 1.0, size=3)))
+        cells = _Cells(records, rate, creep, grow, scales, offsets)
+
+        sums, P = [0.0], 0.0
+        for k in range(1, n):
+            P += float(grad_norm[k - 1]) * rate + creep
+            sums.append(P)
+        want = np.empty((n, len(records)))
+        for j, (record, cut, scale, offset) in enumerate(zip(records, splits, scales, offsets)):
+            for k in range(n):
+                if k == 0:
+                    want[k, j] = record[0]
+                elif k < cut:
+                    want[k, j] = ((sums[k] * grow) * scale + offset) + float(record[0])
+                else:
+                    want[k, j] = record[k - cut + 1]
+        got = read_cells(cells, grad_norm, size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # F_1's radius is 0: its rows before its split read row 0's value
+        assert got[:s_f, 0].tobytes() == np.full(s_f, records[0][0]).tobytes()
 
 
 def literal_train(params, data, act, eta, max_steps):

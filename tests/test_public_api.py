@@ -90,8 +90,7 @@ def test_init_config_fields():
             [
                 "loss",
                 "grad_norm",
-                "f1_record",
-                "w_cells",
+                "cells",
                 "spectra_svds",
                 "final_params",
                 "eta",
