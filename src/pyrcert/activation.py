@@ -16,12 +16,12 @@ implementations in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "ActivationParams",
@@ -100,11 +100,22 @@ def value_and_slope(params: ActivationParams, x):
     return val, slope
 
 
-def _constants(params: ActivationParams) -> tuple[float, float, float, float]:
+@functools.cache
+def _erfc():
+    """scipy's ``erfc`` ufunc, imported on the first call: loading
+    ``scipy.special`` takes about 0.2 s, which a command that never
+    evaluates the activation should not pay."""
+    from scipy import special
+
+    return special.erfc
+
+
+def _constants(params: ActivationParams) -> tuple:
     """What ``_value_and_slope`` needs of ``params``: the scale of ``z``,
-    the bump height ``a``, the slope's ``(1-g)/2`` and its floor ``g``."""
+    the bump height ``a``, the slope's ``(1-g)/2``, its floor ``g`` and the
+    ``erfc`` ufunc, which the first call imports."""
     g, b = params.gamma, params.beta
-    return b * _SQRT_2PI / (1.0 - g), (1.0 - g) ** 2 / (2.0 * math.pi * b), 0.5 * (1.0 - g), g
+    return b * _SQRT_2PI / (1.0 - g), (1.0 - g) ** 2 / (2.0 * math.pi * b), 0.5 * (1.0 - g), g, _erfc()
 
 
 # The kernel's fixed factors as 0-d arrays: a ufunc takes one with less
@@ -116,8 +127,9 @@ _MINUS_INV_SQRT2 = np.array(-_INV_SQRT2)
 def _value_and_slope(consts, xs: np.ndarray, val: np.ndarray, slope: np.ndarray, bump: np.ndarray) -> None:
     """The unchecked kernel of ``value_and_slope``: writes the value of the
     finite float64 array ``xs`` into ``val`` and its slope into ``slope``,
-    using ``bump`` as scratch; ``consts`` is ``_constants(params)``, as
-    floats or, for a caller that runs it every step, as 0-d arrays.  The
+    using ``bump`` as scratch; ``consts`` is ``_constants(params)``, its
+    four numbers as floats or, for a caller that runs it every step, as 0-d
+    arrays, and its last member the ``erfc`` ufunc.  The
     three buffers are the caller's, shaped like ``xs`` and distinct from it
     and from each other, so a caller that runs it every step allocates
     nothing.
@@ -129,7 +141,7 @@ def _value_and_slope(consts, xs: np.ndarray, val: np.ndarray, slope: np.ndarray,
     reaches the correct limit, so a caller that wants no warnings runs this
     under ``np.errstate(under="ignore", over="ignore")``.
     """
-    scale, a, half_gap, g = consts
+    scale, a, half_gap, g, erfc = consts
     multiply, add = np.multiply, np.add
     multiply(xs, scale, slope)
     multiply(slope, slope, bump)
@@ -139,7 +151,7 @@ def _value_and_slope(consts, xs: np.ndarray, val: np.ndarray, slope: np.ndarray,
     np.subtract(bump, a, bump)
     multiply(slope, _MINUS_INV_SQRT2, slope)
     # erfc keeps full relative accuracy in the tails
-    special.erfc(slope, slope)
+    erfc(slope, slope)
     multiply(slope, half_gap, slope)
     add(slope, g, slope)
     multiply(xs, slope, val)

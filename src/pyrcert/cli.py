@@ -16,13 +16,12 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .activation import ActivationParams, _real, as_function
+from .activation import ActivationParams, _erfc, _real, as_function
 from .activation import evaluate  # noqa: F401 - bound here for perfbench's tracer
 from .certificates import certificate_to_json, certify, monitor_invariants
 from .gradients import TrainConfig, train, trainlog_to_csv
@@ -477,6 +476,9 @@ def sweep_cmd(cfg: dict, out_dir: Path) -> None:
     n_jobs = min(cfg["sweep"]["jobs"], len(seeds), os.cpu_count() or 1)
     entries = [({**cfg, "seed": s}, out_dir / f"run_{s}") for s in seeds]
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing, only here
+
+        _erfc()  # scipy loads once here, so the forked workers inherit it
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(_sweep_entry, *zip(*entries)))
     else:

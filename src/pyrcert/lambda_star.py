@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .initializers import _batch_rngs
 from .network import _size
@@ -128,8 +127,11 @@ def _hermite_table(x: np.ndarray, r_max: int) -> np.ndarray:
 
 
 def _coeffs_at_order(sigma: Callable, r_max: int, quad_order: int) -> tuple[np.ndarray, float]:
-    # roots_hermite stays stable at high orders, unlike the power-basis route
-    nodes, weights = special.roots_hermite(quad_order)
+    # roots_hermite stays stable at high orders, unlike the power-basis
+    # route; scipy is imported here, on first use, to keep it off startup
+    from scipy.special import roots_hermite
+
+    nodes, weights = roots_hermite(quad_order)
     y = math.sqrt(2.0) * nodes  # Gauss-Hermite weight e^{-x^2} -> Gaussian weight
     vals = np.asarray(sigma(y), dtype=np.float64)
     H = _hermite_table(y, r_max)

@@ -262,7 +262,8 @@ class _Kernel:
         S = [np.empty((N, n)) for n in widths[:-1]]
         self.G, self.F, self.S, self.Y = G, F, S, Y
         self.E = np.empty((N, widths[-1]))
-        self._consts = tuple(np.array(c) for c in _constants(act))
+        *factors, erfc = _constants(act)
+        self._consts = (*(np.array(c) for c in factors), erfc)
         scratch = [np.empty((N, n)) for n in widths[:-1]]
         self._hidden = [
             (F[l], w, G[l], F[l + 1], S[l], scratch[l]) for l, w in enumerate(weights[:-1])

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, emitted files, round trips."""
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -608,7 +609,7 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 8)
         cfg = small_config(tmp_path, sweep={"seeds": [0, 1]})
         res = run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"), "--jobs", "3"])
