@@ -59,6 +59,10 @@ class ActivationParams:
             raise ValueError(f"gamma must lie strictly in (0, 1), got {self.gamma!r}")
         if not (math.isfinite(beta) and beta > 0.0):
             raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
+        # the scale of z and the bump height, as _constants computes them
+        scale, a = beta * _SQRT_2PI / (1.0 - gamma), (1.0 - gamma) ** 2 / (2.0 * math.pi * beta)
+        if not (math.isfinite(scale) and math.isfinite(a)):
+            raise ValueError(f"beta={self.beta!r} at gamma={self.gamma!r} overflows the activation's constants")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "beta", beta)
 

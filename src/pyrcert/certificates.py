@@ -236,9 +236,9 @@ class InvariantReport:
 
     The per-step certified loss ceiling ``bound`` and the flags ``(n_steps,
     4)`` (each check's column contiguous) are not held: they are judged
-    again from ``log`` and ``cert``, which the report refers to, when they
-    are read.  ``bound`` and ``flags`` build their arrays on each access;
-    ``blocks`` gives them a block of rows at a time (``TrainLog.blocks``)."""
+    again from ``log`` and ``cert``, which the report refers to, on each
+    access, by the ``_judge`` that ``monitor_invariants`` tallies and
+    ``trainlog_to_csv`` writes."""
 
     log: "TrainLog" = field(repr=False, compare=False)
     cert: Certificate = field(repr=False, compare=False)
@@ -247,12 +247,6 @@ class InvariantReport:
     all_hold: bool
 
     CHECKS = ("sv_w", "norm_w", "sv_f1", "loss_bound")
-
-    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """``(k0, cells, bound, flags)`` of each block of rows from row
-        ``k0``: the cells judged, as ``TrainLog.blocks`` gives them, then
-        the block's bound and flags."""
-        return _judge(self.cert, self.log.eta, self.log.phi0, self.log.blocks())
 
     @property
     def bound(self) -> np.ndarray:
@@ -263,7 +257,7 @@ class InvariantReport:
     def flags(self) -> np.ndarray:
         """``(n_steps, 4)`` bool, in the order of ``CHECKS``."""
         block = np.empty((4, self.log.n_steps), dtype=bool)
-        for k0, _, _, flags in self.blocks():
+        for k0, _, _, flags in _judge(self.cert, self.log.eta, self.log.phi0, self.log.blocks()):
             block[:, k0 : k0 + len(flags)] = flags.T
         return block.T
 

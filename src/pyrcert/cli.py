@@ -344,7 +344,7 @@ def _run_training(cfg: dict, out_dir: Path) -> tuple[dict, int]:
     tcfg = TrainConfig(eta, tr["max_steps"], tr["stop_loss"])
     log = train(params, data, act, tcfg, cert=use_cert)
     report = monitor_invariants(log, use_cert) if use_cert is not None else None
-    trainlog_to_csv(log, out_dir / "trainlog.csv", report)
+    trainlog_to_csv(log, out_dir / "trainlog.csv", use_cert)
     summary = {
         "steps": log.n_steps - 1,
         "records": log.n_steps,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .activation import ActivationParams, _real
 from .activation import value_and_slope  # noqa: F401 - bound here for perfbench's tracer
-from .certificates import Certificate, InvariantReport, _check_depth, invariant_thresholds
+from .certificates import Certificate, InvariantReport, _check_depth, _judge, invariant_thresholds
 from .network import _FLOAT_CELL, Dataset, Params, _check_dims, _Kernel, _pass, _size
 from .network import _write_csv
 
@@ -35,9 +35,9 @@ __all__ = [
 ]
 
 DIVERGENCE_LOSS = 1e12
-# Rows per block of a log read in blocks (``TrainLog.blocks``): the report's
-# bound and flags are computed a block at a time, and the buffers of a block
-# stay a few KiB, so a CSV written with a report peaks within 24 KiB.
+# Rows per block of a log read in blocks (``TrainLog.blocks``): the bound
+# and flags are judged a block at a time, and the buffers of a block stay a
+# few KiB, so a CSV written with a certificate peaks within 24 KiB.
 BLOCK_ROWS = 64
 
 
@@ -551,11 +551,12 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = None) -> None:
+def trainlog_to_csv(log: TrainLog, path, cert: Optional[Certificate] = None) -> None:
     """Fixed-order CSV: k, loss, bound, sv_F1, min_sv_W3.., max_norm_W1..,
     grad_norm, spectra_exact, then one ``flag_<check>`` column per name in
-    ``InvariantReport.CHECKS``.  Bound and flags come from ``report``;
-    without one the bound is NaN and the flag columns are left out.
+    ``InvariantReport.CHECKS``.  Bound and flags judge ``log`` against
+    ``cert`` (one of another depth raises ``ValueError``); without one the
+    bound is NaN and the flag columns are left out.
 
     ``sv_F1`` is exact on every row.  The other spectra columns of a
     certified run are certified one-sided bounds: ``min_sv_W*`` lower
@@ -565,22 +566,25 @@ def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = Non
     Each row is formatted from the columns and written on its own.  The
     columns the log does not hold are read as they are written:
     ``spectra_exact`` row by row from the weights' split, and the cells
-    from ``sv_F1`` to ``max_norm_W{L}``, with the report's bound and
-    flags, a block of ``BLOCK_ROWS`` rows at a time (``TrainLog.blocks``,
-    ``report.blocks``).  So the write holds one block, one row and the
-    file's buffer beside the log.
+    from ``sv_F1`` to ``max_norm_W{L}``, with the bound and flags, a block
+    of ``BLOCK_ROWS`` rows at a time (``TrainLog.blocks``, judged by
+    ``certificates._judge``).  So the write holds one block, one row and
+    the file's buffer beside the log.
     """
     L, n = log.final_params.depth, log.n_steps
     header = ["k", "loss", "bound", "sv_F1"]
     header.extend(f"min_sv_W{l}" for l in range(3, L + 1))
     header.extend(f"max_norm_W{l}" for l in range(1, L + 1))
     header.extend(["grad_norm", "spectra_exact"])
-    # without a report the bound cell is the literal NaN of the template
+    # without a certificate the bound cell is the literal NaN of the template
     cells = ["%d", _FLOAT_CELL, "nan"] + [_FLOAT_CELL] * len(log.cells.records) + [_FLOAT_CELL, "%d"]
     first = _split(log.cells.records[-1], n)
     exact = chain((1,), repeat(0, first - 1), repeat(1, n - first))
-    judged = report is not None
+    blocks = log.blocks()
+    judged = cert is not None
     if judged:
+        _check_depth(cert, L)
+        blocks = _judge(cert, log.eta, log.phi0, blocks)
         header.extend("flag_" + name for name in InvariantReport.CHECKS)
         cells[2] = _FLOAT_CELL
         cells.extend(["%d"] * len(InvariantReport.CHECKS))
@@ -594,4 +598,4 @@ def trainlog_to_csv(log: TrainLog, path, report: Optional[InvariantReport] = Non
         return [range(k0, k1), log.loss[k0:k1], *bound, *columns, log.grad_norm[k0:k1], exact, *flags]
 
     # starmap keeps no judged block once it is handed on
-    _write_csv(path, header, cells, starmap(block, report.blocks() if judged else log.blocks()))
+    _write_csv(path, header, cells, starmap(block, blocks))

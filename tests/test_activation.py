@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import deriv2, gap_bound, uniform_gap
 from scipy import integrate, special
@@ -54,10 +54,25 @@ class TestParams:
                 ActivationParams(g, 1.0)
 
     def test_rejects_bad_beta(self):
-        # a bool is no smoothing scale, though True == 1
-        for b in (0.0, -1.0, math.inf, math.nan, True, np.bool_(True)):
+        # a bool is no smoothing scale, though True == 1; at gamma = 1/2,
+        # 1e308 overflows the scale of z and 1e-320 the bump height
+        for b in (0.0, -1.0, math.inf, math.nan, True, np.bool_(True), 1e308, 1e-320):
             with pytest.raises(ValueError, match="beta"):
                 ActivationParams(0.5, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        g=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        b=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_accepted_params_give_finite_values(self, g, b):
+        # the whole positive float range, subnormals included
+        try:
+            act = ActivationParams(g, b)
+        except ValueError:
+            assume(False)
+        val, slope = value_and_slope(act, np.array([0.0, 1.0, -1.0, 1e300, -1e300]))
+        assert np.isfinite(val).all() and np.isfinite(slope).all(), (val, slope)
 
     def test_numpy_reals_are_stored_as_floats(self):
         act = ActivationParams(np.float32(0.5), np.int64(1))

@@ -428,9 +428,10 @@ class TestMonitorInvariants:
         [((6, 3, 3, 2), (6, 3, 3, 3, 2)), ((6, 3, 3, 3, 2), (6, 3, 3, 2))],
         ids=["deeper-certificate", "shallower-certificate"],
     )
-    def test_a_certificate_of_another_depth_is_refused(self, run_widths, cert_widths):
+    def test_a_certificate_of_another_depth_is_refused(self, run_widths, cert_widths, tmp_path):
         # train once proved the wrong layers' thresholds or raised an
-        # IndexError, and so did monitor_invariants
+        # IndexError, and so did monitor_invariants; the CSV writer judges
+        # with the same check
         shape, data, cfg = certifiable_instance(widths=run_widths)
         _, params, _ = tune_gain(shape, data, ACT, cfg)
         _, _, cert = tune_gain(Shape(d=4, widths=cert_widths), data, ACT, cfg)
@@ -444,6 +445,9 @@ class TestMonitorInvariants:
         log = train(params, data, ACT, TrainConfig(eta=0.0, max_steps=5))
         with pytest.raises(ValueError, match=message):
             monitor_invariants(log, cert)
+        with pytest.raises(ValueError, match=message):
+            trainlog_to_csv(log, tmp_path / "log.csv", cert)
+        assert not (tmp_path / "log.csv").exists()
 
     def test_certified_run_has_zero_violations(self):
         log, cert = self.make_certified_run()
@@ -467,7 +471,7 @@ class TestMonitorInvariants:
         log, cert = self.make_certified_run()
         report = monitor_invariants(log, cert)
         path = tmp_path / "trainlog.csv"
-        trainlog_to_csv(log, path, report)
+        trainlog_to_csv(log, path, cert)
         cols = trainlog_from_csv(path)
         flag_names = [name for name in cols if name.startswith("flag_")]
         assert flag_names == ["flag_" + name for name in InvariantReport.CHECKS]
@@ -490,52 +494,48 @@ class TestMonitorInvariants:
 
     def test_csv_bytes_match_the_cell_by_cell_writer(self, tmp_path):
         # the row-by-row %-template writer against csv.writer with one
-        # format() per cell
+        # format() per cell; the odd losses are judged as they are
         log, cert = self.make_certified_run()
-        report = monitor_invariants(log, cert)
         odd = dataclasses.replace(log, loss=log.loss.copy())
         odd.loss[:4] = [math.inf, -math.inf, math.nan, -0.0]
-        for run, rep in ((log, report), (log, None), (odd, report)):
+        for run, c in ((log, cert), (log, None), (odd, cert)):
             got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-            trainlog_to_csv(run, got, rep)
-            csv_cell_by_cell(run, want, rep)
+            trainlog_to_csv(run, got, c)
+            csv_cell_by_cell(run, want, None if c is None else monitor_invariants(run, c))
             assert got.read_bytes() == want.read_bytes()
 
     def test_csv_without_a_report_allocates_no_bound_column(self, tmp_path):
-        # the NaN bound cells come from the row template; a report's bound
-        # and flags exist before the write, so a write without one peaks
-        # no higher than a write with one
+        # the NaN bound cells come from the row template, so a write
+        # without a certificate peaks no higher than a write with one
         log, cert = self.make_certified_run(max_steps=20_000)
-        report = monitor_invariants(log, cert)
         peaks = []
-        for rep in (report, None):
-            trainlog_to_csv(log, tmp_path / "warm.csv", rep)
+        for c in (cert, None):
+            trainlog_to_csv(log, tmp_path / "warm.csv", c)
             tracemalloc.start()
             try:
-                trainlog_to_csv(log, tmp_path / "log.csv", rep)
+                trainlog_to_csv(log, tmp_path / "log.csv", c)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0], peaks
 
     def test_csv_peak_memory_is_a_few_blocks(self, tmp_path):
-        # rows are written one at a time and the report's bound and flags
-        # computed a block of rows at a time, so the peak is the file's
-        # buffer, a row and one block of the report whatever the log's
-        # length (a 64-row block of text and cell lists is 62 KB)
+        # rows are written one at a time and the bound and flags judged a
+        # block of rows at a time, so the peak is the file's buffer, a row
+        # and one judged block whatever the log's length (a 64-row block
+        # of text and cell lists is 62 KB)
         for max_steps in (1_000, 20_000):
             log, cert = self.make_certified_run(max_steps=max_steps)
             assert log.n_steps == max_steps + 1
-            report = monitor_invariants(log, cert)
-            for rep in (report, None):
-                trainlog_to_csv(log, tmp_path / "warm.csv", rep)
+            for c in (cert, None):
+                trainlog_to_csv(log, tmp_path / "warm.csv", c)
                 tracemalloc.start()
                 try:
-                    trainlog_to_csv(log, tmp_path / "log.csv", rep)
+                    trainlog_to_csv(log, tmp_path / "log.csv", c)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak <= 24 * 1024, (max_steps, rep is None, peak)
+                assert peak <= 24 * 1024, (max_steps, c is None, peak)
 
     def test_monitor_allocates_its_report_and_a_little(self):
         # the log is judged a block of rows at a time and the flags counted

@@ -12,9 +12,10 @@ _spec.loader.exec_module(peak_memory)
 
 
 def test_measures_a_200_step_run(tmp_path):
-    m = peak_memory.measure({"seed": 0, "train.max_steps": 200}, tmp_path, repeats=1)
+    m = peak_memory.measure({"seed": 0, "train.max_steps": 200}, tmp_path, repeats=2)
     assert m["rows"] == 201
     assert 0 < m["train"] <= m["pipeline"]
+    assert m["pipeline"] <= m["pipeline_max"] and m["train"] <= m["train_max"]
     assert m["monitor"] > 0 and m["csv"] > 0
     assert (tmp_path / "trainlog.csv").read_text().count("\n") == 202
 

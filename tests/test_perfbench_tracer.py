@@ -34,8 +34,10 @@ def test_every_traced_name_is_bound(monkeypatch):
 
 
 def test_certified_run_is_judged_once(monkeypatch, tmp_path):
-    # the trainer only measures: one monitor_invariants call judges the run,
-    # and its report feeds both the CSV and summary.json
+    # the trainer only measures: one monitor_invariants call tallies the
+    # run's judgement for summary.json, and one trainlog_to_csv call writes
+    # the judgement of the same log against the same certificate, so the
+    # run is read twice
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer, install
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pyrcert.activation import ActivationParams
-from pyrcert.certificates import certify, monitor_invariants
+from pyrcert.certificates import certify
 from pyrcert.gradients import TrainConfig, train, trainlog_to_csv
 from pyrcert.initializers import InitConfig, init_certifiable, sphere_data, sphere_targets
 from pyrcert.network import Dataset, Shape
@@ -91,14 +91,14 @@ def small_run():
     params = init_certifiable(shape, InitConfig(seed=0))
     cert = certify(params, data, act)
     log = train(params, data, act, TrainConfig(eta=1e-3, max_steps=5))
-    return log, monitor_invariants(log, cert)
+    return log, cert
 
 
 @pytest.mark.parametrize("with_flags", [True, False])
 def test_column_split_of_a_trainlog(tmp_path, with_flags):
-    log, report = small_run()
+    log, cert = small_run()
     path = tmp_path / "trainlog.csv"
-    trainlog_to_csv(log, path, report if with_flags else None)
+    trainlog_to_csv(log, path, cert if with_flags else None)
     data = path.read_bytes()
     lines = data.decode().splitlines()
     header = lines[0].split(",")
@@ -116,8 +116,8 @@ def test_column_split_of_a_trainlog(tmp_path, with_flags):
 
 
 def test_an_added_column_adds_exactly_one_line(tmp_path):
-    log, report = small_run()
-    trainlog_to_csv(log, tmp_path / "a.csv", report)
+    log, cert = small_run()
+    trainlog_to_csv(log, tmp_path / "a.csv", cert)
     old = (tmp_path / "a.csv").read_bytes()
     new = "".join(line + ",0\r\n" for line in old.decode().splitlines()).encode()
     new = new.replace(b",0\r\n", b",extra\r\n", 1)

@@ -53,6 +53,9 @@ def workdir(tmp_path):
         "dataset": {"source": "sphere", "n": 6, "targets": "aligned", "target_scale": 0.2},
     }))
     (tmp_path / "bad.json").write_text('{"shape": {"no_such_key": 1}}')
+    # smoothing scales whose activation constants overflow
+    (tmp_path / "huge_beta.json").write_text('{"activation": {"beta": 1e308}}')
+    (tmp_path / "tiny_beta.json").write_text('{"activation": {"beta": 1e-320}}')
     return tmp_path
 
 
@@ -60,6 +63,8 @@ def workdir(tmp_path):
     (["kr", "--n", "6", "--d", "4", "--r", "2", "--n-seeds", "3", "--out", "kr"], 0),
     (["--help"], 0),
     (["certify", "--config", "bad.json", "--out", "c"], 1),
+    *[([cmd, "--config", name, "--out", "c"], 1)
+      for cmd in ("certify", "lambda-star") for name in ("huge_beta.json", "tiny_beta.json")],
 ])
 def test_commands_without_an_activation_leave_scipy_unloaded(workdir, args, code):
     assert fresh(RUN, *args, cwd=workdir) == repr((code, []))

@@ -1,10 +1,11 @@
 """Peak memory and read-time costs of pinned train runs.
 
-For each pinned run, prints the ``tracemalloc`` peak of the whole train
-pipeline (``cli._run_training``: set-up, ``train``, ``monitor_invariants``
-and the CSV write) and of ``gradients.train`` alone, each measured after a
-warm-up run of the same pipeline, then the best of five timings of
-``monitor_invariants`` and of ``trainlog_to_csv`` on the run's log.
+For each pinned run, prints the least and the greatest ``tracemalloc``
+peak of five runs of the whole train pipeline (``cli._run_training``:
+set-up, ``train``, ``monitor_invariants`` and the CSV write) and of five
+of ``gradients.train`` alone, all after a warm-up run of the same
+pipeline, then the best of five timings of ``monitor_invariants`` and of
+``trainlog_to_csv`` on the run's log.
 
 Measures the package of the checkout that holds this script, or the one
 whose source directory is given with ``--src``::
@@ -44,6 +45,12 @@ def _peak(call, *args) -> int:
         tracemalloc.stop()
 
 
+def _peaks(call, *args, repeats: int) -> tuple[int, int]:
+    """The least and the greatest ``_peak`` of ``repeats`` calls."""
+    peaks = [_peak(call, *args) for _ in range(repeats)]
+    return min(peaks), max(peaks)
+
+
 def _best(call, *args, repeats: int) -> float:
     """The shortest wall-clock of ``repeats`` calls of ``call(*args)``, in s."""
     times = []
@@ -56,7 +63,8 @@ def _best(call, *args, repeats: int) -> float:
 
 def measure(flags: dict, out_dir: Path, repeats: int = 5) -> dict:
     """One train pipeline of the config ``flags``, writing into ``out_dir``:
-    its log's ``rows``, the ``pipeline`` and ``train`` peaks in bytes, and
+    its log's ``rows``, the least ``pipeline`` and ``train`` peaks in bytes
+    of ``repeats`` and the greatest (``pipeline_max``, ``train_max``), and
     the best of ``repeats`` timings in seconds of ``monitor`` (None for an
     uncertified run) and ``csv``."""
     from pyrcert import cli
@@ -81,13 +89,16 @@ def measure(flags: dict, out_dir: Path, repeats: int = 5) -> dict:
         cli.train, cli.monitor_invariants = train, monitor
     args, kwargs = seen["train"]
     log, cert = seen["log"], seen.get("cert")
-    report = None if cert is None else monitor(log, cert)
+    pipeline = _peaks(cli._run_training, cfg, out_dir, repeats=repeats)
+    train_peaks = _peaks(lambda: train(*args, **kwargs), repeats=repeats)
     return {
         "rows": log.n_steps,
-        "pipeline": _peak(cli._run_training, cfg, out_dir),
-        "train": _peak(lambda: train(*args, **kwargs)),
+        "pipeline": pipeline[0],
+        "pipeline_max": pipeline[1],
+        "train": train_peaks[0],
+        "train_max": train_peaks[1],
         "monitor": None if cert is None else _best(monitor, log, cert, repeats=repeats),
-        "csv": _best(cli.trainlog_to_csv, log, out_dir / "trainlog.csv", report, repeats=repeats),
+        "csv": _best(cli.trainlog_to_csv, log, out_dir / "trainlog.csv", cert, repeats=repeats),
     }
 
 
@@ -102,8 +113,9 @@ def main() -> None:
             m = measure(flags, Path(tmp))
         monitor = "-" if m["monitor"] is None else f"{1e3 * m['monitor']:.2f} ms"
         print(
-            f"{name}: {m['rows']} rows, pipeline peak {m['pipeline'] / 1e6:.3f} MB, "
-            f"train peak {m['train'] / 1e6:.3f} MB, monitor_invariants {monitor}, "
+            f"{name}: {m['rows']} rows, pipeline peak {m['pipeline'] / 1e6:.3f}"
+            f"-{m['pipeline_max'] / 1e6:.3f} MB, train peak {m['train'] / 1e6:.3f}"
+            f"-{m['train_max'] / 1e6:.3f} MB, monitor_invariants {monitor}, "
             f"trainlog_to_csv {m['csv']:.3f} s"
         )
 
