@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import numpy as np
@@ -233,33 +233,15 @@ def certify(params0: Params, data: Dataset, act: ActivationParams) -> Certificat
 class InvariantReport:
     """The four invariants' verdicts on a log against a certificate: each
     check's number of failing steps and first one, and whether all hold.
+    The report holds only these counts; the bound and flags of each row
+    are judged a block at a time by ``_judge``, which ``monitor_invariants``
+    tallies and ``trainlog_to_csv`` writes to ``trainlog.csv``."""
 
-    The per-step certified loss ceiling ``bound`` and the flags ``(n_steps,
-    4)`` (each check's column contiguous) are not held: they are judged
-    again from ``log`` and ``cert``, which the report refers to, on each
-    access, by the ``_judge`` that ``monitor_invariants`` tallies and
-    ``trainlog_to_csv`` writes."""
-
-    log: "TrainLog" = field(repr=False, compare=False)
-    cert: Certificate = field(repr=False, compare=False)
     first_violation: dict[str, Optional[int]]
     n_violations: dict[str, int]
     all_hold: bool
 
     CHECKS = ("sv_w", "norm_w", "sv_f1", "loss_bound")
-
-    @property
-    def bound(self) -> np.ndarray:
-        """``(n_steps,)``: the certified ceiling ``(1 - eta*alpha0)**k * phi0``."""
-        return _decay_bound(self.cert, self.log.eta, self.log.phi0, 0, self.log.n_steps)
-
-    @property
-    def flags(self) -> np.ndarray:
-        """``(n_steps, 4)`` bool, in the order of ``CHECKS``."""
-        block = np.empty((4, self.log.n_steps), dtype=bool)
-        for k0, _, _, flags in _judge(self.cert, self.log.eta, self.log.phi0, self.log.blocks()):
-            block[:, k0 : k0 + len(flags)] = flags.T
-        return block.T
 
 
 def _first_false(col: np.ndarray) -> Optional[int]:
@@ -371,13 +353,7 @@ def monitor_invariants(log: "TrainLog", cert: Certificate) -> InvariantReport:
     """
     _check_depth(cert, log.final_params.depth)
     counts, first = _tally(_judge(cert, log.eta, log.phi0, log.blocks()))
-    return InvariantReport(
-        log=log,
-        cert=cert,
-        first_violation=first,
-        n_violations=counts,
-        all_hold=not any(counts.values()),
-    )
+    return InvariantReport(first_violation=first, n_violations=counts, all_hold=not any(counts.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -175,24 +175,21 @@ class TrainLog:
     """Per-step measurements of a gradient-descent run, row k for step k;
     ``certificates.monitor_invariants`` judges them against a certificate.
 
-    ``sv_f1`` is exact on every row.  The other spectra (``min_sv_w``,
-    ``norm_w``) of a certified run are certified one-sided bounds: lower
-    bounds for the smallest singular values, upper bounds for the operator
-    norms.  They are exact on rows where ``spectra_exact`` is set: step 0,
-    and every row from the first after it that measured every matrix (the
-    last row, if the proof lasts the run; row 1 of an uncertified run).
-    ``spectra_svds`` counts the exact SVDs the run took.  ``final_params``
-    is the last iterate, or ``params0`` if an update overflowed a weight to
-    a non-finite value (the run has then ``diverged``).
-
     ``loss`` and ``grad_norm`` are the only columns held, views of the
     arrays the trainer appended to.  ``cells`` holds the spectra cells, in
     the CSV's order from ``sv_F1``, on the rows that measured them, and
-    computes the rows between from ``grad_norm`` (``_Cells``).  ``sv_f1``,
-    ``min_sv_w``, ``norm_w`` and ``spectra_exact`` build their arrays on
-    each access.  ``blocks`` reads the log a block of rows at a time, as
-    ``monitor_invariants`` and ``trainlog_to_csv`` do, so neither holds a
-    column that is not held here.
+    computes the rows between from ``grad_norm`` (``_Cells``).  The log is
+    read only a block of rows at a time, through ``blocks``, as
+    ``monitor_invariants`` and ``trainlog_to_csv`` read it.  ``sv_F1`` is
+    exact on every row.  The other cells of a certified run are certified
+    one-sided bounds: lower bounds for the smallest singular values, upper
+    bounds for the operator norms.  They are exact on row 0 and on every
+    row from the first after it that measured every matrix (the last row,
+    if the proof lasts the run; row 1 of an uncertified run), the CSV's
+    rows with ``spectra_exact`` = 1.  ``spectra_svds`` counts the exact
+    SVDs the run took.  ``final_params`` is the last iterate, or
+    ``params0`` if an update overflowed a weight to a non-finite value
+    (the run has then ``diverged``).
     """
 
     loss: np.ndarray
@@ -216,13 +213,6 @@ class TrainLog:
     def final_loss(self) -> float:
         return float(self.loss[-1])
 
-    @property
-    def spectra_exact(self) -> np.ndarray:
-        """``(n_steps,)`` bool: the rows that measured every matrix."""
-        exact = np.ones(self.n_steps, dtype=bool)
-        exact[1 : _split(self.cells.records[-1], self.n_steps)] = False
-        return exact
-
     def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """``(k0, cells, loss)`` of each block of ``BLOCK_ROWS`` rows from
         row ``k0``, ``cells`` the spectra cells as the rows of one array,
@@ -231,29 +221,6 @@ class TrainLog:
         cells = self.cells.blocks(self.grad_norm, BLOCK_ROWS)
         for k0, block in zip(range(0, self.n_steps, BLOCK_ROWS), cells):
             yield k0, block, self.loss[k0 : k0 + block.shape[1]]
-
-    def _block(self, cells: range) -> np.ndarray:
-        # column-major: each cell contiguous along the steps
-        block = np.empty((len(cells), self.n_steps))
-        for k0, rows, _ in self.blocks():
-            block[:, k0 : k0 + rows.shape[1]] = rows[cells.start : cells.stop]
-        return block.T
-
-    @property
-    def sv_f1(self) -> np.ndarray:
-        """``(n_steps,)``: ``F_1``'s smallest singular value."""
-        return self._block(range(1))[:, 0]
-
-    @property
-    def min_sv_w(self) -> np.ndarray:
-        """``(n_steps, L - 2)``: the lower bounds of ``W_3..W_L``."""
-        return self._block(range(1, len(self.cells.records) - self.final_params.depth))
-
-    @property
-    def norm_w(self) -> np.ndarray:
-        """``(n_steps, L)``: the upper bounds of ``W_1..W_L``."""
-        n_cells = len(self.cells.records)
-        return self._block(range(n_cells - self.final_params.depth, n_cells))
 
 
 # Lazy spectra.  LAPACK's SVD is backward stable: each computed singular

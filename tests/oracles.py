@@ -10,7 +10,8 @@ of the second-layer gradient, the activation's second derivative and its
 gap to the ramp behind criterion 4, the normalized Hermite polynomials, a
 CSV writer and parser for fixtures, a recorder of the network kernel's
 forward passes, the trainer's log written row by row, the block of the
-weights' spectra cells that the trainer once built after each run, the
+weights' spectra cells that the trainer once built after each run, a
+log's columns and judgement read a block at a time as whole arrays, the
 report judged over whole columns, and the per-row ``F_1`` column.
 """
 
@@ -22,10 +23,11 @@ from typing import Optional
 
 import numpy as np
 
+from pyrcert import gradients
 from pyrcert.activation import ActivationParams, evaluate
 from pyrcert.certificates import DEGENERATE_LAMBDA_F, Certificate, InvariantReport, _first_false, certify
-from pyrcert.certificates import invariant_flags
-from pyrcert.gradients import TrainLog, _Spectra, grad
+from pyrcert.certificates import _decay_bound, _judge, invariant_flags
+from pyrcert.gradients import TrainLog, _Spectra, _split, grad
 from pyrcert.initializers import GAIN_MARGIN, GAIN_MAX, init_certifiable
 from pyrcert.lambda_star import _hermite_table
 from pyrcert.network import Dataset, ForwardTrace, Params, _Kernel, _write_matrix_csv, forward, loss_of
@@ -443,6 +445,23 @@ def read_cells(cells, grad_norm, size) -> np.ndarray:
     block of ``size`` rows at a time as ``monitor_invariants`` and the CSV
     writer read them."""
     return np.concatenate([block.T.copy() for block in cells.blocks(grad_norm, size)])
+
+
+def log_columns(log: TrainLog, cert: Optional[Certificate] = None) -> dict:
+    """``log``'s columns by name, each contiguous along the steps, read in
+    blocks: the cells, ``spectra_exact`` from the weights' split, and with
+    ``cert`` the ``bound`` and ``(n_steps, 4)`` ``flags`` of ``_judge``."""
+    n, L = log.n_steps, log.final_params.depth
+    cells = read_cells(log.cells, log.grad_norm, gradients.BLOCK_ROWS).T.copy().T  # column-major
+    exact = np.ones(n, dtype=bool)
+    exact[1 : _split(log.cells.records[-1], n)] = False
+    cols = dict(loss=log.loss, grad_norm=log.grad_norm, sv_f1=cells[:, 0], spectra_exact=exact)
+    cols.update(min_sv_w=cells[:, 1:-L], norm_w=cells[:, -L:])
+    if cert is not None:
+        cols["bound"] = _decay_bound(cert, log.eta, log.phi0, 0, n)
+        judged = _judge(cert, log.eta, log.phi0, log.blocks())
+        cols["flags"] = np.concatenate([flags.T for *_, flags in judged], axis=1).T
+    return cols
 
 
 def with_columns(log: TrainLog, sv_f1, min_sv_w, norm_w) -> TrainLog:

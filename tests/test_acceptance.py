@@ -20,6 +20,7 @@ from oracles import (
     uniform_gap,
 )
 
+from pyrcert import cli
 from pyrcert.activation import ActivationParams, as_function, evaluate, value_and_slope
 from pyrcert.certificates import certify, monitor_invariants
 from pyrcert.gradients import TrainConfig, grad, train
@@ -463,4 +464,29 @@ def test_criterion_9_lecun_wide_layer_trains():
         f"cond1 slack {narrow.cond1_slack:.4f} -> {cert.cond1_slack:.4f}, "
         f"every entry moved per layer {moved}, loss {log.phi0:.4f} -> "
         f"{log.final_loss:.4f} in 100 certified steps, {time.time() - start:.1f}s",
+    )
+
+
+# ---------------------------------------------------------------------------
+# Criterion 10: one layer of width N after the input certifies, across N
+# ---------------------------------------------------------------------------
+
+
+def test_criterion_10_width_n_certifies_across_n():
+    # n1 = N samples, widths N-6-4-2, d = 8, aligned targets, the gain
+    # searched as the CLI's train searches it
+    start, slacks = time.time(), []
+    for n in (16, 32, 64, 128):
+        for seed in (0, 1, 2):
+            flags = {"seed": seed, "dataset.n": n, "shape.widths": [n, 6, 4, 2]}
+            cfg = cli._load_config(None, {**flags, "shape.d": 8, "dataset.targets": "aligned"})
+            cert = cli._instance(cfg, tune=True)[3]
+            slacks.append((n, seed, cert.certified, cert.cond1_slack, cert.cond2_slack))
+    ok = all(certified and slack2 >= 1.0 for _, _, certified, _, slack2 in slacks)
+    report(
+        "criterion 10: width N certifies at N in {16, 32, 64, 128}, seeds 0-2",
+        ok,
+        f"cond1 slack {min(s[3] for s in slacks):.4g}..{max(s[3] for s in slacks):.4g}, "
+        f"cond2 slack {min(s[4] for s in slacks):.4f}..{max(s[4] for s in slacks):.4f}, "
+        f"{time.time() - start:.1f}s",
     )

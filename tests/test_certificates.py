@@ -20,6 +20,7 @@ from oracles import (
     distance_envelope,
     f1_column,
     forward_starts,
+    log_columns,
     measured_rows,
     rate_constants,
     read_cells,
@@ -59,32 +60,33 @@ from pyrcert.network import Dataset, Params, Shape
 ACT = ActivationParams(0.5, 1.0)
 
 
-def csv_cell_by_cell(log, path, report):
-    """The training-log CSV written one ``format`` call per cell."""
+def csv_cell_by_cell(log, path, cert):
+    """The training-log CSV written one ``format`` call per cell, judged
+    against ``cert`` if one is given."""
     L = log.final_params.depth
     header = ["k", "loss", "bound", "sv_F1"]
     header.extend(f"min_sv_W{l}" for l in range(3, L + 1))
     header.extend(f"max_norm_W{l}" for l in range(1, L + 1))
     header.extend(["grad_norm", "spectra_exact"])
-    bound = np.full(log.n_steps, math.nan)
-    if report is not None:
+    cols = log_columns(log, cert)
+    bound = cols.get("bound", np.full(log.n_steps, math.nan))
+    if cert is not None:
         header.extend("flag_" + name for name in InvariantReport.CHECKS)
-        bound = report.bound
 
     def fmt(v):
         return format(float(v), ".17g")
 
-    min_sv_w, norm_w = log.min_sv_w, log.norm_w  # each built on access
+    min_sv_w, norm_w = cols["min_sv_w"], cols["norm_w"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(log.n_steps):
-            row = [i, fmt(log.loss[i]), fmt(bound[i]), fmt(log.sv_f1[i])]
+            row = [i, fmt(log.loss[i]), fmt(bound[i]), fmt(cols["sv_f1"][i])]
             row.extend(fmt(v) for v in min_sv_w[i])
             row.extend(fmt(v) for v in norm_w[i])
-            row.extend([fmt(log.grad_norm[i]), int(log.spectra_exact[i])])
-            if report is not None:
-                row.extend(int(b) for b in report.flags[i])
+            row.extend([fmt(log.grad_norm[i]), int(cols["spectra_exact"][i])])
+            if cert is not None:
+                row.extend(int(b) for b in cols["flags"][i])
             writer.writerow(row)
 
 
@@ -103,14 +105,14 @@ def lambda_f(w1, X):
 
 
 def decay_bound(alpha0, eta, phi0, n_steps):
-    """The ``bound`` column ``monitor_invariants`` gives a run of ``n_steps``
-    records at step size ``eta`` from initial loss ``phi0`` under a
-    certificate of rate ``alpha0``."""
+    """The ``bound`` column of a run of ``n_steps`` records at step size
+    ``eta`` from initial loss ``phi0``, judged against a certificate of
+    rate ``alpha0``."""
     shape, data, cfg = certifiable_instance()
     _, params, cert = tune_gain(shape, data, ACT, cfg)
     log = train(params, data, ACT, TrainConfig(eta=0.0, max_steps=n_steps - 1))
     log = dataclasses.replace(log, eta=eta, loss=np.full(n_steps, phi0))
-    return monitor_invariants(log, dataclasses.replace(cert, alpha0=alpha0)).bound
+    return log_columns(log, dataclasses.replace(cert, alpha0=alpha0))["bound"]
 
 
 class TestSpectralQuantities:
@@ -454,39 +456,39 @@ class TestMonitorInvariants:
         report = monitor_invariants(log, cert)
         assert report.all_hold
         assert all(v is None for v in report.first_violation.values())
-        assert report.flags.shape == (log.n_steps, 4)
+        assert log_columns(log, cert)["flags"].shape == (log.n_steps, 4)
 
     def test_bound_column_is_predicted_decay(self):
         # the vectorised (1 - eta*alpha0)**k * phi0: a scalar power per step
         # would differ from it in the last bit on some steps
         log, cert = self.make_certified_run(max_steps=3000)
-        report = monitor_invariants(log, cert)
+        judged = log_columns(log, cert)
         want = (1.0 - log.eta * cert.alpha0) ** np.arange(log.n_steps) * log.phi0
-        assert np.array_equal(report.bound, want)
-        assert np.array_equal(report.flags[:, 3], log.loss <= want)
+        assert np.array_equal(judged["bound"], want)
+        assert np.array_equal(judged["flags"][:, 3], log.loss <= want)
 
     def test_csv_round_trip(self, tmp_path):
-        # the CSV carries the report's bound and flags and every log column
+        # the CSV carries the judged bound and flags and every log column
         # bitwise, under one flag column per check
         log, cert = self.make_certified_run()
-        report = monitor_invariants(log, cert)
+        judged = log_columns(log, cert)
         path = tmp_path / "trainlog.csv"
         trainlog_to_csv(log, path, cert)
         cols = trainlog_from_csv(path)
         flag_names = [name for name in cols if name.startswith("flag_")]
         assert flag_names == ["flag_" + name for name in InvariantReport.CHECKS]
         assert np.array_equal(cols["k"], np.arange(log.n_steps))
-        assert np.array_equal(cols["bound"], report.bound)
+        assert np.array_equal(cols["bound"], judged["bound"])
         for i, name in enumerate(flag_names):
-            assert np.array_equal(cols[name], report.flags[:, i])
+            assert np.array_equal(cols[name], judged["flags"][:, i])
         L = log.final_params.depth
         logged = {
             "loss": log.loss,
             "grad_norm": log.grad_norm,
-            "sv_F1": log.sv_f1,
-            "spectra_exact": log.spectra_exact,
-            **{f"min_sv_W{l}": log.min_sv_w[:, l - 3] for l in range(3, L + 1)},
-            **{f"max_norm_W{l}": log.norm_w[:, l - 1] for l in range(1, L + 1)},
+            "sv_F1": judged["sv_f1"],
+            "spectra_exact": judged["spectra_exact"],
+            **{f"min_sv_W{l}": judged["min_sv_w"][:, l - 3] for l in range(3, L + 1)},
+            **{f"max_norm_W{l}": judged["norm_w"][:, l - 1] for l in range(1, L + 1)},
         }
         assert set(cols) == {"k", "bound", *flag_names, *logged}
         for name, want in logged.items():
@@ -501,7 +503,7 @@ class TestMonitorInvariants:
         for run, c in ((log, cert), (log, None), (odd, cert)):
             got, want = tmp_path / "got.csv", tmp_path / "want.csv"
             trainlog_to_csv(run, got, c)
-            csv_cell_by_cell(run, want, None if c is None else monitor_invariants(run, c))
+            csv_cell_by_cell(run, want, c)
             assert got.read_bytes() == want.read_bytes()
 
     def test_csv_without_a_report_allocates_no_bound_column(self, tmp_path):
@@ -550,7 +552,8 @@ class TestMonitorInvariants:
         finally:
             tracemalloc.stop()
         # the repeated loss stays put while its bound decays
-        assert report.flags.shape == (200_001, 4) and report.n_violations["loss_bound"] == 200_000
+        assert log_columns(long, cert)["flags"].shape == (200_001, 4)
+        assert report.n_violations["loss_bound"] == 200_000
         assert peak <= 16 * 1024, peak
 
     @staticmethod
@@ -558,11 +561,12 @@ class TestMonitorInvariants:
         """A one-row ``log`` repeated to ``n_steps`` rows, every one measured."""
         columns = ("loss", "grad_norm")
         long = dataclasses.replace(log, **{f: np.repeat(getattr(log, f), n_steps) for f in columns})
+        cols = log_columns(log)
         return with_columns(
             long,
-            np.repeat(log.sv_f1, n_steps),
-            np.repeat(log.min_sv_w, n_steps, axis=0),
-            np.repeat(log.norm_w, n_steps, axis=0),
+            np.repeat(cols["sv_f1"], n_steps),
+            np.repeat(cols["min_sv_w"], n_steps, axis=0),
+            np.repeat(cols["norm_w"], n_steps, axis=0),
         )
 
     @pytest.mark.parametrize("case", ["all_hold", "all_fail", "row_0_fails", "nan_rows"])
@@ -572,24 +576,26 @@ class TestMonitorInvariants:
         log, cert = self.make_certified_run(max_steps=40)
         rows = {"all_hold": [], "all_fail": slice(None), "row_0_fails": [0], "nan_rows": [3, 17, 18, 40]}[case]
         low, high = (math.nan, math.nan) if case == "nan_rows" else (0.0, math.inf)
-        cols = {f: getattr(log, f).copy() for f in ("loss", "sv_f1", "min_sv_w", "norm_w")}
+        columns = log_columns(log)
+        cols = {f: columns[f].copy() for f in ("loss", "sv_f1", "min_sv_w", "norm_w")}
         cols["sv_f1"][rows] = cols["min_sv_w"][rows] = low
         cols["norm_w"][rows] = high
         cols["loss"][rows] = math.nan  # a NaN first loss makes every bound NaN
         # a record of every row is its column
         injected_log = dataclasses.replace(log, loss=cols["loss"])
-        report = monitor_invariants(with_columns(injected_log, cols["sv_f1"], cols["min_sv_w"], cols["norm_w"]), cert)
+        run = with_columns(injected_log, cols["sv_f1"], cols["min_sv_w"], cols["norm_w"])
+        report, judged = monitor_invariants(run, cert), log_columns(run, cert)
         f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
         holds = [
             np.all(cols["min_sv_w"] >= lam_floor, axis=1),
             np.all(cols["norm_w"] <= norm_cap, axis=1),
             cols["sv_f1"] >= f1_floor,
-            cols["loss"] <= report.bound,
+            cols["loss"] <= judged["bound"],
         ]
         injected = np.zeros(log.n_steps, dtype=bool)
         injected[rows] = True
         for i, (name, ok) in enumerate(zip(InvariantReport.CHECKS, holds)):
-            col = report.flags[:, i]
+            col = judged["flags"][:, i]
             assert col.flags.c_contiguous and np.array_equal(col, ok), name
             bad = np.flatnonzero(~ok)
             assert report.n_violations[name] == bad.size, name
@@ -607,12 +613,11 @@ class TestMonitorInvariants:
         for base in (1.0 - log.eta * cert.alpha0, 0.999, 0.5):
             c = dataclasses.replace(cert, alpha0=(1.0 - base) / log.eta)
             want = (1.0 - log.eta * c.alpha0) ** np.arange(n_steps) * log.phi0
-            assert monitor_invariants(long, c).bound.tobytes() == want.tobytes()
+            assert log_columns(long, c)["bound"].tobytes() == want.tobytes()
 
     def test_step_zero_flags_true_by_construction(self):
         log, cert = self.make_certified_run(max_steps=0)
-        report = monitor_invariants(log, cert)
-        assert bool(np.all(report.flags[0]))
+        assert bool(np.all(log_columns(log, cert)["flags"][0]))
 
     def test_uncertified_run_report_well_formed(self):
         shape, data, cfg = certifiable_instance()
@@ -624,7 +629,7 @@ class TestMonitorInvariants:
             TrainConfig(eta=100 * cert.eta_max, max_steps=50),
         )
         report = monitor_invariants(log, cert)
-        assert report.flags.shape == (log.n_steps, 4)
+        assert log_columns(log, cert)["flags"].shape == (log.n_steps, 4)
         assert set(report.n_violations) == {"sv_w", "norm_w", "sv_f1", "loss_bound"}
 
     def test_distance_envelope_checked(self):
@@ -727,20 +732,21 @@ class TestLogColumns:
         params, data, eta, max_steps, cert = self.run(case)
         with np.errstate(over="ignore", invalid="ignore"), forward_starts() as starts:
             log = train(params, data, ACT, TrainConfig(eta=eta, max_steps=max_steps), cert=cert)
-        exact = log.spectra_exact
+        cols = log_columns(log)
+        exact = cols["spectra_exact"]
         first = 1 + int(np.argmax(exact[1:])) if log.n_steps > 1 else 0
         assert exact[0] and exact[first:].all() and not exact[1:first].any()
         thresholds = None if cert is None else invariant_thresholds(cert)
         with np.errstate(over="ignore", invalid="ignore"):
             want = dense_log(params, data, ACT, eta, log.n_steps, thresholds, max_steps, first)
         for name, col in want.items():
-            got = getattr(log, name)
+            got = cols[name]
             assert got.shape == col.shape and np.array_equal(got, col, equal_nan=True), name
             assert got.strides[0] == got.itemsize, name  # contiguous along the steps
         if case == "one_row":
             assert log.n_steps == 1
         elif case == "nan_row":
-            assert log.diverged and log.n_steps == 2 and np.isnan(log.sv_f1[1])
+            assert log.diverged and log.n_steps == 2 and np.isnan(cols["sv_f1"][1])
         elif case == "proof_runs_out":
             assert first == 30
         elif case == "w1_moves":
@@ -764,7 +770,7 @@ class TestLogColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert log.n_steps == 5_001 and log.spectra_exact[1:-1].any() != certified
+        assert log.n_steps == 5_001 and log_columns(log)["spectra_exact"][1:-1].any() != certified
         # what the log holds: two columns, and the records of F_1 and of the
         # weights' cells only on the rows measured
         columns = (log.loss, log.grad_norm, *log.cells.records)
@@ -814,15 +820,15 @@ class TestWeightCells:
         rng = np.random.default_rng(11)
         params = Params((rng.normal(size=(3, 2)),))
         data = Dataset(rng.normal(size=(4, 3)), rng.normal(size=(4, 2)))
-        eager = train(params, data, ACT, TrainConfig(eta=eta, max_steps=steps))
-        path = 2.0 * eta * float(np.sum(eager.grad_norm[:30]))
+        eager = log_columns(train(params, data, ACT, TrainConfig(eta=eta, max_steps=steps)))
+        path = 2.0 * eta * float(np.sum(eager["grad_norm"][:30]))
         shape, data3, cfg = certifiable_instance()
         cert = dataclasses.replace(
             certify(init_certifiable(shape, cfg), data3, ACT),
             depth=1,
-            lambda_bar=((float(eager.norm_w[0, 0]) + path) / 1.5,),
+            lambda_bar=((float(eager["norm_w"][0, 0]) + path) / 1.5,),
             lambda_min_deep=(),
-            lambda_f=float(np.min(eager.sv_f1)),
+            lambda_f=float(np.min(eager["sv_f1"])),
             alpha0=0.01,
             eta_max=math.inf,
         )
@@ -907,11 +913,12 @@ def proof_runs_out_at_30(seed, widths):
     eta = 0.02
     eager = train(params, data, ACT, TrainConfig(eta=eta, max_steps=60))
     path = 2.0 * eta * float(np.sum(eager.grad_norm[:30]))
+    cols = log_columns(eager)
     cert = dataclasses.replace(
         certify(params, data, ACT),
-        lambda_f=float(np.min(eager.sv_f1)),
-        lambda_min_deep=tuple(2.0 * (v - path) for v in eager.min_sv_w[0]),
-        lambda_bar=tuple((v + path) / 1.5 for v in eager.norm_w[0]),
+        lambda_f=float(np.min(cols["sv_f1"])),
+        lambda_min_deep=tuple(2.0 * (v - path) for v in cols["min_sv_w"][0]),
+        lambda_bar=tuple((v + path) / 1.5 for v in cols["norm_w"][0]),
         alpha0=0.01,
         eta_max=math.inf,
     )
@@ -922,12 +929,13 @@ def assert_cells_are_the_block(log, params, data, eta, max_steps, cert):
     """Assert that ``log``'s weight cells, read as arrays and in blocks of
     7 rows, equal bit for bit the block the trainer once built after the
     run (``oracles.cells_block``); return the run's ``first``."""
-    exact = log.spectra_exact
+    cols = log_columns(log)
+    exact = cols["spectra_exact"]
     first = 1 + int(np.argmax(exact[1:])) if log.n_steps > 1 else 0
     thresholds = None if cert is None else invariant_thresholds(cert)
     spectra = run_spectra(params, data, ACT, thresholds, eta, max_steps, first)
     want = cells_block(spectra, log.cells.records[1:], log.grad_norm)
-    arrays = np.concatenate([log.min_sv_w, log.norm_w], axis=1)
+    arrays = np.concatenate([cols["min_sv_w"], cols["norm_w"]], axis=1)
     for got in (arrays, read_cells(log.cells, log.grad_norm, 7)[:, 1:]):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     return first
@@ -939,15 +947,16 @@ def assert_read_in_blocks_is_the_whole_run(log, cert, params, data, eta, rows):
     whole-run oracles: ``F_1`` measured on every row of a replay, the rows
     ``rows`` that measured every matrix, and ``whole_run_report``."""
     f1 = f1_column(params, data, ACT, eta, log.n_steps)
-    assert log.sv_f1.tobytes() == f1.tobytes()
-    assert np.array_equal(log.spectra_exact, np.isin(np.arange(log.n_steps), rows))
+    cols = log_columns(log, cert)
+    assert cols["sv_f1"].tobytes() == f1.tobytes()
+    assert np.array_equal(cols["spectra_exact"], np.isin(np.arange(log.n_steps), rows))
     report = monitor_invariants(log, cert)
     bound, flags, counts, first = whole_run_report(
-        cert, log.eta, log.phi0, [f1, *log.min_sv_w.T, *log.norm_w.T], log.loss
+        cert, log.eta, log.phi0, [f1, *cols["min_sv_w"].T, *cols["norm_w"].T], log.loss
     )
-    assert report.bound.tobytes() == bound.tobytes()
-    assert report.flags.shape == flags.shape and np.array_equal(report.flags, flags)
-    assert all(report.flags[:, i].flags.c_contiguous for i in range(4))
+    assert cols["bound"].tobytes() == bound.tobytes()
+    assert cols["flags"].shape == flags.shape and np.array_equal(cols["flags"], flags)
+    assert all(cols["flags"][:, i].flags.c_contiguous for i in range(4))
     assert report.n_violations == counts and report.first_violation == first
     assert report.all_hold == (not any(counts.values()))
 
@@ -985,13 +994,13 @@ class TestReadInBlocks:
             # every check fails, sv_w first past the first blocks of 7 rows
             shape, data, cfg = certifiable_instance(seed=3, widths=(6, 4, 3, 2), y_scale=1.0)
             params = init_certifiable(shape, cfg)
-            eager = train(params, data, ACT, TrainConfig(eta=0.05, max_steps=60))
+            eager = log_columns(train(params, data, ACT, TrainConfig(eta=0.05, max_steps=60)))
             med = lambda a: tuple(float(v) for v in np.median(a, axis=0))  # noqa: E731
             cert = dataclasses.replace(
                 certify(params, data, ACT),
-                lambda_f=2.0 * med(eager.sv_f1[:, None])[0],
-                lambda_min_deep=tuple(2.0 * v for v in med(eager.min_sv_w)),
-                lambda_bar=tuple(v / 1.5 for v in med(eager.norm_w)),
+                lambda_f=2.0 * med(eager["sv_f1"][:, None])[0],
+                lambda_min_deep=tuple(2.0 * v for v in med(eager["min_sv_w"])),
+                lambda_bar=tuple(v / 1.5 for v in med(eager["norm_w"])),
                 alpha0=0.1,
                 eta_max=math.inf,
             )
@@ -1062,20 +1071,20 @@ class TestLazySpectra:
         """Return the lazy run's flags after checking them, step by step,
         against those of the exact spectra."""
         assert np.array_equal(lazy.loss, eager.loss)
-        assert eager.spectra_exact.all()
-        report = monitor_invariants(lazy, cert)
+        lazy, eager = log_columns(lazy, cert), log_columns(eager)
+        assert eager["spectra_exact"].all()
         want = invariant_flags(
-            cert, [eager.sv_f1, *eager.min_sv_w.T, *eager.norm_w.T], eager.loss, report.bound
+            cert, [eager["sv_f1"], *eager["min_sv_w"].T, *eager["norm_w"].T], eager["loss"], lazy["bound"]
         )
-        assert np.array_equal(report.flags, want)
-        assert np.array_equal(lazy.sv_f1, eager.sv_f1)  # exact on every row
-        assert np.all(lazy.min_sv_w <= eager.min_sv_w)
-        assert np.all(lazy.norm_w >= eager.norm_w)
-        rows = lazy.spectra_exact
+        assert np.array_equal(lazy["flags"], want)
+        assert np.array_equal(lazy["sv_f1"], eager["sv_f1"])  # exact on every row
+        assert np.all(lazy["min_sv_w"] <= eager["min_sv_w"])
+        assert np.all(lazy["norm_w"] >= eager["norm_w"])
+        rows = lazy["spectra_exact"]
         assert rows[0] and rows[-1]
-        assert np.array_equal(lazy.min_sv_w[rows], eager.min_sv_w[rows])
-        assert np.array_equal(lazy.norm_w[rows], eager.norm_w[rows])
-        return report.flags
+        assert np.array_equal(lazy["min_sv_w"][rows], eager["min_sv_w"][rows])
+        assert np.array_equal(lazy["norm_w"][rows], eager["norm_w"][rows])
+        return lazy["flags"]
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 40), st.sampled_from([(6, 3, 2), (6, 4, 3, 2)]))
@@ -1104,12 +1113,13 @@ class TestLazySpectra:
         shape, data, cfg = certifiable_instance(seed=seed, widths=widths, y_scale=1.0)
         params = init_certifiable(shape, cfg)
         eager = self.exact_replay(params, data, eta, 60)
+        cols = log_columns(eager)
         med = lambda a: tuple(float(v) for v in np.median(a, axis=0))  # noqa: E731
         cert = dataclasses.replace(
             certify(params, data, ACT),
-            lambda_f=2.0 * med(eager.sv_f1[:, None])[0],
-            lambda_min_deep=tuple(2.0 * v for v in med(eager.min_sv_w)),
-            lambda_bar=tuple(v / 1.5 for v in med(eager.norm_w)),
+            lambda_f=2.0 * med(cols["sv_f1"][:, None])[0],
+            lambda_min_deep=tuple(2.0 * v for v in med(cols["min_sv_w"])),
+            lambda_bar=tuple(v / 1.5 for v in med(cols["norm_w"])),
             alpha0=0.01,
             eta_max=math.inf,
         )
@@ -1121,7 +1131,7 @@ class TestLazySpectra:
         # every matrix is measured on row 0 and on each row from the first
         # after it that measured every matrix; F_1 alone on the rows before
         # that which recompute layer 1
-        exact = lazy.spectra_exact
+        exact = log_columns(lazy)["spectra_exact"]
         first = 1 + int(np.argmax(exact[1:]))
         assert exact[0] and exact[first:].all() and not exact[1:first].any()
         n_all = 1 + lazy.n_steps - first
@@ -1140,7 +1150,7 @@ class TestLazySpectra:
             lazy = train(params, data, ACT, TrainConfig(eta=eta, max_steps=60), cert=cert)
         self.check_against_exact(lazy, eager, cert)
         assert_read_in_blocks_is_the_whole_run(lazy, cert, params, data, eta, rows)
-        exact = lazy.spectra_exact
+        exact = log_columns(lazy)["spectra_exact"]
         first = 1 + int(np.argmax(exact[1:]))
         assert first == 30
         assert_cells_are_the_block(lazy, params, data, eta, 60, cert)
@@ -1169,15 +1179,15 @@ class TestLazySpectra:
         # the exact value: it must never be proven without an SVD
         shape, data, cfg = certifiable_instance(widths=(6, 4, 3, 2))
         params = init_certifiable(shape, cfg)
-        eager = self.exact_replay(params, data, 0.0, 0)
+        eager = log_columns(self.exact_replay(params, data, 0.0, 0))
         cert = dataclasses.replace(
             certify(params, data, ACT),
-            lambda_f=2.0 * float(eager.sv_f1[0]),
-            lambda_min_deep=tuple(2.0 * float(v) for v in eager.min_sv_w[0]),
+            lambda_f=2.0 * float(eager["sv_f1"][0]),
+            lambda_min_deep=tuple(2.0 * float(v) for v in eager["min_sv_w"][0]),
         )
         lazy = train(params, data, ACT, TrainConfig(eta=0.0, max_steps=5), cert=cert)
-        assert monitor_invariants(lazy, cert).flags.all()
+        assert log_columns(lazy, cert)["flags"].all()
         # W_3's and W_4's limits are -inf at step 0, so the run's limit is
         # too: every matrix is measured on all 6 rows
         assert lazy.spectra_svds == 6 * 5
-        assert lazy.spectra_exact.all()
+        assert log_columns(lazy)["spectra_exact"].all()

@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dataset_to_csv, trainlog_from_csv
+from oracles import dataset_to_csv, log_columns, trainlog_from_csv
 
 from pyrcert import cli as cli_mod
 from pyrcert.certificates import InvariantReport, _decay_bound, _judge, _tally, certificate_from_json
@@ -348,10 +348,10 @@ class TestTrain:
 
     def test_certified_run_peaks_within_a_fixed_slack_of_two_columns(self, tmp_path, monkeypatch):
         # only the loss and gradient norm are held per row: F_1's column,
-        # spectra_exact and the report's bound and flags are computed when
-        # read.  Measured so, the pipeline peaks at 72.1 KB on this
-        # 1,296-row run, and at 89.5 KB when those four were held as columns
-        # (CPython 3.11, NumPy 2.4).
+        # spectra_exact and each row's bound and flags are computed when
+        # read, a block at a time.  Measured so, the pipeline peaks at 72.1
+        # KB on this 1,296-row run, and at 89.5 KB when those four were
+        # held as columns (CPython 3.11, NumPy 2.4).
         cfg = cli_mod._load_config(None, {"seed": 2, "train.stop_loss": 2.5e-3})
         peak, summary, code, log, report = self.traced_run(cfg, tmp_path, monkeypatch)
         assert code == 0 and summary["certified"] and summary["records"] == 1_296
@@ -363,10 +363,10 @@ class TestTrain:
         # the run's own flags, bitwise, through the function that judged it
         seen = []
         monitor = cli_mod.monitor_invariants
-        monkeypatch.setattr(cli_mod, "monitor_invariants", lambda log, cert: seen.append(monitor(log, cert)) or seen[0])
+        monkeypatch.setattr(cli_mod, "monitor_invariants", lambda log, cert: seen.append((log, cert)) or monitor(log, cert))
         res = run(["train", "--seed", "0", "--stop-loss", "2.5e-3", "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
-        report = seen[0]
+        judged = log_columns(*seen[0])
         table = np.genfromtxt(tmp_path / "trainlog.csv", delimiter=",", names=True)
         cert = certificate_from_json(tmp_path / "certificate.json")
         L = cert.depth
@@ -374,8 +374,8 @@ class TestTrain:
         cells += [table[f"max_norm_W{l}"] for l in range(1, L + 1)]
         flags = invariant_flags(cert, cells, table["loss"], table["bound"])
         assert len(flags) == json.loads((tmp_path / "summary.json").read_text())["records"] > 1
-        assert flags.tobytes() == report.flags.tobytes()
-        assert table["bound"].tobytes() == report.bound.tobytes()
+        assert flags.tobytes() == judged["flags"].tobytes()
+        assert table["bound"].tobytes() == judged["bound"].tobytes()
         written = np.stack([table["flag_" + name] for name in InvariantReport.CHECKS], axis=1)
         assert np.array_equal(written, flags)
         # the files alone judge the run again a block of rows at a time, as

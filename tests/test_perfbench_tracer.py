@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pyrcert import cli, gradients, network
+from pyrcert import certificates, cli, gradients, network
 from pyrcert.activation import ActivationParams
 from pyrcert.gradients import TrainConfig, train
 from pyrcert.initializers import InitConfig, sphere_data, sphere_targets, tune_gain
@@ -33,14 +33,23 @@ def test_every_traced_name_is_bound(monkeypatch):
     assert cli.train is gradients.train and np.linalg.svd is svd
 
 
-def test_certified_run_is_judged_once(monkeypatch, tmp_path):
+def test_certified_run_walks_the_judge_twice(monkeypatch, tmp_path):
     # the trainer only measures: one monitor_invariants call tallies the
     # run's judgement for summary.json, and one trainlog_to_csv call writes
     # the judgement of the same log against the same certificate, so the
-    # run is read twice
+    # judge walks the log twice.  Both modules' bindings of _judge are
+    # counted (gradients imports the name)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer, install
 
+    judge, walks = certificates._judge, []
+
+    def counted(*args):
+        walks.append(args)
+        return judge(*args)
+
+    monkeypatch.setattr(certificates, "_judge", counted)
+    monkeypatch.setattr(gradients, "_judge", counted)
     args = ["train", "--seed", "0", "--max-steps", "200", "--out", str(tmp_path)]
     with Tracer() as tracer:
         install(tracer)
@@ -54,6 +63,7 @@ def test_certified_run_is_judged_once(monkeypatch, tmp_path):
     # patched it, so the tracer counts every SVD the run takes
     assert tracer.total("certificates.spectra")[0] == summary["spectra_svds"]
     assert tracer.total("gradients.trainlog_to_csv")[0] == 1
+    assert len(walks) == 2
 
 
 class _NotifyingList(list):

@@ -100,13 +100,26 @@ def test_init_config_fields():
         ),
         (
             pyrcert.certificates.InvariantReport,
-            ["log", "cert", "first_violation", "n_violations", "all_hold"],
+            ["first_violation", "n_violations", "all_hold"],
         ),
     ],
     ids=["TrainConfig", "TrainLog", "InvariantReport"],
 )
 def test_trainer_and_report_fields(cls, names):
     assert [f.name for f in dataclasses.fields(cls)] == names
+
+
+# whole-column readers removed from the log and the report: a log is read a
+# block at a time (``TrainLog.blocks``), and the report holds only its counts
+DELETED_ATTRIBUTES = [
+    *((pyrcert.TrainLog, name) for name in ("sv_f1", "min_sv_w", "norm_w", "spectra_exact", "_block")),
+    *((pyrcert.certificates.InvariantReport, name) for name in ("bound", "flags")),
+]
+
+
+@pytest.mark.parametrize("cls, name", DELETED_ATTRIBUTES, ids=lambda v: getattr(v, "__name__", v))
+def test_deleted_attribute_is_gone(cls, name):
+    assert not hasattr(cls, name)
 
 
 def test_train_config_has_no_spectra_option():
