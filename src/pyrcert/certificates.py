@@ -233,9 +233,9 @@ def certify(params0: Params, data: Dataset, act: ActivationParams) -> Certificat
 class InvariantReport:
     """The four invariants' verdicts on a log against a certificate: each
     check's number of failing steps and first one, and whether all hold.
-    The report holds only these counts; the bound and flags of each row
-    are judged a block at a time by ``_judge``, which ``monitor_invariants``
-    tallies and ``trainlog_to_csv`` writes to ``trainlog.csv``."""
+    The report holds only these counts, tallied by ``_judge`` as it yields
+    each block's bound and flags: ``trainlog_to_csv`` returns the report of
+    the flag columns it writes to ``trainlog.csv``."""
 
     first_violation: dict[str, Optional[int]]
     n_violations: dict[str, int]
@@ -312,29 +312,25 @@ def _decay_bound(cert: Certificate, eta: float, phi0: float, k0: int, k1: int) -
     return bound
 
 
-def _judge(cert: Certificate, eta: float, phi0: float, blocks) -> Iterator[tuple]:
-    """``(k0, columns, bound, flags)`` of each block ``(k0, columns,
-    loss)`` of a log's rows from row ``k0``: the block's ceiling by
-    ``_decay_bound`` and its ``invariant_flags``."""
+def _judge(cert: Certificate, eta: float, phi0: float, blocks, report: dict) -> Iterator[tuple]:
+    """``(k0, columns, bound, flags)`` of each block ``(k0, columns, loss)``
+    of a log's rows from row ``k0``: its ceiling by ``_decay_bound`` and its
+    ``invariant_flags``, counted into ``report`` as it is yielded; the
+    drained stream leaves ``InvariantReport``'s fields in ``report``."""
+    first = report["first_violation"] = dict.fromkeys(InvariantReport.CHECKS)
+    counts = report["n_violations"] = dict.fromkeys(InvariantReport.CHECKS, 0)
     for k0, columns, loss in blocks:
         bound = _decay_bound(cert, eta, phi0, k0, k0 + len(loss))
-        yield k0, columns, bound, invariant_flags(cert, columns, loss, bound)
-        del bound  # released before the next block is made
-
-
-def _tally(judged) -> tuple[dict[str, int], dict[str, Optional[int]]]:
-    """Each check's number of failing rows and first failing row, over the
-    blocks of ``_judge``."""
-    counts = dict.fromkeys(InvariantReport.CHECKS, 0)
-    first: dict[str, Optional[int]] = dict.fromkeys(InvariantReport.CHECKS)
-    for k0, _, _, flags in judged:
+        flags = invariant_flags(cert, columns, loss, bound)
         # counted and searched in place, with no negated copy of a column
         for name, col in zip(InvariantReport.CHECKS, flags.T):
             bad = col.size - int(np.count_nonzero(col))
             if bad and first[name] is None:
                 first[name] = k0 + _first_false(col)
             counts[name] += bad
-    return counts, first
+        yield k0, columns, bound, flags
+        del bound, flags, col  # released before the next block is made
+    report["all_hold"] = not any(counts.values())
 
 
 def monitor_invariants(log: "TrainLog", cert: Certificate) -> InvariantReport:
@@ -347,13 +343,15 @@ def monitor_invariants(log: "TrainLog", cert: Certificate) -> InvariantReport:
     of another depth than the logged network's raises ``ValueError``.
 
     The log is judged a block of ``gradients.BLOCK_ROWS`` rows at a time
-    (``TrainLog.blocks``), and the report keeps only each check's count
-    and first violation: the judge holds one block's bound, flags and
-    cells, whatever the log's length.
+    (``TrainLog.blocks``) by draining ``_judge``'s stream, the one that
+    ``trainlog_to_csv`` writes: the judge holds one block's bound, flags
+    and cells, whatever the log's length.
     """
     _check_depth(cert, log.final_params.depth)
-    counts, first = _tally(_judge(cert, log.eta, log.phi0, log.blocks()))
-    return InvariantReport(first_violation=first, n_violations=counts, all_hold=not any(counts.values()))
+    report: dict = {}
+    for _ in _judge(cert, log.eta, log.phi0, log.blocks(), report):
+        pass
+    return InvariantReport(**report)
 
 
 # ---------------------------------------------------------------------------

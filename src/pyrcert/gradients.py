@@ -6,7 +6,7 @@ identical to the closed-form product of per-layer slope diagonals and
 Kronecker factors (the tests rebuild that product literally and compare).
 The trainer runs plain full-batch gradient descent and logs, per step, the
 spectral quantities whose invariants a convergence certificate promises to
-preserve; ``certificates.monitor_invariants`` judges them.
+preserve; ``trainlog_to_csv`` judges them once, as it writes them.
 """
 
 from __future__ import annotations
@@ -172,15 +172,14 @@ class _Cells:
 
 @dataclass
 class TrainLog:
-    """Per-step measurements of a gradient-descent run, row k for step k;
-    ``certificates.monitor_invariants`` judges them against a certificate.
+    """Per-step measurements of a gradient-descent run, row k for step k,
+    judged against a certificate as ``trainlog_to_csv`` writes them.
 
     ``loss`` and ``grad_norm`` are the only columns held, views of the
     arrays the trainer appended to.  ``cells`` holds the spectra cells, in
     the CSV's order from ``sv_F1``, on the rows that measured them, and
     computes the rows between from ``grad_norm`` (``_Cells``).  The log is
-    read only a block of rows at a time, through ``blocks``, as
-    ``monitor_invariants`` and ``trainlog_to_csv`` read it.  ``sv_F1`` is
+    read only a block of rows at a time, through ``blocks``.  ``sv_F1`` is
     exact on every row.  The other cells of a certified run are certified
     one-sided bounds: lower bounds for the smallest singular values, upper
     bounds for the operator norms.  They are exact on row 0 and on every
@@ -382,8 +381,8 @@ def train(
 
     With a certificate of the network's depth, the step size must sit
     strictly below the certified cap, and the logged spectra prove or refute
-    the certificate's thresholds on every step; ``monitor_invariants`` turns
-    them into the invariant flags.  A run is aborted (log retained) if the
+    the certificate's thresholds on every step; ``trainlog_to_csv`` writes
+    them with their invariant flags.  A run is aborted (log retained) if the
     loss exceeds ``1e12`` or turns non-finite.  A non-finite loss is also where
     a non-finite hidden pre-activation shows (the iterates overflowed):
     only then are the hidden layers checked, and if one is not finite the
@@ -518,11 +517,12 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def trainlog_to_csv(log: TrainLog, path, cert: Optional[Certificate] = None) -> None:
+def trainlog_to_csv(log: TrainLog, path, cert: Optional[Certificate] = None) -> Optional[InvariantReport]:
     """Fixed-order CSV: k, loss, bound, sv_F1, min_sv_W3.., max_norm_W1..,
     grad_norm, spectra_exact, then one ``flag_<check>`` column per name in
     ``InvariantReport.CHECKS``.  Bound and flags judge ``log`` against
-    ``cert`` (one of another depth raises ``ValueError``); without one the
+    ``cert`` (one of another depth raises ``ValueError``), and the report
+    returned counts the flag columns; without one it is ``None``, the
     bound is NaN and the flag columns are left out.
 
     ``sv_F1`` is exact on every row.  The other spectra columns of a
@@ -532,11 +532,10 @@ def trainlog_to_csv(log: TrainLog, path, cert: Optional[Certificate] = None) -> 
 
     Each row is formatted from the columns and written on its own.  The
     columns the log does not hold are read as they are written:
-    ``spectra_exact`` row by row from the weights' split, and the cells
-    from ``sv_F1`` to ``max_norm_W{L}``, with the bound and flags, a block
-    of ``BLOCK_ROWS`` rows at a time (``TrainLog.blocks``, judged by
-    ``certificates._judge``).  So the write holds one block, one row and
-    the file's buffer beside the log.
+    ``spectra_exact`` row by row from the weights' split, and the cells,
+    bound and flags a block of ``BLOCK_ROWS`` rows at a time
+    (``TrainLog.blocks``, judged and counted by ``certificates._judge``).
+    So the write holds one block, one row and the file's buffer beside the log.
     """
     L, n = log.final_params.depth, log.n_steps
     header = ["k", "loss", "bound", "sv_F1"]
@@ -548,10 +547,10 @@ def trainlog_to_csv(log: TrainLog, path, cert: Optional[Certificate] = None) -> 
     first = _split(log.cells.records[-1], n)
     exact = chain((1,), repeat(0, first - 1), repeat(1, n - first))
     blocks = log.blocks()
-    judged = cert is not None
+    judged, report = cert is not None, {}
     if judged:
         _check_depth(cert, L)
-        blocks = _judge(cert, log.eta, log.phi0, blocks)
+        blocks = _judge(cert, log.eta, log.phi0, blocks, report)
         header.extend("flag_" + name for name in InvariantReport.CHECKS)
         cells[2] = _FLOAT_CELL
         cells.extend(["%d"] * len(InvariantReport.CHECKS))
@@ -566,3 +565,4 @@ def trainlog_to_csv(log: TrainLog, path, cert: Optional[Certificate] = None) -> 
 
     # starmap keeps no judged block once it is handed on
     _write_csv(path, header, cells, starmap(block, blocks))
+    return InvariantReport(**report) if judged else None

@@ -459,7 +459,7 @@ def log_columns(log: TrainLog, cert: Optional[Certificate] = None) -> dict:
     cols.update(min_sv_w=cells[:, 1:-L], norm_w=cells[:, -L:])
     if cert is not None:
         cols["bound"] = _decay_bound(cert, log.eta, log.phi0, 0, n)
-        judged = _judge(cert, log.eta, log.phi0, log.blocks())
+        judged = _judge(cert, log.eta, log.phi0, log.blocks(), {})
         cols["flags"] = np.concatenate([flags.T for *_, flags in judged], axis=1).T
     return cols
 

@@ -43,7 +43,7 @@ from pyrcert.certificates import (
     monitor_invariants,
     spectral_quantities,
 )
-from pyrcert import gradients
+from pyrcert import cli, gradients
 from pyrcert.certificates import _decay_bound
 from pyrcert.gradients import BLOCK_ROWS, TrainConfig, train, trainlog_to_csv
 from pyrcert.initializers import (
@@ -358,6 +358,22 @@ class TestPredictedDecay:
         out = decay_bound(1.0, 0.5, 8.0, 4)
         np.testing.assert_allclose(out, [8.0, 4.0, 2.0, 1.0], rtol=1e-15)
 
+    @pytest.mark.parametrize("seed, underflows", [(0, True), (1, False), (2, False)])
+    def test_a_wide_first_layer_underflows_the_decay_at_depth_4(self, seed, underflows):
+        # widths N-6-4-2 at N = 128, d = 8: kappa(F_1) grows with N, and on
+        # seed 0 eta*alpha0 = 1.3e-17 at the certified step size, so the
+        # bound column is the constant phi0 at depth 4 (3.8e-16 and 3.2e-16
+        # on seeds 1 and 2 do not underflow).  This pins today's defect;
+        # log-domain certificate arithmetic (ROADMAP item 3) flips it.
+        flags = {"seed": seed, "dataset.n": 128, "shape.widths": [128, 6, 4, 2], "shape.d": 8}
+        cert = cli._instance(cli._load_config(None, flags), tune=True)[3]
+        assert cert.certified
+        eta = 0.9 * cert.eta_max
+        assert (1.0 - eta * cert.alpha0 == 1.0) == underflows
+        bound = _decay_bound(cert, eta, cert.phi0, 0, 3)
+        assert np.all(bound == cert.phi0) == underflows
+        assert bound[0] == cert.phi0 and np.all(np.diff(bound) <= 0.0)
+
 
 class TestCertify:
     def test_requires_wide_first_layer(self):
@@ -569,12 +585,21 @@ class TestMonitorInvariants:
             np.repeat(cols["norm_w"], n_steps, axis=0),
         )
 
-    @pytest.mark.parametrize("case", ["all_hold", "all_fail", "row_0_fails", "nan_rows"])
-    def test_first_violations_and_counts(self, case):
-        # each check's count and first failing step against the rows where
-        # its literal comparison fails; each flag column is contiguous
+    # late_rows fails first past the first block of 7 rows
+    INJECTED = {
+        "all_hold": [],
+        "all_fail": slice(None),
+        "row_0_fails": [0],
+        "nan_rows": [3, 17, 18, 40],
+        "late_rows": [17, 18, 40],
+    }
+
+    def injected_run(self, case):
+        """A certified 41-row run with failing cells and losses injected on
+        the rows of ``case``: ``(run, cert, cols, rows)``, ``cols`` the
+        injected columns by name."""
         log, cert = self.make_certified_run(max_steps=40)
-        rows = {"all_hold": [], "all_fail": slice(None), "row_0_fails": [0], "nan_rows": [3, 17, 18, 40]}[case]
+        rows = self.INJECTED[case]
         low, high = (math.nan, math.nan) if case == "nan_rows" else (0.0, math.inf)
         columns = log_columns(log)
         cols = {f: columns[f].copy() for f in ("loss", "sv_f1", "min_sv_w", "norm_w")}
@@ -584,7 +609,14 @@ class TestMonitorInvariants:
         # a record of every row is its column
         injected_log = dataclasses.replace(log, loss=cols["loss"])
         run = with_columns(injected_log, cols["sv_f1"], cols["min_sv_w"], cols["norm_w"])
-        report, judged = monitor_invariants(run, cert), log_columns(run, cert)
+        return run, cert, cols, rows
+
+    @pytest.mark.parametrize("case", INJECTED)
+    def test_first_violations_and_counts(self, case):
+        # each check's count and first failing step against the rows where
+        # its literal comparison fails; each flag column is contiguous
+        log, cert, cols, rows = self.injected_run(case)
+        report, judged = monitor_invariants(log, cert), log_columns(log, cert)
         f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
         holds = [
             np.all(cols["min_sv_w"] >= lam_floor, axis=1),
@@ -603,6 +635,27 @@ class TestMonitorInvariants:
             want = np.ones_like(injected) if case == "row_0_fails" and name == "loss_bound" else injected
             assert np.array_equal(~ok, want), name
         assert report.all_hold == (case == "all_hold")
+
+    @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 7])
+    @pytest.mark.parametrize("case", INJECTED)
+    def test_the_written_verdict_is_the_reported_one(self, case, block_rows, tmp_path, monkeypatch):
+        # the CSV writer judges the run once and returns the report of what
+        # it wrote: monitor_invariants' report, field by field, whose counts
+        # and first violations are those of the flag columns read back
+        monkeypatch.setattr(gradients, "BLOCK_ROWS", block_rows)
+        run, cert, _, _ = self.injected_run(case)
+        path = tmp_path / "trainlog.csv"
+        report, want = trainlog_to_csv(run, path, cert), monitor_invariants(run, cert)
+        assert isinstance(report, InvariantReport)
+        for field in dataclasses.fields(InvariantReport):
+            assert getattr(report, field.name) == getattr(want, field.name), field.name
+        table = np.genfromtxt(path, delimiter=",", names=True)
+        assert len(table) == run.n_steps
+        for name in InvariantReport.CHECKS:
+            bad = np.flatnonzero(table["flag_" + name] == 0)
+            assert report.n_violations[name] == bad.size, name
+            assert report.first_violation[name] == (int(bad[0]) if bad.size else None), name
+        assert trainlog_to_csv(run, tmp_path / "uncertified.csv") is None
 
     @pytest.mark.parametrize("n_steps", [1, 1_295, 46_424, 200_001])
     def test_bound_column_equals_the_literal_power_bitwise(self, n_steps):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from oracles import dataset_to_csv, log_columns, trainlog_from_csv
 
 from pyrcert import cli as cli_mod
-from pyrcert.certificates import InvariantReport, _decay_bound, _judge, _tally, certificate_from_json
+from pyrcert.certificates import InvariantReport, _decay_bound, _judge, certificate_from_json
 from pyrcert.certificates import invariant_flags
 from pyrcert.gradients import BLOCK_ROWS
 from pyrcert.cli import main
@@ -306,13 +306,13 @@ class TestTrain:
         """The tracemalloc peak of a second ``_run_training`` of ``cfg``, and
         its summary, exit code, log and report."""
         seen = []
-        monitor = cli_mod.monitor_invariants
+        write = cli_mod.trainlog_to_csv
 
-        def spy(log, cert):
-            seen[:] = [log, monitor(log, cert)]
+        def spy(log, path, cert):
+            seen[:] = [log, write(log, path, cert)]
             return seen[1]
 
-        monkeypatch.setattr(cli_mod, "monitor_invariants", spy)
+        monkeypatch.setattr(cli_mod, "trainlog_to_csv", spy)
         cli_mod._run_training(cfg, tmp_path)  # warm-up
         tracemalloc.start()
         try:
@@ -362,8 +362,8 @@ class TestTrain:
         # trainlog.csv read back by np.genfromtxt and certificate.json give
         # the run's own flags, bitwise, through the function that judged it
         seen = []
-        monitor = cli_mod.monitor_invariants
-        monkeypatch.setattr(cli_mod, "monitor_invariants", lambda log, cert: seen.append((log, cert)) or monitor(log, cert))
+        write = cli_mod.trainlog_to_csv
+        monkeypatch.setattr(cli_mod, "trainlog_to_csv", lambda log, path, cert: seen.append((log, cert)) or write(log, path, cert))
         res = run(["train", "--seed", "0", "--stop-loss", "2.5e-3", "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         judged = log_columns(*seen[0])
@@ -379,9 +379,10 @@ class TestTrain:
         written = np.stack([table["flag_" + name] for name in InvariantReport.CHECKS], axis=1)
         assert np.array_equal(written, flags)
         # the files alone judge the run again a block of rows at a time, as
-        # monitor_invariants does: the bound rebuilt from the certificate
-        # and summary.json's eta and initial loss is the CSV's bitwise, and
-        # the counts and first violations are summary.json's
+        # the CSV writer judged it once: the bound rebuilt from the
+        # certificate and summary.json's eta and initial loss is the CSV's
+        # bitwise, and the counts and first violations of that stream are
+        # summary.json's, which the writer counted from the flags it wrote
         summary = json.loads((tmp_path / "summary.json").read_text())
         eta, phi0, n = summary["eta"], summary["initial_loss"], len(flags)
         starts = range(0, n, BLOCK_ROWS)
@@ -391,8 +392,11 @@ class TestTrain:
             (k0, [c[k0 : k0 + BLOCK_ROWS] for c in cells], table["loss"][k0 : k0 + BLOCK_ROWS])
             for k0 in starts
         )
-        counts, first = _tally(_judge(cert, eta, phi0, blocks))
-        assert counts == summary["violations"] and first == summary["first_violation"]
+        report = {}
+        for _ in _judge(cert, eta, phi0, blocks, report):
+            pass
+        assert report["n_violations"] == summary["violations"]
+        assert report["first_violation"] == summary["first_violation"]
 
     def test_csv_dataset_source(self, tmp_path):
         X = sphere_data(6, 4, seed=3)

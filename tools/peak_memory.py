@@ -2,10 +2,11 @@
 
 For each pinned run, prints the least and the greatest ``tracemalloc``
 peak of five runs of the whole train pipeline (``cli._run_training``:
-set-up, ``train``, ``monitor_invariants`` and the CSV write) and of five
-of ``gradients.train`` alone, all after a warm-up run of the same
-pipeline, then the best of five timings of ``monitor_invariants`` and of
-``trainlog_to_csv`` on the run's log.
+set-up, ``train`` and one CSV write, which judges a certified run once)
+and of five of ``gradients.train`` alone, all after a warm-up run of the
+same pipeline, then the best of five timings of ``monitor_invariants``
+(the judgement of a log held in memory) and of ``trainlog_to_csv`` on the
+run's log.
 
 Measures the package of the checkout that holds this script, or the one
 whose source directory is given with ``--src``::
@@ -68,27 +69,27 @@ def measure(flags: dict, out_dir: Path, repeats: int = 5) -> dict:
     the best of ``repeats`` timings in seconds of ``monitor`` (None for an
     uncertified run) and ``csv``."""
     from pyrcert import cli
+    from pyrcert.certificates import monitor_invariants
 
     cfg = cli._load_config(None, flags)
     seen: dict = {}
-    train, monitor = cli.train, cli.monitor_invariants
+    train, write = cli.train, cli.trainlog_to_csv
 
     def train_spy(*args, **kwargs):
         seen["train"] = (args, kwargs)
-        seen["log"] = train(*args, **kwargs)
-        return seen["log"]
+        return train(*args, **kwargs)
 
-    def monitor_spy(log, cert):
-        seen["cert"] = cert
-        return monitor(log, cert)
+    def write_spy(*args):
+        seen["csv"] = args
+        return write(*args)
 
-    cli.train, cli.monitor_invariants = train_spy, monitor_spy
+    cli.train, cli.trainlog_to_csv = train_spy, write_spy
     try:
         cli._run_training(cfg, out_dir)  # the warm-up, which records the inputs
     finally:
-        cli.train, cli.monitor_invariants = train, monitor
+        cli.train, cli.trainlog_to_csv = train, write
     args, kwargs = seen["train"]
-    log, cert = seen["log"], seen.get("cert")
+    log, cert = seen["csv"][0], seen["csv"][2]
     pipeline = _peaks(cli._run_training, cfg, out_dir, repeats=repeats)
     train_peaks = _peaks(lambda: train(*args, **kwargs), repeats=repeats)
     return {
@@ -97,8 +98,8 @@ def measure(flags: dict, out_dir: Path, repeats: int = 5) -> dict:
         "pipeline_max": pipeline[1],
         "train": train_peaks[0],
         "train_max": train_peaks[1],
-        "monitor": None if cert is None else _best(monitor, log, cert, repeats=repeats),
-        "csv": _best(cli.trainlog_to_csv, log, out_dir / "trainlog.csv", cert, repeats=repeats),
+        "monitor": None if cert is None else _best(monitor_invariants, log, cert, repeats=repeats),
+        "csv": _best(write, log, out_dir / "trainlog.csv", cert, repeats=repeats),
     }
 
 
