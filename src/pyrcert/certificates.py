@@ -18,6 +18,7 @@ the ratio LHS/RHS ("slack", >= 1 means the condition holds).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -38,6 +39,7 @@ __all__ = [
     "spectral_quantities",
     "certificate_from_spectra",
     "certify",
+    "invariant_cells",
     "invariant_thresholds",
     "invariant_flags",
     "monitor_invariants",
@@ -255,15 +257,21 @@ def _check_depth(cert: Certificate, depth: int) -> None:
         raise ValueError(f"the certificate is for depth {cert.depth}, but the network has depth {depth}")
 
 
-def invariant_thresholds(cert: Certificate) -> tuple[float, np.ndarray, np.ndarray]:
-    """The certified corridor: the floor of ``sigma_min(F_1)``, the floors of
-    ``sigma_min(W_l)`` for layers 3..L and the caps of ``||W_l||_2`` for
-    layers 1..L."""
-    return (
-        cert.lambda_f / 2.0,
-        np.asarray(cert.lambda_min_deep, dtype=np.float64) / 2.0,
-        1.5 * np.asarray(cert.lambda_bar, dtype=np.float64),
-    )
+@functools.cache
+def invariant_cells(depth: int) -> tuple[tuple[str, int, str], ...]:
+    """The CSV's spectra columns at depth ``depth``, in order, each
+    ``(column, matrix, check)``: matrix 0 is ``F_1`` and ``l`` is ``W_l``;
+    ``norm_w`` cells cap ``||W_l||_2``, the others floor a ``sigma_min``."""
+    floors = [("sv_F1", 0, "sv_f1")] + [(f"min_sv_W{l}", l, "sv_w") for l in range(3, depth + 1)]
+    return (*floors, *((f"max_norm_W{l}", l, "norm_w") for l in range(1, depth + 1)))
+
+
+def invariant_thresholds(cert: Certificate) -> np.ndarray:
+    """The certified corridor, one threshold per ``invariant_cells`` cell:
+    the floors of ``sigma_min(F_1)`` and of ``sigma_min(W_l)`` for layers
+    3..L, then the caps of ``||W_l||_2`` for layers 1..L."""
+    floors = (cert.lambda_f, *cert.lambda_min_deep)
+    return np.array([v / 2.0 for v in floors] + [1.5 * v for v in cert.lambda_bar])
 
 
 def invariant_flags(
@@ -275,7 +283,7 @@ def invariant_flags(
     """Per-step verdicts ``(n_steps, 4)`` for the four invariants, in the
     order of ``InvariantReport.CHECKS``, each column contiguous.
 
-    ``columns`` are the CSV's ``sv_F1`` to ``max_norm_W{L}`` as 1-D
+    ``columns`` are the CSV's spectra columns (``invariant_cells``) as 1-D
     columns, as they are; another count raises ``ValueError``.  Each is
     read once, in order, and released before the next is asked for, so an
     iterator may compute each one when it is reached; a ``TrainLog.blocks``
@@ -284,17 +292,16 @@ def invariant_flags(
     bounds for the norms); with bounds a flag holds only where the bound
     proves it.
     """
-    f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
     # each check's column is contiguous: the rows of a (4, n_steps) block
     block = np.empty((4, len(loss)), dtype=bool)
     block[:3].fill(True)
-    checks = [(block[2], np.greater_equal, f1_floor)]
-    checks += [(block[0], np.greater_equal, limit) for limit in lam_floor]
-    checks += [(block[1], np.less_equal, limit) for limit in norm_cap]
+    rows = dict(zip(InvariantReport.CHECKS, block))
+    layout = zip(invariant_cells(cert.depth), invariant_thresholds(cert), columns, strict=True)
     # one cell at a time into the loss check's row, free until last, then
     # ANDed in place (``where=col`` with ``out=col`` overlap, so NumPy copies)
-    for (col, test, limit), cells in zip(checks, columns, strict=True):
-        col &= test(cells, limit, out=block[3])
+    for (_, _, check), limit, cells in layout:
+        test = np.less_equal if check == "norm_w" else np.greater_equal
+        rows[check] &= test(cells, limit, out=block[3])
     np.less_equal(loss, bound, out=block[3])
     return block.T
 

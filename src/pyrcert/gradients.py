@@ -21,7 +21,8 @@ import numpy as np
 
 from .activation import ActivationParams, _real
 from .activation import value_and_slope  # noqa: F401 - bound here for perfbench's tracer
-from .certificates import Certificate, InvariantReport, _check_depth, _judge, invariant_thresholds
+from .certificates import Certificate, InvariantReport, _check_depth, _judge
+from .certificates import invariant_cells, invariant_thresholds
 from .network import _FLOAT_CELL, Dataset, Params, _check_dims, _Kernel, _pass, _size
 from .network import _write_csv
 
@@ -109,20 +110,21 @@ def _split(record: np.ndarray, n: int) -> int:
 @dataclass(frozen=True)
 class _Cells:
     """The spectra cells of a log, held as the data that proves them, not
-    as columns.  The cells are in the CSV's order: the lower bound of
-    ``F_1``, the lower bounds of ``W_3..W_L``, then the upper bounds of
-    ``W_1..W_L``.
+    as columns, in the CSV's order (``certificates.invariant_cells``): the
+    lower bound of ``F_1``, the lower bounds of ``W_3..W_L``, then the
+    upper bounds of ``W_1..W_L``.
 
     ``records[j]`` is cell ``j`` on the rows that measured its matrix:
     row 0 and the last ``len(records[j]) - 1`` rows.  Each row between is
-    proven (``_Spectra``).  With ``P`` the running sum of ``grad_norm *
-    rate + creep`` over the rows before it, added in row order as the
-    trainer added it, cell ``j`` of such a row is ``((P * grow) *
-    scales[j] + offsets[j]) + records[j][0]``.  ``F_1`` is bitwise row
-    0's matrix there, so its radius is 0: with scale and offset 0 and a
-    finite ``P >= 0``, its cell is ``records[0][0]`` bitwise.  ``blocks``
-    computes the cells when they are read, a block of rows at a time, by
-    these float operations in this order, carrying ``P`` across blocks.
+    proven (``_Spectra``, whose proof checks this very expression): with
+    ``P`` the running sum of ``grad_norm * rate + creep`` over the rows
+    before it, added in row order as the trainer added it, cell ``j`` of
+    such a row is ``((P * grow) * scales[j] + offsets[j]) +
+    records[j][0]``.  ``F_1`` is bitwise row 0's matrix there, so its
+    radius is 0: with scale and offset 0 and a finite ``P >= 0``, its cell
+    is ``records[0][0]`` bitwise.  ``blocks`` computes the cells when they
+    are read, a block of rows at a time, by these float operations in this
+    order, carrying ``P`` across blocks.
     """
 
     records: tuple[np.ndarray, ...]
@@ -176,19 +178,19 @@ class TrainLog:
     judged against a certificate as ``trainlog_to_csv`` writes them.
 
     ``loss`` and ``grad_norm`` are the only columns held, views of the
-    arrays the trainer appended to.  ``cells`` holds the spectra cells, in
-    the CSV's order from ``sv_F1``, on the rows that measured them, and
+    arrays the trainer appended to.  ``cells`` holds the spectra cells
+    (``certificates.invariant_cells``) on the rows that measured them, and
     computes the rows between from ``grad_norm`` (``_Cells``).  The log is
-    read only a block of rows at a time, through ``blocks``.  ``sv_F1`` is
-    exact on every row.  The other cells of a certified run are certified
-    one-sided bounds: lower bounds for the smallest singular values, upper
-    bounds for the operator norms.  They are exact on row 0 and on every
-    row from the first after it that measured every matrix (the last row,
-    if the proof lasts the run; row 1 of an uncertified run), the CSV's
-    rows with ``spectra_exact`` = 1.  ``spectra_svds`` counts the exact
-    SVDs the run took.  ``final_params`` is the last iterate, or
-    ``params0`` if an update overflowed a weight to a non-finite value
-    (the run has then ``diverged``).
+    read only a block of rows at a time, through ``blocks``.  ``F_1``'s
+    cell is exact on every row.  The other cells of a certified run are
+    certified one-sided bounds: lower bounds for the smallest singular
+    values, upper bounds for the operator norms.  They are exact on row 0
+    and on every row from the first after it that measured every matrix
+    (the last row, if the proof lasts the run; row 1 of an uncertified
+    run), the CSV's rows with ``spectra_exact`` = 1.  ``spectra_svds``
+    counts the exact SVDs the run took.  ``final_params`` is the last
+    iterate, or ``params0`` if an update overflowed a weight to a
+    non-finite value (the run has then ``diverged``).
     """
 
     loss: np.ndarray
@@ -239,15 +241,15 @@ class _Spectra:
     """Lazy but rigorous spectra of one run's monitored matrices of
     ``shapes``: ``F_1``, then ``W_1..W_L``, as matrices ``0..L``.
 
-    ``records`` holds one array per cell of a row, in the CSV's order:
-    ``F_1``'s, then the weights' ``cells``, each a matrix and the sign of
-    its bound's radius.  ``F_1`` changes only on a step that recomputes
-    layer 1, and is bitwise the matrix last measured on every other step.
-    So the trainer measures it on each step that recomputes it, and
-    records it on row 0 and on every row from the first after it that
-    measured ``F_1``.  The weights' cells are recorded only on the rows
-    that measure every matrix.  ``cell_table`` hands the records to the
-    log with the constants that prove the rows between (``_Cells``).
+    ``records`` holds one array per cell (``certificates.invariant_cells``)
+    of a row: ``F_1``'s, then the weights', each with its matrix, its
+    radius's sign (+ for a cap) and its threshold.  ``F_1`` changes only on
+    a step that recomputes layer 1, and is bitwise the matrix last measured
+    on every other step.  So the trainer measures it on each step that
+    recomputes it, and records it on row 0 and on every row from the first
+    after it that measured ``F_1``.  The weights' cells are recorded only
+    on the rows that measure every matrix.  ``cell_table`` hands the
+    records to the log with the constants that prove the rows between.
 
     Step 0's exact SVDs (``measure_all``) are the run's one reference for
     ``W_1..W_L``.  By Weyl's inequality no singular value of ``W_i`` moves
@@ -277,30 +279,27 @@ class _Spectra:
 
         radius_i(P) = P * grow * inflate[i] + margin[i].
 
-    Every rounding is monotone, so the computed radius grows with ``P``.
-    ``limit`` is the minimum over ``W_1..W_L`` of the largest ``P`` whose
-    computed radius proves ``W_i``'s ``thresholds`` (as
-    ``invariant_thresholds`` returns them), found once at step 0; an
-    uncertified run (``thresholds`` None) proves nothing, and its ``limit``
-    is -inf.  The trainer compares ``P`` with ``limit`` once per step and
-    measures every matrix on each row from the first whose ``P`` passed
-    it, ``first``: ``P`` never decreases, so the rows proven are ``1 ..
-    first - 1``.  Their bound cells are computed from the same formula
-    only when the log is read: ``_Cells`` recomputes ``P`` from the
-    logged gradient norms by the same sequential sum, so every cell it
-    gives meets its threshold, and a flag read from the log is the exact
-    SVD's.
+    Step 0 stores each weight cell's ``scales[j] = sign * inflate[i]`` and
+    ``offsets[j] = sign * margin[i]`` (``F_1``'s are 0), and a proven row
+    reads it as ``((P * grow) * scales[j] + offsets[j]) + value_0``, with
+    ``value_0`` step 0's: negating is exact, so a floor's cell is
+    ``value_0 - radius_i(P)`` bitwise, and every rounding is monotone.
+    ``limit`` is the least over the weights' cells of the largest ``P`` at
+    which that computed cell meets its threshold, found once at step 0; an
+    uncertified run's thresholds (None) are met by no bound, so its
+    ``limit`` is -inf.  The trainer compares ``P`` with ``limit`` once per
+    step and measures every matrix on each row from the first whose ``P``
+    passed it, ``first``; ``P`` never decreases.  The cells of rows ``1 ..
+    first - 1`` are computed only when the log is read, by ``_Cells``
+    from the logged gradient norms by the same sum and expression, so each
+    meets its threshold and a flag read from the log is the exact SVD's.
     """
 
     def __init__(self, shapes, thresholds, eta: float, max_steps: int) -> None:
-        n = len(shapes)
-        # an uncertified run's thresholds: no bound proves them.  F_1 is
-        # measured wherever it changes, so its floor needs no proof.
-        self.floors, self.caps = [math.inf] * n, [-math.inf] * n
-        if thresholds is not None:
-            _, deep_floors, norm_caps = thresholds
-            self.floors = [-math.inf] * 3 + deep_floors.tolist()
-            self.caps = [math.inf] + norm_caps.tolist()
+        cells = invariant_cells(len(shapes) - 1)
+        self.matrices = [i for _, i, _ in cells]
+        self.signs = [1.0 if check == "norm_w" else -1.0 for *_, check in cells]
+        self.thresholds = [-s * math.inf for s in self.signs] if thresholds is None else thresholds.tolist()
         self.inflate = [1.0 + (2.0 * m * n + _SVD_ERR * max(m, n) + 8.0) * _EPS for m, n in shapes]
         self.underflow = [2.0 * math.sqrt(m * n) * _SQRT_TINY for m, n in shapes]
         self.svd_err = [(2.0 * _SVD_ERR * max(m, n) + 4.0) * _EPS for m, n in shapes]
@@ -309,15 +308,11 @@ class _Spectra:
         self.rate = 2.0 * eta * (1.0 + (size + 8.0) * _EPS)
         self.creep = 8.0 * eta * root * _SQRT_TINY + 4.0 * root * _TINIEST
         self.grow = 1.0 + (max_steps + 8.0) * _EPS
-        # the weights' cells in the CSV's order, each a matrix and the sign
-        # of its bound's radius
-        self.cells = [(i, -1.0) for i in range(3, n)] + [(i, 1.0) for i in range(1, n)]
-        self.tops = [math.nan] * n
-        self.lows = [math.nan] * n
+        self.tops, self.lows = [math.nan] * len(shapes), [math.nan] * len(shapes)
         self.limit = -math.inf
         # F_1's cell, then the weights' cells measured on row 0 and on rows
         # first .. k, one array per cell
-        self.records = [array("d") for _ in range(len(self.cells) + 1)]
+        self.records = [array("d") for _ in cells]
         self.n_svds = 0
 
     def measure(self, i: int, a: np.ndarray) -> None:
@@ -329,44 +324,46 @@ class _Spectra:
         except np.linalg.LinAlgError:  # NaN entries of a blown-up run
             self.tops[i] = self.lows[i] = math.nan
 
-    def _proves(self, i: int, radius: float) -> bool:
-        return self.lows[i] - radius >= self.floors[i] and self.tops[i] + radius <= self.caps[i]
-
-    def _limit(self, i: int) -> float:
-        """The largest running sum whose radius proves ``W_i``'s thresholds
-        from step 0's measurement, or -inf if none does."""
-        slack = min(self.lows[i] - self.floors[i], self.caps[i] - self.tops[i]) - self.margins[i]
+    def _limit(self, j: int) -> float:
+        """The largest running sum at which cell ``j``, as ``_Cells`` reads
+        it, meets its threshold, or -inf if none does."""
+        scale, offset, value, sign = self.scales[j], self.offsets[j], self.records[j][0], self.signs[j]
+        limit = sign * self.thresholds[j]  # negated for a floor, as each cell below
+        slack = limit - sign * value - sign * offset  # a floor's: (value - floor) - margin
         if not slack >= 0.0:
             return -math.inf
-        P = slack / self.inflate[i] / self.grow
-        # the computed radius may miss the exact inverse by a few roundings
+        P = slack / (sign * scale) / self.grow
+        # the computed cell may miss the exact inverse by a few roundings
         for shift in range(-50, 8):
-            if self._proves(i, P * self.grow * self.inflate[i] + self.margins[i]):
+            if sign * (((P * self.grow) * scale + offset) + value) <= limit:
                 return P
             P -= P * 2.0**shift
         return -math.inf
 
     def measure_all(self, k: int, mats) -> None:
-        """Measure every matrix on row ``k``; at step 0 this is the
-        reference, and it sets ``margins`` and ``limit``."""
+        """Measure every matrix on row ``k``; step 0, the reference, sets
+        the cells' ``scales``, ``offsets`` and ``limit``."""
         for i, a in enumerate(mats):
             self.measure(i, a)
-        for (i, sign), record in zip(self.cells, self.records[1:]):
+        for i, sign, record in zip(self.matrices[1:], self.signs[1:], self.records[1:]):
             record.append(self.tops[i] if sign > 0 else self.lows[i])
         if k == 0:
             self.margins = [e * top + u for e, top, u in zip(self.svd_err, self.tops, self.underflow)]
-            self.limit = min(self._limit(i) for i in range(1, len(mats)))
+            weights = list(zip(self.matrices, self.signs))[1:]
+            self.scales = [0.0, *(sign * self.inflate[i] for i, sign in weights)]
+            self.offsets = [0.0, *(sign * self.margins[i] for i, sign in weights)]
+            self.limit = min(self._limit(j) for j in range(1, len(self.records)))
 
     def cell_table(self) -> _Cells:
         """The cells of the log: the records, and the constants that prove
-        the rows between (0 for ``F_1``, whose radius is 0)."""
+        the rows between."""
         return _Cells(
             records=tuple(np.frombuffer(r) for r in self.records),
             rate=self.rate,
             creep=self.creep,
             grow=self.grow,
-            scales=(0.0, *(sign * self.inflate[i] for i, sign in self.cells)),
-            offsets=(0.0, *(sign * self.margins[i] for i, sign in self.cells)),
+            scales=tuple(self.scales),
+            offsets=tuple(self.offsets),
         )
 
 
@@ -518,17 +515,17 @@ def train(
 
 
 def trainlog_to_csv(log: TrainLog, path, cert: Optional[Certificate] = None) -> Optional[InvariantReport]:
-    """Fixed-order CSV: k, loss, bound, sv_F1, min_sv_W3.., max_norm_W1..,
-    grad_norm, spectra_exact, then one ``flag_<check>`` column per name in
-    ``InvariantReport.CHECKS``.  Bound and flags judge ``log`` against
-    ``cert`` (one of another depth raises ``ValueError``), and the report
-    returned counts the flag columns; without one it is ``None``, the
-    bound is NaN and the flag columns are left out.
+    """Fixed-order CSV: k, loss, bound, the spectra columns of
+    ``certificates.invariant_cells``, grad_norm, spectra_exact, then one
+    ``flag_<check>`` column per name in ``InvariantReport.CHECKS``.  Bound
+    and flags judge ``log`` against ``cert`` (one of another depth raises
+    ``ValueError``), and the report returned counts the flag columns;
+    without one it is ``None``, the bound is NaN and the flag columns are
+    left out.
 
-    ``sv_F1`` is exact on every row.  The other spectra columns of a
-    certified run are certified one-sided bounds: ``min_sv_W*`` lower
-    bounds, ``max_norm_W*`` upper bounds.  They are exact on rows with
-    ``spectra_exact`` = 1, which an uncertified run has throughout.
+    ``F_1``'s column is exact on every row.  The others of a certified run
+    are certified one-sided bounds, lower for a floor and upper for a cap,
+    exact on rows with ``spectra_exact`` = 1 (every row, uncertified).
 
     Each row is formatted from the columns and written on its own.  The
     columns the log does not hold are read as they are written:
@@ -538,10 +535,7 @@ def trainlog_to_csv(log: TrainLog, path, cert: Optional[Certificate] = None) -> 
     So the write holds one block, one row and the file's buffer beside the log.
     """
     L, n = log.final_params.depth, log.n_steps
-    header = ["k", "loss", "bound", "sv_F1"]
-    header.extend(f"min_sv_W{l}" for l in range(3, L + 1))
-    header.extend(f"max_norm_W{l}" for l in range(1, L + 1))
-    header.extend(["grad_norm", "spectra_exact"])
+    header = ["k", "loss", "bound", *(c for c, _, _ in invariant_cells(L)), "grad_norm", "spectra_exact"]
     # without a certificate the bound cell is the literal NaN of the template
     cells = ["%d", _FLOAT_CELL, "nan"] + [_FLOAT_CELL] * len(log.cells.records) + [_FLOAT_CELL, "%d"]
     first = _split(log.cells.records[-1], n)

@@ -434,7 +434,7 @@ def cells_block(spectra, records, grad_norm) -> np.ndarray:
     grown = grad_norm[: max(spectra.first - 1, 0)] * spectra.rate
     grown = np.cumsum(grown + spectra.creep) * spectra.grow
     cols = []
-    for (i, sign), record in zip(spectra.cells, records):
+    for i, sign, record in zip(spectra.matrices[1:], spectra.signs[1:], records):
         bound = grown * (sign * spectra.inflate[i]) + sign * spectra.margins[i] + record[0]
         cols.append(np.concatenate([record[:1], bound, record[1:]]))
     return np.stack(cols, axis=1)

@@ -450,6 +450,10 @@ def test_criterion_9_lecun_wide_layer_trains():
     moved = [
         bool(np.all(w != w0)) for w, w0 in zip(log.final_params.weights, params.weights)
     ]
+    # the wide layer's lambda_F**2 / n1 estimates the limit kernel's lambda*
+    # on the same X: the smallest eigenvalue of the Hermite Gram matrix
+    lam_star = gram_hermite(data.X, hermite_coeffs(as_function(ACT), 10), 10).lambda_min
+    lam_hat = cert.lambda_f**2 / 2**16
     ok = (
         refused
         and holds
@@ -457,13 +461,15 @@ def test_criterion_9_lecun_wide_layer_trains():
         and monitor_invariants(log, cert).all_hold
         and all(moved)
         and log.final_loss < log.phi0
+        and abs(lam_hat / lam_star - 1.0) <= 0.05
     )
     report(
         "criterion 9: LeCun application, depth 2, N=4 (refused at n1=2^12, holds at 2^16)",
         ok,
         f"cond1 slack {narrow.cond1_slack:.4f} -> {cert.cond1_slack:.4f}, "
         f"every entry moved per layer {moved}, loss {log.phi0:.4f} -> "
-        f"{log.final_loss:.4f} in 100 certified steps, {time.time() - start:.1f}s",
+        f"{log.final_loss:.4f} in 100 certified steps, lambda_F^2/n1 {lam_hat:.5f} "
+        f"vs lambda* {lam_star:.5f}, {time.time() - start:.1f}s",
     )
 
 

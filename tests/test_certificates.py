@@ -38,6 +38,7 @@ from pyrcert.certificates import (
     certificate_from_spectra,
     certificate_to_json,
     certify,
+    invariant_cells,
     invariant_flags,
     invariant_thresholds,
     monitor_invariants,
@@ -617,7 +618,8 @@ class TestMonitorInvariants:
         # its literal comparison fails; each flag column is contiguous
         log, cert, cols, rows = self.injected_run(case)
         report, judged = monitor_invariants(log, cert), log_columns(log, cert)
-        f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
+        thresholds, L = invariant_thresholds(cert), cert.depth
+        f1_floor, lam_floor, norm_cap = thresholds[0], thresholds[1:-L], thresholds[-L:]
         holds = [
             np.all(cols["min_sv_w"] >= lam_floor, axis=1),
             np.all(cols["norm_w"] <= norm_cap, axis=1),
@@ -699,6 +701,44 @@ class TestMonitorInvariants:
         assert np.all(np.diff(log.loss) <= 0.0)
 
 
+class TestInvariantCells:
+    def test_the_layout_is_the_csv_order(self):
+        # each cell's column, matrix (0 is F_1) and check, written out
+        assert invariant_cells(4) == (
+            ("sv_F1", 0, "sv_f1"),
+            ("min_sv_W3", 3, "sv_w"),
+            ("min_sv_W4", 4, "sv_w"),
+            ("max_norm_W1", 1, "norm_w"),
+            ("max_norm_W2", 2, "norm_w"),
+            ("max_norm_W3", 3, "norm_w"),
+            ("max_norm_W4", 4, "norm_w"),
+        )
+        assert invariant_cells(1) == (("sv_F1", 0, "sv_f1"), ("max_norm_W1", 1, "norm_w"))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 7])
+    def test_thresholds_keep_their_bits(self, depth):
+        # one threshold per cell, each the bits of its group's expression
+        rng = np.random.default_rng(depth)
+        _, data, cfg = certifiable_instance()
+        cert = dataclasses.replace(
+            certify(init_certifiable(Shape(4, (6, 3, 2)), cfg), data, ACT),
+            lambda_f=float(rng.exponential()),
+            lambda_min_deep=tuple(rng.exponential(size=max(depth - 2, 0))),
+            lambda_bar=tuple(rng.exponential(size=depth)),
+            depth=depth,
+        )
+        want = np.concatenate(
+            [
+                [cert.lambda_f / 2.0],
+                np.asarray(cert.lambda_min_deep, dtype=np.float64) / 2.0,
+                1.5 * np.asarray(cert.lambda_bar, dtype=np.float64),
+            ]
+        )
+        got = invariant_thresholds(cert)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert len(got) == len(invariant_cells(depth))
+
+
 class TestInvariantFlags:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 5))
@@ -714,7 +754,8 @@ class TestInvariantFlags:
             lambda_bar=tuple(rng.choice([0.5, 1.0, 2.0], size=depth) / 1.5),
             depth=depth,
         )
-        f1_floor, lam_floor, norm_cap = invariant_thresholds(cert)
+        thresholds = invariant_thresholds(cert)
+        f1_floor, lam_floor, norm_cap = thresholds[0], thresholds[1:-depth], thresholds[-depth:]
 
         def cells(shape):
             return rng.choice([0.25, 0.5, 1.0, 2.0, 4.0, math.nan], size=shape)

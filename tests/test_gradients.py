@@ -480,8 +480,9 @@ class TestSpectra:
         SVD's bitwise, and a proven one meets its threshold."""
         # the logged cells after F_1's, in the CSV's order: the lower bound
         # of the floored W_3 (sign -1), the upper bounds of every W (+1)
-        assert spectra.cells == [(3, -1.0), (1, 1.0), (2, 1.0), (3, 1.0)]
-        column = {cell: 1 + j for j, cell in enumerate(spectra.cells)}
+        cells = list(zip(spectra.matrices, spectra.signs))[1:]
+        assert cells == [(3, -1.0), (1, 1.0), (2, 1.0), (3, 1.0)]
+        column = {cell: 1 + j for j, cell in enumerate(cells)}
         assert rows.shape[1] == 1 + len(column)
         for k, ext in enumerate(exact):
             assert rows[k, 0] == ext[0][0]
@@ -491,9 +492,9 @@ class TestSpectra:
                     assert lo in (None, low) and hi in (None, top)  # bitwise
                     continue
                 if lo is not None:
-                    assert low >= lo >= spectra.floors[i]
+                    assert low >= lo >= spectra.thresholds[column[i, -1.0]]
                 if hi is not None:
-                    assert top <= hi <= spectra.caps[i]
+                    assert top <= hi <= spectra.thresholds[column[i, 1.0]]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -518,8 +519,9 @@ class TestSpectra:
         # F_1's floor is never proven: F_1 is measured wherever it moves.
         w3_floor = first[3][0] * (1.0 - offsets[0])
         caps = [top * (1.0 + off) for (_, top), off in zip(first[1:], offsets[1:])]
-        spectra = _Spectra(self.SHAPES, (first[0][0], np.array([w3_floor]), np.array(caps)), 1.0, len(walk))
-        floors, caps = spectra.floors, spectra.caps
+        spectra = _Spectra(self.SHAPES, np.array([first[0][0], w3_floor, *caps]), 1.0, len(walk))
+        # each matrix's floor and cap, for the proof's edge written per matrix
+        floors, caps = [-math.inf] * 3 + [w3_floor], [math.inf, *caps]
 
         # each listed matrix moves by a random step of relative size
         # 10**log_step, down to below half an ulp, where rounding doubles it
@@ -587,7 +589,7 @@ class TestSpectra:
         first = [self.extremes(a) for a in (f1, *weights)]
         caps = np.array([2.0 * top for _, top in first[1:]])
         steps = 400
-        spectra = _Spectra(self.SHAPES, (0.5 * first[0][0], np.array([0.5 * first[3][0]]), caps), eta, steps)
+        spectra = _Spectra(self.SHAPES, np.array([0.5 * first[0][0], 0.5 * first[3][0], *caps]), eta, steps)
         g, parts = _flat_views(self.SHAPES[1:])
 
         def move(_k):

@@ -41,6 +41,11 @@ CONFIGS = {
     '"dataset": {"source": "file", "x_csv": "x.csv", "y_csv": "y.csv"}}',
     "x.csv": "x0,x1,x2\n0.5,-1.2,0.3\n1.1,0.4,-0.7\n-0.6,0.9,1.3\n0.2,-0.3,-1.5\n",
     "y.csv": "y0\n0.1\n-0.2\n0.3\n0.05\n",
+    # a certified depth-2 run whose 65536-wide first layer moves: F_1 is
+    # measured after step 0
+    "lecun_wide.json": '{"shape": {"d": 8, "widths": [65536, 2]}, '
+    '"dataset": {"n": 4, "targets": "gaussian"}, "init": {"scheme": "lecun"}, '
+    '"train": {"max_steps": 100, "stop_loss": 0.0}}',
 }
 
 # (output directory, CLI arguments), in order: each run writes only under
@@ -69,6 +74,7 @@ RUNS = [
     # the linear sigma of lambda-star and hermite
     ("hermite_linear", ["hermite", "--sigma", "linear"]),
     ("lambda_star_linear", ["lambda-star", "--sigma", "linear", "--samples", "20000"]),
+    ("train_lecun_wide", ["train", "--config", "lecun_wide.json"]),
 ]
 
 
